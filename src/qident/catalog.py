@@ -9,7 +9,7 @@ against infinite products), and the combinatorial supporting facts
 
 `verify` runs the checks for a case and reports pass/fail/error, the
 order actually compared, the first mismatching coefficient if any, and
-how many index tuples the summation engine evaluated.  Identities that
+how many multisum cells the summation engine evaluated.  Identities that
 lose working order to divisions or negative shifts are rerun with a
 larger internal padding until the compared order reaches the request.
 """

@@ -70,7 +70,7 @@ def _report_line(rep: VerificationReport) -> str:
     co = rep.compared_order
     where = "exactly" if co is INF else f"below q^{co}"
     if rep.status == "pass":
-        extra = f", {rep.tuple_count} tuples" if rep.tuple_count else ""
+        extra = f", {rep.tuple_count} cells" if rep.tuple_count else ""
         return f"{head}: PASS ({where}{extra}, {rep.elapsed:.2f}s)"
     m = rep.first_mismatch
     at = f"q^{m.exp}" + (f" z^{m.z_exp}" if m.z_exp is not None else "")

@@ -11,17 +11,29 @@ contributes q^(-s_1), a position i >= 2 contributes
 q^(-s_i) (1 + q^(s_{i-1} + s_i)).  The tail kinds cover the closing
 factors that occur in this family of identities.
 
-Evaluation runs a depth-first search over weakly decreasing index tuples.
-At each node `prune_bound` gives a certified lower bound on the minimal
-exponent any completion of the current prefix can produce; subtrees whose
-bound reaches the requested order are skipped, so the truncated result is
-still exact.  The engine reports how many index tuples it actually
-evaluated, and the test suite checks it against an unpruned brute force.
+Evaluation runs bottom up over index positions.  With
+e_i(s) = quad_i s^2 + lambda_i s (position 1's q^(-s_1) folded in),
+
+    V_k(s) = q^(e_k(s)) tail(s)
+    V_i(s) = q^(e_i(s)) sum_{t <= s} P_{i+1}(s, t) V_{i+1}(t) / (q; q)_{s-t}
+
+and the multisum is the sum of V_1(s) over s <= top; P_{i+1} is
+1 + q^(s+t) for a placed position i+1 >= 2, else 1.  Each inner sum is
+a Horner chain in which 1/(1 - q^j) is one in-place prefix-add pass, so
+no series product is needed.  Cell V_i(s) matters only below
+R_i(s) = N - sum_{j<i} min_{s<=t<=top} e_j(t) and is computed to exactly
+that order; a cell whose certified minimal exponent reaches R_i(s) is
+skipped, so the truncated result is still exact, and a tail value known
+to a lower order than its cell needs raises IllPosedError.  `SumStats`
+counts the cells visited, skipped and evaluated; the test suite checks
+the engine against an unpruned brute force.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
+from operator import add
 from typing import Optional, Tuple, Union
 
 from .qobjects import Monomial, qbinom_poly
@@ -116,7 +128,8 @@ class SummandSpec:
 
 @dataclass
 class SumStats:
-    """Mutable counters filled in by eval_multisum."""
+    """Counters filled in by eval_multisum, accumulated over calls: `nodes`
+    (level, index) cells visited, `pruned` cells skipped, `tuples` evaluated."""
 
     tuples: int = 0
     nodes: int = 0
@@ -177,22 +190,11 @@ def _tail_floor_num(tail: Tail, cap: Optional[int]) -> int:
     if cap is not None:
         return min(tail_min_num(tail, s) for s in range(cap + 1))
     # TailOver/TailOverOdd: s -> s+1 increments are nondecreasing, so the
-    # running sum is minimal at the last s with a negative increment
-    m = tail.z.q_exp.num
-    best = 0
-    cum = 0
+    # minimum sits at the first s whose increment is not negative
     s = 0
-    while True:
-        if isinstance(tail, TailOver):
-            inc = min(0, m + 2 * s) + min(0, 2 - m + 2 * s)
-        else:
-            off = tail.offset
-            inc = min(0, 2 * off + 2 - m + 2 * (s + 1)) + min(0, m - 2 * off + 2 * s)
-        if inc >= 0:
-            return best
-        cum += inc
-        best = min(best, cum)
+    while tail_min_num(tail, s + 1) < tail_min_num(tail, s):
         s += 1
+    return tail_min_num(tail, s)
 
 
 def _index_min_num(quadnum: int, lamnum: int, cap: Optional[int]) -> int:
@@ -231,27 +233,28 @@ def prune_bound(spec: SummandSpec, prefix: Tuple[int, ...]) -> HalfInt:
     return HalfInt(total + _tail_floor_num(spec.tail, cap))
 
 
-def _geometric(step_num: int, ordnum: int) -> QSeries:
-    """1 / (1 - q^(step_num/2)) below the order."""
-    if ordnum <= 0:
-        return QSeries.zero(HalfInt(ordnum))
-    coeffs = [0] * ordnum
-    e = 0
-    while e < ordnum:
-        coeffs[e] = 1
-        e += step_num
-    return QSeries(0, coeffs, ordnum)
+def _prefix_add(c: list, step: int) -> list:
+    """Multiply c by 1 / (1 - q^(step/2)) in place: c[x] += c[x - step]."""
+    for r in range(min(step, len(c))):
+        c[r::step] = accumulate(c[r::step])
+    return c
 
 
 class _TailValues:
     """Per-evaluation cache of tail factors at working order W."""
 
-    def __init__(self, tail: Tail, wnum: int, inv_poch):
+    def __init__(self, tail: Tail, wnum: int):
         self.tail = tail
         self.w = wnum
-        self.inv_poch = inv_poch
         self.cache: dict = {}
         self.z = _tail_z(tail)
+
+    def _inv_poch(self, unit: int, d: int) -> QSeries:
+        """1 / prod_{1<=i<=d} (1 - q^(unit*i/2)), one prefix-add pass per rung."""
+        store = self.cache.setdefault(("inv", unit), [[1] + [0] * (self.w - 1)])
+        while len(store) <= d:
+            store.append(_prefix_add(list(store[-1]), unit * len(store)))
+        return QSeries(0, store[d], self.w)
 
     def _rising(self, sign: int, start_num: int, count: int, key: str) -> QSeries:
         """prod_{i<count} (1 + sign*q^(start_num/2 + i)), cached incrementally."""
@@ -266,49 +269,62 @@ class _TailValues:
         got = self.cache.get(s)
         if got is not None:
             return got
-        t = self.tail
-        if isinstance(t, TailOdd):
-            v = self.inv_poch(s)
-        elif isinstance(t, TailEven):
-            store = self.cache.setdefault("even", [QSeries.one(HalfInt(self.w))])
-            while len(store) <= s:
-                d = len(store)
-                store.append(store[-1] * _geometric(4 * d, self.w))
-            v = store[s]
+        t, z = self.tail, self.z
+        if isinstance(t, (TailOdd, TailEven)):
+            v = self._inv_poch(2 if isinstance(t, TailOdd) else 4, s)
         elif isinstance(t, TailOver):
-            m = self.z.q_exp.num
-            sgn = self.z.sign
-            v = (
-                self._rising(sgn, m, s, "ovA")
-                * self._rising(sgn, 2 - m, s, "ovB")
-                * self.inv_poch(2 * s)
-            )
+            m = z.q_exp.num
+            v = self._rising(z.sign, m, s, "ovA") * self._rising(z.sign, 2 - m, s, "ovB")
+            v = v * self._inv_poch(2, 2 * s)
         elif isinstance(t, TailOverOdd):
-            m = self.z.q_exp.num
-            sgn = self.z.sign
-            off = t.offset
-            v = (
-                self._rising(sgn, 2 * off + 2 - m, s + 1, "ooA")
-                * self._rising(sgn, m - 2 * off, s, "ooB")
-                * self.inv_poch(2 * s + 1)
-            )
+            m = z.q_exp.num - 2 * t.offset
+            v = self._rising(z.sign, 2 - m, s + 1, "ooA") * self._rising(z.sign, m, s, "ooB")
+            v = v * self._inv_poch(2, 2 * s + 1)
         elif isinstance(t, TailH):
-            m = self.z.q_exp.num
-            sgn = self.z.sign
-            a = t.a.num
+            m, a = z.q_exp.num, t.a.num
             acc = QSeries.zero()
             for u in range(-s, s + 1):
                 poly = qbinom_poly(2 * s, s - u)
                 coeffs = [0] * (2 * len(poly) - 1) if poly else []
-                for i, c in enumerate(poly):
-                    coeffs[2 * i] = c
+                coeffs[::2] = poly
                 term = QSeries(a * u * u + m * u, coeffs, None)
-                acc = acc + (term if (u % 2 == 0 or sgn == 1) else -term)
-            v = acc * self.inv_poch(2 * s)
+                acc = acc + (term if (u % 2 == 0 or z.sign == 1) else -term)
+            v = acc * self._inv_poch(2, 2 * s)
         else:
             raise SpecError(f"unknown tail {t!r}")
         self.cache[s] = v
         return v
+
+
+def _window(t: QSeries, lo: int, width: int) -> list:
+    """Coefficients of t at exponents lo .. lo + width - 1 (numerators)."""
+    if (t._ordnum is not None and t._ordnum < lo + width) or (t._coeffs and t._min < lo):
+        raise IllPosedError(f"tail value {t!r} does not cover q^{HalfInt(lo)}..q^{HalfInt(lo + width)}")
+    return ([0] * (t._min - lo) + t._coeffs + [0] * width)[:width]
+
+
+def _horner(cells: list, s: int, width: int, lift: int) -> list:
+    """sum_{t<=s} q^(lift*t) cells[t] / (q; q)_{s-t} in its first `width` slots.
+
+    Horner from t = 0 up: once cells[t] has joined the partial sum, it is
+    divided by (1 - q^(s-t)), one prefix-add pass.  None cells are zero.
+    """
+    acc = [0] * width
+    for t in range(s + 1):
+        c = cells[t]
+        off = 2 * lift * t
+        if c is not None and off < width:
+            acc[off:] = map(add, acc[off:], c[: width - off])
+        if t < s and any(acc):
+            _prefix_add(acc, 2 * (s - t))
+    return acc
+
+
+def _shift(w: list, e: int) -> list:
+    """Multiply a window by q^(e/2), keeping its upper end fixed in the frame."""
+    if e < 0 and any(w[:-e]):
+        raise IllPosedError("a partial sum reaches below its certified floor")
+    return [0] * e + w if e >= 0 else w[-e:]
 
 
 def eval_multisum(spec: SummandSpec, order, stats: Optional[SumStats] = None) -> QSeries:
@@ -323,72 +339,55 @@ def eval_multisum(spec: SummandSpec, order, stats: Optional[SumStats] = None) ->
     k = spec.k
     placement = spec.placement or frozenset()
 
-    base = prune_bound(spec, ()).num
-    pad = max(0, -base)
-    wnum = nnum + pad
-
-    inv_store = [QSeries.one(HalfInt(wnum))]
-
-    def inv_poch(d: int) -> QSeries:
-        while len(inv_store) <= d:
-            inv_store.append(inv_store[-1] * _geometric(2 * len(inv_store), wnum))
-        return inv_store[d]
-
-    tails = _TailValues(spec.tail, wnum, inv_poch)
+    # every cell and every partial sum lies at or above prune_bound(spec, ()),
+    # so all of them share one frame: slot x holds the exponent lo + x
+    lo = min(0, prune_bound(spec, ()).num)
+    tails = _TailValues(spec.tail, nnum - lo)
 
     # hard cap on the first index: beyond it even the best completion
     # starts at or above the requested order
-    rest_floor = 0
-    for i in range(1, k):
-        rest_floor += _index_min_num(quad[i], lam[i], None)
-    rest_floor += _tail_floor_num(spec.tail, None)
+    rest_floor = _tail_floor_num(spec.tail, None)
+    rest_floor += sum(_index_min_num(quad[i], lam[i], None) for i in range(1, k))
     top = 0
     while quad[0] * top * top + lam[0] * top + rest_floor < nnum or (
         2 * quad[0] * top + quad[0] + lam[0] < 0
     ):
         top += 1
 
-    # per-(index, cap) minima and tail floors for the incremental bound
-    vmin = [[0] * (top + 1) for _ in range(k)]
+    cap = range(top + 1)
+    e = [[quad[i] * s * s + lam[i] * s for s in cap] for i in range(k)]
+    # need[i][s] = R_i(s): V_i(s) matters only below N - sum_{j<i} min_{s<=t<=top} e_j(t)
+    need = [[nnum] * (top + 1)]
     for i in range(1, k):
-        for c in range(top + 1):
-            vmin[i][c] = _index_min_num(quad[i], lam[i], c)
-    tfloor = [_tail_floor_num(spec.tail, c) for c in range(top + 1)]
+        run = list(accumulate(reversed(e[i - 1]), min))[::-1]
+        need.append([r - m for r, m in zip(need[-1], run)])
+    # floor[i][s]: certified minimal exponent of V_i(s) / q^(e_i(s))
+    floor = [[tail_min_num(spec.tail, s) for s in cap]]
+    rest = [_tail_floor_num(spec.tail, s) for s in cap]
+    for i in range(k - 1, 0, -1):
+        rest = [r + _index_min_num(quad[i], lam[i], s) for s, r in enumerate(rest)]
+        floor.insert(0, rest)
 
-    lo = min(0, base)
-    acc = [0] * (nnum - lo)
-
-    def descend(depth: int, prev: int, fixed: int, val: QSeries):
-        # depth-1 indices are fixed; `fixed` is their exponent contribution,
-        # `val` the running product of their factors at order wnum
-        for s in range(prev, -1, -1):
+    # bottom up over the levels; a cell is a window of need - lo slots,
+    # None when it is certified zero there
+    cells = None
+    for i in range(k - 1, -1, -1):
+        row = []
+        for s in cap:
             stats.nodes += 1
-            here = fixed + quad[depth] * s * s + lam[depth] * s
-            if depth + 1 == k:
-                bound = here + tail_min_num(spec.tail, s)
-            else:
-                bound = here
-                for i in range(depth + 1, k):
-                    bound += vmin[i][s]
-                bound += tfloor[s]
-            if bound >= nnum:
+            if floor[i][s] + e[i][s] >= need[i][s]:
                 stats.pruned += 1
+                row.append(None)
                 continue
-            v = val
-            if depth > 0:
-                v = v * inv_poch(prev - s)
-            if (depth + 1) in placement and depth > 0:
-                v = v * (QSeries.one() + QSeries.monomial(1, HalfInt(2 * (prev + s))))
-            shift = quad[depth] * s * s + lam[depth] * s
-            if depth + 1 == k:
-                stats.tuples += 1
-                leaf = v * tails.value(s)
-                for exp, c in leaf.terms():
-                    e = exp.num + shift
-                    if lo <= e < nnum:
-                        acc[e - lo] += c
+            stats.tuples += 1
+            width = need[i][s] - e[i][s] - lo
+            if cells is None:
+                w = _window(tails.value(s), lo, width)
             else:
-                descend(depth + 1, s, here, v.shift(HalfInt(shift)))
-
-    descend(0, top, 0, QSeries.one(HalfInt(wnum)))
-    return QSeries(lo, acc, nnum)
+                w = _horner(cells, s, width, 0)
+                if i + 2 in placement and width > 2 * s:
+                    w[2 * s :] = map(add, w[2 * s :], _horner(cells, s, width - 2 * s, 1))
+            row.append(_shift(w, e[i][s]))
+        cells = row
+    live = [c for c in cells if c is not None]
+    return QSeries(lo, [sum(col) for col in zip(*live)], nnum)

@@ -1,6 +1,7 @@
 """The identity registry: reports, cross-checks, and failure evidence."""
 
 import random
+import time
 
 import pytest
 
@@ -298,3 +299,14 @@ def test_h_limit_ill_posed_z_is_an_error():
 def test_f_limit_needs_margin():
     rep = verify(make_case("F_LIMIT", j=2, a="3/2"))
     assert rep.status == "error"  # no well-posed z sample exists
+
+
+def test_andrews_gordon_k8_at_q240_within_budget():
+    t0 = time.perf_counter()
+    for r in range(3):
+        _ok("AG", order=qe(240), k=8, r=r)
+    assert time.perf_counter() - t0 < 5.0
+
+
+def test_thm_3_1_k5_two_position_placement_at_q160():
+    _ok("THM_3_1", order=qe(160), k=5, r=0, j=2, placement=[2, 4])

@@ -6,6 +6,7 @@ import pytest
 
 from qident import (
     HalfInt,
+    IllPosedError,
     Monomial,
     QSeries,
     SpecError,
@@ -17,7 +18,9 @@ from qident import (
     TailOver,
     TailOverOdd,
     eval_multisum,
+    make_case,
     prune_bound,
+    verify,
     he,
     qe,
 )
@@ -116,6 +119,53 @@ def test_prune_bound_is_a_certified_lower_bound():
                 if c:
                     assert HalfInt(e) >= bound
                     break
+
+
+def test_prune_bound_empty_prefix_is_below_every_one_index_prefix():
+    rng = random.Random(7)
+    specs = [SummandSpec(2, (-1, 0), placement={1}, tail=TailOverOdd(Monomial(1, he(3)), 0))]
+    specs += [random_spec(rng)[0] for _ in range(40)]
+    for spec in specs:
+        empty = prune_bound(spec, ())
+        for s in range(12):
+            assert empty <= prune_bound(spec, (s,)), (spec, s)
+
+
+def test_uncapped_over_odd_floor_counts_the_first_factor():
+    # at s = 0 the (s+1)-term product already contributes q^(-1/2); a floor
+    # that starts at 0 makes the working order and the first-index cap too small
+    spec = SummandSpec(2, (-1, 0), placement={1}, tail=TailOverOdd(Monomial(1, he(3)), 0))
+    got = eval_multisum(spec, he(12))
+    want = brute_force_multisum(2, (-1, 0), spec.placement, ("over_odd", 1, 3, 0), 12, cap=18)
+    for e in range(12):
+        assert got.coefficient(he(e)) == want.coeff(e), e
+    assert got.coefficient(he(11)) == 109
+
+
+def test_engine_matches_brute_force_k4_chained_placement():
+    # placements at two or more positions >= 2 chain the engine's second
+    # Horner sum across neighbouring levels
+    rng = random.Random(2024)
+    for placement in ({2, 3}, {2, 4}, {3, 4}, {1, 2, 4}, {2, 3, 4}):
+        linear = tuple(rng.randint(-1, 2) for _ in range(4))
+        tail, descriptor = _tail_pair(rng)
+        spec = SummandSpec(4, linear, placement=frozenset(placement), tail=tail)
+        got = eval_multisum(spec, he(30))
+        want = brute_force_multisum(4, linear, spec.placement, descriptor, 30, cap=36)
+        for e in range(30):
+            assert got.coefficient(he(e)) == want.coeff(e), (spec, descriptor, e)
+
+
+def test_engine_refuses_a_tail_known_below_the_needed_order(monkeypatch):
+    # a floor that ignores negative tail exponents leaves the working order
+    # short; the engine must raise instead of returning wrong coefficients
+    import qident.multisum as ms
+
+    monkeypatch.setattr(ms, "_tail_floor_num", lambda tail, cap: 0)
+    spec = SummandSpec(1, (0,), tail=TailOverOdd(Monomial(1, he(3)), 0))
+    with pytest.raises(IllPosedError):
+        eval_multisum(spec, he(12))
+    assert verify(make_case("CURIOUS", order=qe(20))).status == "error"
 
 
 def _completions(prefix, k, cap):
