@@ -3,8 +3,8 @@
 Every registered id names one displayed result and knows how to build
 both of its sides: sum--product identities over a modulus family, the
 structural polynomial identities in n (verified symbolically in z as
-ZLaurent equalities), limit statements (stabilized polynomial values
-against infinite products), and the combinatorial supporting facts
+ZLaurent equalities), limit statements (polynomial values at a certified
+n against infinite products), and the combinatorial supporting facts
 (edge sets, the binomial collapse, the even replacement fact).
 
 `verify` runs the checks for a case and reports pass/fail/error, the
@@ -12,6 +12,8 @@ order actually compared, the first mismatching coefficient if any, and
 how many multisum cells the summation engine evaluated.  Identities that
 lose working order to divisions or negative shifts are rerun with a
 larger internal padding until the compared order reaches the request.
+`verify` never raises: an exception from any check becomes an `error`
+report.
 """
 
 from __future__ import annotations
@@ -208,13 +210,6 @@ def _opt_placement(params: dict, j: int, limit: int) -> frozenset:
     if not all(1 <= i <= limit for i in p):
         raise SpecError(f"placement {sorted(p)} must lie within 1..{limit}")
     return p
-
-
-def _criterion(params: dict) -> str:
-    c = params.get("criterion", "consecutive")
-    if c not in ("consecutive", "bound"):
-        raise SpecError(f"criterion must be 'consecutive' or 'bound', got {c!r}")
-    return c
 
 
 # monomial z sampling policies (numerators of half-integer exponents)
@@ -767,11 +762,11 @@ def _run_recurse_f(p: dict, wnum: int, pad: int, stats: SumStats) -> List[Check]
 
 
 def _prep_h_limit(params: dict) -> dict:
-    _reject_unknown(params, ("a", "z_sign", "z_exp", "criterion"))
+    _reject_unknown(params, ("a", "z_sign", "z_exp"))
     a = _need_half(params, "a")
     if a.num <= 0:
         raise SpecError(f"the limit needs a > 0, got a={a}")
-    return {"a": a, "z": _opt_z(params), "criterion": _criterion(params)}
+    return {"a": a, "z": _opt_z(params)}
 
 
 def _run_h_limit(p: dict, wnum: int, pad: int, stats: SumStats) -> List[Check]:
@@ -779,21 +774,19 @@ def _run_h_limit(p: dict, wnum: int, pad: int, stats: SumStats) -> List[Check]:
     checks = []
     for z in _z_samples(p["z"], _LIMIT_MS, lambda m: abs(m) < a.num):
         w = Monomial(-z.sign, z.q_exp)
-        val, n_used = stabilized_h_value(a, w, he(wnum), p["criterion"])
+        val, n = stabilized_h_value(a, w, he(wnum))
         prod = h_limit_product(a, z, he(wnum))
-        checks.append(
-            Check(f"a={a} z={z}: stabilized polynomial (n={n_used}) vs product", val, prod)
-        )
+        checks.append(Check(f"a={a} z={z}: polynomial at certified n={n} vs product", val, prod))
     return checks
 
 
 def _prep_f_limit(params: dict) -> dict:
-    _reject_unknown(params, ("j", "a", "z_sign", "z_exp", "criterion"))
+    _reject_unknown(params, ("j", "a", "z_sign", "z_exp"))
     a = _need_half(params, "a")
     j = _need_int(params, "j", 0)
     if a.num <= 0:
         raise SpecError(f"the limit needs a > 0, got a={a}")
-    return {"j": j, "a": a, "z": _opt_z(params), "criterion": _criterion(params)}
+    return {"j": j, "a": a, "z": _opt_z(params)}
 
 
 def _run_f_limit(p: dict, wnum: int, pad: int, stats: SumStats) -> List[Check]:
@@ -801,14 +794,10 @@ def _run_f_limit(p: dict, wnum: int, pad: int, stats: SumStats) -> List[Check]:
     checks = []
     for z in _z_samples(p["z"], _LIMIT_MS, lambda m: abs(m) + 2 * j < a.num):
         w = Monomial(-z.sign, z.q_exp)
-        val, n_used = stabilized_f_value(j, a, w, he(wnum), p["criterion"])
+        val, n = stabilized_f_value(j, a, w, he(wnum))
         s = f_limit_sum(j, a, z, he(wnum))
         checks.append(
-            Check(
-                f"j={j} a={a} z={z}: stabilized closure value (n={n_used}) vs product sum",
-                val,
-                s,
-            )
+            Check(f"j={j} a={a} z={z}: closure value at certified n={n} vs product sum", val, s)
         )
     return checks
 
@@ -1137,9 +1126,12 @@ def verify(case: IdentityCase) -> VerificationReport:
             f"could not reach order {_ord_obj(ordnum)}; working padding stalled at {pad}"
         )
     except QidentError as e:
-        return VerificationReport(
-            case, "error", None, None, time.perf_counter() - t0, stats.tuples, detail=str(e)
-        )
+        detail = str(e)
+    except Exception as e:  # e.g. RecursionError or MemoryError from an oversized input
+        detail = f"{type(e).__name__}: {e}"
+    return VerificationReport(
+        case, "error", None, None, time.perf_counter() - t0, stats.tuples, detail=detail
+    )
 
 
 def verify_edge_lemma(j: int, samples: Optional[Sequence[Sequence[int]]] = None) -> VerificationReport:

@@ -94,8 +94,6 @@ def _case_from_args(args) -> IdentityCase:
             params["placement"] = [int(t) for t in args.placement.split(",") if t.strip()]
         except ValueError:
             raise SpecError(f"bad placement {args.placement!r}; expected e.g. 1,2,4")
-    if args.criterion is not None:
-        params["criterion"] = args.criterion
     return IdentityCase(args.id, params, _parse_half(args.order))
 
 
@@ -227,8 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--z-exp", dest="z_exp",
                    help="half-integer exponent of z, e.g. 1 or 1/2 (use --z-exp=-1/2 for negatives)")
     v.add_argument("--placement", help="comma separated positions, e.g. 1,2,4")
-    v.add_argument("--criterion", choices=("consecutive", "bound"),
-                   help="stabilization acceptance rule for the limit ids")
     v.add_argument("--order", help="truncation order: whole q-units or num/2")
     v.add_argument("--format", choices=("text", "json"), default="text")
     v.set_defaults(func=_cmd_verify)

@@ -5,19 +5,23 @@ the closure F(n, j, a) applies j times the step G(z) -> G(zq) + G(q/z).
 Both are built exactly (order INF) so substitutions keep full knowledge
 and truncation happens once, at the end.
 
-As n grows with z fixed to a monomial sign*q^m (|m| < a needed for the
-product side), the values H(n, a)(-z) converge coefficientwise;
-`stabilized_h_value` detects this either by consecutive-n bit-exact
-agreement (plus one confirming extra step) or by an explicit n bound.
+With z fixed to a monomial sign*q^m, |m| < a, the values H(n, a)(z)
+converge coefficientwise as n grows, and the limit is certified rather
+than detected.  [2n, n-s]_q counts the partitions in an (n-s) x (n+s)
+box, so it agrees with 1/(q)_inf through q^(n-|s|) (Andrews, *The Theory
+of Partitions*, ch. 3).  `_certified_n` turns that into the least n at
+which the value is final below a given order, in O(1), and
+`stabilized_h_value` / `stabilized_f_value` evaluate once, at that n.
 The limits themselves are the infinite products `h_limit_product` and,
 for the shifted family, the binomial combination `f_limit_sum`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from itertools import accumulate
+from operator import add, sub
+from typing import Iterator, Sequence, Tuple
 
 from .qobjects import (
     Monomial,
@@ -31,7 +35,6 @@ from .series import (
     HalfInt,
     IllPosedError,
     Order,
-    QidentError,
     QSeries,
     SpecError,
     ZLaurent,
@@ -73,6 +76,27 @@ class FSpec:
             raise SpecError(f"bad weight {self.a!r}")
 
 
+def _binomial_column(n: int, length: int) -> Iterator[Tuple[int, list]]:
+    """Yield (s, [2n, n-s]_q) for s = n, n-1, ..., 0, as whole-q coefficients.
+
+    Each value is truncated to `length` coefficients and built from the
+    previous one in place, [2n, n-s] = [2n, n-s-1] (1 - q^(n+s+1)) / (1 - q^(n-s)),
+    so one list is yielded throughout and must be read before advancing.
+    O(n * length) in all.
+    """
+    b = [1] + [0] * (length - 1)
+    yield n, b
+    for s in range(n - 1, -1, -1):
+        e = n + s + 1
+        if e < length:
+            b[e:] = map(sub, b[e:], b[: length - e])
+        e = n - s
+        # residues r >= length - e hold one coefficient: nothing to add
+        for r in range(min(e, length - e)):
+            b[r::e] = accumulate(b[r::e])
+        yield s, b
+
+
 def h_poly(spec: HSpec, order: Order = INF) -> ZLaurent:
     """sum_{s=-n..n} [2n, n-s]_q q^(a s^2) z^s, truncated at `order`."""
     n, a = spec.n, spec.a
@@ -86,31 +110,16 @@ def h_poly(spec: HSpec, order: Order = INF) -> ZLaurent:
                 coeffs[2 * i] = c
             terms[s] = QSeries(a.num * s * s, coeffs, None)
         return ZLaurent.from_terms(terms, order)
-    # finite order: build the binomial column [2n, n-s] incrementally from
-    # s=n downward via [2n,n-s] * (1-q^(n+s+1)) / (1-q^(n-s)), dense on the
-    # whole-q grid; O(n * order) instead of the exact-polynomial memo
+    # finite order: walk the binomial column, dense on the whole-q grid;
+    # O(n * order) instead of the exact-polynomial memo
     L = max((ordnum + 1) // 2, 1)
-    b = [0] * L
-    b[0] = 1
-
-    def emit(s: int) -> None:
+    for s, b in _binomial_column(n, L):
         coeffs = [0] * (2 * L - 1)
-        for i, c in enumerate(b):
-            coeffs[2 * i] = c
+        coeffs[::2] = b
         q = QSeries(a.num * s * s, coeffs, a.num * s * s + 2 * L - 1)
         terms[s] = q
         if s:
             terms[-s] = q
-
-    emit(n)
-    for s in range(n - 1, -1, -1):
-        e = n + s + 1
-        for i in range(L - 1, e - 1, -1):
-            b[i] -= b[i - e]
-        e = n - s
-        for i in range(e, L):
-            b[i] += b[i - e]
-        emit(s)
     return ZLaurent.from_terms(terms, order)
 
 
@@ -171,101 +180,80 @@ def f_limit_sum(j: int, a: HalfInt, z: Monomial, order) -> QSeries:
     return acc * common
 
 
-def _stabilize(
-    value_at: Callable[[int], QSeries],
-    order,
-    criterion: str,
-    margin_qunits: int,
-    n_cap: int = 128,
-) -> Tuple[QSeries, int]:
-    """Common stabilization driver; returns (stable value, n used).
+def _certified_n(a: HalfInt, ms: Sequence[int], ordnum: int) -> int:
+    """Least n at which H(n, a)(+-q^(m/2)) is final below q^(ordnum/2), for every m in ms.
 
-    criterion "consecutive": accept once two consecutive n agree
-    bit-exactly and one further step confirms.  criterion "bound": jump
-    straight to n = ceil(sqrt(N / min(1, margin))) with N the target
-    order in whole q-units and margin the quadratic growth rate 2a - j.
+    By the box lemma slice s of H(n, a) differs from its limit
+    q^(a s^2 + m s) / (q)_inf from q^(n + 1 - |s| + a s^2 + m s) on, and the
+    limit's slices |s| > n, missing from H, start at q^(a (n+1)^2 - |m| (n+1)).
+    Both must reach the order.  In half-units, with A = 2a and mu = |m|, the
+    first reads
+        2 (n+1) + min_s (A s^2 - (2 + mu) s) >= ordnum,
+    and taking the minimum over every s >= 0, not only s <= n, makes it
+    imply the second: at s = n + 1 it is A (n+1)^2 - mu (n+1) >= ordnum,
+    and that side grows with n because mu < A.
     """
-    n_target = _ord_num(order)
-    if n_target is None:
-        raise IllPosedError("stabilization needs a finite order")
-    if criterion == "bound":
-        denom = min(1, margin_qunits)
-        if denom <= 0:
-            raise IllPosedError(
-                "the explicit stabilization bound needs a positive quadratic margin"
-            )
-        target_q = (n_target + 1) // 2
-        n0 = math.isqrt(max(target_q // denom, 0))
-        while n0 * n0 * denom < target_q:
-            n0 += 1
-        n0 = max(n0, 1)
-        return value_at(n0), n0
-    if criterion != "consecutive":
-        raise SpecError(f"unknown stabilization criterion {criterion!r}")
-    prev = value_at(0)
-    streak = 0
-    for n in range(1, n_cap + 1):
-        cur = value_at(n)
-        if cur == prev:
-            streak += 1
-            # bit-exact agreement once, then one confirming extra step
-            if streak == 2:
-                return cur, n
-        else:
-            streak = 0
-        prev = cur
-    raise QidentError(f"no stabilization below n = {n_cap}")
+    A = a.num
+    n = 0
+    for m in ms:
+        mu = abs(m)
+        if mu >= A:
+            raise IllPosedError(f"a certified limit needs |m| < a, got m={HalfInt(m)} a={a}")
+        s0 = (2 + mu) // (2 * A)  # the real minimizer lies in [s0, s0 + 1]
+        dip = min(A * s * s - (2 + mu) * s for s in (s0, s0 + 1))
+        n = max(n, (ordnum - dip + 1) // 2 - 1)
+    return n
 
 
-def _truncated_value(build: Callable[[Order], ZLaurent], w: Monomial, order, pad0: int) -> QSeries:
-    # work at a padded order so shifts with negative steps stay exact below `order`
-    target = _ord_num(order)
-    pad = max(pad0, 0) + 2
-    while True:
-        val = build(HalfInt(target + pad)).substitute(w.sign, w.q_exp)
-        got = _ord_num(val.order)
-        if got is None or got >= target:
-            return val.truncated(order)
-        pad = 2 * pad + (target - got)
+def _limit_args(a, w: Monomial, order) -> Tuple[HalfInt, int]:
+    if w.z_exp != 0:
+        raise SpecError("a limit value needs a monomial argument")
+    a = HalfInt._coerce(a)
+    if a is None or a.num <= 0:
+        raise IllPosedError(f"a limit value needs a > 0, got {a}")
+    ordnum = _ord_num(order)
+    if ordnum is None or ordnum <= 0:
+        raise IllPosedError(f"a limit value needs a positive finite order, got {order}")
+    return a, ordnum
 
 
-def stabilized_h_value(
-    a: HalfInt, w: Monomial, order, criterion: str = "consecutive"
-) -> Tuple[QSeries, int]:
-    """Stable truncation of H(n, a)(w) for large n (no normalization).
+def stabilized_h_value(a: HalfInt, w: Monomial, order) -> Tuple[QSeries, int]:
+    """H(n, a)(w) below `order` at the certified n; returns (value, n).
 
-    `w` is the actual argument substituted into H (z-free monomial).
+    `w` = sign*q^m is the actual argument substituted into H (no
+    normalization), with |m| < a.  One walk down the binomial column adds
+    each slice, times sign^s q^(a s^2 + m s), straight into a dense output
+    truncated at the order; every such exponent is >= 0 because |m| < a.
     """
-    if w.z_exp != 0:
-        raise SpecError("stabilization needs a monomial argument")
-    a = HalfInt._coerce(a)
-    if _ord_num(order) is None:
-        raise IllPosedError("stabilization needs a finite order")
+    a, ordnum = _limit_args(a, w, order)
+    m = w.q_exp.num
+    n = _certified_n(a, (m,), ordnum)
+    out = [0] * ordnum
+    for s, b in _binomial_column(n, (ordnum + 1) // 2):
+        for t in (s, -s) if s else (0,):
+            e = a.num * t * t + m * t
+            if e < ordnum:
+                k = (ordnum - e + 1) // 2
+                op = sub if w.sign < 0 and t % 2 else add
+                out[e : e + 2 * k : 2] = map(op, out[e : e + 2 * k : 2], b[:k])
+    return QSeries(0, out, ordnum), n
 
-    def value_at(n: int) -> QSeries:
-        return _truncated_value(
-            lambda ww: h_poly(HSpec(n, a), ww), w, order, abs(w.q_exp.num) * n
-        )
 
-    return _stabilize(value_at, order, criterion, a.num)
+def stabilized_f_value(j: int, a: HalfInt, w: Monomial, order) -> Tuple[QSeries, int]:
+    """F(n, j, a)(w) below `order` at the certified n; returns (value, n).
 
-
-def stabilized_f_value(
-    j: int, a: HalfInt, w: Monomial, order, criterion: str = "consecutive"
-) -> Tuple[QSeries, int]:
-    """Stable truncation of F(n, j, a)(w) for large n (no normalization)."""
-    if w.z_exp != 0:
-        raise SpecError("stabilization needs a monomial argument")
-    a = HalfInt._coerce(a)
-    if _ord_num(order) is None:
-        raise IllPosedError("stabilization needs a finite order")
-
-    def value_at(n: int) -> QSeries:
-        return _truncated_value(
-            lambda ww: f_func(FSpec(n, j, a), ww),
-            w,
-            order,
-            (abs(w.q_exp.num) + 2 * j) * n,
-        )
-
-    return _stabilize(value_at, order, criterion, a.num - j)
+    F(n, j, a)(z) = sum_i C(j, i) H(n, a)(z q^(j-2i)), so n is certified for
+    every shifted argument.  Each closure step moves slice -n down by q^n
+    and the substitution moves it by q^(|m| n), so F is built once at
+    order + (|m| + 2j) n half-units, plus one because `h_poly` at an even
+    working order is known one half-unit short of it.
+    """
+    a, ordnum = _limit_args(a, w, order)
+    m = w.q_exp.num
+    n = _certified_n(a, [m + 2 * (j - 2 * i) for i in range(j + 1)], ordnum)
+    wnum = ordnum + (abs(m) + 2 * j) * n + 1
+    val = f_func(FSpec(n, j, a), HalfInt(wnum)).substitute(w.sign, w.q_exp)
+    got = _ord_num(val.order)
+    if got is not None and got < ordnum:
+        raise IllPosedError(f"F(n={n}, j={j}) came back known below {val.order}, not {order}")
+    return val.truncated(order), n

@@ -183,7 +183,7 @@ def test_criterion_07_structural_grid():
     assert time.perf_counter() - t0 < 60.0
 
 
-@_criterion(8, "limit identities: consecutive-n stabilization meets products through q^40")
+@_criterion(8, "limit identities: certified-n limits meet products through q^40")
 def test_criterion_08_limits():
     ran = set()
     for a in ("3/2", "5/2", "7/2"):

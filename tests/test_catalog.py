@@ -28,6 +28,7 @@ from qident import (
     verify_even_fact,
     he,
     qe,
+    validate_case,
 )
 from qident.catalog import _bress_lambda
 
@@ -310,3 +311,35 @@ def test_andrews_gordon_k8_at_q240_within_budget():
 
 def test_thm_3_1_k5_two_position_placement_at_q160():
     _ok("THM_3_1", order=qe(160), k=5, r=0, j=2, placement=[2, 4])
+
+
+def test_h_limit_at_q240_is_certified_quickly():
+    # the consecutive-n sweep gave up at n = 128 here
+    t0 = time.perf_counter()
+    _ok("H_LIMIT", order=qe(240), a="3/2")
+    assert time.perf_counter() - t0 < 2.0
+
+
+def test_h_limit_passes_where_the_square_root_jump_failed():
+    # the removed square-root rule reported a false FAIL at q^8 here
+    _ok("H_LIMIT", order=qe(40), a="3/2")
+
+
+def test_limit_ids_reject_a_leftover_criterion():
+    for case in (
+        make_case("H_LIMIT", a="3/2", criterion="bound"),
+        make_case("F_LIMIT", j=1, a="7/2", criterion="consecutive"),
+    ):
+        with pytest.raises(SpecError, match="unknown parameter"):
+            validate_case(case)
+        rep = verify(case)
+        assert rep.status == "error"
+        assert "criterion" in rep.detail
+
+
+def test_verify_never_raises():
+    # both inputs drive a recursive builder past the interpreter's limit
+    for case in (make_case("SPECIAL_A", n=1100), make_case("KEY_LEMMA", n=700, a=2)):
+        rep = verify(case)
+        assert rep.status == "error"
+        assert rep.detail.startswith("RecursionError: ")

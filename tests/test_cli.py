@@ -32,6 +32,18 @@ def test_verify_bad_params_exit_two(capsys):
     assert "ERROR" in out
 
 
+def test_verify_escaping_exception_exits_two(capsys):
+    code, out, _ = run(capsys, "verify", "--id", "SPECIAL_A", "--n", "1100")
+    assert code == 2
+    assert "ERROR: RecursionError" in out
+
+
+def test_verify_criterion_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--id", "H_LIMIT", "--a", "3/2", "--criterion", "bound"])
+    assert exc.value.code == 2
+
+
 def test_verify_unknown_id_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--id", "BOGUS"])
@@ -165,6 +177,14 @@ def test_suite_bad_config_exit_two(tmp_path, capsys):
         path = _write_suite(tmp_path, doc)
         code, _, err = run(capsys, "suite", path)
         assert code == 2, doc
+
+
+def test_suite_leftover_criterion_is_a_config_error(tmp_path, capsys):
+    doc = {"cases": [{"id": "H_LIMIT", "a": "3/2", "criterion": "bound"}]}
+    path = _write_suite(tmp_path, doc)
+    code, _, err = run(capsys, "suite", path)
+    assert code == 2
+    assert "unknown parameter" in err and "criterion" in err
 
 
 def test_suite_empty_is_a_pass(tmp_path, capsys):

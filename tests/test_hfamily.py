@@ -127,17 +127,65 @@ def test_stabilized_h_value_matches_large_n_directly():
     assert val.order == order
 
 
-def test_stabilized_h_criteria_disagree_at_small_n():
-    # the square-root jump accepts far too early for this family; the
-    # shipped default is consecutive agreement, which keeps growing with
-    # the order -- record the divergence explicitly
-    a = he(3)
-    w = Monomial(-1, he(0))
-    order = he(30)
-    cons, n_cons = stabilized_h_value(a, w, order, "consecutive")
-    jump, n_jump = stabilized_h_value(a, w, order, "bound")
-    assert n_jump < n_cons
-    assert not jump.eq_upto(cons).equal
+def _value_at(n, j, a, w, order):
+    # F(n, j, a)(w) built directly, with the working order of every slice
+    # generous enough that the substitution stays exact below `order`
+    W = order.num + (abs(w.q_exp.num) + 2 * j) * n + 2
+    return f_func(FSpec(n, j, a), he(W)).substitute(w.sign, w.q_exp).truncated(order)
+
+
+def test_certified_n_value_equals_value_at_a_much_larger_n():
+    for anum in (3, 5, 7):
+        a = HalfInt(anum)
+        for j in range(3):
+            for mnum in range(-anum + 1, anum):
+                if abs(mnum) + 2 * j >= anum:
+                    continue  # outside the well-posed window
+                for sign in (1, -1):
+                    w = Monomial(sign, HalfInt(mnum))
+                    for order in (he(37), he(48)):
+                        got = [stabilized_f_value(j, a, w, order)]
+                        if j == 0:
+                            got.append(stabilized_h_value(a, w, order))
+                        for val, n in got:
+                            far = _value_at(2 * n + 8, j, a, w, order)
+                            assert far.order == order
+                            assert val.order == order
+                            assert val.eq_upto(far).equal, (anum, j, mnum, sign, order, n)
+
+
+def test_certified_n_is_sharp_for_m_zero():
+    # slice 0 of H(n, a) at z = +-1 is [2n, n] and first misses a partition
+    # at q^(n+1), so one n fewer than the certified one changes the value
+    order = he(60)
+    for anum in (3, 5, 7):
+        a = HalfInt(anum)
+        for sign in (1, -1):
+            w = Monomial(sign, he(0))
+            val, n = stabilized_h_value(a, w, order)
+            assert n == 29
+            assert not val.eq_upto(_value_at(n - 1, 0, a, w, order)).equal
+            assert val.eq_upto(_value_at(n, 0, a, w, order)).equal
+
+
+def test_stabilized_f_value_refuses_a_short_working_order(monkeypatch):
+    import qident.hfamily as hfamily
+
+    real = hfamily.f_func
+    monkeypatch.setattr(hfamily, "f_func", lambda spec, order: real(spec, HalfInt(order.num - 4)))
+    with pytest.raises(IllPosedError):
+        stabilized_f_value(1, he(7), Monomial(-1, he(1)), he(24))
+
+
+def test_stabilized_values_reject_ill_posed_arguments():
+    with pytest.raises(IllPosedError):
+        stabilized_h_value(he(3), Monomial(-1, he(3)), he(24))  # |m| = a
+    with pytest.raises(IllPosedError):
+        stabilized_f_value(1, qe(1), Monomial(-1, he(0)), he(24))  # |m| + j = a
+    with pytest.raises(IllPosedError):
+        stabilized_h_value(he(3), Monomial(-1, he(0)), INF)
+    with pytest.raises(SpecError):
+        stabilized_h_value(he(3), Monomial(-1, he(0), 1), he(24))
 
 
 def test_stabilized_f_value_runs_and_truncates():
