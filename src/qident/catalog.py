@@ -7,6 +7,14 @@ ZLaurent equalities), limit statements (polynomial values at a certified
 n against infinite products), and the combinatorial supporting facts
 (edge sets, the binomial collapse, the even replacement fact).
 
+The sum--product identities are data: `_SUM_ROWS` holds one row per id
+(parameter validator, modulus, summand builder, product-list builder,
+check label and, for the z families, the well-posedness window), and
+`_run_row` evaluates any row.  The rows are cases of one Andrews-Gordon /
+Bressoud shape with binomial placements.  Every z family samples z
+through `_each_z`.  A sum--product id's default order is q^(modulus + 30),
+read off its own modulus; every other id defaults to q^40.
+
 `verify` runs the checks for a case and reports pass/fail/error, the
 order actually compared, the first mismatching coefficient if any, and
 how many multisum cells the summation engine evaluated.  Identities that
@@ -20,7 +28,8 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .hfamily import (
@@ -41,6 +50,7 @@ from .multisum import (
     TailOdd,
     TailOver,
     TailOverOdd,
+    _TailValues,
     eval_multisum,
 )
 from .products import TripleProductSpec, eval_product_sum
@@ -107,7 +117,11 @@ class Check:
 class _Entry:
     prepare: Callable[[dict], dict]
     runner: Callable[[dict, int, int, SumStats], List[Check]]
-    default_ordnum: Callable[[dict], int]
+    modulus: Optional[Callable[[dict], int]] = None
+
+    def default_ordnum(self, p: dict) -> int:
+        """q^(modulus + 30) for the sum--product ids, q^40 for the rest."""
+        return 80 if self.modulus is None else 2 * self.modulus(p) + 60
 
 
 _REGISTRY: Dict[str, _Entry] = {}
@@ -217,51 +231,36 @@ _POLICY_MS = (-2, -1, 0, 1, 2, 3)
 _LIMIT_MS = (-3, -1, 0, 1, 2, 3, 5)
 
 
-def _z_samples(z: Optional[Monomial], ms: Sequence[int], posed: Callable[[int], bool]) -> List[Monomial]:
+def _each_z(
+    z: Optional[Monomial],
+    posed: Callable[[int], bool],
+    checks_at: Callable[[Monomial], List[Check]],
+    ms: Sequence[int] = _POLICY_MS,
+) -> List[Check]:
+    """checks_at(z) for the given z, else for both signs of every sampled
+    exponent m (in half-units) with posed(m)."""
     if z is not None:
         if not posed(z.q_exp.num):
             raise SpecError(f"z = {z} is outside the well-posed window for these parameters")
-        return [z]
-    out = [Monomial(sig, HalfInt(m)) for m in ms if posed(m) for sig in (1, -1)]
-    if not out:
-        raise SpecError("no well-posed z sample exists for these parameters")
-    return out
+        zs = [z]
+    else:
+        zs = [Monomial(sig, HalfInt(m)) for m in ms if posed(m) for sig in (1, -1)]
+        if not zs:
+            raise SpecError("no well-posed z sample exists for these parameters")
+    return [c for z in zs for c in checks_at(z)]
 
 
 # ---------------------------------------------------------------------------
 # shared builders
 
-_INV_QFAC_CACHE: Dict[Tuple[int, int], List[int]] = {}
 
+def _inv_qfac_ladder(wnum: int) -> Callable[[int], QSeries]:
+    """d -> 1 / (q; q)_d truncated below wnum (half-exponent units).
 
-def _inv_qfac(d: int, wnum: int) -> QSeries:
-    """1 / (q; q)_d truncated below wnum (half-exponent units)."""
-    if d < 0:
-        raise SpecError(f"negative Pochhammer depth {d}")
-    key = (d, wnum)
-    got = _INV_QFAC_CACHE.get(key)
-    if got is None:
-        if d == 0:
-            got = [0] * wnum
-            if wnum > 0:
-                got[0] = 1
-        else:
-            got = list(_INV_QFAC_CACHE_get(d - 1, wnum))
-            step = 2 * d
-            for i in range(step, wnum):
-                got[i] += got[i - step]
-        _INV_QFAC_CACHE[key] = got
-    return QSeries(0, list(got), wnum)
-
-
-def _INV_QFAC_CACHE_get(d: int, wnum: int) -> List[int]:
-    _inv_qfac(d, wnum)
-    return _INV_QFAC_CACHE[(d, wnum)]
-
-
-def _ag_lambda(k: int, r: int) -> Tuple[int, ...]:
-    # +1 on the last r indices
-    return tuple(1 if i + 1 > k - r else 0 for i in range(k))
+    Each caller gets its own ladder, built one prefix-add pass per rung by
+    the same code that builds the multisum tails.
+    """
+    return partial(_TailValues(TailOdd(), wnum)._inv_poch, 2)
 
 
 def _bress_lambda(k: int, j: int, r: int = 0) -> Tuple[int, ...]:
@@ -269,31 +268,24 @@ def _bress_lambda(k: int, j: int, r: int = 0) -> Tuple[int, ...]:
     return tuple((-1 if i + 1 <= j else 0) + (1 if i + 1 > k - r else 0) for i in range(k))
 
 
-def _triple(mod_q: int, sign1: int, e1: HalfInt, sign2: int, e2: HalfInt, weight: int = 1) -> TripleProductSpec:
-    return TripleProductSpec(qe(mod_q), Monomial(sign1, e1), Monomial(sign2, e2), weight)
-
-
 def _chain_sum(
     n: int,
     depth: int,
     wnum: int,
-    gap_first: bool,
+    inv: Callable[[int], QSeries],
     factor: Callable[[int, int, int], QSeries],
 ) -> Dict[int, QSeries]:
     """Accumulate scalar weights over chains n >= s_1 >= ... >= s_depth >= 0.
 
-    factor(t, prev, s) is the multiplicative weight of level t (1-based);
-    the gap inverse Pochhammer 1/(q)_{prev-s} is included automatically,
-    for the first level only when gap_first.  Returns buckets keyed by
-    the last index, each a QSeries scalar at order wnum.
+    factor(t, prev, s) is the multiplicative weight of level t (1-based),
+    times the gap inverse Pochhammer inv(prev - s).  Returns buckets keyed
+    by the last index, each a QSeries scalar at order wnum.
     """
     buckets: Dict[int, QSeries] = {}
 
     def walk(t: int, prev: int, val: QSeries) -> None:
         for s in range(prev, -1, -1):
-            v = val * factor(t, prev, s)
-            if t > 1 or gap_first:
-                v = v * _inv_qfac(prev - s, wnum)
+            v = val * factor(t, prev, s) * inv(prev - s)
             if t == depth:
                 buckets[s] = buckets.get(s, QSeries.zero(he(wnum))) + v
             else:
@@ -308,63 +300,95 @@ def _qsq(s: int, lin: int = 0) -> QSeries:
 
 
 # ---------------------------------------------------------------------------
-# sum--product families
+# sum--product families: one table row per identity
+#
+# Every row is a case of one shape (Andrews, *The Theory of Partitions*,
+# ch. 7; Bressoud, Mem. AMS 227): K indices with +1 on the last r linear
+# weights, and j more shifts either placed (q^(-s_i) at the placement
+# positions, binomial weights C(j, s) on the products) or, without a
+# placement, as -1 on the first j linear weights (unit weights).  AG and
+# BRESSOUD_EVEN are THM_3_1 and THM_4_1 at j = 0, BRESS_J is THM_3_2 at
+# r = 0, and OVER_1/OVER_2 are the THM_3_1/THM_3_2 shapes on k+1 indices
+# with the overpartition tail.  Every prepared parameter dict carries
+# k, r, j and placement (None for the unplaced shape); z rows also z.
+
+
+@dataclass(frozen=True)
+class _SumRow:
+    prepare: Callable[[dict], dict]
+    modulus: Callable[[dict], int]
+    summand: Callable[[dict, Optional[Monomial]], SummandSpec]
+    products: Callable[[dict, int, Optional[Monomial]], List[TripleProductSpec]]
+    label: str  # str.format fields: the parameters, mod, P (sorted placement), terms (j+1), z
+    window: Optional[Callable[[dict, int], bool]] = None  # z rows: is q^(m/2) well posed
+
+
+def _gordon_sum(p: dict, K: int, tail) -> SummandSpec:
+    pl = p["placement"]
+    lam = _bress_lambda(K, p["j"] if pl is None else 0, p["r"])
+    return SummandSpec(K, lam, placement=pl, tail=tail)
+
+
+def _odd_sum(p: dict, z: Optional[Monomial]) -> SummandSpec:
+    return _gordon_sum(p, p["k"], TailOdd())
+
+
+def _even_sum(p: dict, z: Optional[Monomial]) -> SummandSpec:
+    return _gordon_sum(p, p["k"], TailEven())
+
+
+def _over_sum(p: dict, z: Monomial) -> SummandSpec:
+    return _gordon_sum(p, p["k"] + 1, TailOver(z))
+
+
+def _gordon_products(p: dict, mod: int, z: Optional[Monomial]) -> List[TripleProductSpec]:
+    """sum_s w_s (x q^(e+j-2s), x q^(mod-e-j+2s); q^mod)_inf / (q)_inf.
+
+    Without z, x = 1 and e = k+1-r.  With z = sign q^m, x = -sign and
+    e = k+1-r+m: the arguments are -z q^(k+1-r+j-2s) and -q^(...)/z.
+    w_s = C(j, s) for a placed sum, else 1.
+    """
+    j, e = p["j"], qe(p["k"] + 1 - p["r"])
+    sign, m = (1, qe(0)) if z is None else (-z.sign, z.q_exp)
+    return [
+        TripleProductSpec(
+            qe(mod),
+            Monomial(sign, e + m + qe(j - 2 * s)),
+            Monomial(sign, qe(mod) - e - m - qe(j - 2 * s)),
+            1 if p["placement"] is None else binom(j, s),
+        )
+        for s in range(j + 1)
+    ]
+
+
+def _over_window(p: dict, m: int) -> bool:
+    return 2 * (p["j"] - p["k"] - 1) < m < 2 * (p["k"] + 2 - p["j"])
+
+
+def _odd_index_window(p: dict, m: int) -> bool:
+    return -2 * (p["k"] + 2) < m < 2 * (p["k"] + 1)
+
+
+def _odd(p: dict) -> int:
+    return 2 * p["k"] + 3
+
+
+def _even(p: dict) -> int:
+    return 2 * p["k"] + 2
 
 
 def _prep_ag(params: dict) -> dict:
     _reject_unknown(params, ("k", "r"))
     k = _need_int(params, "k", 1)
     r = _need_int(params, "r", 0, k)
-    return {"k": k, "r": r}
-
-
-def _run_ag(p: dict, wnum: int, pad: int, stats: SumStats) -> List[Check]:
-    k, r = p["k"], p["r"]
-    lhs = eval_multisum(SummandSpec(k, _ag_lambda(k, r)), he(wnum), stats)
-    rhs = eval_product_sum(
-        [_triple(2 * k + 3, 1, qe(k + 1 - r), 1, qe(k + 2 + r))], he(wnum)
-    )
-    return [Check(f"k={k} r={r}: sum vs modulus-{2 * k + 3} product", lhs, rhs)]
-
-
-def _run_neg_ag(p: dict, wnum: int, pad: int, stats: SumStats) -> List[Check]:
-    # deliberately wrong modulus (one more than the true one); a suite can
-    # mark this id with expect: fail to prove the harness detects mismatches
-    k, r = p["k"], p["r"]
-    lhs = eval_multisum(SummandSpec(k, _ag_lambda(k, r)), he(wnum), stats)
-    rhs = eval_product_sum(
-        [_triple(2 * k + 4, 1, qe(k + 1 - r), 1, qe(k + 2 + r))], he(wnum)
-    )
-    return [Check(f"k={k} r={r}: sum vs modulus-{2 * k + 4} product (control)", lhs, rhs)]
-
-
-def _run_bressoud_even(p: dict, wnum: int, pad: int, stats: SumStats) -> List[Check]:
-    k, r = p["k"], p["r"]
-    lhs = eval_multisum(SummandSpec(k, _ag_lambda(k, r), tail=TailEven()), he(wnum), stats)
-    rhs = eval_product_sum(
-        [_triple(2 * k + 2, 1, qe(k + 1 - r), 1, qe(k + 1 + r))], he(wnum)
-    )
-    return [Check(f"k={k} r={r}: sum vs modulus-{2 * k + 2} product", lhs, rhs)]
+    return {"k": k, "r": r, "j": 0, "placement": None}
 
 
 def _prep_bress_j(params: dict) -> dict:
     _reject_unknown(params, ("k", "j"))
     k = _need_int(params, "k", 1)
     j = _need_int(params, "j", 0, k)
-    return {"k": k, "j": j}
-
-
-def _run_bress_j(p: dict, wnum: int, pad: int, stats: SumStats) -> List[Check]:
-    k, j = p["k"], p["j"]
-    lhs = eval_multisum(SummandSpec(k, _bress_lambda(k, j)), he(wnum), stats)
-    rhs = eval_product_sum(
-        [
-            _triple(2 * k + 3, 1, qe(k + 1 + j - 2 * s), 1, qe(k + 2 - j + 2 * s))
-            for s in range(j + 1)
-        ],
-        he(wnum),
-    )
-    return [Check(f"k={k} j={j}: sum vs {j + 1}-term product", lhs, rhs)]
+    return {"k": k, "r": 0, "j": j, "placement": None}
 
 
 def _prep_thm3(params: dict) -> dict:
@@ -377,70 +401,7 @@ def _prep_thm3(params: dict) -> dict:
 
 def _prep_thm3_noplacement(params: dict) -> dict:
     _reject_unknown(params, ("k", "r", "j"))
-    k = _need_int(params, "k", 1)
-    r = _need_int(params, "r", 0, k)
-    j = _need_int(params, "j", 0, k - r)
-    return {"k": k, "r": r, "j": j}
-
-
-def _binomial_products(mod_q: int, base1: int, base2: int, j: int, weighted: bool) -> List[TripleProductSpec]:
-    return [
-        _triple(
-            mod_q,
-            1,
-            qe(base1 + j - 2 * s),
-            1,
-            qe(base2 - j + 2 * s),
-            binom(j, s) if weighted else 1,
-        )
-        for s in range(j + 1)
-    ]
-
-
-def _run_thm_3_1(p: dict, wnum: int, pad: int, stats: SumStats) -> List[Check]:
-    k, r, j, pl = p["k"], p["r"], p["j"], p["placement"]
-    lhs = eval_multisum(
-        SummandSpec(k, _ag_lambda(k, r), placement=pl), he(wnum), stats
-    )
-    rhs = eval_product_sum(
-        _binomial_products(2 * k + 3, k + 1 - r, k + 2 + r, j, True), he(wnum)
-    )
-    return [Check(f"k={k} r={r} j={j} P={sorted(pl)}: sum vs binomial product", lhs, rhs)]
-
-
-def _run_thm_3_2(p: dict, wnum: int, pad: int, stats: SumStats) -> List[Check]:
-    k, r, j = p["k"], p["r"], p["j"]
-    lhs = eval_multisum(SummandSpec(k, _bress_lambda(k, j, r)), he(wnum), stats)
-    rhs = eval_product_sum(
-        _binomial_products(2 * k + 3, k + 1 - r, k + 2 + r, j, False), he(wnum)
-    )
-    return [Check(f"k={k} r={r} j={j}: sum vs {j + 1}-term product", lhs, rhs)]
-
-
-def _run_thm_4_1(p: dict, wnum: int, pad: int, stats: SumStats) -> List[Check]:
-    k, r, j, pl = p["k"], p["r"], p["j"], p["placement"]
-    lhs = eval_multisum(
-        SummandSpec(k, _ag_lambda(k, r), placement=pl, tail=TailEven()), he(wnum), stats
-    )
-    rhs = eval_product_sum(
-        _binomial_products(2 * k + 2, k + 1 - r, k + 1 + r, j, True), he(wnum)
-    )
-    return [Check(f"k={k} r={r} j={j} P={sorted(pl)}: even sum vs binomial product", lhs, rhs)]
-
-
-def _run_thm_4_2(p: dict, wnum: int, pad: int, stats: SumStats) -> List[Check]:
-    k, r, j = p["k"], p["r"], p["j"]
-    lhs = eval_multisum(
-        SummandSpec(k, _bress_lambda(k, j, r), tail=TailEven()), he(wnum), stats
-    )
-    rhs = eval_product_sum(
-        _binomial_products(2 * k + 2, k + 1 - r, k + 1 + r, j, False), he(wnum)
-    )
-    return [Check(f"k={k} r={r} j={j}: even sum vs {j + 1}-term product", lhs, rhs)]
-
-
-# ---------------------------------------------------------------------------
-# overpartition families (K = k+1 summation indices)
+    return dict(_prep_thm3(params), placement=None)
 
 
 def _prep_over_binom(params: dict) -> dict:
@@ -448,152 +409,131 @@ def _prep_over_binom(params: dict) -> dict:
     k = _need_int(params, "k", 0)
     j = _need_int(params, "j", 0, k + 1)
     placement = _opt_placement(params, j, k + 1)
-    return {"k": k, "j": j, "placement": placement, "z": _opt_z(params)}
+    return {"k": k, "r": 0, "j": j, "placement": placement, "z": _opt_z(params)}
 
 
 def _prep_over_plain(params: dict) -> dict:
     _reject_unknown(params, ("k", "j", "z_sign", "z_exp"))
-    k = _need_int(params, "k", 0)
-    j = _need_int(params, "j", 0, k + 1)
-    return {"k": k, "j": j, "z": _opt_z(params)}
+    return dict(_prep_over_binom(params), placement=None)
 
 
-def _over_window(k: int, j: int) -> Callable[[int], bool]:
-    return lambda m: 2 * (j - k - 1) < m < 2 * (k + 2 - j)
-
-
-def _over_products(k: int, j: int, z: Monomial, weighted: bool) -> List[TripleProductSpec]:
-    m = z.q_exp
-    return [
-        _triple(
-            2 * k + 3,
-            -z.sign,
-            qe(k + 1 + j - 2 * s) + m,
-            -z.sign,
-            qe(k + 2 - j + 2 * s) - m,
-            binom(j, s) if weighted else 1,
-        )
-        for s in range(j + 1)
-    ]
-
-
-def _run_over_1(p: dict, wnum: int, pad: int, stats: SumStats) -> List[Check]:
-    k, j, pl = p["k"], p["j"], p["placement"]
-    K = k + 1
-    checks = []
-    for z in _z_samples(p["z"], _POLICY_MS, _over_window(k, j)):
-        lhs = eval_multisum(
-            SummandSpec(K, (0,) * K, placement=pl, tail=TailOver(z)), he(wnum), stats
-        )
-        rhs = eval_product_sum(_over_products(k, j, z, True), he(wnum))
-        checks.append(Check(f"k={k} j={j} z={z}: sum vs binomial product", lhs, rhs))
-    return checks
-
-
-def _run_over_2(p: dict, wnum: int, pad: int, stats: SumStats) -> List[Check]:
-    k, j = p["k"], p["j"]
-    K = k + 1
-    lam = tuple(-1 if i + 1 <= j else 0 for i in range(K))
-    checks = []
-    for z in _z_samples(p["z"], _POLICY_MS, _over_window(k, j)):
-        lhs = eval_multisum(SummandSpec(K, lam, tail=TailOver(z)), he(wnum), stats)
-        rhs = eval_product_sum(_over_products(k, j, z, False), he(wnum))
-        checks.append(Check(f"k={k} j={j} z={z}: sum vs {j + 1}-term product", lhs, rhs))
-    return checks
-
-
-def _prep_over_3(params: dict) -> dict:
+def _prep_kz(params: dict) -> dict:
     _reject_unknown(params, ("k", "z_sign", "z_exp"))
-    return {"k": _need_int(params, "k", 0), "z": _opt_z(params)}
-
-
-def _run_over_3(p: dict, wnum: int, pad: int, stats: SumStats) -> List[Check]:
-    # the odd-index closing factor; note the product arguments pair q^(k+1)
-    # with 1/z and q^(k+2) with z, mirroring the orientation of the
-    # even-index families -- this is the orientation the series satisfy
-    k = p["k"]
-    K = k + 1
-    checks = []
-    for z in _z_samples(p["z"], _POLICY_MS, lambda m: -2 * (k + 2) < m < 2 * (k + 1)):
-        m = z.q_exp
-        lhs = eval_multisum(
-            SummandSpec(K, (1,) * K, tail=TailOverOdd(z, k)), he(wnum), stats
-        )
-        rhs = eval_product_sum(
-            [_triple(2 * k + 3, -z.sign, qe(k + 1) - m, -z.sign, qe(k + 2) + m)],
-            he(wnum),
-        )
-        checks.append(Check(f"k={k} z={z}: odd-index sum vs product", lhs, rhs))
-    return checks
+    return {"k": _need_int(params, "k", 0), "r": 0, "j": 0, "placement": None, "z": _opt_z(params)}
 
 
 def _prep_curious(params: dict) -> dict:
     _reject_unknown(params, ("z_sign", "z_exp"))
-    return {"z": _opt_z(params)}
+    return {"k": 0, "r": 0, "j": 0, "placement": None, "z": _opt_z(params)}
+
+
+_SUM_ROWS: Dict[str, _SumRow] = {
+    "AG": _SumRow(
+        _prep_ag, _odd, _odd_sum, _gordon_products, "k={k} r={r}: sum vs modulus-{mod} product"
+    ),
+    # deliberately wrong modulus (one more than the true one) under AG's
+    # arguments; a suite can mark this id with expect: fail to prove the
+    # harness detects mismatches
+    "NEG_AG": _SumRow(
+        _prep_ag,
+        lambda p: 2 * p["k"] + 4,
+        _odd_sum,
+        lambda p, mod, z: [replace(t, modulus_exp=qe(mod)) for t in _gordon_products(p, mod - 1, z)],
+        "k={k} r={r}: sum vs modulus-{mod} product (control)",
+    ),
+    "BRESSOUD_EVEN": _SumRow(
+        _prep_ag, _even, _even_sum, _gordon_products, "k={k} r={r}: sum vs modulus-{mod} product"
+    ),
+    "BRESS_J": _SumRow(
+        _prep_bress_j, _odd, _odd_sum, _gordon_products, "k={k} j={j}: sum vs {terms}-term product"
+    ),
+    "THM_3_1": _SumRow(
+        _prep_thm3, _odd, _odd_sum, _gordon_products,
+        "k={k} r={r} j={j} P={P}: sum vs binomial product",
+    ),
+    "THM_3_2": _SumRow(
+        _prep_thm3_noplacement, _odd, _odd_sum, _gordon_products,
+        "k={k} r={r} j={j}: sum vs {terms}-term product",
+    ),
+    "THM_4_1": _SumRow(
+        _prep_thm3, _even, _even_sum, _gordon_products,
+        "k={k} r={r} j={j} P={P}: even sum vs binomial product",
+    ),
+    "THM_4_2": _SumRow(
+        _prep_thm3_noplacement, _even, _even_sum, _gordon_products,
+        "k={k} r={r} j={j}: even sum vs {terms}-term product",
+    ),
+    "OVER_1": _SumRow(
+        _prep_over_binom, _odd, _over_sum, _gordon_products,
+        "k={k} j={j} z={z}: sum vs binomial product", _over_window,
+    ),
+    "OVER_2": _SumRow(
+        _prep_over_plain, _odd, _over_sum, _gordon_products,
+        "k={k} j={j} z={z}: sum vs {terms}-term product", _over_window,
+    ),
+    # the odd-index closing factor; the product pairs q^(k+1) with 1/z and
+    # q^(k+2) with z, mirroring the orientation of the even-index families
+    # -- this is the orientation the series satisfy
+    "OVER_3": _SumRow(
+        _prep_kz,
+        _odd,
+        lambda p, z: SummandSpec(p["k"] + 1, (1,) * (p["k"] + 1), tail=TailOverOdd(z, p["k"])),
+        lambda p, mod, z: _gordon_products(p, mod, z.inverted()),
+        "k={k} z={z}: odd-index sum vs product",
+        _odd_index_window,
+    ),
+    # closing factor (qz, 1/z; q)_s / (q)_{2s} realized as the a=1/2
+    # polynomial tail evaluated at -z q^(1/2); the product is the
+    # overpartition rows' product at -1/z
+    "COR_INFTY": _SumRow(
+        _prep_kz,
+        _odd,
+        lambda p, z: _gordon_sum(p, p["k"] + 1, TailH(he(1), Monomial(-z.sign, z.q_exp + he(1)))),
+        lambda p, mod, z: _gordon_products(p, mod, Monomial(-z.sign, -z.q_exp)),
+        "k={k} z={z}: iterated sum vs product",
+        _odd_index_window,
+    ),
+}
+
+
+def _run_row(row: _SumRow, p: dict, wnum: int, pad: int, stats: SumStats) -> List[Check]:
+    mod = row.modulus(p)
+    fields = dict(p, mod=mod, P=sorted(p["placement"] or ()), terms=p["j"] + 1)
+
+    def at(z: Optional[Monomial]) -> List[Check]:
+        lhs = eval_multisum(row.summand(p, z), he(wnum), stats)
+        rhs = eval_product_sum(row.products(p, mod, z), he(wnum))
+        return [Check(row.label.format_map(dict(fields, z=z)), lhs, rhs)]
+
+    if row.window is None:
+        return at(None)
+    return _each_z(p["z"], lambda m: row.window(p, m), at)
 
 
 def _run_curious(p: dict, wnum: int, pad: int, stats: SumStats) -> List[Check]:
-    checks = []
-    for z in _z_samples(p["z"], _POLICY_MS, lambda m: -2 < m < 4):
-        m = z.q_exp
-        even = eval_multisum(SummandSpec(1, (0,), tail=TailOver(z)), he(wnum), stats)
-        odd = eval_multisum(
-            SummandSpec(1, (1,), tail=TailOverOdd(z.inverted(), 0)), he(wnum), stats
-        )
-        prod = eval_product_sum(
-            [_triple(3, -z.sign, qe(1) + m, -z.sign, qe(2) - m)], he(wnum)
-        )
-        checks.append(Check(f"z={z}: even-index expansion vs product", even, prod))
-        checks.append(Check(f"z={z}: odd-index expansion vs product", odd, prod))
-        checks.append(Check(f"z={z}: the two expansions agree", even, odd))
-    return checks
+    # k = 0 of the overpartition rows: OVER_2's sum at z and OVER_3's at
+    # 1/z expand the same product
+    even_row, odd_row = _SUM_ROWS["OVER_2"], _SUM_ROWS["OVER_3"]
 
+    def at(z: Monomial) -> List[Check]:
+        even = eval_multisum(even_row.summand(p, z), he(wnum), stats)
+        odd = eval_multisum(odd_row.summand(p, z.inverted()), he(wnum), stats)
+        prod = eval_product_sum(even_row.products(p, even_row.modulus(p), z), he(wnum))
+        return [
+            Check(f"z={z}: even-index expansion vs product", even, prod),
+            Check(f"z={z}: odd-index expansion vs product", odd, prod),
+            Check(f"z={z}: the two expansions agree", even, odd),
+        ]
 
-def _prep_cor_infty(params: dict) -> dict:
-    _reject_unknown(params, ("k", "z_sign", "z_exp"))
-    return {"k": _need_int(params, "k", 0), "z": _opt_z(params)}
-
-
-def _run_cor_infty(p: dict, wnum: int, pad: int, stats: SumStats) -> List[Check]:
-    # closing factor (qz, 1/z; q)_s / (q)_{2s} realized as the a=1/2
-    # polynomial tail evaluated at -z q^(1/2)
-    k = p["k"]
-    K = k + 1
-    checks = []
-    for z in _z_samples(p["z"], _POLICY_MS, lambda m: -2 * (k + 2) < m < 2 * (k + 1)):
-        m = z.q_exp
-        w = Monomial(-z.sign, m + he(1))
-        lhs = eval_multisum(
-            SummandSpec(K, (0,) * K, tail=TailH(he(1), w)), he(wnum), stats
-        )
-        rhs = eval_product_sum(
-            [_triple(2 * k + 3, z.sign, qe(k + 2) + m, z.sign, qe(k + 1) - m)],
-            he(wnum),
-        )
-        checks.append(Check(f"k={k} z={z}: iterated sum vs product", lhs, rhs))
-    return checks
+    return _each_z(p["z"], lambda m: even_row.window(p, m), at)
 
 
 # ---------------------------------------------------------------------------
 # structural identities at finite n (symbolic in z)
 
-_A_GRID_DOC = "a is any half-integer; tests sweep 1/2 .. 7/2"
-
-
 def _prep_n_a(params: dict) -> dict:
     _reject_unknown(params, ("n", "a"))
-    return {"n": _need_int(params, "n", 0), "a": _need_half(params, "a")}
-
-
-def _run_key_lemma(p: dict, wnum: int, pad: int, stats: SumStats) -> List[Check]:
-    n, a = p["n"], p["a"]
-    W = wnum + pad
-    lhs = h_poly(HSpec(n, a), he(W)) * _inv_qfac(2 * n, W)
-    rhs = ZLaurent.zero()
-    for s in range(n + 1):
-        coef = _qsq(s) * _inv_qfac(n - s, W) * _inv_qfac(2 * s, W)
-        rhs = rhs + h_poly(HSpec(s, a - he(2)), he(W)) * coef
-    return [Check(f"n={n} a={a}: one-step expansion", lhs, rhs)]
+    return {"n": _need_int(params, "n", 0), "j": 0, "a": _need_half(params, "a")}
 
 
 def _prep_iter(params: dict) -> dict:
@@ -608,11 +548,12 @@ def _prep_iter(params: dict) -> dict:
 def _run_iter_prop(p: dict, wnum: int, pad: int, stats: SumStats) -> List[Check]:
     n, k, a = p["n"], p["k"], p["a"]
     W = wnum + pad
-    lhs = h_poly(HSpec(n, a + qe(k + 1)), he(W)) * _inv_qfac(2 * n, W)
-    buckets = _chain_sum(n, k + 1, W, True, lambda t, prev, s: _qsq(s))
+    inv = _inv_qfac_ladder(W)
+    lhs = h_poly(HSpec(n, a + qe(k + 1)), he(W)) * inv(2 * n)
+    buckets = _chain_sum(n, k + 1, W, inv, lambda t, prev, s: _qsq(s))
     rhs = ZLaurent.zero()
     for s, c in sorted(buckets.items()):
-        rhs = rhs + h_poly(HSpec(s, a), he(W)) * (c * _inv_qfac(2 * s, W))
+        rhs = rhs + h_poly(HSpec(s, a), he(W)) * (c * inv(2 * s))
     return [Check(f"n={n} k={k} a={a}: iterated expansion", lhs, rhs)]
 
 
@@ -641,14 +582,15 @@ def _prep_nk(params: dict) -> dict:
 def _run_iterate_bress(p: dict, wnum: int, pad: int, stats: SumStats) -> List[Check]:
     n, k = p["n"], p["k"]
     W = wnum + pad
+    inv = _inv_qfac_ladder(W)
     lhs = (
         h_poly(HSpec(n, he(2 * k + 3)), he(W)).zshift(he(1)).znegate()
-        * _inv_qfac(2 * n, W)
+        * inv(2 * n)
     )
-    buckets = _chain_sum(n, k + 1, W, True, lambda t, prev, s: _qsq(s))
+    buckets = _chain_sum(n, k + 1, W, inv, lambda t, prev, s: _qsq(s))
     rhs = ZLaurent.zero()
     for s, c in sorted(buckets.items()):
-        rhs = rhs + _pochz_rising(s).truncated(he(W)) * (c * _inv_qfac(2 * s, W))
+        rhs = rhs + _pochz_rising(s).truncated(he(W)) * (c * inv(2 * s))
     return [Check(f"n={n} k={k}: iterated expansion with factored tail", lhs, rhs)]
 
 
@@ -669,24 +611,6 @@ def _one_plus_q(exp_q: int) -> QSeries:
     return QSeries.one() + QSeries.monomial(1, qe(exp_q))
 
 
-def _run_new_prop(p: dict, wnum: int, pad: int, stats: SumStats) -> List[Check]:
-    n, a = p["n"], p["a"]
-    W = wnum + pad
-    H = h_poly(HSpec(n, a + he(2)), he(W + 2 * n))
-    G = H.zshift(qe(1))
-    lhs = (G + G.zinvert()) * _inv_qfac(2 * n, W)
-    rhs = ZLaurent.zero()
-    for s in range(n + 1):
-        coef = (
-            _qsq(s, -1)
-            * _one_plus_q(n + s)
-            * _inv_qfac(n - s, W)
-            * _inv_qfac(2 * s, W)
-        )
-        rhs = rhs + h_poly(HSpec(s, a), he(W)) * coef
-    return [Check(f"n={n} a={a}: shifted-pair expansion", lhs, rhs)]
-
-
 def _prep_nja(params: dict) -> dict:
     _reject_unknown(params, ("n", "j", "a"))
     return {
@@ -703,46 +627,53 @@ def _prep_nja_pos(params: dict) -> dict:
     return out
 
 
-def _run_new_prop2(p: dict, wnum: int, pad: int, stats: SumStats) -> List[Check]:
+# F(n, 0, a) is H(n, a), so KEY_LEMMA and NEW_PROP are the cases j = 0 of
+# F_SUM and NEW_PROP2; each pair shares a runner and differs in its label.
+
+
+def _run_shifted_pair(label: str, p: dict, wnum: int, pad: int, stats: SumStats) -> List[Check]:
     n, j, a = p["n"], p["j"], p["a"]
     W = wnum + pad
-    lhs = f_func(FSpec(n, j + 1, a + he(2)), he(W + 2 * n * (j + 1))) * _inv_qfac(2 * n, W)
+    inv = _inv_qfac_ladder(W)
+    lhs = f_func(FSpec(n, j + 1, a + he(2)), he(W + 2 * n * (j + 1))) * inv(2 * n)
     rhs = ZLaurent.zero()
     for s in range(n + 1):
         coef = (
             _qsq(s, -1)
             * _one_plus_q(n + s)
-            * _inv_qfac(n - s, W)
-            * _inv_qfac(2 * s, W)
+            * inv(n - s)
+            * inv(2 * s)
         )
         rhs = rhs + f_func(FSpec(s, j, a), he(W + 2 * s * j)) * coef
-    return [Check(f"n={n} j={j} a={a}: shifted-pair expansion of the closure", lhs, rhs)]
+    return [Check(label.format_map(p), lhs, rhs)]
 
 
 def _run_another_f(p: dict, wnum: int, pad: int, stats: SumStats) -> List[Check]:
     n, j, a = p["n"], p["j"], p["a"]
     W = wnum + pad
-    lhs = f_func(FSpec(n, j, a), he(W + 2 * n * j)) * _inv_qfac(2 * n, W)
+    inv = _inv_qfac_ladder(W)
+    lhs = f_func(FSpec(n, j, a), he(W + 2 * n * j)) * inv(2 * n)
 
     def factor(t: int, prev: int, s: int) -> QSeries:
         return _qsq(s, -1) * _one_plus_q(prev + s)
 
-    buckets = _chain_sum(n, j, W, True, factor)
+    buckets = _chain_sum(n, j, W, inv, factor)
     rhs = ZLaurent.zero()
     for s, c in sorted(buckets.items()):
-        rhs = rhs + h_poly(HSpec(s, a - qe(j)), he(W)) * (c * _inv_qfac(2 * s, W))
+        rhs = rhs + h_poly(HSpec(s, a - qe(j)), he(W)) * (c * inv(2 * s))
     return [Check(f"n={n} j={j} a={a}: full chain expansion", lhs, rhs)]
 
 
-def _run_f_sum(p: dict, wnum: int, pad: int, stats: SumStats) -> List[Check]:
+def _run_one_step(label: str, p: dict, wnum: int, pad: int, stats: SumStats) -> List[Check]:
     n, j, a = p["n"], p["j"], p["a"]
     W = wnum + pad
-    lhs = f_func(FSpec(n, j, a), he(W + 2 * n * j)) * _inv_qfac(2 * n, W)
+    inv = _inv_qfac_ladder(W)
+    lhs = f_func(FSpec(n, j, a), he(W + 2 * n * j)) * inv(2 * n)
     rhs = ZLaurent.zero()
     for s in range(n + 1):
-        coef = _qsq(s) * _inv_qfac(n - s, W) * _inv_qfac(2 * s, W)
+        coef = _qsq(s) * inv(n - s) * inv(2 * s)
         rhs = rhs + f_func(FSpec(s, j, a - he(2)), he(W + 2 * s * j)) * coef
-    return [Check(f"n={n} j={j} a={a}: one-step expansion of the closure", lhs, rhs)]
+    return [Check(label.format_map(p), lhs, rhs)]
 
 
 def _run_recurse_f(p: dict, wnum: int, pad: int, stats: SumStats) -> List[Check]:
@@ -771,13 +702,13 @@ def _prep_h_limit(params: dict) -> dict:
 
 def _run_h_limit(p: dict, wnum: int, pad: int, stats: SumStats) -> List[Check]:
     a = p["a"]
-    checks = []
-    for z in _z_samples(p["z"], _LIMIT_MS, lambda m: abs(m) < a.num):
-        w = Monomial(-z.sign, z.q_exp)
-        val, n = stabilized_h_value(a, w, he(wnum))
+
+    def at(z: Monomial) -> List[Check]:
+        val, n = stabilized_h_value(a, Monomial(-z.sign, z.q_exp), he(wnum))
         prod = h_limit_product(a, z, he(wnum))
-        checks.append(Check(f"a={a} z={z}: polynomial at certified n={n} vs product", val, prod))
-    return checks
+        return [Check(f"a={a} z={z}: polynomial at certified n={n} vs product", val, prod)]
+
+    return _each_z(p["z"], lambda m: abs(m) < a.num, at, _LIMIT_MS)
 
 
 def _prep_f_limit(params: dict) -> dict:
@@ -791,15 +722,14 @@ def _prep_f_limit(params: dict) -> dict:
 
 def _run_f_limit(p: dict, wnum: int, pad: int, stats: SumStats) -> List[Check]:
     j, a = p["j"], p["a"]
-    checks = []
-    for z in _z_samples(p["z"], _LIMIT_MS, lambda m: abs(m) + 2 * j < a.num):
-        w = Monomial(-z.sign, z.q_exp)
-        val, n = stabilized_f_value(j, a, w, he(wnum))
+
+    def at(z: Monomial) -> List[Check]:
+        val, n = stabilized_f_value(j, a, Monomial(-z.sign, z.q_exp), he(wnum))
         s = f_limit_sum(j, a, z, he(wnum))
-        checks.append(
-            Check(f"j={j} a={a} z={z}: closure value at certified n={n} vs product sum", val, s)
-        )
-    return checks
+        label = f"j={j} a={a} z={z}: closure value at certified n={n} vs product sum"
+        return [Check(label, val, s)]
+
+    return _each_z(p["z"], lambda m: abs(m) + 2 * j < a.num, at, _LIMIT_MS)
 
 
 # ---------------------------------------------------------------------------
@@ -928,9 +858,10 @@ def _prep_even_fact(params: dict) -> dict:
 
 def _run_even_fact(p: dict, wnum: int, pad: int, stats: SumStats) -> List[Check]:
     W = wnum + pad
+    inv = _inv_qfac_ladder(W)
     checks = []
     for s in range(p["s_max"] + 1):
-        lhs = h_poly(HSpec(s, qe(1)), he(W)).substitute(-1, qe(0)) * _inv_qfac(2 * s, W)
+        lhs = h_poly(HSpec(s, qe(1)), he(W)).substitute(-1, qe(0)) * inv(2 * s)
         rhs = poch_finite_scalar(Monomial(1, qe(2)), s, base_exp=qe(2)).inverse(he(W))
         checks.append(Check(f"s={s}: even-weight value factors", lhs, rhs))
     return checks
@@ -945,7 +876,7 @@ def _prep_andrews_answer(params: dict) -> dict:
     k = _need_int(params, "k", 1)
     r = _need_int(params, "r", 0, k)
     n = _opt_int(params, "n", 5, 0)
-    return {"k": k, "r": r, "n": n}
+    return {"k": k, "r": r, "j": 0, "placement": None, "n": n}
 
 
 def _run_andrews_answer(p: dict, wnum: int, pad: int, stats: SumStats) -> List[Check]:
@@ -955,6 +886,7 @@ def _run_andrews_answer(p: dict, wnum: int, pad: int, stats: SumStats) -> List[C
     surviving scalar is the classical sum side."""
     k, r, n = p["k"], p["r"], p["n"]
     W = wnum + pad
+    inv = _inv_qfac_ladder(W)
     checks = []
 
     # the closing factor vanishes for every positive index
@@ -972,7 +904,7 @@ def _run_andrews_answer(p: dict, wnum: int, pad: int, stats: SumStats) -> List[C
         new: Dict[int, QSeries] = {}
         for m, c in bucket.items():
             for s in range(m + 1):
-                add = c * _inv_qfac(m - s, W) * _qsq(s)
+                add = c * inv(m - s) * _qsq(s)
                 new[s] = new.get(s, QSeries.zero(he(W))) + add
         bucket = new
         a_num -= 2
@@ -993,21 +925,21 @@ def _run_andrews_answer(p: dict, wnum: int, pad: int, stats: SumStats) -> List[C
         raise QidentError("reduction schedule did not terminate at the half weight")
 
     # every step preserved the value, so bucket[0] must equal the start
-    start = h_poly(HSpec(n, he(2 * k + 3)), he(W)).substitute(-1, he(2 * r + 1)) * _inv_qfac(
-        2 * n, W
-    )
+    start = h_poly(HSpec(n, he(2 * k + 3)), he(W)).substitute(-1, he(2 * r + 1)) * inv(2 * n)
     checks.append(Check(f"n={n}: pipeline value equals the starting value", bucket[0], start))
 
-    # and it is exactly the bounded classical sum side
-    lam = _ag_lambda(k, r)
+    # and it is exactly the bounded classical sum side, AG's
+    ag = _SUM_ROWS["AG"]
+    plain_spec = ag.summand(p, None)
+    lam = plain_spec.linear
 
     def factor(t: int, prev: int, s: int) -> QSeries:
         return _qsq(s, lam[t - 1])
 
-    chain = _chain_sum(n, k, W, True, factor)
+    chain = _chain_sum(n, k, W, inv, factor)
     direct = QSeries.zero(he(W))
     for s, c in sorted(chain.items()):
-        direct = direct + c * _inv_qfac(s, W)
+        direct = direct + c * inv(s)
     checks.append(Check(f"n={n}: pipeline value is the bounded sum side", bucket[0], direct))
 
     # in the limit, the same shape with the closing factor reproduces the
@@ -1018,11 +950,9 @@ def _run_andrews_answer(p: dict, wnum: int, pad: int, stats: SumStats) -> List[C
         he(wnum),
         stats,
     )
-    plain = eval_multisum(SummandSpec(k, lam), he(wnum), stats)
+    plain = eval_multisum(plain_spec, he(wnum), stats)
     checks.append(Check("forced innermost index reproduces the sum side", forced, plain))
-    prod = eval_product_sum(
-        [_triple(2 * k + 3, 1, qe(k + 1 - r), 1, qe(k + 2 + r))], he(wnum)
-    )
+    prod = eval_product_sum(ag.products(p, ag.modulus(p), None), he(wnum))
     checks.append(Check("sum side meets the product side", plain, prod))
     return checks
 
@@ -1031,43 +961,37 @@ def _run_andrews_answer(p: dict, wnum: int, pad: int, stats: SumStats) -> List[C
 # registry assembly
 
 
-def _reg(id: str, prepare, runner, default_ordnum) -> None:
-    _REGISTRY[id] = _Entry(prepare, runner, default_ordnum)
+def _reg(id: str, prepare, runner, modulus=None) -> None:
+    _REGISTRY[id] = _Entry(prepare, runner, modulus)
 
 
-def _mod_window(mod_q: Callable[[dict], int]) -> Callable[[dict], int]:
-    return lambda p: 2 * mod_q(p) + 60
-
-
-_reg("AG", _prep_ag, _run_ag, _mod_window(lambda p: 2 * p["k"] + 3))
-_reg("NEG_AG", _prep_ag, _run_neg_ag, _mod_window(lambda p: 2 * p["k"] + 4))
-_reg("BRESSOUD_EVEN", _prep_ag, _run_bressoud_even, _mod_window(lambda p: 2 * p["k"] + 2))
-_reg("BRESS_J", _prep_bress_j, _run_bress_j, _mod_window(lambda p: 2 * p["k"] + 3))
-_reg("THM_3_1", _prep_thm3, _run_thm_3_1, _mod_window(lambda p: 2 * p["k"] + 3))
-_reg("THM_3_2", _prep_thm3_noplacement, _run_thm_3_2, _mod_window(lambda p: 2 * p["k"] + 3))
-_reg("THM_4_1", _prep_thm3, _run_thm_4_1, _mod_window(lambda p: 2 * p["k"] + 2))
-_reg("THM_4_2", _prep_thm3_noplacement, _run_thm_4_2, _mod_window(lambda p: 2 * p["k"] + 2))
-_reg("OVER_1", _prep_over_binom, _run_over_1, _mod_window(lambda p: 2 * p["k"] + 3))
-_reg("OVER_2", _prep_over_plain, _run_over_2, _mod_window(lambda p: 2 * p["k"] + 3))
-_reg("OVER_3", _prep_over_3, _run_over_3, _mod_window(lambda p: 2 * p["k"] + 3))
-_reg("CURIOUS", _prep_curious, _run_curious, _mod_window(lambda p: 3))
-_reg("COR_INFTY", _prep_cor_infty, _run_cor_infty, _mod_window(lambda p: 2 * p["k"] + 3))
-_reg("KEY_LEMMA", _prep_n_a, _run_key_lemma, lambda p: 80)
-_reg("ITER_PROP", _prep_iter, _run_iter_prop, lambda p: 80)
-_reg("SPECIAL_A", _prep_n, _run_special_a, lambda p: 80)
-_reg("ITERATE_BRESS", _prep_nk, _run_iterate_bress, lambda p: 80)
-_reg("FUNC_EQ", _prep_func_eq, _run_func_eq, lambda p: 80)
-_reg("NEW_PROP", _prep_n_a, _run_new_prop, lambda p: 80)
-_reg("NEW_PROP2", _prep_nja, _run_new_prop2, lambda p: 80)
-_reg("ANOTHER_F", _prep_nja_pos, _run_another_f, lambda p: 80)
-_reg("F_SUM", _prep_nja, _run_f_sum, lambda p: 80)
-_reg("RECURSE_F", _prep_nja_pos, _run_recurse_f, lambda p: 80)
-_reg("H_LIMIT", _prep_h_limit, _run_h_limit, lambda p: 80)
-_reg("F_LIMIT", _prep_f_limit, _run_f_limit, lambda p: 80)
-_reg("EDGE_LEMMA", _prep_edge_lemma, _run_edge_lemma, lambda p: 80)
-_reg("CHU_COEFF", _prep_j, _run_chu, lambda p: 80)
-_reg("EVEN_FACT", _prep_even_fact, _run_even_fact, lambda p: 80)
-_reg("ANDREWS_ANSWER", _prep_andrews_answer, _run_andrews_answer, _mod_window(lambda p: 2 * p["k"] + 3))
+for _id, _row in _SUM_ROWS.items():
+    _reg(_id, _row.prepare, partial(_run_row, _row), _row.modulus)
+_reg("CURIOUS", _prep_curious, _run_curious, _odd)
+_reg("KEY_LEMMA", _prep_n_a, partial(_run_one_step, "n={n} a={a}: one-step expansion"))
+_reg("ITER_PROP", _prep_iter, _run_iter_prop)
+_reg("SPECIAL_A", _prep_n, _run_special_a)
+_reg("ITERATE_BRESS", _prep_nk, _run_iterate_bress)
+_reg("FUNC_EQ", _prep_func_eq, _run_func_eq)
+_reg("NEW_PROP", _prep_n_a, partial(_run_shifted_pair, "n={n} a={a}: shifted-pair expansion"))
+_reg(
+    "NEW_PROP2",
+    _prep_nja,
+    partial(_run_shifted_pair, "n={n} j={j} a={a}: shifted-pair expansion of the closure"),
+)
+_reg("ANOTHER_F", _prep_nja_pos, _run_another_f)
+_reg(
+    "F_SUM",
+    _prep_nja,
+    partial(_run_one_step, "n={n} j={j} a={a}: one-step expansion of the closure"),
+)
+_reg("RECURSE_F", _prep_nja_pos, _run_recurse_f)
+_reg("H_LIMIT", _prep_h_limit, _run_h_limit)
+_reg("F_LIMIT", _prep_f_limit, _run_f_limit)
+_reg("EDGE_LEMMA", _prep_edge_lemma, _run_edge_lemma)
+_reg("CHU_COEFF", _prep_j, _run_chu)
+_reg("EVEN_FACT", _prep_even_fact, _run_even_fact)
+_reg("ANDREWS_ANSWER", _prep_andrews_answer, _run_andrews_answer, _odd)
 
 
 # ---------------------------------------------------------------------------
@@ -1094,14 +1018,9 @@ def verify(case: IdentityCase) -> VerificationReport:
             if not checks:
                 raise QidentError("runner produced no checks")
             compared_num: Optional[int] = None  # None is infinite
-            first = True
             for c in checks:
                 res = c.lhs.eq_upto(c.rhs)
-                rnum = _ord_num(res.compared_order)
-                if first:
-                    compared_num, first = rnum, False
-                else:
-                    compared_num = _min_ord(compared_num, rnum)
+                compared_num = _min_ord(compared_num, _ord_num(res.compared_order))
                 if not res.equal:
                     return VerificationReport(
                         case,
@@ -1133,20 +1052,3 @@ def verify(case: IdentityCase) -> VerificationReport:
         case, "error", None, None, time.perf_counter() - t0, stats.tuples, detail=detail
     )
 
-
-def verify_edge_lemma(j: int, samples: Optional[Sequence[Sequence[int]]] = None) -> VerificationReport:
-    """Signed edge-set weights collapse to q^(-s_1-...-s_j) at every sample."""
-    return verify(make_case("EDGE_LEMMA", j=j, samples=samples))
-
-
-def verify_chu_collapse(j: int) -> bool:
-    """The binomial double sum equals 1 for every u in 0..j."""
-    return verify(make_case("CHU_COEFF", j=j)).ok
-
-
-def verify_even_fact(s_max: int, order=None) -> VerificationReport:
-    return verify(make_case("EVEN_FACT", order=order, s_max=s_max))
-
-
-def verify_andrews_answer(k: int, r: int, order=None, n: Optional[int] = None) -> VerificationReport:
-    return verify(make_case("ANDREWS_ANSWER", order=order, k=k, r=r, n=n))

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from typing import List, Optional, Tuple
 
 from .catalog import IdentityCase, VerificationReport, registered_ids, validate_case, verify
@@ -163,6 +162,9 @@ def _cmd_suite(args) -> int:
         return 2
 
     if workers > 1 and len(jobs) > 1:
+        # imported here: `qident verify` never starts a pool
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_suite_case, jobs))
     else:

@@ -111,12 +111,13 @@ def h_poly(spec: HSpec, order: Order = INF) -> ZLaurent:
             terms[s] = QSeries(a.num * s * s, coeffs, None)
         return ZLaurent.from_terms(terms, order)
     # finite order: walk the binomial column, dense on the whole-q grid;
-    # O(n * order) instead of the exact-polynomial memo
+    # O(n * order) instead of the exact-polynomial memo.  A slice is known
+    # through its half-slot 2L - 1 too, which is structurally zero.
     L = max((ordnum + 1) // 2, 1)
     for s, b in _binomial_column(n, L):
         coeffs = [0] * (2 * L - 1)
         coeffs[::2] = b
-        q = QSeries(a.num * s * s, coeffs, a.num * s * s + 2 * L - 1)
+        q = QSeries(a.num * s * s, coeffs, a.num * s * s + 2 * L)
         terms[s] = q
         if s:
             terms[-s] = q
@@ -245,13 +246,12 @@ def stabilized_f_value(j: int, a: HalfInt, w: Monomial, order) -> Tuple[QSeries,
     F(n, j, a)(z) = sum_i C(j, i) H(n, a)(z q^(j-2i)), so n is certified for
     every shifted argument.  Each closure step moves slice -n down by q^n
     and the substitution moves it by q^(|m| n), so F is built once at
-    order + (|m| + 2j) n half-units, plus one because `h_poly` at an even
-    working order is known one half-unit short of it.
+    order + (|m| + 2j) n half-units.
     """
     a, ordnum = _limit_args(a, w, order)
     m = w.q_exp.num
     n = _certified_n(a, [m + 2 * (j - 2 * i) for i in range(j + 1)], ordnum)
-    wnum = ordnum + (abs(m) + 2 * j) * n + 1
+    wnum = ordnum + (abs(m) + 2 * j) * n
     val = f_func(FSpec(n, j, a), HalfInt(wnum)).substitute(w.sign, w.q_exp)
     got = _ord_num(val.order)
     if got is not None and got < ordnum:

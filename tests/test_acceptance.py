@@ -26,9 +26,6 @@ from qident import (
     eval_product_sum,
     make_case,
     verify,
-    verify_chu_collapse,
-    verify_edge_lemma,
-    verify_even_fact,
     he,
     qe,
 )
@@ -157,7 +154,7 @@ def test_criterion_06_even_theorems():
                 _assert_pass("THM_4_2", qe(60), k=k, r=r, j=j)
                 for P in itertools.combinations(range(1, k - r + 1), j):
                     _assert_pass("THM_4_1", qe(60), k=k, r=r, j=j, placement=list(P))
-    rep = verify_even_fact(8, order=qe(40))
+    rep = verify(make_case("EVEN_FACT", order=qe(40), s_max=8))
     assert rep.status == "pass"
 
 
@@ -226,7 +223,7 @@ def test_criterion_10_combinatorics():
                 t.append(prev)
                 prev = rng.randint(0, prev)
             samples.append(tuple(t))
-        rep = verify_edge_lemma(j, samples)
+        rep = verify(make_case("EDGE_LEMMA", j=j, samples=samples))
         assert rep.status == "pass", (j, rep.detail)
     fib = [1, 1]
     while len(fib) < 16:
@@ -242,7 +239,7 @@ def test_criterion_10_combinatorics():
         for t, cnt in by_size.items():
             assert cnt == comb(j - t, t)
     for j in range(21):
-        assert verify_chu_collapse(j)
+        assert verify(make_case("CHU_COEFF", j=j)).ok
 
 
 @_criterion(11, "engine soundness: brute force, ring laws, negative controls")

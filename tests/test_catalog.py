@@ -21,16 +21,13 @@ from qident import (
     eval_product_sum,
     make_case,
     registered_ids,
+    partition_series,
     verify,
-    verify_andrews_answer,
-    verify_chu_collapse,
-    verify_edge_lemma,
-    verify_even_fact,
     he,
     qe,
     validate_case,
 )
-from qident.catalog import _bress_lambda
+from qident.catalog import _bress_lambda, _inv_qfac_ladder
 
 
 SMALL = he(30)
@@ -255,25 +252,26 @@ def test_edge_weight_validates_length():
 
 
 def test_verify_edge_lemma_defaults_and_explicit_samples():
-    assert verify_edge_lemma(3).status == "pass"
-    assert verify_edge_lemma(5, [(4, 3, 3, 1, 0), (2, 2, 2, 2, 2)]).status == "pass"
-    assert verify_edge_lemma(0).status == "pass"
+    assert verify(make_case("EDGE_LEMMA", j=3)).status == "pass"
+    samples = [(4, 3, 3, 1, 0), (2, 2, 2, 2, 2)]
+    assert verify(make_case("EDGE_LEMMA", j=5, samples=samples)).status == "pass"
+    assert verify(make_case("EDGE_LEMMA", j=0)).status == "pass"
 
 
 def test_chu_collapse():
-    assert verify_chu_collapse(0)
-    assert verify_chu_collapse(7)
+    assert verify(make_case("CHU_COEFF", j=0)).ok
+    assert verify(make_case("CHU_COEFF", j=7)).ok
 
 
 def test_even_fact():
-    rep = verify_even_fact(5, order=he(40))
+    rep = verify(make_case("EVEN_FACT", order=he(40), s_max=5))
     assert rep.status == "pass"
 
 
-def test_andrews_answer_wrapper_and_grid():
+def test_andrews_answer_grid():
     for k in (1, 2):
         for r in range(k + 1):
-            rep = verify_andrews_answer(k, r, order=he(40), n=4)
+            rep = verify(make_case("ANDREWS_ANSWER", order=he(40), k=k, r=r, n=4))
             assert rep.status == "pass", (k, r, rep.detail)
 
 
@@ -338,8 +336,19 @@ def test_limit_ids_reject_a_leftover_criterion():
 
 
 def test_verify_never_raises():
-    # both inputs drive a recursive builder past the interpreter's limit
-    for case in (make_case("SPECIAL_A", n=1100), make_case("KEY_LEMMA", n=700, a=2)):
-        rep = verify(case)
-        assert rep.status == "error"
-        assert rep.detail.startswith("RecursionError: ")
+    # the exact q-binomial memo recurses past the interpreter's limit here
+    rep = verify(make_case("SPECIAL_A", n=1100))
+    assert rep.status == "error"
+    assert rep.detail.startswith("RecursionError: ")
+
+
+def test_inverse_q_factorial_ladder_builds_a_deep_rung():
+    # the ladder is iterative: rung 1500 needs no recursion, and below
+    # q^1501 it agrees with 1 / (q; q)_inf
+    order = qe(1501)
+    assert _inv_qfac_ladder(order.num)(1500) == partition_series(order)
+
+
+def test_key_lemma_passes_at_exactly_q40_without_padding():
+    rep = _ok("KEY_LEMMA", order=qe(40), n=4, a="5/2")
+    assert rep.compared_order == qe(40)

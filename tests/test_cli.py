@@ -224,3 +224,20 @@ def test_shipped_suite_file(capsys):
     from qident import registered_ids
 
     assert ids == set(registered_ids())
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    import qident
+
+    src = str(pathlib.Path(qident.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, qident.cli; print('concurrent.futures.process' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

@@ -61,6 +61,14 @@ def test_h_poly_finite_order_matches_exact(rng):
         assert r.compared_order <= W
 
 
+def test_h_poly_at_an_even_order_claims_the_full_order():
+    # the half-slot just below an even order is odd, hence zero, on every slice
+    for a in (he(3), qe(2)):
+        H = h_poly(HSpec(4, a), qe(20))
+        assert H.order == qe(20)
+        assert H.eq_upto(h_poly(HSpec(4, a), INF)).compared_order == qe(20)
+
+
 def test_h_poly_matches_substitution_oracle(rng):
     for _ in range(8):
         n = rng.randint(0, 4)
