@@ -17,11 +17,11 @@ read off its own modulus; every other id defaults to q^40.
 
 `verify` runs the checks for a case and reports pass/fail/error, the
 order actually compared, the first mismatching coefficient if any, and
-how many multisum cells the summation engine evaluated.  Identities that
-lose working order to divisions or negative shifts are rerun with a
-larger internal padding until the compared order reaches the request.
-`verify` never raises: an exception from any check becomes an `error`
-report.
+how many multisum cells the summation engine evaluated.  Each runner
+runs once: it builds its sides at the requested order plus the closed-form
+loss of its own shifts and substitutions, so a pass that compares below
+the request is an engine bug, reported as an `error`.  `verify` never
+raises: an exception from any check becomes an `error` report.
 """
 
 from __future__ import annotations
@@ -116,7 +116,7 @@ class Check:
 @dataclass(frozen=True)
 class _Entry:
     prepare: Callable[[dict], dict]
-    runner: Callable[[dict, int, int, SumStats], List[Check]]
+    runner: Callable[[dict, int, SumStats], List[Check]]
     modulus: Optional[Callable[[dict], int]] = None
 
     def default_ordnum(self, p: dict) -> int:
@@ -138,17 +138,24 @@ def make_case(id: str, order=None, **params) -> IdentityCase:
     return IdentityCase(id, params, o)
 
 
+def _prepare(case: IdentityCase) -> Tuple[_Entry, dict, int]:
+    """The case's entry, its validated parameters and its order (half-units)."""
+    entry = _REGISTRY.get(case.id)
+    if entry is None:
+        raise SpecError(f"unknown identity id {case.id!r}; known: {', '.join(registered_ids())}")
+    params = entry.prepare(dict(case.params))
+    ordnum = case.order.num if case.order is not None else entry.default_ordnum(params)
+    if ordnum <= 0:
+        raise SpecError(f"order must be positive, got {_ord_obj(ordnum)}")
+    return entry, params, ordnum
+
+
 def validate_case(case: IdentityCase) -> None:
     """Raise SpecError when the id is unknown or the params do not check out.
 
     Cheap: runs only the parameter validation, not the verification.
     """
-    entry = _REGISTRY.get(case.id)
-    if entry is None:
-        raise SpecError(f"unknown identity id {case.id!r}; known: {', '.join(registered_ids())}")
-    entry.prepare(dict(case.params))
-    if case.order is not None and case.order.num <= 0:
-        raise SpecError(f"order must be positive, got {case.order}")
+    _prepare(case)
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +270,14 @@ def _inv_qfac_ladder(wnum: int) -> Callable[[int], QSeries]:
     return partial(_TailValues(TailOdd(), wnum)._inv_poch, 2)
 
 
+def _depth(x: ZLaurent) -> int:
+    # half-units by which x reaches below q^0: x times a coefficient
+    # truncated at W is known only below W - _depth(x).  The runners read it
+    # off their lhs; the monomial weight of every rhs term keeps that term
+    # no deeper.
+    return max([0] + [-x.slice(k).min_exp.num for k in x.z_support()])
+
+
 def _bress_lambda(k: int, j: int, r: int = 0) -> Tuple[int, ...]:
     # -1 on the first j indices, +1 on the last r
     return tuple((-1 if i + 1 <= j else 0) + (1 if i + 1 > k - r else 0) for i in range(k))
@@ -271,7 +286,6 @@ def _bress_lambda(k: int, j: int, r: int = 0) -> Tuple[int, ...]:
 def _chain_sum(
     n: int,
     depth: int,
-    wnum: int,
     inv: Callable[[int], QSeries],
     factor: Callable[[int, int, int], QSeries],
 ) -> Dict[int, QSeries]:
@@ -279,7 +293,8 @@ def _chain_sum(
 
     factor(t, prev, s) is the multiplicative weight of level t (1-based),
     times the gap inverse Pochhammer inv(prev - s).  Returns buckets keyed
-    by the last index, each a QSeries scalar at order wnum.
+    by the last index, each a QSeries scalar known below the ladder's order
+    plus the lowest exponent of its chains' weights.
     """
     buckets: Dict[int, QSeries] = {}
 
@@ -287,11 +302,11 @@ def _chain_sum(
         for s in range(prev, -1, -1):
             v = val * factor(t, prev, s) * inv(prev - s)
             if t == depth:
-                buckets[s] = buckets.get(s, QSeries.zero(he(wnum))) + v
+                buckets[s] = buckets[s] + v if s in buckets else v
             else:
                 walk(t + 1, s, v)
 
-    walk(1, n, QSeries.one(he(wnum)))
+    walk(1, n, QSeries.one())
     return buckets
 
 
@@ -496,7 +511,7 @@ _SUM_ROWS: Dict[str, _SumRow] = {
 }
 
 
-def _run_row(row: _SumRow, p: dict, wnum: int, pad: int, stats: SumStats) -> List[Check]:
+def _run_row(row: _SumRow, p: dict, wnum: int, stats: SumStats) -> List[Check]:
     mod = row.modulus(p)
     fields = dict(p, mod=mod, P=sorted(p["placement"] or ()), terms=p["j"] + 1)
 
@@ -510,7 +525,7 @@ def _run_row(row: _SumRow, p: dict, wnum: int, pad: int, stats: SumStats) -> Lis
     return _each_z(p["z"], lambda m: row.window(p, m), at)
 
 
-def _run_curious(p: dict, wnum: int, pad: int, stats: SumStats) -> List[Check]:
+def _run_curious(p: dict, wnum: int, stats: SumStats) -> List[Check]:
     # k = 0 of the overpartition rows: OVER_2's sum at z and OVER_3's at
     # 1/z expand the same product
     even_row, odd_row = _SUM_ROWS["OVER_2"], _SUM_ROWS["OVER_3"]
@@ -545,15 +560,15 @@ def _prep_iter(params: dict) -> dict:
     }
 
 
-def _run_iter_prop(p: dict, wnum: int, pad: int, stats: SumStats) -> List[Check]:
+def _run_iter_prop(p: dict, wnum: int, stats: SumStats) -> List[Check]:
     n, k, a = p["n"], p["k"], p["a"]
-    W = wnum + pad
-    inv = _inv_qfac_ladder(W)
-    lhs = h_poly(HSpec(n, a + qe(k + 1)), he(W)) * inv(2 * n)
-    buckets = _chain_sum(n, k + 1, W, inv, lambda t, prev, s: _qsq(s))
+    H = h_poly(HSpec(n, a + qe(k + 1)), he(wnum))
+    inv = _inv_qfac_ladder(wnum + _depth(H))
+    lhs = H * inv(2 * n)
+    buckets = _chain_sum(n, k + 1, inv, lambda t, prev, s: _qsq(s))
     rhs = ZLaurent.zero()
     for s, c in sorted(buckets.items()):
-        rhs = rhs + h_poly(HSpec(s, a), he(W)) * (c * inv(2 * s))
+        rhs = rhs + h_poly(HSpec(s, a), he(wnum)) * (c * inv(2 * s))
     return [Check(f"n={n} k={k} a={a}: iterated expansion", lhs, rhs)]
 
 
@@ -567,7 +582,7 @@ def _pochz_rising(s: int) -> ZLaurent:
     return poch_finite(Monomial(1, qe(1), 1), s) * poch_finite(Monomial(1, qe(0), -1), s)
 
 
-def _run_special_a(p: dict, wnum: int, pad: int, stats: SumStats) -> List[Check]:
+def _run_special_a(p: dict, wnum: int, stats: SumStats) -> List[Check]:
     n = p["n"]
     lhs = h_poly(HSpec(n, he(1)), INF).zshift(he(1)).znegate()
     rhs = _pochz_rising(n)
@@ -579,18 +594,15 @@ def _prep_nk(params: dict) -> dict:
     return {"n": _need_int(params, "n", 0), "k": _need_int(params, "k", 0)}
 
 
-def _run_iterate_bress(p: dict, wnum: int, pad: int, stats: SumStats) -> List[Check]:
+def _run_iterate_bress(p: dict, wnum: int, stats: SumStats) -> List[Check]:
     n, k = p["n"], p["k"]
-    W = wnum + pad
-    inv = _inv_qfac_ladder(W)
-    lhs = (
-        h_poly(HSpec(n, he(2 * k + 3)), he(W)).zshift(he(1)).znegate()
-        * inv(2 * n)
-    )
-    buckets = _chain_sum(n, k + 1, W, inv, lambda t, prev, s: _qsq(s))
+    inv = _inv_qfac_ladder(wnum)
+    # wnum + n: the zshift by q^(1/2) moves slice -n down by n half-units
+    lhs = h_poly(HSpec(n, he(2 * k + 3)), he(wnum + n)).zshift(he(1)).znegate() * inv(2 * n)
+    buckets = _chain_sum(n, k + 1, inv, lambda t, prev, s: _qsq(s))
     rhs = ZLaurent.zero()
     for s, c in sorted(buckets.items()):
-        rhs = rhs + _pochz_rising(s).truncated(he(W)) * (c * inv(2 * s))
+        rhs = rhs + _pochz_rising(s).truncated(he(wnum)) * (c * inv(2 * s))
     return [Check(f"n={n} k={k}: iterated expansion with factored tail", lhs, rhs)]
 
 
@@ -599,7 +611,7 @@ def _prep_func_eq(params: dict) -> dict:
     return {"n": _need_int(params, "n", 0), "c": _need_half(params, "c")}
 
 
-def _run_func_eq(p: dict, wnum: int, pad: int, stats: SumStats) -> List[Check]:
+def _run_func_eq(p: dict, wnum: int, stats: SumStats) -> List[Check]:
     n, c = p["n"], p["c"]
     H = h_poly(HSpec(n, c), INF)
     lhs = H.substitute(-1, c)
@@ -631,11 +643,11 @@ def _prep_nja_pos(params: dict) -> dict:
 # F_SUM and NEW_PROP2; each pair shares a runner and differs in its label.
 
 
-def _run_shifted_pair(label: str, p: dict, wnum: int, pad: int, stats: SumStats) -> List[Check]:
+def _run_shifted_pair(label: str, p: dict, wnum: int, stats: SumStats) -> List[Check]:
     n, j, a = p["n"], p["j"], p["a"]
-    W = wnum + pad
-    inv = _inv_qfac_ladder(W)
-    lhs = f_func(FSpec(n, j + 1, a + he(2)), he(W + 2 * n * (j + 1))) * inv(2 * n)
+    F = f_func(FSpec(n, j + 1, a + he(2)), he(wnum))
+    inv = _inv_qfac_ladder(wnum + _depth(F))
+    lhs = F * inv(2 * n)
     rhs = ZLaurent.zero()
     for s in range(n + 1):
         coef = (
@@ -644,39 +656,39 @@ def _run_shifted_pair(label: str, p: dict, wnum: int, pad: int, stats: SumStats)
             * inv(n - s)
             * inv(2 * s)
         )
-        rhs = rhs + f_func(FSpec(s, j, a), he(W + 2 * s * j)) * coef
+        rhs = rhs + f_func(FSpec(s, j, a), he(wnum)) * coef
     return [Check(label.format_map(p), lhs, rhs)]
 
 
-def _run_another_f(p: dict, wnum: int, pad: int, stats: SumStats) -> List[Check]:
+def _run_another_f(p: dict, wnum: int, stats: SumStats) -> List[Check]:
     n, j, a = p["n"], p["j"], p["a"]
-    W = wnum + pad
-    inv = _inv_qfac_ladder(W)
-    lhs = f_func(FSpec(n, j, a), he(W + 2 * n * j)) * inv(2 * n)
+    F = f_func(FSpec(n, j, a), he(wnum))
+    inv = _inv_qfac_ladder(wnum + _depth(F))
+    lhs = F * inv(2 * n)
 
     def factor(t: int, prev: int, s: int) -> QSeries:
         return _qsq(s, -1) * _one_plus_q(prev + s)
 
-    buckets = _chain_sum(n, j, W, inv, factor)
+    buckets = _chain_sum(n, j, inv, factor)
     rhs = ZLaurent.zero()
     for s, c in sorted(buckets.items()):
-        rhs = rhs + h_poly(HSpec(s, a - qe(j)), he(W)) * (c * inv(2 * s))
+        rhs = rhs + h_poly(HSpec(s, a - qe(j)), he(wnum)) * (c * inv(2 * s))
     return [Check(f"n={n} j={j} a={a}: full chain expansion", lhs, rhs)]
 
 
-def _run_one_step(label: str, p: dict, wnum: int, pad: int, stats: SumStats) -> List[Check]:
+def _run_one_step(label: str, p: dict, wnum: int, stats: SumStats) -> List[Check]:
     n, j, a = p["n"], p["j"], p["a"]
-    W = wnum + pad
-    inv = _inv_qfac_ladder(W)
-    lhs = f_func(FSpec(n, j, a), he(W + 2 * n * j)) * inv(2 * n)
+    F = f_func(FSpec(n, j, a), he(wnum))
+    inv = _inv_qfac_ladder(wnum + _depth(F))
+    lhs = F * inv(2 * n)
     rhs = ZLaurent.zero()
     for s in range(n + 1):
         coef = _qsq(s) * inv(n - s) * inv(2 * s)
-        rhs = rhs + f_func(FSpec(s, j, a - he(2)), he(W + 2 * s * j)) * coef
+        rhs = rhs + f_func(FSpec(s, j, a - he(2)), he(wnum)) * coef
     return [Check(label.format_map(p), lhs, rhs)]
 
 
-def _run_recurse_f(p: dict, wnum: int, pad: int, stats: SumStats) -> List[Check]:
+def _run_recurse_f(p: dict, wnum: int, stats: SumStats) -> List[Check]:
     # F(n, j, a) as a binomial combination of shifted copies of H; exact
     n, j, a = p["n"], p["j"], p["a"]
     F = f_func(FSpec(n, j, a), INF)
@@ -700,7 +712,7 @@ def _prep_h_limit(params: dict) -> dict:
     return {"a": a, "z": _opt_z(params)}
 
 
-def _run_h_limit(p: dict, wnum: int, pad: int, stats: SumStats) -> List[Check]:
+def _run_h_limit(p: dict, wnum: int, stats: SumStats) -> List[Check]:
     a = p["a"]
 
     def at(z: Monomial) -> List[Check]:
@@ -720,7 +732,7 @@ def _prep_f_limit(params: dict) -> dict:
     return {"j": j, "a": a, "z": _opt_z(params)}
 
 
-def _run_f_limit(p: dict, wnum: int, pad: int, stats: SumStats) -> List[Check]:
+def _run_f_limit(p: dict, wnum: int, stats: SumStats) -> List[Check]:
     j, a = p["j"], p["a"]
 
     def at(z: Monomial) -> List[Check]:
@@ -813,7 +825,7 @@ def _prep_edge_lemma(params: dict) -> dict:
     return {"j": j, "samples": samples}
 
 
-def _run_edge_lemma(p: dict, wnum: int, pad: int, stats: SumStats) -> List[Check]:
+def _run_edge_lemma(p: dict, wnum: int, stats: SumStats) -> List[Check]:
     j = p["j"]
     samples = p["samples"]
     if samples is None:
@@ -836,7 +848,7 @@ def _prep_j(params: dict) -> dict:
     return {"j": _need_int(params, "j", 0)}
 
 
-def _run_chu(p: dict, wnum: int, pad: int, stats: SumStats) -> List[Check]:
+def _run_chu(p: dict, wnum: int, stats: SumStats) -> List[Check]:
     j = p["j"]
     checks = []
     for u in range(j + 1):
@@ -856,13 +868,12 @@ def _prep_even_fact(params: dict) -> dict:
     return {"s_max": _opt_int(params, "s_max", 8, 0)}
 
 
-def _run_even_fact(p: dict, wnum: int, pad: int, stats: SumStats) -> List[Check]:
-    W = wnum + pad
-    inv = _inv_qfac_ladder(W)
+def _run_even_fact(p: dict, wnum: int, stats: SumStats) -> List[Check]:
+    inv = _inv_qfac_ladder(wnum)
     checks = []
     for s in range(p["s_max"] + 1):
-        lhs = h_poly(HSpec(s, qe(1)), he(W)).substitute(-1, qe(0)) * inv(2 * s)
-        rhs = poch_finite_scalar(Monomial(1, qe(2)), s, base_exp=qe(2)).inverse(he(W))
+        lhs = h_poly(HSpec(s, qe(1)), he(wnum)).substitute(-1, qe(0)) * inv(2 * s)
+        rhs = poch_finite_scalar(Monomial(1, qe(2)), s, base_exp=qe(2)).inverse(he(wnum))
         checks.append(Check(f"s={s}: even-weight value factors", lhs, rhs))
     return checks
 
@@ -879,14 +890,13 @@ def _prep_andrews_answer(params: dict) -> dict:
     return {"k": k, "r": r, "j": 0, "placement": None, "n": n}
 
 
-def _run_andrews_answer(p: dict, wnum: int, pad: int, stats: SumStats) -> List[Check]:
+def _run_andrews_answer(p: dict, wnum: int, stats: SumStats) -> List[Check]:
     """Reproduce the reduction schedule: expand k-r+1 times, insert a linear
     factor, then alternate expansion and insertion for the remaining r-1
     factors; the closing factor forces the innermost index to zero and the
     surviving scalar is the classical sum side."""
     k, r, n = p["k"], p["r"], p["n"]
-    W = wnum + pad
-    inv = _inv_qfac_ladder(W)
+    inv = _inv_qfac_ladder(wnum)
     checks = []
 
     # the closing factor vanishes for every positive index
@@ -895,7 +905,7 @@ def _run_andrews_answer(p: dict, wnum: int, pad: int, stats: SumStats) -> List[C
         checks.append(Check(f"s={s}: closing factor kills positive indices", vanish, QSeries.zero(INF)))
 
     # finite-n pipeline: state = sum_s bucket[s] * H(s, a)(-q^x) / (q)_{2s}
-    bucket: Dict[int, QSeries] = {n: QSeries.one(he(W))}
+    bucket: Dict[int, QSeries] = {n: QSeries.one(he(wnum))}
     a_num = 2 * k + 3
     x_num = 2 * r + 1
 
@@ -905,7 +915,7 @@ def _run_andrews_answer(p: dict, wnum: int, pad: int, stats: SumStats) -> List[C
         for m, c in bucket.items():
             for s in range(m + 1):
                 add = c * inv(m - s) * _qsq(s)
-                new[s] = new.get(s, QSeries.zero(he(W))) + add
+                new[s] = new.get(s, QSeries.zero(he(wnum))) + add
         bucket = new
         a_num -= 2
 
@@ -924,8 +934,10 @@ def _run_andrews_answer(p: dict, wnum: int, pad: int, stats: SumStats) -> List[C
     if (a_num, x_num) != (1, 1):
         raise QidentError("reduction schedule did not terminate at the half weight")
 
-    # every step preserved the value, so bucket[0] must equal the start
-    start = h_poly(HSpec(n, he(2 * k + 3)), he(W)).substitute(-1, he(2 * r + 1)) * inv(2 * n)
+    # every step preserved the value, so bucket[0] must equal the start;
+    # wnum + n(2r+1): substituting -q^(r+1/2) moves slice -n down by n(2r+1) half-units
+    H = h_poly(HSpec(n, he(2 * k + 3)), he(wnum + n * (2 * r + 1)))
+    start = H.substitute(-1, he(2 * r + 1)) * inv(2 * n)
     checks.append(Check(f"n={n}: pipeline value equals the starting value", bucket[0], start))
 
     # and it is exactly the bounded classical sum side, AG's
@@ -936,8 +948,8 @@ def _run_andrews_answer(p: dict, wnum: int, pad: int, stats: SumStats) -> List[C
     def factor(t: int, prev: int, s: int) -> QSeries:
         return _qsq(s, lam[t - 1])
 
-    chain = _chain_sum(n, k, W, inv, factor)
-    direct = QSeries.zero(he(W))
+    chain = _chain_sum(n, k, inv, factor)
+    direct = QSeries.zero(he(wnum))
     for s, c in sorted(chain.items()):
         direct = direct + c * inv(s)
     checks.append(Check(f"n={n}: pipeline value is the bounded sum side", bucket[0], direct))
@@ -1003,46 +1015,26 @@ def verify(case: IdentityCase) -> VerificationReport:
     t0 = time.perf_counter()
     stats = SumStats()
     try:
-        entry = _REGISTRY.get(case.id)
-        if entry is None:
-            raise SpecError(f"unknown identity id {case.id!r}; known: {', '.join(registered_ids())}")
-        params = entry.prepare(dict(case.params))
-        ordnum = case.order.num if case.order is not None else entry.default_ordnum(params)
-        if ordnum <= 0:
-            raise SpecError(f"order must be positive, got {_ord_obj(ordnum)}")
-
-        pad = 0
-        for _ in range(8):
-            stats = SumStats()
-            checks = entry.runner(params, ordnum, pad, stats)
-            if not checks:
-                raise QidentError("runner produced no checks")
-            compared_num: Optional[int] = None  # None is infinite
-            for c in checks:
-                res = c.lhs.eq_upto(c.rhs)
-                compared_num = _min_ord(compared_num, _ord_num(res.compared_order))
-                if not res.equal:
-                    return VerificationReport(
-                        case,
-                        "fail",
-                        res.compared_order,
-                        res.mismatch,
-                        time.perf_counter() - t0,
-                        stats.tuples,
-                        detail=c.label,
-                    )
-            if compared_num is None or compared_num >= ordnum:
+        entry, params, ordnum = _prepare(case)
+        checks = entry.runner(params, ordnum, stats)
+        if not checks:
+            raise QidentError("runner produced no checks")
+        compared_num: Optional[int] = None  # None is infinite
+        for c in checks:
+            res = c.lhs.eq_upto(c.rhs)
+            if not res.equal:
+                elapsed = time.perf_counter() - t0
                 return VerificationReport(
-                    case,
-                    "pass",
-                    _ord_obj(compared_num),
-                    None,
-                    time.perf_counter() - t0,
-                    stats.tuples,
+                    case, "fail", res.compared_order, res.mismatch, elapsed, stats.tuples, c.label
                 )
-            pad = 2 * pad + (ordnum - compared_num) + 2
-        raise QidentError(
-            f"could not reach order {_ord_obj(ordnum)}; working padding stalled at {pad}"
+            compared_num = _min_ord(compared_num, _ord_num(res.compared_order))
+        if compared_num is not None and compared_num < ordnum:
+            raise QidentError(
+                f"compared only below q^{_ord_obj(compared_num)}, "
+                f"not the requested q^{_ord_obj(ordnum)}"
+            )
+        return VerificationReport(
+            case, "pass", _ord_obj(compared_num), None, time.perf_counter() - t0, stats.tuples
         )
     except QidentError as e:
         detail = str(e)

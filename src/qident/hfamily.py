@@ -111,9 +111,11 @@ def h_poly(spec: HSpec, order: Order = INF) -> ZLaurent:
             terms[s] = QSeries(a.num * s * s, coeffs, None)
         return ZLaurent.from_terms(terms, order)
     # finite order: walk the binomial column, dense on the whole-q grid;
-    # O(n * order) instead of the exact-polynomial memo.  A slice is known
-    # through its half-slot 2L - 1 too, which is structurally zero.
-    L = max((ordnum + 1) // 2, 1)
+    # O(n * order) instead of the exact-polynomial memo.  A negative weight
+    # starts slice +-n at q^(a n^2), so the column runs that much longer.
+    # A slice is known through its half-slot 2L - 1 too, which is
+    # structurally zero.
+    L = max((ordnum - min(0, a.num) * n * n + 1) // 2, 1)
     for s, b in _binomial_column(n, L):
         coeffs = [0] * (2 * L - 1)
         coeffs[::2] = b
@@ -125,8 +127,12 @@ def h_poly(spec: HSpec, order: Order = INF) -> ZLaurent:
 
 
 def f_func(spec: FSpec, order: Order = INF) -> ZLaurent:
-    """Apply the step G -> G(zq) + G(q/z) j times to H(n, a)."""
-    f = h_poly(HSpec(spec.n, spec.a), order)
+    """Apply the step G -> G(zq) + G(q/z) j times to H(n, a), truncated at `order`.
+
+    Each step moves slice -n down by q^n, so H is built 2nj half-units
+    past the order.
+    """
+    f = h_poly(HSpec(spec.n, spec.a), order + qe(spec.n * spec.j))
     for _ in range(spec.j):
         g = f.zshift(qe(1))
         f = g + g.zinvert()
@@ -244,14 +250,13 @@ def stabilized_f_value(j: int, a: HalfInt, w: Monomial, order) -> Tuple[QSeries,
     """F(n, j, a)(w) below `order` at the certified n; returns (value, n).
 
     F(n, j, a)(z) = sum_i C(j, i) H(n, a)(z q^(j-2i)), so n is certified for
-    every shifted argument.  Each closure step moves slice -n down by q^n
-    and the substitution moves it by q^(|m| n), so F is built once at
-    order + (|m| + 2j) n half-units.
+    every shifted argument.  The substitution moves one of the slices +-n
+    down by |m| n half-units, so F is built once at order + |m| n.
     """
     a, ordnum = _limit_args(a, w, order)
     m = w.q_exp.num
     n = _certified_n(a, [m + 2 * (j - 2 * i) for i in range(j + 1)], ordnum)
-    wnum = ordnum + (abs(m) + 2 * j) * n
+    wnum = ordnum + abs(m) * n
     val = f_func(FSpec(n, j, a), HalfInt(wnum)).substitute(w.sign, w.q_exp)
     got = _ord_num(val.order)
     if got is not None and got < ordnum:

@@ -5,7 +5,7 @@ Everything here returns exact truncated series from the kernel in
 on: the pentagonal-number expansion of (Q; Q)_inf, used as a fast path
 whenever an Euler-type product is requested, and the q-Pascal recurrence
 for Gaussian binomials, memoised as dense integer polynomials.  Both have
-slower independent counterparts in `naive` for cross-checking.
+slower independent counterparts in the test suite's `naive` oracles.
 """
 
 from __future__ import annotations

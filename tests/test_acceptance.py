@@ -29,7 +29,7 @@ from qident import (
     he,
     qe,
 )
-from qident.naive import (
+from naive import (
     brute_force_multisum,
     count_gap_partitions,
     count_partitions_in_residues,

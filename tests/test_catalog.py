@@ -2,6 +2,7 @@
 
 import random
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -27,6 +28,7 @@ from qident import (
     qe,
     validate_case,
 )
+from qident import catalog
 from qident.catalog import _bress_lambda, _inv_qfac_ladder
 
 
@@ -275,13 +277,85 @@ def test_andrews_answer_grid():
             assert rep.status == "pass", (k, r, rep.detail)
 
 
-def test_adaptive_padding_reaches_requested_order():
-    # a = 1/2 makes the expansion side lose order to negative-weight
-    # slices; the retry loop must keep raising the working pad until the
-    # requested order is actually certified
+def test_negative_weight_expansion_compares_at_exactly_the_requested_order():
+    # a = 1/2 hands the weight -1/2 to the expansion side's H; h_poly and
+    # the runner budget that depth, so one pass certifies the request
     rep = verify(make_case("KEY_LEMMA", order=he(40), n=4, a="1/2"))
     assert rep.status == "pass"
-    assert rep.compared_order >= he(40)
+    assert rep.compared_order == he(40)
+
+
+def test_iterate_bress_compares_at_exactly_the_requested_order():
+    rep = _ok("ITERATE_BRESS", order=qe(40), n=4, k=1)
+    assert rep.compared_order == qe(40)
+
+
+def _count_runner_calls(monkeypatch) -> dict:
+    calls = {}
+
+    def counted(id, runner):
+        def run(*args):
+            calls[id] = calls.get(id, 0) + 1
+            return runner(*args)
+
+        return run
+
+    for id, entry in list(catalog._REGISTRY.items()):
+        monkeypatch.setitem(catalog._REGISTRY, id, replace(entry, runner=counted(id, entry.runner)))
+    return calls
+
+
+def _finite_structural_grid():
+    # n <= 4, a in {1/2, ..., 3}, j, k <= 2 and every ANDREWS_ANSWER reduction
+    # with k <= 3; every input that used to need a second, padded pass is here
+    for n in range(5):
+        for a in ("1/2", "1", "3/2", "2", "5/2", "3"):
+            yield "KEY_LEMMA", dict(n=n, a=a)
+            for kj in (0, 1, 2):
+                yield "F_SUM", dict(n=n, j=kj, a=a)
+                yield "NEW_PROP2", dict(n=n, j=kj, a=a)
+                if kj:
+                    yield "ANOTHER_F", dict(n=n, j=kj, a=a)
+        for kj in (0, 1, 2):
+            yield "ITERATE_BRESS", dict(n=n, k=kj)
+        for k in (1, 2, 3):
+            for r in range(k + 1):
+                yield "ANDREWS_ANSWER", dict(k=k, r=r, n=n)
+
+
+def test_every_case_runs_its_runner_once(monkeypatch):
+    import json
+    import pathlib
+
+    calls = _count_runner_calls(monkeypatch)
+    suite = pathlib.Path(__file__).resolve().parent.parent / "suites" / "full-paper.suite"
+    for c in json.loads(suite.read_text())["cases"]:
+        c = dict(c)
+        id = c.pop("id")
+        c.pop("expect", None)
+        calls.clear()
+        verify(make_case(id, **c))
+        assert calls == {id: 1}, (id, c)
+    for order in (qe(40), he(81)):
+        for id, params in _finite_structural_grid():
+            calls.clear()
+            rep = verify(make_case(id, order=order, **params))
+            assert calls == {id: 1}, (id, params)
+            assert rep.status == "pass" and rep.compared_order == order, (id, params, rep.detail)
+
+
+def test_a_pass_below_the_request_is_an_error_not_a_retry(monkeypatch):
+    calls = _count_runner_calls(monkeypatch)
+    entry = catalog._REGISTRY["AG"]
+
+    def short(p, wnum, stats):
+        return [replace(c, lhs=c.lhs.truncated(he(wnum - 1))) for c in entry.runner(p, wnum, stats)]
+
+    monkeypatch.setitem(catalog._REGISTRY, "AG", replace(entry, runner=short))
+    rep = verify(make_case("AG", order=qe(20), k=1, r=0))
+    assert calls == {"AG": 1}
+    assert rep.status == "error"
+    assert rep.detail == "compared only below q^39/2, not the requested q^20"
 
 
 def test_verify_accepts_int_orders_as_whole_exponents():

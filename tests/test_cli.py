@@ -226,6 +226,26 @@ def test_shipped_suite_file(capsys):
     assert ids == set(registered_ids())
 
 
+def test_full_paper_suite_runs_as_expected(capsys):
+    import pathlib
+
+    from qident import IdentityCase, HalfInt
+    from qident.catalog import _prepare
+
+    suite = pathlib.Path(__file__).resolve().parent.parent / "suites" / "full-paper.suite"
+    code, out, _ = run(capsys, "suite", str(suite), "--jobs", "1", "--format", "json")
+    doc = json.loads(out)
+    assert code == 0 and doc["unexpected"] == 0
+    for row in doc["cases"]:
+        if row["status"] == "pass" and row["compared_order"] != "inf":
+            default = _prepare(IdentityCase(row["id"], row["params"]))[2]
+            assert HalfInt.parse(row["compared_order"]).num >= default, row
+    (neg,) = [row for row in doc["cases"] if row["id"] == "NEG_AG"]
+    assert neg["status"] == "fail"
+    assert neg["first_mismatch"]["exp"] == 5
+    assert (neg["first_mismatch"]["lhs"], neg["first_mismatch"]["rhs"]) == ("2", "3")
+
+
 def test_importing_the_cli_loads_no_process_pool():
     import os
     import pathlib

@@ -21,7 +21,7 @@ from qident import (
     he,
     qe,
 )
-from qident.naive import n_hpoly_at
+from naive import n_hpoly_at
 
 
 def test_h_poly_tiny_cases():
@@ -67,6 +67,22 @@ def test_h_poly_at_an_even_order_claims_the_full_order():
         H = h_poly(HSpec(4, a), qe(20))
         assert H.order == qe(20)
         assert H.eq_upto(h_poly(HSpec(4, a), INF)).compared_order == qe(20)
+
+
+def test_h_poly_at_a_negative_weight_claims_the_full_order():
+    # slices +-4 start at q^(16 a) < 1, so the column runs that much longer
+    for a in (he(-1), qe(-2)):
+        H = h_poly(HSpec(4, a), qe(20))
+        assert H.order == qe(20)
+        assert H.eq_upto(h_poly(HSpec(4, a), INF)).compared_order == qe(20)
+
+
+def test_f_func_claims_the_requested_order():
+    # each closure step costs slice -n a factor q^n, which f_func budgets itself
+    for j in (1, 2, 3):
+        F = f_func(FSpec(4, j, he(3)), qe(20))
+        assert F.order == qe(20)
+        assert F.eq_upto(f_func(FSpec(4, j, he(3)), INF)).compared_order == qe(20)
 
 
 def test_h_poly_matches_substitution_oracle(rng):

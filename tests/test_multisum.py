@@ -24,7 +24,7 @@ from qident import (
     he,
     qe,
 )
-from qident.naive import brute_force_multisum
+from naive import brute_force_multisum
 
 
 def _tail_pair(rng):
@@ -172,7 +172,7 @@ def _completions(prefix, k, cap):
     if len(prefix) == k:
         yield prefix
         return
-    from qident.naive import iter_weakly_decreasing
+    from naive import iter_weakly_decreasing
 
     for rest in iter_weakly_decreasing(k - len(prefix), cap):
         yield prefix + rest
@@ -180,7 +180,7 @@ def _completions(prefix, k, cap):
 
 def brute_force_single(spec, descriptor, tup, ordnum):
     """(exponent numerator, coefficient) pairs of one tuple's full term."""
-    from qident.naive import NaiveSeries, n_hpoly_at, n_poch_finite
+    from naive import NaiveSeries, n_hpoly_at, n_poch_finite
 
     W = ordnum
     expnum = sum(2 * s * s + 2 * l * s for s, l in zip(tup, spec.linear))

@@ -5,7 +5,7 @@ import itertools
 
 import pytest
 
-from qident.naive import (
+from naive import (
     NaiveSeries,
     UnsupportedOracleError,
     count_gap_partitions,

@@ -15,7 +15,7 @@ from qident import (
     he,
     qe,
 )
-from qident.naive import count_partitions_in_residues
+from naive import count_partitions_in_residues
 
 
 def test_triple_product_vs_theta_sum():

@@ -19,7 +19,7 @@ from qident import (
     he,
     qe,
 )
-from qident.naive import n_poch_finite, n_poch_infinite, n_qbinom
+from naive import n_poch_finite, n_poch_infinite, n_qbinom
 
 
 def test_binom_values_and_edges():
