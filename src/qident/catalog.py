@@ -50,7 +50,7 @@ from .multisum import (
     TailOdd,
     TailOver,
     TailOverOdd,
-    _TailValues,
+    _inv_poch_ladder,
     eval_multisum,
 )
 from .products import TripleProductSpec, eval_product_sum
@@ -259,15 +259,6 @@ def _each_z(
 
 # ---------------------------------------------------------------------------
 # shared builders
-
-
-def _inv_qfac_ladder(wnum: int) -> Callable[[int], QSeries]:
-    """d -> 1 / (q; q)_d truncated below wnum (half-exponent units).
-
-    Each caller gets its own ladder, built one prefix-add pass per rung by
-    the same code that builds the multisum tails.
-    """
-    return partial(_TailValues(TailOdd(), wnum)._inv_poch, 2)
 
 
 def _depth(x: ZLaurent) -> int:
@@ -563,7 +554,7 @@ def _prep_iter(params: dict) -> dict:
 def _run_iter_prop(p: dict, wnum: int, stats: SumStats) -> List[Check]:
     n, k, a = p["n"], p["k"], p["a"]
     H = h_poly(HSpec(n, a + qe(k + 1)), he(wnum))
-    inv = _inv_qfac_ladder(wnum + _depth(H))
+    inv = _inv_poch_ladder(2, wnum + _depth(H))
     lhs = H * inv(2 * n)
     buckets = _chain_sum(n, k + 1, inv, lambda t, prev, s: _qsq(s))
     rhs = ZLaurent.zero()
@@ -596,7 +587,7 @@ def _prep_nk(params: dict) -> dict:
 
 def _run_iterate_bress(p: dict, wnum: int, stats: SumStats) -> List[Check]:
     n, k = p["n"], p["k"]
-    inv = _inv_qfac_ladder(wnum)
+    inv = _inv_poch_ladder(2, wnum)
     # wnum + n: the zshift by q^(1/2) moves slice -n down by n half-units
     lhs = h_poly(HSpec(n, he(2 * k + 3)), he(wnum + n)).zshift(he(1)).znegate() * inv(2 * n)
     buckets = _chain_sum(n, k + 1, inv, lambda t, prev, s: _qsq(s))
@@ -646,7 +637,7 @@ def _prep_nja_pos(params: dict) -> dict:
 def _run_shifted_pair(label: str, p: dict, wnum: int, stats: SumStats) -> List[Check]:
     n, j, a = p["n"], p["j"], p["a"]
     F = f_func(FSpec(n, j + 1, a + he(2)), he(wnum))
-    inv = _inv_qfac_ladder(wnum + _depth(F))
+    inv = _inv_poch_ladder(2, wnum + _depth(F))
     lhs = F * inv(2 * n)
     rhs = ZLaurent.zero()
     for s in range(n + 1):
@@ -663,7 +654,7 @@ def _run_shifted_pair(label: str, p: dict, wnum: int, stats: SumStats) -> List[C
 def _run_another_f(p: dict, wnum: int, stats: SumStats) -> List[Check]:
     n, j, a = p["n"], p["j"], p["a"]
     F = f_func(FSpec(n, j, a), he(wnum))
-    inv = _inv_qfac_ladder(wnum + _depth(F))
+    inv = _inv_poch_ladder(2, wnum + _depth(F))
     lhs = F * inv(2 * n)
 
     def factor(t: int, prev: int, s: int) -> QSeries:
@@ -679,7 +670,7 @@ def _run_another_f(p: dict, wnum: int, stats: SumStats) -> List[Check]:
 def _run_one_step(label: str, p: dict, wnum: int, stats: SumStats) -> List[Check]:
     n, j, a = p["n"], p["j"], p["a"]
     F = f_func(FSpec(n, j, a), he(wnum))
-    inv = _inv_qfac_ladder(wnum + _depth(F))
+    inv = _inv_poch_ladder(2, wnum + _depth(F))
     lhs = F * inv(2 * n)
     rhs = ZLaurent.zero()
     for s in range(n + 1):
@@ -869,7 +860,7 @@ def _prep_even_fact(params: dict) -> dict:
 
 
 def _run_even_fact(p: dict, wnum: int, stats: SumStats) -> List[Check]:
-    inv = _inv_qfac_ladder(wnum)
+    inv = _inv_poch_ladder(2, wnum)
     checks = []
     for s in range(p["s_max"] + 1):
         lhs = h_poly(HSpec(s, qe(1)), he(wnum)).substitute(-1, qe(0)) * inv(2 * s)
@@ -896,7 +887,7 @@ def _run_andrews_answer(p: dict, wnum: int, stats: SumStats) -> List[Check]:
     factors; the closing factor forces the innermost index to zero and the
     surviving scalar is the classical sum side."""
     k, r, n = p["k"], p["r"], p["n"]
-    inv = _inv_qfac_ladder(wnum)
+    inv = _inv_poch_ladder(2, wnum)
     checks = []
 
     # the closing factor vanishes for every positive index

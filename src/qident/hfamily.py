@@ -2,8 +2,10 @@
 
 H(n, a) is the Laurent polynomial sum_{s=-n..n} [2n, n-s]_q q^(a s^2) z^s;
 the closure F(n, j, a) applies j times the step G(z) -> G(zq) + G(q/z).
-Both are built exactly (order INF) so substitutions keep full knowledge
-and truncation happens once, at the end.
+At order INF both are exact; at a finite order H's slices come from one
+walk down the binomial column (`_binomial_column`), deep enough for F's
+shift steps and a negative weight.  `_h_window` evaluates H at a monomial
+by the same walk, for the certified limits and the multisum tail.
 
 With z fixed to a monomial sign*q^m, |m| < a, the values H(n, a)(z)
 converge coefficientwise as n grows, and the limit is certified rather
@@ -28,7 +30,8 @@ from .qobjects import (
     binom,
     partition_series,
     poch_infinite,
-    qbinom_poly,
+    qbinom,
+    _poly_to_series,
 )
 from .series import (
     INF,
@@ -39,6 +42,7 @@ from .series import (
     SpecError,
     ZLaurent,
     _ord_num,
+    he,
     qe,
 )
 
@@ -104,11 +108,7 @@ def h_poly(spec: HSpec, order: Order = INF) -> ZLaurent:
     terms = {}
     if ordnum is None:
         for s in range(-n, n + 1):
-            poly = qbinom_poly(2 * n, n - s)
-            coeffs = [0] * (2 * len(poly) - 1) if poly else []
-            for i, c in enumerate(poly):
-                coeffs[2 * i] = c
-            terms[s] = QSeries(a.num * s * s, coeffs, None)
+            terms[s] = qbinom(2 * n, n - s).shift(he(a.num * s * s))
         return ZLaurent.from_terms(terms, order)
     # finite order: walk the binomial column, dense on the whole-q grid;
     # O(n * order) instead of the exact-polynomial memo.  A negative weight
@@ -117,12 +117,7 @@ def h_poly(spec: HSpec, order: Order = INF) -> ZLaurent:
     # structurally zero.
     L = max((ordnum - min(0, a.num) * n * n + 1) // 2, 1)
     for s, b in _binomial_column(n, L):
-        coeffs = [0] * (2 * L - 1)
-        coeffs[::2] = b
-        q = QSeries(a.num * s * s, coeffs, a.num * s * s + 2 * L)
-        terms[s] = q
-        if s:
-            terms[-s] = q
+        terms[s] = terms[-s] = _poly_to_series(b, qe(L)).shift(he(a.num * s * s))
     return ZLaurent.from_terms(terms, order)
 
 
@@ -224,26 +219,35 @@ def _limit_args(a, w: Monomial, order) -> Tuple[HalfInt, int]:
     return a, ordnum
 
 
+def _h_window(n: int, a: HalfInt, w: Monomial, lo: int, hi: int) -> list:
+    """H(n, a)(w) on the half-unit frame [lo, hi), w = sign*q^(m/2).
+
+    One walk down the binomial column adds each slice, times
+    sign^t q^(a t^2 + m t), straight into the frame.  The frame must start
+    at or below H's lowest exponent, which |m| >= a puts below q^0.
+    """
+    m = w.q_exp.num
+    low = min(a.num * t * t + m * t for t in range(-n, n + 1))
+    out = [0] * (hi - lo)
+    for s, b in _binomial_column(n, max((hi - low + 1) // 2, 1)):
+        for t in (s, -s) if s else (0,):
+            e = a.num * t * t + m * t - lo
+            k = (hi - lo - e + 1) // 2
+            if k > 0:
+                op = sub if w.sign < 0 and t % 2 else add
+                out[e : e + 2 * k : 2] = map(op, out[e : e + 2 * k : 2], b[:k])
+    return out
+
+
 def stabilized_h_value(a: HalfInt, w: Monomial, order) -> Tuple[QSeries, int]:
     """H(n, a)(w) below `order` at the certified n; returns (value, n).
 
     `w` = sign*q^m is the actual argument substituted into H (no
-    normalization), with |m| < a.  One walk down the binomial column adds
-    each slice, times sign^s q^(a s^2 + m s), straight into a dense output
-    truncated at the order; every such exponent is >= 0 because |m| < a.
+    normalization), with |m| < a, so every exponent of H(n, a)(w) is >= 0.
     """
     a, ordnum = _limit_args(a, w, order)
-    m = w.q_exp.num
-    n = _certified_n(a, (m,), ordnum)
-    out = [0] * ordnum
-    for s, b in _binomial_column(n, (ordnum + 1) // 2):
-        for t in (s, -s) if s else (0,):
-            e = a.num * t * t + m * t
-            if e < ordnum:
-                k = (ordnum - e + 1) // 2
-                op = sub if w.sign < 0 and t % 2 else add
-                out[e : e + 2 * k : 2] = map(op, out[e : e + 2 * k : 2], b[:k])
-    return QSeries(0, out, ordnum), n
+    n = _certified_n(a, (w.q_exp.num,), ordnum)
+    return QSeries(0, _h_window(n, a, w, 0, ordnum), ordnum), n
 
 
 def stabilized_f_value(j: int, a: HalfInt, w: Monomial, order) -> Tuple[QSeries, int]:

@@ -27,16 +27,24 @@ skipped, so the truncated result is still exact, and a tail value known
 to a lower order than its cell needs raises IllPosedError.  `SumStats`
 counts the cells visited, skipped and evaluated; the test suite checks
 the engine against an unpruned brute force.
+
+The tails are built by the same list passes.  1/(q)_s and 1/(q^2;q^2)_s
+are the rungs of one prefix-add ladder.  The overpartition tails step
+from s - 1 to s in place: a two-term pass per new factor 1 + c q^e, a
+prefix-add pass per new 1/(1 - q^d).  H(s, a)(z) comes from one walk down
+the binomial column (`hfamily._h_window`), then 2s prefix-add passes
+divide it by (q)_{2s}.  No tail multiplies two series.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import accumulate
-from operator import add
-from typing import Optional, Tuple, Union
+from operator import add, sub
+from typing import Callable, Optional, Tuple, Union
 
-from .qobjects import Monomial, qbinom_poly
+from .hfamily import _h_window
+from .qobjects import Monomial
 from .series import (
     HalfInt,
     IllPosedError,
@@ -240,60 +248,65 @@ def _prefix_add(c: list, step: int) -> list:
     return c
 
 
-class _TailValues:
-    """Per-evaluation cache of tail factors at working order W."""
+def _inv_poch_ladder(unit: int, wnum: int) -> Callable[[int], QSeries]:
+    """d -> 1 / prod_{1<=i<=d} (1 - q^(unit*i/2)) below q^(wnum/2).
 
-    def __init__(self, tail: Tail, wnum: int):
-        self.tail = tail
-        self.w = wnum
-        self.cache: dict = {}
-        self.z = _tail_z(tail)
+    Rungs are built on demand, one prefix-add pass each, and kept.
+    """
+    store = [[1] + [0] * (wnum - 1)]
 
-    def _inv_poch(self, unit: int, d: int) -> QSeries:
-        """1 / prod_{1<=i<=d} (1 - q^(unit*i/2)), one prefix-add pass per rung."""
-        store = self.cache.setdefault(("inv", unit), [[1] + [0] * (self.w - 1)])
+    def rung(d: int) -> QSeries:
         while len(store) <= d:
             store.append(_prefix_add(list(store[-1]), unit * len(store)))
-        return QSeries(0, store[d], self.w)
+        return QSeries(0, store[d], wnum)
 
-    def _rising(self, sign: int, start_num: int, count: int, key: str) -> QSeries:
-        """prod_{i<count} (1 + sign*q^(start_num/2 + i)), cached incrementally."""
-        store = self.cache.setdefault(key, [QSeries.one(HalfInt(self.w))])
-        while len(store) <= count:
-            i = len(store) - 1
-            f = QSeries.one() + QSeries.monomial(sign, HalfInt(start_num + 2 * i))
-            store.append(store[-1] * f)
-        return store[count]
+    return rung
+
+
+def _two_term(c: list, sign: int, e: int) -> list:
+    """Multiply c by 1 + sign*q^(e/2) in place; a negative e leaves the top -e slots stale."""
+    op = add if sign > 0 else sub
+    if e >= 0:
+        c[e:] = map(op, c[e:], c)
+    else:
+        c[: max(len(c) + e, 0)] = map(op, c, c[-e:])
+    return c
+
+
+class _TailValues:
+    """The tail's values at working order W, built by list passes (see the
+    module docstring); value s is known below W + tail_min_num(tail, s)."""
+
+    def __init__(self, tail: Tail, lo: int, wnum: int):
+        self.tail = tail
+        self.lo = lo
+        self.w = wnum
+        self.z = _tail_z(tail)
+        self.inv = _inv_poch_ladder(4 if isinstance(tail, TailEven) else 2, wnum)
+        # rung s: TailOver at z (at z q^(-offset) for TailOverOdd) on the frame [lo, W)
+        self.over = [[0] * -lo + [1] + [0] * (wnum - 1)]
 
     def value(self, s: int) -> QSeries:
-        got = self.cache.get(s)
-        if got is not None:
-            return got
         t, z = self.tail, self.z
         if isinstance(t, (TailOdd, TailEven)):
-            v = self._inv_poch(2 if isinstance(t, TailOdd) else 4, s)
-        elif isinstance(t, TailOver):
-            m = z.q_exp.num
-            v = self._rising(z.sign, m, s, "ovA") * self._rising(z.sign, 2 - m, s, "ovB")
-            v = v * self._inv_poch(2, 2 * s)
-        elif isinstance(t, TailOverOdd):
-            m = z.q_exp.num - 2 * t.offset
-            v = self._rising(z.sign, 2 - m, s + 1, "ooA") * self._rising(z.sign, m, s, "ooB")
-            v = v * self._inv_poch(2, 2 * s + 1)
-        elif isinstance(t, TailH):
-            m, a = z.q_exp.num, t.a.num
-            acc = QSeries.zero()
-            for u in range(-s, s + 1):
-                poly = qbinom_poly(2 * s, s - u)
-                coeffs = [0] * (2 * len(poly) - 1) if poly else []
-                coeffs[::2] = poly
-                term = QSeries(a * u * u + m * u, coeffs, None)
-                acc = acc + (term if (u % 2 == 0 or z.sign == 1) else -term)
-            v = acc * self._inv_poch(2, 2 * s)
+            return self.inv(s)
+        low = tail_min_num(t, s)
+        if low < self.lo:
+            raise IllPosedError(f"tail value at s={s} reaches q^{HalfInt(low)}, below its frame")
+        if isinstance(t, TailH):
+            c = _h_window(s, t.a, z, self.lo, self.w + low)
+            for d in range(1, 2 * s + 1):
+                _prefix_add(c, 2 * d)
         else:
-            raise SpecError(f"unknown tail {t!r}")
-        self.cache[s] = v
-        return v
+            m = z.q_exp.num - (2 * t.offset if isinstance(t, TailOverOdd) else 0)
+            while len(self.over) <= s:
+                i = len(self.over)
+                c = _two_term(_two_term(list(self.over[-1]), z.sign, m + 2 * i - 2), z.sign, 2 * i - m)
+                self.over.append(_prefix_add(_prefix_add(c, 4 * i - 2), 4 * i))
+            c = self.over[s]
+            if isinstance(t, TailOverOdd):
+                c = _prefix_add(_two_term(list(c), z.sign, 2 - m + 2 * s), 4 * s + 2)
+        return QSeries(self.lo, c, self.w + low)
 
 
 def _window(t: QSeries, lo: int, width: int) -> list:
@@ -342,7 +355,7 @@ def eval_multisum(spec: SummandSpec, order, stats: Optional[SumStats] = None) ->
     # every cell and every partial sum lies at or above prune_bound(spec, ()),
     # so all of them share one frame: slot x holds the exponent lo + x
     lo = min(0, prune_bound(spec, ()).num)
-    tails = _TailValues(spec.tail, nnum - lo)
+    tails = _TailValues(spec.tail, lo, nnum - lo)
 
     # hard cap on the first index: beyond it even the best completion
     # starts at or above the requested order

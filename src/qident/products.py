@@ -59,13 +59,6 @@ def eval_product_sum(specs, order) -> QSeries:
     return acc
 
 
-def negative_arg_product(spec: TripleProductSpec, order) -> QSeries:
-    """A single triple product whose first two arguments carry sign -1."""
-    if spec.arg1.sign != -1 or spec.arg2.sign != -1:
-        raise SpecError("expected sign -1 arguments")
-    return _triple(spec, order)
-
-
 def theta_triple_sum(arg: Monomial, modulus_exp, order) -> QSeries:
     """sum_{s in Z} (-arg)^s q^(modulus_exp * s(s-1)/2) truncated at order.
 

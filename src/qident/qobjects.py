@@ -101,8 +101,7 @@ def qbinom_poly(n: int, k: int):
 
 def _poly_to_series(poly, order: Order) -> QSeries:
     coeffs = [0] * (2 * len(poly) - 1) if poly else []
-    for i, c in enumerate(poly):
-        coeffs[2 * i] = c
+    coeffs[::2] = poly
     return QSeries(0, coeffs, _ord_num(order))
 
 

@@ -121,13 +121,13 @@ class NaiveSeries:
 
 @lru_cache(maxsize=None)
 def n_poch_finite(sign: int, qnum: int, n: int, basenum: int, order: int) -> NaiveSeries:
-    acc = NaiveSeries.one(order)
-    for i in range(n):
-        f = NaiveSeries.monomial(1, 0, order).add(
-            NaiveSeries.monomial(-sign, qnum + i * basenum, order)
-        )
-        acc = acc.mul(f)
-    return acc
+    # the product of the first n - 1 factors is cached, then one more factor
+    if n == 0:
+        return NaiveSeries.one(order)
+    f = NaiveSeries.monomial(1, 0, order).add(
+        NaiveSeries.monomial(-sign, qnum + (n - 1) * basenum, order)
+    )
+    return n_poch_finite(sign, qnum, n - 1, basenum, order).mul(f)
 
 
 def n_poch_infinite(sign: int, qnum: int, basenum: int, order: int) -> NaiveSeries:
@@ -159,7 +159,9 @@ def n_hpoly_at(n: int, anum: int, sign: int, mnum: int, order: int) -> NaiveSeri
     for t in range(-n, n + 1):
         c = 1 if t % 2 == 0 else sign
         e = anum * t * t + mnum * t
-        acc = acc.add(n_qbinom(2 * n, n - t, order).mul(NaiveSeries.monomial(c, e, order)))
+        if e >= order:
+            continue  # the slice lies wholly beyond the window
+        acc = acc.add(NaiveSeries.monomial(c, e, order).mul(n_qbinom(2 * n, n - t, order)))
     return acc
 
 

@@ -29,7 +29,8 @@ from qident import (
     validate_case,
 )
 from qident import catalog
-from qident.catalog import _bress_lambda, _inv_qfac_ladder
+from qident.catalog import _bress_lambda
+from qident.multisum import _inv_poch_ladder
 
 
 SMALL = he(30)
@@ -420,7 +421,7 @@ def test_inverse_q_factorial_ladder_builds_a_deep_rung():
     # the ladder is iterative: rung 1500 needs no recursion, and below
     # q^1501 it agrees with 1 / (q; q)_inf
     order = qe(1501)
-    assert _inv_qfac_ladder(order.num)(1500) == partition_series(order)
+    assert _inv_poch_ladder(2, order.num)(1500) == partition_series(order)
 
 
 def test_key_lemma_passes_at_exactly_q40_without_padding():

@@ -1,6 +1,7 @@
 """The pruned multisum engine against the unpruned dense oracle."""
 
 import random
+from functools import lru_cache
 
 import pytest
 
@@ -24,6 +25,8 @@ from qident import (
     he,
     qe,
 )
+from qident.catalog import _POLICY_MS
+from qident.multisum import _TailValues, _tail_floor_num, tail_min_num
 from naive import brute_force_multisum
 
 
@@ -180,7 +183,7 @@ def _completions(prefix, k, cap):
 
 def brute_force_single(spec, descriptor, tup, ordnum):
     """(exponent numerator, coefficient) pairs of one tuple's full term."""
-    from naive import NaiveSeries, n_hpoly_at, n_poch_finite
+    from naive import NaiveSeries, n_poch_finite
 
     W = ordnum
     expnum = sum(2 * s * s + 2 * l * s for s, l in zip(tup, spec.linear))
@@ -196,27 +199,78 @@ def brute_force_single(spec, descriptor, tup, ordnum):
             )
     for i in range(spec.k - 1):
         term = term.mul(n_poch_finite(1, 2, tup[i] - tup[i + 1], 2, W).inv())
-    s = tup[-1]
+    term = term.mul(naive_tail(descriptor, tup[-1], W))
+    return [(term.offset + i, c) for i, c in enumerate(term.coeffs)]
+
+
+@lru_cache(maxsize=None)
+def _naive_inv_poch(unit, d, W):
+    from naive import n_poch_finite
+
+    return n_poch_finite(1, unit, d, unit, W).inv()
+
+
+def naive_tail(descriptor, s, W):
+    """The tail's value at s from the naive finite products, below q^(W/2)
+    plus the tail's own negative exponents."""
+    from naive import n_hpoly_at, n_poch_finite
+
     kind = descriptor[0]
     if kind == "odd":
-        term = term.mul(n_poch_finite(1, 2, s, 2, W).inv())
-    elif kind == "even":
-        term = term.mul(n_poch_finite(1, 4, s, 4, W).inv())
-    elif kind == "over":
+        return _naive_inv_poch(2, s, W)
+    if kind == "even":
+        return _naive_inv_poch(4, s, W)
+    if kind == "over":
         _, sign, mnum = descriptor
-        term = term.mul(n_poch_finite(-sign, mnum, s, 2, W))
-        term = term.mul(n_poch_finite(-sign, 2 - mnum, s, 2, W))
-        term = term.mul(n_poch_finite(1, 2, 2 * s, 2, W).inv())
-    elif kind == "over_odd":
+        num = n_poch_finite(-sign, mnum, s, 2, W).mul(n_poch_finite(-sign, 2 - mnum, s, 2, W))
+        return num.mul(_naive_inv_poch(2, 2 * s, W))
+    if kind == "over_odd":
         _, sign, mnum, kk = descriptor
-        term = term.mul(n_poch_finite(-sign, 2 * kk + 2 - mnum, s + 1, 2, W))
-        term = term.mul(n_poch_finite(-sign, mnum - 2 * kk, s, 2, W))
-        term = term.mul(n_poch_finite(1, 2, 2 * s + 1, 2, W).inv())
-    else:
-        _, anum, sign, mnum = descriptor
-        term = term.mul(n_hpoly_at(s, anum, sign, mnum, W))
-        term = term.mul(n_poch_finite(1, 2, 2 * s, 2, W).inv())
-    return [(term.offset + i, c) for i, c in enumerate(term.coeffs)]
+        num = n_poch_finite(-sign, 2 * kk + 2 - mnum, s + 1, 2, W)
+        num = num.mul(n_poch_finite(-sign, mnum - 2 * kk, s, 2, W))
+        return num.mul(_naive_inv_poch(2, 2 * s + 1, W))
+    _, anum, sign, mnum = descriptor
+    return n_hpoly_at(s, anum, sign, mnum, W).mul(_naive_inv_poch(2, 2 * s, W))
+
+
+@pytest.mark.parametrize("wnum", (80, 81))
+def test_tail_values_match_the_naive_oracle(wnum):
+    # every tail kind at s <= 30, both signs of every sampled z exponent:
+    # the pass-built value claims W + tail_min_num and is right below it
+    tails = [(TailOdd(), ("odd",)), (TailEven(), ("even",))]
+    for sign in (1, -1):
+        for m in _POLICY_MS:
+            z = Monomial(sign, he(m))
+            tails.append((TailOver(z), ("over", sign, m)))
+            tails.append((TailOverOdd(z, 1), ("over_odd", sign, m, 1)))
+            tails.append((TailH(he(1), z), ("h", 1, sign, m)))
+    for tail, descriptor in tails:
+        lo = min(0, _tail_floor_num(tail, 30))
+        values = _TailValues(tail, lo, wnum)
+        for s in range(31):
+            top = wnum + tail_min_num(tail, s)
+            got, want = values.value(s), naive_tail(descriptor, s, wnum)
+            assert got.order >= he(top), (tail, s)
+            dense = [0] * (got.min_exp.num - lo) + got._coeffs + [0] * (top - lo)
+            assert dense[: top - lo] == [want.coeff(e) for e in range(lo, top)], (tail, s)
+            assert want.offset >= lo or not any(want.coeffs[: lo - want.offset]), (tail, s)
+
+
+def test_tails_multiply_no_series_and_build_no_gaussian_polynomial(monkeypatch):
+    import qident.qobjects as qo
+
+    calls = []
+    mul, qbinom_poly = QSeries.__mul__, qo.qbinom_poly
+    monkeypatch.setattr(QSeries, "__mul__", lambda a, b: calls.append("mul") or mul(a, b))
+    monkeypatch.setattr(qo, "qbinom_poly", lambda n, k: calls.append("qbinom") or qbinom_poly(n, k))
+    qo._QBINOM_MEMO.clear()
+    z = Monomial(-1, he(1))
+    for tail in (TailOdd(), TailEven(), TailOver(z), TailOverOdd(z, 1), TailH(he(1), z)):
+        eval_multisum(SummandSpec(2, (0, 1), placement=frozenset({2}), tail=tail), qe(40))
+        assert calls == [] and not qo._QBINOM_MEMO, tail
+    monkeypatch.undo()
+    assert verify(make_case("COR_INFTY", order=qe(120), k=1)).status == "pass"
+    assert not qo._QBINOM_MEMO
 
 
 def test_spec_validation():
