@@ -48,6 +48,8 @@ def _report_dict(rep: VerificationReport) -> dict:
             "rhs": str(m.rhs),
         },
         "tuple_count": rep.tuple_count,
+        "node_count": rep.node_count,
+        "pruned_count": rep.pruned_count,
         "elapsed_ms": round(rep.elapsed * 1000.0, 3),
         "detail": rep.detail,
     }
@@ -119,7 +121,7 @@ def _run_suite_case(job: Tuple[int, str, dict, Optional[str]]) -> Tuple[int, dic
     except Exception as e:  # a worker must never take down the pool
         out = {"id": id, "params": params, "order": order_tok, "status": "error",
                "compared_order": None, "first_mismatch": None, "tuple_count": 0,
-               "elapsed_ms": 0.0, "detail": str(e)}
+               "node_count": 0, "pruned_count": 0, "elapsed_ms": 0.0, "detail": str(e)}
     return idx, out
 
 

@@ -15,7 +15,10 @@ of Partitions*, ch. 3).  `_certified_n` turns that into the least n at
 which the value is final below a given order, in O(1), and
 `stabilized_h_value` / `stabilized_f_value` evaluate once, at that n.
 The limits themselves are the infinite products `h_limit_product` and,
-for the shifted family, the binomial combination `f_limit_sum`.
+for the shifted family, the binomial combination `f_limit_sum`.  Their
+arguments multiply to q^2a, so both are `TripleProductSpec` lists on
+modulus 2a, summed by `eval_product_sum` as Jacobi theta series times
+one 1/(q)_inf.
 """
 
 from __future__ import annotations
@@ -25,14 +28,8 @@ from itertools import accumulate
 from operator import add, sub
 from typing import Iterator, Sequence, Tuple
 
-from .qobjects import (
-    Monomial,
-    binom,
-    partition_series,
-    poch_infinite,
-    qbinom,
-    _poly_to_series,
-)
+from .products import TripleProductSpec, eval_product_sum
+from .qobjects import Monomial, binom, qbinom, _poly_to_series
 from .series import (
     INF,
     HalfInt,
@@ -148,11 +145,8 @@ def h_limit_product(a: HalfInt, z: Monomial, order) -> QSeries:
         raise IllPosedError(f"limit product needs a > 0, got {a}")
     if (a + m).num <= 0 or (a - m).num <= 0:
         raise IllPosedError(f"limit product arguments q^{a + m}, q^{a - m} must have positive exponent")
-    two_a = HalfInt(2 * a.num)
-    out = poch_infinite(Monomial(1, two_a), two_a, order)
-    out = out * poch_infinite(Monomial(z.sign, a + m), two_a, order)
-    out = out * poch_infinite(Monomial(z.sign, a - m), two_a, order)
-    return out * partition_series(order)
+    spec = TripleProductSpec(HalfInt(2 * a.num), Monomial(z.sign, a + m), Monomial(z.sign, a - m))
+    return eval_product_sum([spec], order)
 
 
 def f_limit_sum(j: int, a: HalfInt, z: Monomial, order) -> QSeries:
@@ -166,8 +160,7 @@ def f_limit_sum(j: int, a: HalfInt, z: Monomial, order) -> QSeries:
     two_a = HalfInt(2 * a.num)
     if a.num <= 0:
         raise IllPosedError(f"limit sum needs a > 0, got {a}")
-    common = poch_infinite(Monomial(1, two_a), two_a, order) * partition_series(order)
-    acc = QSeries.zero()
+    specs = []
     for i in range(j + 1):
         e1 = a + m + (j - 2 * i)
         e2 = a - m - (j - 2 * i)
@@ -175,11 +168,8 @@ def f_limit_sum(j: int, a: HalfInt, z: Monomial, order) -> QSeries:
             raise IllPosedError(
                 f"limit sum term i={i} has argument exponents {e1}, {e2}; both must be positive"
             )
-        term = poch_infinite(Monomial(z.sign, e1), two_a, order) * poch_infinite(
-            Monomial(z.sign, e2), two_a, order
-        )
-        acc = acc + term * binom(j, i)
-    return acc * common
+        specs.append(TripleProductSpec(two_a, Monomial(z.sign, e1), Monomial(z.sign, e2), binom(j, i)))
+    return eval_product_sum(specs, order)
 
 
 def _certified_n(a: HalfInt, ms: Sequence[int], ordnum: int) -> int:

@@ -1,10 +1,12 @@
-"""Triple-product evaluation and its theta-series cross-check.
+"""Triple-product evaluation: the product sides of the catalog.
 
 The right-hand sides in this family are weighted sums of normalised
 triple products (A, B, q^M; q^M)_inf / (q; q)_inf on a common modulus
-exponent M.  `theta_triple_sum` provides the Jacobi triple product
-alternating sum for (A, q^M/A, q^M; q^M)_inf as an independent route the
-tests compare against the factor-by-factor product.
+exponent M.  A spec with A B = q^M and equal signs is in Jacobi's form
+(Andrews, *The Theory of Partitions*, Thm 2.8): its numerator is the
+sparse theta series `theta_triple_sum`.  `eval_product_sum` sums those
+and multiplies once by the cached 1/(q; q)_inf; any other spec takes the
+factor route `_triple`, which the tests also use as the oracle.
 """
 
 from __future__ import annotations
@@ -53,10 +55,14 @@ def eval_product_sum(specs, order) -> QSeries:
     specs = list(specs)
     if not specs:
         raise SpecError("empty product list")
-    acc = QSeries.zero()
+    acc = theta = QSeries.zero()
     for spec in specs:
-        acc = acc + _triple(spec, order) * spec.weight
-    return acc
+        a, b = spec.arg1, spec.arg2
+        if a.sign == b.sign and a.q_exp + b.q_exp == spec.modulus_exp:  # Jacobi's form
+            theta = theta + theta_triple_sum(a, spec.modulus_exp, order) * spec.weight
+        else:
+            acc = acc + _triple(spec, order) * spec.weight
+    return acc + theta * partition_series(order)
 
 
 def theta_triple_sum(arg: Monomial, modulus_exp, order) -> QSeries:

@@ -109,6 +109,7 @@ def test_verify_error_reports_carry_detail():
 def test_report_shape():
     rep = _ok("AG", k=2, r=1)
     assert rep.tuple_count > 0
+    assert rep.node_count == rep.tuple_count + rep.pruned_count
     assert rep.elapsed >= 0
     assert rep.first_mismatch is None
     assert rep.case.id == "AG"
@@ -410,11 +411,28 @@ def test_limit_ids_reject_a_leftover_criterion():
         assert "criterion" in rep.detail
 
 
-def test_verify_never_raises():
-    # the exact q-binomial memo recurses past the interpreter's limit here
-    rep = verify(make_case("SPECIAL_A", n=1100))
+def _raise_recursion(p, wnum, stats):
+    raise RecursionError("maximum recursion depth exceeded")
+
+
+def test_verify_never_raises(monkeypatch):
+    # an exception from outside qident's own hierarchy becomes an error report
+    entry = catalog._REGISTRY["SPECIAL_A"]
+    monkeypatch.setitem(catalog._REGISTRY, "SPECIAL_A", replace(entry, runner=_raise_recursion))
+    rep = verify(make_case("SPECIAL_A", n=3))
     assert rep.status == "error"
-    assert rep.detail.startswith("RecursionError: ")
+    assert rep.detail == "RecursionError: maximum recursion depth exceeded"
+
+
+def test_special_a_size_limit_is_a_spec_error():
+    # exact H(1100, 1/2) has about 1.8e9 coefficients: refused up front
+    case = make_case("SPECIAL_A", n=1100)
+    with pytest.raises(SpecError, match="must be <= 40"):
+        validate_case(case)
+    rep = verify(case)
+    assert rep.status == "error"
+    assert rep.detail == "parameter 'n' must be <= 40, got 1100"
+    assert verify(make_case("SPECIAL_A", n=10)).status == "pass"
 
 
 def test_inverse_q_factorial_ladder_builds_a_deep_rung():

@@ -1,9 +1,11 @@
 """Front-end behaviour: exit codes, JSON round trips, suite expectations."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
+from qident import catalog
 from qident.cli import main
 
 
@@ -32,10 +34,21 @@ def test_verify_bad_params_exit_two(capsys):
     assert "ERROR" in out
 
 
-def test_verify_escaping_exception_exits_two(capsys):
-    code, out, _ = run(capsys, "verify", "--id", "SPECIAL_A", "--n", "1100")
+def test_verify_escaping_exception_exits_two(capsys, monkeypatch):
+    def runner(p, wnum, stats):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    entry = catalog._REGISTRY["SPECIAL_A"]
+    monkeypatch.setitem(catalog._REGISTRY, "SPECIAL_A", replace(entry, runner=runner))
+    code, out, _ = run(capsys, "verify", "--id", "SPECIAL_A", "--n", "3")
     assert code == 2
     assert "ERROR: RecursionError" in out
+
+
+def test_verify_oversized_special_a_exits_two(capsys):
+    code, out, _ = run(capsys, "verify", "--id", "SPECIAL_A", "--n", "1100")
+    assert code == 2
+    assert "ERROR: parameter 'n' must be <= 40" in out
 
 
 def test_verify_criterion_flag_is_gone(capsys):
@@ -64,6 +77,7 @@ def test_verify_json_schema(capsys):
     assert doc["params"]["z_exp"] == "1/2"
     assert doc["first_mismatch"] is None
     assert doc["tuple_count"] > 0
+    assert doc["node_count"] == doc["tuple_count"] + doc["pruned_count"]
     assert doc["elapsed_ms"] >= 0.0
 
 
@@ -149,6 +163,21 @@ def test_suite_json_rows_sorted_by_id_then_input_order(tmp_path, capsys):
     assert doc["unexpected"] == 0
     for row in doc["cases"]:
         assert row["as_expected"] is True
+
+
+def test_suite_worker_crash_row_has_every_report_field(monkeypatch):
+    from qident import cli
+
+    _, normal = cli._run_suite_case((0, "AG", {"k": 1, "r": 0}, "20"))
+
+    def crash(case):
+        raise MemoryError("out of memory")
+
+    monkeypatch.setattr(cli, "verify", crash)
+    _, row = cli._run_suite_case((0, "AG", {"k": 1, "r": 0}, "20"))
+    assert row.keys() == normal.keys()
+    assert row["status"] == "error" and row["detail"] == "out of memory"
+    assert row["tuple_count"] == row["node_count"] == row["pruned_count"] == 0
 
 
 def test_suite_parallel_matches_serial(tmp_path, capsys):
