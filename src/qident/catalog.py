@@ -51,11 +51,10 @@ from .multisum import (
     TailOdd,
     TailOver,
     TailOverOdd,
-    _inv_poch_ladder,
     eval_multisum,
 )
 from .products import TripleProductSpec, eval_product_sum
-from .qobjects import Monomial, binom, poch_finite, poch_finite_scalar
+from .qobjects import Monomial, _inv_poch_ladder, binom, poch_finite, poch_finite_scalar
 from .series import (
     INF,
     HalfInt,
@@ -277,31 +276,39 @@ def _bress_lambda(k: int, j: int, r: int = 0) -> Tuple[int, ...]:
     return tuple((-1 if i + 1 <= j else 0) + (1 if i + 1 > k - r else 0) for i in range(k))
 
 
+def _chain_step(
+    bucket: Dict[int, QSeries],
+    t: int,
+    inv: Callable[[int], QSeries],
+    factor: Callable[[int, int, int], QSeries],
+) -> Dict[int, QSeries]:
+    """Level t of a chain sum:
+    B_t[s] = sum_{prev >= s} B_{t-1}[prev] factor(t, prev, s) inv(prev - s)."""
+    out: Dict[int, QSeries] = {}
+    for prev, c in bucket.items():
+        for s in range(prev + 1):
+            v = c * factor(t, prev, s) * inv(prev - s)
+            out[s] = out[s] + v if s in out else v
+    return out
+
+
 def _chain_sum(
     n: int,
     depth: int,
     inv: Callable[[int], QSeries],
     factor: Callable[[int, int, int], QSeries],
 ) -> Dict[int, QSeries]:
-    """Accumulate scalar weights over chains n >= s_1 >= ... >= s_depth >= 0.
+    """Accumulate weights over chains n >= s_1 >= ... >= s_depth >= 0, level by level.
 
     factor(t, prev, s) is the multiplicative weight of level t (1-based),
     times the gap inverse Pochhammer inv(prev - s).  Returns buckets keyed
     by the last index, each a QSeries scalar known below the ladder's order
     plus the lowest exponent of its chains' weights.
     """
-    buckets: Dict[int, QSeries] = {}
-
-    def walk(t: int, prev: int, val: QSeries) -> None:
-        for s in range(prev, -1, -1):
-            v = val * factor(t, prev, s) * inv(prev - s)
-            if t == depth:
-                buckets[s] = buckets[s] + v if s in buckets else v
-            else:
-                walk(t + 1, s, v)
-
-    walk(1, n, QSeries.one())
-    return buckets
+    bucket = {n: QSeries.one()}
+    for t in range(1, depth + 1):
+        bucket = _chain_step(bucket, t, inv, factor)
+    return bucket
 
 
 def _qsq(s: int, lin: int = 0) -> QSeries:
@@ -907,12 +914,8 @@ def _run_andrews_answer(p: dict, wnum: int, stats: SumStats) -> List[Check]:
 
     def lemma_step() -> None:
         nonlocal a_num, bucket
-        new: Dict[int, QSeries] = {}
-        for m, c in bucket.items():
-            for s in range(m + 1):
-                add = c * inv(m - s) * _qsq(s)
-                new[s] = new.get(s, QSeries.zero(he(wnum))) + add
-        bucket = new
+        new = _chain_step(bucket, 1, inv, lambda t, prev, s: _qsq(s))
+        bucket = {s: c.truncated(he(wnum)) for s, c in new.items()}
         a_num -= 2
 
     def funceq_step() -> None:

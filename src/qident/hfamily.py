@@ -2,10 +2,11 @@
 
 H(n, a) is the Laurent polynomial sum_{s=-n..n} [2n, n-s]_q q^(a s^2) z^s;
 the closure F(n, j, a) applies j times the step G(z) -> G(zq) + G(q/z).
-At order INF both are exact; at a finite order H's slices come from one
-walk down the binomial column (`_binomial_column`), deep enough for F's
-shift steps and a negative weight.  `_h_window` evaluates H at a monomial
-by the same walk, for the certified limits and the multisum tail.
+At every order, INF included, H's slices come from one walk down the
+Gaussian-binomial column `qobjects._qbinom_column`, deep enough for F's
+shift steps and a negative weight.  `_h_window` sums H at a list of
+weighted monomials by the same walk, for the certified limits and the
+multisum tail.
 
 With z fixed to a monomial sign*q^m, |m| < a, the values H(n, a)(z)
 converge coefficientwise as n grows, and the limit is certified rather
@@ -13,7 +14,9 @@ than detected.  [2n, n-s]_q counts the partitions in an (n-s) x (n+s)
 box, so it agrees with 1/(q)_inf through q^(n-|s|) (Andrews, *The Theory
 of Partitions*, ch. 3).  `_certified_n` turns that into the least n at
 which the value is final below a given order, in O(1), and
-`stabilized_h_value` / `stabilized_f_value` evaluate once, at that n.
+`stabilized_h_value` / `stabilized_f_value` evaluate once, at that n;
+the F value is the binomial sum sum_i C(j, i) H(n, a)(z q^(j-2i)), one
+`_h_window` over its j + 1 arguments.
 The limits themselves are the infinite products `h_limit_product` and,
 for the shifted family, the binomial combination `f_limit_sum`.  Their
 arguments multiply to q^2a, so both are `TripleProductSpec` lists on
@@ -24,12 +27,11 @@ one 1/(q)_inf.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 from operator import add, sub
-from typing import Iterator, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .products import TripleProductSpec, eval_product_sum
-from .qobjects import Monomial, binom, qbinom, _poly_to_series
+from .qobjects import Monomial, binom, _poly_to_series, _qbinom_column
 from .series import (
     INF,
     HalfInt,
@@ -77,44 +79,23 @@ class FSpec:
             raise SpecError(f"bad weight {self.a!r}")
 
 
-def _binomial_column(n: int, length: int) -> Iterator[Tuple[int, list]]:
-    """Yield (s, [2n, n-s]_q) for s = n, n-1, ..., 0, as whole-q coefficients.
-
-    Each value is truncated to `length` coefficients and built from the
-    previous one in place, [2n, n-s] = [2n, n-s-1] (1 - q^(n+s+1)) / (1 - q^(n-s)),
-    so one list is yielded throughout and must be read before advancing.
-    O(n * length) in all.
-    """
-    b = [1] + [0] * (length - 1)
-    yield n, b
-    for s in range(n - 1, -1, -1):
-        e = n + s + 1
-        if e < length:
-            b[e:] = map(sub, b[e:], b[: length - e])
-        e = n - s
-        # residues r >= length - e hold one coefficient: nothing to add
-        for r in range(min(e, length - e)):
-            b[r::e] = accumulate(b[r::e])
-        yield s, b
-
-
 def h_poly(spec: HSpec, order: Order = INF) -> ZLaurent:
     """sum_{s=-n..n} [2n, n-s]_q q^(a s^2) z^s, truncated at `order`."""
     n, a = spec.n, spec.a
     ordnum = _ord_num(order)
-    terms = {}
-    if ordnum is None:
-        for s in range(-n, n + 1):
-            terms[s] = qbinom(2 * n, n - s).shift(he(a.num * s * s))
-        return ZLaurent.from_terms(terms, order)
-    # finite order: walk the binomial column, dense on the whole-q grid;
-    # O(n * order) instead of the exact-polynomial memo.  A negative weight
-    # starts slice +-n at q^(a n^2), so the column runs that much longer.
+    # deg [2n, n-s] = n^2 - s^2 bounds the column at INF.  A negative weight
+    # starts slice +-n at q^(a n^2), so a finite order runs that much longer.
     # A slice is known through its half-slot 2L - 1 too, which is
     # structurally zero.
-    L = max((ordnum - min(0, a.num) * n * n + 1) // 2, 1)
-    for s, b in _binomial_column(n, L):
-        terms[s] = terms[-s] = _poly_to_series(b, qe(L)).shift(he(a.num * s * s))
+    if ordnum is None:
+        L, known = n * n + 1, INF
+    else:
+        L = max((ordnum - min(0, a.num) * n * n + 1) // 2, 1)
+        known = qe(L)
+    terms = {}
+    for k, b in _qbinom_column(2 * n, n, L):
+        s = n - k
+        terms[s] = terms[-s] = _poly_to_series(b, known).shift(he(a.num * s * s))
     return ZLaurent.from_terms(terms, order)
 
 
@@ -209,23 +190,28 @@ def _limit_args(a, w: Monomial, order) -> Tuple[HalfInt, int]:
     return a, ordnum
 
 
-def _h_window(n: int, a: HalfInt, w: Monomial, lo: int, hi: int) -> list:
-    """H(n, a)(w) on the half-unit frame [lo, hi), w = sign*q^(m/2).
+def _h_window(n: int, a: HalfInt, args: List[Tuple[int, Monomial]], lo: int, hi: int) -> list:
+    """sum_i c_i H(n, a)(w_i) on the half-unit frame [lo, hi), over args (c_i, w_i).
 
-    One walk down the binomial column adds each slice, times
-    sign^t q^(a t^2 + m t), straight into the frame.  The frame must start
-    at or below H's lowest exponent, which |m| >= a puts below q^0.
+    With w = sign*q^(m/2), one walk down the binomial column adds each
+    slice, times c sign^t q^(a t^2 + m t), straight into the frame.  The
+    frame must start at or below H's lowest exponent, which |m| >= a puts
+    below q^0.
     """
-    m = w.q_exp.num
-    low = min(a.num * t * t + m * t for t in range(-n, n + 1))
+    ts = range(-n, n + 1)
+    low = min(a.num * t * t + w.q_exp.num * t for _, w in args for t in ts)
     out = [0] * (hi - lo)
-    for s, b in _binomial_column(n, max((hi - low + 1) // 2, 1)):
-        for t in (s, -s) if s else (0,):
-            e = a.num * t * t + m * t - lo
-            k = (hi - lo - e + 1) // 2
-            if k > 0:
-                op = sub if w.sign < 0 and t % 2 else add
-                out[e : e + 2 * k : 2] = map(op, out[e : e + 2 * k : 2], b[:k])
+    for k, b in _qbinom_column(2 * n, n, max((hi - low + 1) // 2, 1)):
+        s = n - k
+        for c, w in args:
+            for t in (s, -s) if s else (0,):
+                e = a.num * t * t + w.q_exp.num * t - lo
+                width = (hi - lo - e + 1) // 2
+                if width > 0:
+                    ct = -c if w.sign < 0 and t % 2 else c
+                    part = b[:width] if abs(ct) == 1 else [abs(ct) * x for x in b[:width]]
+                    op = sub if ct < 0 else add
+                    out[e : e + 2 * width : 2] = map(op, out[e : e + 2 * width : 2], part)
     return out
 
 
@@ -234,25 +220,22 @@ def stabilized_h_value(a: HalfInt, w: Monomial, order) -> Tuple[QSeries, int]:
 
     `w` = sign*q^m is the actual argument substituted into H (no
     normalization), with |m| < a, so every exponent of H(n, a)(w) is >= 0.
+    This is the case j = 0 of `stabilized_f_value`.
     """
     a, ordnum = _limit_args(a, w, order)
     n = _certified_n(a, (w.q_exp.num,), ordnum)
-    return QSeries(0, _h_window(n, a, w, 0, ordnum), ordnum), n
+    return QSeries(0, _h_window(n, a, [(1, w)], 0, ordnum), ordnum), n
 
 
 def stabilized_f_value(j: int, a: HalfInt, w: Monomial, order) -> Tuple[QSeries, int]:
     """F(n, j, a)(w) below `order` at the certified n; returns (value, n).
 
     F(n, j, a)(z) = sum_i C(j, i) H(n, a)(z q^(j-2i)), so n is certified for
-    every shifted argument.  The substitution moves one of the slices +-n
-    down by |m| n half-units, so F is built once at order + |m| n.
+    every shifted argument, and each has |m| < a.
     """
+    if j < 0:
+        raise SpecError(f"needs j >= 0, got {j}")
     a, ordnum = _limit_args(a, w, order)
-    m = w.q_exp.num
-    n = _certified_n(a, [m + 2 * (j - 2 * i) for i in range(j + 1)], ordnum)
-    wnum = ordnum + abs(m) * n
-    val = f_func(FSpec(n, j, a), HalfInt(wnum)).substitute(w.sign, w.q_exp)
-    got = _ord_num(val.order)
-    if got is not None and got < ordnum:
-        raise IllPosedError(f"F(n={n}, j={j}) came back known below {val.order}, not {order}")
-    return val.truncated(order), n
+    args = [(binom(j, i), w.times_q(qe(j - 2 * i))) for i in range(j + 1)]
+    n = _certified_n(a, [v.q_exp.num for _, v in args], ordnum)
+    return QSeries(0, _h_window(n, a, args, 0, ordnum), ordnum), n

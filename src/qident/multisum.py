@@ -28,23 +28,24 @@ to a lower order than its cell needs raises IllPosedError.  `SumStats`
 counts the cells visited, skipped and evaluated; the test suite checks
 the engine against an unpruned brute force.
 
-The tails are built by the same list passes.  1/(q)_s and 1/(q^2;q^2)_s
-are the rungs of one prefix-add ladder.  The overpartition tails step
-from s - 1 to s in place: a two-term pass per new factor 1 + c q^e, a
-prefix-add pass per new 1/(1 - q^d).  H(s, a)(z) comes from one walk down
-the binomial column (`hfamily._h_window`), then 2s prefix-add passes
-divide it by (q)_{2s}.  No tail multiplies two series.
+The tails are built by the same list passes, which live in `qobjects`
+(`_two_term`, `_prefix_add`, `_inv_poch_ladder`).  1/(q)_s and
+1/(q^2;q^2)_s are the rungs of one prefix-add ladder.  The overpartition
+tails step from s - 1 to s in place: a two-term pass per new factor
+1 + c q^e, a prefix-add pass per new 1/(1 - q^d).  H(s, a)(z) comes from
+one walk down the binomial column (`hfamily._h_window`), then 2s
+prefix-add passes divide it by (q)_{2s}.  No tail multiplies two series.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import accumulate
-from operator import add, sub
-from typing import Callable, Optional, Tuple, Union
+from operator import add
+from typing import Optional, Tuple, Union
 
 from .hfamily import _h_window
-from .qobjects import Monomial
+from .qobjects import Monomial, _inv_poch_ladder, _prefix_add, _two_term
 from .series import (
     HalfInt,
     IllPosedError,
@@ -241,38 +242,6 @@ def prune_bound(spec: SummandSpec, prefix: Tuple[int, ...]) -> HalfInt:
     return HalfInt(total + _tail_floor_num(spec.tail, cap))
 
 
-def _prefix_add(c: list, step: int) -> list:
-    """Multiply c by 1 / (1 - q^(step/2)) in place: c[x] += c[x - step]."""
-    for r in range(min(step, len(c))):
-        c[r::step] = accumulate(c[r::step])
-    return c
-
-
-def _inv_poch_ladder(unit: int, wnum: int) -> Callable[[int], QSeries]:
-    """d -> 1 / prod_{1<=i<=d} (1 - q^(unit*i/2)) below q^(wnum/2).
-
-    Rungs are built on demand, one prefix-add pass each, and kept.
-    """
-    store = [[1] + [0] * (wnum - 1)]
-
-    def rung(d: int) -> QSeries:
-        while len(store) <= d:
-            store.append(_prefix_add(list(store[-1]), unit * len(store)))
-        return QSeries(0, store[d], wnum)
-
-    return rung
-
-
-def _two_term(c: list, sign: int, e: int) -> list:
-    """Multiply c by 1 + sign*q^(e/2) in place; a negative e leaves the top -e slots stale."""
-    op = add if sign > 0 else sub
-    if e >= 0:
-        c[e:] = map(op, c[e:], c)
-    else:
-        c[: max(len(c) + e, 0)] = map(op, c, c[-e:])
-    return c
-
-
 class _TailValues:
     """The tail's values at working order W, built by list passes (see the
     module docstring); value s is known below W + tail_min_num(tail, s)."""
@@ -294,7 +263,7 @@ class _TailValues:
         if low < self.lo:
             raise IllPosedError(f"tail value at s={s} reaches q^{HalfInt(low)}, below its frame")
         if isinstance(t, TailH):
-            c = _h_window(s, t.a, z, self.lo, self.w + low)
+            c = _h_window(s, t.a, [(1, z)], self.lo, self.w + low)
             for d in range(1, 2 * s + 1):
                 _prefix_add(c, 2 * d)
         else:

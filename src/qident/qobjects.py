@@ -3,16 +3,26 @@
 Everything here returns exact truncated series from the kernel in
 `series`.  The two standard generating-function facts this module leans
 on: the pentagonal-number expansion of (Q; Q)_inf, used as a fast path
-whenever an Euler-type product is requested, and the q-Pascal recurrence
-for Gaussian binomials, memoised as dense integer polynomials.  Both have
-slower independent counterparts in the test suite's `naive` oracles.
+whenever an Euler-type product is requested, and the column step
+[N, k] = [N, k-1] (1 - q^(N-k+1)) / (1 - q^k) for Gaussian binomials
+(Andrews, *The Theory of Partitions*, ch. 3).  Both have slower
+independent counterparts in the test suite's `naive` oracles.
+
+The in-place list passes live here too.  On a dense list whose slot i
+holds the coefficient of x^i (x = q^(1/2) in the engines, x = q in the
+binomial column), `_two_term` multiplies by 1 + c x^e, `_prefix_add`
+divides by 1 - x^d, and `_inv_poch_ladder` stacks the latter into
+1/(q)_d.  The binomial column `_qbinom_column`, H and every multisum tail
+are built from these passes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from itertools import accumulate
+from operator import add, sub
+from typing import Callable, Iterator, Tuple
 
 from .series import (
     INF,
@@ -69,34 +79,62 @@ def binom(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-# dense q-grid coefficient lists, exact; shared per process
-_QBINOM_MEMO: dict = {}
+def _two_term(c: list, sign: int, e: int) -> list:
+    """Multiply c by 1 + sign*x^e in place; a negative e leaves the top -e slots stale."""
+    op = add if sign > 0 else sub
+    if e >= 0:
+        c[e:] = map(op, c[e:], c)
+    else:
+        c[: max(len(c) + e, 0)] = map(op, c, c[-e:])
+    return c
+
+
+def _prefix_add(c: list, step: int) -> list:
+    """Multiply c by 1 / (1 - x^step) in place: c[i] += c[i - step]."""
+    # residues r >= len(c) - step hold one coefficient: nothing to add
+    for r in range(min(step, len(c) - step)):
+        c[r::step] = accumulate(c[r::step])
+    return c
+
+
+def _inv_poch_ladder(unit: int, wnum: int) -> Callable[[int], QSeries]:
+    """d -> 1 / prod_{1<=i<=d} (1 - q^(unit*i/2)) below q^(wnum/2).
+
+    Rungs are built on demand, one prefix-add pass each, and kept.
+    """
+    store = [[1] + [0] * (wnum - 1)]
+
+    def rung(d: int) -> QSeries:
+        while len(store) <= d:
+            store.append(_prefix_add(list(store[-1]), unit * len(store)))
+        return QSeries(0, store[d], wnum)
+
+    return rung
+
+
+def _qbinom_column(N: int, top: int, length: int) -> Iterator[Tuple[int, list]]:
+    """Yield (k, [N, k]_q) for k = 0..top as whole-q coefficients, truncated to `length`.
+
+    One list is updated in place, a two-term and a prefix-add pass per
+    step, so each value must be read before advancing.  O(top * length).
+    """
+    b = [1] + [0] * (length - 1)
+    yield 0, b
+    for k in range(1, top + 1):
+        yield k, _prefix_add(_two_term(b, -1, N - k + 1), k)
 
 
 def qbinom_poly(n: int, k: int):
     """Gaussian binomial [n, k]_q as a dense list of q-grid coefficients.
 
     Exact polynomial of degree k*(n-k).  Returns [] outside 0 <= k <= n.
-    Dict access is atomic under the GIL and entries are pure, so a rare
-    duplicated computation is harmless.
     """
     if k < 0 or k > n:
         return []
     k = min(k, n - k)
-    if k == 0:
-        return [1]
-    key = (n, k)
-    got = _QBINOM_MEMO.get(key)
-    if got is not None:
-        return got
-    # [n,k] = [n-1,k-1] + q^k [n-1,k]
-    a = qbinom_poly(n - 1, k - 1)
-    b = qbinom_poly(n - 1, k) if k <= n - 1 else []
-    out = list(a) + [0] * (k * (n - k) - (len(a) - 1))
-    for i, c in enumerate(b):
-        out[i + k] += c
-    _QBINOM_MEMO[key] = out
-    return out
+    for _, b in _qbinom_column(n, k, k * (n - k) + 1):
+        pass
+    return b
 
 
 def _poly_to_series(poly, order: Order) -> QSeries:

@@ -30,7 +30,7 @@ from qident import (
 )
 from qident import catalog
 from qident.catalog import _bress_lambda
-from qident.multisum import _inv_poch_ladder
+from qident.qobjects import _inv_poch_ladder
 
 
 SMALL = he(30)
@@ -381,6 +381,13 @@ def test_andrews_gordon_k8_at_q240_within_budget():
     for r in range(3):
         _ok("AG", order=qe(240), k=8, r=r)
     assert time.perf_counter() - t0 < 5.0
+
+
+def test_iter_prop_deep_chain_sum_within_budget():
+    # 92,378 index chains; summed level by level they take (k + 1) (n + 1)^2 products
+    t0 = time.perf_counter()
+    _ok("ITER_PROP", order=qe(40), n=10, k=8, a="1/2")
+    assert time.perf_counter() - t0 < 2.0
 
 
 def test_thm_3_1_k5_two_position_placement_at_q160():

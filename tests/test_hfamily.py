@@ -11,6 +11,7 @@ from qident import (
     Monomial,
     QSeries,
     SpecError,
+    ZLaurent,
     binom,
     f_func,
     f_limit_sum,
@@ -21,7 +22,7 @@ from qident import (
     he,
     qe,
 )
-from naive import n_hpoly_at
+from naive import n_hpoly_at, n_qbinom
 
 
 def test_h_poly_tiny_cases():
@@ -59,6 +60,21 @@ def test_h_poly_finite_order_matches_exact(rng):
         r = windowed.eq_upto(exact)
         assert r.equal
         assert r.compared_order <= W
+
+
+def test_exact_h_poly_slices_match_the_naive_binomials():
+    # the finite-order test above compares the column walk with itself;
+    # this oracle builds [2n, n-s] as a quotient of Pochhammer products
+    for n in range(7):
+        top = 2 * n * n + 2  # past deg [2n, n-s] = n^2 - s^2, in half-units
+        for anum in (-5, -1, 0, 1, 2, 7):
+            H = h_poly(HSpec(n, HalfInt(anum)), INF)
+            assert H.order is INF and H.z_support() == list(range(-n, n + 1))
+            for s in range(-n, n + 1):
+                want = n_qbinom(2 * n, n - s, top)
+                lift = anum * s * s
+                expected = [(HalfInt(lift + e), want.coeff(e)) for e in range(top) if want.coeff(e)]
+                assert list(H.slice(s).terms()) == expected, (n, anum, s)
 
 
 def test_h_poly_at_an_even_order_claims_the_full_order():
@@ -192,13 +208,24 @@ def test_certified_n_is_sharp_for_m_zero():
             assert val.eq_upto(_value_at(n, 0, a, w, order)).equal
 
 
-def test_stabilized_f_value_refuses_a_short_working_order(monkeypatch):
+def test_stabilized_values_build_no_laurent_polynomial(monkeypatch):
+    # the limit values are one binomial-column walk into a frame: no H or F
+    # is built as a polynomial in z and then substituted
     import qident.hfamily as hfamily
 
-    real = hfamily.f_func
-    monkeypatch.setattr(hfamily, "f_func", lambda spec, order: real(spec, HalfInt(order.num - 4)))
-    with pytest.raises(IllPosedError):
-        stabilized_f_value(1, he(7), Monomial(-1, he(1)), he(24))
+    calls = []
+    for name in ("f_func", "h_poly"):
+        real = getattr(hfamily, name)
+        monkeypatch.setattr(hfamily, name, lambda *a, _f=real, _n=name: calls.append(_n) or _f(*a))
+    init = ZLaurent.__init__
+    monkeypatch.setattr(ZLaurent, "__init__", lambda self, *a, **k: calls.append("ZLaurent") or init(self, *a, **k))
+    for j in range(3):
+        val, _ = stabilized_f_value(j, he(9), Monomial(-1, he(1)), he(40))
+        assert val.order == he(40)
+    stabilized_h_value(he(3), Monomial(1, he(-1)), he(40))
+    assert calls == []
+    hfamily.f_func(FSpec(1, 1, he(3)), he(8))  # the counters are live
+    assert {"f_func", "h_poly", "ZLaurent"} <= set(calls)
 
 
 def test_stabilized_values_reject_ill_posed_arguments():

@@ -46,6 +46,14 @@ def test_qbinom_poly_symmetry_and_sum():
             assert sum(p) == binom(n, k)
 
 
+def test_qbinom_poly_walks_a_deep_column_without_recursion():
+    # [1500, 3] has degree 3 * 1497; a memoised q-Pascal recursion runs out of stack here
+    p = qbinom_poly(1500, 3)
+    assert len(p) == 4492
+    assert p == p[::-1]
+    assert sum(p) == binom(1500, 3)
+
+
 def test_qbinom_two_routes_agree():
     for n in range(8):
         for k in range(n + 2):
