@@ -36,12 +36,11 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 from .hfamily import (
     FSpec,
     HSpec,
+    _stabilized_values,
     f_func,
     f_limit_sum,
     h_limit_product,
     h_poly,
-    stabilized_f_value,
-    stabilized_h_value,
 )
 from .multisum import (
     SummandSpec,
@@ -240,23 +239,28 @@ _POLICY_MS = (-2, -1, 0, 1, 2, 3)
 _LIMIT_MS = (-3, -1, 0, 1, 2, 3, 5)
 
 
+def _z_samples(
+    z: Optional[Monomial], posed: Callable[[int], bool], ms: Sequence[int] = _POLICY_MS
+) -> List[Monomial]:
+    """[z] for the given z, else both signs of every sampled exponent m (in
+    half-units) with posed(m)."""
+    if z is not None:
+        if not posed(z.q_exp.num):
+            raise SpecError(f"z = {z} is outside the well-posed window for these parameters")
+        return [z]
+    zs = [Monomial(sig, HalfInt(m)) for m in ms if posed(m) for sig in (1, -1)]
+    if not zs:
+        raise SpecError("no well-posed z sample exists for these parameters")
+    return zs
+
+
 def _each_z(
     z: Optional[Monomial],
     posed: Callable[[int], bool],
     checks_at: Callable[[Monomial], List[Check]],
-    ms: Sequence[int] = _POLICY_MS,
 ) -> List[Check]:
-    """checks_at(z) for the given z, else for both signs of every sampled
-    exponent m (in half-units) with posed(m)."""
-    if z is not None:
-        if not posed(z.q_exp.num):
-            raise SpecError(f"z = {z} is outside the well-posed window for these parameters")
-        zs = [z]
-    else:
-        zs = [Monomial(sig, HalfInt(m)) for m in ms if posed(m) for sig in (1, -1)]
-        if not zs:
-            raise SpecError("no well-posed z sample exists for these parameters")
-    return [c for z in zs for c in checks_at(z)]
+    """checks_at(z) for every z of `_z_samples`."""
+    return [c for z in _z_samples(z, posed) for c in checks_at(z)]
 
 
 # ---------------------------------------------------------------------------
@@ -717,13 +721,16 @@ def _prep_h_limit(params: dict) -> dict:
 
 def _run_h_limit(p: dict, wnum: int, stats: SumStats) -> List[Check]:
     a = p["a"]
-
-    def at(z: Monomial) -> List[Check]:
-        val, n = stabilized_h_value(a, Monomial(-z.sign, z.q_exp), he(wnum))
-        prod = h_limit_product(a, z, he(wnum))
-        return [Check(f"a={a} z={z}: polynomial at certified n={n} vs product", val, prod)]
-
-    return _each_z(p["z"], lambda m: abs(m) < a.num, at, _LIMIT_MS)
+    zs = _z_samples(p["z"], lambda m: abs(m) < a.num, _LIMIT_MS)
+    vals = _stabilized_values(0, a, [Monomial(-z.sign, z.q_exp) for z in zs], he(wnum))
+    return [
+        Check(
+            f"a={a} z={z}: polynomial at certified n={n} vs product",
+            v,
+            h_limit_product(a, z, he(wnum)),
+        )
+        for z, (v, n) in zip(zs, vals)
+    ]
 
 
 def _prep_f_limit(params: dict) -> dict:
@@ -737,14 +744,16 @@ def _prep_f_limit(params: dict) -> dict:
 
 def _run_f_limit(p: dict, wnum: int, stats: SumStats) -> List[Check]:
     j, a = p["j"], p["a"]
-
-    def at(z: Monomial) -> List[Check]:
-        val, n = stabilized_f_value(j, a, Monomial(-z.sign, z.q_exp), he(wnum))
-        s = f_limit_sum(j, a, z, he(wnum))
-        label = f"j={j} a={a} z={z}: closure value at certified n={n} vs product sum"
-        return [Check(label, val, s)]
-
-    return _each_z(p["z"], lambda m: abs(m) + 2 * j < a.num, at, _LIMIT_MS)
+    zs = _z_samples(p["z"], lambda m: abs(m) + 2 * j < a.num, _LIMIT_MS)
+    vals = _stabilized_values(j, a, [Monomial(-z.sign, z.q_exp) for z in zs], he(wnum))
+    return [
+        Check(
+            f"j={j} a={a} z={z}: closure value at certified n={n} vs product sum",
+            v,
+            f_limit_sum(j, a, z, he(wnum)),
+        )
+        for z, (v, n) in zip(zs, vals)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,9 @@ H(n, a) is the Laurent polynomial sum_{s=-n..n} [2n, n-s]_q q^(a s^2) z^s;
 the closure F(n, j, a) applies j times the step G(z) -> G(zq) + G(q/z).
 At every order, INF included, H's slices come from one walk down the
 Gaussian-binomial column `qobjects._qbinom_column`, deep enough for F's
-shift steps and a negative weight.  `_h_window` sums H at a list of
-weighted monomials by the same walk, for the certified limits and the
-multisum tail.
+shift steps and a negative weight.  `_h_window` sums H at groups of
+weighted monomials by the same walk, one frame per group, for the
+certified limits and the multisum tail.
 
 With z fixed to a monomial sign*q^m, |m| < a, the values H(n, a)(z)
 converge coefficientwise as n grows, and the limit is certified rather
@@ -14,9 +14,11 @@ than detected.  [2n, n-s]_q counts the partitions in an (n-s) x (n+s)
 box, so it agrees with 1/(q)_inf through q^(n-|s|) (Andrews, *The Theory
 of Partitions*, ch. 3).  `_certified_n` turns that into the least n at
 which the value is final below a given order, in O(1), and
-`stabilized_h_value` / `stabilized_f_value` evaluate once, at that n;
-the F value is the binomial sum sum_i C(j, i) H(n, a)(z q^(j-2i)), one
-`_h_window` over its j + 1 arguments.
+`_stabilized_values` evaluates each sample once, at its own n; the F
+value is the binomial sum sum_i C(j, i) H(n, a)(z q^(j-2i)), one group
+of j + 1 arguments, and the samples that share a certified n share one
+`_h_window` walk.  `stabilized_h_value` / `stabilized_f_value` are its
+one-sample case.
 The limits themselves are the infinite products `h_limit_product` and,
 for the shifted family, the binomial combination `f_limit_sum`.  Their
 arguments multiply to q^2a, so both are `TripleProductSpec` lists on
@@ -190,28 +192,54 @@ def _limit_args(a, w: Monomial, order) -> Tuple[HalfInt, int]:
     return a, ordnum
 
 
-def _h_window(n: int, a: HalfInt, args: List[Tuple[int, Monomial]], lo: int, hi: int) -> list:
-    """sum_i c_i H(n, a)(w_i) on the half-unit frame [lo, hi), over args (c_i, w_i).
+def _h_window(
+    n: int, a: HalfInt, groups: List[List[Tuple[int, Monomial]]], lo: int, hi: int
+) -> List[list]:
+    """Per group of args (c_i, w_i), sum_i c_i H(n, a)(w_i) on the half-unit frame [lo, hi).
 
-    With w = sign*q^(m/2), one walk down the binomial column adds each
-    slice, times c sign^t q^(a t^2 + m t), straight into the frame.  The
-    frame must start at or below H's lowest exponent, which |m| >= a puts
-    below q^0.
+    With w = sign*q^(m/2), one walk down the binomial column, as long as
+    the lowest argument needs, adds each slice, times c sign^t
+    q^(a t^2 + m t), straight into its group's frame.  A frame must start
+    at or below H's lowest exponent, which |m| >= a puts below q^0.
     """
     ts = range(-n, n + 1)
-    low = min(a.num * t * t + w.q_exp.num * t for _, w in args for t in ts)
-    out = [0] * (hi - lo)
+    low = min(a.num * t * t + w.q_exp.num * t for args in groups for _, w in args for t in ts)
+    outs = [[0] * (hi - lo) for _ in groups]
     for k, b in _qbinom_column(2 * n, n, max((hi - low + 1) // 2, 1)):
         s = n - k
-        for c, w in args:
-            for t in (s, -s) if s else (0,):
-                e = a.num * t * t + w.q_exp.num * t - lo
-                width = (hi - lo - e + 1) // 2
-                if width > 0:
-                    ct = -c if w.sign < 0 and t % 2 else c
-                    part = b[:width] if abs(ct) == 1 else [abs(ct) * x for x in b[:width]]
-                    op = sub if ct < 0 else add
-                    out[e : e + 2 * width : 2] = map(op, out[e : e + 2 * width : 2], part)
+        for out, args in zip(outs, groups):
+            for c, w in args:
+                for t in (s, -s) if s else (0,):
+                    e = a.num * t * t + w.q_exp.num * t - lo
+                    width = (hi - lo - e + 1) // 2
+                    if width > 0:
+                        ct = -c if w.sign < 0 and t % 2 else c
+                        part = b[:width] if abs(ct) == 1 else [abs(ct) * x for x in b[:width]]
+                        op = sub if ct < 0 else add
+                        out[e : e + 2 * width : 2] = map(op, out[e : e + 2 * width : 2], part)
+    return outs
+
+
+def _stabilized_values(j: int, a: HalfInt, ws: Sequence[Monomial], order) -> List[Tuple[QSeries, int]]:
+    """[(F(n, j, a)(w), n) for w in ws] below `order`, each at its own certified n.
+
+    F(n, j, a)(z) = sum_i C(j, i) H(n, a)(z q^(j-2i)), so n is certified for
+    every shifted argument, and each has |m| < a.  The samples that share
+    a certified n share one walk down the binomial column.
+    """
+    if j < 0:
+        raise SpecError(f"needs j >= 0, got {j}")
+    groups, ns = [], []
+    for w in ws:
+        a, ordnum = _limit_args(a, w, order)
+        args = [(binom(j, i), w.times_q(qe(j - 2 * i))) for i in range(j + 1)]
+        groups.append(args)
+        ns.append(_certified_n(a, [v.q_exp.num for _, v in args], ordnum))
+    out = [None] * len(ws)
+    for n in dict.fromkeys(ns):
+        at = [i for i, m in enumerate(ns) if m == n]
+        for i, frame in zip(at, _h_window(n, a, [groups[i] for i in at], 0, ordnum)):
+            out[i] = (QSeries(0, frame, ordnum), n)
     return out
 
 
@@ -222,20 +250,12 @@ def stabilized_h_value(a: HalfInt, w: Monomial, order) -> Tuple[QSeries, int]:
     normalization), with |m| < a, so every exponent of H(n, a)(w) is >= 0.
     This is the case j = 0 of `stabilized_f_value`.
     """
-    a, ordnum = _limit_args(a, w, order)
-    n = _certified_n(a, (w.q_exp.num,), ordnum)
-    return QSeries(0, _h_window(n, a, [(1, w)], 0, ordnum), ordnum), n
+    return _stabilized_values(0, a, [w], order)[0]
 
 
 def stabilized_f_value(j: int, a: HalfInt, w: Monomial, order) -> Tuple[QSeries, int]:
     """F(n, j, a)(w) below `order` at the certified n; returns (value, n).
 
-    F(n, j, a)(z) = sum_i C(j, i) H(n, a)(z q^(j-2i)), so n is certified for
-    every shifted argument, and each has |m| < a.
+    The one-sample case of `_stabilized_values`.
     """
-    if j < 0:
-        raise SpecError(f"needs j >= 0, got {j}")
-    a, ordnum = _limit_args(a, w, order)
-    args = [(binom(j, i), w.times_q(qe(j - 2 * i))) for i in range(j + 1)]
-    n = _certified_n(a, [v.q_exp.num for _, v in args], ordnum)
-    return QSeries(0, _h_window(n, a, args, 0, ordnum), ordnum), n
+    return _stabilized_values(j, a, [w], order)[0]

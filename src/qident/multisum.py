@@ -263,7 +263,7 @@ class _TailValues:
         if low < self.lo:
             raise IllPosedError(f"tail value at s={s} reaches q^{HalfInt(low)}, below its frame")
         if isinstance(t, TailH):
-            c = _h_window(s, t.a, [(1, z)], self.lo, self.w + low)
+            c = _h_window(s, t.a, [[(1, z)]], self.lo, self.w + low)[0]
             for d in range(1, 2 * s + 1):
                 _prefix_add(c, 2 * d)
         else:
@@ -345,7 +345,7 @@ def eval_multisum(spec: SummandSpec, order, stats: Optional[SumStats] = None) ->
         need.append([r - m for r, m in zip(need[-1], run)])
     # floor[i][s]: certified minimal exponent of V_i(s) / q^(e_i(s))
     floor = [[tail_min_num(spec.tail, s) for s in cap]]
-    rest = [_tail_floor_num(spec.tail, s) for s in cap]
+    rest = list(accumulate(floor[0], min))  # _tail_floor_num(tail, s) for each s
     for i in range(k - 1, 0, -1):
         rest = [r + _index_min_num(quad[i], lam[i], s) for s, r in enumerate(rest)]
         floor.insert(0, rest)

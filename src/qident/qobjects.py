@@ -13,7 +13,10 @@ holds the coefficient of x^i (x = q^(1/2) in the engines, x = q in the
 binomial column), `_two_term` multiplies by 1 + c x^e, `_prefix_add`
 divides by 1 - x^d, and `_inv_poch_ladder` stacks the latter into
 1/(q)_d.  The binomial column `_qbinom_column`, H and every multisum tail
-are built from these passes.
+are built from these passes.  Each pass is a few whole-slice operations,
+never a Python loop over slots: `_two_term` one, `_prefix_add` at most
+min(d, ceil(len / d)), an `accumulate` per residue class mod d when
+d^2 < len, else one block add per d slots.
 """
 
 from __future__ import annotations
@@ -90,10 +93,20 @@ def _two_term(c: list, sign: int, e: int) -> list:
 
 
 def _prefix_add(c: list, step: int) -> list:
-    """Multiply c by 1 / (1 - x^step) in place: c[i] += c[i - step]."""
-    # residues r >= len(c) - step hold one coefficient: nothing to add
-    for r in range(min(step, len(c) - step)):
-        c[r::step] = accumulate(c[r::step])
+    """Multiply c by 1 / (1 - x^step) in place: c[i] += c[i - step].
+
+    A short step runs one `accumulate` per residue class mod step; a long
+    one (step^2 >= len(c)) adds each block of `step` slots to the block
+    below it, lowest block first, so each reads an already-divided block.
+    Either way a pass costs at most min(step, ceil(len / step)) slice operations.
+    """
+    n = len(c)
+    if step * step < n:
+        for r in range(step):
+            c[r::step] = accumulate(c[r::step])
+    else:
+        for i in range(step, n, step):
+            c[i : i + step] = map(add, c[i : i + step], c[i - step : i])
     return c
 
 

@@ -14,6 +14,7 @@ from qident import (
     QSeries,
     SpecError,
     SummandSpec,
+    SumStats,
     TailOverOdd,
     TripleProductSpec,
     edge_weight,
@@ -369,6 +370,37 @@ def test_verify_accepts_int_orders_as_whole_exponents():
 def test_h_limit_ill_posed_z_is_an_error():
     rep = verify(make_case("H_LIMIT", a="3/2", z_sign="+", z_exp="5/2"))
     assert rep.status == "error"
+
+
+def test_limit_cases_walk_one_column_per_certified_n(monkeypatch):
+    import qident.hfamily as hfamily
+
+    walks = []
+    column = hfamily._qbinom_column
+    monkeypatch.setattr(hfamily, "_qbinom_column", lambda N, *a: walks.append(N // 2) or column(N, *a))
+    zs = ["q^-1/2", "-q^-1/2", "1", "-1", "q^1/2", "-q^1/2"]
+    cases = [
+        (
+            make_case("H_LIMIT", a="3/2", order=qe(240)),
+            [239, 240],
+            [f"a=3/2 z={z}: polynomial at certified n=239 vs product" for z in zs]
+            + [f"a=3/2 z={z}: polynomial at certified n=240 vs product" for z in ("q^1", "-q^1")],
+        ),
+        (
+            make_case("F_LIMIT", j=1, a="7/2", order=qe(40)),
+            [39],
+            [
+                f"j=1 a=7/2 z={z}: closure value at certified n=39 vs product sum"
+                for z in ["q^-3/2", "-q^-3/2"] + zs + ["q^1", "-q^1", "q^3/2", "-q^3/2"]
+            ],
+        ),
+    ]
+    for case, ns, labels in cases:
+        walks.clear()
+        assert verify(case).status == "pass"
+        assert sorted(walks) == ns, case.id
+        entry, params, wnum = catalog._prepare(case)
+        assert [c.label for c in entry.runner(params, wnum, SumStats())] == labels
 
 
 def test_f_limit_needs_margin():

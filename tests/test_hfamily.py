@@ -22,6 +22,7 @@ from qident import (
     he,
     qe,
 )
+from qident.hfamily import _stabilized_values
 from naive import n_hpoly_at, n_qbinom
 
 
@@ -206,6 +207,29 @@ def test_certified_n_is_sharp_for_m_zero():
             assert n == 29
             assert not val.eq_upto(_value_at(n - 1, 0, a, w, order)).equal
             assert val.eq_upto(_value_at(n, 0, a, w, order)).equal
+
+
+def test_batched_values_equal_the_one_sample_values():
+    # one shared walk per certified n runs as long as its lowest sample needs;
+    # every value must still equal the one it has alone
+    count = 0
+    for anum in range(1, 10):
+        a = HalfInt(anum)
+        for j in range(3):
+            ws = [
+                Monomial(sign, HalfInt(mnum))
+                for mnum in range(-anum + 1, anum)
+                if abs(mnum) + 2 * j < anum
+                for sign in (1, -1)
+            ]
+            for order in (he(37), qe(20), he(81), he(161)):
+                got = _stabilized_values(j, a, ws, order)
+                want = [stabilized_f_value(j, a, w, order) for w in ws]
+                if j == 0:
+                    assert want == [stabilized_h_value(a, w, order) for w in ws]
+                assert got == want, (anum, j, order)
+                count += len(ws)
+    assert count == 1240
 
 
 def test_stabilized_values_build_no_laurent_polynomial(monkeypatch):

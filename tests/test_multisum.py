@@ -2,6 +2,7 @@
 
 import random
 from functools import lru_cache
+from itertools import accumulate
 
 import pytest
 
@@ -132,6 +133,24 @@ def test_prune_bound_empty_prefix_is_below_every_one_index_prefix():
         empty = prune_bound(spec, ())
         for s in range(12):
             assert empty <= prune_bound(spec, (s,)), (spec, s)
+
+
+def test_running_min_of_tail_minima_is_the_capped_floor():
+    # eval_multisum builds its floor row as a running minimum of tail_min_num
+    tails = [TailOdd(), TailEven()]
+    for mnum in (-3, -1, 0, 2, 5):
+        for sign in (1, -1):
+            z = Monomial(sign, HalfInt(mnum))
+            tails += [TailOver(z), TailOverOdd(z, 0), TailOverOdd(z, 2)]
+    tails += [
+        TailH(HalfInt(anum), Monomial(sign, HalfInt(mnum)))
+        for anum in range(1, 7)
+        for mnum in range(-anum - 2, anum + 3)
+        for sign in (1, -1)
+    ]
+    for tail in tails:
+        row = list(accumulate((tail_min_num(tail, s) for s in range(40)), min))
+        assert row == [_tail_floor_num(tail, s) for s in range(40)], tail
 
 
 def test_uncapped_over_odd_floor_counts_the_first_factor():

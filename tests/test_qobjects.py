@@ -1,6 +1,8 @@
 """q-binomials, Pochhammer products, and the classical partition series."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qident import (
     INF,
@@ -19,6 +21,7 @@ from qident import (
     he,
     qe,
 )
+from qident.qobjects import _prefix_add, _two_term
 from naive import n_poch_finite, n_poch_infinite, n_qbinom
 
 
@@ -66,6 +69,29 @@ def test_qbinom_two_routes_agree():
             for i in range(9):
                 want = exact[i] if i < len(exact) else 0
                 assert trunc.coeff_q(i) == want
+
+
+_LISTS = st.lists(st.integers(-9, 9), max_size=60)
+
+
+@given(_LISTS)
+def test_prefix_add_matches_the_naive_recurrence(c):
+    # steps below and above sqrt(len) take the residue and the block regime
+    for step in range(1, len(c) + 3):
+        want = list(c)
+        for i in range(step, len(want)):
+            want[i] += want[i - step]
+        assert _prefix_add(list(c), step) == want, step
+
+
+@given(_LISTS)
+def test_two_term_matches_a_copying_loop(c):
+    n = len(c)
+    for sign in (1, -1):
+        for e in range(-n, n + 1):
+            # reads the original list; a negative e leaves the top -e slots as they were
+            want = [c[i] + sign * c[i - e] if 0 <= i - e < n else c[i] for i in range(n)]
+            assert _two_term(list(c), sign, e) == want, (sign, e)
 
 
 def test_poch_finite_scalar_vs_naive(rng):
