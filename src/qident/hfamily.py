@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import add, sub
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .products import TripleProductSpec, eval_product_sum
 from .qobjects import Monomial, binom, _poly_to_series, _qbinom_column
@@ -174,9 +174,7 @@ def _certified_n(a: HalfInt, ms: Sequence[int], ordnum: int) -> int:
         mu = abs(m)
         if mu >= A:
             raise IllPosedError(f"a certified limit needs |m| < a, got m={HalfInt(m)} a={a}")
-        s0 = (2 + mu) // (2 * A)  # the real minimizer lies in [s0, s0 + 1]
-        dip = min(A * s * s - (2 + mu) * s for s in (s0, s0 + 1))
-        n = max(n, (ordnum - dip + 1) // 2 - 1)
+        n = max(n, (ordnum - _h_min_num(A, -2 - mu) + 1) // 2 - 1)
     return n
 
 
@@ -192,31 +190,49 @@ def _limit_args(a, w: Monomial, order) -> Tuple[HalfInt, int]:
     return a, ordnum
 
 
+def _h_min_num(A: int, m: int, n: Optional[int] = None) -> int:
+    """min of A t^2 + m t over integers t (|t| <= n when n is given), A > 0.
+
+    The parabola is convex, so the integer argmin sits next to the vertex.
+    """
+    v = -m // (2 * A)  # the real vertex lies in [v, v + 1]
+    ts = (v, v + 1) if n is None else (max(-n, min(n, v)), max(-n, min(n, v + 1)))
+    return min(A * t * t + m * t for t in ts)
+
+
 def _h_window(
-    n: int, a: HalfInt, groups: List[List[Tuple[int, Monomial]]], lo: int, hi: int
+    n: int, a: HalfInt, groups: List[List[Tuple[int, Monomial]]], lo: int, hi: int, g: int = 1
 ) -> List[list]:
     """Per group of args (c_i, w_i), sum_i c_i H(n, a)(w_i) on the half-unit frame [lo, hi).
 
     With w = sign*q^(m/2), one walk down the binomial column, as long as
     the lowest argument needs, adds each slice, times c sign^t
-    q^(a t^2 + m t), straight into its group's frame.  A frame must start
-    at or below H's lowest exponent, which |m| >= a puts below q^0.
+    q^(a t^2 + m t), straight into its group's frame, and skips a slice
+    that starts at or above hi for every argument.  A frame must start at
+    or below H's lowest exponent, which |m| >= a puts below q^0.  Slot x
+    of a frame holds exponent lo + g x: g = 2 needs lo and every
+    a t^2 + m t even.
     """
-    ts = range(-n, n + 1)
-    low = min(a.num * t * t + w.q_exp.num * t for args in groups for _, w in args for t in ts)
-    outs = [[0] * (hi - lo) for _ in groups]
+    A = a.num
+    low = min(_h_min_num(A, w.q_exp.num, n) for args in groups for _, w in args)
+    mu = max(abs(w.q_exp.num) for args in groups for _, w in args)
+    stride = 2 // g
+    outs = [[0] * ((hi - lo + g - 1) // g) for _ in groups]
     for k, b in _qbinom_column(2 * n, n, max((hi - low + 1) // 2, 1)):
         s = n - k
+        if A * s * s - mu * s >= hi:  # no slice +-s starts below hi
+            continue
         for out, args in zip(outs, groups):
             for c, w in args:
                 for t in (s, -s) if s else (0,):
-                    e = a.num * t * t + w.q_exp.num * t - lo
+                    e = A * t * t + w.q_exp.num * t - lo
                     width = (hi - lo - e + 1) // 2
                     if width > 0:
                         ct = -c if w.sign < 0 and t % 2 else c
                         part = b[:width] if abs(ct) == 1 else [abs(ct) * x for x in b[:width]]
                         op = sub if ct < 0 else add
-                        out[e : e + 2 * width : 2] = map(op, out[e : e + 2 * width : 2], part)
+                        at = slice(e // g, e // g + stride * width, stride)
+                        out[at] = map(op, out[at], part)
     return outs
 
 

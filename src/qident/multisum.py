@@ -29,12 +29,23 @@ counts the cells visited, skipped and evaluated; the test suite checks
 the engine against an unpruned brute force.
 
 The tails are built by the same list passes, which live in `qobjects`
-(`_two_term`, `_prefix_add`, `_inv_poch_ladder`).  1/(q)_s and
-1/(q^2;q^2)_s are the rungs of one prefix-add ladder.  The overpartition
-tails step from s - 1 to s in place: a two-term pass per new factor
-1 + c q^e, a prefix-add pass per new 1/(1 - q^d).  H(s, a)(z) comes from
-one walk down the binomial column (`hfamily._h_window`), then 2s
-prefix-add passes divide it by (q)_{2s}.  No tail multiplies two series.
+(`_two_term`, `_prefix_add`).  1/(q)_s, 1/(q^2;q^2)_s and the
+overpartition tails are rungs of one ladder, each stepped from s - 1 to s
+in place: a two-term pass per new factor 1 + c q^e, a prefix-add pass per
+new 1/(1 - q^d).  H(s, a)(z) comes from one walk down the binomial column
+(`hfamily._h_window`), then 2s prefix-add passes divide it by (q)_{2s}.
+No tail multiplies two series.
+
+Every pass above the tails moves by whole q-units: the shifts e_i(s), the
+prefix-add steps s - t and the placement offsets t.  So the tails, every
+level and the final sum share one grid of spacing g half-units, slot x
+holding the exponent lo + g x, and g = 2 whenever the tail's exponents
+are all whole: always for TailOdd and TailEven, for TailOver and
+TailOverOdd at an even z exponent m (in half-units), for TailH when
+2a + m is even.  The frame's lo is then whole too, every list is half as
+long, and the result is spread back onto the half grid once
+(`qobjects._poly_to_series`).  A mixed-parity tail keeps g = 1, one
+interleaved list.
 """
 
 from __future__ import annotations
@@ -44,8 +55,8 @@ from itertools import accumulate
 from operator import add
 from typing import Optional, Tuple, Union
 
-from .hfamily import _h_window
-from .qobjects import Monomial, _inv_poch_ladder, _prefix_add, _two_term
+from .hfamily import _h_min_num, _h_window
+from .qobjects import Monomial, _poly_to_series, _prefix_add, _two_term
 from .series import (
     HalfInt,
     IllPosedError,
@@ -175,7 +186,7 @@ def tail_min_num(tail: Tail, s: int) -> int:
         m = tail.z.q_exp.num
         if a <= 0:
             raise SpecError("collapsing tail needs a positive quadratic weight")
-        return min(a * t * t + m * t for t in range(-s, s + 1))
+        return _h_min_num(a, m, s)
     raise SpecError(f"unknown tail {tail!r}")
 
 
@@ -184,18 +195,9 @@ def _tail_floor_num(tail: Tail, cap: Optional[int]) -> int:
     if isinstance(tail, (TailOdd, TailEven)):
         return 0
     if isinstance(tail, TailH):
-        # convex in the inner index, so the integer argmin sits next to the vertex
-        a = tail.a.num
-        if a <= 0:
+        if tail.a.num <= 0:
             raise SpecError("collapsing tail needs a positive quadratic weight")
-        m = tail.z.q_exp.num
-        v = -m // (2 * a)
-        best = 0
-        for t in (v, v + 1):
-            if cap is not None:
-                t = max(-cap, min(cap, t))
-            best = min(best, a * t * t + m * t)
-        return best
+        return _h_min_num(tail.a.num, tail.z.q_exp.num, cap)
     if cap is not None:
         return min(tail_min_num(tail, s) for s in range(cap + 1))
     # TailOver/TailOverOdd: s -> s+1 increments are nondecreasing, so the
@@ -242,50 +244,67 @@ def prune_bound(spec: SummandSpec, prefix: Tuple[int, ...]) -> HalfInt:
     return HalfInt(total + _tail_floor_num(spec.tail, cap))
 
 
+def _grid(tail: Tail) -> int:
+    """2 when every exponent of every tail value is whole, else 1."""
+    if isinstance(tail, (TailOdd, TailEven)):
+        return 2
+    parity = tail.z.q_exp.num + (tail.a.num if isinstance(tail, TailH) else 0)
+    return 2 - parity % 2
+
+
 class _TailValues:
     """The tail's values at working order W, built by list passes (see the
-    module docstring); value s is known below W + tail_min_num(tail, s)."""
+    module docstring) on frames from lo at the tail's grid spacing g: slot
+    x holds the exponent lo + g x, and value s is known below
+    W + tail_min_num(tail, s)."""
 
     def __init__(self, tail: Tail, lo: int, wnum: int):
         self.tail = tail
         self.lo = lo
         self.w = wnum
         self.z = _tail_z(tail)
-        self.inv = _inv_poch_ladder(4 if isinstance(tail, TailEven) else 2, wnum)
-        # rung s: TailOver at z (at z q^(-offset) for TailOverOdd) on the frame [lo, W)
-        self.over = [[0] * -lo + [1] + [0] * (wnum - 1)]
+        self.g = g = _grid(tail)
+        # rung s: 1/(q)_s, 1/(q^2;q^2)_s, or TailOver at z (at z q^(-offset) for TailOverOdd)
+        self.rungs = [[0] * (-lo // g) + [1] + [0] * ((wnum - 1) // g)]
 
-    def value(self, s: int) -> QSeries:
-        t, z = self.tail, self.z
+    def _rung(self, i: int) -> list:
+        t, z, g = self.tail, self.z, self.g
+        c = list(self.rungs[-1])
         if isinstance(t, (TailOdd, TailEven)):
-            return self.inv(s)
-        low = tail_min_num(t, s)
+            return _prefix_add(c, (4 if isinstance(t, TailEven) else 2) * i // g)
+        m = z.q_exp.num - (2 * t.offset if isinstance(t, TailOverOdd) else 0)
+        c = _two_term(_two_term(c, z.sign, (m + 2 * i - 2) // g), z.sign, (2 * i - m) // g)
+        return _prefix_add(_prefix_add(c, (4 * i - 2) // g), 4 * i // g)
+
+    def value(self, s: int, low: int) -> Tuple[list, int]:
+        """(frame, top): value s on the frame, known below top = W + low,
+        where low = tail_min_num(tail, s)."""
+        t, z, g = self.tail, self.z, self.g
         if low < self.lo:
             raise IllPosedError(f"tail value at s={s} reaches q^{HalfInt(low)}, below its frame")
+        top = self.w + low
         if isinstance(t, TailH):
-            c = _h_window(s, t.a, [[(1, z)]], self.lo, self.w + low)[0]
+            c = _h_window(s, t.a, [[(1, z)]], self.lo, top, g)[0]
             for d in range(1, 2 * s + 1):
-                _prefix_add(c, 2 * d)
-        else:
-            m = z.q_exp.num - (2 * t.offset if isinstance(t, TailOverOdd) else 0)
-            while len(self.over) <= s:
-                i = len(self.over)
-                c = _two_term(_two_term(list(self.over[-1]), z.sign, m + 2 * i - 2), z.sign, 2 * i - m)
-                self.over.append(_prefix_add(_prefix_add(c, 4 * i - 2), 4 * i))
-            c = self.over[s]
-            if isinstance(t, TailOverOdd):
-                c = _prefix_add(_two_term(list(c), z.sign, 2 - m + 2 * s), 4 * s + 2)
-        return QSeries(self.lo, c, self.w + low)
+                _prefix_add(c, 2 * d // g)
+            return c, top
+        while len(self.rungs) <= s:
+            self.rungs.append(self._rung(len(self.rungs)))
+        c = self.rungs[s]
+        if isinstance(t, TailOverOdd):
+            m = z.q_exp.num - 2 * t.offset
+            c = _prefix_add(_two_term(list(c), z.sign, (2 - m + 2 * s) // g), (4 * s + 2) // g)
+        return c, top
 
 
-def _window(t: QSeries, lo: int, width: int) -> list:
-    """Coefficients of t at exponents lo .. lo + width - 1 (numerators)."""
-    if (t._ordnum is not None and t._ordnum < lo + width) or (t._coeffs and t._min < lo):
-        raise IllPosedError(f"tail value {t!r} does not cover q^{HalfInt(lo)}..q^{HalfInt(lo + width)}")
-    return ([0] * (t._min - lo) + t._coeffs + [0] * width)[:width]
+def _spread(c: list, lo: int, ordnum: int, g: int) -> QSeries:
+    """The series whose exponent lo + g x has coefficient c[x], known below ordnum."""
+    if g == 1:
+        return QSeries(lo, c, ordnum)
+    return _poly_to_series(c, HalfInt(ordnum - lo)).shift(HalfInt(lo))
 
 
-def _horner(cells: list, s: int, width: int, lift: int) -> list:
+def _horner(cells: list, s: int, width: int, lift: int, g: int) -> list:
     """sum_{t<=s} q^(lift*t) cells[t] / (q; q)_{s-t} in its first `width` slots.
 
     Horner from t = 0 up: once cells[t] has joined the partial sum, it is
@@ -294,16 +313,16 @@ def _horner(cells: list, s: int, width: int, lift: int) -> list:
     acc = [0] * width
     for t in range(s + 1):
         c = cells[t]
-        off = 2 * lift * t
+        off = 2 * lift * t // g
         if c is not None and off < width:
             acc[off:] = map(add, acc[off:], c[: width - off])
         if t < s and any(acc):
-            _prefix_add(acc, 2 * (s - t))
+            _prefix_add(acc, 2 * (s - t) // g)
     return acc
 
 
 def _shift(w: list, e: int) -> list:
-    """Multiply a window by q^(e/2), keeping its upper end fixed in the frame."""
+    """Move a window up by e slots (down for e < 0), keeping its upper end fixed in the frame."""
     if e < 0 and any(w[:-e]):
         raise IllPosedError("a partial sum reaches below its certified floor")
     return [0] * e + w if e >= 0 else w[-e:]
@@ -350,8 +369,9 @@ def eval_multisum(spec: SummandSpec, order, stats: Optional[SumStats] = None) ->
         rest = [r + _index_min_num(quad[i], lam[i], s) for s, r in enumerate(rest)]
         floor.insert(0, rest)
 
-    # bottom up over the levels; a cell is a window of need - lo slots,
-    # None when it is certified zero there
+    # bottom up over the levels; a cell is a window of need - lo half-units,
+    # g to a slot, None when it is certified zero there
+    g = tails.g
     cells = None
     for i in range(k - 1, -1, -1):
         row = []
@@ -362,14 +382,20 @@ def eval_multisum(spec: SummandSpec, order, stats: Optional[SumStats] = None) ->
                 row.append(None)
                 continue
             stats.tuples += 1
-            width = need[i][s] - e[i][s] - lo
+            span = need[i][s] - e[i][s] - lo
+            width = -(-span // g)
             if cells is None:
-                w = _window(tails.value(s), lo, width)
+                c, top = tails.value(s, floor[i][s])
+                if top < lo + span:
+                    t = _spread(c, lo, top, g)
+                    raise IllPosedError(f"tail value {t!r} does not cover q^{HalfInt(lo)}..q^{HalfInt(lo + span)}")
+                w = c[:width]
             else:
-                w = _horner(cells, s, width, 0)
-                if i + 2 in placement and width > 2 * s:
-                    w[2 * s :] = map(add, w[2 * s :], _horner(cells, s, width - 2 * s, 1))
-            row.append(_shift(w, e[i][s]))
+                w = _horner(cells, s, width, 0, g)
+                off = 2 * s // g
+                if i + 2 in placement and width > off:
+                    w[off:] = map(add, w[off:], _horner(cells, s, width - off, 1, g))
+            row.append(_shift(w, e[i][s] // g))
         cells = row
     live = [c for c in cells if c is not None]
-    return QSeries(lo, [sum(col) for col in zip(*live)], nnum)
+    return _spread([sum(col) for col in zip(*live)], lo, nnum, g)

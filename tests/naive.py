@@ -213,8 +213,11 @@ def brute_force_multisum(
     tail,
     order: int,
     cap: int,
+    quad=None,
 ) -> NaiveSeries:
     """Unpruned multisum over all weakly decreasing tuples with s_1 <= cap.
+
+    `quad` holds the quadratic weights, one per index (default all 1).
 
     `tail` is a plain descriptor tuple:
       ("odd",)                       1/(q;q)_{s_k}
@@ -228,12 +231,13 @@ def brute_force_multisum(
     discarded tuples fall beyond `order`.
     """
     placement = frozenset(placement or ())
+    quad = quad or (1,) * k
     tail_lo = _tail_min_expnum(tail)
     acc = NaiveSeries.zero(order)
     for tup in iter_weakly_decreasing(k, cap):
         expnum = 0
         for i in range(k):
-            expnum += 2 * tup[i] * tup[i] + 2 * linear[i] * tup[i]
+            expnum += 2 * quad[i] * tup[i] * tup[i] + 2 * linear[i] * tup[i]
         drop = 2 * sum(tup[pos - 1] for pos in placement)
         # every other factor has min exponent >= 0, so the whole term sits
         # at or above expnum - drop + tail_lo; window each tuple just wide

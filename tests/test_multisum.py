@@ -255,7 +255,8 @@ def naive_tail(descriptor, s, W):
 @pytest.mark.parametrize("wnum", (80, 81))
 def test_tail_values_match_the_naive_oracle(wnum):
     # every tail kind at s <= 30, both signs of every sampled z exponent:
-    # the pass-built value claims W + tail_min_num and is right below it
+    # the pass-built value claims W + tail_min_num and is right below it,
+    # on the whole-q grid (g = 2) when its exponents are all whole
     tails = [(TailOdd(), ("odd",)), (TailEven(), ("even",))]
     for sign in (1, -1):
         for m in _POLICY_MS:
@@ -268,9 +269,10 @@ def test_tail_values_match_the_naive_oracle(wnum):
         values = _TailValues(tail, lo, wnum)
         for s in range(31):
             top = wnum + tail_min_num(tail, s)
-            got, want = values.value(s), naive_tail(descriptor, s, wnum)
-            assert got.order >= he(top), (tail, s)
-            dense = [0] * (got.min_exp.num - lo) + got._coeffs + [0] * (top - lo)
+            (frame, known), want = values.value(s, tail_min_num(tail, s)), naive_tail(descriptor, s, wnum)
+            assert known >= top, (tail, s)
+            dense = [0] * (values.g * len(frame) + top - lo)
+            dense[: values.g * len(frame) : values.g] = frame
             assert dense[: top - lo] == [want.coeff(e) for e in range(lo, top)], (tail, s)
             assert want.offset >= lo or not any(want.coeffs[: lo - want.offset]), (tail, s)
 
@@ -318,3 +320,73 @@ def test_custom_quadratic_weights():
     assert base.coeff_q(1) == 1
     assert heavy.coeff_q(1) == 0
     assert heavy.coeff_q(2) == 1
+
+
+def test_engine_matches_brute_force_on_both_grids():
+    # every tail kind, each z exponent of both parities and signs: TailOver
+    # and TailOverOdd are whole-q (g = 2) for even m, TailH for even 2a + m,
+    # TailOdd and TailEven always; the shapes rotate through placements at
+    # positions 1 and >= 2 and quadratic weights above 1
+    from qident.multisum import _grid
+
+    shapes = [
+        (1, (0,), (), None),
+        (2, (0, 1), (2,), None),
+        (2, (-1, 0), (1,), (2, 1)),
+        (3, (1, 0, 1), (1, 3), (1, 1, 2)),
+        (3, (0, 1, 0), (2, 3), (3, 1, 1)),
+    ]
+    tails = [(TailOdd(), ("odd",)), (TailEven(), ("even",))]
+    for m in (-2, -1, 0, 1, 2, 3):
+        for sign in (1, -1):
+            z = Monomial(sign, he(m))
+            tails.append((TailOver(z), ("over", sign, m)))
+            tails.append((TailOverOdd(z, 1), ("over_odd", sign, m, 1)))
+            tails.append((TailH(he(1), z), ("h", 1, sign, m)))
+            tails.append((TailH(he(2), z), ("h", 2, sign, m)))
+    grids = set()
+    for n, (tail, descriptor) in enumerate(tails):
+        k, linear, placement, quad = shapes[n % len(shapes)]
+        ordnum = 21 + n % 2  # both a whole and a half-integer order
+        spec = SummandSpec(k, linear, placement=frozenset(placement), quad=quad, tail=tail)
+        got = eval_multisum(spec, he(ordnum))
+        want = brute_force_multisum(k, linear, spec.placement, descriptor, ordnum, cap=ordnum + 6, quad=quad)
+        assert got.order == he(ordnum)
+        for e in range(ordnum):
+            assert got.coefficient(he(e)) == want.coeff(e), (spec, descriptor, e)
+        grids.add((type(tail).__name__, _grid(tail)))
+    kinds = {"TailOver", "TailOverOdd", "TailH"}
+    assert {(kind, g) for kind in kinds for g in (1, 2)} | {("TailOdd", 2), ("TailEven", 2)} == grids
+
+
+def _pass_lengths(monkeypatch, spec, order):
+    """Lengths of the lists every pass of eval_multisum runs on."""
+    import qident.multisum as ms
+
+    lengths = []
+    for name in ("_prefix_add", "_two_term"):
+        real = getattr(ms, name)
+        monkeypatch.setattr(
+            ms, name, lambda c, *args, _real=real: lengths.append(len(c)) or _real(c, *args)
+        )
+    eval_multisum(spec, order)
+    monkeypatch.undo()
+    return lengths
+
+
+def test_whole_q_sums_run_their_passes_on_half_the_frame(monkeypatch):
+    # AG k=3 is whole-q, so its tails, levels and sum run at spacing 2:
+    # no pass touches a list longer than half the frame [lo, N); an OVER_1
+    # sample at the odd z exponent 1 is mixed and keeps the full frame
+    from qident.catalog import _SUM_ROWS
+
+    order = qe(40)
+    ag = _SUM_ROWS["AG"].summand({"k": 3, "r": 0, "j": 0, "placement": None}, None)
+    p = {"k": 1, "r": 0, "j": 1, "placement": frozenset({1})}
+    over = _SUM_ROWS["OVER_1"].summand(p, Monomial(1, he(1)))
+    for spec in (ag, over):
+        assert prune_bound(spec, ()).num == 0  # lo = 0: the frame is [0, N)
+    lengths = _pass_lengths(monkeypatch, ag, order)
+    assert lengths and max(lengths) <= order.num // 2
+    lengths = _pass_lengths(monkeypatch, over, order)
+    assert max(lengths) >= order.num

@@ -163,6 +163,25 @@ def test_eq_upto_mismatch_reports_smallest_exponent():
     assert r.mismatch.z_exp is None
 
 
+def test_eq_upto_first_mismatch_across_gaps_and_unequal_starts():
+    from qident import CompareResult, Mismatch
+
+    a = QSeries.from_terms({he(-3): 2, he(4): 1, he(30): 5}, he(40))
+    b = QSeries.from_terms({he(-3): 2, he(4): 1, he(30): 6, he(35): 1}, he(50))
+    assert a.eq_upto(b, z_exp=2) == CompareResult(False, he(40), Mismatch(he(30), 5, 6, 2))
+    # the other side starts lower, with a zero where the first has a term
+    c = QSeries.from_terms({he(-7): -1, he(4): 1}, INF)
+    assert a.eq_upto(c) == CompareResult(False, he(40), Mismatch(he(-7), 0, -1, None))
+    assert c.eq_upto(a) == CompareResult(False, he(40), Mismatch(he(-7), -1, 0, None))
+    # a gap on one side only, after an equal run
+    d = QSeries.from_terms({he(-3): 2, he(4): 1, he(9): 7}, he(12))
+    assert a.eq_upto(d) == CompareResult(False, he(12), Mismatch(he(9), 0, 7, None))
+    # a zero series against a series that starts far above, and a cap below both starts
+    z = QSeries.zero(he(60))
+    assert z.eq_upto(a) == CompareResult(False, he(40), Mismatch(he(-3), 0, 2, None))
+    assert a.eq_upto(QSeries.from_terms({he(50): 1}, he(-10))) == CompareResult(True, he(-10))
+
+
 def test_eq_upto_ignores_at_and_beyond_cap():
     a = QSeries.from_terms({he(2): 1}, he(6))
     b = QSeries.from_terms({he(2): 1, he(6): 9, he(8): 1}, he(12))
@@ -229,6 +248,91 @@ def test_kronecker_matches_schoolbook(rng):
                         out[i + j] += x * y
         for n in range(0, 3000, 37):
             assert prod.coefficient(he(n)) == out[n]
+
+
+
+_COEFFS = (st.sampled_from((1, -1)), st.integers(-9, 9), st.integers(-(2**80), 2**80))
+
+
+@st.composite
+def _operands(draw):
+    """A QSeries that is sparse or dense, with or without empty odd slots,
+    small, non-unit or big coefficients, any start, exact or truncated."""
+    size = draw(st.integers(0, 70))
+    coeff = draw(st.sampled_from(_COEFFS))
+    if draw(st.booleans()):
+        c = [0] * size
+        for i in draw(st.lists(st.integers(0, size - 1), max_size=6)) if size else ():
+            c[i] = draw(coeff)
+    else:
+        c = draw(st.lists(coeff, min_size=size, max_size=size))
+    if draw(st.booleans()):
+        c[1::2] = [0] * len(c[1::2])
+    lo = draw(st.integers(-20, 20))
+    ordnum = None if draw(st.booleans()) else lo + draw(st.integers(-5, size + 8))
+    return QSeries(lo, c, ordnum)
+
+
+def _naive_window(s, pad):
+    from naive import NaiveSeries
+
+    order = s._min + len(s._coeffs) + pad if s._ordnum is None else s._ordnum
+    off = min(s._min, order)
+    return NaiveSeries(off, ([0] * (s._min - off) + s._coeffs + [0] * (order - off))[: order - off], order)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_operands(), _operands())
+def test_product_matches_the_naive_oracle_on_every_path(a, b):
+    from naive import NaiveSeries
+    from qident.series import _convolve_kronecker, _convolve_schoolbook, _convolve_sparse
+
+    p = a * b
+    exact_zero = any(not s._coeffs and s._ordnum is None for s in (a, b))
+    want = _naive_window(a, 200).mul(_naive_window(b, 200))
+    if exact_zero:
+        assert p.is_zero and p.order is INF
+    else:
+        exact = a._ordnum is None and b._ordnum is None
+        assert p.order == (INF if exact else he(want.order))
+        assert all(e.num >= want.offset for e, _ in p.terms())
+        for e in range(want.offset, want.order):
+            assert p.coefficient(he(e)) == want.coeff(e), e
+    # each multiply path on its own: the strided and unit slice adds, the
+    # Kronecker packing and the schoolbook loop
+    x, y = a._coeffs, b._coeffs
+    if x and y:
+        n = len(x) + len(y) - 1
+        full = NaiveSeries(0, x + [0] * len(y), n + 1).mul(NaiveSeries(0, y + [0] * len(x), n + 1))
+        ref = full.coeffs[:n]
+        assert _convolve_schoolbook(x, y, n) == ref
+        assert _convolve_kronecker(x, y, n) == ref
+        assert _convolve_sparse(x, y, n, 1) == ref
+        if not any(y[1::2]):
+            assert _convolve_sparse(x, y, n, 2) == ref
+
+
+def test_product_paths_follow_the_nonzero_counts(monkeypatch):
+    # a theta series times 1/(q)_inf takes the slice adds, stepping by 2 over
+    # the partition series' empty odd slots; two dense operands convolve
+    import qident.series as series
+    from qident import Monomial, partition_series, theta_triple_sum
+
+    calls = []
+    sparse, convolve = series._convolve_sparse, series._convolve
+    monkeypatch.setattr(
+        series, "_convolve_sparse", lambda x, y, n, step: calls.append(("sparse", step)) or sparse(x, y, n, step)
+    )
+    monkeypatch.setattr(series, "_convolve", lambda x, y, n: calls.append(("convolve",)) or convolve(x, y, n))
+    order = qe(100)
+    theta = theta_triple_sum(Monomial(1, he(3)), qe(7), order)
+    part = partition_series(order)
+    assert (theta * part).eq_upto(part * theta).equal
+    assert calls == [("sparse", 2), ("sparse", 2)]
+    calls.clear()
+    dense = QSeries(0, list(range(1, 200)), None)
+    assert (dense * part).coefficient(he(1)) == 2
+    assert calls == [("convolve",)]
 
 
 # -- ZLaurent -----------------------------------------------------------------
