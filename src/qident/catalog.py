@@ -53,7 +53,7 @@ from .multisum import (
     eval_multisum,
 )
 from .products import TripleProductSpec, eval_product_sum
-from .qobjects import Monomial, _inv_poch_ladder, binom, poch_finite, poch_finite_scalar
+from .qobjects import Monomial, _inv_poch_ladder, binom, poch_finite
 from .series import (
     INF,
     HalfInt,
@@ -881,11 +881,11 @@ def _prep_even_fact(params: dict) -> dict:
 
 
 def _run_even_fact(p: dict, wnum: int, stats: SumStats) -> List[Check]:
-    inv = _inv_poch_ladder(2, wnum)
+    inv, inv_even = _inv_poch_ladder(2, wnum), _inv_poch_ladder(4, wnum)
     checks = []
     for s in range(p["s_max"] + 1):
         lhs = h_poly(HSpec(s, qe(1)), he(wnum)).substitute(-1, qe(0)) * inv(2 * s)
-        rhs = poch_finite_scalar(Monomial(1, qe(2)), s, base_exp=qe(2)).inverse(he(wnum))
+        rhs = inv_even(s)
         checks.append(Check(f"s={s}: even-weight value factors", lhs, rhs))
     return checks
 

@@ -7,6 +7,9 @@ whenever an Euler-type product is requested, and the column step
 [N, k] = [N, k-1] (1 - q^(N-k+1)) / (1 - q^k) for Gaussian binomials
 (Andrews, *The Theory of Partitions*, ch. 3).  Both have slower
 independent counterparts in the test suite's `naive` oracles.
+`euler_series` and `partition_series` each cache one series, the
+deepest order built so far, and read a shallower order off it by
+truncation.
 
 The in-place list passes live here too.  On a dense list whose slot i
 holds the coefficient of x^i (x = q^(1/2) in the engines, x = q in the
@@ -36,6 +39,7 @@ from .series import (
     SpecError,
     ZLaurent,
     _ord_num,
+    _spread,
     qe,
 )
 
@@ -151,9 +155,7 @@ def qbinom_poly(n: int, k: int):
 
 
 def _poly_to_series(poly, order: Order) -> QSeries:
-    coeffs = [0] * (2 * len(poly) - 1) if poly else []
-    coeffs[::2] = poly
-    return QSeries(0, coeffs, _ord_num(order))
+    return QSeries(0, _spread(poly, 2 * len(poly) - 1), _ord_num(order))
 
 
 def qbinom(n: int, k: int, order: Order = INF) -> QSeries:
@@ -235,27 +237,34 @@ def poch_infinite(arg: Monomial, base_exp=qe(1), order: Order = None) -> QSeries
     return acc.truncated(HalfInt(ordnum))
 
 
+# Each cache holds one entry, the deepest order built so far; a shallower
+# order is read off it by truncation, a deeper one replaces it.
 _EULER_CACHE: dict = {}
 _PARTITION_CACHE: dict = {}
 
 
-def euler_series(order) -> QSeries:
-    """(q; q)_inf truncated at order, cached."""
+def _deepest(cache: dict, order, build: Callable[[int], QSeries]) -> QSeries:
     n = _ord_num(order)
     if n is None:
         raise IllPosedError("an infinite product needs a finite truncation order")
-    got = _EULER_CACHE.get(n)
-    if got is None:
-        got = _EULER_CACHE[n] = poch_infinite(Monomial(1, qe(1)), qe(1), HalfInt(n))
+    for have, got in cache.items():
+        if n <= have:
+            return got.truncated(HalfInt(n))
+    cache.clear()
+    got = cache[n] = build(n)
     return got
+
+
+def euler_series(order) -> QSeries:
+    """(q; q)_inf truncated at order, cached."""
+    euler = Monomial(1, qe(1))
+    return _deepest(_EULER_CACHE, order, lambda n: poch_infinite(euler, qe(1), HalfInt(n)))
 
 
 def partition_series(order) -> QSeries:
-    """1/(q; q)_inf truncated at order, cached."""
-    n = _ord_num(order)
-    if n is None:
-        raise IllPosedError("an infinite product needs a finite truncation order")
-    got = _PARTITION_CACHE.get(n)
-    if got is None:
-        got = _PARTITION_CACHE[n] = euler_series(HalfInt(n)).inverse()
-    return got
+    """1/(q; q)_inf truncated at order, cached; below a non-positive order, a zero."""
+
+    def build(n: int) -> QSeries:
+        return euler_series(HalfInt(n)).inverse() if n > 0 else QSeries.zero(HalfInt(n))
+
+    return _deepest(_PARTITION_CACHE, order, build)

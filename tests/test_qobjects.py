@@ -1,5 +1,7 @@
 """q-binomials, Pochhammer products, and the classical partition series."""
 
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -150,6 +152,40 @@ def test_euler_inverse_of_partitions():
     W = he(50)
     prod = euler_series(W) * partition_series(W)
     assert prod.eq_upto(QSeries.one()).equal
+
+
+@pytest.mark.parametrize("name, cache", [("euler_series", "_EULER_CACHE"), ("partition_series", "_PARTITION_CACHE")])
+def test_q_object_caches_keep_one_deepest_entry(monkeypatch, name, cache):
+    import qident.qobjects as qo
+
+    monkeypatch.setattr(qo, "_EULER_CACHE", {})
+    monkeypatch.setattr(qo, "_PARTITION_CACHE", {})
+    build = getattr(qo, name)
+    cold = {order: build(order) for order in (qe(40), he(81), he(1))}
+    qo._EULER_CACHE.clear()
+    qo._PARTITION_CACHE.clear()
+    deep = build(qe(240))
+    assert list(getattr(qo, cache)) == [qe(240).num]
+    for order, value in cold.items():
+        assert build(order) == value
+    assert list(getattr(qo, cache)) == [qe(240).num]
+    assert build(qe(240)) is deep
+    build(qe(300))
+    assert list(getattr(qo, cache)) == [qe(300).num]
+    assert build(qe(240)) == deep
+
+
+def test_partition_series_walks_only_the_pentagonal_terms(monkeypatch):
+    # 1/(q)_inf below q^N by the pentagonal recurrence, O(N sqrt N): a cold
+    # q^2400 took 0.53 s when the inverse walked every slot of (q)_inf
+    import qident.qobjects as qo
+
+    monkeypatch.setattr(qo, "_EULER_CACHE", {})
+    monkeypatch.setattr(qo, "_PARTITION_CACHE", {})
+    t0 = time.perf_counter()
+    p = partition_series(qe(2400))
+    assert time.perf_counter() - t0 < 0.25
+    assert (p.coeff_q(100), p.coeff_q(200)) == (190569292, 3972999029388)
 
 
 def test_monomial_helpers():

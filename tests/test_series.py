@@ -1,5 +1,7 @@
 """Kernel behaviour: half-exponents, truncated series, Laurent layer."""
 
+from operator import eq, ge, gt, le, lt
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -59,6 +61,28 @@ def test_halfint_int_operands_are_whole_exponents():
     assert qe(2) - 1 == qe(1)
     assert HalfInt(4).is_integral
     assert not HalfInt(5).is_integral
+
+
+@pytest.mark.parametrize("name, op", [("__lt__", lt), ("__le__", le), ("__gt__", gt), ("__ge__", ge), ("__eq__", eq)])
+@pytest.mark.parametrize("other", [1, 2, 3, -2, HalfInt(3), HalfInt(4), HalfInt(5), INF, 2.0, "2", None])
+def test_halfint_comparisons_follow_one_rule(name, op, other):
+    # numerators compared, int operands whole exponents, INF above every
+    # HalfInt, anything else left to the other operand
+    x = HalfInt(4)
+    got = getattr(x, name)(other)
+    if other is INF:
+        assert got is (name in ("__lt__", "__le__"))
+        assert op(x, other) is got
+    elif isinstance(other, (int, HalfInt)):
+        assert got is op(4, HalfInt._coerce(other).num)
+        assert op(x, other) is got
+    else:
+        assert got is NotImplemented
+        if name == "__eq__":
+            assert not x == other
+        else:
+            with pytest.raises(TypeError):
+                op(x, other)
 
 
 def test_inf_sentinel():
@@ -333,6 +357,71 @@ def test_product_paths_follow_the_nonzero_counts(monkeypatch):
     dense = QSeries(0, list(range(1, 200)), None)
     assert (dense * part).coefficient(he(1)) == 2
     assert calls == [("convolve",)]
+
+
+def test_whole_q_dense_products_convolve_the_even_slots(monkeypatch):
+    # both operands whole-q: half-length operands go into the convolution,
+    # and the result equals the full-length product slot for slot
+    import qident.series as series
+
+    seen = []
+    convolve = series._convolve
+    monkeypatch.setattr(series, "_convolve", lambda x, y, n: seen.append((len(x), len(y), n)) or convolve(x, y, n))
+    x = [(i + 1) * (1 - i % 2) for i in range(199)]
+    y = [(3 - i) * (1 - i % 2) for i in range(151)]
+    for a, b, order in ((x, y, None), (x, y, 301), (x, y + [7], None)):
+        p = QSeries(-4, a, None) * QSeries(2, b, order)
+        out_len = len(a) + len(b) - 1 if order is None else min(len(a) + len(b) - 1, order - 2)
+        assert p == QSeries(-2, series._convolve_schoolbook(a, b, out_len), None if order is None else order - 4)
+    assert [(min(u, v), max(u, v), n) for u, v, n in seen] == [(76, 100, 175), (76, 100, 150), (152, 199, 350)]
+
+
+@st.composite
+def _divisors(draw):
+    """A QSeries with a unit lead: sparse or dense, with or without empty
+    odd slots, small or big coefficients, any start, exact or truncated."""
+    size = draw(st.integers(0, 60))
+    coeff = draw(st.sampled_from(_COEFFS))
+    if draw(st.booleans()):
+        c = [0] * size
+        for i in draw(st.lists(st.integers(0, size - 1), max_size=6)) if size else ():
+            c[i] = draw(coeff)
+    else:
+        c = draw(st.lists(coeff, min_size=size, max_size=size))
+    c = [draw(st.sampled_from((1, -1)))] + c
+    if draw(st.booleans()):
+        c[1::2] = [0] * len(c[1::2])
+    lo = draw(st.integers(-20, 20))
+    ordnum = None if draw(st.booleans()) else lo + draw(st.integers(1, size + 8))
+    return QSeries(lo, c, ordnum)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_divisors(), st.one_of(st.none(), st.integers(-30, 150)))
+def test_inverse_matches_the_naive_oracle(s, cap):
+    from naive import NaiveSeries
+
+    m, a = s._min, s._coeffs
+    natural = None if s._ordnum is None else s._ordnum - 2 * m
+    target = natural if cap is None else cap if natural is None else min(natural, cap)
+    if target is None:
+        if len(a) > 1:
+            with pytest.raises(NonInvertibleError):
+                s.inverse()
+        else:
+            assert s.inverse() == QSeries(-m, a, None)
+        return
+    inv = s.inverse(None if cap is None else he(cap))
+    assert inv.order == he(target)
+    if target + m <= 0:
+        assert inv.is_zero
+        return
+    # the divisor below q^((target + 2m)/2) fixes the inverse below q^(target/2)
+    window = target + 2 * m
+    want = NaiveSeries(m, (a + [0] * (window - m))[: window - m], window).inv()
+    assert (want.offset, want.order) == (-m, target)
+    assert all(e.num >= -m for e, _ in inv.terms())
+    assert [inv.coefficient(he(e)) for e in range(-m, target)] == want.coeffs
 
 
 # -- ZLaurent -----------------------------------------------------------------
