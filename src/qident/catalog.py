@@ -7,13 +7,15 @@ ZLaurent equalities), limit statements (polynomial values at a certified
 n against infinite products), and the combinatorial supporting facts
 (edge sets, the binomial collapse, the even replacement fact).
 
-The sum--product identities are data: `_SUM_ROWS` holds one row per id
-(parameter validator, modulus, summand builder, product-list builder,
-check label and, for the z families, the well-posedness window), and
-`_run_row` evaluates any row.  The rows are cases of one Andrews-Gordon /
-Bressoud shape with binomial placements.  Every z family samples z
-through `_each_z`.  A sum--product id's default order is q^(modulus + 30),
-read off its own modulus; every other id defaults to q^40.
+Three families are data, one row per id and one runner per table.
+`_SUM_ROWS`, run by `_run_row`, are cases of one Andrews-Gordon /
+Bressoud shape with binomial placements; `_EXPANSIONS`, run by
+`_run_expansion`, are cases of Bressoud's key lemma summed over chains
+n >= s_1 >= ... >= s_d >= 0; `_LIMITS`, run by `_run_limit`, hold the
+limits at a certified n (H_LIMIT is F_LIMIT at j = 0).  Every z family
+samples z through `_z_samples`.  A sum--product id's default order is
+q^(modulus + 30), read off its own modulus; every other id defaults to
+q^40.
 
 `verify` runs the checks for a case and reports pass/fail/error, the
 order actually compared, the first mismatching coefficient if any, and
@@ -39,7 +41,6 @@ from .hfamily import (
     _stabilized_values,
     f_func,
     f_limit_sum,
-    h_limit_product,
     h_poly,
 )
 from .multisum import (
@@ -193,9 +194,11 @@ def _need_half(params: dict, name: str) -> HalfInt:
         raise SpecError(f"missing required parameter {name!r}")
     v = params[name]
     try:
-        return HalfInt.parse(v)
+        if not isinstance(v, bool):  # JSON true is not the weight 1
+            return HalfInt.parse(v)
     except (ValueError, TypeError):
-        raise SpecError(f"parameter {name!r} must be a half-integer, got {v!r}")
+        pass
+    raise SpecError(f"parameter {name!r} must be a half-integer, got {v!r}")
 
 
 def _opt_z(params: dict) -> Optional[Monomial]:
@@ -207,14 +210,9 @@ def _opt_z(params: dict) -> Optional[Monomial]:
         sign = 1
     if sign in ("-", "-1"):
         sign = -1
-    if sign not in (1, -1):
+    if isinstance(sign, bool) or sign not in (1, -1):
         raise SpecError(f"z_sign must be +1 or -1, got {params.get('z_sign')!r}")
-    exp = params.get("z_exp", 0)
-    try:
-        exp = HalfInt.parse(exp)
-    except (ValueError, TypeError):
-        raise SpecError(f"z_exp must be a half-integer, got {params.get('z_exp')!r}")
-    return Monomial(sign, exp)
+    return Monomial(sign, _need_half(params, "z_exp") if "z_exp" in params else qe(0))
 
 
 def _opt_placement(params: dict, j: int, limit: int) -> frozenset:
@@ -224,6 +222,8 @@ def _opt_placement(params: dict, j: int, limit: int) -> frozenset:
         return frozenset(range(1, j + 1))
     p = params["placement"]
     try:
+        if isinstance(p, str):
+            raise TypeError  # "13" is not the positions {1, 3}
         p = frozenset(int(i) for i in p)
     except (TypeError, ValueError):
         raise SpecError(f"placement must be a collection of positions, got {p!r}")
@@ -269,9 +269,9 @@ def _each_z(
 
 def _depth(x: ZLaurent) -> int:
     # half-units by which x reaches below q^0: x times a coefficient
-    # truncated at W is known only below W - _depth(x).  The runners read it
-    # off their lhs; the monomial weight of every rhs term keeps that term
-    # no deeper.
+    # truncated at W is known only below W - _depth(x).  `_run_expansion`
+    # reads it off its lhs; the monomial weight of every rhs term keeps that
+    # term no deeper.
     return max([0] + [-x.slice(k).min_exp.num for k in x.z_support()])
 
 
@@ -280,38 +280,27 @@ def _bress_lambda(k: int, j: int, r: int = 0) -> Tuple[int, ...]:
     return tuple((-1 if i + 1 <= j else 0) + (1 if i + 1 > k - r else 0) for i in range(k))
 
 
-def _chain_step(
-    bucket: Dict[int, QSeries],
-    t: int,
-    inv: Callable[[int], QSeries],
-    factor: Callable[[int, int, int], QSeries],
-) -> Dict[int, QSeries]:
-    """Level t of a chain sum:
-    B_t[s] = sum_{prev >= s} B_{t-1}[prev] factor(t, prev, s) inv(prev - s)."""
-    out: Dict[int, QSeries] = {}
-    for prev, c in bucket.items():
-        for s in range(prev + 1):
-            v = c * factor(t, prev, s) * inv(prev - s)
-            out[s] = out[s] + v if s in out else v
-    return out
-
-
 def _chain_sum(
-    n: int,
+    bucket: Dict[int, QSeries],
     depth: int,
     inv: Callable[[int], QSeries],
     factor: Callable[[int, int, int], QSeries],
 ) -> Dict[int, QSeries]:
-    """Accumulate weights over chains n >= s_1 >= ... >= s_depth >= 0, level by level.
+    """Accumulate weights over chains s_0 >= s_1 >= ... >= s_depth >= 0, level by level.
 
-    factor(t, prev, s) is the multiplicative weight of level t (1-based),
-    times the gap inverse Pochhammer inv(prev - s).  Returns buckets keyed
+    `bucket` maps each start s_0 to its weight.  Level t (1-based) takes
+    B_t[s] = sum_{prev >= s} B_{t-1}[prev] factor(t, prev, s) inv(prev - s),
+    inv(prev - s) being the gap inverse Pochhammer.  Returns buckets keyed
     by the last index, each a QSeries scalar known below the ladder's order
     plus the lowest exponent of its chains' weights.
     """
-    bucket = {n: QSeries.one()}
     for t in range(1, depth + 1):
-        bucket = _chain_step(bucket, t, inv, factor)
+        out: Dict[int, QSeries] = {}
+        for prev, c in bucket.items():
+            for s in range(prev + 1):
+                v = c * factor(t, prev, s) * inv(prev - s)
+                out[s] = out[s] + v if s in out else v
+        bucket = out
     return bucket
 
 
@@ -565,18 +554,6 @@ def _prep_iter(params: dict) -> dict:
     }
 
 
-def _run_iter_prop(p: dict, wnum: int, stats: SumStats) -> List[Check]:
-    n, k, a = p["n"], p["k"], p["a"]
-    H = h_poly(HSpec(n, a + qe(k + 1)), he(wnum))
-    inv = _inv_poch_ladder(2, wnum + _depth(H))
-    lhs = H * inv(2 * n)
-    buckets = _chain_sum(n, k + 1, inv, lambda t, prev, s: _qsq(s))
-    rhs = ZLaurent.zero()
-    for s, c in sorted(buckets.items()):
-        rhs = rhs + h_poly(HSpec(s, a), he(wnum)) * (c * inv(2 * s))
-    return [Check(f"n={n} k={k} a={a}: iterated expansion", lhs, rhs)]
-
-
 def _prep_n(params: dict) -> dict:
     _reject_unknown(params, ("n",))
     # SPECIAL_A is exact (order INF): n = 40 verifies in about 3.6 s, and
@@ -601,18 +578,6 @@ def _prep_nk(params: dict) -> dict:
     return {"n": _need_int(params, "n", 0), "k": _need_int(params, "k", 0)}
 
 
-def _run_iterate_bress(p: dict, wnum: int, stats: SumStats) -> List[Check]:
-    n, k = p["n"], p["k"]
-    inv = _inv_poch_ladder(2, wnum)
-    # wnum + n: the zshift by q^(1/2) moves slice -n down by n half-units
-    lhs = h_poly(HSpec(n, he(2 * k + 3)), he(wnum + n)).zshift(he(1)).znegate() * inv(2 * n)
-    buckets = _chain_sum(n, k + 1, inv, lambda t, prev, s: _qsq(s))
-    rhs = ZLaurent.zero()
-    for s, c in sorted(buckets.items()):
-        rhs = rhs + _pochz_rising(s).truncated(he(wnum)) * (c * inv(2 * s))
-    return [Check(f"n={n} k={k}: iterated expansion with factored tail", lhs, rhs)]
-
-
 def _prep_func_eq(params: dict) -> dict:
     _reject_unknown(params, ("n", "c"))
     return {"n": _need_int(params, "n", 0), "c": _need_half(params, "c")}
@@ -624,10 +589,6 @@ def _run_func_eq(p: dict, wnum: int, stats: SumStats) -> List[Check]:
     lhs = H.substitute(-1, c)
     rhs = H.substitute(-1, c - he(2)) * QSeries.monomial(1, qe(n))
     return [Check(f"n={n} c={c}: value at -q^c vs q^n times value at -q^(c-1)", lhs, rhs)]
-
-
-def _one_plus_q(exp_q: int) -> QSeries:
-    return QSeries.one() + QSeries.monomial(1, qe(exp_q))
 
 
 def _prep_nja(params: dict) -> dict:
@@ -646,55 +607,6 @@ def _prep_nja_pos(params: dict) -> dict:
     return out
 
 
-# F(n, 0, a) is H(n, a), so KEY_LEMMA and NEW_PROP are the cases j = 0 of
-# F_SUM and NEW_PROP2; each pair shares a runner and differs in its label.
-
-
-def _run_shifted_pair(label: str, p: dict, wnum: int, stats: SumStats) -> List[Check]:
-    n, j, a = p["n"], p["j"], p["a"]
-    F = f_func(FSpec(n, j + 1, a + he(2)), he(wnum))
-    inv = _inv_poch_ladder(2, wnum + _depth(F))
-    lhs = F * inv(2 * n)
-    rhs = ZLaurent.zero()
-    for s in range(n + 1):
-        coef = (
-            _qsq(s, -1)
-            * _one_plus_q(n + s)
-            * inv(n - s)
-            * inv(2 * s)
-        )
-        rhs = rhs + f_func(FSpec(s, j, a), he(wnum)) * coef
-    return [Check(label.format_map(p), lhs, rhs)]
-
-
-def _run_another_f(p: dict, wnum: int, stats: SumStats) -> List[Check]:
-    n, j, a = p["n"], p["j"], p["a"]
-    F = f_func(FSpec(n, j, a), he(wnum))
-    inv = _inv_poch_ladder(2, wnum + _depth(F))
-    lhs = F * inv(2 * n)
-
-    def factor(t: int, prev: int, s: int) -> QSeries:
-        return _qsq(s, -1) * _one_plus_q(prev + s)
-
-    buckets = _chain_sum(n, j, inv, factor)
-    rhs = ZLaurent.zero()
-    for s, c in sorted(buckets.items()):
-        rhs = rhs + h_poly(HSpec(s, a - qe(j)), he(wnum)) * (c * inv(2 * s))
-    return [Check(f"n={n} j={j} a={a}: full chain expansion", lhs, rhs)]
-
-
-def _run_one_step(label: str, p: dict, wnum: int, stats: SumStats) -> List[Check]:
-    n, j, a = p["n"], p["j"], p["a"]
-    F = f_func(FSpec(n, j, a), he(wnum))
-    inv = _inv_poch_ladder(2, wnum + _depth(F))
-    lhs = F * inv(2 * n)
-    rhs = ZLaurent.zero()
-    for s in range(n + 1):
-        coef = _qsq(s) * inv(n - s) * inv(2 * s)
-        rhs = rhs + f_func(FSpec(s, j, a - he(2)), he(wnum)) * coef
-    return [Check(label.format_map(p), lhs, rhs)]
-
-
 def _run_recurse_f(p: dict, wnum: int, stats: SumStats) -> List[Check]:
     # F(n, j, a) as a binomial combination of shifted copies of H; exact
     n, j, a = p["n"], p["j"], p["a"]
@@ -708,29 +620,89 @@ def _run_recurse_f(p: dict, wnum: int, stats: SumStats) -> List[Check]:
 
 
 # ---------------------------------------------------------------------------
-# limit identities
+# the expansions at finite n: one table row per identity
+#
+# Every row is a case of the shape of Bressoud's key lemma: lhs(n) / (q)_{2n}
+# equals the sum over chains n >= s_1 >= ... >= s_d >= 0 of the level
+# weights factor(t, s_{t-1}, s_t) / (q)_{s_{t-1} - s_t} (s_0 = n), times
+# term(s_d) / (q)_{2 s_d}.  F(n, 0, a) is H(n, a), so KEY_LEMMA and
+# NEW_PROP are the rows F_SUM and NEW_PROP2 at j = 0, each with its own
+# prepare and label.
 
 
-def _prep_h_limit(params: dict) -> dict:
-    _reject_unknown(params, ("a", "z_sign", "z_exp"))
-    a = _need_half(params, "a")
-    if a.num <= 0:
-        raise SpecError(f"the limit needs a > 0, got a={a}")
-    return {"a": a, "z": _opt_z(params)}
+@dataclass(frozen=True)
+class _Expansion:
+    prepare: Callable[[dict], dict]
+    lhs: Callable[[dict, int], ZLaurent]  # (p, wnum): the polynomial at n
+    depth: Callable[[dict], int]  # d, the chain length
+    factor: Callable[[int, int, int], QSeries]  # (t, prev, s): level t's weight
+    term: Callable[[dict, int, int], ZLaurent]  # (p, s, wnum): the polynomial at s_d
+    label: str  # str.format fields: the parameters
 
 
-def _run_h_limit(p: dict, wnum: int, stats: SumStats) -> List[Check]:
-    a = p["a"]
-    zs = _z_samples(p["z"], lambda m: abs(m) < a.num, _LIMIT_MS)
-    vals = _stabilized_values(0, a, [Monomial(-z.sign, z.q_exp) for z in zs], he(wnum))
-    return [
-        Check(
-            f"a={a} z={z}: polynomial at certified n={n} vs product",
-            v,
-            h_limit_product(a, z, he(wnum)),
-        )
-        for z, (v, n) in zip(zs, vals)
-    ]
+def _square_weight(t: int, prev: int, s: int) -> QSeries:
+    return _qsq(s)
+
+
+def _pair_weight(t: int, prev: int, s: int) -> QSeries:
+    return _qsq(s, -1) * (QSeries.one() + QSeries.monomial(1, qe(prev + s)))
+
+
+_F_SUM = _Expansion(
+    _prep_nja,
+    lambda p, w: f_func(FSpec(p["n"], p["j"], p["a"]), he(w)),
+    lambda p: 1, _square_weight,
+    lambda p, s, w: f_func(FSpec(s, p["j"], p["a"] - he(2)), he(w)),
+    "n={n} j={j} a={a}: one-step expansion of the closure",
+)
+_NEW_PROP2 = _Expansion(
+    _prep_nja,
+    lambda p, w: f_func(FSpec(p["n"], p["j"] + 1, p["a"] + he(2)), he(w)),
+    lambda p: 1, _pair_weight,
+    lambda p, s, w: f_func(FSpec(s, p["j"], p["a"]), he(w)),
+    "n={n} j={j} a={a}: shifted-pair expansion of the closure",
+)
+_EXPANSIONS: Dict[str, _Expansion] = {
+    "KEY_LEMMA": replace(_F_SUM, prepare=_prep_n_a, label="n={n} a={a}: one-step expansion"),
+    "F_SUM": _F_SUM,
+    "NEW_PROP": replace(_NEW_PROP2, prepare=_prep_n_a, label="n={n} a={a}: shifted-pair expansion"),
+    "NEW_PROP2": _NEW_PROP2,
+    "ANOTHER_F": _Expansion(
+        _prep_nja_pos, _F_SUM.lhs, lambda p: p["j"], _pair_weight,
+        lambda p, s, w: h_poly(HSpec(s, p["a"] - qe(p["j"])), he(w)),
+        "n={n} j={j} a={a}: full chain expansion",
+    ),
+    "ITER_PROP": _Expansion(
+        _prep_iter,
+        lambda p, w: h_poly(HSpec(p["n"], p["a"] + qe(p["k"] + 1)), he(w)),
+        lambda p: p["k"] + 1, _square_weight,
+        lambda p, s, w: h_poly(HSpec(s, p["a"]), he(w)),
+        "n={n} k={k} a={a}: iterated expansion",
+    ),
+    # w + n: the zshift by q^(1/2) moves slice -n down by n half-units
+    "ITERATE_BRESS": _Expansion(
+        _prep_nk,
+        lambda p, w: (
+            h_poly(HSpec(p["n"], he(2 * p["k"] + 3)), he(w + p["n"])).zshift(he(1)).znegate()
+        ),
+        lambda p: p["k"] + 1, _square_weight,
+        lambda p, s, w: _pochz_rising(s).truncated(he(w)),
+        "n={n} k={k}: iterated expansion with factored tail",
+    ),
+}
+
+
+def _run_expansion(row: _Expansion, p: dict, wnum: int, stats: SumStats) -> List[Check]:
+    n, lhs = p["n"], row.lhs(p, wnum)
+    inv = _inv_poch_ladder(2, wnum + _depth(lhs))
+    rhs = ZLaurent.zero()
+    for s, c in sorted(_chain_sum({n: QSeries.one()}, row.depth(p), inv, row.factor).items()):
+        rhs = rhs + row.term(p, s, wnum) * (c * inv(2 * s))
+    return [Check(row.label.format_map(p), lhs * inv(2 * n), rhs)]
+
+
+# ---------------------------------------------------------------------------
+# limit identities: H_LIMIT is F_LIMIT at j = 0
 
 
 def _prep_f_limit(params: dict) -> dict:
@@ -742,18 +714,27 @@ def _prep_f_limit(params: dict) -> dict:
     return {"j": j, "a": a, "z": _opt_z(params)}
 
 
-def _run_f_limit(p: dict, wnum: int, stats: SumStats) -> List[Check]:
+def _prep_h_limit(params: dict) -> dict:
+    _reject_unknown(params, ("a", "z_sign", "z_exp"))
+    return _prep_f_limit(dict(params, j=0))
+
+
+def _run_limit(label: str, p: dict, wnum: int, stats: SumStats) -> List[Check]:
+    """F(n, j, a)(-z) at each z sample's certified n against `f_limit_sum`."""
     j, a = p["j"], p["a"]
     zs = _z_samples(p["z"], lambda m: abs(m) + 2 * j < a.num, _LIMIT_MS)
     vals = _stabilized_values(j, a, [Monomial(-z.sign, z.q_exp) for z in zs], he(wnum))
     return [
-        Check(
-            f"j={j} a={a} z={z}: closure value at certified n={n} vs product sum",
-            v,
-            f_limit_sum(j, a, z, he(wnum)),
-        )
+        Check(label.format_map(dict(p, z=z, n=n)), v, f_limit_sum(j, a, z, he(wnum)))
         for z, (v, n) in zip(zs, vals)
     ]
+
+
+# id: (prepare, check label with the parameters, z and the certified n as fields)
+_LIMITS: Dict[str, Tuple[Callable[[dict], dict], str]] = {
+    "H_LIMIT": (_prep_h_limit, "a={a} z={z}: polynomial at certified n={n} vs product"),
+    "F_LIMIT": (_prep_f_limit, "j={j} a={a} z={z}: closure value at certified n={n} vs product sum"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -828,6 +809,9 @@ def _prep_edge_lemma(params: dict) -> dict:
     j = _need_int(params, "j", 0)
     samples = params.get("samples")
     if samples is not None:
+        # a string is no list: ["21"] would read as the sample (2, 1)
+        if isinstance(samples, str) or any(isinstance(s, str) for s in samples):
+            raise SpecError(f"samples must be a list of index lists, got {samples!r}")
         samples = [tuple(int(v) for v in s) for s in samples]
         for s in samples:
             if len(s) != j:
@@ -923,7 +907,7 @@ def _run_andrews_answer(p: dict, wnum: int, stats: SumStats) -> List[Check]:
 
     def lemma_step() -> None:
         nonlocal a_num, bucket
-        new = _chain_step(bucket, 1, inv, lambda t, prev, s: _qsq(s))
+        new = _chain_sum(bucket, 1, inv, _square_weight)
         bucket = {s: c.truncated(he(wnum)) for s, c in new.items()}
         a_num -= 2
 
@@ -956,7 +940,7 @@ def _run_andrews_answer(p: dict, wnum: int, stats: SumStats) -> List[Check]:
     def factor(t: int, prev: int, s: int) -> QSeries:
         return _qsq(s, lam[t - 1])
 
-    chain = _chain_sum(n, k, inv, factor)
+    chain = _chain_sum({n: QSeries.one()}, k, inv, factor)
     direct = QSeries.zero(he(wnum))
     for s, c in sorted(chain.items()):
         direct = direct + c * inv(s)
@@ -987,27 +971,14 @@ def _reg(id: str, prepare, runner, modulus=None) -> None:
 
 for _id, _row in _SUM_ROWS.items():
     _reg(_id, _row.prepare, partial(_run_row, _row), _row.modulus)
+for _id, _exp in _EXPANSIONS.items():
+    _reg(_id, _exp.prepare, partial(_run_expansion, _exp))
 _reg("CURIOUS", _prep_curious, _run_curious, _odd)
-_reg("KEY_LEMMA", _prep_n_a, partial(_run_one_step, "n={n} a={a}: one-step expansion"))
-_reg("ITER_PROP", _prep_iter, _run_iter_prop)
 _reg("SPECIAL_A", _prep_n, _run_special_a)
-_reg("ITERATE_BRESS", _prep_nk, _run_iterate_bress)
 _reg("FUNC_EQ", _prep_func_eq, _run_func_eq)
-_reg("NEW_PROP", _prep_n_a, partial(_run_shifted_pair, "n={n} a={a}: shifted-pair expansion"))
-_reg(
-    "NEW_PROP2",
-    _prep_nja,
-    partial(_run_shifted_pair, "n={n} j={j} a={a}: shifted-pair expansion of the closure"),
-)
-_reg("ANOTHER_F", _prep_nja_pos, _run_another_f)
-_reg(
-    "F_SUM",
-    _prep_nja,
-    partial(_run_one_step, "n={n} j={j} a={a}: one-step expansion of the closure"),
-)
 _reg("RECURSE_F", _prep_nja_pos, _run_recurse_f)
-_reg("H_LIMIT", _prep_h_limit, _run_h_limit)
-_reg("F_LIMIT", _prep_f_limit, _run_f_limit)
+for _id, (_prep, _label) in _LIMITS.items():
+    _reg(_id, _prep, partial(_run_limit, _label))
 _reg("EDGE_LEMMA", _prep_edge_lemma, _run_edge_lemma)
 _reg("CHU_COEFF", _prep_j, _run_chu)
 _reg("EVEN_FACT", _prep_even_fact, _run_even_fact)

@@ -19,11 +19,11 @@ value is the binomial sum sum_i C(j, i) H(n, a)(z q^(j-2i)), one group
 of j + 1 arguments, and the samples that share a certified n share one
 `_h_window` walk.  `stabilized_h_value` / `stabilized_f_value` are its
 one-sample case.
-The limits themselves are the infinite products `h_limit_product` and,
-for the shifted family, the binomial combination `f_limit_sum`.  Their
-arguments multiply to q^2a, so both are `TripleProductSpec` lists on
-modulus 2a, summed by `eval_product_sum` as Jacobi theta series times
-one 1/(q)_inf.
+The limits themselves are the binomial combinations `f_limit_sum` of
+infinite products; the product `h_limit_product`, H's limit, is its case
+j = 0.  The arguments of each product multiply to q^2a, so the sum is a
+`TripleProductSpec` list on modulus 2a, summed by `eval_product_sum` as
+Jacobi theta series times one 1/(q)_inf.
 """
 
 from __future__ import annotations
@@ -115,25 +115,16 @@ def f_func(spec: FSpec, order: Order = INF) -> ZLaurent:
 
 
 def h_limit_product(a: HalfInt, z: Monomial, order) -> QSeries:
-    """(q^2a, z q^a, q^a / z; q^2a)_inf / (q; q)_inf for monomial z.
-
-    This is the n -> infinity limit of H(n, a)(-z); both exponents
-    a +- m must be positive for the product to make sense.
-    """
-    if z.z_exp != 0:
-        raise SpecError("limit product needs a monomial z value")
-    a = HalfInt._coerce(a)
-    m = z.q_exp
-    if a.num <= 0:
-        raise IllPosedError(f"limit product needs a > 0, got {a}")
-    if (a + m).num <= 0 or (a - m).num <= 0:
-        raise IllPosedError(f"limit product arguments q^{a + m}, q^{a - m} must have positive exponent")
-    spec = TripleProductSpec(HalfInt(2 * a.num), Monomial(z.sign, a + m), Monomial(z.sign, a - m))
-    return eval_product_sum([spec], order)
+    """lim H(n, a)(-z) = (q^2a, z q^a, q^a/z; q^2a)_inf / (q;q)_inf: `f_limit_sum` at j = 0."""
+    return f_limit_sum(0, a, z, order)
 
 
 def f_limit_sum(j: int, a: HalfInt, z: Monomial, order) -> QSeries:
-    """sum_i C(j,i) (q^2a, z q^(a+j-2i), q^(a-j+2i)/z; q^2a)_inf / (q;q)_inf."""
+    """sum_i C(j,i) (q^2a, z q^(a+j-2i), q^(a-j+2i)/z; q^2a)_inf / (q;q)_inf for monomial z.
+
+    This is the n -> infinity limit of F(n, j, a)(-z); every argument
+    exponent must be positive for the products to make sense.
+    """
     if j < 0:
         raise SpecError(f"needs j >= 0, got {j}")
     if z.z_exp != 0:

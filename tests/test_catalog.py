@@ -1,6 +1,7 @@
 """The identity registry: reports, cross-checks, and failure evidence."""
 
 import random
+import re
 import time
 from dataclasses import replace
 
@@ -99,6 +100,21 @@ def test_verify_rejects_unknown_ids_and_params():
     assert verify(make_case("AG", order=he(-2), k=1, r=0)).status == "error"
     assert verify(make_case("THM_3_1", k=3, r=1, j=2, placement=[1, 4])).status == "error"
     assert verify(make_case("OVER_1", k=1, j=2, z_sign="+", z_exp="9/2")).status == "error"
+    # a string is not a list of positions or of samples, and JSON true is not
+    # the half-integer 1 or the sign +1
+    for case, detail in (
+        (make_case("THM_3_1", k=3, r=0, j=2, placement="13"), "placement must be a collection"),
+        (make_case("EDGE_LEMMA", j=2, samples=["21"]), "samples must be a list of index lists"),
+        (make_case("EDGE_LEMMA", j=2, samples="21"), "samples must be a list of index lists"),
+        (make_case("KEY_LEMMA", n=2, a=True), "parameter 'a' must be a half-integer, got True"),
+        (make_case("FUNC_EQ", n=2, c=True), "parameter 'c' must be a half-integer, got True"),
+        (make_case("H_LIMIT", a="3/2", z_exp=True), "parameter 'z_exp' must be a half-integer"),
+        (make_case("H_LIMIT", a="3/2", z_sign=True), "z_sign must be +1 or -1, got True"),
+    ):
+        with pytest.raises(SpecError, match=re.escape(detail)):
+            validate_case(case)
+        rep = verify(case)
+        assert rep.status == "error" and detail in rep.detail, (case, rep.detail)
 
 
 def test_verify_error_reports_carry_detail():
@@ -401,6 +417,25 @@ def test_limit_cases_walk_one_column_per_certified_n(monkeypatch):
         assert sorted(walks) == ns, case.id
         entry, params, wnum = catalog._prepare(case)
         assert [c.label for c in entry.runner(params, wnum, SumStats())] == labels
+
+
+def test_expansion_check_labels():
+    cases = [
+        (make_case("KEY_LEMMA", n=2, a="3/2"), "n=2 a=3/2: one-step expansion"),
+        (make_case("F_SUM", n=2, j=1, a=2), "n=2 j=1 a=2: one-step expansion of the closure"),
+        (make_case("NEW_PROP", n=2, a="3/2"), "n=2 a=3/2: shifted-pair expansion"),
+        (
+            make_case("NEW_PROP2", n=2, j=1, a=2),
+            "n=2 j=1 a=2: shifted-pair expansion of the closure",
+        ),
+        (make_case("ANOTHER_F", n=2, j=1, a=2), "n=2 j=1 a=2: full chain expansion"),
+        (make_case("ITER_PROP", n=2, k=1, a=1), "n=2 k=1 a=1: iterated expansion"),
+        (make_case("ITERATE_BRESS", n=2, k=1), "n=2 k=1: iterated expansion with factored tail"),
+    ]
+    for case, label in cases:
+        assert verify(case).status == "pass", case.id
+        entry, params, wnum = catalog._prepare(case)
+        assert [c.label for c in entry.runner(params, wnum, SumStats())] == [label]
 
 
 def test_f_limit_needs_margin():

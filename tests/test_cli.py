@@ -208,6 +208,20 @@ def test_suite_bad_config_exit_two(tmp_path, capsys):
         assert code == 2, doc
 
 
+def test_suite_string_lists_and_boolean_halves_are_config_errors(tmp_path, capsys):
+    for bad in (
+        {"id": "THM_3_1", "k": 3, "r": 0, "j": 2, "placement": "13"},
+        {"id": "EDGE_LEMMA", "j": 2, "samples": ["21"]},
+        {"id": "KEY_LEMMA", "n": 2, "a": True},
+        {"id": "H_LIMIT", "a": "3/2", "z_exp": True},
+        {"id": "H_LIMIT", "a": "3/2", "z_sign": True},
+    ):
+        path = _write_suite(tmp_path, {"cases": [{"id": "AG", "k": 1, "r": 0}, bad]})
+        code, _, err = run(capsys, "suite", path)
+        assert code == 2, bad
+        assert "case 1:" in err, (bad, err)
+
+
 def test_suite_leftover_criterion_is_a_config_error(tmp_path, capsys):
     doc = {"cases": [{"id": "H_LIMIT", "a": "3/2", "criterion": "bound"}]}
     path = _write_suite(tmp_path, doc)
