@@ -215,18 +215,21 @@ def _opt_z(params: dict) -> Optional[Monomial]:
     return Monomial(sign, _need_half(params, "z_exp") if "z_exp" in params else qe(0))
 
 
+def _int_tuple(v) -> Optional[tuple]:
+    """v as a tuple when it is a list, tuple or set of true ints (by _need_int's rule), else None."""
+    ok = isinstance(v, (list, tuple, set, frozenset)) and all(isinstance(i, int) and not isinstance(i, bool) for i in v)
+    return tuple(v) if ok else None
+
+
 def _opt_placement(params: dict, j: int, limit: int) -> frozenset:
     if params.get("placement") is None:
         if j > limit:
             raise SpecError(f"no legal placement: need {j} positions within 1..{limit}")
         return frozenset(range(1, j + 1))
-    p = params["placement"]
-    try:
-        if isinstance(p, str):
-            raise TypeError  # "13" is not the positions {1, 3}
-        p = frozenset(int(i) for i in p)
-    except (TypeError, ValueError):
-        raise SpecError(f"placement must be a collection of positions, got {p!r}")
+    p = _int_tuple(params["placement"])
+    if p is None:
+        raise SpecError(f"placement must be a collection of positions, got {params['placement']!r}")
+    p = frozenset(p)
     if len(p) != j:
         raise SpecError(f"placement {sorted(p)} must have exactly j={j} positions")
     if not all(1 <= i <= limit for i in p):
@@ -809,10 +812,10 @@ def _prep_edge_lemma(params: dict) -> dict:
     j = _need_int(params, "j", 0)
     samples = params.get("samples")
     if samples is not None:
-        # a string is no list: ["21"] would read as the sample (2, 1)
-        if isinstance(samples, str) or any(isinstance(s, str) for s in samples):
+        rows = [_int_tuple(s) for s in samples] if isinstance(samples, (list, tuple)) else [None]
+        if None in rows:
             raise SpecError(f"samples must be a list of index lists, got {samples!r}")
-        samples = [tuple(int(v) for v in s) for s in samples]
+        samples = rows
         for s in samples:
             if len(s) != j:
                 raise SpecError(f"sample {s} does not have j={j} entries")

@@ -34,7 +34,10 @@ overpartition tails are rungs of one ladder, each stepped from s - 1 to s
 in place: a two-term pass per new factor 1 + c q^e, a prefix-add pass per
 new 1/(1 - q^d).  H(s, a)(z) comes from one walk down the binomial column
 (`hfamily._h_window`), then 2s prefix-add passes divide it by (q)_{2s}.
-No tail multiplies two series.
+No tail multiplies two series.  Value s is built only as wide as the
+bottom cells at s and above read it, and a rung on a list -lo / g slots
+wider: a two-term pass with shift -e < 0 leaves its top e slots stale,
+and up to s these shifts add up to -tail_min_num(tail, s) <= -lo.
 
 Every pass above the tails moves by whole q-units: the shifts e_i(s), the
 prefix-add steps s - t and the placement offsets t.  So the tails, every
@@ -163,6 +166,12 @@ def _tail_z(tail) -> Optional[Monomial]:
     return z
 
 
+def _neg_sum(c: int, s: int) -> int:
+    """sum_{i<s} min(0, c + 2i): its first n = clamp((1 - c) // 2, 0, s) terms are the negative ones."""
+    n = max(0, min(s, (1 - c) // 2))
+    return n * c + n * (n - 1)
+
+
 def tail_min_num(tail: Tail, s: int) -> int:
     """Exact minimal exponent numerator of the tail's finite factors at s.
 
@@ -172,15 +181,10 @@ def tail_min_num(tail: Tail, s: int) -> int:
         return 0
     if isinstance(tail, TailOver):
         m = tail.z.q_exp.num
-        return sum(min(0, m + 2 * i) for i in range(s)) + sum(
-            min(0, 2 - m + 2 * i) for i in range(s)
-        )
+        return _neg_sum(m, s) + _neg_sum(2 - m, s)
     if isinstance(tail, TailOverOdd):
-        m = tail.z.q_exp.num
-        off = tail.offset
-        first = sum(min(0, 2 * off + 2 - m + 2 * i) for i in range(s + 1))
-        second = sum(min(0, m - 2 * off + 2 * i) for i in range(s))
-        return first + second
+        m = tail.z.q_exp.num - 2 * tail.offset
+        return _neg_sum(2 - m, s + 1) + _neg_sum(m, s)
     if isinstance(tail, TailH):
         a = tail.a.num
         m = tail.z.q_exp.num
@@ -256,7 +260,8 @@ class _TailValues:
     """The tail's values at working order W, built by list passes (see the
     module docstring) on frames from lo at the tail's grid spacing g: slot
     x holds the exponent lo + g x, and value s is known below
-    W + tail_min_num(tail, s)."""
+    W + tail_min_num(tail, s) within the `reach` slots its readers ask for;
+    rungs carry the stale-slot `margin` (a value reaching below lo raises)."""
 
     def __init__(self, tail: Tail, lo: int, wnum: int):
         self.tail = tail
@@ -264,36 +269,38 @@ class _TailValues:
         self.w = wnum
         self.z = _tail_z(tail)
         self.g = g = _grid(tail)
+        self.margin = -lo // g
         # rung s: 1/(q)_s, 1/(q^2;q^2)_s, or TailOver at z (at z q^(-offset) for TailOverOdd)
-        self.rungs = [[0] * (-lo // g) + [1] + [0] * ((wnum - 1) // g)]
+        self.rungs = [[0] * self.margin + [1] + [0] * ((wnum - 1) // g)]
 
-    def _rung(self, i: int) -> list:
+    def _rung(self, i: int, length: int) -> list:
         t, z, g = self.tail, self.z, self.g
-        c = list(self.rungs[-1])
+        c = self.rungs[-1][:length]
         if isinstance(t, (TailOdd, TailEven)):
             return _prefix_add(c, (4 if isinstance(t, TailEven) else 2) * i // g)
         m = z.q_exp.num - (2 * t.offset if isinstance(t, TailOverOdd) else 0)
         c = _two_term(_two_term(c, z.sign, (m + 2 * i - 2) // g), z.sign, (2 * i - m) // g)
         return _prefix_add(_prefix_add(c, (4 * i - 2) // g), 4 * i // g)
 
-    def value(self, s: int, low: int) -> Tuple[list, int]:
-        """(frame, top): value s on the frame, known below top = W + low,
-        where low = tail_min_num(tail, s)."""
+    def value(self, s: int, low: int, reach: int) -> Tuple[list, int]:
+        """(frame, top): value s on the frame, known below top = W + low in
+        its first `reach` slots, where low = tail_min_num(tail, s); every
+        value asked for later must have a reach no wider."""
         t, z, g = self.tail, self.z, self.g
         if low < self.lo:
             raise IllPosedError(f"tail value at s={s} reaches q^{HalfInt(low)}, below its frame")
         top = self.w + low
         if isinstance(t, TailH):
-            c = _h_window(s, t.a, [[(1, z)]], self.lo, top, g)[0]
+            c = _h_window(s, t.a, [[(1, z)]], self.lo, min(top, self.lo + g * reach), g)[0]
             for d in range(1, 2 * s + 1):
                 _prefix_add(c, 2 * d // g)
             return c, top
         while len(self.rungs) <= s:
-            self.rungs.append(self._rung(len(self.rungs)))
+            self.rungs.append(self._rung(len(self.rungs), reach + self.margin))
         c = self.rungs[s]
         if isinstance(t, TailOverOdd):
             m = z.q_exp.num - 2 * t.offset
-            c = _prefix_add(_two_term(list(c), z.sign, (2 - m + 2 * s) // g), (4 * s + 2) // g)
+            c = _prefix_add(_two_term(c[: reach + self.margin], z.sign, (2 - m + 2 * s) // g), (4 * s + 2) // g)
         return c, top
 
 
@@ -369,9 +376,13 @@ def eval_multisum(spec: SummandSpec, order, stats: Optional[SumStats] = None) ->
         rest = [r + _index_min_num(quad[i], lam[i], s) for s, r in enumerate(rest)]
         floor.insert(0, rest)
 
+    # reach[s]: the most slots that a bottom cell at s' >= s reads of its tail value
+    g, b = tails.g, k - 1
+    reach = [-(-(need[b][s] - e[b][s] - lo) // g) if floor[b][s] + e[b][s] < need[b][s] else 0 for s in cap]
+    reach = list(accumulate(reversed(reach), max))[::-1]
+
     # bottom up over the levels; a cell is a window of need - lo half-units,
     # g to a slot, None when it is certified zero there
-    g = tails.g
     cells = None
     for i in range(k - 1, -1, -1):
         row = []
@@ -385,9 +396,9 @@ def eval_multisum(spec: SummandSpec, order, stats: Optional[SumStats] = None) ->
             span = need[i][s] - e[i][s] - lo
             width = -(-span // g)
             if cells is None:
-                c, top = tails.value(s, floor[i][s])
-                if top < lo + span:
-                    t = _spread(c, lo, top, g)
+                c, known = tails.value(s, floor[i][s], reach[s])
+                if known < lo + span:
+                    t = _spread(c, lo, known, g)
                     raise IllPosedError(f"tail value {t!r} does not cover q^{HalfInt(lo)}..q^{HalfInt(lo + span)}")
                 w = c[:width]
             else:

@@ -110,6 +110,13 @@ def test_verify_rejects_unknown_ids_and_params():
         (make_case("FUNC_EQ", n=2, c=True), "parameter 'c' must be a half-integer, got True"),
         (make_case("H_LIMIT", a="3/2", z_exp=True), "parameter 'z_exp' must be a half-integer"),
         (make_case("H_LIMIT", a="3/2", z_sign=True), "z_sign must be +1 or -1, got True"),
+        # entries are true ints: no float, numeric string or bool is read as a position
+        (make_case("THM_3_1", k=3, r=0, j=2, placement=[1.9, 3]), "placement must be a collection"),
+        (make_case("THM_3_1", k=3, r=0, j=2, placement=["1", "3"]), "placement must be a collection"),
+        (make_case("THM_3_1", k=3, r=0, j=2, placement=[True, 3]), "placement must be a collection"),
+        (make_case("EDGE_LEMMA", j=2, samples=[[2.7, 1]]), "samples must be a list of index lists"),
+        (make_case("EDGE_LEMMA", j=2, samples=[[True, 1]]), "samples must be a list of index lists"),
+        (make_case("EDGE_LEMMA", j=2, samples=[5]), "samples must be a list of index lists"),
     ):
         with pytest.raises(SpecError, match=re.escape(detail)):
             validate_case(case)

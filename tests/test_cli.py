@@ -215,6 +215,10 @@ def test_suite_string_lists_and_boolean_halves_are_config_errors(tmp_path, capsy
         {"id": "KEY_LEMMA", "n": 2, "a": True},
         {"id": "H_LIMIT", "a": "3/2", "z_exp": True},
         {"id": "H_LIMIT", "a": "3/2", "z_sign": True},
+        {"id": "THM_3_1", "k": 3, "r": 0, "j": 2, "placement": [1.9, 3]},
+        {"id": "THM_3_1", "k": 3, "r": 0, "j": 2, "placement": ["1", "3"]},
+        {"id": "THM_3_1", "k": 3, "r": 0, "j": 2, "placement": [True, 3]},
+        {"id": "EDGE_LEMMA", "j": 2, "samples": [[2.7, 1]]},
     ):
         path = _write_suite(tmp_path, {"cases": [{"id": "AG", "k": 1, "r": 0}, bad]})
         code, _, err = run(capsys, "suite", path)

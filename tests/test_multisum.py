@@ -153,6 +153,25 @@ def test_running_min_of_tail_minima_is_the_capped_floor():
         assert row == [_tail_floor_num(tail, s) for s in range(40)], tail
 
 
+def test_overpartition_tail_minima_in_closed_form():
+    # sum_{i<s} min(0, c + 2i) = n c + n (n - 1), n = clamp((1 - c) // 2, 0, s):
+    # the closed form against the summed one, exhaustively for |c|, s <= 30,
+    # on its own and inside tail_min_num for TailOver and TailOverOdd
+    from qident.multisum import _neg_sum
+
+    def summed(c, s):
+        return sum(min(0, c + 2 * i) for i in range(s))
+
+    for c in range(-30, 31):
+        for s in range(31):
+            assert _neg_sum(c, s) == summed(c, s), (c, s)
+            z = Monomial(1, HalfInt(c))
+            assert tail_min_num(TailOver(z), s) == summed(c, s) + summed(2 - c, s), (c, s)
+            for off in (-2, 0, 1, 3):
+                want = summed(2 * off + 2 - c, s + 1) + summed(c - 2 * off, s)
+                assert tail_min_num(TailOverOdd(z, off), s) == want, (c, off, s)
+
+
 def test_uncapped_over_odd_floor_counts_the_first_factor():
     # at s = 0 the (s+1)-term product already contributes q^(-1/2); a floor
     # that starts at 0 makes the working order and the first-index cap too small
@@ -267,14 +286,96 @@ def test_tail_values_match_the_naive_oracle(wnum):
     for tail, descriptor in tails:
         lo = min(0, _tail_floor_num(tail, 30))
         values = _TailValues(tail, lo, wnum)
+        full = -(-(wnum - lo) // values.g)  # the whole frame [lo, W), read at every s
         for s in range(31):
             top = wnum + tail_min_num(tail, s)
-            (frame, known), want = values.value(s, tail_min_num(tail, s)), naive_tail(descriptor, s, wnum)
+            (frame, known), want = values.value(s, tail_min_num(tail, s), full), naive_tail(descriptor, s, wnum)
             assert known >= top, (tail, s)
             dense = [0] * (values.g * len(frame) + top - lo)
             dense[: values.g * len(frame) : values.g] = frame
             assert dense[: top - lo] == [want.coeff(e) for e in range(lo, top)], (tail, s)
             assert want.offset >= lo or not any(want.coeffs[: lo - want.offset]), (tail, s)
+
+
+def _oracle_tails():
+    """(tail, oracle descriptor) for every kind, both signs of every sampled z exponent."""
+    tails = [(TailOdd(), ("odd",)), (TailEven(), ("even",))]
+    for sign in (1, -1):
+        for m in _POLICY_MS:
+            z = Monomial(sign, he(m))
+            tails.append((TailOver(z), ("over", sign, m)))
+            for offset in (-1, 0, 1):
+                tails.append((TailOverOdd(z, offset), ("over_odd", sign, m, offset)))
+            tails.append((TailH(he(1), z), ("h", 1, sign, m)))
+            tails.append((TailH(he(2), z), ("h", 2, sign, m)))
+    return tails
+
+
+def test_capped_tail_values_match_the_naive_oracle(monkeypatch):
+    # eval_multisum asks for each tail value only as wide as the bottom
+    # cells at s and above read it: the value must still be right in those
+    # `reach` slots below W + tail_min_num, on both grids, with lo = 0 and
+    # with lo < 0 (a stale-slot margin), at a whole and a half-integer order
+    import qident.multisum as ms
+
+    seen = []
+    real = ms._TailValues.value
+
+    def value(self, s, low, reach):
+        frame, known = real(self, s, low, reach)
+        seen.append((self.lo, self.w, self.g, s, low, reach, list(frame), known))
+        return frame, known
+
+    monkeypatch.setattr(ms._TailValues, "value", value)
+    shapes = [(2, (0, 1), {2}), (2, (-1, 0), {1}), (1, (-1,), ())]
+    grids = set()
+    for n, (tail, descriptor) in enumerate(_oracle_tails()):
+        k, linear, placement = shapes[n % len(shapes)]
+        seen.clear()
+        eval_multisum(SummandSpec(k, linear, placement=frozenset(placement), tail=tail), he(60 + n % 2))
+        assert seen, tail
+        for lo, wnum, g, s, low, reach, frame, known in seen:
+            assert known == wnum + tail_min_num(tail, s) and low == tail_min_num(tail, s)
+            hi = min(known, lo + g * reach)
+            want = naive_tail(descriptor, s, wnum)
+            assert len(frame) >= (hi - lo + g - 1) // g, (tail, s)
+            dense = [0] * (g * len(frame))
+            dense[::g] = frame
+            assert dense[: hi - lo] == [want.coeff(e) for e in range(lo, hi)], (tail, s)
+            grids.add((type(tail).__name__, g, lo < 0))
+        # the reach shrinks with s: some value is asked for well short of the frame
+        assert min(reach for *_, reach, _, _ in seen) < (wnum - lo) // (2 * g), tail
+    assert {g for _, g, _ in grids} == {1, 2} and any(neg for *_, neg in grids)
+
+
+def test_tail_passes_run_no_longer_than_their_reach(monkeypatch):
+    # CURIOUS at q^120 (TailOver and TailOverOdd) and COR_INFTY (TailH):
+    # every pass that builds a tail value runs on a list no longer than the
+    # value's reach plus the stale-slot margin, and the short ones run on a
+    # small part of the frame
+    import qident.multisum as ms
+
+    passes, building = [], []
+    real = ms._TailValues.value
+
+    def value(self, s, low, reach):
+        building.append((reach + self.margin, -(-(self.w - self.lo) // self.g)))
+        try:
+            return real(self, s, low, reach)
+        finally:
+            building.pop()
+
+    def spy(fn):
+        return lambda c, *args: (building and passes.append((len(c),) + building[-1])) or fn(c, *args)
+
+    monkeypatch.setattr(ms._TailValues, "value", value)
+    for name in ("_prefix_add", "_two_term"):
+        monkeypatch.setattr(ms, name, spy(getattr(ms, name)))
+    for case in (make_case("CURIOUS", order=qe(120)), make_case("COR_INFTY", order=qe(60), k=1)):
+        passes.clear()
+        assert verify(case).status == "pass"
+        assert passes and all(n <= cap for n, cap, _ in passes), case
+        assert min(n for n, _, _ in passes) < max(full for _, _, full in passes) // 4, case
 
 
 def test_tails_multiply_no_series_and_build_no_gaussian_polynomial(monkeypatch):
