@@ -2,11 +2,16 @@
 
 H(n, a) is the Laurent polynomial sum_{s=-n..n} [2n, n-s]_q q^(a s^2) z^s;
 the closure F(n, j, a) applies j times the step G(z) -> G(zq) + G(q/z).
-At every order, INF included, H's slices come from one walk down the
-Gaussian-binomial column `qobjects._qbinom_column`, deep enough for F's
-shift steps and a negative weight.  `_h_window` sums H at groups of
-weighted monomials by the same walk, one frame per group, for the
-certified limits and the multisum tail.
+At every order, INF included, H's slices come from one walk along the
+Gaussian-binomial column, `qobjects._h_column`, deep enough for F's shift
+steps and a negative weight: up from [2n, 0], or out from the centre
+[2n, n], anchored at 1/(q)_inf, whichever moves the list fewer times.  The
+walk stops at the last slice that starts below the order: at a finite
+order and a > 0, the largest s with a s^2 below it, so
+H(400, 2) below q^40 stores 9 slices; the span (-n, n) keeps the rest,
+zero below the order.  `_h_window` sums H at groups of weighted monomials
+by the same walk, one frame per group, for the certified limits and the
+multisum tail.
 
 With z fixed to a monomial sign*q^m, |m| < a, the values H(n, a)(z)
 converge coefficientwise as n grows, and the limit is certified rather
@@ -28,12 +33,13 @@ Jacobi theta series times one 1/(q)_inf.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from operator import add, sub
 from typing import List, Optional, Sequence, Tuple
 
 from .products import TripleProductSpec, eval_product_sum
-from .qobjects import Monomial, binom, _poly_to_series, _qbinom_column
+from .qobjects import Monomial, binom, _h_column, _poly_to_series
 from .series import (
     INF,
     HalfInt,
@@ -88,17 +94,20 @@ def h_poly(spec: HSpec, order: Order = INF) -> ZLaurent:
     # deg [2n, n-s] = n^2 - s^2 bounds the column at INF.  A negative weight
     # starts slice +-n at q^(a n^2), so a finite order runs that much longer.
     # A slice is known through its half-slot 2L - 1 too, which is
-    # structurally zero.
+    # structurally zero.  At a finite order and a > 0 only the slices with
+    # a s^2 below it are stored; the span (-n, n) keeps the others, zero
+    # below the order.
     if ordnum is None:
-        L, known = n * n + 1, INF
+        L, known, top = n * n + 1, INF, n
     else:
         L = max((ordnum - min(0, a.num) * n * n + 1) // 2, 1)
         known = qe(L)
+        top = _h_top(a.num, 0, ordnum, n) if a.num > 0 else n
     terms = {}
-    for k, b in _qbinom_column(2 * n, n, L):
+    for k, b in _h_column(n, top, L):
         s = n - k
         terms[s] = terms[-s] = _poly_to_series(b, known).shift(he(a.num * s * s))
-    return ZLaurent.from_terms(terms, order)
+    return ZLaurent(terms, ordnum, (-n, n))
 
 
 def f_func(spec: FSpec, order: Order = INF) -> ZLaurent:
@@ -191,15 +200,29 @@ def _h_min_num(A: int, m: int, n: Optional[int] = None) -> int:
     return min(A * t * t + m * t for t in ts)
 
 
+def _h_top(A: int, mu: int, hi: int, n: int) -> int:
+    """Largest s <= n with A s^2 - mu s < hi (A > 0), or -1 if no s >= 0 has it.
+
+    The integer below the larger root of A s^2 - mu s = hi, one step lower
+    when that root is an integer.  Past n it is n.
+    """
+    d = mu * mu + 4 * A * hi
+    s = (mu + math.isqrt(d)) // (2 * A) if d > 0 else -1
+    if s >= 0 and A * s * s - mu * s >= hi:
+        s -= 1
+    return min(s, n) if s >= 0 and A * s * s - mu * s < hi else -1
+
+
 def _h_window(
     n: int, a: HalfInt, groups: List[List[Tuple[int, Monomial]]], lo: int, hi: int, g: int = 1
 ) -> List[list]:
     """Per group of args (c_i, w_i), sum_i c_i H(n, a)(w_i) on the half-unit frame [lo, hi).
 
-    With w = sign*q^(m/2), one walk down the binomial column, as long as
+    With w = sign*q^(m/2), one walk along the binomial column, as long as
     the lowest argument needs, adds each slice, times c sign^t
-    q^(a t^2 + m t), straight into its group's frame, and skips a slice
-    that starts at or above hi for every argument.  A frame must start at
+    q^(a t^2 + m t), straight into its group's frame.  It stops at the last
+    s at which a slice +-s starts below hi for some argument:
+    A s^2 - mu s < hi, mu the largest |m|.  A frame must start at
     or below H's lowest exponent, which |m| >= a puts below q^0.  Slot x
     of a frame holds exponent lo + g x: g = 2 needs lo and every
     a t^2 + m t even.
@@ -209,10 +232,8 @@ def _h_window(
     mu = max(abs(w.q_exp.num) for args in groups for _, w in args)
     stride = 2 // g
     outs = [[0] * ((hi - lo + g - 1) // g) for _ in groups]
-    for k, b in _qbinom_column(2 * n, n, max((hi - low + 1) // 2, 1)):
+    for k, b in _h_column(n, _h_top(A, mu, hi, n), max((hi - low + 1) // 2, 1)):
         s = n - k
-        if A * s * s - mu * s >= hi:  # no slice +-s starts below hi
-            continue
         for out, args in zip(outs, groups):
             for c, w in args:
                 for t in (s, -s) if s else (0,):
@@ -232,7 +253,7 @@ def _stabilized_values(j: int, a: HalfInt, ws: Sequence[Monomial], order) -> Lis
 
     F(n, j, a)(z) = sum_i C(j, i) H(n, a)(z q^(j-2i)), so n is certified for
     every shifted argument, and each has |m| < a.  The samples that share
-    a certified n share one walk down the binomial column.
+    a certified n share one walk along the binomial column.
     """
     if j < 0:
         raise SpecError(f"needs j >= 0, got {j}")

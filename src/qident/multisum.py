@@ -32,8 +32,9 @@ The tails are built by the same list passes, which live in `qobjects`
 (`_two_term`, `_prefix_add`).  1/(q)_s, 1/(q^2;q^2)_s and the
 overpartition tails are rungs of one ladder, each stepped from s - 1 to s
 in place: a two-term pass per new factor 1 + c q^e, a prefix-add pass per
-new 1/(1 - q^d).  H(s, a)(z) comes from one walk down the binomial column
-(`hfamily._h_window`), then 2s prefix-add passes divide it by (q)_{2s}.
+new 1/(1 - q^d).  H(s, a)(z) comes from one walk along the binomial column
+(`hfamily._h_window`, from whichever end moves the list fewer times), then
+2s prefix-add passes divide it by (q)_{2s}.
 No tail multiplies two series.  Value s is built only as wide as the
 bottom cells at s and above read it, and a rung on a list -lo / g slots
 wider: a two-term pass with shift -e < 0 leaves its top e slots stale,

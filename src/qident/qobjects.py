@@ -16,7 +16,10 @@ holds the coefficient of x^i (x = q^(1/2) in the engines, x = q in the
 binomial column), `_two_term` multiplies by 1 + c x^e, `_prefix_add`
 divides by 1 - x^d, and `_inv_poch_ladder` stacks the latter into
 1/(q)_d.  The binomial column `_qbinom_column`, H and every multisum tail
-are built from these passes.  Each pass is a few whole-slice operations,
+are built from these passes.  H's column `_h_column` walks either up from
+[2n, 0] or out from the centre [2n, n], which below q^L is 1/(q)_inf times
+the factors 1 - q^i with n < i < L (the box lemma), and takes the walk that
+moves the list fewer times.  Each pass is a few whole-slice operations,
 never a Python loop over slots: `_two_term` one, `_prefix_add` at most
 min(d, ceil(len / d)), an `accumulate` per residue class mod d when
 d^2 < len, else one block add per d slots.
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 from operator import add, sub
 from typing import Callable, Iterator, Tuple
 
@@ -129,16 +132,60 @@ def _inv_poch_ladder(unit: int, wnum: int) -> Callable[[int], QSeries]:
     return rung
 
 
-def _qbinom_column(N: int, top: int, length: int) -> Iterator[Tuple[int, list]]:
-    """Yield (k, [N, k]_q) for k = 0..top as whole-q coefficients, truncated to `length`.
+def _qbinom_column(N: int, top: int, length: int, first: int = 0) -> Iterator[Tuple[int, list]]:
+    """Yield (k, [N, k]_q) for k = first..top as whole-q coefficients, truncated to `length`.
 
-    One list is updated in place, a two-term and a prefix-add pass per
-    step, so each value must be read before advancing.  O(top * length).
+    One list is updated in place from k = 0, a two-term and a prefix-add
+    pass per step, so each value must be read before advancing.
+    O(top * length).
     """
     b = [1] + [0] * (length - 1)
-    yield 0, b
-    for k in range(1, top + 1):
-        yield k, _prefix_add(_two_term(b, -1, N - k + 1), k)
+    for k in range(top + 1):
+        if k:
+            _prefix_add(_two_term(b, -1, N - k + 1), k)
+        if k >= first:
+            yield k, b
+
+
+def _centre_column(n: int, top: int, length: int) -> Iterator[Tuple[int, list]]:
+    """Yield (n - s, [2n, n - s]_q) for s = 0..top, whole-q, truncated to L = `length`.
+
+    The walk starts at the centre: below q^L,
+        [2n, n] = 1/(q)_inf * prod_{n<i<L} (1 - q^i) * prod_{n<i<=min(2n, L-1)} (1 - q^i),
+    with 1/(q)_inf off `partition_series`, and steps s to s + 1 by
+    (1 - q^(n-s)) / (1 - q^(n+s+1)).  A factor at or above q^L leaves the
+    list as it is.  Read each value before advancing.
+    """
+    b = partition_series(qe(length))._coeffs[::2]
+    b += [0] * (length - len(b))
+    for i in chain(range(n + 1, length), range(n + 1, min(2 * n, length - 1) + 1)):
+        _two_term(b, -1, i)
+    yield n, b
+    for s in range(top):
+        yield n - s - 1, _prefix_add(_two_term(b, -1, n - s), n + s + 1)
+
+
+def _h_column(n: int, top: int, length: int) -> Iterator[Tuple[int, list]]:
+    """H's slices s = 0..top: (n - s, [2n, n - s]_q) below q^L, L = `length`.
+
+    Both walks are exact; this takes the one with fewer passes that move
+    the list (a factor at or above q^L does not).  Upward, `_qbinom_column`
+    makes about 2 min(n, L) such passes; from the centre, about
+    2 max(0, L - 1 - n) to build the anchor and 2 top to walk, so none for
+    the anchor once n >= L - 1, as at every certified limit.
+    """
+    if top < 0:
+        return iter(())
+    # Passes that move the list.  Upward step k: the two-term pass when
+    # 2n - k + 1 < L, the prefix-add when k < L.  Centre: the anchor's
+    # factors, then at step s the two-term when n - s < L and the
+    # prefix-add when n + s + 1 < L.
+    L, cut = length, max(length - 1 - n, 0)
+    up = min(cut, n) + min(L - 1, n)
+    centre = cut + min(cut, n) + top - min(max(n - L + 1, 0), top) + min(cut, top)
+    if up <= centre:
+        return _qbinom_column(2 * n, n, L, n - top)
+    return _centre_column(n, top, L)
 
 
 def qbinom_poly(n: int, k: int):

@@ -669,30 +669,32 @@ class QSeries:
 class ZLaurent:
     """A Laurent polynomial in z whose coefficients are QSeries.
 
-    Stored keys are the full structural support: an absent z-power is
-    exactly zero.  All stored slices share one truncation order; a slice
-    that cancels to zero keeps its entry because it is only known to
-    vanish below that order.
+    All slices share one truncation order.  The span (lo, hi) bounds the
+    structural support: a z-power outside it is exactly zero, and one
+    inside it with no stored slice has no coefficient below the order.  At
+    a finite order a slice that is zero there is not stored; the span still
+    counts it, so `zshift` and `substitute`, which move slice k by a
+    multiple of k, bound the new order by the span's two ends.
     """
 
-    __slots__ = ("_terms", "_ordnum")
+    __slots__ = ("_terms", "_ordnum", "_span")
 
-    def __init__(self, terms: dict, ordnum: Optional[int], _raw=False):
+    def __init__(self, terms: dict, ordnum: Optional[int], span=None, _raw=False):
         if not _raw:
+            live = {k: s for k, s in terms.items() if s._coeffs or s._ordnum is not None}
             common = ordnum
-            for s in terms.values():
+            for s in live.values():
                 common = _min_ord(common, s._ordnum)
-            cleaned = {}
-            for k, s in terms.items():
-                if not s._coeffs and s._ordnum is None:
-                    continue  # exactly zero: outside the structural support
-                if common is not None:
-                    s = s.truncated(HalfInt(common))
-                cleaned[k] = s
-            terms = cleaned
-            ordnum = None if not terms else common
+            if common is None or span is None:
+                span = (min(live), max(live)) if live else None
+            if common is not None:
+                cap = HalfInt(common)
+                live = {k: t for k, s in live.items() if (t := s.truncated(cap))._coeffs}
+            terms = live
+            ordnum = None if span is None else common
         self._terms = terms
         self._ordnum = ordnum
+        self._span = span
 
     @staticmethod
     def zero() -> "ZLaurent":
@@ -711,61 +713,85 @@ class ZLaurent:
         return _ord_obj(self._ordnum)
 
     def z_support(self) -> list:
+        """The z-powers with a coefficient below the order."""
         return sorted(self._terms)
 
     def slice(self, z_exp: int) -> QSeries:
         if z_exp in self._terms:
             return self._terms[z_exp]
-        return QSeries.zero(INF)
+        lo, hi = self._span or (1, 0)
+        return QSeries.zero(self.order if lo <= z_exp <= hi else INF)
 
     @property
     def is_zero(self) -> bool:
         return all(s.is_zero for s in self._terms.values())
 
+    def _lift(self, other) -> Optional["ZLaurent"]:
+        if isinstance(other, int):
+            other = QSeries.monomial(other) if other else QSeries.zero()
+        if isinstance(other, QSeries):
+            return ZLaurent.scalar(other)
+        return other if isinstance(other, ZLaurent) else None
+
+    def _moved(self, e: int) -> Optional[int]:
+        """The order once slice k moves by q^(e k / 2): the span's ends bound it."""
+        if self._ordnum is None:
+            return None
+        lo, hi = self._span
+        return self._ordnum + min(e * lo, e * hi)
+
     def __add__(self, other):
-        if isinstance(other, (QSeries, int)):
-            other = ZLaurent.scalar(
-                other if isinstance(other, QSeries) else QSeries.monomial(other)
-            )
-        if not isinstance(other, ZLaurent):
+        other = self._lift(other)
+        if other is None:
             return NotImplemented
         out = dict(self._terms)
         for k, s in other._terms.items():
             out[k] = out[k] + s if k in out else s
-        return ZLaurent(out, _min_ord(self._ordnum, other._ordnum))
+        spans = [x._span for x in (self, other) if x._span]
+        span = (min(lo for lo, _ in spans), max(hi for _, hi in spans)) if spans else None
+        return ZLaurent(out, _min_ord(self._ordnum, other._ordnum), span)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ZLaurent({k: -s for k, s in self._terms.items()}, self._ordnum, _raw=True)
+        return ZLaurent({k: -s for k, s in self._terms.items()}, self._ordnum, self._span, _raw=True)
 
     def __sub__(self, other):
-        if isinstance(other, (QSeries, int)):
-            other = ZLaurent.scalar(
-                other if isinstance(other, QSeries) else QSeries.monomial(other)
-            )
-        if not isinstance(other, ZLaurent):
+        other = self._lift(other)
+        if other is None:
             return NotImplemented
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, int):
+            if not other:
+                return ZLaurent.zero()
             return ZLaurent(
-                {k: s * other for k, s in self._terms.items()}, self._ordnum
+                {k: s * other for k, s in self._terms.items()}, self._ordnum, self._span, _raw=True
             )
         if isinstance(other, QSeries):
-            return ZLaurent(
-                {k: s * other for k, s in self._terms.items()}, self._ordnum
-            )
+            # a scalar factor never raises the order
+            return (self * ZLaurent.scalar(other)).truncated(self.order)
         if not isinstance(other, ZLaurent):
             return NotImplemented
+        if self._span is None or other._span is None:
+            return ZLaurent.zero()
         out = {}
         for ka, sa in self._terms.items():
             for kb, sb in other._terms.items():
                 k = ka + kb
                 p = sa * sb
                 out[k] = out[k] + p if k in out else p
-        return ZLaurent(out, None)
+
+        def bound(x: "ZLaurent", y: "ZLaurent") -> Optional[int]:
+            # x's order plus y's lowest exponent, a zero slice of y starting at y's order
+            if x._ordnum is None:
+                return None
+            low = [s._min for s in y._terms.values()]
+            return x._ordnum + min(low + ([] if y._ordnum is None else [y._ordnum]))
+
+        (alo, ahi), (blo, bhi) = self._span, other._span
+        return ZLaurent(out, _min_ord(bound(self, other), bound(other, self)), (alo + blo, ahi + bhi))
 
     __rmul__ = __mul__
 
@@ -775,18 +801,22 @@ class ZLaurent:
         if e is None:
             raise SpecError(f"bad exponent {exp!r}")
         return ZLaurent(
-            {k: s.shift(HalfInt(e.num * k)) for k, s in self._terms.items()}, None
+            {k: s.shift(HalfInt(e.num * k)) for k, s in self._terms.items()},
+            self._moved(e.num),
+            self._span,
         )
 
     def zinvert(self) -> "ZLaurent":
         """Substitute z -> 1/z."""
-        return ZLaurent(dict((-k, s) for k, s in self._terms.items()), self._ordnum, _raw=True)
+        span = self._span and (-self._span[1], -self._span[0])
+        return ZLaurent(dict((-k, s) for k, s in self._terms.items()), self._ordnum, span, _raw=True)
 
     def znegate(self) -> "ZLaurent":
         """Substitute z -> -z."""
         return ZLaurent(
             {k: (-s if k % 2 else s) for k, s in self._terms.items()},
             self._ordnum,
+            self._span,
             _raw=True,
         )
 
@@ -803,13 +833,13 @@ class ZLaurent:
             if sign == -1 and k % 2:
                 term = -term
             acc = acc + term
-        return acc
+        return acc.truncated(_ord_obj(self._moved(e.num)))
 
     def truncated(self, order) -> "ZLaurent":
         n = _ord_num(order)
         if n is None:
             return self
-        return ZLaurent({k: s for k, s in self._terms.items()}, n)
+        return ZLaurent(dict(self._terms), _min_ord(n, self._ordnum), self._span)
 
     def eq_upto(self, other: "ZLaurent") -> CompareResult:
         capnum = _min_ord(self._ordnum, other._ordnum)
@@ -823,10 +853,7 @@ class ZLaurent:
     def __eq__(self, other):
         if not isinstance(other, ZLaurent):
             return NotImplemented
-        keys = set(self._terms) | set(other._terms)
-        return self._ordnum == other._ordnum and all(
-            self.slice(k) == other.slice(k) for k in keys
-        )
+        return (self._ordnum, self._span, self._terms) == (other._ordnum, other._span, other._terms)
 
     __hash__ = None
 

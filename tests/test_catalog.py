@@ -396,11 +396,29 @@ def test_h_limit_ill_posed_z_is_an_error():
 
 
 def test_limit_cases_walk_one_column_per_certified_n(monkeypatch):
+    # one walk per certified n, and each walk of H_LIMIT at q^240 makes at
+    # most two list passes per slice it yields, not O(n): with n >= L - 1
+    # the walk starts at the centre, 1/(q)_inf, and stops after top slices
     import qident.hfamily as hfamily
+    import qident.qobjects as qobjects
 
-    walks = []
-    column = hfamily._qbinom_column
-    monkeypatch.setattr(hfamily, "_qbinom_column", lambda N, *a: walks.append(N // 2) or column(N, *a))
+    walks = []  # [n, top, passes]
+    column = hfamily._h_column
+
+    def h_column(n, top, length):
+        walks.append([n, top, 0])
+        yield from column(n, top, length)
+
+    def counted(fn):
+        def run(c, *args):
+            walks[-1][2] += 1
+            return fn(c, *args)
+
+        return run
+
+    monkeypatch.setattr(hfamily, "_h_column", h_column)
+    for name in ("_two_term", "_prefix_add"):
+        monkeypatch.setattr(qobjects, name, counted(getattr(qobjects, name)))
     zs = ["q^-1/2", "-q^-1/2", "1", "-1", "q^1/2", "-q^1/2"]
     cases = [
         (
@@ -421,9 +439,22 @@ def test_limit_cases_walk_one_column_per_certified_n(monkeypatch):
     for case, ns, labels in cases:
         walks.clear()
         assert verify(case).status == "pass"
-        assert sorted(walks) == ns, case.id
+        assert sorted(n for n, _, _ in walks) == ns, case.id
+        if case.id == "H_LIMIT":
+            assert all(0 < top < 20 and passes <= 2 * (top + 1) for _, top, passes in walks), walks
         entry, params, wnum = catalog._prepare(case)
         assert [c.label for c in entry.runner(params, wnum, SumStats())] == labels
+
+
+def test_limit_walks_reuse_the_product_sides_partition_series(monkeypatch):
+    # the centre anchor reads 1/(q)_inf at the case order, which the
+    # product side builds anyway: the one-entry cache holds nothing deeper
+    import qident.qobjects as qobjects
+
+    monkeypatch.setattr(qobjects, "_EULER_CACHE", {})
+    monkeypatch.setattr(qobjects, "_PARTITION_CACHE", {})
+    assert verify(make_case("H_LIMIT", a="3/2", order=qe(240))).status == "pass"
+    assert list(qobjects._PARTITION_CACHE) == [qe(240).num]
 
 
 def test_expansion_check_labels():

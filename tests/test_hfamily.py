@@ -17,6 +17,7 @@ from qident import (
     f_limit_sum,
     h_limit_product,
     h_poly,
+    partition_series,
     stabilized_f_value,
     stabilized_h_value,
     he,
@@ -100,6 +101,35 @@ def test_f_func_claims_the_requested_order():
         F = f_func(FSpec(4, j, he(3)), qe(20))
         assert F.order == qe(20)
         assert F.eq_upto(f_func(FSpec(4, j, he(3)), INF)).compared_order == qe(20)
+
+
+def test_h_poly_keeps_only_the_slices_below_the_order():
+    # slice s of H(400, 2) starts at q^(2 s^2), so below q^40 only |s| <= 4
+    # is stored, each q^(2 s^2) / (q)_inf there by the box lemma; the span
+    # keeps the other 792 as zero below q^40, not as exactly zero
+    H = h_poly(HSpec(400, qe(2)), qe(40))
+    assert H.z_support() == list(range(-4, 5)) and H.order == qe(40)
+    for s in range(-4, 5):
+        assert H.slice(s) == partition_series(qe(40 - 2 * s * s)).shift(qe(2 * s * s))
+    assert H.slice(5) == H.slice(-400) == QSeries.zero(qe(40))
+    assert H.slice(401) == QSeries.zero(INF)
+    assert H.zshift(he(1)).order == he(80 - 400)  # slice -400 moves down too
+
+
+def test_finite_order_h_and_f_equal_the_truncated_exact_polynomial():
+    # f_func builds H at order + n j and cuts its slices there, so a cut
+    # slice must be one that no closure step brings below the order
+    for n in range(13):
+        for anum in range(-5, 8):
+            a = HalfInt(anum)
+            exact_h = h_poly(HSpec(n, a), INF)
+            exact_f = [f_func(FSpec(n, j, a), INF) for j in (1, 2, 3)]
+            for onum in (1, 20, 41, 80):
+                order = he(onum)
+                assert h_poly(HSpec(n, a), order) == exact_h.truncated(order), (n, anum, onum)
+                for j, F in zip((1, 2, 3), exact_f):
+                    got = f_func(FSpec(n, j, a), order)
+                    assert got == F.truncated(order) and got.order == order, (n, j, anum, onum)
 
 
 def test_h_poly_matches_substitution_oracle(rng):

@@ -23,7 +23,7 @@ from qident import (
     he,
     qe,
 )
-from qident.qobjects import _prefix_add, _two_term
+from qident.qobjects import _centre_column, _h_column, _prefix_add, _qbinom_column, _two_term
 from naive import n_poch_finite, n_poch_infinite, n_qbinom
 
 
@@ -186,6 +186,37 @@ def test_partition_series_walks_only_the_pentagonal_terms(monkeypatch):
     p = partition_series(qe(2400))
     assert time.perf_counter() - t0 < 0.25
     assert (p.coeff_q(100), p.coeff_q(200)) == (190569292, 3972999029388)
+
+
+def test_h_column_anchors_match_the_column_and_the_naive_binomials(monkeypatch):
+    # both walks of [2n, n - s] for s = 0..top, each forced, at every top and
+    # at lengths L <= n + 1 (no correction factor), n + 1 < L <= 2n + 1 (the
+    # second product cut at L - 1) and L > 2n + 1 (both products whole)
+    import qident.qobjects as qo
+
+    picks = []
+    centre = qo._centre_column
+    monkeypatch.setattr(qo, "_centre_column", lambda *a: picks.append(a) or centre(*a))
+    grid = 0
+    for n in range(41):
+        deep = 2 * (2 * n + 4)
+        want = [[n_qbinom(2 * n, k, deep).coeff(e) for e in range(deep)] for k in range(n + 1)]
+        lengths = {1, n // 2, n, n + 1, n + 2, (3 * n) // 2 + 1, 2 * n + 1, 2 * n + 2, 2 * n + 4}
+        for L in sorted(lengths - {0}):
+            cols = [w[: 2 * L : 2] for w in want]
+            # each forced walk at two tops (a shorter one is a prefix), the choice at every top
+            walks = [(t, _qbinom_column(2 * n, n, L, n - t)) for t in {n // 2, n}]
+            walks += [(t, _centre_column(n, t, L)) for t in {n // 2, n}]
+            walks += [(t, _h_column(n, t, L)) for t in range(n + 1)]
+            for top, walk in walks:
+                # a value that is wrong drops its k from the list
+                assert sorted(k for k, b in walk if b == cols[k]) == list(range(n - top, n + 1)), (n, L, top)
+            grid += n + 1
+    # the choice reached both walks in both ranges below L = 2n + 2
+    chosen = {(n, L) for n, top, L in picks}
+    assert 0 < len(picks) < grid
+    assert any(L <= n + 1 for n, L in chosen) and any(n + 1 < L <= 2 * n + 1 for n, L in chosen)
+    assert list(_h_column(5, -1, 8)) == []
 
 
 def test_monomial_helpers():

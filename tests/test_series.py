@@ -490,6 +490,26 @@ def test_zlaurent_absent_slice_is_zero():
     assert a.eq_upto(b).equal
 
 
+def test_zlaurent_slices_zero_below_the_order_still_bound_it():
+    # slices known only to vanish below q^(1/2) are not stored, but the span
+    # (0, 3) keeps them: they bound every product, shift and substitution
+    def zero_at(*keys):
+        return ZLaurent.from_terms({k: QSeries.zero(he(1)) for k in keys}, he(1))
+
+    Z = zero_at(0, 3)
+    assert Z.z_support() == [] and Z.order == he(1) and Z.is_zero
+    assert Z.slice(2) == QSeries.zero(he(1)) and Z.slice(4) == QSeries.zero(INF)
+    assert Z == zero_at(0, 1, 3) and Z != zero_at(0, 2)
+    P = Z * ZLaurent.from_terms({-1: QSeries.monomial(1, qe(-2))})
+    assert P.order == he(-3) and P.slice(2) == QSeries.zero(he(-3)) and P.slice(3) == QSeries.zero(INF)
+    assert (Z * QSeries.monomial(1, qe(-2))).order == he(-3)
+    assert Z * 0 == Z * QSeries.zero() == ZLaurent.zero()
+    assert Z.zshift(qe(1)).order == he(1) and Z.zshift(qe(-1)).order == he(-5)
+    assert Z.zinvert().zshift(qe(1)).order == he(-5)
+    assert Z.substitute(-1, qe(-1)) == QSeries.zero(he(-5))
+    assert (Z + ZLaurent.from_terms({-2: QSeries.one()})).zshift(qe(1)).order == he(-3)
+
+
 def test_zlaurent_ring_laws(rng):
     for _ in range(25):
         a = random_zlaurent(rng, zspan=2, span=12)
