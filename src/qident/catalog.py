@@ -611,10 +611,13 @@ def _prep_nja_pos(params: dict) -> dict:
 
 
 def _run_recurse_f(p: dict, wnum: int, stats: SumStats) -> List[Check]:
-    # F(n, j, a) as a binomial combination of shifted copies of H; exact
+    # F(n, j, a) by its definition, j steps G(z) -> G(zq) + G(q/z) from H,
+    # against a binomial combination of shifted copies of H; exact
     n, j, a = p["n"], p["j"], p["a"]
-    F = f_func(FSpec(n, j, a), INF)
-    H = h_poly(HSpec(n, a), INF)
+    H = F = h_poly(HSpec(n, a), INF)
+    for _ in range(j):
+        g = F.zshift(qe(1))
+        F = g + g.zinvert()
     rhs = ZLaurent.zero()
     for s in range(j):
         shifted = H.zshift(qe(j - 2 * s))

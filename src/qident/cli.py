@@ -43,7 +43,7 @@ def _report_dict(rep: VerificationReport) -> dict:
         if m is None
         else {
             "exp": _half_token(m.exp),
-            "z_exp": _half_token(m.z_exp),
+            "z_exp": m.z_exp,  # an int z-power, or None
             "lhs": str(m.lhs),
             "rhs": str(m.rhs),
         },

@@ -2,16 +2,19 @@
 
 H(n, a) is the Laurent polynomial sum_{s=-n..n} [2n, n-s]_q q^(a s^2) z^s;
 the closure F(n, j, a) applies j times the step G(z) -> G(zq) + G(q/z).
-At every order, INF included, H's slices come from one walk along the
-Gaussian-binomial column, `qobjects._h_column`, deep enough for F's shift
-steps and a negative weight: up from [2n, 0], or out from the centre
+Since H(z) = H(1/z), that is F = sum_i C(j, i) H(n, a)(z q^(j-2i)), so
+slice s of F is H's slice s times sum_i C(j, i) q^((j-2i) s), and
+`f_func` builds F, and H as its case j = 0, in one walk along the
+Gaussian-binomial column, `qobjects._h_column`, as deep as the lowest
+slice and a negative weight need: up from [2n, 0], or out from the centre
 [2n, n], anchored at 1/(q)_inf, whichever moves the list fewer times.  The
 walk stops at the last slice that starts below the order: at a finite
-order and a > 0, the largest s with a s^2 below it, so
+order and a > 0, the largest s with a s^2 - j s below it, so
 H(400, 2) below q^40 stores 9 slices; the span (-n, n) keeps the rest,
-zero below the order.  `_h_window` sums H at groups of weighted monomials
-by the same walk, one frame per group, for the certified limits and the
-multisum tail.
+zero below the order.  The step itself is run only by the catalog's
+RECURSE_F, which checks it against this binomial form.  `_h_window` sums
+H at groups of weighted monomials by the same walk, one frame per group,
+for the certified limits and the multisum tail.
 
 With z fixed to a monomial sign*q^m, |m| < a, the values H(n, a)(z)
 converge coefficientwise as n grows, and the limit is certified rather
@@ -39,7 +42,7 @@ from operator import add, sub
 from typing import List, Optional, Sequence, Tuple
 
 from .products import TripleProductSpec, eval_product_sum
-from .qobjects import Monomial, binom, _h_column, _poly_to_series
+from .qobjects import Monomial, binom, _h_column
 from .series import (
     INF,
     HalfInt,
@@ -49,7 +52,6 @@ from .series import (
     SpecError,
     ZLaurent,
     _ord_num,
-    he,
     qe,
 )
 
@@ -88,39 +90,37 @@ class FSpec:
 
 
 def h_poly(spec: HSpec, order: Order = INF) -> ZLaurent:
-    """sum_{s=-n..n} [2n, n-s]_q q^(a s^2) z^s, truncated at `order`."""
-    n, a = spec.n, spec.a
-    ordnum = _ord_num(order)
-    # deg [2n, n-s] = n^2 - s^2 bounds the column at INF.  A negative weight
-    # starts slice +-n at q^(a n^2), so a finite order runs that much longer.
-    # A slice is known through its half-slot 2L - 1 too, which is
-    # structurally zero.  At a finite order and a > 0 only the slices with
-    # a s^2 below it are stored; the span (-n, n) keeps the others, zero
-    # below the order.
-    if ordnum is None:
-        L, known, top = n * n + 1, INF, n
-    else:
-        L = max((ordnum - min(0, a.num) * n * n + 1) // 2, 1)
-        known = qe(L)
-        top = _h_top(a.num, 0, ordnum, n) if a.num > 0 else n
-    terms = {}
-    for k, b in _h_column(n, top, L):
-        s = n - k
-        terms[s] = terms[-s] = _poly_to_series(b, known).shift(he(a.num * s * s))
-    return ZLaurent(terms, ordnum, (-n, n))
+    """sum_{s=-n..n} [2n, n-s]_q q^(a s^2) z^s, truncated at `order`: `f_func` at j = 0."""
+    return f_func(FSpec(spec.n, 0, spec.a), order)
 
 
 def f_func(spec: FSpec, order: Order = INF) -> ZLaurent:
-    """Apply the step G -> G(zq) + G(q/z) j times to H(n, a), truncated at `order`.
+    """F(n, j, a) = sum_i C(j, i) H(n, a)(z q^(j-2i)), truncated at `order`.
 
-    Each step moves slice -n down by q^n, so H is built 2nj half-units
-    past the order.
+    Slice s is [2n, n-s]_q q^(a s^2) sum_i C(j, i) q^((j-2i) s), which
+    starts at q^(a s^2 - j|s|), so the binomials are built as deep as the
+    lowest of these (at |s| = n when a <= 0) needs.  A slice is known
+    through its half-slot 2L - 1 too, which is structurally zero.  At a
+    finite order and a > 0 only the slices that start below it are
+    stored; the span (-n, n) keeps the others, zero below the order.
     """
-    f = h_poly(HSpec(spec.n, spec.a), order + qe(spec.n * spec.j))
-    for _ in range(spec.j):
-        g = f.zshift(qe(1))
-        f = g + g.zinvert()
-    return f
+    n, j, A = spec.n, spec.j, spec.a.num
+    ordnum = _ord_num(order)
+    if ordnum is None:
+        L, top = n * n + 1, n
+    else:
+        low = _h_min_num(A, -2 * j, n) if A > 0 else A * n * n - 2 * j * n
+        L = max((ordnum - low + 1) // 2, 1)
+        top = _h_top(A, 2 * j, ordnum, n) if A > 0 else n
+    terms = {}
+    for k, b in _h_column(n, top, L):
+        s = n - k
+        c = [0] * (2 * len(b) - 1 + 4 * j * s)
+        for i in range(j + 1):
+            at = slice(4 * i * s, 4 * i * s + 2 * len(b) - 1, 2)
+            c[at] = map(add, c[at], map(binom(j, i).__mul__, b))
+        terms[s] = terms[-s] = QSeries(A * s * s - 2 * j * s, c, ordnum)
+    return ZLaurent(terms, ordnum, (-n, n))
 
 
 def h_limit_product(a: HalfInt, z: Monomial, order) -> QSeries:

@@ -195,16 +195,14 @@ def tail_min_num(tail: Tail, s: int) -> int:
     raise SpecError(f"unknown tail {tail!r}")
 
 
-def _tail_floor_num(tail: Tail, cap: Optional[int]) -> int:
-    """min of tail_min_num over 0 <= s <= cap (cap None: over all s >= 0)."""
+def _tail_floor_num(tail: Tail) -> int:
+    """min of tail_min_num over all s >= 0."""
     if isinstance(tail, (TailOdd, TailEven)):
         return 0
     if isinstance(tail, TailH):
         if tail.a.num <= 0:
             raise SpecError("collapsing tail needs a positive quadratic weight")
-        return _h_min_num(tail.a.num, tail.z.q_exp.num, cap)
-    if cap is not None:
-        return min(tail_min_num(tail, s) for s in range(cap + 1))
+        return _h_min_num(tail.a.num, tail.z.q_exp.num)
     # TailOver/TailOverOdd: s -> s+1 increments are nondecreasing, so the
     # minimum sits at the first s whose increment is not negative
     s = 0
@@ -221,32 +219,6 @@ def _index_min_num(quadnum: int, lamnum: int, cap: Optional[int]) -> int:
     if cap is not None:
         top = min(top, cap)
     return min(quadnum * s * s + lamnum * s for s in range(top + 1))
-
-
-def prune_bound(spec: SummandSpec, prefix: Tuple[int, ...]) -> HalfInt:
-    """Certified lower bound on exponents reachable from a fixed prefix.
-
-    `prefix` fixes s_1..s_len; the bound is the prefix's own exponent
-    contribution plus minimised contributions of the free indices and the
-    tail.  Monotone: extending a prefix never lowers the bound.
-    """
-    if len(prefix) > spec.k:
-        raise SpecError("prefix longer than the index count")
-    if any(prefix[i] < prefix[i + 1] for i in range(len(prefix) - 1)) or any(
-        s < 0 for s in prefix
-    ):
-        raise SpecError(f"prefix {prefix} is not weakly decreasing and nonnegative")
-    lam = spec.effective_linear_num()
-    quad = [2 * c for c in spec.quad]
-    total = 0
-    for i, s in enumerate(prefix):
-        total += quad[i] * s * s + lam[i] * s
-    cap = prefix[-1] if prefix else None
-    if len(prefix) == spec.k:
-        return HalfInt(total + tail_min_num(spec.tail, prefix[-1]))
-    for i in range(len(prefix), spec.k):
-        total += _index_min_num(quad[i], lam[i], cap)
-    return HalfInt(total + _tail_floor_num(spec.tail, cap))
 
 
 def _grid(tail: Tail) -> int:
@@ -348,15 +320,17 @@ def eval_multisum(spec: SummandSpec, order, stats: Optional[SumStats] = None) ->
     k = spec.k
     placement = spec.placement or frozenset()
 
-    # every cell and every partial sum lies at or above prune_bound(spec, ()),
-    # so all of them share one frame: slot x holds the exponent lo + x
-    lo = min(0, prune_bound(spec, ()).num)
+    # rest_floor: the least exponent of the indices below the first and
+    # the tail.  Every cell and every partial sum lies at or above it plus
+    # the first index's least exponent, so all of them share one frame:
+    # slot x holds the exponent lo + x
+    rest_floor = _tail_floor_num(spec.tail)
+    rest_floor += sum(_index_min_num(quad[i], lam[i], None) for i in range(1, k))
+    lo = min(0, rest_floor + _index_min_num(quad[0], lam[0], None))
     tails = _TailValues(spec.tail, lo, nnum - lo)
 
     # hard cap on the first index: beyond it even the best completion
     # starts at or above the requested order
-    rest_floor = _tail_floor_num(spec.tail, None)
-    rest_floor += sum(_index_min_num(quad[i], lam[i], None) for i in range(1, k))
     top = 0
     while quad[0] * top * top + lam[0] * top + rest_floor < nnum or (
         2 * quad[0] * top + quad[0] + lam[0] < 0
@@ -372,7 +346,7 @@ def eval_multisum(spec: SummandSpec, order, stats: Optional[SumStats] = None) ->
         need.append([r - m for r, m in zip(need[-1], run)])
     # floor[i][s]: certified minimal exponent of V_i(s) / q^(e_i(s))
     floor = [[tail_min_num(spec.tail, s) for s in cap]]
-    rest = list(accumulate(floor[0], min))  # _tail_floor_num(tail, s) for each s
+    rest = list(accumulate(floor[0], min))  # the least tail_min_num up to each s
     for i in range(k - 1, 0, -1):
         rest = [r + _index_min_num(quad[i], lam[i], s) for s, r in enumerate(rest)]
         floor.insert(0, rest)

@@ -2,11 +2,13 @@
 
 Everything here returns exact truncated series from the kernel in
 `series`.  The two standard generating-function facts this module leans
-on: the pentagonal-number expansion of (Q; Q)_inf, used as a fast path
-whenever an Euler-type product is requested, and the column step
+on: Jacobi's triple product, whose sparse theta series
+`theta_triple_sum` at argument Q and modulus Q^3 is Euler's pentagonal
+series for (Q; Q)_inf, used whenever an Euler-type product is requested
+(Andrews, *The Theory of Partitions*, ch. 2), and the column step
 [N, k] = [N, k-1] (1 - q^(N-k+1)) / (1 - q^k) for Gaussian binomials
-(Andrews, *The Theory of Partitions*, ch. 3).  Both have slower
-independent counterparts in the test suite's `naive` oracles.
+(ch. 3).  Both have slower independent counterparts in the test suite's
+`naive` oracles.
 `euler_series` and `partition_series` each cache one series, the
 deepest order built so far, and read a shallower order off it by
 truncation.
@@ -241,6 +243,38 @@ def poch_finite_scalar(arg: Monomial, n: int, base_exp=qe(1), order: Order = INF
     return acc
 
 
+def theta_triple_sum(arg: Monomial, modulus_exp, order) -> QSeries:
+    """sum_{s in Z} (-arg)^s q^(modulus_exp * s(s-1)/2) truncated at order.
+
+    Jacobi's triple product says this equals
+    (arg, q^modulus_exp/arg, q^modulus_exp; q^modulus_exp)_inf; at arg = Q
+    and modulus Q^3 that is (Q; Q)_inf, the pentagonal series.
+    """
+    m = HalfInt._coerce(modulus_exp)
+    if m is None or m.num <= 0:
+        raise IllPosedError(f"modulus exponent must be positive, got {modulus_exp!r}")
+    if arg.z_exp != 0:
+        raise SpecError("theta argument must be z-free")
+    nnum = _ord_num(order)
+    if nnum is None:
+        raise IllPosedError("a theta sum needs a finite truncation order")
+    en = arg.q_exp.num
+    mn = m.num
+
+    def exponent(s: int) -> int:
+        return mn * (s * (s - 1) // 2) + en * s
+
+    terms: dict = {}
+    for s, step in ((0, 1), (-1, -1)):
+        # outward from s = 0 until a term at or past the order where the parabola rises
+        while (e := exponent(s)) < nnum or exponent(s + step) <= e:
+            if e < nnum:
+                key = HalfInt(e)
+                terms[key] = terms.get(key, 0) + (-1 if s % 2 and arg.sign == 1 else 1)
+            s += step
+    return QSeries.from_terms(terms, HalfInt(nnum))
+
+
 def poch_infinite(arg: Monomial, base_exp=qe(1), order: Order = None) -> QSeries:
     """(arg; q**base_exp)_inf truncated at `order` (which must be finite).
 
@@ -259,20 +293,8 @@ def poch_infinite(arg: Monomial, base_exp=qe(1), order: Order = None) -> QSeries
     if arg.q_exp.num < 0 or (arg.q_exp.num == 0 and arg.sign == 1):
         raise IllPosedError(f"infinite Pochhammer argument {arg} does not converge")
     if arg.sign == 1 and arg.q_exp == base:
-        # (Q; Q)_inf: pentagonal-number expansion, exponents base*j*(3j-1)/2
-        terms = {}
-        j = 0
-        while True:
-            hit = False
-            for jj in ((j, -j) if j else (0,)):
-                e = HalfInt(base.num * (jj * (3 * jj - 1) // 2))
-                if e.num < ordnum:
-                    terms[e] = terms.get(e, 0) + (-1 if jj % 2 else 1)
-                    hit = True
-            if j and not hit:
-                break
-            j += 1
-        return QSeries.from_terms(terms, HalfInt(ordnum))
+        # (Q; Q)_inf: Euler's pentagonal series, Jacobi's triple product at modulus Q^3
+        return theta_triple_sum(arg, HalfInt(3 * base.num), HalfInt(ordnum))
     acc = QSeries.one(HalfInt(ordnum))
     i = 0
     while True:

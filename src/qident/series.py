@@ -46,10 +46,10 @@ but the multiply grows faster, so the measured crossover rises with it:
 about 0.14 to 0.6 times the square root, from 16-bit to 64-bit digits.
 
 ZLaurent extends the same bookkeeping to Laurent polynomials in a second
-variable z whose coefficients are QSeries.  Stored keys are the complete
-structural support: an absent z-power is exactly zero, while a stored
-slice that cancelled to zero keeps its entry (it is only known to vanish
-below the common order).
+variable z whose coefficients are QSeries, all known below one common
+order.  A z-span (lo, hi) bounds the structural support: a z-power
+outside it is exactly zero, and one inside it with no stored slice is
+zero below the order, so a slice that vanishes there is not stored.
 """
 
 from __future__ import annotations

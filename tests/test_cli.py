@@ -94,6 +94,33 @@ def test_verify_json_mismatch_uses_decimal_strings(capsys):
     assert isinstance(m["rhs"], str) and m["rhs"].lstrip("-").isdigit()
 
 
+def test_structural_mismatch_reports_its_z_power(tmp_path, capsys, monkeypatch):
+    # a failing check between Laurent polynomials in z reports the z-power of
+    # the first mismatch as a plain int, in verify's JSON and in a suite row
+    from qident import HSpec, QSeries, ZLaurent, h_poly
+
+    def runner(p, wnum, stats):
+        H = h_poly(HSpec(p["n"], p["a"]))
+        return [catalog.Check("H against H + z", H, H + ZLaurent.from_terms({1: QSeries.one()}))]
+
+    entry = catalog._REGISTRY["RECURSE_F"]
+    monkeypatch.setitem(catalog._REGISTRY, "RECURSE_F", replace(entry, runner=runner))
+    args = ("--id", "RECURSE_F", "--n", "2", "--j", "1", "--a", "3/2")
+    code, out, _ = run(capsys, "verify", *args, "--format", "json")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["status"] == "fail" and doc["first_mismatch"]["z_exp"] == 1
+    code, out, _ = run(capsys, "verify", *args)
+    assert code == 1 and "FAIL at q^0 z^1" in out
+    case = {"id": "RECURSE_F", "n": 2, "j": 1, "a": "3/2", "expect": "fail"}
+    path = _write_suite(tmp_path, {"cases": [case]})
+    code, out, _ = run(capsys, "suite", path, "--jobs", "1", "--format", "json")
+    assert code == 0
+    row = json.loads(out)["cases"][0]
+    assert row["status"] == "fail" and row["as_expected"] is True
+    assert row["first_mismatch"]["z_exp"] == 1
+
+
 def test_verify_halfint_order_token(capsys):
     code, out, _ = run(
         capsys, "verify", "--id", "CURIOUS", "--order", "61/2", "--format", "json"

@@ -96,7 +96,7 @@ def test_h_poly_at_a_negative_weight_claims_the_full_order():
 
 
 def test_f_func_claims_the_requested_order():
-    # each closure step costs slice -n a factor q^n, which f_func budgets itself
+    # slice -n of F starts j n below slice -n of H; f_func budgets for it
     for j in (1, 2, 3):
         F = f_func(FSpec(4, j, he(3)), qe(20))
         assert F.order == qe(20)
@@ -117,8 +117,8 @@ def test_h_poly_keeps_only_the_slices_below_the_order():
 
 
 def test_finite_order_h_and_f_equal_the_truncated_exact_polynomial():
-    # f_func builds H at order + n j and cuts its slices there, so a cut
-    # slice must be one that no closure step brings below the order
+    # f_func walks only the slices that start below the order, each binomial
+    # only as deep as the lowest slice needs
     for n in range(13):
         for anum in range(-5, 8):
             a = HalfInt(anum)
@@ -159,6 +159,35 @@ def test_f_func_step_definition(rng):
         step = F.zshift(qe(1))
         expected = step + step.zinvert()
         assert f_func(FSpec(n, j + 1, a)).eq_upto(expected).equal
+
+
+def _outcome(build):
+    try:
+        return build()
+    except Exception as e:
+        return type(e), str(e)
+
+
+def _recursion(n, j, a, order):
+    # F by its definition: j steps G(z) -> G(zq) + G(q/z) from H, which is
+    # built n j deeper, since each step moves slice -n down by q^n
+    F = h_poly(HSpec(n, a), order + qe(n * j))
+    for _ in range(j):
+        g = F.zshift(qe(1))
+        F = g + g.zinvert()
+    return F
+
+
+def test_f_func_equals_the_recursion_on_h_poly():
+    # order, span and every slice, or the same exception
+    orders = [INF] + [he(x) for x in (-1, 0, 1, 7, 20, 41, 80, 161)]
+    for n in range(13):
+        for j in range(4):
+            for anum in range(-5, 10):
+                a = HalfInt(anum)
+                for order in orders[n > 8 :]:
+                    want = _outcome(lambda: _recursion(n, j, a, order))
+                    assert _outcome(lambda: f_func(FSpec(n, j, a), order)) == want, (n, j, anum, order)
 
 
 def test_functional_equation_example():
@@ -303,7 +332,7 @@ def test_stabilized_values_build_no_laurent_polynomial(monkeypatch):
         assert val.order == he(40)
     stabilized_h_value(he(3), Monomial(1, he(-1)), he(40))
     assert calls == []
-    hfamily.f_func(FSpec(1, 1, he(3)), he(8))  # the counters are live
+    hfamily.h_poly(HSpec(1, he(3)), he(8))  # the counters are live: h_poly calls f_func
     assert {"f_func", "h_poly", "ZLaurent"} <= set(calls)
 
 

@@ -21,13 +21,13 @@ from qident import (
     TailOverOdd,
     eval_multisum,
     make_case,
-    prune_bound,
     verify,
     he,
     qe,
 )
 from qident.catalog import _POLICY_MS
-from qident.multisum import _TailValues, _tail_floor_num, tail_min_num
+from qident.hfamily import _h_min_num
+from qident.multisum import _TailValues, _index_min_num, _tail_floor_num, tail_min_num
 from naive import brute_force_multisum
 
 
@@ -103,36 +103,32 @@ def test_stats_counting():
     assert stats.tuples > before  # stats accumulate across calls
 
 
-def test_prune_bound_is_a_certified_lower_bound():
+def _frame_floor(spec):
+    # eval_multisum's frame floor: each index at its least exponent, plus the tail's
+    lam, quad = spec.effective_linear_num(), [2 * c for c in spec.quad]
+    return _tail_floor_num(spec.tail) + sum(_index_min_num(q, l, None) for q, l in zip(quad, lam))
+
+
+def test_frame_floor_is_a_certified_lower_bound(monkeypatch):
+    # every tuple's term starts at or above the floor, and the engine's frame
+    # starts at min(0, floor); the tuples complete a random prefix
     rng = random.Random(99)
-    for _ in range(40):
-        spec, descriptor = random_spec(rng)
-        prefix_len = rng.randint(1, spec.k)
-        prefix = []
-        cap = rng.randint(0, 6)
+    frames = []
+    init = _TailValues.__init__
+    monkeypatch.setattr(_TailValues, "__init__", lambda self, tail, lo, w: frames.append(lo) or init(self, tail, lo, w))
+    first_factor = SummandSpec(2, (-1, 0), placement={1}, tail=TailOverOdd(Monomial(1, he(3)), 0))
+    for i in range(41):
+        spec, descriptor = random_spec(rng) if i < 40 else (first_factor, ("over_odd", 1, 3, 0))
+        prefix_len, prefix, cap = rng.randint(1, spec.k), [], rng.randint(0, 6)
         for _ in range(prefix_len):
             prefix.append(cap)
             cap = rng.randint(0, cap)
-        prefix = tuple(prefix)
-        bound = prune_bound(spec, prefix)
-        # every completed tuple must contribute at exponent >= bound
-        ordnum = 200
-        for completion in _completions(prefix, spec.k, prefix[-1]):
-            term = brute_force_single(spec, descriptor, completion, ordnum)
-            for e, c in term:
-                if c:
-                    assert HalfInt(e) >= bound
-                    break
-
-
-def test_prune_bound_empty_prefix_is_below_every_one_index_prefix():
-    rng = random.Random(7)
-    specs = [SummandSpec(2, (-1, 0), placement={1}, tail=TailOverOdd(Monomial(1, he(3)), 0))]
-    specs += [random_spec(rng)[0] for _ in range(40)]
-    for spec in specs:
-        empty = prune_bound(spec, ())
-        for s in range(12):
-            assert empty <= prune_bound(spec, (s,)), (spec, s)
+        floor = _frame_floor(spec)
+        for tup in _completions(tuple(prefix), spec.k, prefix[-1]):
+            term = brute_force_single(spec, descriptor, tup, 200)
+            assert next((e for e, c in term if c), floor) >= floor, (spec, tup)
+        eval_multisum(spec, he(20))
+        assert frames[-1] == min(0, floor), spec
 
 
 def test_running_min_of_tail_minima_is_the_capped_floor():
@@ -150,7 +146,9 @@ def test_running_min_of_tail_minima_is_the_capped_floor():
     ]
     for tail in tails:
         row = list(accumulate((tail_min_num(tail, s) for s in range(40)), min))
-        assert row == [_tail_floor_num(tail, s) for s in range(40)], tail
+        if isinstance(tail, TailH):
+            assert row == [_h_min_num(tail.a.num, tail.z.q_exp.num, s) for s in range(40)], tail
+        assert row[-1] == _tail_floor_num(tail), tail  # settled at the uncapped floor
 
 
 def test_overpartition_tail_minima_in_closed_form():
@@ -202,7 +200,7 @@ def test_engine_refuses_a_tail_known_below_the_needed_order(monkeypatch):
     # short; the engine must raise instead of returning wrong coefficients
     import qident.multisum as ms
 
-    monkeypatch.setattr(ms, "_tail_floor_num", lambda tail, cap: 0)
+    monkeypatch.setattr(ms, "_tail_floor_num", lambda tail: 0)
     spec = SummandSpec(1, (0,), tail=TailOverOdd(Monomial(1, he(3)), 0))
     with pytest.raises(IllPosedError):
         eval_multisum(spec, he(12))
@@ -284,7 +282,7 @@ def test_tail_values_match_the_naive_oracle(wnum):
             tails.append((TailOverOdd(z, 1), ("over_odd", sign, m, 1)))
             tails.append((TailH(he(1), z), ("h", 1, sign, m)))
     for tail, descriptor in tails:
-        lo = min(0, _tail_floor_num(tail, 30))
+        lo = min(0, _tail_floor_num(tail))
         values = _TailValues(tail, lo, wnum)
         full = -(-(wnum - lo) // values.g)  # the whole frame [lo, W), read at every s
         for s in range(31):
@@ -486,7 +484,7 @@ def test_whole_q_sums_run_their_passes_on_half_the_frame(monkeypatch):
     p = {"k": 1, "r": 0, "j": 1, "placement": frozenset({1})}
     over = _SUM_ROWS["OVER_1"].summand(p, Monomial(1, he(1)))
     for spec in (ag, over):
-        assert prune_bound(spec, ()).num == 0  # lo = 0: the frame is [0, N)
+        assert _frame_floor(spec) == 0  # lo = 0: the frame is [0, N)
     lengths = _pass_lengths(monkeypatch, ag, order)
     assert lengths and max(lengths) <= order.num // 2
     lengths = _pass_lengths(monkeypatch, over, order)
