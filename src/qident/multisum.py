@@ -48,7 +48,7 @@ are all whole: always for TailOdd and TailEven, for TailOver and
 TailOverOdd at an even z exponent m (in half-units), for TailH when
 2a + m is even.  The frame's lo is then whole too, every list is half as
 long, and the result is spread back onto the half grid once
-(`qobjects._poly_to_series`).  A mixed-parity tail keeps g = 1, one
+(`qobjects._grid_series`).  A mixed-parity tail keeps g = 1, one
 interleaved list.
 """
 
@@ -60,7 +60,7 @@ from operator import add
 from typing import Optional, Tuple, Union
 
 from .hfamily import _h_min_num, _h_window
-from .qobjects import Monomial, _poly_to_series, _prefix_add, _two_term
+from .qobjects import Monomial, _grid_series, _prefix_add, _two_term
 from .series import (
     HalfInt,
     IllPosedError,
@@ -277,13 +277,6 @@ class _TailValues:
         return c, top
 
 
-def _spread(c: list, lo: int, ordnum: int, g: int) -> QSeries:
-    """The series whose exponent lo + g x has coefficient c[x], known below ordnum."""
-    if g == 1:
-        return QSeries(lo, c, ordnum)
-    return _poly_to_series(c, HalfInt(ordnum - lo)).shift(HalfInt(lo))
-
-
 def _horner(cells: list, s: int, width: int, lift: int, g: int) -> list:
     """sum_{t<=s} q^(lift*t) cells[t] / (q; q)_{s-t} in its first `width` slots.
 
@@ -373,7 +366,7 @@ def eval_multisum(spec: SummandSpec, order, stats: Optional[SumStats] = None) ->
             if cells is None:
                 c, known = tails.value(s, floor[i][s], reach[s])
                 if known < lo + span:
-                    t = _spread(c, lo, known, g)
+                    t = _grid_series(c, lo, known, g)
                     raise IllPosedError(f"tail value {t!r} does not cover q^{HalfInt(lo)}..q^{HalfInt(lo + span)}")
                 w = c[:width]
             else:
@@ -384,4 +377,4 @@ def eval_multisum(spec: SummandSpec, order, stats: Optional[SumStats] = None) ->
             row.append(_shift(w, e[i][s] // g))
         cells = row
     live = [c for c in cells if c is not None]
-    return _spread([sum(col) for col in zip(*live)], lo, nnum, g)
+    return _grid_series([sum(col) for col in zip(*live)], lo, nnum, g)

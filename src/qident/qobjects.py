@@ -15,10 +15,12 @@ truncation.
 
 The in-place list passes live here too.  On a dense list whose slot i
 holds the coefficient of x^i (x = q^(1/2) in the engines, x = q in the
-binomial column), `_two_term` multiplies by 1 + c x^e, `_prefix_add`
-divides by 1 - x^d, and `_inv_poch_ladder` stacks the latter into
-1/(q)_d.  The binomial column `_qbinom_column`, H and every multisum tail
-are built from these passes.  H's column `_h_column` walks either up from
+binomial column), `_two_term` multiplies by 1 + c x^e (or adds c x^e times
+another list), `_prefix_add` divides by 1 - x^d, and `_inv_poch_ladder`
+stacks the latter into 1/(q)_d.  The binomial column `_qbinom_column`, H,
+every multisum tail and every Pochhammer product are built from these
+passes: `_poch_rows` keeps one list per z-power and makes one two-term
+pass per factor per list.  H's column `_h_column` walks either up from
 [2n, 0] or out from the centre [2n, n], which below q^L is 1/(q)_inf times
 the factors 1 - q^i with n < i < L (the box lemma), and takes the walk that
 moves the list fewer times.  Each pass is a few whole-slice operations,
@@ -33,7 +35,7 @@ import math
 from dataclasses import dataclass
 from itertools import accumulate, chain
 from operator import add, sub
-from typing import Callable, Iterator, Tuple
+from typing import Callable, Iterator, Optional, Tuple
 
 from .series import (
     INF,
@@ -91,13 +93,17 @@ def binom(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def _two_term(c: list, sign: int, e: int) -> list:
-    """Multiply c by 1 + sign*x^e in place; a negative e leaves the top -e slots stale."""
+def _two_term(c: list, sign: int, e: int, src: Optional[list] = None) -> list:
+    """c += sign*x^e src in place, src as long as c; by default src = c, so c times 1 + sign*x^e.
+
+    A negative e leaves the top -e slots stale.
+    """
     op = add if sign > 0 else sub
+    src = c if src is None else src
     if e >= 0:
-        c[e:] = map(op, c[e:], c)
+        c[e:] = map(op, c[e:], src)
     else:
-        c[: max(len(c) + e, 0)] = map(op, c, c[-e:])
+        c[: max(len(c) + e, 0)] = map(op, c, src[-e:])
     return c
 
 
@@ -203,13 +209,43 @@ def qbinom_poly(n: int, k: int):
     return b
 
 
-def _poly_to_series(poly, order: Order) -> QSeries:
-    return QSeries(0, _spread(poly, 2 * len(poly) - 1), _ord_num(order))
+def _grid_series(c: list, lo: int, ordnum: Optional[int], g: int) -> QSeries:
+    """The series whose exponent lo + g x (half-units) has coefficient c[x], known below ordnum."""
+    return QSeries(lo, c if g == 1 else _spread(c, 2 * len(c) - 1), ordnum)
 
 
 def qbinom(n: int, k: int, order: Order = INF) -> QSeries:
     """Gaussian binomial [n, k]_q as a series."""
-    return _poly_to_series(qbinom_poly(n, k), order)
+    return _grid_series(qbinom_poly(n, k), 0, _ord_num(order), 2)
+
+
+def _poch_rows(factors: list, order: Order) -> ZLaurent:
+    """prod (1 - sign z^k q^(e/2)) over the factors (sign, k, e), exact at INF, else known below order + lo.
+
+    lo is the sum of the negative e.  Each z-power keeps one list from
+    q^(lo/2) to q^(order/2), on spacing g = 2 when every e is even; a factor
+    is one two-term pass per row, row j + k taking -sign q^(e/2) row j, the
+    rows visited away from the side k moves to, so each is read before it
+    changes.  A negative e leaves the top -e half-units stale.  A factor
+    1 - q^0 makes the product an exact zero.
+    """
+    if (1, 0, 0) in factors:
+        return ZLaurent.zero()
+    lo = sum(min(e, 0) for _, _, e in factors)
+    g = 2 if all(e % 2 == 0 for _, _, e in factors) else 1
+    ordnum = _ord_num(order)
+    width = (sum(max(e, 0) for _, _, e in factors) - lo) // g + 1
+    if ordnum is not None:
+        width = max(min(width, -((lo - ordnum) // g)), 0)
+    rows = {0: ([0] * (-lo // g) + [1] + [0] * width)[:width]}
+    for sign, k, e in factors:
+        for j in sorted(rows, reverse=k > 0):
+            if j + k not in rows:
+                rows[j + k] = [0] * width
+            _two_term(rows[j + k], -sign, e // g, rows[j])
+    top = None if ordnum is None else ordnum + lo
+    span = (sum(min(k, 0) for _, k, _ in factors), sum(max(k, 0) for _, k, _ in factors))
+    return ZLaurent({j: _grid_series(c, lo, top, g) for j, c in rows.items()}, top, span)
 
 
 def poch_finite(arg: Monomial, n: int, base_exp=qe(1), order: Order = INF) -> ZLaurent:
@@ -217,30 +253,14 @@ def poch_finite(arg: Monomial, n: int, base_exp=qe(1), order: Order = INF) -> ZL
     if n < 0:
         raise SpecError(f"finite Pochhammer length must be >= 0, got {n}")
     base = HalfInt._coerce(base_exp)
-    acc = ZLaurent.scalar(QSeries.one(order))
-    for i in range(n):
-        e = arg.q_exp + base * i
-        factor = ZLaurent.from_terms(
-            {0: QSeries.one(), arg.z_exp: QSeries.monomial(-arg.sign, e)}
-            if arg.z_exp
-            else {0: QSeries.one() + QSeries.monomial(-arg.sign, e)},
-            order,
-        )
-        acc = acc * factor
-    return acc
+    return _poch_rows([(arg.sign, arg.z_exp, arg.q_exp.num + base.num * i) for i in range(n)], order)
 
 
 def poch_finite_scalar(arg: Monomial, n: int, base_exp=qe(1), order: Order = INF) -> QSeries:
     """Finite Pochhammer of a z-free argument, as a plain series."""
     if arg.z_exp != 0:
         raise SpecError("scalar Pochhammer needs a z-free argument")
-    if n < 0:
-        raise SpecError(f"finite Pochhammer length must be >= 0, got {n}")
-    base = HalfInt._coerce(base_exp)
-    acc = QSeries.one(order)
-    for i in range(n):
-        acc = acc * (QSeries.one() + QSeries.monomial(-arg.sign, arg.q_exp + base * i))
-    return acc
+    return poch_finite(arg, n, base_exp, order).slice(0)
 
 
 def theta_triple_sum(arg: Monomial, modulus_exp, order) -> QSeries:
@@ -295,15 +315,8 @@ def poch_infinite(arg: Monomial, base_exp=qe(1), order: Order = None) -> QSeries
     if arg.sign == 1 and arg.q_exp == base:
         # (Q; Q)_inf: Euler's pentagonal series, Jacobi's triple product at modulus Q^3
         return theta_triple_sum(arg, HalfInt(3 * base.num), HalfInt(ordnum))
-    acc = QSeries.one(HalfInt(ordnum))
-    i = 0
-    while True:
-        e = arg.q_exp + base * i
-        if e.num >= ordnum:
-            break
-        acc = acc * (QSeries.one() + QSeries.monomial(-arg.sign, e))
-        i += 1
-    return acc.truncated(HalfInt(ordnum))
+    # the factors below the order
+    return poch_finite_scalar(arg, max(-((arg.q_exp.num - ordnum) // base.num), 0), base, HalfInt(ordnum))
 
 
 # Each cache holds one entry, the deepest order built so far; a shallower

@@ -50,6 +50,8 @@ variable z whose coefficients are QSeries, all known below one common
 order.  A z-span (lo, hi) bounds the structural support: a z-power
 outside it is exactly zero, and one inside it with no stored slice is
 zero below the order, so a slice that vanishes there is not stored.
+A ZLaurent multiplies only by scalars, an int or a QSeries; products
+in z are built as lists (`qobjects._poch_rows`).
 """
 
 from __future__ import annotations
@@ -483,12 +485,9 @@ class QSeries:
         lo = min(self._min, other._min)
         hi = max(self._min + len(self._coeffs), other._min + len(other._coeffs))
         out = [0] * (hi - lo)
-        off = self._min - lo
-        for i, c in enumerate(self._coeffs):
-            out[off + i] = c
-        off = other._min - lo
-        for i, c in enumerate(other._coeffs):
-            out[off + i] += c
+        out[self._min - lo : self._min - lo + len(self._coeffs)] = self._coeffs
+        at = slice(other._min - lo, other._min - lo + len(other._coeffs))
+        out[at] = map(add, out[at], other._coeffs)
         return QSeries(lo, out, ordnum)
 
     __radd__ = __add__
@@ -764,34 +763,17 @@ class ZLaurent:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            if not other:
-                return ZLaurent.zero()
-            return ZLaurent(
-                {k: s * other for k, s in self._terms.items()}, self._ordnum, self._span, _raw=True
-            )
-        if isinstance(other, QSeries):
-            # a scalar factor never raises the order
-            return (self * ZLaurent.scalar(other)).truncated(self.order)
-        if not isinstance(other, ZLaurent):
+            other = QSeries.monomial(other) if other else QSeries.zero()
+        if not isinstance(other, QSeries):
             return NotImplemented
-        if self._span is None or other._span is None:
+        if self._span is None or (not other._coeffs and other._ordnum is None):
             return ZLaurent.zero()
-        out = {}
-        for ka, sa in self._terms.items():
-            for kb, sb in other._terms.items():
-                k = ka + kb
-                p = sa * sb
-                out[k] = out[k] + p if k in out else p
-
-        def bound(x: "ZLaurent", y: "ZLaurent") -> Optional[int]:
-            # x's order plus y's lowest exponent, a zero slice of y starting at y's order
-            if x._ordnum is None:
-                return None
-            low = [s._min for s in y._terms.values()]
-            return x._ordnum + min(low + ([] if y._ordnum is None else [y._ordnum]))
-
-        (alo, ahi), (blo, bhi) = self._span, other._span
-        return ZLaurent(out, _min_ord(bound(self, other), bound(other, self)), (alo + blo, ahi + bhi))
+        # a scalar never raises the order; a zero slice of either side starts at its order
+        ordnum = None if self._ordnum is None else self._ordnum + min(other._min, 0)
+        if other._ordnum is not None:
+            low = min((s._min for s in self._terms.values()), default=self._ordnum)
+            ordnum = _min_ord(ordnum, other._ordnum + low)
+        return ZLaurent({k: s * other for k, s in self._terms.items()}, ordnum, self._span)
 
     __rmul__ = __mul__
 

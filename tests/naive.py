@@ -130,6 +130,19 @@ def n_poch_finite(sign: int, qnum: int, n: int, basenum: int, order: int) -> Nai
     return n_poch_finite(sign, qnum, n - 1, basenum, order).mul(f)
 
 
+def n_poch_z(sign: int, z_exp: int, qnum: int, n: int, basenum: int) -> dict:
+    """prod_{i<n} (1 - sign z^z_exp q^((qnum + i basenum)/2)), exact, as
+    {(z-power, half-exponent numerator): nonzero coefficient}."""
+    acc = {(0, 0): 1}
+    for i in range(n):
+        out = dict(acc)
+        for (k, e), c in acc.items():
+            key = (k + z_exp, e + qnum + i * basenum)
+            out[key] = out.get(key, 0) - sign * c
+        acc = {key: c for key, c in out.items() if c}
+    return acc
+
+
 def n_poch_infinite(sign: int, qnum: int, basenum: int, order: int) -> NaiveSeries:
     acc = NaiveSeries.one(order)
     i = 0

@@ -316,6 +316,29 @@ def test_iterate_bress_compares_at_exactly_the_requested_order():
     assert rep.compared_order == qe(40)
 
 
+def test_iterate_bress_builds_its_factored_tail_at_the_working_order():
+    # each (qz, 1/z; q)_s is built below the working order, not exactly and
+    # then cut: n = 30 took 2.1 s when 31 exact products were truncated
+    best = []
+    for _ in range(2):
+        t0 = time.perf_counter()
+        rep = _ok("ITERATE_BRESS", order=qe(40), n=30, k=2)
+        best.append(time.perf_counter() - t0)
+    assert rep.compared_order == qe(40)
+    assert min(best) < 1.0
+
+
+def test_special_a_fails_without_the_sign_flip(monkeypatch):
+    # negative control: the factored side is built from its own factors, not
+    # from H's column, so an lhs without z -> -z disagrees at q^3 z^-3, where
+    # (qz, 1/z; q)_3 has -q^3 z^-3
+    monkeypatch.setattr(catalog.ZLaurent, "znegate", lambda self: self)
+    rep = verify(make_case("SPECIAL_A", n=3))
+    assert rep.status == "fail"
+    m = rep.first_mismatch
+    assert (m.exp, m.z_exp, m.lhs, m.rhs) == (qe(3), -3, 1, -1)
+
+
 def _count_runner_calls(monkeypatch) -> dict:
     calls = {}
 

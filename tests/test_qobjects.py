@@ -1,6 +1,7 @@
 """q-binomials, Pochhammer products, and the classical partition series."""
 
 import time
+from itertools import product
 
 import pytest
 from hypothesis import given
@@ -12,6 +13,7 @@ from qident import (
     Monomial,
     QSeries,
     SpecError,
+    ZLaurent,
     binom,
     euler_series,
     partition_series,
@@ -24,7 +26,7 @@ from qident import (
     qe,
 )
 from qident.qobjects import _centre_column, _h_column, _prefix_add, _qbinom_column, _two_term
-from naive import n_poch_finite, n_poch_infinite, n_qbinom
+from naive import n_poch_finite, n_poch_infinite, n_poch_z, n_qbinom
 
 
 def test_binom_values_and_edges():
@@ -110,14 +112,56 @@ def test_poch_finite_scalar_vs_naive(rng):
 
 def test_poch_finite_z_substitution(rng):
     # (z q; q)_n with z set to a monomial equals the scalar product directly
+    W = 60
     for _ in range(10):
         n = rng.randint(0, 5)
         sign = rng.choice((1, -1))
         m = HalfInt(rng.randint(-2, 3))
-        lz = poch_finite(Monomial(1, qe(1), 1), n)
-        got = lz.substitute(sign, m)
-        want = poch_finite_scalar(Monomial(sign, qe(1) + m), n, order=INF)
-        assert got.eq_upto(want).equal
+        got = poch_finite(Monomial(1, qe(1), 1), n).substitute(sign, m)
+        want = n_poch_finite(sign, 2 + m.num, n, 2, W)
+        assert got.order is INF
+        assert [got.coefficient(he(e)) for e in range(W)] == want.coeffs
+
+
+@pytest.mark.parametrize("order", [INF, he(1), he(7), qe(15)])
+def test_poch_finite_matches_the_naive_expansion(order):
+    # slice by slice against a dict expansion, (1; q)_n = 0 among them: known
+    # below order + lo, lo the sum of the negative exponents, and nothing below lo
+    for sign, z, qnum, basenum, n in product((1, -1), range(-2, 3), range(-3, 5), (1, 2, 3), range(6)):
+        got = poch_finite(Monomial(sign, he(qnum), z), n, he(basenum), order)
+        want = n_poch_z(sign, z, qnum, n, basenum)
+        if not want:
+            # some factor is 1 - q^0
+            assert got == ZLaurent.zero() and (sign, z) == (1, 0) and 0 in range(qnum, qnum + n * basenum, basenum)
+            continue
+        lo = sum(min(qnum + i * basenum, 0) for i in range(n))
+        assert got.order == (INF if order is INF else order + he(lo))
+        hi = max(e for _, e in want) + 1 if order is INF else got.order.num
+        for k in range(min(z * n, 0) - 1, max(z * n, 0) + 2):
+            s = got.slice(k)
+            assert [s.coefficient(he(e)) for e in range(lo - 2, hi)] == [
+                want.get((k, e), 0) for e in range(lo - 2, hi)
+            ], (sign, z, qnum, basenum, n, k)
+
+
+def test_pochhammer_products_multiply_no_series(monkeypatch):
+    # every finite and infinite product is two-term passes on lists: no
+    # series or Laurent polynomial is multiplied by another
+    from qident.catalog import _pochz_rising
+
+    calls = []
+    for cls in (QSeries, ZLaurent):
+        real = cls.__mul__
+        monkeypatch.setattr(cls, "__mul__", lambda a, b, _f=real, _c=cls: calls.append(_c.__name__) or _f(a, b))
+    poch_finite(Monomial(-1, he(-1), 2), 5, he(3), he(20))
+    poch_finite_scalar(Monomial(1, he(1)), 6, qe(1))
+    poch_infinite(Monomial(-1, he(1)), he(3), qe(40))
+    poch_infinite(Monomial(1, qe(2)), qe(2), qe(40))
+    _pochz_rising(6, INF)
+    _pochz_rising(6, qe(20))
+    assert calls == []
+    _pochz_rising(2, INF) * QSeries.one()  # the counters are live: one call per slice
+    assert calls[0] == "ZLaurent" and set(calls[1:]) == {"QSeries"}
 
 
 def test_poch_infinite_pentagonal_fast_path():

@@ -432,10 +432,15 @@ def test_zlaurent_basicops():
     y = x + x
     assert y.slice(1).coefficient(he(1)) == 2
     assert y.slice(0).eq_upto(QSeries.zero()).equal
-    sq = x * x
-    assert sq.slice(2).coefficient(he(2)) == 1
-    assert sq.slice(0).coefficient(he(2)) == 2
-    assert sq.slice(-2).coefficient(he(2)) == 1
+    # squaring each slice by the scalar q^(1/2) keeps the z-powers and the order
+    sq = x * QSeries.monomial(1, he(1))
+    assert sq == QSeries.monomial(1, he(1)) * x
+    assert sq.slice(1).coefficient(he(2)) == 1
+    assert sq.slice(-1).coefficient(he(2)) == 1
+    assert sq.slice(0).is_zero and sq.order == he(40)
+    # ZLaurent multiplies only by scalars
+    with pytest.raises(TypeError):
+        x * x
 
 
 def test_zlaurent_zshift_substitute_consistency(rng):
@@ -500,9 +505,8 @@ def test_zlaurent_slices_zero_below_the_order_still_bound_it():
     assert Z.z_support() == [] and Z.order == he(1) and Z.is_zero
     assert Z.slice(2) == QSeries.zero(he(1)) and Z.slice(4) == QSeries.zero(INF)
     assert Z == zero_at(0, 1, 3) and Z != zero_at(0, 2)
-    P = Z * ZLaurent.from_terms({-1: QSeries.monomial(1, qe(-2))})
-    assert P.order == he(-3) and P.slice(2) == QSeries.zero(he(-3)) and P.slice(3) == QSeries.zero(INF)
-    assert (Z * QSeries.monomial(1, qe(-2))).order == he(-3)
+    P = Z * QSeries.monomial(1, qe(-2))
+    assert P.order == he(-3) and P.slice(2) == QSeries.zero(he(-3)) and P.slice(4) == QSeries.zero(INF)
     assert Z * 0 == Z * QSeries.zero() == ZLaurent.zero()
     assert Z.zshift(qe(1)).order == he(1) and Z.zshift(qe(-1)).order == he(-5)
     assert Z.zinvert().zshift(qe(1)).order == he(-5)
@@ -515,8 +519,12 @@ def test_zlaurent_ring_laws(rng):
         a = random_zlaurent(rng, zspan=2, span=12)
         b = random_zlaurent(rng, zspan=2, span=12)
         c = random_zlaurent(rng, zspan=2, span=12)
-        assert (a * b).eq_upto(b * a).equal
-        assert (a * (b + c)).eq_upto(a * b + a * c).equal
+        s = random_qseries(rng, span=12)
+        t = random_qseries(rng, span=12)
+        assert s * a == a * s
+        assert (a * (s + t)).eq_upto(a * s + a * t).equal
+        assert ((a + b) * s).eq_upto(a * s + b * s).equal
+        assert ((a * s) * t).eq_upto(a * (s * t)).equal
         assert ((a + b) + c).eq_upto(a + (b + c)).equal
 
 
