@@ -134,10 +134,7 @@ def registered_ids() -> Tuple[str, ...]:
 
 
 def make_case(id: str, order=None, **params) -> IdentityCase:
-    o = None if order is None else HalfInt._coerce(order)
-    if order is not None and o is None:
-        o = HalfInt.parse(order)
-    return IdentityCase(id, params, o)
+    return IdentityCase(id, params, None if order is None else HalfInt.parse(order))
 
 
 def _prepare(case: IdentityCase) -> Tuple[_Entry, dict, int]:
@@ -906,31 +903,17 @@ def _run_andrews_answer(p: dict, wnum: int, stats: SumStats) -> List[Check]:
         vanish = h_poly(HSpec(s, he(1)), INF).substitute(-1, he(1))
         checks.append(Check(f"s={s}: closing factor kills positive indices", vanish, QSeries.zero(INF)))
 
-    # finite-n pipeline: state = sum_s bucket[s] * H(s, a)(-q^x) / (q)_{2s}
+    # finite-n pipeline: state = sum_s bucket[s] * H(s, a)(-q^x) / (q)_{2s},
+    # from a = k + 3/2, x = r + 1/2.  Each expansion (the key lemma) lowers a
+    # by 1; a = x after k - r + 1 of them, and from then on the functional
+    # equation, which lowers x by 1 and multiplies slice s by q^s, comes
+    # before each expansion.  Both end at 1/2.
     bucket: Dict[int, QSeries] = {n: QSeries.one(he(wnum))}
-    a_num = 2 * k + 3
-    x_num = 2 * r + 1
-
-    def lemma_step() -> None:
-        nonlocal a_num, bucket
+    for t in range(k + 1):
+        if t > k - r:
+            bucket = {s: c.shift(qe(s)) for s, c in bucket.items()}
         new = _chain_sum(bucket, 1, inv, _square_weight)
         bucket = {s: c.truncated(he(wnum)) for s, c in new.items()}
-        a_num -= 2
-
-    def funceq_step() -> None:
-        nonlocal x_num, bucket
-        if x_num != a_num:
-            raise QidentError("reduction schedule out of sync")
-        bucket = {m: c * QSeries.monomial(1, qe(m)) for m, c in bucket.items()}
-        x_num -= 2
-
-    for _ in range(k - r + 1):
-        lemma_step()
-    for _ in range(r):
-        funceq_step()
-        lemma_step()
-    if (a_num, x_num) != (1, 1):
-        raise QidentError("reduction schedule did not terminate at the half weight")
 
     # every step preserved the value, so bucket[0] must equal the start;
     # wnum + n(2r+1): substituting -q^(r+1/2) moves slice -n down by n(2r+1) half-units

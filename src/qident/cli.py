@@ -74,8 +74,12 @@ def _report_line(rep: VerificationReport) -> str:
         extra = f", {rep.tuple_count} cells" if rep.tuple_count else ""
         return f"{head}: PASS ({where}{extra}, {rep.elapsed:.2f}s)"
     m = rep.first_mismatch
-    at = f"q^{m.exp}" + (f" z^{m.z_exp}" if m.z_exp is not None else "")
-    return f"{head}: FAIL at {at}: lhs={m.lhs} rhs={m.rhs} ({rep.detail})"
+    return f"{head}: FAIL at {_mismatch_at(m.exp, m.z_exp, m.lhs, m.rhs)} ({rep.detail})"
+
+
+def _mismatch_at(exp, z_exp, lhs, rhs) -> str:
+    """A first mismatch in text output: q^exp, z^z_exp when it has a z-power, both sides."""
+    return f"q^{exp}" + (f" z^{z_exp}" if z_exp is not None else "") + f": lhs={lhs} rhs={rhs}"
 
 
 def _case_from_args(args) -> IdentityCase:
@@ -195,8 +199,7 @@ def _cmd_suite(args) -> int:
             if out["status"] == "error":
                 line += f" -- {out['detail']}"
             elif out["status"] == "fail" and out["first_mismatch"]:
-                m = out["first_mismatch"]
-                line += f" -- first mismatch at q^{m['exp']}: lhs={m['lhs']} rhs={m['rhs']}"
+                line += " -- first mismatch at " + _mismatch_at(**out["first_mismatch"])
             lines.append(line)
         lines.append(f"suite: {len(rows)} cases, {len(rows) - bad} as expected, {bad} unexpected")
         doc = "\n".join(lines)

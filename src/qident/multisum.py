@@ -197,28 +197,22 @@ def tail_min_num(tail: Tail, s: int) -> int:
 
 def _tail_floor_num(tail: Tail) -> int:
     """min of tail_min_num over all s >= 0."""
-    if isinstance(tail, (TailOdd, TailEven)):
-        return 0
     if isinstance(tail, TailH):
         if tail.a.num <= 0:
             raise SpecError("collapsing tail needs a positive quadratic weight")
         return _h_min_num(tail.a.num, tail.z.q_exp.num)
-    # TailOver/TailOverOdd: s -> s+1 increments are nondecreasing, so the
-    # minimum sits at the first s whose increment is not negative
-    s = 0
-    while tail_min_num(tail, s + 1) < tail_min_num(tail, s):
-        s += 1
-    return tail_min_num(tail, s)
+    if isinstance(tail, (TailOver, TailOverOdd)):
+        # a sum of _neg_sum(c, s) terms, c in {m, 2 - m} with m the z exponent
+        # less twice the offset; each stops falling once s >= (1 - c) // 2
+        m = tail.z.q_exp.num - 2 * getattr(tail, "offset", 0)
+        return tail_min_num(tail, abs(m) + 1)
+    return tail_min_num(tail, 0)
 
 
 def _index_min_num(quadnum: int, lamnum: int, cap: Optional[int]) -> int:
-    """min over admissible s of quadnum*s^2 + lamnum*s."""
-    if lamnum >= 0:
-        return 0
-    top = (-lamnum) // (2 * quadnum) + 1
-    if cap is not None:
-        top = min(top, cap)
-    return min(quadnum * s * s + lamnum * s for s in range(top + 1))
+    """min over 0 <= s (<= cap when given) of quadnum*s^2 + lamnum*s."""
+    # at lamnum < 0 the least value over |s| <= cap has s >= 0
+    return 0 if lamnum >= 0 else _h_min_num(quadnum, lamnum, cap)
 
 
 def _grid(tail: Tail) -> int:

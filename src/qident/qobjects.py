@@ -9,9 +9,8 @@ series for (Q; Q)_inf, used whenever an Euler-type product is requested
 [N, k] = [N, k-1] (1 - q^(N-k+1)) / (1 - q^k) for Gaussian binomials
 (ch. 3).  Both have slower independent counterparts in the test suite's
 `naive` oracles.
-`euler_series` and `partition_series` each cache one series, the
-deepest order built so far, and read a shallower order off it by
-truncation.
+`partition_series` keeps the module's one cache, the deepest order built
+so far, and reads a shallower order off it by truncation.
 
 The in-place list passes live here too.  On a dense list whose slot i
 holds the coefficient of x^i (x = q^(1/2) in the engines, x = q in the
@@ -319,34 +318,24 @@ def poch_infinite(arg: Monomial, base_exp=qe(1), order: Order = None) -> QSeries
     return poch_finite_scalar(arg, max(-((arg.q_exp.num - ordnum) // base.num), 0), base, HalfInt(ordnum))
 
 
-# Each cache holds one entry, the deepest order built so far; a shallower
-# order is read off it by truncation, a deeper one replaces it.
-_EULER_CACHE: dict = {}
+# One entry, the deepest order built so far; a shallower order is read off
+# it by truncation, a deeper one replaces it.
 _PARTITION_CACHE: dict = {}
 
 
-def _deepest(cache: dict, order, build: Callable[[int], QSeries]) -> QSeries:
-    n = _ord_num(order)
-    if n is None:
-        raise IllPosedError("an infinite product needs a finite truncation order")
-    for have, got in cache.items():
-        if n <= have:
-            return got.truncated(HalfInt(n))
-    cache.clear()
-    got = cache[n] = build(n)
-    return got
-
-
 def euler_series(order) -> QSeries:
-    """(q; q)_inf truncated at order, cached."""
-    euler = Monomial(1, qe(1))
-    return _deepest(_EULER_CACHE, order, lambda n: poch_infinite(euler, qe(1), HalfInt(n)))
+    """(q; q)_inf truncated at order."""
+    return poch_infinite(Monomial(1, qe(1)), qe(1), order)
 
 
 def partition_series(order) -> QSeries:
     """1/(q; q)_inf truncated at order, cached; below a non-positive order, a zero."""
-
-    def build(n: int) -> QSeries:
-        return euler_series(HalfInt(n)).inverse() if n > 0 else QSeries.zero(HalfInt(n))
-
-    return _deepest(_PARTITION_CACHE, order, build)
+    n = _ord_num(order)
+    if n is None:
+        raise IllPosedError("an infinite product needs a finite truncation order")
+    for have, got in _PARTITION_CACHE.items():
+        if n <= have:
+            return got.truncated(HalfInt(n))
+    _PARTITION_CACHE.clear()
+    got = _PARTITION_CACHE[n] = euler_series(HalfInt(n)).inverse() if n > 0 else QSeries.zero(HalfInt(n))
+    return got

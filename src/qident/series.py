@@ -24,8 +24,8 @@ series that becomes zero through cancellation keeps its finite order
 instead of collapsing to the canonical zero.
 
 Coefficients are plain Python integers, so everything is exact at
-arbitrary precision.  A product takes one of three paths, picked from
-the operand lengths and nonzero counts (`len - count(0)`).  With na the
+arbitrary precision.  A product takes one of two paths, picked from the
+operand lengths and nonzero counts (`len - count(0)`).  With na the
 nonzero count of the sparser operand x and y the other one:
 
 * slice adds (`_convolve_sparse`): one whole-slice add of y per nonzero
@@ -34,10 +34,9 @@ nonzero count of the sparser operand x and y the other one:
   element adds;
 * Kronecker substitution (`_convolve_kronecker`): each operand packed
   once into one signed big integer, one CPython multiply, one unpack;
-* the schoolbook loop, which `_convolve` takes over Kronecker when
-  len(x) * len(y) <= _SCHOOLBOOK_CUTOFF; it is also the test suite's
-  cross-check.  When both operands are whole-q, `_convolve` runs on
-  their even slots alone and the product is spread back once.
+  whole-q operands use their even slots alone, spread back once.  Below
+  about 64 pairs a schoolbook loop is faster (2 x 8: 2.2 against 6.2 us,
+  `timeit`, 2-core x86), but no workload or bundled suite case has one.
 
 The slice adds are taken when their element count is at most
 sqrt(len(x) + len(y)) / 3 times the operands' total length (`__mul__`
@@ -258,22 +257,6 @@ def _min_ord(a: Optional[int], b: Optional[int]) -> Optional[int]:
 # ---------------------------------------------------------------------------
 # integer convolution
 
-# dense operands: Kronecker wins past about 64 (2-byte digits) to 144 (8-byte) pairs
-_SCHOOLBOOK_CUTOFF = 128
-
-
-def _convolve_schoolbook(a: list, b: list, out_len: int) -> list:
-    out = [0] * out_len
-    for i, ai in enumerate(a):
-        if not ai or i >= out_len:
-            continue
-        lim = min(len(b), out_len - i)
-        for j in range(lim):
-            bj = b[j]
-            if bj:
-                out[i + j] += ai * bj
-    return out
-
 
 def _convolve_kronecker(a: list, b: list, out_len: int) -> list:
     ma = max(map(abs, a))
@@ -329,17 +312,6 @@ def _spread(half: list, n: int) -> list:
     out = [0] * n
     out[::2] = half
     return out
-
-
-def _convolve(a: list, b: list, out_len: int) -> list:
-    """Exact integer convolution of a and b, truncated to out_len entries."""
-    if out_len <= 0:
-        return []
-    if len(a) > len(b):
-        a, b = b, a
-    if len(a) * len(b) <= _SCHOOLBOOK_CUTOFF:
-        return _convolve_schoolbook(a, b, out_len)
-    return _convolve_kronecker(a, b, out_len)
 
 
 # ---------------------------------------------------------------------------
@@ -541,9 +513,9 @@ class QSeries:
             out = _convolve_sparse(x, y, out_len, step)
         elif step == 2 and not any(x[1::2]):
             # both whole-q: convolve the even slots alone and spread once
-            out = _spread(_convolve(x[::2], y[::2], (out_len + 1) // 2), out_len)
+            out = _spread(_convolve_kronecker(x[::2], y[::2], (out_len + 1) // 2), out_len)
         else:
-            out = _convolve(x, y, out_len)
+            out = _convolve_kronecker(x, y, out_len)
         return QSeries(lo, out, ordnum)
 
     __rmul__ = __mul__

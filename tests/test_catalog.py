@@ -474,7 +474,6 @@ def test_limit_walks_reuse_the_product_sides_partition_series(monkeypatch):
     # product side builds anyway: the one-entry cache holds nothing deeper
     import qident.qobjects as qobjects
 
-    monkeypatch.setattr(qobjects, "_EULER_CACHE", {})
     monkeypatch.setattr(qobjects, "_PARTITION_CACHE", {})
     assert verify(make_case("H_LIMIT", a="3/2", order=qe(240))).status == "pass"
     assert list(qobjects._PARTITION_CACHE) == [qe(240).num]

@@ -96,7 +96,8 @@ def test_verify_json_mismatch_uses_decimal_strings(capsys):
 
 def test_structural_mismatch_reports_its_z_power(tmp_path, capsys, monkeypatch):
     # a failing check between Laurent polynomials in z reports the z-power of
-    # the first mismatch as a plain int, in verify's JSON and in a suite row
+    # the first mismatch as a plain int, in verify's JSON and in a suite row,
+    # and in the text output of both
     from qident import HSpec, QSeries, ZLaurent, h_poly
 
     def runner(p, wnum, stats):
@@ -119,6 +120,8 @@ def test_structural_mismatch_reports_its_z_power(tmp_path, capsys, monkeypatch):
     row = json.loads(out)["cases"][0]
     assert row["status"] == "fail" and row["as_expected"] is True
     assert row["first_mismatch"]["z_exp"] == 1
+    code, out, _ = run(capsys, "suite", path, "--jobs", "1")
+    assert code == 0 and "first mismatch at q^0 z^1: lhs=" in out
 
 
 def test_verify_halfint_order_token(capsys):

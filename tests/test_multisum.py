@@ -170,6 +170,24 @@ def test_overpartition_tail_minima_in_closed_form():
                 assert tail_min_num(TailOverOdd(z, off), s) == want, (c, off, s)
 
 
+def test_index_and_tail_floors_equal_brute_force_minima():
+    # the closed forms in eval_multisum's frame floor against a scan of s:
+    # min over 0 <= s (<= cap) of quad s^2 + lam s, and the least
+    # tail_min_num over all s, far past where either stops falling
+    for quad in range(2, 9):
+        for lam in range(-40, 12):
+            for cap in [None, *range(12)]:
+                top = 60 if cap is None else cap
+                want = min(quad * s * s + lam * s for s in range(top + 1))
+                assert _index_min_num(quad, lam, cap) == want, (quad, lam, cap)
+    for mnum in range(-9, 10):
+        for sign in (1, -1):
+            z = Monomial(sign, HalfInt(mnum))
+            for tail in [TailOver(z)] + [TailOverOdd(z, off) for off in range(-2, 4)]:
+                want = min(tail_min_num(tail, s) for s in range(60))
+                assert _tail_floor_num(tail) == want, tail
+
+
 def test_uncapped_over_odd_floor_counts_the_first_factor():
     # at s = 0 the (s+1)-term product already contributes q^(-1/2); a floor
     # that starts at 0 makes the working order and the first-index cap too small

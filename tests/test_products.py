@@ -138,7 +138,6 @@ def test_product_sides_expand_no_factor_product_but_the_control(monkeypatch):
     for name, mod in list(sys.modules.items()):
         if name.startswith("qident") and getattr(mod, "poch_infinite", None) is real:
             monkeypatch.setattr(mod, "poch_infinite", spy)
-    monkeypatch.setattr(qo, "_EULER_CACHE", {})
     monkeypatch.setattr(qo, "_PARTITION_CACHE", {})
     euler = (Monomial(1, qe(1)), qe(1))
     for case in (

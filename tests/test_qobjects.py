@@ -198,25 +198,21 @@ def test_euler_inverse_of_partitions():
     assert prod.eq_upto(QSeries.one()).equal
 
 
-@pytest.mark.parametrize("name, cache", [("euler_series", "_EULER_CACHE"), ("partition_series", "_PARTITION_CACHE")])
-def test_q_object_caches_keep_one_deepest_entry(monkeypatch, name, cache):
+def test_partition_cache_keeps_one_deepest_entry(monkeypatch):
     import qident.qobjects as qo
 
-    monkeypatch.setattr(qo, "_EULER_CACHE", {})
     monkeypatch.setattr(qo, "_PARTITION_CACHE", {})
-    build = getattr(qo, name)
-    cold = {order: build(order) for order in (qe(40), he(81), he(1))}
-    qo._EULER_CACHE.clear()
+    cold = {order: partition_series(order) for order in (qe(40), he(81), he(1))}
     qo._PARTITION_CACHE.clear()
-    deep = build(qe(240))
-    assert list(getattr(qo, cache)) == [qe(240).num]
+    deep = partition_series(qe(240))
+    assert list(qo._PARTITION_CACHE) == [qe(240).num]
     for order, value in cold.items():
-        assert build(order) == value
-    assert list(getattr(qo, cache)) == [qe(240).num]
-    assert build(qe(240)) is deep
-    build(qe(300))
-    assert list(getattr(qo, cache)) == [qe(300).num]
-    assert build(qe(240)) == deep
+        assert partition_series(order) == value
+    assert list(qo._PARTITION_CACHE) == [qe(240).num]
+    assert partition_series(qe(240)) is deep
+    partition_series(qe(300))
+    assert list(qo._PARTITION_CACHE) == [qe(300).num]
+    assert partition_series(qe(240)) == deep
 
 
 def test_partition_series_walks_only_the_pentagonal_terms(monkeypatch):
@@ -224,7 +220,6 @@ def test_partition_series_walks_only_the_pentagonal_terms(monkeypatch):
     # q^2400 took 0.53 s when the inverse walked every slot of (q)_inf
     import qident.qobjects as qo
 
-    monkeypatch.setattr(qo, "_EULER_CACHE", {})
     monkeypatch.setattr(qo, "_PARTITION_CACHE", {})
     t0 = time.perf_counter()
     p = partition_series(qe(2400))

@@ -309,7 +309,7 @@ def _naive_window(s, pad):
 @given(_operands(), _operands())
 def test_product_matches_the_naive_oracle_on_every_path(a, b):
     from naive import NaiveSeries
-    from qident.series import _convolve_kronecker, _convolve_schoolbook, _convolve_sparse
+    from qident.series import _convolve_kronecker, _convolve_sparse
 
     p = a * b
     exact_zero = any(not s._coeffs and s._ordnum is None for s in (a, b))
@@ -322,14 +322,13 @@ def test_product_matches_the_naive_oracle_on_every_path(a, b):
         assert all(e.num >= want.offset for e, _ in p.terms())
         for e in range(want.offset, want.order):
             assert p.coefficient(he(e)) == want.coeff(e), e
-    # each multiply path on its own: the strided and unit slice adds, the
-    # Kronecker packing and the schoolbook loop
+    # each multiply path on its own: the strided and unit slice adds and the
+    # Kronecker packing
     x, y = a._coeffs, b._coeffs
     if x and y:
         n = len(x) + len(y) - 1
         full = NaiveSeries(0, x + [0] * len(y), n + 1).mul(NaiveSeries(0, y + [0] * len(x), n + 1))
         ref = full.coeffs[:n]
-        assert _convolve_schoolbook(x, y, n) == ref
         assert _convolve_kronecker(x, y, n) == ref
         assert _convolve_sparse(x, y, n, 1) == ref
         if not any(y[1::2]):
@@ -343,11 +342,13 @@ def test_product_paths_follow_the_nonzero_counts(monkeypatch):
     from qident import Monomial, partition_series, theta_triple_sum
 
     calls = []
-    sparse, convolve = series._convolve_sparse, series._convolve
+    sparse, kronecker = series._convolve_sparse, series._convolve_kronecker
     monkeypatch.setattr(
         series, "_convolve_sparse", lambda x, y, n, step: calls.append(("sparse", step)) or sparse(x, y, n, step)
     )
-    monkeypatch.setattr(series, "_convolve", lambda x, y, n: calls.append(("convolve",)) or convolve(x, y, n))
+    monkeypatch.setattr(
+        series, "_convolve_kronecker", lambda x, y, n: calls.append(("kronecker",)) or kronecker(x, y, n)
+    )
     order = qe(100)
     theta = theta_triple_sum(Monomial(1, he(3)), qe(7), order)
     part = partition_series(order)
@@ -356,23 +357,28 @@ def test_product_paths_follow_the_nonzero_counts(monkeypatch):
     calls.clear()
     dense = QSeries(0, list(range(1, 200)), None)
     assert (dense * part).coefficient(he(1)) == 2
-    assert calls == [("convolve",)]
+    assert calls == [("kronecker",)]
 
 
 def test_whole_q_dense_products_convolve_the_even_slots(monkeypatch):
     # both operands whole-q: half-length operands go into the convolution,
-    # and the result equals the full-length product slot for slot
+    # and the result equals the naive full-length product slot for slot
     import qident.series as series
+    from naive import NaiveSeries
 
     seen = []
-    convolve = series._convolve
-    monkeypatch.setattr(series, "_convolve", lambda x, y, n: seen.append((len(x), len(y), n)) or convolve(x, y, n))
+    kronecker = series._convolve_kronecker
+    monkeypatch.setattr(
+        series, "_convolve_kronecker", lambda x, y, n: seen.append((len(x), len(y), n)) or kronecker(x, y, n)
+    )
     x = [(i + 1) * (1 - i % 2) for i in range(199)]
     y = [(3 - i) * (1 - i % 2) for i in range(151)]
     for a, b, order in ((x, y, None), (x, y, 301), (x, y + [7], None)):
         p = QSeries(-4, a, None) * QSeries(2, b, order)
-        out_len = len(a) + len(b) - 1 if order is None else min(len(a) + len(b) - 1, order - 2)
-        assert p == QSeries(-2, series._convolve_schoolbook(a, b, out_len), None if order is None else order - 4)
+        n = len(a) + len(b) - 1
+        out_len = n if order is None else min(n, order - 2)
+        want = NaiveSeries(0, a + [0] * len(b), n + 1).mul(NaiveSeries(0, b + [0] * len(a), n + 1)).coeffs[:out_len]
+        assert p == QSeries(-2, want, None if order is None else order - 4)
     assert [(min(u, v), max(u, v), n) for u, v, n in seen] == [(76, 100, 175), (76, 100, 150), (152, 199, 350)]
 
 
