@@ -39,7 +39,6 @@ from .multisum import (
     SummandSpec,
     SumStats,
     TailEven,
-    TailH,
     TailOdd,
     TailOver,
     TailOverOdd,

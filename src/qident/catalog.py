@@ -47,7 +47,6 @@ from .multisum import (
     SummandSpec,
     SumStats,
     TailEven,
-    TailH,
     TailOdd,
     TailOver,
     TailOverOdd,
@@ -134,7 +133,11 @@ def registered_ids() -> Tuple[str, ...]:
 
 
 def make_case(id: str, order=None, **params) -> IdentityCase:
-    return IdentityCase(id, params, None if order is None else HalfInt.parse(order))
+    try:
+        o = None if order is None else HalfInt.parse(order)
+    except ValueError:
+        raise SpecError(f"bad order {order!r}") from None
+    return IdentityCase(id, params, o)
 
 
 def _prepare(case: IdentityCase) -> Tuple[_Entry, dict, int]:
@@ -491,13 +494,12 @@ _SUM_ROWS: Dict[str, _SumRow] = {
         "k={k} z={z}: odd-index sum vs product",
         _odd_index_window,
     ),
-    # closing factor (qz, 1/z; q)_s / (q)_{2s} realized as the a=1/2
-    # polynomial tail evaluated at -z q^(1/2); the product is the
-    # overpartition rows' product at -1/z
+    # closing factor (qz, 1/z; q)_s / (q)_{2s}, which is TailOver at -1/z:
+    # the row is OVER_2's shape at j = 0 evaluated at -1/z, sum and product
     "COR_INFTY": _SumRow(
         _prep_kz,
         _odd,
-        lambda p, z: _gordon_sum(p, p["k"] + 1, TailH(he(1), Monomial(-z.sign, z.q_exp + he(1)))),
+        lambda p, z: _over_sum(p, Monomial(-z.sign, -z.q_exp)),
         lambda p, mod, z: _gordon_products(p, mod, Monomial(-z.sign, -z.q_exp)),
         "k={k} z={z}: iterated sum vs product",
         _odd_index_window,
@@ -935,11 +937,11 @@ def _run_andrews_answer(p: dict, wnum: int, stats: SumStats) -> List[Check]:
         direct = direct + c * inv(s)
     checks.append(Check(f"n={n}: pipeline value is the bounded sum side", bucket[0], direct))
 
-    # in the limit, the same shape with the closing factor reproduces the
-    # classical identity
+    # in the limit, the same shape closed by (1, q; q)_s / (q)_{2s}, TailOver
+    # at z = -1 and the H form above, reproduces the classical identity
     lam_ext = lam + (0,)
     forced = eval_multisum(
-        SummandSpec(k + 1, lam_ext, tail=TailH(he(1), Monomial(-1, he(1)))),
+        SummandSpec(k + 1, lam_ext, tail=TailOver(Monomial(-1, qe(0)))),
         he(wnum),
         stats,
     )

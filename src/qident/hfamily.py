@@ -14,7 +14,7 @@ H(400, 2) below q^40 stores 9 slices; the span (-n, n) keeps the rest,
 zero below the order.  The step itself is run only by the catalog's
 RECURSE_F, which checks it against this binomial form.  `_h_window` sums
 H at groups of weighted monomials by the same walk, one frame per group,
-for the certified limits and the multisum tail.
+for the certified limits only.
 
 With z fixed to a monomial sign*q^m, |m| < a, the values H(n, a)(z)
 converge coefficientwise as n grows, and the limit is certified rather
@@ -200,8 +200,8 @@ def _h_min_num(A: int, m: int, n: Optional[int] = None) -> int:
     return min(A * t * t + m * t for t in ts)
 
 
-def _h_top(A: int, mu: int, hi: int, n: int) -> int:
-    """Largest s <= n with A s^2 - mu s < hi (A > 0), or -1 if no s >= 0 has it.
+def _h_top(A: int, mu: int, hi: int, n: Optional[int] = None) -> int:
+    """Largest s (<= n when given) with A s^2 - mu s < hi (A > 0), or -1 if no s >= 0 has it.
 
     The integer below the larger root of A s^2 - mu s = hi, one step lower
     when that root is an integer.  Past n it is n.
@@ -210,40 +210,36 @@ def _h_top(A: int, mu: int, hi: int, n: int) -> int:
     s = (mu + math.isqrt(d)) // (2 * A) if d > 0 else -1
     if s >= 0 and A * s * s - mu * s >= hi:
         s -= 1
-    return min(s, n) if s >= 0 and A * s * s - mu * s < hi else -1
+    if s < 0 or A * s * s - mu * s >= hi:
+        return -1
+    return s if n is None else min(s, n)
 
 
-def _h_window(
-    n: int, a: HalfInt, groups: List[List[Tuple[int, Monomial]]], lo: int, hi: int, g: int = 1
-) -> List[list]:
-    """Per group of args (c_i, w_i), sum_i c_i H(n, a)(w_i) on the half-unit frame [lo, hi).
+def _h_window(n: int, a: HalfInt, groups: List[List[Tuple[int, Monomial]]], hi: int) -> List[list]:
+    """Per group of args (c_i, w_i), sum_i c_i H(n, a)(w_i) on the half-unit frame [0, hi).
 
-    With w = sign*q^(m/2), one walk along the binomial column, as long as
-    the lowest argument needs, adds each slice, times c sign^t
-    q^(a t^2 + m t), straight into its group's frame.  It stops at the last
-    s at which a slice +-s starts below hi for some argument:
-    A s^2 - mu s < hi, mu the largest |m|.  A frame must start at
-    or below H's lowest exponent, which |m| >= a puts below q^0.  Slot x
-    of a frame holds exponent lo + g x: g = 2 needs lo and every
-    a t^2 + m t even.
+    With w = sign*q^(m/2) and every |m| < a, H's lowest exponent is q^0,
+    at slice 0.  One walk along the binomial column, as long as that
+    needs, adds each slice, times c sign^t q^(a t^2 + m t), straight into
+    its group's frame; slot x holds q^(x/2).  It stops at the last s at
+    which a slice +-s starts below hi for some argument: A s^2 - mu s < hi,
+    mu the largest |m|.
     """
     A = a.num
-    low = min(_h_min_num(A, w.q_exp.num, n) for args in groups for _, w in args)
     mu = max(abs(w.q_exp.num) for args in groups for _, w in args)
-    stride = 2 // g
-    outs = [[0] * ((hi - lo + g - 1) // g) for _ in groups]
-    for k, b in _h_column(n, _h_top(A, mu, hi, n), max((hi - low + 1) // 2, 1)):
+    outs = [[0] * hi for _ in groups]
+    for k, b in _h_column(n, _h_top(A, mu, hi, n), (hi + 1) // 2):
         s = n - k
         for out, args in zip(outs, groups):
             for c, w in args:
                 for t in (s, -s) if s else (0,):
-                    e = A * t * t + w.q_exp.num * t - lo
-                    width = (hi - lo - e + 1) // 2
+                    e = A * t * t + w.q_exp.num * t
+                    width = (hi - e + 1) // 2
                     if width > 0:
                         ct = -c if w.sign < 0 and t % 2 else c
                         part = b[:width] if abs(ct) == 1 else [abs(ct) * x for x in b[:width]]
                         op = sub if ct < 0 else add
-                        at = slice(e // g, e // g + stride * width, stride)
+                        at = slice(e, e + 2 * width, 2)
                         out[at] = map(op, out[at], part)
     return outs
 
@@ -266,7 +262,7 @@ def _stabilized_values(j: int, a: HalfInt, ws: Sequence[Monomial], order) -> Lis
     out = [None] * len(ws)
     for n in dict.fromkeys(ns):
         at = [i for i, m in enumerate(ns) if m == n]
-        for i, frame in zip(at, _h_window(n, a, [groups[i] for i in at], 0, ordnum)):
+        for i, frame in zip(at, _h_window(n, a, [groups[i] for i in at], ordnum)):
             out[i] = (QSeries(0, frame, ordnum), n)
     return out
 

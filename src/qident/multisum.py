@@ -32,24 +32,21 @@ The tails are built by the same list passes, which live in `qobjects`
 (`_two_term`, `_prefix_add`).  1/(q)_s, 1/(q^2;q^2)_s and the
 overpartition tails are rungs of one ladder, each stepped from s - 1 to s
 in place: a two-term pass per new factor 1 + c q^e, a prefix-add pass per
-new 1/(1 - q^d).  H(s, a)(z) comes from one walk along the binomial column
-(`hfamily._h_window`, from whichever end moves the list fewer times), then
-2s prefix-add passes divide it by (q)_{2s}.
-No tail multiplies two series.  Value s is built only as wide as the
-bottom cells at s and above read it, and a rung on a list -lo / g slots
-wider: a two-term pass with shift -e < 0 leaves its top e slots stale,
-and up to s these shifts add up to -tail_min_num(tail, s) <= -lo.
+new 1/(1 - q^d).  No tail multiplies two series.  Value s is built only
+as wide as the bottom cells at s and above read it, and a rung on a list
+-lo / g slots wider: a two-term pass with shift -e < 0 leaves its top e
+slots stale, and up to s these shifts add up to -tail_min_num(tail, s)
+<= -lo.
 
 Every pass above the tails moves by whole q-units: the shifts e_i(s), the
 prefix-add steps s - t and the placement offsets t.  So the tails, every
 level and the final sum share one grid of spacing g half-units, slot x
 holding the exponent lo + g x, and g = 2 whenever the tail's exponents
 are all whole: always for TailOdd and TailEven, for TailOver and
-TailOverOdd at an even z exponent m (in half-units), for TailH when
-2a + m is even.  The frame's lo is then whole too, every list is half as
-long, and the result is spread back onto the half grid once
-(`qobjects._grid_series`).  A mixed-parity tail keeps g = 1, one
-interleaved list.
+TailOverOdd at an even z exponent m (in half-units).  The frame's lo is
+then whole too, every list is half as long, and the result is spread
+back onto the half grid once (`qobjects._grid_series`).  A mixed-parity
+tail keeps g = 1, one interleaved list.
 """
 
 from __future__ import annotations
@@ -59,7 +56,7 @@ from itertools import accumulate
 from operator import add
 from typing import Optional, Tuple, Union
 
-from .hfamily import _h_min_num, _h_window
+from .hfamily import _h_min_num, _h_top
 from .qobjects import Monomial, _grid_series, _prefix_add, _two_term
 from .series import (
     HalfInt,
@@ -95,19 +92,7 @@ class TailOverOdd:
     offset: int
 
 
-@dataclass(frozen=True, slots=True)
-class TailH:
-    """H(s_k, a)(z) / (q; q)_{2 s_k} at monomial z (a collapsing closer)."""
-
-    a: HalfInt
-    z: Monomial
-
-    def __post_init__(self):
-        if isinstance(self.a, int):
-            object.__setattr__(self, "a", HalfInt(2 * self.a))
-
-
-Tail = Union[TailOdd, TailEven, TailOver, TailOverOdd, TailH]
+Tail = Union[TailOdd, TailEven, TailOver, TailOverOdd]
 
 
 @dataclass(frozen=True)
@@ -186,21 +171,11 @@ def tail_min_num(tail: Tail, s: int) -> int:
     if isinstance(tail, TailOverOdd):
         m = tail.z.q_exp.num - 2 * tail.offset
         return _neg_sum(2 - m, s + 1) + _neg_sum(m, s)
-    if isinstance(tail, TailH):
-        a = tail.a.num
-        m = tail.z.q_exp.num
-        if a <= 0:
-            raise SpecError("collapsing tail needs a positive quadratic weight")
-        return _h_min_num(a, m, s)
     raise SpecError(f"unknown tail {tail!r}")
 
 
 def _tail_floor_num(tail: Tail) -> int:
     """min of tail_min_num over all s >= 0."""
-    if isinstance(tail, TailH):
-        if tail.a.num <= 0:
-            raise SpecError("collapsing tail needs a positive quadratic weight")
-        return _h_min_num(tail.a.num, tail.z.q_exp.num)
     if isinstance(tail, (TailOver, TailOverOdd)):
         # a sum of _neg_sum(c, s) terms, c in {m, 2 - m} with m the z exponent
         # less twice the offset; each stops falling once s >= (1 - c) // 2
@@ -215,12 +190,19 @@ def _index_min_num(quadnum: int, lamnum: int, cap: Optional[int]) -> int:
     return 0 if lamnum >= 0 else _h_min_num(quadnum, lamnum, cap)
 
 
+def _first_cap(quadnum: int, lamnum: int, rest_floor: int, nnum: int) -> int:
+    """Hard cap on the first index: the least s at which e(s) = quadnum*s^2 +
+    lamnum*s has stopped falling and e(s) + rest_floor >= nnum, so that past
+    it even the best completion starts at or above the requested order."""
+    rise = max(0, -((quadnum + lamnum) // (2 * quadnum)))
+    return max(rise, _h_top(quadnum, -lamnum, nnum - rest_floor) + 1)
+
+
 def _grid(tail: Tail) -> int:
     """2 when every exponent of every tail value is whole, else 1."""
     if isinstance(tail, (TailOdd, TailEven)):
         return 2
-    parity = tail.z.q_exp.num + (tail.a.num if isinstance(tail, TailH) else 0)
-    return 2 - parity % 2
+    return 2 - tail.z.q_exp.num % 2
 
 
 class _TailValues:
@@ -256,19 +238,13 @@ class _TailValues:
         t, z, g = self.tail, self.z, self.g
         if low < self.lo:
             raise IllPosedError(f"tail value at s={s} reaches q^{HalfInt(low)}, below its frame")
-        top = self.w + low
-        if isinstance(t, TailH):
-            c = _h_window(s, t.a, [[(1, z)]], self.lo, min(top, self.lo + g * reach), g)[0]
-            for d in range(1, 2 * s + 1):
-                _prefix_add(c, 2 * d // g)
-            return c, top
         while len(self.rungs) <= s:
             self.rungs.append(self._rung(len(self.rungs), reach + self.margin))
         c = self.rungs[s]
         if isinstance(t, TailOverOdd):
             m = z.q_exp.num - 2 * t.offset
             c = _prefix_add(_two_term(c[: reach + self.margin], z.sign, (2 - m + 2 * s) // g), (4 * s + 2) // g)
-        return c, top
+        return c, self.w + low
 
 
 def _horner(cells: list, s: int, width: int, lift: int, g: int) -> list:
@@ -316,13 +292,7 @@ def eval_multisum(spec: SummandSpec, order, stats: Optional[SumStats] = None) ->
     lo = min(0, rest_floor + _index_min_num(quad[0], lam[0], None))
     tails = _TailValues(spec.tail, lo, nnum - lo)
 
-    # hard cap on the first index: beyond it even the best completion
-    # starts at or above the requested order
-    top = 0
-    while quad[0] * top * top + lam[0] * top + rest_floor < nnum or (
-        2 * quad[0] * top + quad[0] + lam[0] < 0
-    ):
-        top += 1
+    top = _first_cap(quad[0], lam[0], rest_floor, nnum)
 
     cap = range(top + 1)
     e = [[quad[i] * s * s + lam[i] * s for s in cap] for i in range(k)]

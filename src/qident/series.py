@@ -108,12 +108,12 @@ class HalfInt:
         if not isinstance(self.num, int):
             raise SpecError(f"half-integer numerator must be int, got {self.num!r}")
 
-    # int operands are whole q-exponents
+    # int operands are whole q-exponents; a bool is not one
     @staticmethod
     def _coerce(other) -> Optional["HalfInt"]:
         if isinstance(other, HalfInt):
             return other
-        if isinstance(other, int):
+        if isinstance(other, int) and not isinstance(other, bool):
             return HalfInt(2 * other)
         return None
 
@@ -171,7 +171,9 @@ class HalfInt:
 
     @staticmethod
     def parse(text) -> "HalfInt":
-        """Accepts "p/2" strings, plain integer strings, or ints (q-units)."""
+        """Accepts "p/2" strings, plain integer strings, or ints (q-units), not bools."""
+        if isinstance(text, bool):
+            raise ValueError(f"not a half-integer: {text!r}")
         if isinstance(text, int):
             return HalfInt(2 * text)
         if isinstance(text, HalfInt):

@@ -4,6 +4,7 @@ import random
 import re
 import time
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
@@ -33,6 +34,7 @@ from qident import (
 from qident import catalog
 from qident.catalog import _bress_lambda
 from qident.qobjects import _inv_poch_ladder
+from naive import brute_force_multisum
 
 
 SMALL = he(30)
@@ -91,6 +93,69 @@ def test_negative_control_fails_with_exact_location():
     assert rep.first_mismatch is not None
     assert rep.first_mismatch.exp == qe(5)
     assert rep.first_mismatch.lhs != rep.first_mismatch.rhs
+
+
+def test_a_boolean_or_unparseable_order_is_a_spec_error():
+    # True is not the order q^1, and "1.5" is not a half-integer
+    with pytest.raises(SpecError, match="bad order True"):
+        make_case("AG", order=True, k=1, r=0)
+    with pytest.raises(SpecError, match="bad order True"):
+        IdentityCase("AG", {"k": 1, "r": 0}, True)
+    with pytest.raises(SpecError, match="bad order '1.5'"):
+        make_case("AG", order="1.5", k=1, r=0)
+    assert HalfInt._coerce(True) is None
+    with pytest.raises(ValueError):
+        HalfInt.parse(False)
+
+
+def test_cor_infty_fails_with_its_tail_at_minus_z(monkeypatch):
+    # negative control: the closing factor is TailOver at -1/z; at -z, the
+    # z <-> 1/z mix-up of test_over_3_printed_orientation_is_wrong, k=1
+    # fails at q^1 at z = q^-1
+    row = catalog._SUM_ROWS["COR_INFTY"]
+    wrong = replace(row, summand=lambda p, z: catalog._over_sum(p, Monomial(-z.sign, z.q_exp)))
+    entry = catalog._REGISTRY["COR_INFTY"]
+    monkeypatch.setitem(catalog._REGISTRY, "COR_INFTY", replace(entry, runner=partial(catalog._run_row, wrong)))
+    rep = verify(make_case("COR_INFTY", k=1))
+    assert rep.status == "fail"
+    m = rep.first_mismatch
+    assert (m.exp, m.lhs, m.rhs) == (qe(1), 0, 1)
+    assert rep.detail == "k=1 z=q^-1: iterated sum vs product"
+
+
+@pytest.mark.parametrize("ordnum", (60, 61))
+def test_cor_infty_sum_meets_the_h_form_of_its_closing_factor(ordnum):
+    # the engine builds (qz, 1/z; q)_s / (q)_{2s} as TailOver at -1/z; the
+    # oracle builds it as H(s, 1/2)(-z q^(1/2)) / (q)_{2s}, SPECIAL_A's
+    # form, from naive products that share no code with the engine
+    row = catalog._SUM_ROWS["COR_INFTY"]
+    for k in (0, 1, 2):
+        p = catalog._prep_kz({"k": k})
+        for z in catalog._z_samples(None, lambda m: row.window(p, m)):
+            spec = row.summand(p, z)
+            got = eval_multisum(spec, he(ordnum))
+            # each index adds s^2 and the tail no less than q^-2, so s_1 <= 8 covers q^31
+            tail = ("h", 1, -z.sign, z.q_exp.num + 1)
+            want = brute_force_multisum(spec.k, spec.linear, spec.placement, tail, ordnum, cap=8)
+            assert got.order == he(ordnum)
+            assert [got.coefficient(he(e)) for e in range(ordnum)] == [want.coeff(e) for e in range(ordnum)], (k, z)
+
+
+@pytest.mark.parametrize(
+    "id, params, order, counts",
+    [
+        ("COR_INFTY", dict(k=0), 33, (48, 56, 8)),
+        ("COR_INFTY", dict(k=1), 35, (134, 172, 38)),
+        ("COR_INFTY", dict(k=2), 37, (192, 288, 96)),
+        ("ANDREWS_ANSWER", dict(k=1, r=0), 35, (17, 21, 4)),
+        ("ANDREWS_ANSWER", dict(k=2, r=2), 37, (24, 35, 11)),
+    ],
+)
+def test_closing_factor_rows_keep_their_order_and_cell_counts(id, params, order, counts):
+    # the bundled suite's rows whose closing factor is TailOver at -1/z
+    rep = verify(make_case(id, **params))
+    assert (rep.status, rep.compared_order) == ("pass", qe(order))
+    assert (rep.tuple_count, rep.node_count, rep.pruned_count) == counts
 
 
 def test_verify_rejects_unknown_ids_and_params():

@@ -23,7 +23,7 @@ from qident import (
     he,
     qe,
 )
-from qident.hfamily import _h_min_num, _h_window, _stabilized_values
+from qident.hfamily import _h_min_num, _stabilized_values
 from naive import n_hpoly_at, n_qbinom
 
 
@@ -297,23 +297,6 @@ def test_lowest_h_exponent_is_the_clamped_vertex():
             for n in range(0, 9):
                 assert _h_min_num(A, m, n) == min(A * t * t + m * t for t in range(-n, n + 1))
             assert _h_min_num(A, m) == min(A * t * t + m * t for t in range(-40, 41))
-
-
-def test_h_window_on_the_whole_grid_is_the_even_half():
-    # with 2a + m even every exponent is whole: the g = 2 frame holds the
-    # even slots of the half-unit frame, whose odd slots are all zero
-    for a in (1, 2, 3, 4):
-        for m in range(-a - 3, a + 4):
-            if (a + m) % 2:
-                continue
-            groups = [[(1, Monomial(1, he(m)))], [(2, Monomial(-1, he(m))), (-3, Monomial(1, he(m + 2)))]]
-            lo = min(0, _h_min_num(a, m, 5), _h_min_num(a, m + 2, 5))
-            lo -= lo % 2
-            for hi in (lo + 1, 17, 30):
-                half = _h_window(5, he(a), groups, lo, hi)
-                whole = _h_window(5, he(a), groups, lo, hi, 2)
-                for h, w in zip(half, whole):
-                    assert not any(h[1::2]) and h[::2] == w, (a, m, hi)
 
 
 def test_stabilized_values_build_no_laurent_polynomial(monkeypatch):

@@ -15,7 +15,6 @@ from qident import (
     SummandSpec,
     SumStats,
     TailEven,
-    TailH,
     TailOdd,
     TailOver,
     TailOverOdd,
@@ -26,14 +25,13 @@ from qident import (
     qe,
 )
 from qident.catalog import _POLICY_MS
-from qident.hfamily import _h_min_num
 from qident.multisum import _TailValues, _index_min_num, _tail_floor_num, tail_min_num
 from naive import brute_force_multisum
 
 
 def _tail_pair(rng):
     """(engine tail, oracle descriptor) drawn from every supported kind."""
-    kind = rng.choice(("odd", "even", "over", "over_odd", "h"))
+    kind = rng.choice(("odd", "even", "over", "over_odd"))
     if kind == "odd":
         return TailOdd(), ("odd",)
     if kind == "even":
@@ -42,11 +40,8 @@ def _tail_pair(rng):
     mnum = rng.randint(-2, 3)
     if kind == "over":
         return TailOver(Monomial(sign, HalfInt(mnum))), ("over", sign, mnum)
-    if kind == "over_odd":
-        kk = rng.randint(0, 2)
-        return TailOverOdd(Monomial(sign, HalfInt(mnum)), kk), ("over_odd", sign, mnum, kk)
-    anum = rng.choice((1, 3, 5))
-    return TailH(HalfInt(anum), Monomial(sign, HalfInt(mnum))), ("h", anum, sign, mnum)
+    kk = rng.randint(0, 2)
+    return TailOverOdd(Monomial(sign, HalfInt(mnum)), kk), ("over_odd", sign, mnum, kk)
 
 
 def random_spec(rng):
@@ -138,16 +133,8 @@ def test_running_min_of_tail_minima_is_the_capped_floor():
         for sign in (1, -1):
             z = Monomial(sign, HalfInt(mnum))
             tails += [TailOver(z), TailOverOdd(z, 0), TailOverOdd(z, 2)]
-    tails += [
-        TailH(HalfInt(anum), Monomial(sign, HalfInt(mnum)))
-        for anum in range(1, 7)
-        for mnum in range(-anum - 2, anum + 3)
-        for sign in (1, -1)
-    ]
     for tail in tails:
         row = list(accumulate((tail_min_num(tail, s) for s in range(40)), min))
-        if isinstance(tail, TailH):
-            assert row == [_h_min_num(tail.a.num, tail.z.q_exp.num, s) for s in range(40)], tail
         assert row[-1] == _tail_floor_num(tail), tail  # settled at the uncapped floor
 
 
@@ -267,7 +254,7 @@ def _naive_inv_poch(unit, d, W):
 def naive_tail(descriptor, s, W):
     """The tail's value at s from the naive finite products, below q^(W/2)
     plus the tail's own negative exponents."""
-    from naive import n_hpoly_at, n_poch_finite
+    from naive import n_poch_finite
 
     kind = descriptor[0]
     if kind == "odd":
@@ -278,13 +265,10 @@ def naive_tail(descriptor, s, W):
         _, sign, mnum = descriptor
         num = n_poch_finite(-sign, mnum, s, 2, W).mul(n_poch_finite(-sign, 2 - mnum, s, 2, W))
         return num.mul(_naive_inv_poch(2, 2 * s, W))
-    if kind == "over_odd":
-        _, sign, mnum, kk = descriptor
-        num = n_poch_finite(-sign, 2 * kk + 2 - mnum, s + 1, 2, W)
-        num = num.mul(n_poch_finite(-sign, mnum - 2 * kk, s, 2, W))
-        return num.mul(_naive_inv_poch(2, 2 * s + 1, W))
-    _, anum, sign, mnum = descriptor
-    return n_hpoly_at(s, anum, sign, mnum, W).mul(_naive_inv_poch(2, 2 * s, W))
+    _, sign, mnum, kk = descriptor
+    num = n_poch_finite(-sign, 2 * kk + 2 - mnum, s + 1, 2, W)
+    num = num.mul(n_poch_finite(-sign, mnum - 2 * kk, s, 2, W))
+    return num.mul(_naive_inv_poch(2, 2 * s + 1, W))
 
 
 @pytest.mark.parametrize("wnum", (80, 81))
@@ -298,7 +282,6 @@ def test_tail_values_match_the_naive_oracle(wnum):
             z = Monomial(sign, he(m))
             tails.append((TailOver(z), ("over", sign, m)))
             tails.append((TailOverOdd(z, 1), ("over_odd", sign, m, 1)))
-            tails.append((TailH(he(1), z), ("h", 1, sign, m)))
     for tail, descriptor in tails:
         lo = min(0, _tail_floor_num(tail))
         values = _TailValues(tail, lo, wnum)
@@ -322,8 +305,6 @@ def _oracle_tails():
             tails.append((TailOver(z), ("over", sign, m)))
             for offset in (-1, 0, 1):
                 tails.append((TailOverOdd(z, offset), ("over_odd", sign, m, offset)))
-            tails.append((TailH(he(1), z), ("h", 1, sign, m)))
-            tails.append((TailH(he(2), z), ("h", 2, sign, m)))
     return tails
 
 
@@ -365,7 +346,7 @@ def test_capped_tail_values_match_the_naive_oracle(monkeypatch):
 
 
 def test_tail_passes_run_no_longer_than_their_reach(monkeypatch):
-    # CURIOUS at q^120 (TailOver and TailOverOdd) and COR_INFTY (TailH):
+    # CURIOUS at q^120 (TailOver and TailOverOdd) and COR_INFTY (TailOver at -1/z):
     # every pass that builds a tail value runs on a list no longer than the
     # value's reach plus the stale-slot margin, and the short ones run on a
     # small part of the frame
@@ -402,7 +383,7 @@ def test_tails_multiply_no_series_and_build_no_gaussian_polynomial(monkeypatch):
     monkeypatch.setattr(QSeries, "__mul__", lambda a, b: calls.append("mul") or mul(a, b))
     monkeypatch.setattr(qo, "qbinom_poly", lambda n, k: calls.append("qbinom") or qbinom_poly(n, k))
     z = Monomial(-1, he(1))
-    for tail in (TailOdd(), TailEven(), TailOver(z), TailOverOdd(z, 1), TailH(he(1), z)):
+    for tail in (TailOdd(), TailEven(), TailOver(z), TailOverOdd(z, 1)):
         eval_multisum(SummandSpec(2, (0, 1), placement=frozenset({2}), tail=tail), qe(40))
         assert calls == [], tail
     monkeypatch.setattr(QSeries, "__mul__", mul)
@@ -425,9 +406,20 @@ def test_spec_validation():
         SummandSpec(2, (0, 0), placement=frozenset({3}))
 
 
-def test_tail_h_coerces_int_weight():
-    t = TailH(2, Monomial(-1, qe(1)))
-    assert t.a == qe(2)
+def test_first_index_cap_is_the_stepping_loop_in_closed_form():
+    # the cap was found by stepping s up while quad s^2 + lam s was still
+    # falling or, plus the rest floor, still below the order; orders at or
+    # below the sum's floor (never a positive one) leave only the first rule
+    from qident.multisum import _first_cap
+
+    for quad in (2, 4, 6, 8):
+        for lam in range(-40, 12):
+            for rest in range(-60, 1, 3):
+                for nnum in range(-265, 200, 7):
+                    top = 0
+                    while quad * top * top + lam * top + rest < nnum or 2 * quad * top + quad + lam < 0:
+                        top += 1
+                    assert _first_cap(quad, lam, rest, nnum) == top, (quad, lam, rest, nnum)
 
 
 def test_custom_quadratic_weights():
@@ -441,8 +433,8 @@ def test_custom_quadratic_weights():
 
 def test_engine_matches_brute_force_on_both_grids():
     # every tail kind, each z exponent of both parities and signs: TailOver
-    # and TailOverOdd are whole-q (g = 2) for even m, TailH for even 2a + m,
-    # TailOdd and TailEven always; the shapes rotate through placements at
+    # and TailOverOdd are whole-q (g = 2) for even m, TailOdd and TailEven
+    # always; the shapes rotate through placements at
     # positions 1 and >= 2 and quadratic weights above 1
     from qident.multisum import _grid
 
@@ -459,8 +451,6 @@ def test_engine_matches_brute_force_on_both_grids():
             z = Monomial(sign, he(m))
             tails.append((TailOver(z), ("over", sign, m)))
             tails.append((TailOverOdd(z, 1), ("over_odd", sign, m, 1)))
-            tails.append((TailH(he(1), z), ("h", 1, sign, m)))
-            tails.append((TailH(he(2), z), ("h", 2, sign, m)))
     grids = set()
     for n, (tail, descriptor) in enumerate(tails):
         k, linear, placement, quad = shapes[n % len(shapes)]
@@ -472,7 +462,7 @@ def test_engine_matches_brute_force_on_both_grids():
         for e in range(ordnum):
             assert got.coefficient(he(e)) == want.coeff(e), (spec, descriptor, e)
         grids.add((type(tail).__name__, _grid(tail)))
-    kinds = {"TailOver", "TailOverOdd", "TailH"}
+    kinds = {"TailOver", "TailOverOdd"}
     assert {(kind, g) for kind in kinds for g in (1, 2)} | {("TailOdd", 2), ("TailEven", 2)} == grids
 
 
