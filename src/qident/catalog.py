@@ -12,10 +12,12 @@ Three families are data, one row per id and one runner per table.
 Bressoud shape with binomial placements; `_EXPANSIONS`, run by
 `_run_expansion`, are cases of Bressoud's key lemma summed over chains
 n >= s_1 >= ... >= s_d >= 0; `_LIMITS`, run by `_run_limit`, hold the
-limits at a certified n (H_LIMIT is F_LIMIT at j = 0).  Every z family
-samples z through `_z_samples`.  A sum--product id's default order is
-q^(modulus + 30), read off its own modulus; every other id defaults to
-q^40.
+limits at a certified n (H_LIMIT is F_LIMIT at j = 0).  Parameters are
+checked by family, from the names each id takes: `_prep_sum` serves the
+sum rows and CURIOUS, `_prep_plain` the ids whose parameters are plain
+counts and half-integer weights.  Every z family samples z through
+`_z_samples`.  A sum--product id's default order is q^(modulus + 30),
+read off its own modulus; every other id defaults to q^40.
 
 `verify` runs the checks for a case and reports pass/fail/error, the
 order actually compared, the first mismatching coefficient if any, and
@@ -210,7 +212,7 @@ def _opt_z(params: dict) -> Optional[Monomial]:
         sign = 1
     if sign in ("-", "-1"):
         sign = -1
-    if isinstance(sign, bool) or sign not in (1, -1):
+    if isinstance(sign, bool) or not isinstance(sign, int) or sign not in (1, -1):
         raise SpecError(f"z_sign must be +1 or -1, got {params.get('z_sign')!r}")
     return Monomial(sign, _need_half(params, "z_exp") if "z_exp" in params else qe(0))
 
@@ -223,8 +225,6 @@ def _int_tuple(v) -> Optional[tuple]:
 
 def _opt_placement(params: dict, j: int, limit: int) -> frozenset:
     if params.get("placement") is None:
-        if j > limit:
-            raise SpecError(f"no legal placement: need {j} positions within 1..{limit}")
         return frozenset(range(1, j + 1))
     p = _int_tuple(params["placement"])
     if p is None:
@@ -235,6 +235,12 @@ def _opt_placement(params: dict, j: int, limit: int) -> frozenset:
     if not all(1 <= i <= limit for i in p):
         raise SpecError(f"placement {sorted(p)} must lie within 1..{limit}")
     return p
+
+
+def _prep_plain(names: Sequence[str], params: dict) -> dict:
+    """Exactly `names`: a and c half-integers, every other name an int >= 0."""
+    _reject_unknown(params, names)
+    return {x: _need_half(params, x) if x in ("a", "c") else _need_int(params, x, 0) for x in names}
 
 
 # monomial z sampling policies (numerators of half-integer exponents)
@@ -327,7 +333,7 @@ def _qsq(s: int, lin: int = 0) -> QSeries:
 
 @dataclass(frozen=True)
 class _SumRow:
-    prepare: Callable[[dict], dict]
+    names: Tuple[str, ...]  # the parameters `_prep_sum` takes
     modulus: Callable[[dict], int]
     summand: Callable[[dict, Optional[Monomial]], SummandSpec]
     products: Callable[[dict, int, Optional[Monomial]], List[TripleProductSpec]]
@@ -389,105 +395,77 @@ def _even(p: dict) -> int:
     return 2 * p["k"] + 2
 
 
-def _prep_ag(params: dict) -> dict:
-    _reject_unknown(params, ("k", "r"))
-    k = _need_int(params, "k", 1)
-    r = _need_int(params, "r", 0, k)
-    return {"k": k, "r": r, "j": 0, "placement": None}
+_Z = ("z_sign", "z_exp")
 
 
-def _prep_bress_j(params: dict) -> dict:
-    _reject_unknown(params, ("k", "j"))
-    k = _need_int(params, "k", 1)
-    j = _need_int(params, "j", 0, k)
-    return {"k": k, "r": 0, "j": j, "placement": None}
+def _prep_sum(names: Sequence[str], params: dict) -> dict:
+    """k, r, j, placement and, on a z row (one taking z_sign / z_exp), z.
 
-
-def _prep_thm3(params: dict) -> dict:
-    _reject_unknown(params, ("k", "r", "j", "placement"))
-    k = _need_int(params, "k", 1)
-    r = _need_int(params, "r", 0, k)
-    j = _need_int(params, "j", 0, k - r)
-    return {"k": k, "r": r, "j": j, "placement": _opt_placement(params, j, k - r)}
-
-
-def _prep_thm3_noplacement(params: dict) -> dict:
-    _reject_unknown(params, ("k", "r", "j"))
-    return dict(_prep_thm3(params), placement=None)
-
-
-def _prep_over_binom(params: dict) -> dict:
-    _reject_unknown(params, ("k", "j", "placement", "z_sign", "z_exp"))
-    k = _need_int(params, "k", 0)
-    j = _need_int(params, "j", 0, k + 1)
-    placement = _opt_placement(params, j, k + 1)
-    return {"k": k, "r": 0, "j": j, "placement": placement, "z": _opt_z(params)}
-
-
-def _prep_over_plain(params: dict) -> dict:
-    _reject_unknown(params, ("k", "j", "z_sign", "z_exp"))
-    return dict(_prep_over_binom(params), placement=None)
-
-
-def _prep_kz(params: dict) -> dict:
-    _reject_unknown(params, ("k", "z_sign", "z_exp"))
-    return {"k": _need_int(params, "k", 0), "r": 0, "j": 0, "placement": None, "z": _opt_z(params)}
-
-
-def _prep_curious(params: dict) -> dict:
-    _reject_unknown(params, ("z_sign", "z_exp"))
-    return {"k": 0, "r": 0, "j": 0, "placement": None, "z": _opt_z(params)}
+    A name the row does not take keeps its neutral value: 0, or None for
+    placement.  A z row sums k + 1 indices, so it needs k >= 0, and j and
+    the placement fit in k + 1 - r positions; every other row needs k >= 1
+    and has k - r positions.
+    """
+    _reject_unknown(params, names)
+    zrow = "z_exp" in names
+    k = _need_int(params, "k", 0 if zrow else 1) if "k" in names else 0
+    r = _need_int(params, "r", 0, k) if "r" in names else 0
+    limit = k + 1 - r if zrow else k - r
+    j = _need_int(params, "j", 0, limit) if "j" in names else 0
+    placement = _opt_placement(params, j, limit) if "placement" in names else None
+    out = {"k": k, "r": r, "j": j, "placement": placement}
+    return dict(out, z=_opt_z(params)) if zrow else out
 
 
 _SUM_ROWS: Dict[str, _SumRow] = {
     "AG": _SumRow(
-        _prep_ag, _odd, _odd_sum, _gordon_products, "k={k} r={r}: sum vs modulus-{mod} product"
+        ("k", "r"), _odd, _odd_sum, _gordon_products, "k={k} r={r}: sum vs modulus-{mod} product"
     ),
     # deliberately wrong modulus (one more than the true one) under AG's
     # arguments; a suite can mark this id with expect: fail to prove the
     # harness detects mismatches
     "NEG_AG": _SumRow(
-        _prep_ag,
+        ("k", "r"),
         lambda p: 2 * p["k"] + 4,
         _odd_sum,
         lambda p, mod, z: [replace(t, modulus_exp=qe(mod)) for t in _gordon_products(p, mod - 1, z)],
         "k={k} r={r}: sum vs modulus-{mod} product (control)",
     ),
     "BRESSOUD_EVEN": _SumRow(
-        _prep_ag, _even, _even_sum, _gordon_products, "k={k} r={r}: sum vs modulus-{mod} product"
+        ("k", "r"), _even, _even_sum, _gordon_products, "k={k} r={r}: sum vs modulus-{mod} product"
     ),
     "BRESS_J": _SumRow(
-        _prep_bress_j, _odd, _odd_sum, _gordon_products, "k={k} j={j}: sum vs {terms}-term product"
+        ("k", "j"), _odd, _odd_sum, _gordon_products, "k={k} j={j}: sum vs {terms}-term product"
     ),
     "THM_3_1": _SumRow(
-        _prep_thm3, _odd, _odd_sum, _gordon_products,
+        ("k", "r", "j", "placement"), _odd, _odd_sum, _gordon_products,
         "k={k} r={r} j={j} P={P}: sum vs binomial product",
     ),
     "THM_3_2": _SumRow(
-        _prep_thm3_noplacement, _odd, _odd_sum, _gordon_products,
+        ("k", "r", "j"), _odd, _odd_sum, _gordon_products,
         "k={k} r={r} j={j}: sum vs {terms}-term product",
     ),
     "THM_4_1": _SumRow(
-        _prep_thm3, _even, _even_sum, _gordon_products,
+        ("k", "r", "j", "placement"), _even, _even_sum, _gordon_products,
         "k={k} r={r} j={j} P={P}: even sum vs binomial product",
     ),
     "THM_4_2": _SumRow(
-        _prep_thm3_noplacement, _even, _even_sum, _gordon_products,
+        ("k", "r", "j"), _even, _even_sum, _gordon_products,
         "k={k} r={r} j={j}: even sum vs {terms}-term product",
     ),
     "OVER_1": _SumRow(
-        _prep_over_binom, _odd, _over_sum, _gordon_products,
+        ("k", "j", "placement") + _Z, _odd, _over_sum, _gordon_products,
         "k={k} j={j} z={z}: sum vs binomial product", _over_window,
     ),
     "OVER_2": _SumRow(
-        _prep_over_plain, _odd, _over_sum, _gordon_products,
+        ("k", "j") + _Z, _odd, _over_sum, _gordon_products,
         "k={k} j={j} z={z}: sum vs {terms}-term product", _over_window,
     ),
     # the odd-index closing factor; the product pairs q^(k+1) with 1/z and
     # q^(k+2) with z, mirroring the orientation of the even-index families
     # -- this is the orientation the series satisfy
     "OVER_3": _SumRow(
-        _prep_kz,
+        ("k",) + _Z,
         _odd,
         lambda p, z: SummandSpec(p["k"] + 1, (1,) * (p["k"] + 1), tail=TailOverOdd(z, p["k"])),
         lambda p, mod, z: _gordon_products(p, mod, z.inverted()),
@@ -497,7 +475,7 @@ _SUM_ROWS: Dict[str, _SumRow] = {
     # closing factor (qz, 1/z; q)_s / (q)_{2s}, which is TailOver at -1/z:
     # the row is OVER_2's shape at j = 0 evaluated at -1/z, sum and product
     "COR_INFTY": _SumRow(
-        _prep_kz,
+        ("k",) + _Z,
         _odd,
         lambda p, z: _over_sum(p, Monomial(-z.sign, -z.q_exp)),
         lambda p, mod, z: _gordon_products(p, mod, Monomial(-z.sign, -z.q_exp)),
@@ -543,17 +521,7 @@ def _run_curious(p: dict, wnum: int, stats: SumStats) -> List[Check]:
 # structural identities at finite n (symbolic in z)
 
 def _prep_n_a(params: dict) -> dict:
-    _reject_unknown(params, ("n", "a"))
-    return {"n": _need_int(params, "n", 0), "j": 0, "a": _need_half(params, "a")}
-
-
-def _prep_iter(params: dict) -> dict:
-    _reject_unknown(params, ("n", "k", "a"))
-    return {
-        "n": _need_int(params, "n", 0),
-        "k": _need_int(params, "k", 0),
-        "a": _need_half(params, "a"),
-    }
+    return dict(_prep_plain(("n", "a"), params), j=0)
 
 
 def _prep_n(params: dict) -> dict:
@@ -575,16 +543,6 @@ def _run_special_a(p: dict, wnum: int, stats: SumStats) -> List[Check]:
     return [Check(f"n={n}: half-weight polynomial factors", lhs, rhs)]
 
 
-def _prep_nk(params: dict) -> dict:
-    _reject_unknown(params, ("n", "k"))
-    return {"n": _need_int(params, "n", 0), "k": _need_int(params, "k", 0)}
-
-
-def _prep_func_eq(params: dict) -> dict:
-    _reject_unknown(params, ("n", "c"))
-    return {"n": _need_int(params, "n", 0), "c": _need_half(params, "c")}
-
-
 def _run_func_eq(p: dict, wnum: int, stats: SumStats) -> List[Check]:
     n, c = p["n"], p["c"]
     H = h_poly(HSpec(n, c), INF)
@@ -593,17 +551,8 @@ def _run_func_eq(p: dict, wnum: int, stats: SumStats) -> List[Check]:
     return [Check(f"n={n} c={c}: value at -q^c vs q^n times value at -q^(c-1)", lhs, rhs)]
 
 
-def _prep_nja(params: dict) -> dict:
-    _reject_unknown(params, ("n", "j", "a"))
-    return {
-        "n": _need_int(params, "n", 0),
-        "j": _need_int(params, "j", 0),
-        "a": _need_half(params, "a"),
-    }
-
-
 def _prep_nja_pos(params: dict) -> dict:
-    out = _prep_nja(params)
+    out = _prep_plain(("n", "j", "a"), params)
     if out["j"] < 1:
         raise SpecError("this identity needs j >= 1")
     return out
@@ -654,14 +603,14 @@ def _pair_weight(t: int, prev: int, s: int) -> QSeries:
 
 
 _F_SUM = _Expansion(
-    _prep_nja,
+    partial(_prep_plain, ("n", "j", "a")),
     lambda p, w: f_func(FSpec(p["n"], p["j"], p["a"]), he(w)),
     lambda p: 1, _square_weight,
     lambda p, s, w: f_func(FSpec(s, p["j"], p["a"] - he(2)), he(w)),
     "n={n} j={j} a={a}: one-step expansion of the closure",
 )
 _NEW_PROP2 = _Expansion(
-    _prep_nja,
+    partial(_prep_plain, ("n", "j", "a")),
     lambda p, w: f_func(FSpec(p["n"], p["j"] + 1, p["a"] + he(2)), he(w)),
     lambda p: 1, _pair_weight,
     lambda p, s, w: f_func(FSpec(s, p["j"], p["a"]), he(w)),
@@ -678,7 +627,7 @@ _EXPANSIONS: Dict[str, _Expansion] = {
         "n={n} j={j} a={a}: full chain expansion",
     ),
     "ITER_PROP": _Expansion(
-        _prep_iter,
+        partial(_prep_plain, ("n", "k", "a")),
         lambda p, w: h_poly(HSpec(p["n"], p["a"] + qe(p["k"] + 1)), he(w)),
         lambda p: p["k"] + 1, _square_weight,
         lambda p, s, w: h_poly(HSpec(s, p["a"]), he(w)),
@@ -686,7 +635,7 @@ _EXPANSIONS: Dict[str, _Expansion] = {
     ),
     # w + n: the zshift by q^(1/2) moves slice -n down by n half-units
     "ITERATE_BRESS": _Expansion(
-        _prep_nk,
+        partial(_prep_plain, ("n", "k")),
         lambda p, w: (
             h_poly(HSpec(p["n"], he(2 * p["k"] + 3)), he(w + p["n"])).zshift(he(1)).znegate()
         ),
@@ -710,18 +659,14 @@ def _run_expansion(row: _Expansion, p: dict, wnum: int, stats: SumStats) -> List
 # limit identities: H_LIMIT is F_LIMIT at j = 0
 
 
-def _prep_f_limit(params: dict) -> dict:
-    _reject_unknown(params, ("j", "a", "z_sign", "z_exp"))
+def _prep_limit(names: Sequence[str], params: dict) -> dict:
+    """a > 0, j >= 0 (0 when the id does not take it) and z."""
+    _reject_unknown(params, names)
     a = _need_half(params, "a")
-    j = _need_int(params, "j", 0)
+    j = _need_int(params, "j", 0) if "j" in names else 0
     if a.num <= 0:
         raise SpecError(f"the limit needs a > 0, got a={a}")
     return {"j": j, "a": a, "z": _opt_z(params)}
-
-
-def _prep_h_limit(params: dict) -> dict:
-    _reject_unknown(params, ("a", "z_sign", "z_exp"))
-    return _prep_f_limit(dict(params, j=0))
 
 
 def _run_limit(label: str, p: dict, wnum: int, stats: SumStats) -> List[Check]:
@@ -735,10 +680,10 @@ def _run_limit(label: str, p: dict, wnum: int, stats: SumStats) -> List[Check]:
     ]
 
 
-# id: (prepare, check label with the parameters, z and the certified n as fields)
-_LIMITS: Dict[str, Tuple[Callable[[dict], dict], str]] = {
-    "H_LIMIT": (_prep_h_limit, "a={a} z={z}: polynomial at certified n={n} vs product"),
-    "F_LIMIT": (_prep_f_limit, "j={j} a={a} z={z}: closure value at certified n={n} vs product sum"),
+# id: (parameter names, check label with the parameters, z and the certified n as fields)
+_LIMITS: Dict[str, Tuple[Tuple[str, ...], str]] = {
+    "H_LIMIT": (("a",) + _Z, "a={a} z={z}: polynomial at certified n={n} vs product"),
+    "F_LIMIT": (("j", "a") + _Z, "j={j} a={a} z={z}: closure value at certified n={n} vs product sum"),
 }
 
 
@@ -811,7 +756,9 @@ def _edge_samples(j: int, count: int, cap: int = 10, seed: int = 0) -> List[Tupl
 
 def _prep_edge_lemma(params: dict) -> dict:
     _reject_unknown(params, ("j", "samples"))
-    j = _need_int(params, "j", 0)
+    # all Fibonacci(j+1) matchings are built as objects: j = 15 verifies in
+    # about 1.0 s, and the count grows about 1.6x per step of j
+    j = _need_int(params, "j", 0, 15)
     samples = params.get("samples")
     if samples is not None:
         rows = [_int_tuple(s) for s in samples] if isinstance(samples, (list, tuple)) else [None]
@@ -842,11 +789,6 @@ def _run_edge_lemma(p: dict, wnum: int, stats: SumStats) -> List[Check]:
         target = QSeries.monomial(1, qe(-sum(s)))
         checks.append(Check(f"j={j} s={s}: signed weights collapse", total, target))
     return checks
-
-
-def _prep_j(params: dict) -> dict:
-    _reject_unknown(params, ("j",))
-    return {"j": _need_int(params, "j", 0)}
 
 
 def _run_chu(p: dict, wnum: int, stats: SumStats) -> List[Check]:
@@ -900,10 +842,12 @@ def _run_andrews_answer(p: dict, wnum: int, stats: SumStats) -> List[Check]:
     inv = _inv_poch_ladder(2, wnum)
     checks = []
 
-    # the closing factor vanishes for every positive index
+    # the H form of the closing factor vanishes for every positive index;
+    # SPECIAL_A at z = 1 equates it with (q, 1; q)_s, the factor of the
+    # forced sum below, which vanishes through its factor 1 - q^0
     for s in range(1, max(2, min(n, 4)) + 1):
         vanish = h_poly(HSpec(s, he(1)), INF).substitute(-1, he(1))
-        checks.append(Check(f"s={s}: closing factor kills positive indices", vanish, QSeries.zero(INF)))
+        checks.append(Check(f"s={s}: H(s, 1/2) vanishes at -q^(1/2)", vanish, QSeries.zero(INF)))
 
     # finite-n pipeline: state = sum_s bucket[s] * H(s, a)(-q^x) / (q)_{2s},
     # from a = k + 3/2, x = r + 1/2.  Each expansion (the key lemma) lowers a
@@ -961,17 +905,17 @@ def _reg(id: str, prepare, runner, modulus=None) -> None:
 
 
 for _id, _row in _SUM_ROWS.items():
-    _reg(_id, _row.prepare, partial(_run_row, _row), _row.modulus)
+    _reg(_id, partial(_prep_sum, _row.names), partial(_run_row, _row), _row.modulus)
 for _id, _exp in _EXPANSIONS.items():
     _reg(_id, _exp.prepare, partial(_run_expansion, _exp))
-_reg("CURIOUS", _prep_curious, _run_curious, _odd)
+_reg("CURIOUS", partial(_prep_sum, _Z), _run_curious, _odd)
 _reg("SPECIAL_A", _prep_n, _run_special_a)
-_reg("FUNC_EQ", _prep_func_eq, _run_func_eq)
+_reg("FUNC_EQ", partial(_prep_plain, ("n", "c")), _run_func_eq)
 _reg("RECURSE_F", _prep_nja_pos, _run_recurse_f)
-for _id, (_prep, _label) in _LIMITS.items():
-    _reg(_id, _prep, partial(_run_limit, _label))
+for _id, (_names, _label) in _LIMITS.items():
+    _reg(_id, partial(_prep_limit, _names), partial(_run_limit, _label))
 _reg("EDGE_LEMMA", _prep_edge_lemma, _run_edge_lemma)
-_reg("CHU_COEFF", _prep_j, _run_chu)
+_reg("CHU_COEFF", partial(_prep_plain, ("j",)), _run_chu)
 _reg("EVEN_FACT", _prep_even_fact, _run_even_fact)
 _reg("ANDREWS_ANSWER", _prep_andrews_answer, _run_andrews_answer, _odd)
 

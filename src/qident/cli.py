@@ -63,9 +63,14 @@ def _plain(v):
     return v
 
 
+def _head(id: str, params: dict) -> str:
+    """The "ID k=v ..." head of a text line; parameters set to None are left out."""
+    pbits = " ".join(f"{k}={_plain(v)}" for k, v in params.items() if v is not None)
+    return id + (f" {pbits}" if pbits else "")
+
+
 def _report_line(rep: VerificationReport) -> str:
-    pbits = " ".join(f"{k}={_plain(v)}" for k, v in rep.case.params.items() if v is not None)
-    head = rep.case.id + (f" {pbits}" if pbits else "")
+    head = _head(rep.case.id, rep.case.params)
     if rep.status == "error":
         return f"{head}: ERROR: {rep.detail}"
     co = rep.compared_order
@@ -84,16 +89,10 @@ def _mismatch_at(exp, z_exp, lhs, rhs) -> str:
 
 def _case_from_args(args) -> IdentityCase:
     params = {}
-    for name in ("k", "r", "j", "n", "s_max"):
+    for name in ("k", "r", "j", "n", "s_max", "a", "c", "z_exp", "z_sign"):
         v = getattr(args, name)
         if v is not None:
             params[name] = v
-    for name in ("a", "c", "z_exp"):
-        v = getattr(args, name)
-        if v is not None:
-            params[name] = v
-    if args.z_sign is not None:
-        params["z_sign"] = args.z_sign
     if args.placement is not None:
         try:
             params["placement"] = [int(t) for t in args.placement.split(",") if t.strip()]
@@ -192,8 +191,7 @@ def _cmd_suite(args) -> int:
     else:
         lines = []
         for out in rows:
-            pbits = " ".join(f"{k}={v}" for k, v in out["params"].items() if v is not None)
-            head = out["id"] + (f" {pbits}" if pbits else "")
+            head = _head(out["id"], out["params"])
             mark = "ok" if out["as_expected"] else "UNEXPECTED"
             line = f"{head}: {out['status'].upper()} (expected {out['expect']}) [{mark}]"
             if out["status"] == "error":

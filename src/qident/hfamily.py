@@ -66,10 +66,10 @@ class HSpec:
     def __post_init__(self):
         if self.n < 0:
             raise SpecError(f"H needs n >= 0, got {self.n}")
-        if isinstance(self.a, int):
-            object.__setattr__(self, "a", qe(self.a))
-        elif not isinstance(self.a, HalfInt):
+        a = HalfInt._coerce(self.a)
+        if a is None:
             raise SpecError(f"bad weight {self.a!r}")
+        object.__setattr__(self, "a", a)
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,10 +83,10 @@ class FSpec:
     def __post_init__(self):
         if self.n < 0 or self.j < 0:
             raise SpecError(f"F needs n, j >= 0, got n={self.n} j={self.j}")
-        if isinstance(self.a, int):
-            object.__setattr__(self, "a", qe(self.a))
-        elif not isinstance(self.a, HalfInt):
+        a = HalfInt._coerce(self.a)
+        if a is None:
             raise SpecError(f"bad weight {self.a!r}")
+        object.__setattr__(self, "a", a)
 
 
 def h_poly(spec: HSpec, order: Order = INF) -> ZLaurent:

@@ -111,14 +111,14 @@ class SummandSpec:
         object.__setattr__(self, "linear", tuple(self.linear))
         if len(self.linear) != self.k:
             raise SpecError(f"{self.k} indices but {len(self.linear)} linear weights")
-        if not all(isinstance(c, int) for c in self.linear):
+        if not all(isinstance(c, int) and not isinstance(c, bool) for c in self.linear):
             raise SpecError("linear weights are whole q-exponents (plain ints)")
         if self.quad is None:
             object.__setattr__(self, "quad", (1,) * self.k)
         else:
             object.__setattr__(self, "quad", tuple(self.quad))
         if len(self.quad) != self.k or not all(
-            isinstance(c, int) and c >= 1 for c in self.quad
+            isinstance(c, int) and not isinstance(c, bool) and c >= 1 for c in self.quad
         ):
             raise SpecError("quadratic weights must be positive ints, one per index")
         if self.placement is not None:

@@ -28,10 +28,10 @@ class TripleProductSpec:
     weight: int = 1
 
     def __post_init__(self):
-        if isinstance(self.modulus_exp, int):
-            object.__setattr__(self, "modulus_exp", HalfInt(2 * self.modulus_exp))
-        elif not isinstance(self.modulus_exp, HalfInt):
+        m = HalfInt._coerce(self.modulus_exp)
+        if m is None:
             raise SpecError(f"bad modulus exponent {self.modulus_exp!r}")
+        object.__setattr__(self, "modulus_exp", m)
         if self.modulus_exp.num <= 0:
             raise IllPosedError(f"modulus exponent must be positive, got {self.modulus_exp}")
         for arg in (self.arg1, self.arg2):

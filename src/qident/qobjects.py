@@ -59,12 +59,12 @@ class Monomial:
     z_exp: int = 0
 
     def __post_init__(self):
-        if self.sign not in (1, -1):
+        if isinstance(self.sign, bool) or not isinstance(self.sign, int) or self.sign not in (1, -1):
             raise SpecError(f"monomial sign must be +-1, got {self.sign}")
-        if isinstance(self.q_exp, int):
-            object.__setattr__(self, "q_exp", qe(self.q_exp))
-        elif not isinstance(self.q_exp, HalfInt):
+        e = HalfInt._coerce(self.q_exp)
+        if e is None:
             raise SpecError(f"bad monomial exponent {self.q_exp!r}")
+        object.__setattr__(self, "q_exp", e)
 
     def inverted(self) -> "Monomial":
         """The reciprocal monomial (signs are their own inverses)."""

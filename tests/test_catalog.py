@@ -10,7 +10,9 @@ import pytest
 
 from qident import (
     EdgeSet,
+    FSpec,
     HalfInt,
+    HSpec,
     IdentityCase,
     Monomial,
     QSeries,
@@ -47,40 +49,43 @@ def _ok(id, order=SMALL, **params):
     return rep
 
 
+# one small passing case per registered id but the control NEG_AG
+SMOKE = {
+    "AG": dict(k=1, r=1),
+    "BRESSOUD_EVEN": dict(k=1, r=0),
+    "BRESS_J": dict(k=2, j=1),
+    "THM_3_1": dict(k=2, r=0, j=1),
+    "THM_3_2": dict(k=2, r=1, j=1),
+    "THM_4_1": dict(k=2, r=0, j=1),
+    "THM_4_2": dict(k=2, r=1, j=1),
+    "OVER_1": dict(k=1, j=1),
+    "OVER_2": dict(k=1, j=1),
+    "OVER_3": dict(k=0),
+    "CURIOUS": dict(),
+    "COR_INFTY": dict(k=0),
+    "KEY_LEMMA": dict(n=2, a="3/2"),
+    "ITER_PROP": dict(n=2, k=1, a=1),
+    "SPECIAL_A": dict(n=3),
+    "ITERATE_BRESS": dict(n=2, k=1),
+    "FUNC_EQ": dict(n=2, c=1),
+    "NEW_PROP": dict(n=2, a="3/2"),
+    "NEW_PROP2": dict(n=2, j=1, a=2),
+    "ANOTHER_F": dict(n=2, j=1, a=2),
+    "F_SUM": dict(n=2, j=1, a=2),
+    "RECURSE_F": dict(n=2, j=1, a=1),
+    "H_LIMIT": dict(a="3/2"),
+    "F_LIMIT": dict(j=0, a="3/2"),
+    "EDGE_LEMMA": dict(j=4),
+    "CHU_COEFF": dict(j=6),
+    "EVEN_FACT": dict(s_max=4),
+    "ANDREWS_ANSWER": dict(k=1, r=1, n=4),
+}
+
+
 def test_every_registered_id_has_a_passing_small_case():
-    cases = {
-        "AG": dict(k=1, r=1),
-        "BRESSOUD_EVEN": dict(k=1, r=0),
-        "BRESS_J": dict(k=2, j=1),
-        "THM_3_1": dict(k=2, r=0, j=1),
-        "THM_3_2": dict(k=2, r=1, j=1),
-        "THM_4_1": dict(k=2, r=0, j=1),
-        "THM_4_2": dict(k=2, r=1, j=1),
-        "OVER_1": dict(k=1, j=1),
-        "OVER_2": dict(k=1, j=1),
-        "OVER_3": dict(k=0),
-        "CURIOUS": dict(),
-        "COR_INFTY": dict(k=0),
-        "KEY_LEMMA": dict(n=2, a="3/2"),
-        "ITER_PROP": dict(n=2, k=1, a=1),
-        "SPECIAL_A": dict(n=3),
-        "ITERATE_BRESS": dict(n=2, k=1),
-        "FUNC_EQ": dict(n=2, c=1),
-        "NEW_PROP": dict(n=2, a="3/2"),
-        "NEW_PROP2": dict(n=2, j=1, a=2),
-        "ANOTHER_F": dict(n=2, j=1, a=2),
-        "F_SUM": dict(n=2, j=1, a=2),
-        "RECURSE_F": dict(n=2, j=1, a=1),
-        "H_LIMIT": dict(a="3/2"),
-        "F_LIMIT": dict(j=0, a="3/2"),
-        "EDGE_LEMMA": dict(j=4),
-        "CHU_COEFF": dict(j=6),
-        "EVEN_FACT": dict(s_max=4),
-        "ANDREWS_ANSWER": dict(k=1, r=1, n=4),
-    }
-    missing = set(registered_ids()) - set(cases) - {"NEG_AG"}
+    missing = set(registered_ids()) - set(SMOKE) - {"NEG_AG"}
     assert not missing, f"ids without a smoke case: {missing}"
-    for id, params in cases.items():
+    for id, params in SMOKE.items():
         _ok(id, **params)
 
 
@@ -108,6 +113,29 @@ def test_a_boolean_or_unparseable_order_is_a_spec_error():
         HalfInt.parse(False)
 
 
+def test_a_bool_or_float_is_no_exponent_sign_or_weight():
+    # True is not q^1 and 1.0 is not the sign +1, in the specs as in HalfInt
+    p1, p4 = Monomial(1, qe(1)), Monomial(1, qe(4))
+    for build in (
+        lambda: Monomial(1, True),
+        lambda: Monomial(1.0, qe(1)),
+        lambda: Monomial(-1.0, qe(1)),
+        lambda: HSpec(2, True),
+        lambda: FSpec(2, 0, True),
+        lambda: TripleProductSpec(True, p1, p4),
+        lambda: SummandSpec(1, (True,)),
+        lambda: SummandSpec(1, (0,), quad=(True,)),
+    ):
+        with pytest.raises(SpecError):
+            build()
+    for sign in (1.0, -1.0):
+        case = make_case("OVER_1", k=1, j=1, z_sign=sign, z_exp=1)
+        with pytest.raises(SpecError, match=re.escape(f"z_sign must be +1 or -1, got {sign}")):
+            validate_case(case)
+        assert verify(case).status == "error"
+    assert Monomial(-1, 2).q_exp == qe(2) and HSpec(2, 1).a == FSpec(2, 0, 1).a == qe(1)
+
+
 def test_cor_infty_fails_with_its_tail_at_minus_z(monkeypatch):
     # negative control: the closing factor is TailOver at -1/z; at -z, the
     # z <-> 1/z mix-up of test_over_3_printed_orientation_is_wrong, k=1
@@ -130,7 +158,7 @@ def test_cor_infty_sum_meets_the_h_form_of_its_closing_factor(ordnum):
     # form, from naive products that share no code with the engine
     row = catalog._SUM_ROWS["COR_INFTY"]
     for k in (0, 1, 2):
-        p = catalog._prep_kz({"k": k})
+        p = catalog._REGISTRY["COR_INFTY"].prepare({"k": k})
         for z in catalog._z_samples(None, lambda m: row.window(p, m)):
             spec = row.summand(p, z)
             got = eval_multisum(spec, he(ordnum))
@@ -187,6 +215,28 @@ def test_verify_rejects_unknown_ids_and_params():
             validate_case(case)
         rep = verify(case)
         assert rep.status == "error" and detail in rep.detail, (case, rep.detail)
+
+
+@pytest.mark.parametrize("id", registered_ids())
+def test_every_id_refuses_a_bogus_boolean_or_negative_parameter(id):
+    # each variant of the id's smoke case is refused, by name, before any
+    # work; the control NEG_AG takes AG's parameters
+    params = dict(SMOKE.get(id, SMOKE["AG"]))
+    variants = [(dict(params, bogus=1), "'bogus'")]
+    variants += [(dict(params, **{x: True}), f"'{x}'") for x in params]
+    variants += [(dict(params, **{x: -1}), f"'{x}'") for x in params if x not in ("a", "c")]
+    for bad, named in variants:
+        with pytest.raises(SpecError, match=re.escape(named)):
+            validate_case(make_case(id, **bad))
+
+
+def test_edge_lemma_size_limit_is_a_spec_error():
+    # Fibonacci(j+1) matchings are built as objects, 1.6e8 at j = 40: refused
+    # up front; validation only, so no large j ever runs here
+    validate_case(make_case("EDGE_LEMMA", j=15))
+    for j in (16, 40):
+        with pytest.raises(SpecError, match=re.escape(f"parameter 'j' must be <= 15, got {j}")):
+            validate_case(make_case("EDGE_LEMMA", j=j))
 
 
 def test_verify_error_reports_carry_detail():
