@@ -31,7 +31,6 @@ from .qobjects import (
     poch_finite,
     poch_finite_scalar,
     poch_infinite,
-    qbinom,
     qbinom_poly,
     theta_triple_sum,
 )

@@ -68,6 +68,7 @@ from .series import (
     _min_ord,
     _ord_num,
     _ord_obj,
+    _whole,
     he,
     qe,
 )
@@ -176,7 +177,7 @@ def _need_int(params: dict, name: str, lo: Optional[int] = None, hi: Optional[in
     if name not in params:
         raise SpecError(f"missing required parameter {name!r}")
     v = params[name]
-    if isinstance(v, bool) or not isinstance(v, int):
+    if not _whole(v):
         raise SpecError(f"parameter {name!r} must be an integer, got {v!r}")
     if lo is not None and v < lo:
         raise SpecError(f"parameter {name!r} must be >= {lo}, got {v}")
@@ -212,14 +213,14 @@ def _opt_z(params: dict) -> Optional[Monomial]:
         sign = 1
     if sign in ("-", "-1"):
         sign = -1
-    if isinstance(sign, bool) or not isinstance(sign, int) or sign not in (1, -1):
+    if not _whole(sign) or sign not in (1, -1):
         raise SpecError(f"z_sign must be +1 or -1, got {params.get('z_sign')!r}")
     return Monomial(sign, _need_half(params, "z_exp") if "z_exp" in params else qe(0))
 
 
 def _int_tuple(v) -> Optional[tuple]:
     """v as a tuple when it is a list, tuple or set of true ints (by _need_int's rule), else None."""
-    ok = isinstance(v, (list, tuple, set, frozenset)) and all(isinstance(i, int) and not isinstance(i, bool) for i in v)
+    ok = isinstance(v, (list, tuple, set, frozenset)) and all(_whole(i) for i in v)
     return tuple(v) if ok else None
 
 
@@ -741,12 +742,12 @@ def edge_weight(E: EdgeSet, s: Sequence[int], order: Order = INF) -> QSeries:
     return w
 
 
-def _edge_samples(j: int, count: int, cap: int = 10, seed: int = 0) -> List[Tuple[int, ...]]:
-    rng = random.Random(0x5EED + 1000 * j + seed)
+def _edge_samples(j: int) -> List[Tuple[int, ...]]:
+    rng = random.Random(0x5EED + 1000 * j)
     out = []
-    for _ in range(count):
+    for _ in range(10):
         t = []
-        prev = rng.randint(0, cap)
+        prev = rng.randint(0, 10)
         for _ in range(j):
             t.append(prev)
             prev = rng.randint(0, prev)
@@ -778,7 +779,7 @@ def _run_edge_lemma(p: dict, wnum: int, stats: SumStats) -> List[Check]:
     samples = p["samples"]
     if samples is None:
         samples = [] if j != 3 else [(2, 1, 1)]
-        samples += _edge_samples(j, 10)
+        samples += _edge_samples(j)
     sets = enumerate_edge_sets(j)
     checks = []
     for s in samples:

@@ -52,6 +52,7 @@ from .series import (
     SpecError,
     ZLaurent,
     _ord_num,
+    _whole,
     qe,
 )
 
@@ -64,8 +65,8 @@ class HSpec:
     a: HalfInt
 
     def __post_init__(self):
-        if self.n < 0:
-            raise SpecError(f"H needs n >= 0, got {self.n}")
+        if not _whole(self.n) or self.n < 0:
+            raise SpecError(f"H needs an int n >= 0, got {self.n!r}")
         a = HalfInt._coerce(self.a)
         if a is None:
             raise SpecError(f"bad weight {self.a!r}")
@@ -81,8 +82,8 @@ class FSpec:
     a: HalfInt
 
     def __post_init__(self):
-        if self.n < 0 or self.j < 0:
-            raise SpecError(f"F needs n, j >= 0, got n={self.n} j={self.j}")
+        if not all(_whole(v) and v >= 0 for v in (self.n, self.j)):
+            raise SpecError(f"F needs ints n, j >= 0, got n={self.n!r} j={self.j!r}")
         a = HalfInt._coerce(self.a)
         if a is None:
             raise SpecError(f"bad weight {self.a!r}")
@@ -136,8 +137,6 @@ def f_limit_sum(j: int, a: HalfInt, z: Monomial, order) -> QSeries:
     """
     if j < 0:
         raise SpecError(f"needs j >= 0, got {j}")
-    if z.z_exp != 0:
-        raise SpecError("limit sum needs a monomial z value")
     a = HalfInt._coerce(a)
     m = z.q_exp
     two_a = HalfInt(2 * a.num)
@@ -176,18 +175,6 @@ def _certified_n(a: HalfInt, ms: Sequence[int], ordnum: int) -> int:
             raise IllPosedError(f"a certified limit needs |m| < a, got m={HalfInt(m)} a={a}")
         n = max(n, (ordnum - _h_min_num(A, -2 - mu) + 1) // 2 - 1)
     return n
-
-
-def _limit_args(a, w: Monomial, order) -> Tuple[HalfInt, int]:
-    if w.z_exp != 0:
-        raise SpecError("a limit value needs a monomial argument")
-    a = HalfInt._coerce(a)
-    if a is None or a.num <= 0:
-        raise IllPosedError(f"a limit value needs a > 0, got {a}")
-    ordnum = _ord_num(order)
-    if ordnum is None or ordnum <= 0:
-        raise IllPosedError(f"a limit value needs a positive finite order, got {order}")
-    return a, ordnum
 
 
 def _h_min_num(A: int, m: int, n: Optional[int] = None) -> int:
@@ -253,9 +240,14 @@ def _stabilized_values(j: int, a: HalfInt, ws: Sequence[Monomial], order) -> Lis
     """
     if j < 0:
         raise SpecError(f"needs j >= 0, got {j}")
+    a = HalfInt._coerce(a)
+    if a is None or a.num <= 0:
+        raise IllPosedError(f"a limit value needs a > 0, got {a}")
+    ordnum = _ord_num(order)
+    if ordnum is None or ordnum <= 0:
+        raise IllPosedError(f"a limit value needs a positive finite order, got {order}")
     groups, ns = [], []
     for w in ws:
-        a, ordnum = _limit_args(a, w, order)
         args = [(binom(j, i), w.times_q(qe(j - 2 * i))) for i in range(j + 1)]
         groups.append(args)
         ns.append(_certified_n(a, [v.q_exp.num for _, v in args], ordnum))

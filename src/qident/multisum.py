@@ -1,18 +1,18 @@
-"""Truncated evaluation of quadratic-exponent multisums.
+"""Truncated evaluation of multisums with the quadratic form sum_i s_i^2.
 
 A summand spec describes sums of the shape
 
     sum_{s_1 >= s_2 >= ... >= s_k >= 0}
-        q^(sum_i quad_i s_i^2 + lambda_i s_i) * B(s) *
+        q^(sum_i s_i^2 + lambda_i s_i) * B(s) *
         tail(s_k) / prod_{i<k} (q; q)_{s_i - s_{i+1}}
 
 where B(s) is an optional product over a set P of positions: position 1
 contributes q^(-s_1), a position i >= 2 contributes
 q^(-s_i) (1 + q^(s_{i-1} + s_i)).  The tail kinds cover the closing
-factors that occur in this family of identities.
+factors of this family of identities, z taken at a monomial +-q^(m/2).
 
 Evaluation runs bottom up over index positions.  With
-e_i(s) = quad_i s^2 + lambda_i s (position 1's q^(-s_1) folded in),
+e_i(s) = s^2 + lambda_i s (position 1's q^(-s_1) folded in),
 
     V_k(s) = q^(e_k(s)) tail(s)
     V_i(s) = q^(e_i(s)) sum_{t <= s} P_{i+1}(s, t) V_{i+1}(t) / (q; q)_{s-t}
@@ -64,6 +64,7 @@ from .series import (
     QSeries,
     SpecError,
     _ord_num,
+    _whole,
 )
 
 
@@ -91,6 +92,10 @@ class TailOverOdd:
     z: Monomial
     offset: int
 
+    def __post_init__(self):
+        if not _whole(self.offset):
+            raise SpecError(f"TailOverOdd offset must be an int, got {self.offset!r}")
+
 
 Tail = Union[TailOdd, TailEven, TailOver, TailOverOdd]
 
@@ -102,28 +107,19 @@ class SummandSpec:
     k: int
     linear: Tuple[int, ...]
     placement: Optional[frozenset] = None
-    quad: Optional[Tuple[int, ...]] = None
     tail: Tail = field(default_factory=TailOdd)
 
     def __post_init__(self):
-        if self.k < 1:
-            raise SpecError(f"need at least one index, got k={self.k}")
+        if not _whole(self.k) or self.k < 1:
+            raise SpecError(f"need at least one index, got k={self.k!r}")
         object.__setattr__(self, "linear", tuple(self.linear))
         if len(self.linear) != self.k:
             raise SpecError(f"{self.k} indices but {len(self.linear)} linear weights")
-        if not all(isinstance(c, int) and not isinstance(c, bool) for c in self.linear):
+        if not all(_whole(c) for c in self.linear):
             raise SpecError("linear weights are whole q-exponents (plain ints)")
-        if self.quad is None:
-            object.__setattr__(self, "quad", (1,) * self.k)
-        else:
-            object.__setattr__(self, "quad", tuple(self.quad))
-        if len(self.quad) != self.k or not all(
-            isinstance(c, int) and not isinstance(c, bool) and c >= 1 for c in self.quad
-        ):
-            raise SpecError("quadratic weights must be positive ints, one per index")
         if self.placement is not None:
             p = frozenset(self.placement)
-            if not all(isinstance(i, int) and 1 <= i <= self.k for i in p):
+            if not all(_whole(i) and 1 <= i <= self.k for i in p):
                 raise SpecError(f"placement {sorted(p)} must be positions in 1..{self.k}")
             object.__setattr__(self, "placement", p)
 
@@ -143,13 +139,6 @@ class SumStats:
     tuples: int = 0
     nodes: int = 0
     pruned: int = 0
-
-
-def _tail_z(tail) -> Optional[Monomial]:
-    z = getattr(tail, "z", None)
-    if z is not None and z.z_exp != 0:
-        raise SpecError("tail arguments must be z-free monomials")
-    return z
 
 
 def _neg_sum(c: int, s: int) -> int:
@@ -184,18 +173,18 @@ def _tail_floor_num(tail: Tail) -> int:
     return tail_min_num(tail, 0)
 
 
-def _index_min_num(quadnum: int, lamnum: int, cap: Optional[int]) -> int:
-    """min over 0 <= s (<= cap when given) of quadnum*s^2 + lamnum*s."""
+def _index_min_num(lamnum: int, cap: Optional[int]) -> int:
+    """min over 0 <= s (<= cap when given) of 2s^2 + lamnum*s, in half-units."""
     # at lamnum < 0 the least value over |s| <= cap has s >= 0
-    return 0 if lamnum >= 0 else _h_min_num(quadnum, lamnum, cap)
+    return 0 if lamnum >= 0 else _h_min_num(2, lamnum, cap)
 
 
-def _first_cap(quadnum: int, lamnum: int, rest_floor: int, nnum: int) -> int:
-    """Hard cap on the first index: the least s at which e(s) = quadnum*s^2 +
+def _first_cap(lamnum: int, rest_floor: int, nnum: int) -> int:
+    """Hard cap on the first index: the least s at which e(s) = 2s^2 +
     lamnum*s has stopped falling and e(s) + rest_floor >= nnum, so that past
     it even the best completion starts at or above the requested order."""
-    rise = max(0, -((quadnum + lamnum) // (2 * quadnum)))
-    return max(rise, _h_top(quadnum, -lamnum, nnum - rest_floor) + 1)
+    rise = max(0, -((2 + lamnum) // 4))
+    return max(rise, _h_top(2, -lamnum, nnum - rest_floor) + 1)
 
 
 def _grid(tail: Tail) -> int:
@@ -216,34 +205,33 @@ class _TailValues:
         self.tail = tail
         self.lo = lo
         self.w = wnum
-        self.z = _tail_z(tail)
         self.g = g = _grid(tail)
         self.margin = -lo // g
         # rung s: 1/(q)_s, 1/(q^2;q^2)_s, or TailOver at z (at z q^(-offset) for TailOverOdd)
         self.rungs = [[0] * self.margin + [1] + [0] * ((wnum - 1) // g)]
 
     def _rung(self, i: int, length: int) -> list:
-        t, z, g = self.tail, self.z, self.g
+        t, g = self.tail, self.g
         c = self.rungs[-1][:length]
         if isinstance(t, (TailOdd, TailEven)):
             return _prefix_add(c, (4 if isinstance(t, TailEven) else 2) * i // g)
-        m = z.q_exp.num - (2 * t.offset if isinstance(t, TailOverOdd) else 0)
-        c = _two_term(_two_term(c, z.sign, (m + 2 * i - 2) // g), z.sign, (2 * i - m) // g)
+        m = t.z.q_exp.num - (2 * t.offset if isinstance(t, TailOverOdd) else 0)
+        c = _two_term(_two_term(c, t.z.sign, (m + 2 * i - 2) // g), t.z.sign, (2 * i - m) // g)
         return _prefix_add(_prefix_add(c, (4 * i - 2) // g), 4 * i // g)
 
     def value(self, s: int, low: int, reach: int) -> Tuple[list, int]:
         """(frame, top): value s on the frame, known below top = W + low in
         its first `reach` slots, where low = tail_min_num(tail, s); every
         value asked for later must have a reach no wider."""
-        t, z, g = self.tail, self.z, self.g
+        t, g = self.tail, self.g
         if low < self.lo:
             raise IllPosedError(f"tail value at s={s} reaches q^{HalfInt(low)}, below its frame")
         while len(self.rungs) <= s:
             self.rungs.append(self._rung(len(self.rungs), reach + self.margin))
         c = self.rungs[s]
         if isinstance(t, TailOverOdd):
-            m = z.q_exp.num - 2 * t.offset
-            c = _prefix_add(_two_term(c[: reach + self.margin], z.sign, (2 - m + 2 * s) // g), (4 * s + 2) // g)
+            m = t.z.q_exp.num - 2 * t.offset
+            c = _prefix_add(_two_term(c[: reach + self.margin], t.z.sign, (2 - m + 2 * s) // g), (4 * s + 2) // g)
         return c, self.w + low
 
 
@@ -279,7 +267,6 @@ def eval_multisum(spec: SummandSpec, order, stats: Optional[SumStats] = None) ->
     if stats is None:
         stats = SumStats()
     lam = spec.effective_linear_num()
-    quad = [2 * c for c in spec.quad]
     k = spec.k
     placement = spec.placement or frozenset()
 
@@ -288,14 +275,14 @@ def eval_multisum(spec: SummandSpec, order, stats: Optional[SumStats] = None) ->
     # the first index's least exponent, so all of them share one frame:
     # slot x holds the exponent lo + x
     rest_floor = _tail_floor_num(spec.tail)
-    rest_floor += sum(_index_min_num(quad[i], lam[i], None) for i in range(1, k))
-    lo = min(0, rest_floor + _index_min_num(quad[0], lam[0], None))
+    rest_floor += sum(_index_min_num(lam[i], None) for i in range(1, k))
+    lo = min(0, rest_floor + _index_min_num(lam[0], None))
     tails = _TailValues(spec.tail, lo, nnum - lo)
 
-    top = _first_cap(quad[0], lam[0], rest_floor, nnum)
+    top = _first_cap(lam[0], rest_floor, nnum)
 
     cap = range(top + 1)
-    e = [[quad[i] * s * s + lam[i] * s for s in cap] for i in range(k)]
+    e = [[2 * s * s + lam[i] * s for s in cap] for i in range(k)]
     # need[i][s] = R_i(s): V_i(s) matters only below N - sum_{j<i} min_{s<=t<=top} e_j(t)
     need = [[nnum] * (top + 1)]
     for i in range(1, k):
@@ -305,7 +292,7 @@ def eval_multisum(spec: SummandSpec, order, stats: Optional[SumStats] = None) ->
     floor = [[tail_min_num(spec.tail, s) for s in cap]]
     rest = list(accumulate(floor[0], min))  # the least tail_min_num up to each s
     for i in range(k - 1, 0, -1):
-        rest = [r + _index_min_num(quad[i], lam[i], s) for s, r in enumerate(rest)]
+        rest = [r + _index_min_num(lam[i], s) for s, r in enumerate(rest)]
         floor.insert(0, rest)
 
     # reach[s]: the most slots that a bottom cell at s' >= s reads of its tail value

@@ -35,8 +35,6 @@ class TripleProductSpec:
         if self.modulus_exp.num <= 0:
             raise IllPosedError(f"modulus exponent must be positive, got {self.modulus_exp}")
         for arg in (self.arg1, self.arg2):
-            if arg.z_exp != 0:
-                raise SpecError("product arguments must be z-free")
             if arg.q_exp.num <= 0:
                 raise IllPosedError(
                     f"product argument {arg} needs a positive q-exponent"

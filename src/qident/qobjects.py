@@ -1,4 +1,4 @@
-"""q-Pochhammer symbols, Gaussian binomials, and monomial arguments.
+"""q-Pochhammer symbols, Gaussian binomials, and z-free monomial arguments.
 
 Everything here returns exact truncated series from the kernel in
 `series`.  The two standard generating-function facts this module leans
@@ -12,20 +12,20 @@ series for (Q; Q)_inf, used whenever an Euler-type product is requested
 `partition_series` keeps the module's one cache, the deepest order built
 so far, and reads a shallower order off it by truncation.
 
-The in-place list passes live here too.  On a dense list whose slot i
-holds the coefficient of x^i (x = q^(1/2) in the engines, x = q in the
-binomial column), `_two_term` multiplies by 1 + c x^e (or adds c x^e times
-another list), `_prefix_add` divides by 1 - x^d, and `_inv_poch_ladder`
-stacks the latter into 1/(q)_d.  The binomial column `_qbinom_column`, H,
-every multisum tail and every Pochhammer product are built from these
-passes: `_poch_rows` keeps one list per z-power and makes one two-term
-pass per factor per list.  H's column `_h_column` walks either up from
-[2n, 0] or out from the centre [2n, n], which below q^L is 1/(q)_inf times
-the factors 1 - q^i with n < i < L (the box lemma), and takes the walk that
-moves the list fewer times.  Each pass is a few whole-slice operations,
-never a Python loop over slots: `_two_term` one, `_prefix_add` at most
-min(d, ceil(len / d)), an `accumulate` per residue class mod d when
-d^2 < len, else one block add per d slots.
+The in-place list passes live here too.  On a dense list whose slot i holds
+the coefficient of x^i (x = q^(1/2) in the engines, x = q in the binomial
+column), `_two_term` multiplies by 1 + c x^e (or adds c x^e times another
+list), `_prefix_add` divides by 1 - x^d, and `_inv_poch_ladder` stacks the
+latter into 1/(q)_d.  The binomial column `_qbinom_column`, H, every multisum
+tail and every Pochhammer product are built from these passes: `_poch_rows`
+makes one two-term pass per factor (sign, k, e), 1 - sign z^k q^(e/2), on one
+list per z-power, and `poch_finite` is its row k = 0.  H's column `_h_column`
+walks either up from [2n, 0] or out from the centre [2n, n], which below q^L
+is 1/(q)_inf times the factors 1 - q^i with n < i < L (the box lemma), and
+takes the walk that moves the list fewer times.  Each pass is a few
+whole-slice operations, never a Python loop over slots: `_two_term` one,
+`_prefix_add` at most min(d, ceil(len / d)), an `accumulate` per residue class
+mod d when d^2 < len, else one block add per d slots.
 """
 
 from __future__ import annotations
@@ -46,20 +46,20 @@ from .series import (
     ZLaurent,
     _ord_num,
     _spread,
+    _whole,
     qe,
 )
 
 
 @dataclass(frozen=True, slots=True)
 class Monomial:
-    """sign * q**q_exp * z**z_exp with sign in {+1, -1}."""
+    """sign * q**q_exp with sign in {+1, -1}: a scalar, or a sampled value of z."""
 
     sign: int
     q_exp: HalfInt
-    z_exp: int = 0
 
     def __post_init__(self):
-        if isinstance(self.sign, bool) or not isinstance(self.sign, int) or self.sign not in (1, -1):
+        if not _whole(self.sign) or self.sign not in (1, -1):
             raise SpecError(f"monomial sign must be +-1, got {self.sign}")
         e = HalfInt._coerce(self.q_exp)
         if e is None:
@@ -68,19 +68,13 @@ class Monomial:
 
     def inverted(self) -> "Monomial":
         """The reciprocal monomial (signs are their own inverses)."""
-        return Monomial(self.sign, -self.q_exp, -self.z_exp)
+        return Monomial(self.sign, -self.q_exp)
 
     def times_q(self, exp) -> "Monomial":
-        return Monomial(self.sign, self.q_exp + exp, self.z_exp)
+        return Monomial(self.sign, self.q_exp + exp)
 
     def __str__(self):
-        s = "-" if self.sign < 0 else ""
-        parts = []
-        if self.q_exp.num:
-            parts.append(f"q^{self.q_exp}")
-        if self.z_exp:
-            parts.append("z" if self.z_exp == 1 else f"z^{self.z_exp}")
-        return s + ("*".join(parts) if parts else "1")
+        return ("-" if self.sign < 0 else "") + (f"q^{self.q_exp}" if self.q_exp.num else "1")
 
 
 def binom(n: int, k: int) -> int:
@@ -213,11 +207,6 @@ def _grid_series(c: list, lo: int, ordnum: Optional[int], g: int) -> QSeries:
     return QSeries(lo, c if g == 1 else _spread(c, 2 * len(c) - 1), ordnum)
 
 
-def qbinom(n: int, k: int, order: Order = INF) -> QSeries:
-    """Gaussian binomial [n, k]_q as a series."""
-    return _grid_series(qbinom_poly(n, k), 0, _ord_num(order), 2)
-
-
 def _poch_rows(factors: list, order: Order) -> ZLaurent:
     """prod (1 - sign z^k q^(e/2)) over the factors (sign, k, e), exact at INF, else known below order + lo.
 
@@ -247,19 +236,17 @@ def _poch_rows(factors: list, order: Order) -> ZLaurent:
     return ZLaurent({j: _grid_series(c, lo, top, g) for j, c in rows.items()}, top, span)
 
 
-def poch_finite(arg: Monomial, n: int, base_exp=qe(1), order: Order = INF) -> ZLaurent:
-    """(arg; q**base_exp)_n = prod_{i<n} (1 - arg * q**(i*base_exp))."""
-    if n < 0:
-        raise SpecError(f"finite Pochhammer length must be >= 0, got {n}")
+def poch_finite(arg: Monomial, n: int, base_exp=qe(1), order: Order = INF) -> QSeries:
+    """(arg; q**base_exp)_n = prod_{i<n} (1 - arg * q**(i*base_exp)), one `_poch_rows` row."""
+    if not _whole(n) or n < 0:
+        raise SpecError(f"finite Pochhammer length must be an int >= 0, got {n!r}")
     base = HalfInt._coerce(base_exp)
-    return _poch_rows([(arg.sign, arg.z_exp, arg.q_exp.num + base.num * i) for i in range(n)], order)
+    return _poch_rows([(arg.sign, 0, arg.q_exp.num + base.num * i) for i in range(n)], order).slice(0)
 
 
 def poch_finite_scalar(arg: Monomial, n: int, base_exp=qe(1), order: Order = INF) -> QSeries:
-    """Finite Pochhammer of a z-free argument, as a plain series."""
-    if arg.z_exp != 0:
-        raise SpecError("scalar Pochhammer needs a z-free argument")
-    return poch_finite(arg, n, base_exp, order).slice(0)
+    """The same product as `poch_finite`, under its older name."""
+    return poch_finite(arg, n, base_exp, order)
 
 
 def theta_triple_sum(arg: Monomial, modulus_exp, order) -> QSeries:
@@ -272,8 +259,6 @@ def theta_triple_sum(arg: Monomial, modulus_exp, order) -> QSeries:
     m = HalfInt._coerce(modulus_exp)
     if m is None or m.num <= 0:
         raise IllPosedError(f"modulus exponent must be positive, got {modulus_exp!r}")
-    if arg.z_exp != 0:
-        raise SpecError("theta argument must be z-free")
     nnum = _ord_num(order)
     if nnum is None:
         raise IllPosedError("a theta sum needs a finite truncation order")
@@ -301,8 +286,6 @@ def poch_infinite(arg: Monomial, base_exp=qe(1), order: Order = None) -> QSeries
     arg.q_exp > 0 are required, except that sign == -1 admits q_exp == 0
     (the factor 2 of (-1; q)_inf).
     """
-    if arg.z_exp != 0:
-        raise SpecError("infinite Pochhammer needs a z-free argument")
     base = HalfInt._coerce(base_exp)
     ordnum = _ord_num(order)
     if ordnum is None:
@@ -315,7 +298,7 @@ def poch_infinite(arg: Monomial, base_exp=qe(1), order: Order = None) -> QSeries
         # (Q; Q)_inf: Euler's pentagonal series, Jacobi's triple product at modulus Q^3
         return theta_triple_sum(arg, HalfInt(3 * base.num), HalfInt(ordnum))
     # the factors below the order
-    return poch_finite_scalar(arg, max(-((arg.q_exp.num - ordnum) // base.num), 0), base, HalfInt(ordnum))
+    return poch_finite(arg, max(-((arg.q_exp.num - ordnum) // base.num), 0), base, HalfInt(ordnum))
 
 
 # One entry, the deepest order built so far; a shallower order is read off

@@ -86,6 +86,11 @@ class OrderExceededError(QidentError):
 # half-integer exponents
 
 
+def _whole(v) -> bool:
+    """v is a plain int: a count, a position or a whole q-exponent; a bool is none of these."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _compare(op, below_inf: bool):
     """A HalfInt comparison: op on the numerators, with INF above every HalfInt."""
 
@@ -105,15 +110,15 @@ class HalfInt:
     num: int
 
     def __post_init__(self):
-        if not isinstance(self.num, int):
+        if not _whole(self.num):
             raise SpecError(f"half-integer numerator must be int, got {self.num!r}")
 
-    # int operands are whole q-exponents; a bool is not one
+    # int operands are whole q-exponents
     @staticmethod
     def _coerce(other) -> Optional["HalfInt"]:
         if isinstance(other, HalfInt):
             return other
-        if isinstance(other, int) and not isinstance(other, bool):
+        if _whole(other):
             return HalfInt(2 * other)
         return None
 

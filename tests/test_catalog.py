@@ -28,6 +28,7 @@ from qident import (
     make_case,
     registered_ids,
     partition_series,
+    poch_finite,
     verify,
     he,
     qe,
@@ -114,7 +115,8 @@ def test_a_boolean_or_unparseable_order_is_a_spec_error():
 
 
 def test_a_bool_or_float_is_no_exponent_sign_or_weight():
-    # True is not q^1 and 1.0 is not the sign +1, in the specs as in HalfInt
+    # True is not q^1 and 1.0 is not the sign +1, in the specs as in HalfInt;
+    # nor is True the count or position 1
     p1, p4 = Monomial(1, qe(1)), Monomial(1, qe(4))
     for build in (
         lambda: Monomial(1, True),
@@ -124,7 +126,14 @@ def test_a_bool_or_float_is_no_exponent_sign_or_weight():
         lambda: FSpec(2, 0, True),
         lambda: TripleProductSpec(True, p1, p4),
         lambda: SummandSpec(1, (True,)),
-        lambda: SummandSpec(1, (0,), quad=(True,)),
+        lambda: HSpec(True, 1),
+        lambda: FSpec(2, True, 1),
+        lambda: FSpec(2.0, 0, 1),
+        lambda: SummandSpec(True, (0,)),
+        lambda: SummandSpec(2, (0, 0), placement={True}),
+        lambda: HalfInt(True),
+        lambda: poch_finite(p1, True),
+        lambda: TailOverOdd(p1, True),
     ):
         with pytest.raises(SpecError):
             build()

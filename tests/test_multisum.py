@@ -100,8 +100,7 @@ def test_stats_counting():
 
 def _frame_floor(spec):
     # eval_multisum's frame floor: each index at its least exponent, plus the tail's
-    lam, quad = spec.effective_linear_num(), [2 * c for c in spec.quad]
-    return _tail_floor_num(spec.tail) + sum(_index_min_num(q, l, None) for q, l in zip(quad, lam))
+    return _tail_floor_num(spec.tail) + sum(_index_min_num(lam, None) for lam in spec.effective_linear_num())
 
 
 def test_frame_floor_is_a_certified_lower_bound(monkeypatch):
@@ -159,14 +158,13 @@ def test_overpartition_tail_minima_in_closed_form():
 
 def test_index_and_tail_floors_equal_brute_force_minima():
     # the closed forms in eval_multisum's frame floor against a scan of s:
-    # min over 0 <= s (<= cap) of quad s^2 + lam s, and the least
+    # min over 0 <= s (<= cap) of 2 s^2 + lam s, and the least
     # tail_min_num over all s, far past where either stops falling
-    for quad in range(2, 9):
-        for lam in range(-40, 12):
-            for cap in [None, *range(12)]:
-                top = 60 if cap is None else cap
-                want = min(quad * s * s + lam * s for s in range(top + 1))
-                assert _index_min_num(quad, lam, cap) == want, (quad, lam, cap)
+    for lam in range(-40, 12):
+        for cap in [None, *range(12)]:
+            top = 60 if cap is None else cap
+            want = min(2 * s * s + lam * s for s in range(top + 1))
+            assert _index_min_num(lam, cap) == want, (lam, cap)
     for mnum in range(-9, 10):
         for sign in (1, -1):
             z = Monomial(sign, HalfInt(mnum))
@@ -399,51 +397,39 @@ def test_spec_validation():
     with pytest.raises(SpecError):
         SummandSpec(2, (he(1), 0))  # linear weights are plain ints
     with pytest.raises(SpecError):
-        SummandSpec(2, (0, 0), quad=(1, 0))  # quadratic weights >= 1
-    with pytest.raises(SpecError):
         SummandSpec(2, (0, 0), placement=frozenset({0}))
     with pytest.raises(SpecError):
         SummandSpec(2, (0, 0), placement=frozenset({3}))
 
 
 def test_first_index_cap_is_the_stepping_loop_in_closed_form():
-    # the cap was found by stepping s up while quad s^2 + lam s was still
+    # the cap was found by stepping s up while 2 s^2 + lam s was still
     # falling or, plus the rest floor, still below the order; orders at or
     # below the sum's floor (never a positive one) leave only the first rule
     from qident.multisum import _first_cap
 
-    for quad in (2, 4, 6, 8):
-        for lam in range(-40, 12):
-            for rest in range(-60, 1, 3):
-                for nnum in range(-265, 200, 7):
-                    top = 0
-                    while quad * top * top + lam * top + rest < nnum or 2 * quad * top + quad + lam < 0:
-                        top += 1
-                    assert _first_cap(quad, lam, rest, nnum) == top, (quad, lam, rest, nnum)
-
-
-def test_custom_quadratic_weights():
-    # s=1 contributes at q^1 under weight 1 but at q^2 when doubled
-    base = eval_multisum(SummandSpec(1, (0,)), qe(12))
-    heavy = eval_multisum(SummandSpec(1, (0,), quad=(2,)), qe(12))
-    assert base.coeff_q(1) == 1
-    assert heavy.coeff_q(1) == 0
-    assert heavy.coeff_q(2) == 1
+    for lam in range(-40, 12):
+        for rest in range(-60, 1, 3):
+            for nnum in range(-265, 200, 7):
+                top = 0
+                while 2 * top * top + lam * top + rest < nnum or 4 * top + 2 + lam < 0:
+                    top += 1
+                assert _first_cap(lam, rest, nnum) == top, (lam, rest, nnum)
 
 
 def test_engine_matches_brute_force_on_both_grids():
     # every tail kind, each z exponent of both parities and signs: TailOver
     # and TailOverOdd are whole-q (g = 2) for even m, TailOdd and TailEven
     # always; the shapes rotate through placements at
-    # positions 1 and >= 2 and quadratic weights above 1
+    # positions 1 and >= 2
     from qident.multisum import _grid
 
     shapes = [
-        (1, (0,), (), None),
-        (2, (0, 1), (2,), None),
-        (2, (-1, 0), (1,), (2, 1)),
-        (3, (1, 0, 1), (1, 3), (1, 1, 2)),
-        (3, (0, 1, 0), (2, 3), (3, 1, 1)),
+        (1, (0,), ()),
+        (2, (0, 1), (2,)),
+        (2, (-1, 0), (1,)),
+        (3, (1, 0, 1), (1, 3)),
+        (3, (0, 1, 0), (2, 3)),
     ]
     tails = [(TailOdd(), ("odd",)), (TailEven(), ("even",))]
     for m in (-2, -1, 0, 1, 2, 3):
@@ -453,11 +439,11 @@ def test_engine_matches_brute_force_on_both_grids():
             tails.append((TailOverOdd(z, 1), ("over_odd", sign, m, 1)))
     grids = set()
     for n, (tail, descriptor) in enumerate(tails):
-        k, linear, placement, quad = shapes[n % len(shapes)]
+        k, linear, placement = shapes[n % len(shapes)]
         ordnum = 21 + n % 2  # both a whole and a half-integer order
-        spec = SummandSpec(k, linear, placement=frozenset(placement), quad=quad, tail=tail)
+        spec = SummandSpec(k, linear, placement=frozenset(placement), tail=tail)
         got = eval_multisum(spec, he(ordnum))
-        want = brute_force_multisum(k, linear, spec.placement, descriptor, ordnum, cap=ordnum + 6, quad=quad)
+        want = brute_force_multisum(k, linear, spec.placement, descriptor, ordnum, cap=ordnum + 6)
         assert got.order == he(ordnum)
         for e in range(ordnum):
             assert got.coefficient(he(e)) == want.coeff(e), (spec, descriptor, e)

@@ -117,11 +117,6 @@ def test_ill_posed_products_raise():
         eval_product_sum([], he(20))
 
 
-def test_z_dependent_argument_rejected():
-    with pytest.raises(SpecError):
-        TripleProductSpec(qe(5), Monomial(1, qe(1), 1), Monomial(1, qe(4)))
-
-
 def test_product_sides_expand_no_factor_product_but_the_control(monkeypatch):
     # every catalog product outside NEG_AG is in Jacobi form, so the only
     # infinite product built is the pentagonal (q; q)_inf behind 1/(q)_inf
