@@ -21,8 +21,9 @@ read off its own modulus; every other id defaults to q^40.
 
 `verify` runs the checks for a case and reports pass/fail/error, the
 order actually compared, the first mismatching coefficient if any, and
-the summation engine's cell counts (visited, skipped by the truncation
-floor, evaluated).  Each runner runs once: it builds its sides at the
+the summation engine's kernel cell counts (visited, skipped by the
+truncation floor, evaluated), one kernel per batch of sums that differ
+only in their tails.  Each runner runs once: it builds its sides at the
 requested order plus the closed-form loss of its own shifts and
 substitutions, so a pass that compares below the request is an engine
 bug, reported as an `error`.  `verify` never raises: an exception from
@@ -53,6 +54,7 @@ from .multisum import (
     TailOver,
     TailOverOdd,
     eval_multisum,
+    eval_multisums,
 )
 from .products import TripleProductSpec, eval_product_sum
 from .qobjects import Monomial, _inv_poch_ladder, _poch_rows, binom
@@ -262,15 +264,6 @@ def _z_samples(
     if not zs:
         raise SpecError("no well-posed z sample exists for these parameters")
     return zs
-
-
-def _each_z(
-    z: Optional[Monomial],
-    posed: Callable[[int], bool],
-    checks_at: Callable[[Monomial], List[Check]],
-) -> List[Check]:
-    """checks_at(z) for every z of `_z_samples`."""
-    return [c for z in _z_samples(z, posed) for c in checks_at(z)]
 
 
 # ---------------------------------------------------------------------------
@@ -489,33 +482,30 @@ _SUM_ROWS: Dict[str, _SumRow] = {
 def _run_row(row: _SumRow, p: dict, wnum: int, stats: SumStats) -> List[Check]:
     mod = row.modulus(p)
     fields = dict(p, mod=mod, P=sorted(p["placement"] or ()), terms=p["j"] + 1)
-
-    def at(z: Optional[Monomial]) -> List[Check]:
-        lhs = eval_multisum(row.summand(p, z), he(wnum), stats)
-        rhs = eval_product_sum(row.products(p, mod, z), he(wnum))
-        return [Check(row.label.format_map(dict(fields, z=z)), lhs, rhs)]
-
-    if row.window is None:
-        return at(None)
-    return _each_z(p["z"], lambda m: row.window(p, m), at)
+    zs = [None] if row.window is None else _z_samples(p["z"], lambda m: row.window(p, m))
+    sums = eval_multisums([row.summand(p, z) for z in zs], he(wnum), stats)
+    return [
+        Check(row.label.format_map(dict(fields, z=z)), lhs, eval_product_sum(row.products(p, mod, z), he(wnum)))
+        for z, lhs in zip(zs, sums)
+    ]
 
 
 def _run_curious(p: dict, wnum: int, stats: SumStats) -> List[Check]:
     # k = 0 of the overpartition rows: OVER_2's sum at z and OVER_3's at
     # 1/z expand the same product
     even_row, odd_row = _SUM_ROWS["OVER_2"], _SUM_ROWS["OVER_3"]
-
-    def at(z: Monomial) -> List[Check]:
-        even = eval_multisum(even_row.summand(p, z), he(wnum), stats)
-        odd = eval_multisum(odd_row.summand(p, z.inverted()), he(wnum), stats)
+    zs = _z_samples(p["z"], lambda m: even_row.window(p, m))
+    evens = eval_multisums([even_row.summand(p, z) for z in zs], he(wnum), stats)
+    odds = eval_multisums([odd_row.summand(p, z.inverted()) for z in zs], he(wnum), stats)
+    checks = []
+    for z, even, odd in zip(zs, evens, odds):
         prod = eval_product_sum(even_row.products(p, even_row.modulus(p), z), he(wnum))
-        return [
+        checks += [
             Check(f"z={z}: even-index expansion vs product", even, prod),
             Check(f"z={z}: odd-index expansion vs product", odd, prod),
             Check(f"z={z}: the two expansions agree", even, odd),
         ]
-
-    return _each_z(p["z"], lambda m: even_row.window(p, m), at)
+    return checks
 
 
 # ---------------------------------------------------------------------------
@@ -714,8 +704,8 @@ class EdgeSet:
 
 def enumerate_edge_sets(j: int) -> List[EdgeSet]:
     """All matchings of the path on vertices 1..j (Fibonacci(j+1) of them)."""
-    if j < 0:
-        raise SpecError(f"need j >= 0, got {j}")
+    if not _whole(j) or j < 0:
+        raise SpecError(f"need an int j >= 0, got j={j!r}")
     out: List[List[int]] = [[]]
     for i in range(1, j):  # edge (i, i+1)
         out.extend([e + [i] for e in out if not e or e[-1] < i - 1])

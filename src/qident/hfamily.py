@@ -135,8 +135,8 @@ def f_limit_sum(j: int, a: HalfInt, z: Monomial, order) -> QSeries:
     This is the n -> infinity limit of F(n, j, a)(-z); every argument
     exponent must be positive for the products to make sense.
     """
-    if j < 0:
-        raise SpecError(f"needs j >= 0, got {j}")
+    if not _whole(j) or j < 0:
+        raise SpecError(f"needs an int j >= 0, got j={j!r}")
     a = HalfInt._coerce(a)
     m = z.q_exp
     two_a = HalfInt(2 * a.num)
@@ -238,8 +238,8 @@ def _stabilized_values(j: int, a: HalfInt, ws: Sequence[Monomial], order) -> Lis
     every shifted argument, and each has |m| < a.  The samples that share
     a certified n share one walk along the binomial column.
     """
-    if j < 0:
-        raise SpecError(f"needs j >= 0, got {j}")
+    if not _whole(j) or j < 0:
+        raise SpecError(f"needs an int j >= 0, got j={j!r}")
     a = HalfInt._coerce(a)
     if a is None or a.num <= 0:
         raise IllPosedError(f"a limit value needs a > 0, got {a}")

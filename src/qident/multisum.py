@@ -4,57 +4,54 @@ A summand spec describes sums of the shape
 
     sum_{s_1 >= s_2 >= ... >= s_k >= 0}
         q^(sum_i s_i^2 + lambda_i s_i) * B(s) *
-        tail(s_k) / prod_{i<k} (q; q)_{s_i - s_{i+1}}
+        T(s_k) / prod_{i<k} (q; q)_{s_i - s_{i+1}}
 
 where B(s) is an optional product over a set P of positions: position 1
 contributes q^(-s_1), a position i >= 2 contributes
-q^(-s_i) (1 + q^(s_{i-1} + s_i)).  The tail kinds cover the closing
+q^(-s_i) (1 + q^(s_{i-1} + s_i)).  The tail kinds T cover the closing
 factors of this family of identities, z taken at a monomial +-q^(m/2).
 
-Evaluation runs bottom up over index positions.  With
-e_i(s) = s^2 + lambda_i s (position 1's q^(-s_1) folded in),
+The sum is linear in the tail values and only they depend on z, so it
+is sum_t K(t) T(t) with a z-free kernel K, built once for all the specs
+of a batch that differ only in their tails (`eval_multisums`).  With
+e_i(s) = s^2 + lambda_i s (placement's q^(-s_i) folded in), the kernel
+runs the level recurrence transposed, from the first index down:
 
-    V_k(s) = q^(e_k(s)) tail(s)
-    V_i(s) = q^(e_i(s)) sum_{t <= s} P_{i+1}(s, t) V_{i+1}(t) / (q; q)_{s-t}
+    W_1(s) = q^(e_1(s)),  K(t) = W_k(t),
+    W_{i+1}(t) = q^(e_{i+1}(t)) sum_{s >= t} P_{i+1}(s, t) W_i(s) / (q; q)_{s-t}
 
-and the multisum is the sum of V_1(s) over s <= top; P_{i+1} is
-1 + q^(s+t) for a placed position i+1 >= 2, else 1.  Each inner sum is
-a Horner chain in which 1/(1 - q^j) is one in-place prefix-add pass, so
-no series product is needed.  Cell V_i(s) matters only below
-R_i(s) = N - sum_{j<i} min_{s<=t<=top} e_j(t) and is computed to exactly
-that order; a cell whose certified minimal exponent reaches R_i(s) is
-skipped, so the truncated result is still exact, and a tail value known
-to a lower order than its cell needs raises IllPosedError.  `SumStats`
-counts the cells visited, skipped and evaluated; the test suite checks
-the engine against an unpruned brute force.
+where P_{i+1} is 1 + q^(s+t) for a placed position i+1 >= 2, else 1.
+Each inner sum is a Horner chain from the top index down in which
+1/(1 - q^j) is one in-place prefix-add pass (`qobjects`); a placed
+position adds a second chain lifted by q^s.  Cell W_i(s) lies at or above
+U_i(s), the least exponent of the indices before it, and matters only
+below N - D_i(s), D_i(s) the least exponent of the indices after it and
+of every tail, capped at s.  It is computed on exactly that window, whole
+q-units to a slot, and skipped when the window is empty; `SumStats`
+counts these cells.  The test suite checks the engine against an
+unpruned brute force.
 
-The tails are built by the same list passes, which live in `qobjects`
-(`_two_term`, `_prefix_add`).  1/(q)_s, 1/(q^2;q^2)_s and the
-overpartition tails are rungs of one ladder, each stepped from s - 1 to s
-in place: a two-term pass per new factor 1 + c q^e, a prefix-add pass per
-new 1/(1 - q^d).  No tail multiplies two series.  Value s is built only
-as wide as the bottom cells at s and above read it, and a rung on a list
--lo / g slots wider: a two-term pass with shift -e < 0 leaves its top e
-slots stale, and up to s these shifts add up to -tail_min_num(tail, s)
-<= -lo.
-
-Every pass above the tails moves by whole q-units: the shifts e_i(s), the
-prefix-add steps s - t and the placement offsets t.  So the tails, every
-level and the final sum share one grid of spacing g half-units, slot x
-holding the exponent lo + g x, and g = 2 whenever the tail's exponents
-are all whole: always for TailOdd and TailEven, for TailOver and
-TailOverOdd at an even z exponent m (in half-units).  The frame's lo is
-then whole too, every list is half as long, and the result is spread
-back onto the half grid once (`qobjects._grid_series`).  A mixed-parity
-tail keeps g = 1, one interleaved list.
+Each tail then takes one closing Horner on r(t) = T(t) / T(t-1):
+acc = K(top), acc = acc * r(t) + K(t-1) for t = top..1, then acc * T(0).
+r(t) is a two-term pass per new factor 1 + c q^e and a prefix-add pass
+per new 1/(1 - q^d); T(0) = 1 but for TailOverOdd.  The closing frame
+starts at the kernel floor plus `_tail_floor_num`; it has whole q-units
+to a slot when every tail exponent is whole (TailOdd, TailEven, and the
+overpartition tails at an even z exponent m in half-units), else half
+units, the kernel read at every other slot.  acc is sum_{u >= t}
+K(u) T(u) / T(t), held only from its certified floor, which falls with t.
+A two-term pass with shift -e < 0 leaves its top e slots stale; up to t
+the shifts add up to -tail_min_num(tail, t), so the frame ends
+-_tail_floor_num above the order.  A nonzero value pushed below acc's floor, or a
+result known below a lower order than the request, raises IllPosedError.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import accumulate
 from operator import add
-from typing import Optional, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from .hfamily import _h_min_num, _h_top
 from .qobjects import Monomial, _grid_series, _prefix_add, _two_term
@@ -133,8 +130,9 @@ class SummandSpec:
 
 @dataclass
 class SumStats:
-    """Counters filled in by eval_multisum, accumulated over calls: `nodes`
-    (level, index) cells visited, `pruned` cells skipped, `tuples` evaluated."""
+    """Counters filled in by the engine, accumulated over calls: `nodes`
+    (level, index) kernel cells visited, `pruned` cells skipped, `tuples`
+    evaluated; a batch of `eval_multisums` builds one kernel."""
 
     tuples: int = 0
     nodes: int = 0
@@ -147,19 +145,24 @@ def _neg_sum(c: int, s: int) -> int:
     return n * c + n * (n - 1)
 
 
+def _zexp(tail: Tail) -> int:
+    """The z exponent in half-units, less twice TailOverOdd's offset."""
+    return tail.z.q_exp.num - 2 * getattr(tail, "offset", 0)
+
+
 def tail_min_num(tail: Tail, s: int) -> int:
     """Exact minimal exponent numerator of the tail's finite factors at s.
 
     Inverse Pochhammer factors have minimal exponent 0 and are ignored.
     """
+    if not _whole(s) or s < 0:
+        raise SpecError(f"tail_min_num needs an int s >= 0, got s={s!r}")
     if isinstance(tail, (TailOdd, TailEven)):
         return 0
     if isinstance(tail, TailOver):
-        m = tail.z.q_exp.num
-        return _neg_sum(m, s) + _neg_sum(2 - m, s)
+        return _neg_sum(_zexp(tail), s) + _neg_sum(2 - _zexp(tail), s)
     if isinstance(tail, TailOverOdd):
-        m = tail.z.q_exp.num - 2 * tail.offset
-        return _neg_sum(2 - m, s + 1) + _neg_sum(m, s)
+        return _neg_sum(2 - _zexp(tail), s + 1) + _neg_sum(_zexp(tail), s)
     raise SpecError(f"unknown tail {tail!r}")
 
 
@@ -168,8 +171,7 @@ def _tail_floor_num(tail: Tail) -> int:
     if isinstance(tail, (TailOver, TailOverOdd)):
         # a sum of _neg_sum(c, s) terms, c in {m, 2 - m} with m the z exponent
         # less twice the offset; each stops falling once s >= (1 - c) // 2
-        m = tail.z.q_exp.num - 2 * getattr(tail, "offset", 0)
-        return tail_min_num(tail, abs(m) + 1)
+        return tail_min_num(tail, abs(_zexp(tail)) + 1)
     return tail_min_num(tail, 0)
 
 
@@ -194,138 +196,140 @@ def _grid(tail: Tail) -> int:
     return 2 - tail.z.q_exp.num % 2
 
 
-class _TailValues:
-    """The tail's values at working order W, built by list passes (see the
-    module docstring) on frames from lo at the tail's grid spacing g: slot
-    x holds the exponent lo + g x, and value s is known below
-    W + tail_min_num(tail, s) within the `reach` slots its readers ask for;
-    rungs carry the stale-slot `margin` (a value reaching below lo raises)."""
-
-    def __init__(self, tail: Tail, lo: int, wnum: int):
-        self.tail = tail
-        self.lo = lo
-        self.w = wnum
-        self.g = g = _grid(tail)
-        self.margin = -lo // g
-        # rung s: 1/(q)_s, 1/(q^2;q^2)_s, or TailOver at z (at z q^(-offset) for TailOverOdd)
-        self.rungs = [[0] * self.margin + [1] + [0] * ((wnum - 1) // g)]
-
-    def _rung(self, i: int, length: int) -> list:
-        t, g = self.tail, self.g
-        c = self.rungs[-1][:length]
-        if isinstance(t, (TailOdd, TailEven)):
-            return _prefix_add(c, (4 if isinstance(t, TailEven) else 2) * i // g)
-        m = t.z.q_exp.num - (2 * t.offset if isinstance(t, TailOverOdd) else 0)
-        c = _two_term(_two_term(c, t.z.sign, (m + 2 * i - 2) // g), t.z.sign, (2 * i - m) // g)
-        return _prefix_add(_prefix_add(c, (4 * i - 2) // g), 4 * i // g)
-
-    def value(self, s: int, low: int, reach: int) -> Tuple[list, int]:
-        """(frame, top): value s on the frame, known below top = W + low in
-        its first `reach` slots, where low = tail_min_num(tail, s); every
-        value asked for later must have a reach no wider."""
-        t, g = self.tail, self.g
-        if low < self.lo:
-            raise IllPosedError(f"tail value at s={s} reaches q^{HalfInt(low)}, below its frame")
-        while len(self.rungs) <= s:
-            self.rungs.append(self._rung(len(self.rungs), reach + self.margin))
-        c = self.rungs[s]
-        if isinstance(t, TailOverOdd):
-            m = t.z.q_exp.num - 2 * t.offset
-            c = _prefix_add(_two_term(c[: reach + self.margin], t.z.sign, (2 - m + 2 * s) // g), (4 * s + 2) // g)
-        return c, self.w + low
+def _ratio(tail: Tail, t: int) -> Tuple[tuple, tuple]:
+    """T(t) / T(t-1), with T(-1) = 1: the factors 1 + sign q^(e/2), as
+    (sign, e), over the factors 1 - q^(d/2), as d."""
+    if isinstance(tail, (TailOdd, TailEven)):
+        return (), ((4 if isinstance(tail, TailEven) else 2) * t,) if t else ()
+    sign, m = tail.z.sign, _zexp(tail)
+    if isinstance(tail, TailOver):
+        return (((sign, m + 2 * t - 2), (sign, 2 * t - m)), (4 * t - 2, 4 * t)) if t else ((), ())
+    if not t:
+        return ((sign, 2 - m),), (2,)
+    return ((sign, m + 2 * t - 2), (sign, 2 * t + 2 - m)), (4 * t, 4 * t + 2)
 
 
-def _horner(cells: list, s: int, width: int, lift: int, g: int) -> list:
-    """sum_{t<=s} q^(lift*t) cells[t] / (q; q)_{s-t} in its first `width` slots.
+def _chain(cells: list, t: int, x: int, width: int, lift: int) -> list:
+    """sum_{s>=t} q^(lift*s) W(s) / (q; q)_{s-t} in `width` whole-q slots from q^(x/2).
 
-    Horner from t = 0 up: once cells[t] has joined the partial sum, it is
-    divided by (1 - q^(s-t)), one prefix-add pass.  None cells are zero.
+    Horner from the top s down: once W(s + 1) and the cells above have
+    joined the partial sum, it is divided by (1 - q^(s+1-t)), one
+    prefix-add pass.  A cell is (its first exponent x0, its list) or None
+    for zero, and every cell at s >= t starts at or above x.
     """
-    acc = [0] * width
-    for t in range(s + 1):
-        c = cells[t]
-        off = 2 * lift * t // g
-        if c is not None and off < width:
-            acc[off:] = map(add, acc[off:], c[: width - off])
-        if t < s and any(acc):
-            _prefix_add(acc, 2 * (s - t) // g)
+    acc, live = [0] * width, False
+    for s in range(len(cells) - 1, t - 1, -1):
+        if live:
+            _prefix_add(acc, s + 1 - t)
+        if cells[s] is not None:
+            x0, c = cells[s]
+            p = (x0 - x) // 2 + lift * s
+            if p < width:
+                acc[p:] = map(add, acc[p:], c)
+                live = True
     return acc
 
 
-def _shift(w: list, e: int) -> list:
-    """Move a window up by e slots (down for e < 0), keeping its upper end fixed in the frame."""
-    if e < 0 and any(w[:-e]):
-        raise IllPosedError("a partial sum reaches below its certified floor")
-    return [0] * e + w if e >= 0 else w[-e:]
+def _close(tail: Tail, ratio: list, tm: list, kernel: list, low: list, base: int, nnum: int) -> QSeries:
+    """sum_t K(t) T(t) below q^(nnum/2) by the closing Horner on `_ratio`'s
+    ratio[t], on the tail's grid from `base`; tm[t] is tail_min_num(tail, t),
+    and the kernel cell K(t) is known below nnum - low[t]."""
+    g, floor = _grid(tail), _tail_floor_num(tail)
+    size = -(-(nnum - floor - base) // g)  # the frame [base, N - floor): a stale-slot margin of -floor
+    top = max((t for t, c in enumerate(kernel) if c is not None), default=-1)
+    tm = tm[: top + 1] + [0]  # tm[-1] = 0: T(-1) = 1
+    acc, a, known = [], size, base + g * size
+    best = known
+    for t in range(top, -1, -1):
+        cell = kernel[t]
+        if cell is not None:
+            best = min(best, cell[0] + tm[t])
+        # acc + K(t) = sum_{u >= t} K(u) T(u) / T(t), and that times r(t), lie at or above best - tm[t - 1]
+        x = min(max((best - tm[t - 1] - base) // g, 0), a)
+        acc[:0] = [0] * (a - x)
+        a = x
+        if cell is not None:  # the kernel's whole-q slots are every (2 // g)-th
+            i, step = (cell[0] - base) // g - a, 2 // g
+            at = slice(i, i + step * min(len(cell[1]), -(-(len(acc) - i) // step)), step)
+            acc[at] = map(add, acc[at], cell[1])
+            known = min(known, nnum - low[t])
+        for sign, e in ratio[t][0]:
+            if e < 0 and any(acc[: -e // g]):
+                raise IllPosedError("a closing sum reaches below its certified floor")
+            known += min(e, 0)  # a shift below zero leaves its top -e half-units stale
+            _two_term(acc, sign, e // g)
+        for d in ratio[t][1]:
+            _prefix_add(acc, d // g)
+    if known < nnum:
+        raise IllPosedError(f"the sum closed by {tail} is known below q^{HalfInt(known)}, not q^{HalfInt(nnum)}")
+    return _grid_series(acc, base + g * a, nnum, g)
 
 
-def eval_multisum(spec: SummandSpec, order, stats: Optional[SumStats] = None) -> QSeries:
-    """Evaluate the multisum exactly below `order`."""
+def eval_multisums(specs: Sequence[SummandSpec], order, stats: Optional[SumStats] = None) -> List[QSeries]:
+    """Evaluate multisums that differ only in their tails, each exactly below
+    `order`, on one kernel."""
     nnum = _ord_num(order)
     if nnum is None:
         raise IllPosedError("a multisum needs a finite truncation order")
-    if stats is None:
-        stats = SumStats()
-    lam = spec.effective_linear_num()
-    k = spec.k
-    placement = spec.placement or frozenset()
+    if len({replace(s, tail=TailOdd()) for s in specs}) != 1:
+        raise SpecError("a batch of multisums must differ only in their tails")
+    stats = stats or SumStats()
+    lam, k = specs[0].effective_linear_num(), specs[0].k
+    placement = specs[0].placement or frozenset()
+    tails = [s.tail for s in specs]
 
-    # rest_floor: the least exponent of the indices below the first and
-    # the tail.  Every cell and every partial sum lies at or above it plus
-    # the first index's least exponent, so all of them share one frame:
-    # slot x holds the exponent lo + x
-    rest_floor = _tail_floor_num(spec.tail)
-    rest_floor += sum(_index_min_num(lam[i], None) for i in range(1, k))
-    lo = min(0, rest_floor + _index_min_num(lam[0], None))
-    tails = _TailValues(spec.tail, lo, nnum - lo)
-
+    # the least exponent of the indices after the first and of the tails,
+    # and the kernel floor: every index at its least
+    mins = [_index_min_num(c, None) for c in lam]
+    rest_floor = min(map(_tail_floor_num, tails)) + sum(mins[1:])
     top = _first_cap(lam[0], rest_floor, nnum)
 
     cap = range(top + 1)
     e = [[2 * s * s + lam[i] * s for s in cap] for i in range(k)]
-    # need[i][s] = R_i(s): V_i(s) matters only below N - sum_{j<i} min_{s<=t<=top} e_j(t)
-    need = [[nnum] * (top + 1)]
+    # up[i][s] = U_i(s): W_i(s) / q^(e_i(s)) lies at or above the sum over
+    # j < i of min_{s<=t<=top} e_j(t)
+    up = [[0] * (top + 1)]
     for i in range(1, k):
         run = list(accumulate(reversed(e[i - 1]), min))[::-1]
-        need.append([r - m for r, m in zip(need[-1], run)])
-    # floor[i][s]: certified minimal exponent of V_i(s) / q^(e_i(s))
-    floor = [[tail_min_num(spec.tail, s) for s in cap]]
-    rest = list(accumulate(floor[0], min))  # the least tail_min_num up to each s
+        up.append([u + r for u, r in zip(up[-1], run)])
+    # each tail's ratios r(s) for s <= top, and tail_min_num at each s, the
+    # running sum of their negative shifts; down[i][s] = D_i(s): the least
+    # tail_min_num up to s over the tails, plus each later index at its least
+    ratios = [[_ratio(tail, s) for s in cap] for tail in tails]
+    tms = [list(accumulate(sum(min(d, 0) for _, d in twos) for twos, _ in r)) for r in ratios]
+    down = [[min(col) for col in zip(*(accumulate(tm, min) for tm in tms))]]
     for i in range(k - 1, 0, -1):
-        rest = [r + _index_min_num(lam[i], s) for s, r in enumerate(rest)]
-        floor.insert(0, rest)
+        down.insert(0, [d + _index_min_num(lam[i], s) for s, d in enumerate(down[0])])
 
-    # reach[s]: the most slots that a bottom cell at s' >= s reads of its tail value
-    g, b = tails.g, k - 1
-    reach = [-(-(need[b][s] - e[b][s] - lo) // g) if floor[b][s] + e[b][s] < need[b][s] else 0 for s in cap]
-    reach = list(accumulate(reversed(reach), max))[::-1]
-
-    # bottom up over the levels; a cell is a window of need - lo half-units,
-    # g to a slot, None when it is certified zero there
+    # top down over the levels; a cell is (x0, its list from q^(x0/2) to the
+    # slot below N - D_i(s)), None when that window is empty
     cells = None
-    for i in range(k - 1, -1, -1):
+    for i in range(k):
         row = []
-        for s in cap:
+        for t in cap:
             stats.nodes += 1
-            if floor[i][s] + e[i][s] >= need[i][s]:
+            x0, hi = up[i][t] + e[i][t], nnum - down[i][t]
+            if x0 >= hi:
                 stats.pruned += 1
                 row.append(None)
                 continue
             stats.tuples += 1
-            span = need[i][s] - e[i][s] - lo
-            width = -(-span // g)
+            width = (hi - x0 + 1) // 2
             if cells is None:
-                c, known = tails.value(s, floor[i][s], reach[s])
-                if known < lo + span:
-                    t = _grid_series(c, lo, known, g)
-                    raise IllPosedError(f"tail value {t!r} does not cover q^{HalfInt(lo)}..q^{HalfInt(lo + span)}")
-                w = c[:width]
+                w = [1] + [0] * (width - 1)
             else:
-                w = _horner(cells, s, width, 0, g)
-                off = 2 * s // g
-                if i + 2 in placement and width > off:
-                    w[off:] = map(add, w[off:], _horner(cells, s, width - off, 1, g))
-            row.append(_shift(w, e[i][s] // g))
+                w = _chain(cells, t, up[i][t], width, 0)
+                if i + 1 in placement and width > 2 * t:
+                    w[2 * t :] = map(add, w[2 * t :], _chain(cells, t, up[i][t] + 2 * t, width - 2 * t, 1))
+            row.append((x0, w))
         cells = row
-    live = [c for c in cells if c is not None]
-    return _grid_series([sum(col) for col in zip(*live)], lo, nnum, g)
+
+    return [
+        _close(tail, ratio, tm, cells, down[-1], sum(mins) + _tail_floor_num(tail), nnum)
+        for tail, ratio, tm in zip(tails, ratios, tms)
+    ]
+
+
+def eval_multisum(spec: SummandSpec, order, stats: Optional[SumStats] = None) -> QSeries:
+    """Evaluate the multisum exactly below `order`."""
+    return eval_multisums([spec], order, stats)[0]

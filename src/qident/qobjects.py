@@ -79,24 +79,24 @@ class Monomial:
 
 def binom(n: int, k: int) -> int:
     """Ordinary binomial; out-of-range k gives 0."""
-    if n < 0:
-        raise SpecError(f"binom needs n >= 0, got {n}")
+    if not (_whole(n) and _whole(k)) or n < 0:
+        raise SpecError(f"binom needs ints n >= 0 and k, got n={n!r}, k={k!r}")
     if k < 0 or k > n:
         return 0
     return math.comb(n, k)
 
 
 def _two_term(c: list, sign: int, e: int, src: Optional[list] = None) -> list:
-    """c += sign*x^e src in place, src as long as c; by default src = c, so c times 1 + sign*x^e.
+    """c += sign*x^e src in place, src no longer than c; by default src = c, so c times 1 + sign*x^e.
 
     A negative e leaves the top -e slots stale.
     """
     op = add if sign > 0 else sub
     src = c if src is None else src
     if e >= 0:
-        c[e:] = map(op, c[e:], src)
+        c[e : e + len(src)] = map(op, c[e : e + len(src)], src)
     else:
-        c[: max(len(c) + e, 0)] = map(op, c, src[-e:])
+        c[: max(len(src) + e, 0)] = map(op, c, src[-e:])
     return c
 
 
@@ -194,6 +194,8 @@ def qbinom_poly(n: int, k: int):
 
     Exact polynomial of degree k*(n-k).  Returns [] outside 0 <= k <= n.
     """
+    if not (_whole(n) and _whole(k)):
+        raise SpecError(f"qbinom_poly needs ints n and k, got n={n!r}, k={k!r}")
     if k < 0 or k > n:
         return []
     k = min(k, n - k)
@@ -212,10 +214,10 @@ def _poch_rows(factors: list, order: Order) -> ZLaurent:
 
     lo is the sum of the negative e.  Each z-power keeps one list from
     q^(lo/2) to q^(order/2), on spacing g = 2 when every e is even; a factor
-    is one two-term pass per row, row j + k taking -sign q^(e/2) row j, the
-    rows visited away from the side k moves to, so each is read before it
-    changes.  A negative e leaves the top -e half-units stale.  A factor
-    1 - q^0 makes the product an exact zero.
+    is one two-term pass per row, row j + k taking -sign q^(e/2) row j up to
+    row j's running degree, the rows visited away from the side k moves to,
+    so each is read before it changes.  A negative e leaves the top -e
+    half-units stale.  A factor 1 - q^0 makes the product an exact zero.
     """
     if (1, 0, 0) in factors:
         return ZLaurent.zero()
@@ -226,11 +228,13 @@ def _poch_rows(factors: list, order: Order) -> ZLaurent:
     if ordnum is not None:
         width = max(min(width, -((lo - ordnum) // g)), 0)
     rows = {0: ([0] * (-lo // g) + [1] + [0] * width)[:width]}
+    deg = {0: -lo // g}  # each row's last slot that can be nonzero
     for sign, k, e in factors:
         for j in sorted(rows, reverse=k > 0):
             if j + k not in rows:
-                rows[j + k] = [0] * width
-            _two_term(rows[j + k], -sign, e // g, rows[j])
+                rows[j + k], deg[j + k] = [0] * width, -1
+            _two_term(rows[j + k], -sign, e // g, rows[j][: deg[j] + 1])
+            deg[j + k] = min(max(deg[j + k], deg[j] + e // g), width - 1)
     top = None if ordnum is None else ordnum + lo
     span = (sum(min(k, 0) for _, k, _ in factors), sum(max(k, 0) for _, k, _ in factors))
     return ZLaurent({j: _grid_series(c, lo, top, g) for j, c in rows.items()}, top, span)

@@ -25,7 +25,7 @@ from qident import (
     qe,
 )
 from qident.catalog import _POLICY_MS
-from qident.multisum import _TailValues, _index_min_num, _tail_floor_num, tail_min_num
+from qident.multisum import _close, _grid, _index_min_num, _ratio, _tail_floor_num, eval_multisums, tail_min_num
 from naive import brute_force_multisum
 
 
@@ -90,12 +90,14 @@ def test_placement_pair_factor_differs_from_linear_shift():
 def test_stats_counting():
     stats = SumStats()
     eval_multisum(SummandSpec(2, (0, 0)), qe(20), stats)
-    assert stats.tuples > 0
-    assert stats.nodes >= stats.tuples
-    assert stats.pruned >= 0
-    before = stats.tuples
+    assert (stats.tuples, stats.nodes, stats.pruned) == (9, 12, 3)
     eval_multisum(SummandSpec(1, (0,)), qe(20), stats)
-    assert stats.tuples > before  # stats accumulate across calls
+    assert (stats.tuples, stats.nodes, stats.pruned) == (14, 18, 4)  # stats accumulate across calls
+    # a batch counts the cells of its one kernel: tails with the same minima
+    # share the kernel of either alone
+    stats = SumStats()
+    eval_multisums([SummandSpec(2, (0, 0)), SummandSpec(2, (0, 0), tail=TailEven())], qe(20), stats)
+    assert (stats.tuples, stats.nodes, stats.pruned) == (9, 12, 3)
 
 
 def _frame_floor(spec):
@@ -104,12 +106,13 @@ def _frame_floor(spec):
 
 
 def test_frame_floor_is_a_certified_lower_bound(monkeypatch):
-    # every tuple's term starts at or above the floor, and the engine's frame
+    # every tuple's term starts at or above the floor, and the closing's frame
     # starts at min(0, floor); the tuples complete a random prefix
+    import qident.multisum as ms
+
     rng = random.Random(99)
     frames = []
-    init = _TailValues.__init__
-    monkeypatch.setattr(_TailValues, "__init__", lambda self, tail, lo, w: frames.append(lo) or init(self, tail, lo, w))
+    monkeypatch.setattr(ms, "_close", lambda *args: frames.append(args[5]) or _close(*args))
     first_factor = SummandSpec(2, (-1, 0), placement={1}, tail=TailOverOdd(Monomial(1, he(3)), 0))
     for i in range(41):
         spec, descriptor = random_spec(rng) if i < 40 else (first_factor, ("over_odd", 1, 3, 0))
@@ -135,6 +138,9 @@ def test_running_min_of_tail_minima_is_the_capped_floor():
     for tail in tails:
         row = list(accumulate((tail_min_num(tail, s) for s in range(40)), min))
         assert row[-1] == _tail_floor_num(tail), tail  # settled at the uncapped floor
+        # the engine reads tail_min_num off the closing's ratios: their shifts below zero
+        shifts = accumulate(sum(min(e, 0) for _, e in _ratio(tail, s)[0]) for s in range(40))
+        assert list(shifts) == [tail_min_num(tail, s) for s in range(40)], tail
 
 
 def test_overpartition_tail_minima_in_closed_form():
@@ -269,29 +275,38 @@ def naive_tail(descriptor, s, W):
     return num.mul(_naive_inv_poch(2, 2 * s + 1, W))
 
 
+def _frame(tail, base, nnum):
+    """Slots of the closing's frame [base, N - _tail_floor_num(tail)) on the tail's grid."""
+    return -(-(nnum - _tail_floor_num(tail) - base) // _grid(tail))
+
+
 @pytest.mark.parametrize("wnum", (80, 81))
 def test_tail_values_match_the_naive_oracle(wnum):
     # every tail kind at s <= 30, both signs of every sampled z exponent:
-    # the pass-built value claims W + tail_min_num and is right below it,
-    # on the whole-q grid (g = 2) when its exponents are all whole
+    # the closing of the unit kernel K(t) = [t == s] is T(s), right below W
+    # from the frame's floor up, on the whole-q grid (g = 2) when its
+    # exponents are all whole
     tails = [(TailOdd(), ("odd",)), (TailEven(), ("even",))]
     for sign in (1, -1):
         for m in _POLICY_MS:
             z = Monomial(sign, he(m))
             tails.append((TailOver(z), ("over", sign, m)))
             tails.append((TailOverOdd(z, 1), ("over_odd", sign, m, 1)))
+    grids = set()
     for tail, descriptor in tails:
         lo = min(0, _tail_floor_num(tail))
-        values = _TailValues(tail, lo, wnum)
-        full = -(-(wnum - lo) // values.g)  # the whole frame [lo, W), read at every s
+        ratio = [_ratio(tail, t) for t in range(31)]
+        tm = [tail_min_num(tail, t) for t in range(31)]
+        low = list(accumulate(tm, min))
         for s in range(31):
-            top = wnum + tail_min_num(tail, s)
-            (frame, known), want = values.value(s, tail_min_num(tail, s), full), naive_tail(descriptor, s, wnum)
-            assert known >= top, (tail, s)
-            dense = [0] * (values.g * len(frame) + top - lo)
-            dense[: values.g * len(frame) : values.g] = frame
-            assert dense[: top - lo] == [want.coeff(e) for e in range(lo, top)], (tail, s)
+            unit = (0, [1] + [0] * ((wnum - low[s]) // 2))
+            got = _close(tail, ratio, tm, [None] * s + [unit], low, lo, wnum)
+            want = naive_tail(descriptor, s, wnum + 40)
+            assert got.order == he(wnum), (tail, s)
+            assert [got.coefficient(he(e)) for e in range(lo, wnum)] == [want.coeff(e) for e in range(lo, wnum)], (tail, s)
             assert want.offset >= lo or not any(want.coeffs[: lo - want.offset]), (tail, s)
+        grids.add(_grid(tail))
+    assert grids == {1, 2}
 
 
 def _oracle_tails():
@@ -306,71 +321,153 @@ def _oracle_tails():
     return tails
 
 
+def _naive_closing(descriptor, kernel, nnum):
+    """sum_t K(t) T(t) below nnum from the naive tails, K(t) = (x0, whole-q list) or None."""
+    from naive import NaiveSeries
+
+    acc = NaiveSeries.zero(nnum)
+    for t, cell in enumerate(kernel):
+        if cell is not None:
+            x0, c = cell
+            k = NaiveSeries(x0, [v for x in c for v in (x, 0)], x0 + 2 * len(c))
+            acc = acc.add(k.mul(naive_tail(descriptor, t, nnum + 60)).truncate(nnum))
+    return acc
+
+
 def test_capped_tail_values_match_the_naive_oracle(monkeypatch):
-    # eval_multisum asks for each tail value only as wide as the bottom
-    # cells at s and above read it: the value must still be right in those
-    # `reach` slots below W + tail_min_num, on both grids, with lo = 0 and
-    # with lo < 0 (a stale-slot margin), at a whole and a half-integer order
+    # every closing eval_multisum runs equals sum_t K(t) T(t) over the kernel
+    # it was handed, T from the naive products, below N and down to the
+    # frame's floor: on both grids, with base = 0 and with base < 0 (a
+    # stale-slot margin), at a whole and a half-integer order; and some
+    # pass runs on a list well short of the frame, as the accumulator is
+    # held only from its floor up
     import qident.multisum as ms
 
-    seen = []
-    real = ms._TailValues.value
-
-    def value(self, s, low, reach):
-        frame, known = real(self, s, low, reach)
-        seen.append((self.lo, self.w, self.g, s, low, reach, list(frame), known))
-        return frame, known
-
-    monkeypatch.setattr(ms._TailValues, "value", value)
+    seen, lengths = [], []
+    monkeypatch.setattr(ms, "_close", lambda *args: seen.append((args, _close(*args))) or seen[-1][1])
+    real = ms._two_term
+    monkeypatch.setattr(ms, "_two_term", lambda c, *a: lengths.append(len(c)) or real(c, *a))
     shapes = [(2, (0, 1), {2}), (2, (-1, 0), {1}), (1, (-1,), ())]
     grids = set()
     for n, (tail, descriptor) in enumerate(_oracle_tails()):
         k, linear, placement = shapes[n % len(shapes)]
         seen.clear()
+        lengths.clear()
         eval_multisum(SummandSpec(k, linear, placement=frozenset(placement), tail=tail), he(60 + n % 2))
-        assert seen, tail
-        for lo, wnum, g, s, low, reach, frame, known in seen:
-            assert known == wnum + tail_min_num(tail, s) and low == tail_min_num(tail, s)
-            hi = min(known, lo + g * reach)
-            want = naive_tail(descriptor, s, wnum)
-            assert len(frame) >= (hi - lo + g - 1) // g, (tail, s)
-            dense = [0] * (g * len(frame))
-            dense[::g] = frame
-            assert dense[: hi - lo] == [want.coeff(e) for e in range(lo, hi)], (tail, s)
-            grids.add((type(tail).__name__, g, lo < 0))
-        # the reach shrinks with s: some value is asked for well short of the frame
-        assert min(reach for *_, reach, _, _ in seen) < (wnum - lo) // (2 * g), tail
+        ((_, _, _, kernel, _, base, nnum), got), = seen
+        want = _naive_closing(descriptor, kernel, nnum)
+        assert [got.coefficient(he(e)) for e in range(base, nnum)] == [want.coeff(e) for e in range(base, nnum)], tail
+        assert want.offset >= base or not any(want.coeffs[: base - want.offset]), tail
+        grids.add((type(tail).__name__, _grid(tail), base < 0))
+        if lengths:
+            assert min(lengths) < _frame(tail, base, nnum) // 2, tail
     assert {g for _, g, _ in grids} == {1, 2} and any(neg for *_, neg in grids)
 
 
 def test_tail_passes_run_no_longer_than_their_reach(monkeypatch):
     # CURIOUS at q^120 (TailOver and TailOverOdd) and COR_INFTY (TailOver at -1/z):
-    # every pass that builds a tail value runs on a list no longer than the
-    # value's reach plus the stale-slot margin, and the short ones run on a
-    # small part of the frame
+    # every pass of a closing runs on a list no longer than the closing's
+    # frame, and the short ones on a small part of it
     import qident.multisum as ms
 
-    passes, building = [], []
-    real = ms._TailValues.value
+    passes, closing = [], []
 
-    def value(self, s, low, reach):
-        building.append((reach + self.margin, -(-(self.w - self.lo) // self.g)))
+    def close(*args):
+        tail, base, nnum = args[0], args[5], args[6]
+        closing.append(_frame(tail, base, nnum))
         try:
-            return real(self, s, low, reach)
+            return _close(*args)
         finally:
-            building.pop()
+            closing.pop()
 
     def spy(fn):
-        return lambda c, *args: (building and passes.append((len(c),) + building[-1])) or fn(c, *args)
+        return lambda c, *args: (closing and passes.append((len(c), closing[-1]))) or fn(c, *args)
 
-    monkeypatch.setattr(ms._TailValues, "value", value)
+    monkeypatch.setattr(ms, "_close", close)
     for name in ("_prefix_add", "_two_term"):
         monkeypatch.setattr(ms, name, spy(getattr(ms, name)))
     for case in (make_case("CURIOUS", order=qe(120)), make_case("COR_INFTY", order=qe(60), k=1)):
         passes.clear()
         assert verify(case).status == "pass"
-        assert passes and all(n <= cap for n, cap, _ in passes), case
-        assert min(n for n, _, _ in passes) < max(full for _, _, full in passes) // 4, case
+        assert passes and all(n <= full for n, full in passes), case
+        assert min(n for n, _ in passes) < max(full for _, full in passes) // 4, case
+
+
+def _descriptor(tail):
+    if isinstance(tail, TailOdd):
+        return ("odd",)
+    if isinstance(tail, TailOver):
+        return ("over", tail.z.sign, tail.z.q_exp.num)
+    return ("over_odd", tail.z.sign, tail.z.q_exp.num, tail.offset)
+
+
+@pytest.mark.parametrize("ordnum", (16, 17))
+def test_batches_match_the_brute_force_on_every_z_row(ordnum):
+    # each z row's batch, one spec per z sample, and CURIOUS's two batches:
+    # at the default samples and at one explicit z, with every placement of
+    # j <= 1 at k <= 1, against the unpruned brute force per spec
+    from qident import catalog
+
+    batches = []
+    for id in ("OVER_1", "OVER_2", "OVER_3", "COR_INFTY", "CURIOUS"):
+        entry, row = catalog._REGISTRY[id], catalog._SUM_ROWS.get(id, catalog._SUM_ROWS["OVER_2"])
+        grid = [{}] if id == "CURIOUS" else [{"k": k} for k in (0, 1)]
+        if id in ("OVER_1", "OVER_2"):
+            grid = [dict(g, j=0) for g in grid] + [{"k": 1, "j": 1, "placement": [i]} for i in (1, 2)]
+            grid = grid[:3] if id == "OVER_2" else grid
+            grid[2].pop("placement") if id == "OVER_2" else None
+        for params in grid:
+            for z in ({}, {"z_sign": "-", "z_exp": "1/2"}):
+                p = entry.prepare(dict(params, **z))
+                zs = catalog._z_samples(p["z"], lambda m: row.window(p, m))
+                batches.append([row.summand(p, z) for z in zs])
+                if id == "CURIOUS":
+                    odd = catalog._SUM_ROWS["OVER_3"]
+                    batches.append([odd.summand(p, z.inverted()) for z in zs])
+    # and tails whose floors lie far apart: the batch caps its first index
+    # at the lowest
+    far = (TailOdd(), TailOver(Monomial(-1, he(-10))), TailOverOdd(Monomial(1, he(5)), 0))
+    batches.append([SummandSpec(1, (0,), tail=tail) for tail in far])
+    for specs in batches:
+        for spec, got in zip(specs, eval_multisums(specs, he(ordnum))):
+            want = brute_force_multisum(spec.k, spec.linear, spec.placement, _descriptor(spec.tail), ordnum, cap=10)
+            assert got.order == he(ordnum)
+            assert [got.coefficient(he(e)) for e in range(ordnum)] == [want.coeff(e) for e in range(ordnum)], spec
+
+
+def test_the_kernel_is_built_once_per_batch(monkeypatch):
+    # twelve tails whose minima are all zero share the kernel of any one of
+    # them: the passes outside the closings are the same for 1 sample and 12
+    import qident.multisum as ms
+
+    count, closing = {"kernel": 0, "closings": 0}, []
+
+    def close(*args):
+        closing.append(1)
+        count["closings"] += 1
+        try:
+            return _close(*args)
+        finally:
+            closing.pop()
+
+    def prefix_add(c, d):
+        count["kernel"] += not closing
+        return real(c, d)
+
+    real = ms._prefix_add
+    monkeypatch.setattr(ms, "_close", close)
+    monkeypatch.setattr(ms, "_prefix_add", prefix_add)
+    z = [Monomial(sign, he(m)) for m in (0, 1, 2) for sign in (1, -1)]
+    tails = [TailOver(w) for w in z] + [TailOverOdd(w, 0) for w in z]
+    assert all(tail_min_num(tail, s) == 0 for tail in tails for s in range(20))
+    runs = []
+    for batch in (tails[:1], tails):
+        count.update(kernel=0, closings=0)
+        stats = SumStats()
+        sums = eval_multisums([SummandSpec(3, (0, 1, 0), placement={2}, tail=tail) for tail in batch], qe(40), stats)
+        runs.append((count["kernel"], count["closings"], stats, sums[0]))
+    (one, c1, s1, v1), (twelve, c12, s12, v12) = runs
+    assert one == twelve > 0 and (c1, c12) == (1, 12) and s1 == s12 and v1 == v12
 
 
 def test_tails_multiply_no_series_and_build_no_gaussian_polynomial(monkeypatch):
@@ -468,9 +565,10 @@ def _pass_lengths(monkeypatch, spec, order):
 
 
 def test_whole_q_sums_run_their_passes_on_half_the_frame(monkeypatch):
-    # AG k=3 is whole-q, so its tails, levels and sum run at spacing 2:
+    # AG k=3 is whole-q, so its kernel and closing run at spacing 2:
     # no pass touches a list longer than half the frame [lo, N); an OVER_1
-    # sample at the odd z exponent 1 is mixed and keeps the full frame
+    # sample at the odd z exponent 1 is mixed, and its closing runs on the
+    # half grid, longer than that
     from qident.catalog import _SUM_ROWS
 
     order = qe(40)
@@ -482,4 +580,4 @@ def test_whole_q_sums_run_their_passes_on_half_the_frame(monkeypatch):
     lengths = _pass_lengths(monkeypatch, ag, order)
     assert lengths and max(lengths) <= order.num // 2
     lengths = _pass_lengths(monkeypatch, over, order)
-    assert max(lengths) >= order.num
+    assert max(lengths) > order.num // 2
