@@ -11,7 +11,9 @@ Three families are data, one row per id and one runner per table.
 `_SUM_ROWS`, run by `_run_row`, are cases of one Andrews-Gordon /
 Bressoud shape with binomial placements; `_EXPANSIONS`, run by
 `_run_expansion`, are cases of Bressoud's key lemma summed over chains
-n >= s_1 >= ... >= s_d >= 0; `_LIMITS`, run by `_run_limit`, hold the
+n >= s_1 >= ... >= s_d >= 0, which run on the sum side's kernel from a
+bounded start (`multisum._chain_values`), as do ANDREWS_ANSWER's two
+chains; `_LIMITS`, run by `_run_limit`, hold the
 limits at a certified n (H_LIMIT is F_LIMIT at j = 0).  Parameters are
 checked by family, from the names each id takes: `_prep_sum` serves the
 sum rows and CURIOUS, `_prep_plain` the ids whose parameters are plain
@@ -23,11 +25,11 @@ read off its own modulus; every other id defaults to q^40.
 order actually compared, the first mismatching coefficient if any, and
 the summation engine's kernel cell counts (visited, skipped by the
 truncation floor, evaluated), one kernel per batch of sums that differ
-only in their tails.  Each runner runs once: it builds its sides at the
-requested order plus the closed-form loss of its own shifts and
-substitutions, so a pass that compares below the request is an engine
-bug, reported as an `error`.  `verify` never raises: an exception from
-any check becomes an `error` report.
+only in their tails and one per chain of an expansion.  Each runner runs
+once: it builds its sides at the requested order plus the closed-form
+loss of its own shifts and substitutions, so a pass that compares below
+the request is an engine bug, reported as an `error`.  `verify` never
+raises: an exception from any check becomes an `error` report.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ from .multisum import (
     TailOdd,
     TailOver,
     TailOverOdd,
+    _chain_values,
     eval_multisum,
     eval_multisums,
 )
@@ -270,45 +273,15 @@ def _z_samples(
 # shared builders
 
 
-def _depth(x: ZLaurent) -> int:
-    # half-units by which x reaches below q^0: x times a coefficient
-    # truncated at W is known only below W - _depth(x).  `_run_expansion`
-    # reads it off its lhs; the monomial weight of every rhs term keeps that
-    # term no deeper.
-    return max([0] + [-x.slice(k).min_exp.num for k in x.z_support()])
+def _low(x: ZLaurent, default: int) -> int:
+    # the least exponent of x in half-units (default when it has none below
+    # its order): x times a coefficient known below W is known below W + _low(x)
+    return min((x.slice(k).min_exp.num for k in x.z_support()), default=default)
 
 
 def _bress_lambda(k: int, j: int, r: int = 0) -> Tuple[int, ...]:
     # -1 on the first j indices, +1 on the last r
     return tuple((-1 if i + 1 <= j else 0) + (1 if i + 1 > k - r else 0) for i in range(k))
-
-
-def _chain_sum(
-    bucket: Dict[int, QSeries],
-    depth: int,
-    inv: Callable[[int], QSeries],
-    factor: Callable[[int, int, int], QSeries],
-) -> Dict[int, QSeries]:
-    """Accumulate weights over chains s_0 >= s_1 >= ... >= s_depth >= 0, level by level.
-
-    `bucket` maps each start s_0 to its weight.  Level t (1-based) takes
-    B_t[s] = sum_{prev >= s} B_{t-1}[prev] factor(t, prev, s) inv(prev - s),
-    inv(prev - s) being the gap inverse Pochhammer.  Returns buckets keyed
-    by the last index, each a QSeries scalar known below the ladder's order
-    plus the lowest exponent of its chains' weights.
-    """
-    for t in range(1, depth + 1):
-        out: Dict[int, QSeries] = {}
-        for prev, c in bucket.items():
-            for s in range(prev + 1):
-                v = c * factor(t, prev, s) * inv(prev - s)
-                out[s] = out[s] + v if s in out else v
-        bucket = out
-    return bucket
-
-
-def _qsq(s: int, lin: int = 0) -> QSeries:
-    return QSeries.monomial(1, qe(s * s + lin * s))
 
 
 # ---------------------------------------------------------------------------
@@ -517,8 +490,8 @@ def _prep_n_a(params: dict) -> dict:
 
 def _prep_n(params: dict) -> dict:
     _reject_unknown(params, ("n",))
-    # SPECIAL_A is exact (order INF): n = 40 verifies in about 0.37 s, and
-    # the cost grows about as n^4 (n = 60 takes 1.6 s)
+    # SPECIAL_A is exact (order INF): n = 40 verifies in about 0.25 s, and
+    # the cost grows about as n^4 (n = 60 takes 1.2 s)
     return {"n": _need_int(params, "n", 0, 40)}
 
 
@@ -568,11 +541,13 @@ def _run_recurse_f(p: dict, wnum: int, stats: SumStats) -> List[Check]:
 # the expansions at finite n: one table row per identity
 #
 # Every row is a case of the shape of Bressoud's key lemma: lhs(n) / (q)_{2n}
-# equals the sum over chains n >= s_1 >= ... >= s_d >= 0 of the level
-# weights factor(t, s_{t-1}, s_t) / (q)_{s_{t-1} - s_t} (s_0 = n), times
-# term(s_d) / (q)_{2 s_d}.  F(n, 0, a) is H(n, a), so KEY_LEMMA and
-# NEW_PROP are the rows F_SUM and NEW_PROP2 at j = 0, each with its own
-# prepare and label.
+# equals the sum over chains n = s_0 >= s_1 >= ... >= s_d >= 0 of the level
+# weights over (q)_{s_{t-1} - s_t}, times term(s_d) / (q)_{2 s_d}.  A level
+# weighs q^(s_t^2), or q^(s_t^2 - s_t) (1 + q^(s_{t-1} + s_t)) on a placed
+# row, so the chain sums K(s_d) are the multisum kernel's from the bounded
+# start s_0 = n (`multisum._chain_values`), and the report carries its cell
+# counts.  F(n, 0, a) is H(n, a), so KEY_LEMMA and NEW_PROP are the rows
+# F_SUM and NEW_PROP2 at j = 0, each with its own prepare and label.
 
 
 @dataclass(frozen=True)
@@ -580,30 +555,22 @@ class _Expansion:
     prepare: Callable[[dict], dict]
     lhs: Callable[[dict, int], ZLaurent]  # (p, wnum): the polynomial at n
     depth: Callable[[dict], int]  # d, the chain length
-    factor: Callable[[int, int, int], QSeries]  # (t, prev, s): level t's weight
+    placed: bool  # every level weighs the pair q^(s^2 - s) (1 + q^(prev + s)), else q^(s^2)
     term: Callable[[dict, int, int], ZLaurent]  # (p, s, wnum): the polynomial at s_d
     label: str  # str.format fields: the parameters
-
-
-def _square_weight(t: int, prev: int, s: int) -> QSeries:
-    return _qsq(s)
-
-
-def _pair_weight(t: int, prev: int, s: int) -> QSeries:
-    return _qsq(s, -1) * (QSeries.one() + QSeries.monomial(1, qe(prev + s)))
 
 
 _F_SUM = _Expansion(
     partial(_prep_plain, ("n", "j", "a")),
     lambda p, w: f_func(FSpec(p["n"], p["j"], p["a"]), he(w)),
-    lambda p: 1, _square_weight,
+    lambda p: 1, False,
     lambda p, s, w: f_func(FSpec(s, p["j"], p["a"] - he(2)), he(w)),
     "n={n} j={j} a={a}: one-step expansion of the closure",
 )
 _NEW_PROP2 = _Expansion(
     partial(_prep_plain, ("n", "j", "a")),
     lambda p, w: f_func(FSpec(p["n"], p["j"] + 1, p["a"] + he(2)), he(w)),
-    lambda p: 1, _pair_weight,
+    lambda p: 1, True,
     lambda p, s, w: f_func(FSpec(s, p["j"], p["a"]), he(w)),
     "n={n} j={j} a={a}: shifted-pair expansion of the closure",
 )
@@ -613,14 +580,14 @@ _EXPANSIONS: Dict[str, _Expansion] = {
     "NEW_PROP": replace(_NEW_PROP2, prepare=_prep_n_a, label="n={n} a={a}: shifted-pair expansion"),
     "NEW_PROP2": _NEW_PROP2,
     "ANOTHER_F": _Expansion(
-        _prep_nja_pos, _F_SUM.lhs, lambda p: p["j"], _pair_weight,
+        _prep_nja_pos, _F_SUM.lhs, lambda p: p["j"], True,
         lambda p, s, w: h_poly(HSpec(s, p["a"] - qe(p["j"])), he(w)),
         "n={n} j={j} a={a}: full chain expansion",
     ),
     "ITER_PROP": _Expansion(
         partial(_prep_plain, ("n", "k", "a")),
         lambda p, w: h_poly(HSpec(p["n"], p["a"] + qe(p["k"] + 1)), he(w)),
-        lambda p: p["k"] + 1, _square_weight,
+        lambda p: p["k"] + 1, False,
         lambda p, s, w: h_poly(HSpec(s, p["a"]), he(w)),
         "n={n} k={k} a={a}: iterated expansion",
     ),
@@ -630,7 +597,7 @@ _EXPANSIONS: Dict[str, _Expansion] = {
         lambda p, w: (
             h_poly(HSpec(p["n"], he(2 * p["k"] + 3)), he(w + p["n"])).zshift(he(1)).znegate()
         ),
-        lambda p: p["k"] + 1, _square_weight,
+        lambda p: p["k"] + 1, False,
         lambda p, s, w: _pochz_rising(s, he(w)),
         "n={n} k={k}: iterated expansion with factored tail",
     ),
@@ -638,11 +605,15 @@ _EXPANSIONS: Dict[str, _Expansion] = {
 
 
 def _run_expansion(row: _Expansion, p: dict, wnum: int, stats: SumStats) -> List[Check]:
-    n, lhs = p["n"], row.lhs(p, wnum)
-    inv = _inv_poch_ladder(2, wnum + _depth(lhs))
+    n, d, lhs = p["n"], row.depth(p), row.lhs(p, wnum)
+    terms = [row.term(p, s, wnum) for s in range(n + 1)]
+    # term(s) / (q)_{2s} starts at q^(floor/2), so K(s) is needed only below wnum - floor
+    floors = [_low(t, wnum) for t in terms]
+    inv = _inv_poch_ladder(2, wnum - min([0, _low(lhs, 0)] + floors))
+    spec = SummandSpec(d, (0,) * d, frozenset(range(1, d + 1)) if row.placed else None)
     rhs = ZLaurent.zero()
-    for s, c in sorted(_chain_sum({n: QSeries.one()}, row.depth(p), inv, row.factor).items()):
-        rhs = rhs + row.term(p, s, wnum) * (c * inv(2 * s))
+    for s, (term, chain) in enumerate(zip(terms, _chain_values(spec, n, floors, wnum, stats))):
+        rhs = rhs + term * (chain * inv(2 * s))
     return [Check(row.label.format_map(p), lhs * inv(2 * n), rhs)]
 
 
@@ -840,46 +811,37 @@ def _run_andrews_answer(p: dict, wnum: int, stats: SumStats) -> List[Check]:
         vanish = h_poly(HSpec(s, he(1)), INF).substitute(-1, he(1))
         checks.append(Check(f"s={s}: H(s, 1/2) vanishes at -q^(1/2)", vanish, QSeries.zero(INF)))
 
-    # finite-n pipeline: state = sum_s bucket[s] * H(s, a)(-q^x) / (q)_{2s},
-    # from a = k + 3/2, x = r + 1/2.  Each expansion (the key lemma) lowers a
-    # by 1; a = x after k - r + 1 of them, and from then on the functional
-    # equation, which lowers x by 1 and multiplies slice s by q^s, comes
-    # before each expansion.  Both end at 1/2.
-    bucket: Dict[int, QSeries] = {n: QSeries.one(he(wnum))}
-    for t in range(k + 1):
-        if t > k - r:
-            bucket = {s: c.shift(qe(s)) for s, c in bucket.items()}
-        new = _chain_sum(bucket, 1, inv, _square_weight)
-        bucket = {s: c.truncated(he(wnum)) for s, c in new.items()}
+    # finite-n pipeline: state = sum_s K(s) * H(s, a)(-q^x) / (q)_{2s},
+    # from K(n) = 1, a = k + 3/2, x = r + 1/2.  Each expansion (the key lemma)
+    # adds a chain level of weight q^(s^2) and lowers a by 1; a = x after
+    # k - r + 1 of them, and from then on the functional equation, which
+    # lowers x by 1 and multiplies K(s) by q^s, comes before each expansion.
+    # Both end at 1/2, where H(s, 1/2)(-q^(1/2)) vanishes but at s = 0, so
+    # the value is K(0) of the (k+1)-level chain from n whose linear weights
+    # are 1 on the last r of the first k levels, the ones those functional
+    # equations shifted.  Only K(0) is read: the other last-level cells get
+    # the floor wnum, which skips them.
+    ag = _SUM_ROWS["AG"]
+    plain_spec = ag.summand(p, None)
+    forced_spec = SummandSpec(k + 1, plain_spec.linear + (0,), tail=TailOver(Monomial(-1, qe(0))))
+    value = _chain_values(forced_spec, n, [0] + [wnum] * n, wnum, stats)[0]
 
-    # every step preserved the value, so bucket[0] must equal the start;
+    # every step preserved the value, so K(0) must equal the start;
     # wnum + n(2r+1): substituting -q^(r+1/2) moves slice -n down by n(2r+1) half-units
     H = h_poly(HSpec(n, he(2 * k + 3)), he(wnum + n * (2 * r + 1)))
     start = H.substitute(-1, he(2 * r + 1)) * inv(2 * n)
-    checks.append(Check(f"n={n}: pipeline value equals the starting value", bucket[0], start))
+    checks.append(Check(f"n={n}: pipeline value equals the starting value", value, start))
 
-    # and it is exactly the bounded classical sum side, AG's
-    ag = _SUM_ROWS["AG"]
-    plain_spec = ag.summand(p, None)
-    lam = plain_spec.linear
-
-    def factor(t: int, prev: int, s: int) -> QSeries:
-        return _qsq(s, lam[t - 1])
-
-    chain = _chain_sum({n: QSeries.one()}, k, inv, factor)
+    # and it is exactly the bounded classical sum side, AG's: the k-level
+    # chain closed by 1/(q)_{s_k}, here as series products
     direct = QSeries.zero(he(wnum))
-    for s, c in sorted(chain.items()):
+    for s, c in enumerate(_chain_values(plain_spec, n, [0] * (n + 1), wnum, stats)):
         direct = direct + c * inv(s)
-    checks.append(Check(f"n={n}: pipeline value is the bounded sum side", bucket[0], direct))
+    checks.append(Check(f"n={n}: pipeline value is the bounded sum side", value, direct))
 
     # in the limit, the same shape closed by (1, q; q)_s / (q)_{2s}, TailOver
     # at z = -1 and the H form above, reproduces the classical identity
-    lam_ext = lam + (0,)
-    forced = eval_multisum(
-        SummandSpec(k + 1, lam_ext, tail=TailOver(Monomial(-1, qe(0)))),
-        he(wnum),
-        stats,
-    )
+    forced = eval_multisum(forced_spec, he(wnum), stats)
     plain = eval_multisum(plain_spec, he(wnum), stats)
     checks.append(Check("forced innermost index reproduces the sum side", forced, plain))
     prod = eval_product_sum(ag.products(p, ag.modulus(p), None), he(wnum))

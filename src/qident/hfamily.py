@@ -248,7 +248,7 @@ def _stabilized_values(j: int, a: HalfInt, ws: Sequence[Monomial], order) -> Lis
         raise IllPosedError(f"a limit value needs a positive finite order, got {order}")
     groups, ns = [], []
     for w in ws:
-        args = [(binom(j, i), w.times_q(qe(j - 2 * i))) for i in range(j + 1)]
+        args = [(binom(j, i), Monomial(w.sign, w.q_exp + qe(j - 2 * i))) for i in range(j + 1)]
         groups.append(args)
         ns.append(_certified_n(a, [v.q_exp.num for _, v in args], ordnum))
     out = [None] * len(ws)

@@ -31,6 +31,13 @@ q-units to a slot, and skipped when the window is empty; `SumStats`
 counts these cells.  The test suite checks the engine against an
 unpruned brute force.
 
+The same level loop (`_kernel`) also takes a bounded start: one cell
+W_0(n) = 1 with top n, so that W_1(t) = q^(e_1(t)) P_1(n, t) / (q; q)_{n-t}
+(there a placed first position has its pair factor too) and K(s) sums
+the chains n = s_0 >= s_1 >= ... >= s_k = s.  `_chain_values` returns these
+K(s) as series for the finite-n expansions of `catalog`; there the last
+level's floor D_k(s) is the least exponent of what multiplies K(s).
+
 Each tail then takes one closing Horner on r(t) = T(t) / T(t-1):
 acc = K(top), acc = acc * r(t) + K(t-1) for t = top..1, then acc * T(0).
 r(t) is a two-term pass per new factor 1 + c q^e and a prefix-add pass
@@ -214,18 +221,20 @@ def _chain(cells: list, t: int, x: int, width: int, lift: int) -> list:
 
     Horner from the top s down: once W(s + 1) and the cells above have
     joined the partial sum, it is divided by (1 - q^(s+1-t)), one
-    prefix-add pass.  A cell is (its first exponent x0, its list) or None
+    prefix-add pass, skipped when it is as long as the frame.  A cell is
+    (its first exponent x0, its list, the slots past its end zero) or None
     for zero, and every cell at s >= t starts at or above x.
     """
     acc, live = [0] * width, False
     for s in range(len(cells) - 1, t - 1, -1):
-        if live:
+        if live and s + 1 - t < width:  # a longer step moves nothing
             _prefix_add(acc, s + 1 - t)
         if cells[s] is not None:
             x0, c = cells[s]
             p = (x0 - x) // 2 + lift * s
             if p < width:
-                acc[p:] = map(add, acc[p:], c)
+                q = p + len(c)
+                acc[p:q] = map(add, acc[p:q], c)
                 live = True
     return acc
 
@@ -265,45 +274,33 @@ def _close(tail: Tail, ratio: list, tm: list, kernel: list, low: list, base: int
     return _grid_series(acc, base + g * a, nnum, g)
 
 
-def eval_multisums(specs: Sequence[SummandSpec], order, stats: Optional[SumStats] = None) -> List[QSeries]:
-    """Evaluate multisums that differ only in their tails, each exactly below
-    `order`, on one kernel."""
-    nnum = _ord_num(order)
-    if nnum is None:
-        raise IllPosedError("a multisum needs a finite truncation order")
-    if len({replace(s, tail=TailOdd()) for s in specs}) != 1:
-        raise SpecError("a batch of multisums must differ only in their tails")
-    stats = stats or SumStats()
-    lam, k = specs[0].effective_linear_num(), specs[0].k
-    placement = specs[0].placement or frozenset()
-    tails = [s.tail for s in specs]
+def _kernel(lam: list, placement: frozenset, start: Optional[list], low: list, nnum: int, stats: SumStats) -> list:
+    """The kernel cells W_k(s), s <= top = len(low) - 1, each known below
+    nnum - low[s]: (x0, its list from q^(x0/2)) or None when that is empty.
+    `lam` holds the k indices' linear exponents, placement's q^(-s_i) folded in.
 
-    # the least exponent of the indices after the first and of the tails,
-    # and the kernel floor: every index at its least
-    mins = [_index_min_num(c, None) for c in lam]
-    rest_floor = min(map(_tail_floor_num, tails)) + sum(mins[1:])
-    top = _first_cap(lam[0], rest_floor, nnum)
-
-    cap = range(top + 1)
-    e = [[2 * s * s + lam[i] * s for s in cap] for i in range(k)]
+    `start` is the row of a level 0 before the first index, its cells at or
+    above q^0, each list possibly shorter than its window (the rest zero);
+    None leaves the first index free, W_1(s) = q^(e_1(s)).
+    """
+    k, cap = len(lam), range(len(low))
+    e = [[2 * s * s + c * s for s in cap] for c in lam]
     # up[i][s] = U_i(s): W_i(s) / q^(e_i(s)) lies at or above the sum over
     # j < i of min_{s<=t<=top} e_j(t)
-    up = [[0] * (top + 1)]
+    up = [[0] * len(low)]
     for i in range(1, k):
         run = list(accumulate(reversed(e[i - 1]), min))[::-1]
         up.append([u + r for u, r in zip(up[-1], run)])
-    # each tail's ratios r(s) for s <= top, and tail_min_num at each s, the
-    # running sum of their negative shifts; down[i][s] = D_i(s): the least
-    # tail_min_num up to s over the tails, plus each later index at its least
-    ratios = [[_ratio(tail, s) for s in cap] for tail in tails]
-    tms = [list(accumulate(sum(min(d, 0) for _, d in twos) for twos, _ in r)) for r in ratios]
-    down = [[min(col) for col in zip(*(accumulate(tm, min) for tm in tms))]]
+    # down[i][s] = D_i(s): low at the last level; before it, the least of low
+    # up to s plus each later index at its least
+    down, run = [low], list(accumulate(low, min))
     for i in range(k - 1, 0, -1):
-        down.insert(0, [d + _index_min_num(lam[i], s) for s, d in enumerate(down[0])])
+        run = [d + _index_min_num(lam[i], s) for s, d in enumerate(run)]
+        down.insert(0, run)
 
-    # top down over the levels; a cell is (x0, its list from q^(x0/2) to the
-    # slot below N - D_i(s)), None when that window is empty
-    cells = None
+    # top down over the levels; a cell's list runs from q^(x0/2) to the slot
+    # below N - D_i(s)
+    cells = start
     for i in range(k):
         row = []
         for t in cap:
@@ -323,9 +320,53 @@ def eval_multisums(specs: Sequence[SummandSpec], order, stats: Optional[SumStats
                     w[2 * t :] = map(add, w[2 * t :], _chain(cells, t, up[i][t] + 2 * t, width - 2 * t, 1))
             row.append((x0, w))
         cells = row
+    return cells
+
+
+def _chain_values(spec: SummandSpec, n: int, low: List[int], nnum: int, stats: SumStats) -> List[QSeries]:
+    """K(s), s = 0..n, summed over the chains n = s_0 >= s_1 >= ... >= s_k = s,
+    each known below q^((nnum - low[s])/2).
+
+    Level i weighs q^(s_i^2 + lambda_i s_i) B_i / (q; q)_{s_(i-1) - s_i},
+    with the spec's linear weights and placement, B_i as in the sums but
+    also at i = 1; the spec's tail is not used.
+    """
+    start = [None] * n + [(0, [1])]
+    cells = _kernel(spec.effective_linear_num(), spec.placement or frozenset(), start, low, nnum, stats)
+    return [
+        QSeries(0, [], nnum - d) if c is None else _grid_series(c[1], c[0], nnum - d, 2)
+        for c, d in zip(cells, low)
+    ]
+
+
+def eval_multisums(specs: Sequence[SummandSpec], order, stats: Optional[SumStats] = None) -> List[QSeries]:
+    """Evaluate multisums that differ only in their tails, each exactly below
+    `order`, on one kernel."""
+    nnum = _ord_num(order)
+    if nnum is None:
+        raise IllPosedError("a multisum needs a finite truncation order")
+    if len({replace(s, tail=TailOdd()) for s in specs}) != 1:
+        raise SpecError("a batch of multisums must differ only in their tails")
+    stats = stats or SumStats()
+    lam = specs[0].effective_linear_num()
+    tails = [s.tail for s in specs]
+
+    # the least exponent of the indices after the first and of the tails,
+    # and the kernel floor: every index at its least
+    mins = [_index_min_num(c, None) for c in lam]
+    rest_floor = min(map(_tail_floor_num, tails)) + sum(mins[1:])
+    top = _first_cap(lam[0], rest_floor, nnum)
+
+    # each tail's ratios r(s) for s <= top, and tail_min_num at each s, the
+    # running sum of their negative shifts; the last level's floor is their
+    # least running min up to s over the tails
+    ratios = [[_ratio(tail, s) for s in range(top + 1)] for tail in tails]
+    tms = [list(accumulate(sum(min(d, 0) for _, d in twos) for twos, _ in r)) for r in ratios]
+    low = [min(col) for col in zip(*(accumulate(tm, min) for tm in tms))]
+    cells = _kernel(lam, specs[0].placement or frozenset(), None, low, nnum, stats)
 
     return [
-        _close(tail, ratio, tm, cells, down[-1], sum(mins) + _tail_floor_num(tail), nnum)
+        _close(tail, ratio, tm, cells, low, sum(mins) + _tail_floor_num(tail), nnum)
         for tail, ratio, tm in zip(tails, ratios, tms)
     ]
 

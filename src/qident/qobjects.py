@@ -70,9 +70,6 @@ class Monomial:
         """The reciprocal monomial (signs are their own inverses)."""
         return Monomial(self.sign, -self.q_exp)
 
-    def times_q(self, exp) -> "Monomial":
-        return Monomial(self.sign, self.q_exp + exp)
-
     def __str__(self):
         return ("-" if self.sign < 0 else "") + (f"q^{self.q_exp}" if self.q_exp.num else "1")
 

@@ -435,10 +435,6 @@ class QSeries:
             return self._coeffs[i]
         return 0
 
-    def coeff_q(self, n: int) -> int:
-        """Coefficient of q**n."""
-        return self.coefficient(qe(n))
-
     def terms(self) -> Iterator:
         for i, c in enumerate(self._coeffs):
             if c:

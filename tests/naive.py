@@ -297,6 +297,35 @@ def brute_force_multisum(
     return acc
 
 
+def brute_force_chains(n: int, linear, placement, order: int) -> list:
+    """K(s) for s = 0..n, each below q^(order/2), over every chain
+    n = s_0 >= s_1 >= ... >= s_d = s (d = len(linear)) of
+
+        prod_i q^(s_i^2 + linear_i s_i) P_i / (q;q)_{s_(i-1) - s_i}
+
+    with P_i = q^(-s_i) (1 + q^(s_(i-1) + s_i)) at the positions i in
+    `placement` (position 1 pairs with s_0 = n) and 1 elsewhere.
+    """
+    placement = frozenset(placement or ())
+    out = [NaiveSeries.zero(order) for _ in range(n + 1)]
+    for tup in iter_weakly_decreasing(len(linear), n):
+        chain = (n,) + tup
+        expnum = sum(2 * s * s + 2 * c * s for s, c in zip(tup, linear))
+        expnum -= 2 * sum(chain[pos] for pos in placement)
+        if expnum >= order:
+            continue
+        # every other factor starts at q^0, so a window this wide keeps the order
+        W = order - min(expnum, 0)
+        term = NaiveSeries.monomial(1, expnum, W)
+        for pos in placement:
+            pair = NaiveSeries.monomial(1, 0, W).add(NaiveSeries.monomial(1, 2 * (chain[pos - 1] + chain[pos]), W))
+            term = term.mul(pair)
+        for prev, s in zip(chain, tup):
+            term = term.mul(n_poch_finite(1, 2, prev - s, 2, W).inv())
+        out[tup[-1]] = out[tup[-1]].add(term.truncate(order))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # partition counting
 

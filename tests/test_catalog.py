@@ -182,6 +182,21 @@ def test_cor_infty_fails_with_its_tail_at_minus_z(monkeypatch):
     assert rep.detail == "k=1 z=q^-1: iterated sum vs product"
 
 
+def test_key_lemma_fails_with_its_term_at_weight_a_minus_one_half(monkeypatch):
+    # negative control for the expansions: the KEY_LEMMA row with term(s) at
+    # weight a - 1/2 instead of a - 1 fails at q^(2n^2) z^-n, lhs 1, rhs 0
+    row = catalog._EXPANSIONS["KEY_LEMMA"]
+    wrong = replace(row, term=lambda p, s, w: qident.f_func(FSpec(s, p["j"], p["a"] - he(1)), he(w)))
+    entry = catalog._REGISTRY["KEY_LEMMA"]
+    monkeypatch.setitem(catalog._REGISTRY, "KEY_LEMMA", replace(entry, runner=partial(catalog._run_expansion, wrong)))
+    for n, exp in ((4, 32), (3, 18)):
+        rep = verify(make_case("KEY_LEMMA", n=n, a=2))
+        assert (rep.status, rep.compared_order) == ("fail", qe(40))
+        m = rep.first_mismatch
+        assert (m.exp, m.z_exp, m.lhs, m.rhs) == (qe(exp), -n, 1, 0)
+        assert rep.detail == f"n={n} a=2: one-step expansion"
+
+
 @pytest.mark.parametrize("ordnum", (60, 61))
 def test_cor_infty_sum_meets_the_h_form_of_its_closing_factor(ordnum):
     # the engine builds (qz, 1/z; q)_s / (q)_{2s} as TailOver at -1/z; the
@@ -207,8 +222,9 @@ def test_cor_infty_sum_meets_the_h_form_of_its_closing_factor(ordnum):
         ("COR_INFTY", dict(k=0), 33, (6, 7, 1)),
         ("COR_INFTY", dict(k=1), 35, (12, 16, 4)),
         ("COR_INFTY", dict(k=2), 37, (16, 24, 8)),
-        ("ANDREWS_ANSWER", dict(k=1, r=0), 35, (17, 21, 4)),
-        ("ANDREWS_ANSWER", dict(k=2, r=2), 37, (24, 35, 11)),
+        # the forced and plain sums, then the two chains from n = 5
+        ("ANDREWS_ANSWER", dict(k=1, r=0), 35, (30, 39, 9)),
+        ("ANDREWS_ANSWER", dict(k=2, r=2), 37, (45, 65, 20)),
     ],
 )
 def test_closing_factor_rows_keep_their_order_and_cell_counts(id, params, order, counts):
@@ -658,7 +674,8 @@ def test_andrews_gordon_k8_at_q240_within_budget():
 
 
 def test_iter_prop_deep_chain_sum_within_budget():
-    # 92,378 index chains; summed level by level they take (k + 1) (n + 1)^2 products
+    # 92,378 index chains; the kernel sums them in (k + 1) (n + 1) = 99 cells,
+    # one Horner chain of prefix-add passes each (35 evaluated, 64 skipped)
     t0 = time.perf_counter()
     _ok("ITER_PROP", order=qe(40), n=10, k=8, a="1/2")
     assert time.perf_counter() - t0 < 2.0

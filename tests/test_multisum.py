@@ -25,8 +25,17 @@ from qident import (
     qe,
 )
 from qident.catalog import _POLICY_MS
-from qident.multisum import _close, _grid, _index_min_num, _ratio, _tail_floor_num, eval_multisums, tail_min_num
-from naive import brute_force_multisum
+from qident.multisum import (
+    _chain_values,
+    _close,
+    _grid,
+    _index_min_num,
+    _ratio,
+    _tail_floor_num,
+    eval_multisums,
+    tail_min_num,
+)
+from naive import brute_force_chains, brute_force_multisum
 
 
 def _tail_pair(rng):
@@ -581,3 +590,38 @@ def test_whole_q_sums_run_their_passes_on_half_the_frame(monkeypatch):
     assert lengths and max(lengths) <= order.num // 2
     lengths = _pass_lengths(monkeypatch, over, order)
     assert max(lengths) > order.num // 2
+
+
+@pytest.mark.parametrize("nnum", (30, 31))
+def test_chain_values_match_the_brute_force_chains(nnum):
+    # the kernel from its bounded start s_0 = n, which the finite-n expansions
+    # and ANDREWS_ANSWER run on, against every chain summed with naive series:
+    # unplaced and placed levels (a placed first level pairs with n), linear
+    # weights -1..1, and last-level floors below zero, above it, and past the
+    # order (ANDREWS_ANSWER's, which skip every cell but K(0))
+    rng = random.Random(nnum)
+    floors = set()
+    for d in (1, 2, 3):
+        every = frozenset(range(1, d + 1))
+        for n in range(7):
+            for linear, placement, low in (
+                ((0,) * d, rng.choice((every, frozenset())), [rng.randint(-4, 0) for _ in range(n + 1)]),
+                (
+                    tuple(rng.randint(-1, 1) for _ in range(d)),
+                    frozenset(i for i in every if rng.random() < 0.5),
+                    [rng.randint(-4, 3) for _ in range(n + 1)],
+                ),
+                (tuple(rng.randint(0, 1) for _ in range(d)), frozenset(), [0] + [nnum] * n),
+            ):
+                stats = SumStats()
+                got = _chain_values(SummandSpec(d, linear, placement), n, low, nnum, stats)
+                want = brute_force_chains(n, linear, placement, nnum - min(low))
+                assert stats.nodes == d * (n + 1) and stats.pruned + stats.tuples == stats.nodes
+                for s, (g, w, floor) in enumerate(zip(got, want, low)):
+                    floors.add(min(max(floor, -1), 1))
+                    hi = nnum - floor
+                    assert g.order == HalfInt(hi)
+                    assert g.is_zero or g.min_exp >= he(-12)
+                    window = range(-12, hi)
+                    assert [g.coefficient(he(e)) for e in window] == [w.coeff(e) for e in window], (d, n, s, linear)
+    assert floors == {-1, 0, 1}

@@ -91,7 +91,7 @@ def test_product_matches_residue_counting():
     spec = TripleProductSpec(qe(5), Monomial(1, qe(2)), Monomial(1, qe(3)))
     series = eval_product_sum([spec], W)
     for n in range(25):
-        assert series.coeff_q(n) == count_partitions_in_residues(n, 5, {1, 4})
+        assert series.coefficient(qe(n)) == count_partitions_in_residues(n, 5, {1, 4})
 
 
 def test_weighted_sum_of_products():

@@ -107,7 +107,7 @@ def test_monomial_and_coefficient():
 
 def test_coeff_q_is_whole_grid():
     s = QSeries.from_terms({he(1): 2, qe(1): 5}, qe(10))
-    assert s.coeff_q(1) == 5
+    assert s.coefficient(qe(1)) == 5
     assert s.coefficient(he(1)) == 2
 
 
