@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -70,6 +69,7 @@ from .series import (
     QSeries,
     SpecError,
     ZLaurent,
+    _Record,
     _min_ord,
     _ord_num,
     _ord_obj,
@@ -79,54 +79,51 @@ from .series import (
 )
 
 
-@dataclass(frozen=True)
-class IdentityCase:
+class IdentityCase(_Record):
     """One verification job: an id, its parameters, and a truncation order."""
 
-    id: str
-    params: Mapping = field(default_factory=dict)
-    order: Optional[HalfInt] = None
+    __slots__ = ("id", "params", "order")
 
-    def __post_init__(self):
-        object.__setattr__(self, "params", dict(self.params))
-        if self.order is not None and not isinstance(self.order, HalfInt):
-            o = HalfInt._coerce(self.order)
+    def __init__(self, id: str, params: Mapping = {}, order: Optional[HalfInt] = None):
+        if order is not None and not isinstance(order, HalfInt):
+            o = HalfInt._coerce(order)
             if o is None:
-                raise SpecError(f"bad order {self.order!r}")
-            object.__setattr__(self, "order", o)
+                raise SpecError(f"bad order {order!r}")
+            order = o
+        _Record.__init__(self, id, dict(params), order)
 
 
-@dataclass
-class VerificationReport:
-    case: IdentityCase
-    status: str  # "pass" | "fail" | "error"
-    compared_order: Optional[Order]
-    first_mismatch: Optional[Mismatch]
-    elapsed: float
-    tuple_count: int
-    node_count: int
-    pruned_count: int
-    detail: str = ""
+class VerificationReport(_Record):
+    """The outcome of one case; status is "pass", "fail" or "error"."""
+
+    __slots__ = ("case", "status", "compared_order", "first_mismatch", "elapsed",
+                 "tuple_count", "node_count", "pruned_count", "detail")
+    __setattr__ = object.__setattr__  # settable, so unhashable
+    __hash__ = None
+
+    def __init__(self, case: IdentityCase, status: str, compared_order: Optional[Order],
+                 first_mismatch: Optional[Mismatch], elapsed: float, tuple_count: int,
+                 node_count: int, pruned_count: int, detail: str = ""):
+        _Record.__init__(self, case, status, compared_order, first_mismatch, elapsed,
+                         tuple_count, node_count, pruned_count, detail)
 
     @property
     def ok(self) -> bool:
         return self.status == "pass"
 
 
-@dataclass(frozen=True)
-class Check:
-    """A labelled pair of sides; both must support eq_upto."""
+class Check(_Record):
+    """A labelled pair of sides, (label, lhs, rhs); both must support eq_upto."""
 
-    label: str
-    lhs: object
-    rhs: object
+    __slots__ = ("label", "lhs", "rhs")
 
 
-@dataclass(frozen=True)
-class _Entry:
-    prepare: Callable[[dict], dict]
-    runner: Callable[[dict, int, SumStats], List[Check]]
-    modulus: Optional[Callable[[dict], int]] = None
+class _Entry(_Record):
+    __slots__ = ("prepare", "runner", "modulus")
+
+    def __init__(self, prepare: Callable[[dict], dict], runner: Callable[[dict, int, SumStats], List[Check]],
+                 modulus: Optional[Callable[[dict], int]] = None):
+        _Record.__init__(self, prepare, runner, modulus)
 
     def default_ordnum(self, p: dict) -> int:
         """q^(modulus + 30) for the sum--product ids, q^40 for the rest."""
@@ -298,14 +295,19 @@ def _bress_lambda(k: int, j: int, r: int = 0) -> Tuple[int, ...]:
 # k, r, j and placement (None for the unplaced shape); z rows also z.
 
 
-@dataclass(frozen=True)
-class _SumRow:
-    names: Tuple[str, ...]  # the parameters `_prep_sum` takes
-    modulus: Callable[[dict], int]
-    summand: Callable[[dict, Optional[Monomial]], SummandSpec]
-    products: Callable[[dict, int, Optional[Monomial]], List[TripleProductSpec]]
-    label: str  # str.format fields: the parameters, mod, P (sorted placement), terms (j+1), z
-    window: Optional[Callable[[dict, int], bool]] = None  # z rows: is q^(m/2) well posed
+class _SumRow(_Record):
+    __slots__ = ("names", "modulus", "summand", "products", "label", "window")
+
+    def __init__(
+        self,
+        names: Tuple[str, ...],  # the parameters `_prep_sum` takes
+        modulus: Callable[[dict], int],
+        summand: Callable[[dict, Optional[Monomial]], SummandSpec],
+        products: Callable[[dict, int, Optional[Monomial]], List[TripleProductSpec]],
+        label: str,  # str.format fields: the parameters, mod, P (sorted placement), terms (j+1), z
+        window: Optional[Callable[[dict, int], bool]] = None,  # z rows: is q^(m/2) well posed
+    ):
+        _Record.__init__(self, names, modulus, summand, products, label, window)
 
 
 def _gordon_sum(p: dict, K: int, tail) -> SummandSpec:
@@ -395,7 +397,7 @@ _SUM_ROWS: Dict[str, _SumRow] = {
         ("k", "r"),
         lambda p: 2 * p["k"] + 4,
         _odd_sum,
-        lambda p, mod, z: [replace(t, modulus_exp=qe(mod)) for t in _gordon_products(p, mod - 1, z)],
+        lambda p, mod, z: [t._replace(modulus_exp=qe(mod)) for t in _gordon_products(p, mod - 1, z)],
         "k={k} r={r}: sum vs modulus-{mod} product (control)",
     ),
     "BRESSOUD_EVEN": _SumRow(
@@ -550,14 +552,15 @@ def _run_recurse_f(p: dict, wnum: int, stats: SumStats) -> List[Check]:
 # F_SUM and NEW_PROP2 at j = 0, each with its own prepare and label.
 
 
-@dataclass(frozen=True)
-class _Expansion:
-    prepare: Callable[[dict], dict]
-    lhs: Callable[[dict, int], ZLaurent]  # (p, wnum): the polynomial at n
-    depth: Callable[[dict], int]  # d, the chain length
-    placed: bool  # every level weighs the pair q^(s^2 - s) (1 + q^(prev + s)), else q^(s^2)
-    term: Callable[[dict, int, int], ZLaurent]  # (p, s, wnum): the polynomial at s_d
-    label: str  # str.format fields: the parameters
+class _Expansion(_Record):
+    __slots__ = (
+        "prepare",
+        "lhs",  # (p, wnum) -> ZLaurent: the polynomial at n
+        "depth",  # p -> d, the chain length
+        "placed",  # every level weighs the pair q^(s^2 - s) (1 + q^(prev + s)), else q^(s^2)
+        "term",  # (p, s, wnum) -> ZLaurent: the polynomial at s_d
+        "label",  # str.format fields: the parameters
+    )
 
 
 _F_SUM = _Expansion(
@@ -575,9 +578,9 @@ _NEW_PROP2 = _Expansion(
     "n={n} j={j} a={a}: shifted-pair expansion of the closure",
 )
 _EXPANSIONS: Dict[str, _Expansion] = {
-    "KEY_LEMMA": replace(_F_SUM, prepare=_prep_n_a, label="n={n} a={a}: one-step expansion"),
+    "KEY_LEMMA": _F_SUM._replace(prepare=_prep_n_a, label="n={n} a={a}: one-step expansion"),
     "F_SUM": _F_SUM,
-    "NEW_PROP": replace(_NEW_PROP2, prepare=_prep_n_a, label="n={n} a={a}: shifted-pair expansion"),
+    "NEW_PROP": _NEW_PROP2._replace(prepare=_prep_n_a, label="n={n} a={a}: shifted-pair expansion"),
     "NEW_PROP2": _NEW_PROP2,
     "ANOTHER_F": _Expansion(
         _prep_nja_pos, _F_SUM.lhs, lambda p: p["j"], True,
@@ -653,14 +656,13 @@ _LIMITS: Dict[str, Tuple[Tuple[str, ...], str]] = {
 # combinatorial supporting facts
 
 
-@dataclass(frozen=True)
-class EdgeSet:
+class EdgeSet(_Record):
     """A matching of the path 1-2-...-j; member i stands for edge (i, i+1)."""
 
-    edges: frozenset
+    __slots__ = ("edges",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "edges", frozenset(int(i) for i in self.edges))
+    def __init__(self, edges: frozenset):
+        _Record.__init__(self, frozenset(int(i) for i in edges))
         if any(i < 1 for i in self.edges):
             raise SpecError(f"edges must be labelled by their left vertex >= 1: {sorted(self.edges)}")
         s = sorted(self.edges)

@@ -13,7 +13,7 @@ import sys
 from typing import List, Optional, Tuple
 
 from .catalog import IdentityCase, VerificationReport, registered_ids, validate_case, verify
-from .series import INF, HalfInt, SpecError
+from .series import INF, HalfInt, SpecError, _whole
 
 
 def _half_token(h) -> object:
@@ -145,8 +145,10 @@ def _cmd_suite(args) -> int:
     jobs: List[Tuple[int, str, dict, Optional[str]]] = []
     expects: List[str] = []
     try:
-        if not isinstance(workers, int) or workers < 1:
+        if not _whole(workers) or workers < 1:
             raise ValueError(f"parallelism must be a positive integer, got {workers!r}")
+        if output_path is not None and not (isinstance(output_path, str) and output_path):
+            raise ValueError(f"output_path must be a non-empty string, got {output_path!r}")
         for idx, c in enumerate(cases):
             c = dict(c)
             id = c.pop("id")

@@ -37,7 +37,6 @@ Jacobi theta series times one 1/(q)_inf.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import add, sub
 from typing import List, Optional, Sequence, Tuple
 
@@ -51,43 +50,40 @@ from .series import (
     QSeries,
     SpecError,
     ZLaurent,
+    _Record,
     _ord_num,
     _whole,
     qe,
 )
 
 
-@dataclass(frozen=True, slots=True)
-class HSpec:
+class HSpec(_Record):
     """H with 2n rows and quadratic weight a (a half-integer)."""
 
-    n: int
-    a: HalfInt
+    __slots__ = ("n", "a")
 
-    def __post_init__(self):
-        if not _whole(self.n) or self.n < 0:
-            raise SpecError(f"H needs an int n >= 0, got {self.n!r}")
-        a = HalfInt._coerce(self.a)
-        if a is None:
-            raise SpecError(f"bad weight {self.a!r}")
-        object.__setattr__(self, "a", a)
+    def __init__(self, n: int, a: HalfInt):
+        if not _whole(n) or n < 0:
+            raise SpecError(f"H needs an int n >= 0, got {n!r}")
+        _Record.__init__(self, n, _weight(a))
 
 
-@dataclass(frozen=True, slots=True)
-class FSpec:
+class FSpec(_Record):
     """j-fold shift closure of H(n, a)."""
 
-    n: int
-    j: int
-    a: HalfInt
+    __slots__ = ("n", "j", "a")
 
-    def __post_init__(self):
-        if not all(_whole(v) and v >= 0 for v in (self.n, self.j)):
-            raise SpecError(f"F needs ints n, j >= 0, got n={self.n!r} j={self.j!r}")
-        a = HalfInt._coerce(self.a)
-        if a is None:
-            raise SpecError(f"bad weight {self.a!r}")
-        object.__setattr__(self, "a", a)
+    def __init__(self, n: int, j: int, a: HalfInt):
+        if not all(_whole(v) and v >= 0 for v in (n, j)):
+            raise SpecError(f"F needs ints n, j >= 0, got n={n!r} j={j!r}")
+        _Record.__init__(self, n, j, _weight(a))
+
+
+def _weight(a) -> HalfInt:
+    w = HalfInt._coerce(a)
+    if w is None:
+        raise SpecError(f"bad weight {a!r}")
+    return w
 
 
 def h_poly(spec: HSpec, order: Order = INF) -> ZLaurent:

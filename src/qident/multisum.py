@@ -55,7 +55,6 @@ result known below a lower order than the request, raises IllPosedError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from itertools import accumulate
 from operator import add
 from typing import List, Optional, Sequence, Tuple, Union
@@ -67,65 +66,65 @@ from .series import (
     IllPosedError,
     QSeries,
     SpecError,
+    _Record,
     _ord_num,
     _whole,
 )
 
 
-@dataclass(frozen=True, slots=True)
-class TailOdd:
+class TailOdd(_Record):
     """1 / (q; q)_{s_k}"""
 
+    __slots__ = ()
 
-@dataclass(frozen=True, slots=True)
-class TailEven:
+
+class TailEven(_Record):
     """1 / (q^2; q^2)_{s_k}"""
 
+    __slots__ = ()
 
-@dataclass(frozen=True, slots=True)
-class TailOver:
+
+class TailOver(_Record):
     """(-z, -q/z; q)_{s_k} / (q; q)_{2 s_k} at monomial z."""
 
-    z: Monomial
+    __slots__ = ("z",)
+
+    def __init__(self, z: Monomial):
+        _Record.__init__(self, z)
 
 
-@dataclass(frozen=True, slots=True)
-class TailOverOdd:
+class TailOverOdd(_Record):
     """(-q^(off+1)/z; q)_{s_k + 1} (-z q^(-off); q)_{s_k} / (q; q)_{2 s_k + 1}."""
 
-    z: Monomial
-    offset: int
+    __slots__ = ("z", "offset")
 
-    def __post_init__(self):
-        if not _whole(self.offset):
-            raise SpecError(f"TailOverOdd offset must be an int, got {self.offset!r}")
+    def __init__(self, z: Monomial, offset: int):
+        if not _whole(offset):
+            raise SpecError(f"TailOverOdd offset must be an int, got {offset!r}")
+        _Record.__init__(self, z, offset)
 
 
 Tail = Union[TailOdd, TailEven, TailOver, TailOverOdd]
 
 
-@dataclass(frozen=True)
-class SummandSpec:
+class SummandSpec(_Record):
     """Declarative description of one multisum."""
 
-    k: int
-    linear: Tuple[int, ...]
-    placement: Optional[frozenset] = None
-    tail: Tail = field(default_factory=TailOdd)
+    __slots__ = ("k", "linear", "placement", "tail")
 
-    def __post_init__(self):
-        if not _whole(self.k) or self.k < 1:
-            raise SpecError(f"need at least one index, got k={self.k!r}")
-        object.__setattr__(self, "linear", tuple(self.linear))
-        if len(self.linear) != self.k:
-            raise SpecError(f"{self.k} indices but {len(self.linear)} linear weights")
-        if not all(_whole(c) for c in self.linear):
+    def __init__(self, k: int, linear: Tuple[int, ...], placement: Optional[frozenset] = None, tail: Tail = TailOdd()):
+        if not _whole(k) or k < 1:
+            raise SpecError(f"need at least one index, got k={k!r}")
+        linear = tuple(linear)
+        if len(linear) != k:
+            raise SpecError(f"{k} indices but {len(linear)} linear weights")
+        if not all(_whole(c) for c in linear):
             raise SpecError("linear weights are whole q-exponents (plain ints)")
-        if self.placement is not None:
-            p = frozenset(self.placement)
-            if not all(_whole(i) and 1 <= i <= self.k for i in p):
-                raise SpecError(f"placement {sorted(p)} must be positions in 1..{self.k}")
-            object.__setattr__(self, "placement", p)
+        if placement is not None:
+            placement = frozenset(placement)
+            if not all(_whole(i) and 1 <= i <= k for i in placement):
+                raise SpecError(f"placement {sorted(placement)} must be positions in 1..{k}")
+        _Record.__init__(self, k, linear, placement, tail)
 
     def effective_linear_num(self) -> list:
         """Per-index linear exponent numerators including placement's q^-s_i."""
@@ -135,15 +134,17 @@ class SummandSpec:
         ]
 
 
-@dataclass
-class SumStats:
+class SumStats(_Record):
     """Counters filled in by the engine, accumulated over calls: `nodes`
     (level, index) kernel cells visited, `pruned` cells skipped, `tuples`
     evaluated; a batch of `eval_multisums` builds one kernel."""
 
-    tuples: int = 0
-    nodes: int = 0
-    pruned: int = 0
+    __slots__ = ("tuples", "nodes", "pruned")
+    __setattr__ = object.__setattr__  # settable, so unhashable
+    __hash__ = None
+
+    def __init__(self, tuples: int = 0, nodes: int = 0, pruned: int = 0):
+        _Record.__init__(self, tuples, nodes, pruned)
 
 
 def _neg_sum(c: int, s: int) -> int:
@@ -345,7 +346,7 @@ def eval_multisums(specs: Sequence[SummandSpec], order, stats: Optional[SumStats
     nnum = _ord_num(order)
     if nnum is None:
         raise IllPosedError("a multisum needs a finite truncation order")
-    if len({replace(s, tail=TailOdd()) for s in specs}) != 1:
+    if len({s._replace(tail=TailOdd()) for s in specs}) != 1:
         raise SpecError("a batch of multisums must differ only in their tails")
     stats = stats or SumStats()
     lam = specs[0].effective_linear_num()

@@ -12,29 +12,23 @@ which the tests also use as the oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .qobjects import Monomial, partition_series, poch_infinite, theta_triple_sum
-from .series import HalfInt, IllPosedError, QSeries, SpecError
+from .series import HalfInt, IllPosedError, QSeries, SpecError, _Record
 
 
-@dataclass(frozen=True, slots=True)
-class TripleProductSpec:
+class TripleProductSpec(_Record):
     """weight * (arg1, arg2, q^modulus_exp; q^modulus_exp)_inf / (q; q)_inf."""
 
-    modulus_exp: HalfInt
-    arg1: Monomial
-    arg2: Monomial
-    weight: int = 1
+    __slots__ = ("modulus_exp", "arg1", "arg2", "weight")
 
-    def __post_init__(self):
-        m = HalfInt._coerce(self.modulus_exp)
+    def __init__(self, modulus_exp: HalfInt, arg1: Monomial, arg2: Monomial, weight: int = 1):
+        m = HalfInt._coerce(modulus_exp)
         if m is None:
-            raise SpecError(f"bad modulus exponent {self.modulus_exp!r}")
-        object.__setattr__(self, "modulus_exp", m)
-        if self.modulus_exp.num <= 0:
-            raise IllPosedError(f"modulus exponent must be positive, got {self.modulus_exp}")
-        for arg in (self.arg1, self.arg2):
+            raise SpecError(f"bad modulus exponent {modulus_exp!r}")
+        if m.num <= 0:
+            raise IllPosedError(f"modulus exponent must be positive, got {m}")
+        _Record.__init__(self, m, arg1, arg2, weight)
+        for arg in (arg1, arg2):
             if arg.q_exp.num <= 0:
                 raise IllPosedError(
                     f"product argument {arg} needs a positive q-exponent"

@@ -31,7 +31,6 @@ mod d when d^2 < len, else one block add per d slots.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import accumulate, chain
 from operator import add, sub
 from typing import Callable, Iterator, Optional, Tuple
@@ -44,6 +43,7 @@ from .series import (
     QSeries,
     SpecError,
     ZLaurent,
+    _Record,
     _ord_num,
     _spread,
     _whole,
@@ -51,19 +51,18 @@ from .series import (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class Monomial:
+class Monomial(_Record):
     """sign * q**q_exp with sign in {+1, -1}: a scalar, or a sampled value of z."""
 
-    sign: int
-    q_exp: HalfInt
+    __slots__ = ("sign", "q_exp")
 
-    def __post_init__(self):
-        if not _whole(self.sign) or self.sign not in (1, -1):
-            raise SpecError(f"monomial sign must be +-1, got {self.sign}")
-        e = HalfInt._coerce(self.q_exp)
+    def __init__(self, sign: int, q_exp: HalfInt):
+        if not _whole(sign) or sign not in (1, -1):
+            raise SpecError(f"monomial sign must be +-1, got {sign}")
+        e = HalfInt._coerce(q_exp)
         if e is None:
-            raise SpecError(f"bad monomial exponent {self.q_exp!r}")
+            raise SpecError(f"bad monomial exponent {q_exp!r}")
+        object.__setattr__(self, "sign", sign)
         object.__setattr__(self, "q_exp", e)
 
     def inverted(self) -> "Monomial":

@@ -56,7 +56,6 @@ in z are built as lists (`qobjects._poch_rows`).
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from itertools import compress
 from operator import add, eq, ge, gt, le, lt, sub
 from typing import Iterator, Mapping, Optional, Union
@@ -103,15 +102,55 @@ def _compare(op, below_inf: bool):
     return method
 
 
-@dataclass(frozen=True, slots=True)
-class HalfInt:
+class _Record:
+    """A record on its __slots__, frozen unless a subclass puts back
+    object.__setattr__ (and drops the hash): ==, hash and a dataclass-style
+    repr from the slot values, and `_replace(**changes)`, a copy built
+    through __init__ as `dataclasses.replace` builds one."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, v in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, v)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self.__slots__)})"
+
+    def __reduce__(self):  # pickle and copy rebuild through __init__
+        return type(self), self._values()
+
+    def _replace(self, **changes):
+        values = [changes.pop(f, getattr(self, f)) for f in self.__slots__]
+        if changes:
+            raise TypeError(f"{type(self).__qualname__} has no field {', '.join(changes)}")
+        return type(self)(*values)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen {type(self).__qualname__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a frozen {type(self).__qualname__}")
+
+
+class HalfInt(_Record):
     """An exponent on the half grid; the value is num/2 q-units."""
 
-    num: int
+    __slots__ = ("num",)
 
-    def __post_init__(self):
-        if not _whole(self.num):
-            raise SpecError(f"half-integer numerator must be int, got {self.num!r}")
+    def __init__(self, num: int):
+        if not _whole(num):
+            raise SpecError(f"half-integer numerator must be int, got {num!r}")
+        object.__setattr__(self, "num", num)
 
     # int operands are whole q-exponents
     @staticmethod
@@ -325,21 +364,20 @@ def _spread(half: list, n: int) -> list:
 # comparison results
 
 
-@dataclass(frozen=True, slots=True)
-class Mismatch:
+class Mismatch(_Record):
     """First differing coefficient of a comparison."""
 
-    exp: HalfInt
-    lhs: int
-    rhs: int
-    z_exp: Optional[int] = None
+    __slots__ = ("exp", "lhs", "rhs", "z_exp")
+
+    def __init__(self, exp: HalfInt, lhs: int, rhs: int, z_exp: Optional[int] = None):
+        _Record.__init__(self, exp, lhs, rhs, z_exp)
 
 
-@dataclass(frozen=True, slots=True)
-class CompareResult:
-    equal: bool
-    compared_order: Order
-    mismatch: Optional[Mismatch] = None
+class CompareResult(_Record):
+    __slots__ = ("equal", "compared_order", "mismatch")
+
+    def __init__(self, equal: bool, compared_order: Order, mismatch: Optional[Mismatch] = None):
+        _Record.__init__(self, equal, compared_order, mismatch)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,6 @@
 import random
 import re
 import time
-from dataclasses import replace
 from functools import partial
 
 import pytest
@@ -172,9 +171,9 @@ def test_cor_infty_fails_with_its_tail_at_minus_z(monkeypatch):
     # z <-> 1/z mix-up of test_over_3_printed_orientation_is_wrong, k=1
     # fails at q^1 at z = q^-1
     row = catalog._SUM_ROWS["COR_INFTY"]
-    wrong = replace(row, summand=lambda p, z: catalog._over_sum(p, Monomial(-z.sign, z.q_exp)))
+    wrong = row._replace(summand=lambda p, z: catalog._over_sum(p, Monomial(-z.sign, z.q_exp)))
     entry = catalog._REGISTRY["COR_INFTY"]
-    monkeypatch.setitem(catalog._REGISTRY, "COR_INFTY", replace(entry, runner=partial(catalog._run_row, wrong)))
+    monkeypatch.setitem(catalog._REGISTRY, "COR_INFTY", entry._replace(runner=partial(catalog._run_row, wrong)))
     rep = verify(make_case("COR_INFTY", k=1))
     assert rep.status == "fail"
     m = rep.first_mismatch
@@ -182,13 +181,31 @@ def test_cor_infty_fails_with_its_tail_at_minus_z(monkeypatch):
     assert rep.detail == "k=1 z=q^-1: iterated sum vs product"
 
 
+def test_over_3_fails_with_its_product_at_z(monkeypatch):
+    # negative control for the z rows: OVER_3's product is taken at 1/z; at
+    # z, k=1 and k=2 fail at q^k at z = q^-1, and at k=0 the product asks for
+    # the argument -1, which has no positive q-exponent
+    row = catalog._SUM_ROWS["OVER_3"]
+    wrong = row._replace(products=lambda p, mod, z: catalog._gordon_products(p, mod, z))
+    entry = catalog._REGISTRY["OVER_3"]
+    monkeypatch.setitem(catalog._REGISTRY, "OVER_3", entry._replace(runner=partial(catalog._run_row, wrong)))
+    for k, lhs, rhs in ((1, 1, 2), (2, 2, 3)):
+        rep = verify(make_case("OVER_3", order=40, k=k))
+        assert (rep.status, rep.compared_order) == ("fail", qe(40))
+        m = rep.first_mismatch
+        assert (m.exp, m.z_exp, m.lhs, m.rhs) == (qe(k), None, lhs, rhs)
+        assert rep.detail == f"k={k} z=q^-1: odd-index sum vs product"
+    rep = verify(make_case("OVER_3", order=40, k=0))
+    assert (rep.status, rep.detail) == ("error", "product argument -1 needs a positive q-exponent")
+
+
 def test_key_lemma_fails_with_its_term_at_weight_a_minus_one_half(monkeypatch):
     # negative control for the expansions: the KEY_LEMMA row with term(s) at
     # weight a - 1/2 instead of a - 1 fails at q^(2n^2) z^-n, lhs 1, rhs 0
     row = catalog._EXPANSIONS["KEY_LEMMA"]
-    wrong = replace(row, term=lambda p, s, w: qident.f_func(FSpec(s, p["j"], p["a"] - he(1)), he(w)))
+    wrong = row._replace(term=lambda p, s, w: qident.f_func(FSpec(s, p["j"], p["a"] - he(1)), he(w)))
     entry = catalog._REGISTRY["KEY_LEMMA"]
-    monkeypatch.setitem(catalog._REGISTRY, "KEY_LEMMA", replace(entry, runner=partial(catalog._run_expansion, wrong)))
+    monkeypatch.setitem(catalog._REGISTRY, "KEY_LEMMA", entry._replace(runner=partial(catalog._run_expansion, wrong)))
     for n, exp in ((4, 32), (3, 18)):
         rep = verify(make_case("KEY_LEMMA", n=n, a=2))
         assert (rep.status, rep.compared_order) == ("fail", qe(40))
@@ -513,7 +530,7 @@ def _count_runner_calls(monkeypatch) -> dict:
         return run
 
     for id, entry in list(catalog._REGISTRY.items()):
-        monkeypatch.setitem(catalog._REGISTRY, id, replace(entry, runner=counted(id, entry.runner)))
+        monkeypatch.setitem(catalog._REGISTRY, id, entry._replace(runner=counted(id, entry.runner)))
     return calls
 
 
@@ -561,9 +578,9 @@ def test_a_pass_below_the_request_is_an_error_not_a_retry(monkeypatch):
     entry = catalog._REGISTRY["AG"]
 
     def short(p, wnum, stats):
-        return [replace(c, lhs=c.lhs.truncated(he(wnum - 1))) for c in entry.runner(p, wnum, stats)]
+        return [c._replace(lhs=c.lhs.truncated(he(wnum - 1))) for c in entry.runner(p, wnum, stats)]
 
-    monkeypatch.setitem(catalog._REGISTRY, "AG", replace(entry, runner=short))
+    monkeypatch.setitem(catalog._REGISTRY, "AG", entry._replace(runner=short))
     rep = verify(make_case("AG", order=qe(20), k=1, r=0))
     assert calls == {"AG": 1}
     assert rep.status == "error"
@@ -716,7 +733,7 @@ def _raise_recursion(p, wnum, stats):
 def test_verify_never_raises(monkeypatch):
     # an exception from outside qident's own hierarchy becomes an error report
     entry = catalog._REGISTRY["SPECIAL_A"]
-    monkeypatch.setitem(catalog._REGISTRY, "SPECIAL_A", replace(entry, runner=_raise_recursion))
+    monkeypatch.setitem(catalog._REGISTRY, "SPECIAL_A", entry._replace(runner=_raise_recursion))
     rep = verify(make_case("SPECIAL_A", n=3))
     assert rep.status == "error"
     assert rep.detail == "RecursionError: maximum recursion depth exceeded"

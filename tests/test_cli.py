@@ -1,7 +1,6 @@
 """Front-end behaviour: exit codes, JSON round trips, suite expectations."""
 
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -39,7 +38,7 @@ def test_verify_escaping_exception_exits_two(capsys, monkeypatch):
         raise RecursionError("maximum recursion depth exceeded")
 
     entry = catalog._REGISTRY["SPECIAL_A"]
-    monkeypatch.setitem(catalog._REGISTRY, "SPECIAL_A", replace(entry, runner=runner))
+    monkeypatch.setitem(catalog._REGISTRY, "SPECIAL_A", entry._replace(runner=runner))
     code, out, _ = run(capsys, "verify", "--id", "SPECIAL_A", "--n", "3")
     assert code == 2
     assert "ERROR: RecursionError" in out
@@ -105,7 +104,7 @@ def test_structural_mismatch_reports_its_z_power(tmp_path, capsys, monkeypatch):
         return [catalog.Check("H against H + z", H, H + ZLaurent.from_terms({1: QSeries.one()}))]
 
     entry = catalog._REGISTRY["RECURSE_F"]
-    monkeypatch.setitem(catalog._REGISTRY, "RECURSE_F", replace(entry, runner=runner))
+    monkeypatch.setitem(catalog._REGISTRY, "RECURSE_F", entry._replace(runner=runner))
     args = ("--id", "RECURSE_F", "--n", "2", "--j", "1", "--a", "3/2")
     code, out, _ = run(capsys, "verify", *args, "--format", "json")
     assert code == 1
@@ -232,10 +231,22 @@ def test_suite_bad_config_exit_two(tmp_path, capsys):
         {"cases": [{"id": "BOGUS"}]},
         {"cases": [{"id": "AG", "k": 1, "r": 9}]},  # invalid params are a config error
         {"parallelism": 0, "cases": []},
+        {"parallelism": True, "cases": []},  # a bool is no count of workers
     ):
         path = _write_suite(tmp_path, doc)
         code, _, err = run(capsys, "suite", path)
         assert code == 2, doc
+    assert "parallelism must be a positive integer, got True" in err
+
+
+def test_suite_output_path_must_be_a_nonempty_string(tmp_path, capsys):
+    # an int would be opened as a file descriptor: 2 would write the report
+    # into stderr and then close it
+    for bad in (5, 2, "", True, ["report.txt"]):
+        path = _write_suite(tmp_path, dict(SUITE, output_path=bad))
+        code, out, err = run(capsys, "suite", path)
+        assert code == 2, bad
+        assert out == "" and f"bad suite config: output_path must be a non-empty string, got {bad!r}" in err
 
 
 def test_suite_string_lists_and_boolean_halves_are_config_errors(tmp_path, capsys):

@@ -16,7 +16,6 @@ To regenerate the digest after a change that is meant to move a value:
 import hashlib
 import json
 import pathlib
-from dataclasses import replace
 
 from qident import HalfInt, IdentityCase, QSeries, verify
 from qident import catalog
@@ -43,7 +42,7 @@ def _row_hash(case: IdentityCase) -> str:
         built.extend(entry.runner(*args))
         return built
 
-    catalog._REGISTRY[case.id] = replace(entry, runner=keep)
+    catalog._REGISTRY[case.id] = entry._replace(runner=keep)
     try:
         rep = verify(case)
     finally:
