@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import List, Optional, Tuple
 
@@ -121,30 +122,79 @@ def _run_suite_case(job: Tuple[int, str, dict, Optional[str]]) -> Tuple[int, dic
         case = IdentityCase(id, params, _parse_half(order_tok))
         rep = verify(case)
         out = _report_dict(rep)
-    except Exception as e:  # a worker must never take down the pool
-        out = {"id": id, "params": params, "order": order_tok, "status": "error",
-               "compared_order": None, "first_mismatch": None, "tuple_count": 0,
-               "node_count": 0, "pruned_count": 0, "elapsed_ms": 0.0, "detail": str(e)}
+    except Exception as e:  # a worker must never take down the suite
+        out = _error_row(job, str(e))
     return idx, out
+
+
+def _error_row(job: Tuple[int, str, dict, Optional[str]], detail: str) -> dict:
+    """The row of a case that produced no report."""
+    _, id, params, order_tok = job
+    return {"id": id, "params": params, "order": order_tok, "status": "error",
+            "compared_order": None, "first_mismatch": None, "tuple_count": 0,
+            "node_count": 0, "pruned_count": 0, "elapsed_ms": 0.0, "detail": detail}
+
+
+def _run_sharded(jobs: list, n: int) -> list:
+    """Run jobs as n processes: this one (shard 0) and n - 1 forked children.
+
+    Jobs are dealt round-robin in listed order. A child sends its (idx, row)
+    pairs as one JSON document through a pipe and leaves through os._exit, so
+    that nothing raised in it returns into the caller. Every child is reaped;
+    one that dies or sends no readable document gives its jobs error rows.
+    """
+    shards = [jobs[i::n] for i in range(min(n, len(jobs)))]
+    children = []
+    for shard in shards[1:]:
+        r, w = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                os.close(r)
+                with open(w, "w") as fh:
+                    json.dump([_run_suite_case(j) for j in shard], fh)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(w)
+        children.append((pid, r, shard))
+    results = [_run_suite_case(j) for j in shards[0]]
+    for pid, r, shard in children:
+        with open(r) as fh:
+            data = fh.read()
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if code:
+            why = f"killed by signal {-code}" if code < 0 else f"exited with status {code}"
+        else:
+            try:
+                results += json.loads(data)
+                continue
+            except ValueError:
+                why = "sent unreadable output"
+        results += [(j[0], _error_row(j, f"worker process {why}")) for j in shard]
+    return results
 
 
 def _cmd_suite(args) -> int:
     try:
         with open(args.config) as fh:
             cfg = json.load(fh)
-        cases = cfg["cases"]
-        if not isinstance(cases, list):
-            raise ValueError("cases must be a list")
-    except (OSError, ValueError, KeyError) as e:
+    except (OSError, ValueError) as e:
         print(f"error: cannot read suite config {args.config}: {e}", file=sys.stderr)
         return 2
 
-    default_order = cfg.get("default_order")
-    workers = args.jobs if args.jobs is not None else cfg.get("parallelism", 1)
-    output_path = cfg.get("output_path")
     jobs: List[Tuple[int, str, dict, Optional[str]]] = []
     expects: List[str] = []
     try:
+        if not isinstance(cfg, dict):
+            raise ValueError(f"expected a JSON object, got {type(cfg).__name__}")
+        cases = cfg.get("cases")
+        if not isinstance(cases, list):
+            raise ValueError(f"cases must be a list, got {cases!r}")
+        default_order = cfg.get("default_order")
+        workers = args.jobs if args.jobs is not None else cfg.get("parallelism", 1)
+        output_path = cfg.get("output_path")
         if not _whole(workers) or workers < 1:
             raise ValueError(f"parallelism must be a positive integer, got {workers!r}")
         if output_path is not None and not (isinstance(output_path, str) and output_path):
@@ -168,12 +218,8 @@ def _cmd_suite(args) -> int:
         print(f"error: bad suite config: {e}", file=sys.stderr)
         return 2
 
-    if workers > 1 and len(jobs) > 1:
-        # imported here: `qident verify` never starts a pool
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_suite_case, jobs))
+    if workers > 1 and len(jobs) > 1 and hasattr(os, "fork"):
+        results = _run_sharded(jobs, workers)
     else:
         results = [_run_suite_case(j) for j in jobs]
 
@@ -240,7 +286,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("config", help="JSON file: {default_order?, parallelism?, output_path?, "
                                   "cases: [{id, ..., order?, expect?}]}")
     s.add_argument("--jobs", type=int, default=None,
-                   help="worker processes (overrides the config's parallelism; default 1)")
+                   help="processes, this one included (overrides the config's parallelism; "
+                        "default 1); cases are dealt round-robin in listed order, so list the "
+                        "slowest first; serial where os.fork is missing")
     s.add_argument("--format", choices=("text", "json"), default="text")
     s.set_defaults(func=_cmd_suite)
     return ap

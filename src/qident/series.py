@@ -271,6 +271,9 @@ class _Infinity:
     def __repr__(self):
         return "INF"
 
+    def __reduce__(self):
+        return "INF"  # the module's one instance, so that `is INF` survives pickling
+
 
 INF = _Infinity()
 

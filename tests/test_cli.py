@@ -1,6 +1,8 @@
 """Front-end behaviour: exit codes, JSON round trips, suite expectations."""
 
 import json
+import os
+import signal
 
 import pytest
 
@@ -219,6 +221,62 @@ def test_suite_parallel_matches_serial(tmp_path, capsys):
     assert a == b
 
 
+def _sigkill():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _interrupt():
+    raise KeyboardInterrupt
+
+
+@pytest.mark.parametrize("die, detail", [
+    (_sigkill, "worker process killed by signal 9"),
+    (_interrupt, "worker process exited with status 1"),  # never back into the CLI
+], ids=["sigkill", "interrupt"])
+def test_suite_dead_worker_gives_error_rows_and_leaves_no_child(die, detail, tmp_path, capsys, monkeypatch):
+    from qident import cli
+
+    parent, run_case = os.getpid(), cli._run_suite_case
+
+    def die_in_a_child(job):
+        if os.getpid() != parent and job[1] == "AG":
+            die()
+        return run_case(job)
+
+    monkeypatch.setattr(cli, "_run_suite_case", die_in_a_child)
+    # --jobs 2 deals CURIOUS and NEG_AG to this process, AG and EDGE_LEMMA to the child
+    path = _write_suite(tmp_path, SUITE)
+    code, out, err = run(capsys, "suite", path, "--format", "json", "--jobs", "2")
+    assert code == 1 and "Traceback" not in err
+    rows = {row["id"]: row for row in json.loads(out)["cases"]}
+    for id in ("AG", "EDGE_LEMMA"):
+        assert rows[id]["status"] == "error"
+        assert rows[id]["detail"] == detail
+    assert rows["CURIOUS"]["status"] == "pass" and rows["CURIOUS"]["as_expected"]
+    assert rows["NEG_AG"]["status"] == "fail" and rows["NEG_AG"]["as_expected"]
+    with pytest.raises(ChildProcessError):  # the child was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_suite_forks_one_child_per_extra_shard_at_most(tmp_path, capsys, monkeypatch):
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return fork()
+
+    path = _write_suite(tmp_path, dict(SUITE, cases=SUITE["cases"][:3]))
+    _, serial, _ = run(capsys, "suite", path, "--format", "json", "--jobs", "1")
+    monkeypatch.setattr(os, "fork", counted_fork)
+    _, sharded, _ = run(capsys, "suite", path, "--format", "json", "--jobs", "64")
+    assert len(forks) == 2  # three cases make three shards
+    a, b = json.loads(serial), json.loads(sharded)
+    for row in a["cases"] + b["cases"]:
+        row.pop("elapsed_ms")
+    assert a == b
+
+
 def test_suite_bad_config_exit_two(tmp_path, capsys):
     p = tmp_path / "broken.suite"
     p.write_text("{not json")
@@ -237,6 +295,12 @@ def test_suite_bad_config_exit_two(tmp_path, capsys):
         code, _, err = run(capsys, "suite", path)
         assert code == 2, doc
     assert "parallelism must be a positive integer, got True" in err
+
+    # valid JSON that is not an object
+    for doc, kind in (([], "list"), (5, "int"), ("x", "str")):
+        code, out, err = run(capsys, "suite", _write_suite(tmp_path, doc))
+        assert code == 2 and out == "", doc
+        assert f"error: bad suite config: expected a JSON object, got {kind}" in err
 
 
 def test_suite_output_path_must_be_a_nonempty_string(tmp_path, capsys):
@@ -334,7 +398,7 @@ def test_full_paper_suite_runs_as_expected(capsys):
     assert (neg["first_mismatch"]["lhs"], neg["first_mismatch"]["rhs"]) == ("2", "3")
 
 
-def test_importing_the_cli_loads_no_process_pool():
+def test_importing_the_cli_loads_no_process_pool(tmp_path):
     import os
     import pathlib
     import subprocess
@@ -349,3 +413,14 @@ def test_importing_the_cli_loads_no_process_pool():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+    # nor does a sharded suite run
+    path = _write_suite(tmp_path, SUITE)
+    code = ("import contextlib, io, sys, qident.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    exit_code = qident.cli.main(['suite', {path!r}, '--jobs', '2'])\n"
+            "print(exit_code, sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))")
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "0 []"

@@ -13,6 +13,7 @@ import pytest
 
 import qident
 from qident import (
+    INF,
     CompareResult,
     EdgeSet,
     FSpec,
@@ -130,6 +131,14 @@ def test_records_compare_by_value_and_refuse_assignment_unless_settable(name):
     if other is not None:
         assert hash(a) == hash(b) and len({a, b, other}) == 2
         assert a != other and other != a
+
+
+def test_inf_stays_the_one_sentinel_through_pickle():
+    # every `order is INF` test, cli._half_token's among them, relies on this
+    assert pickle.loads(pickle.dumps(INF)) is INF
+    rep = VerificationReport(IdentityCase("AG"), "pass", INF, None, 0.5, 1, 2, 3)
+    back = pickle.loads(pickle.dumps(rep))
+    assert back.compared_order is INF and back == rep
 
 
 def test_record_repr_and_replace_read_as_the_dataclasses_did():
