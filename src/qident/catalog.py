@@ -42,9 +42,9 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 from .hfamily import (
     FSpec,
     HSpec,
+    _limit_specs,
     _stabilized_values,
     f_func,
-    f_limit_sum,
     h_poly,
 )
 from .multisum import (
@@ -58,7 +58,7 @@ from .multisum import (
     eval_multisum,
     eval_multisums,
 )
-from .products import TripleProductSpec, eval_product_sum
+from .products import TripleProductSpec, eval_product_sum, eval_product_sums
 from .qobjects import Monomial, _inv_poch_ladder, _poch_rows, binom
 from .series import (
     INF,
@@ -459,10 +459,8 @@ def _run_row(row: _SumRow, p: dict, wnum: int, stats: SumStats) -> List[Check]:
     fields = dict(p, mod=mod, P=sorted(p["placement"] or ()), terms=p["j"] + 1)
     zs = [None] if row.window is None else _z_samples(p["z"], lambda m: row.window(p, m))
     sums = eval_multisums([row.summand(p, z) for z in zs], he(wnum), stats)
-    return [
-        Check(row.label.format_map(dict(fields, z=z)), lhs, eval_product_sum(row.products(p, mod, z), he(wnum)))
-        for z, lhs in zip(zs, sums)
-    ]
+    prods = eval_product_sums([row.products(p, mod, z) for z in zs], he(wnum))
+    return [Check(row.label.format_map(dict(fields, z=z)), lhs, rhs) for z, lhs, rhs in zip(zs, sums, prods)]
 
 
 def _run_curious(p: dict, wnum: int, stats: SumStats) -> List[Check]:
@@ -472,9 +470,9 @@ def _run_curious(p: dict, wnum: int, stats: SumStats) -> List[Check]:
     zs = _z_samples(p["z"], lambda m: even_row.window(p, m))
     evens = eval_multisums([even_row.summand(p, z) for z in zs], he(wnum), stats)
     odds = eval_multisums([odd_row.summand(p, z.inverted()) for z in zs], he(wnum), stats)
+    prods = eval_product_sums([even_row.products(p, even_row.modulus(p), z) for z in zs], he(wnum))
     checks = []
-    for z, even, odd in zip(zs, evens, odds):
-        prod = eval_product_sum(even_row.products(p, even_row.modulus(p), z), he(wnum))
+    for z, even, odd, prod in zip(zs, evens, odds, prods):
         checks += [
             Check(f"z={z}: even-index expansion vs product", even, prod),
             Check(f"z={z}: odd-index expansion vs product", odd, prod),
@@ -635,14 +633,12 @@ def _prep_limit(names: Sequence[str], params: dict) -> dict:
 
 
 def _run_limit(label: str, p: dict, wnum: int, stats: SumStats) -> List[Check]:
-    """F(n, j, a)(-z) at each z sample's certified n against `f_limit_sum`."""
+    """F(n, j, a)(-z) at each z sample's certified n against `f_limit_sum`'s products."""
     j, a = p["j"], p["a"]
     zs = _z_samples(p["z"], lambda m: abs(m) + 2 * j < a.num, _LIMIT_MS)
     vals = _stabilized_values(j, a, [Monomial(-z.sign, z.q_exp) for z in zs], he(wnum))
-    return [
-        Check(label.format_map(dict(p, z=z, n=n)), v, f_limit_sum(j, a, z, he(wnum)))
-        for z, (v, n) in zip(zs, vals)
-    ]
+    prods = eval_product_sums([_limit_specs(j, a, z) for z in zs], he(wnum))
+    return [Check(label.format_map(dict(p, z=z, n=n)), v, rhs) for z, (v, n), rhs in zip(zs, vals, prods)]
 
 
 # id: (parameter names, check label with the parameters, z and the certified n as fields)

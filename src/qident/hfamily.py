@@ -13,8 +13,9 @@ order and a > 0, the largest s with a s^2 - j s below it, so
 H(400, 2) below q^40 stores 9 slices; the span (-n, n) keeps the rest,
 zero below the order.  The step itself is run only by the catalog's
 RECURSE_F, which checks it against this binomial form.  `_h_window` sums
-H at groups of weighted monomials by the same walk, one frame per group,
-for the certified limits only.
+H at groups of weighted monomials by the same walk, for the certified
+limits only: per argument exponent m one frame of the slices at even
+index and one at odd, so H(+-q^(m/2)) is their sum or difference.
 
 With z fixed to a monomial sign*q^m, |m| < a, the values H(n, a)(z)
 converge coefficientwise as n grows, and the limit is certified rather
@@ -25,13 +26,13 @@ which the value is final below a given order, in O(1), and
 `_stabilized_values` evaluates each sample once, at its own n; the F
 value is the binomial sum sum_i C(j, i) H(n, a)(z q^(j-2i)), one group
 of j + 1 arguments, and the samples that share a certified n share one
-`_h_window` walk.  `stabilized_h_value` / `stabilized_f_value` are its
-one-sample case.
+`_h_window` walk, and its frames where their arguments meet.
+`stabilized_h_value` / `stabilized_f_value` are its one-sample case.
 The limits themselves are the binomial combinations `f_limit_sum` of
 infinite products; the product `h_limit_product`, H's limit, is its case
-j = 0.  The arguments of each product multiply to q^2a, so the sum is a
-`TripleProductSpec` list on modulus 2a, summed by `eval_product_sum` as
-Jacobi theta series times one 1/(q)_inf.
+j = 0.  The arguments of each product multiply to q^2a, so the sum is the
+`TripleProductSpec` list `_limit_specs` on modulus 2a, which the catalog
+sums for every sample in one `eval_product_sums` batch.
 """
 
 from __future__ import annotations
@@ -131,23 +132,20 @@ def f_limit_sum(j: int, a: HalfInt, z: Monomial, order) -> QSeries:
     This is the n -> infinity limit of F(n, j, a)(-z); every argument
     exponent must be positive for the products to make sense.
     """
+    return eval_product_sum(_limit_specs(j, a, z), order)
+
+
+def _limit_specs(j: int, a: HalfInt, z: Monomial) -> List[TripleProductSpec]:
+    """The `TripleProductSpec` list on modulus 2a that `f_limit_sum` sums."""
     if not _whole(j) or j < 0:
         raise SpecError(f"needs an int j >= 0, got j={j!r}")
-    a = HalfInt._coerce(a)
-    m = z.q_exp
-    two_a = HalfInt(2 * a.num)
+    a, m = _weight(a), z.q_exp
     if a.num <= 0:
         raise IllPosedError(f"limit sum needs a > 0, got {a}")
-    specs = []
-    for i in range(j + 1):
-        e1 = a + m + (j - 2 * i)
-        e2 = a - m - (j - 2 * i)
-        if e1.num <= 0 or e2.num <= 0:
-            raise IllPosedError(
-                f"limit sum term i={i} has argument exponents {e1}, {e2}; both must be positive"
-            )
-        specs.append(TripleProductSpec(two_a, Monomial(z.sign, e1), Monomial(z.sign, e2), binom(j, i)))
-    return eval_product_sum(specs, order)
+    return [
+        TripleProductSpec(a * 2, Monomial(z.sign, a + m + j - 2 * i), Monomial(z.sign, a - m - j + 2 * i), binom(j, i))
+        for i in range(j + 1)
+    ]
 
 
 def _certified_n(a: HalfInt, ms: Sequence[int], ordnum: int) -> int:
@@ -203,27 +201,36 @@ def _h_window(n: int, a: HalfInt, groups: List[List[Tuple[int, Monomial]]], hi: 
 
     With w = sign*q^(m/2) and every |m| < a, H's lowest exponent is q^0,
     at slice 0.  One walk along the binomial column, as long as that
-    needs, adds each slice, times c sign^t q^(a t^2 + m t), straight into
-    its group's frame; slot x holds q^(x/2).  It stops at the last s at
-    which a slice +-s starts below hi for some argument: A s^2 - mu s < hi,
-    mu the largest |m|.
+    needs, adds each slice times q^(a t^2 + m t) into the frame E_m (t even)
+    or O_m (t odd) of each argument exponent m; slot x holds q^(x/2).  It
+    stops at the last s at which a slice +-s starts below hi for some
+    argument: A s^2 - mu s < hi, mu the largest |m|.  H(sign q^(m/2)) is
+    E_m + sign O_m, so a group is sum_i c_i E_(m_i) + sign_1 sum_i c_i
+    sign_i sign_1 O_(m_i), and groups that differ by a common sign, as w's
+    and -w's do, share both sums.
     """
     A = a.num
-    mu = max(abs(w.q_exp.num) for args in groups for _, w in args)
-    outs = [[0] * hi for _ in groups]
+    frames = {w.q_exp.num: ([0] * hi, [0] * hi) for args in groups for _, w in args}
+    mu = max(map(abs, frames))
     for k, b in _h_column(n, _h_top(A, mu, hi, n), (hi + 1) // 2):
         s = n - k
-        for out, args in zip(outs, groups):
-            for c, w in args:
-                for t in (s, -s) if s else (0,):
-                    e = A * t * t + w.q_exp.num * t
-                    width = (hi - e + 1) // 2
-                    if width > 0:
-                        ct = -c if w.sign < 0 and t % 2 else c
-                        part = b[:width] if abs(ct) == 1 else [abs(ct) * x for x in b[:width]]
-                        op = sub if ct < 0 else add
-                        at = slice(e, e + 2 * width, 2)
-                        out[at] = map(op, out[at], part)
+        for m, halves in frames.items():
+            for t in (s, -s) if s else (0,):
+                e = A * t * t + m * t
+                width = (hi - e + 1) // 2
+                if width > 0:
+                    f, at = halves[t % 2], slice(e, e + 2 * width, 2)
+                    f[at] = map(add, f[at], b[:width])
+    sums, outs = {}, []
+    for args in groups:
+        sign = args[0][1].sign
+        key = tuple((c, w.q_exp.num, w.sign * sign) for c, w in args)
+        if key not in sums:
+            sums[key] = [0] * hi, [0] * hi
+            for c, m, rel in key:
+                for acc, f, wt in zip(sums[key], frames[m], (c, c * rel)):
+                    acc[:] = map(add, acc, f if wt == 1 else map(wt.__mul__, f))
+        outs.append(list(map(add if sign > 0 else sub, *sums[key])))
     return outs
 
 
@@ -236,8 +243,8 @@ def _stabilized_values(j: int, a: HalfInt, ws: Sequence[Monomial], order) -> Lis
     """
     if not _whole(j) or j < 0:
         raise SpecError(f"needs an int j >= 0, got j={j!r}")
-    a = HalfInt._coerce(a)
-    if a is None or a.num <= 0:
+    a = _weight(a)
+    if a.num <= 0:
         raise IllPosedError(f"a limit value needs a > 0, got {a}")
     ordnum = _ord_num(order)
     if ordnum is None or ordnum <= 0:

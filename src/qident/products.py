@@ -3,17 +3,22 @@
 The right-hand sides in this family are weighted sums of normalised
 triple products (A, B, q^M; q^M)_inf / (q; q)_inf on a common modulus
 exponent M.  A spec with A B = q^M and equal signs is in Jacobi's form
-(Andrews, *The Theory of Partitions*, Thm 2.8): its numerator is the
-sparse theta series `qobjects.theta_triple_sum`, which also builds
-(q; q)_inf.  `eval_product_sum` sums those and multiplies once by the
-cached 1/(q; q)_inf; any other spec takes the factor route `_triple`,
-which the tests also use as the oracle.
+(Andrews, *The Theory of Partitions*, Thm 2.8): at A = sign q^e its
+numerator is the theta series E - sign O, the halves at even and odd
+index, `qobjects._theta_terms`.  `eval_product_sums` multiplies each
+list's signed theta sum once by the cached 1/(q; q)_inf; when the list
+with every sign flipped, as z's and -z's are, is in the same batch, it
+multiplies the two halves instead, once for both.  Any other spec takes
+the factor route `_triple`, which the tests also use as the oracle.
 """
 
 from __future__ import annotations
 
-from .qobjects import Monomial, partition_series, poch_infinite, theta_triple_sum
-from .series import HalfInt, IllPosedError, QSeries, SpecError, _Record
+from operator import add, sub
+from typing import List
+
+from .qobjects import Monomial, _theta_terms, partition_series, poch_infinite
+from .series import HalfInt, IllPosedError, QSeries, SpecError, _Record, _ord_num, _whole
 
 
 class TripleProductSpec(_Record):
@@ -27,6 +32,8 @@ class TripleProductSpec(_Record):
             raise SpecError(f"bad modulus exponent {modulus_exp!r}")
         if m.num <= 0:
             raise IllPosedError(f"modulus exponent must be positive, got {m}")
+        if not _whole(weight):
+            raise SpecError(f"a product weight must be an int, got {weight!r}")
         _Record.__init__(self, m, arg1, arg2, weight)
         for arg in (arg1, arg2):
             if arg.q_exp.num <= 0:
@@ -45,14 +52,31 @@ def _triple(spec: TripleProductSpec, order) -> QSeries:
 
 def eval_product_sum(specs, order) -> QSeries:
     """Weighted sum of normalised triple products."""
-    specs = list(specs)
-    if not specs:
+    return eval_product_sums([specs], order)[0]
+
+
+def eval_product_sums(spec_lists, order) -> List[QSeries]:
+    """[eval_product_sum(specs, order) for specs in spec_lists], sign mirrors sharing their products."""
+    spec_lists = [list(specs) for specs in spec_lists]
+    if not all(spec_lists):
         raise SpecError("empty product list")
-    acc = theta = QSeries.zero()
-    for spec in specs:
-        a, b = spec.arg1, spec.arg2
-        if a.sign == b.sign and a.q_exp + b.q_exp == spec.modulus_exp:  # Jacobi's form
-            theta = theta + theta_triple_sum(a, spec.modulus_exp, order) * spec.weight
-        else:
-            acc = acc + _triple(spec, order) * spec.weight
-    return acc + theta * partition_series(order)
+    inv, nnum, rows = partition_series(order), _ord_num(order), []
+    for specs in spec_lists:
+        jacobi = [t for t in specs if t.arg1.sign == t.arg2.sign and t.arg1.q_exp + t.arg2.q_exp == t.modulus_exp]
+        acc = sum((_triple(t, order) * t.weight for t in specs if t not in jacobi), QSeries.zero())
+        sign = jacobi[0].arg1.sign if jacobi else 1
+        key = tuple((t.modulus_exp, t.arg1.q_exp, t.weight, t.arg1.sign * sign) for t in jacobi if t.weight)
+        rows.append((acc, sign, key))
+    seen, shared = {(key, sign) for _, sign, key in rows}, {}
+    for acc, sign, key in rows:
+        if key and (key, sign) not in shared:
+            halves = [0] * nnum, [0] * nnum  # a theta series in Jacobi's form starts at q^0
+            for m, e, w, rel in key:
+                for parity, x in _theta_terms(e.num, m.num, nnum):
+                    halves[parity][x] += w * rel if parity else w
+            if (key, -sign) in seen:  # the mirror is in the batch: one product per half serves both
+                even, odd = (QSeries(0, h, nnum) * inv for h in halves)
+                shared[key, 1], shared[key, -1] = even - odd, even + odd
+            else:
+                shared[key, sign] = QSeries(0, list(map(sub if sign > 0 else add, *halves)), nnum) * inv
+    return [acc + shared[key, sign] if key else acc for acc, sign, key in rows]

@@ -8,7 +8,8 @@ series for (Q; Q)_inf, used whenever an Euler-type product is requested
 (Andrews, *The Theory of Partitions*, ch. 2), and the column step
 [N, k] = [N, k-1] (1 - q^(N-k+1)) / (1 - q^k) for Gaussian binomials
 (ch. 3).  Both have slower independent counterparts in the test suite's
-`naive` oracles.
+`naive` oracles.  A theta series is built as its two halves, the terms at
+even and at odd index (`_theta_terms`), which arg and -arg share.
 `partition_series` keeps the module's one cache, the deepest order built
 so far, and reads a shallower order off it by truncation.
 
@@ -249,12 +250,29 @@ def poch_finite_scalar(arg: Monomial, n: int, base_exp=qe(1), order: Order = INF
     return poch_finite(arg, n, base_exp, order)
 
 
+def _theta_terms(en: int, mn: int, nnum: int) -> list:
+    """[(s % 2, e)] for the terms q^(e/2), e = mn s(s-1)/2 + en s, that lie below q^(nnum/2)."""
+
+    def exponent(s: int) -> int:
+        return mn * (s * (s - 1) // 2) + en * s
+
+    terms = []
+    for s, step in ((0, 1), (-1, -1)):
+        # outward from s = 0 until a term at or past the order where the parabola rises
+        while (e := exponent(s)) < nnum or exponent(s + step) <= e:
+            if e < nnum:
+                terms.append((s % 2, e))
+            s += step
+    return terms
+
+
 def theta_triple_sum(arg: Monomial, modulus_exp, order) -> QSeries:
     """sum_{s in Z} (-arg)^s q^(modulus_exp * s(s-1)/2) truncated at order.
 
     Jacobi's triple product says this equals
     (arg, q^modulus_exp/arg, q^modulus_exp; q^modulus_exp)_inf; at arg = Q
-    and modulus Q^3 that is (Q; Q)_inf, the pentagonal series.
+    and modulus Q^3 that is (Q; Q)_inf, the pentagonal series.  At arg =
+    sign q^e it is E - sign O, E and O its terms at even and at odd s.
     """
     m = HalfInt._coerce(modulus_exp)
     if m is None or m.num <= 0:
@@ -262,21 +280,12 @@ def theta_triple_sum(arg: Monomial, modulus_exp, order) -> QSeries:
     nnum = _ord_num(order)
     if nnum is None:
         raise IllPosedError("a theta sum needs a finite truncation order")
-    en = arg.q_exp.num
-    mn = m.num
-
-    def exponent(s: int) -> int:
-        return mn * (s * (s - 1) // 2) + en * s
-
-    terms: dict = {}
-    for s, step in ((0, 1), (-1, -1)):
-        # outward from s = 0 until a term at or past the order where the parabola rises
-        while (e := exponent(s)) < nnum or exponent(s + step) <= e:
-            if e < nnum:
-                key = HalfInt(e)
-                terms[key] = terms.get(key, 0) + (-1 if s % 2 and arg.sign == 1 else 1)
-            s += step
-    return QSeries.from_terms(terms, HalfInt(nnum))
+    terms = _theta_terms(arg.q_exp.num, m.num, nnum)
+    lo = min([e for _, e in terms], default=nnum)
+    halves = [0] * (nnum - lo), [0] * (nnum - lo)
+    for parity, e in terms:
+        halves[parity][e - lo] += 1
+    return QSeries(lo, list(map(sub if arg.sign > 0 else add, *halves)), nnum)
 
 
 def poch_infinite(arg: Monomial, base_exp=qe(1), order: Order = None) -> QSeries:

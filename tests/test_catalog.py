@@ -156,12 +156,22 @@ def test_a_bool_or_float_is_no_exponent_sign_or_weight():
         (lambda: enumerate_edge_sets(True), "j=True"),
         (lambda: qident.f_limit_sum(True, he(7), Monomial(1, qe(0)), qe(10)), "j=True"),
         (lambda: qident.stabilized_f_value(True, he(7), Monomial(1, qe(0)), qe(10)), "j=True"),
+        (lambda: qident.f_limit_sum(1, "x", Monomial(1, qe(0)), qe(10)), "bad weight 'x'"),
+        (lambda: qident.h_limit_product(None, Monomial(1, qe(0)), qe(10)), "bad weight None"),
+        (lambda: qident.h_limit_product(1.5, Monomial(1, qe(0)), qe(10)), "bad weight 1.5"),
+        (lambda: qident.stabilized_h_value("x", Monomial(1, qe(0)), qe(10)), "bad weight 'x'"),
+        (lambda: qident.stabilized_f_value(1, None, Monomial(1, qe(0)), qe(10)), "bad weight None"),
+        (lambda: qident.stabilized_f_value(0, 1.5, Monomial(1, qe(0)), qe(10)), "bad weight 1.5"),
     ],
     ids=["binom-n", "binom-k", "qbinom_poly-n", "qbinom_poly-k", "tail_min_num", "enumerate_edge_sets",
-         "f_limit_sum", "stabilized_f_value"],
+         "f_limit_sum", "stabilized_f_value", "f_limit_sum-a", "h_limit_product-a-none",
+         "h_limit_product-a-float", "stabilized_h_value-a", "stabilized_f_value-a-none",
+         "stabilized_f_value-a-float"],
 )
 def test_a_bool_is_no_count_of_a_public_function(call, named):
-    # each answered as at 1 before; the error names the parameter
+    # a bool count was answered as at 1, and a weight a that is no
+    # half-integer failed deep inside with an AttributeError or an
+    # IllPosedError; the error names the parameter or the bad weight
     with pytest.raises(SpecError, match=re.escape(named)):
         call()
 
@@ -657,6 +667,76 @@ def test_limit_walks_reuse_the_product_sides_partition_series(monkeypatch):
     monkeypatch.setattr(qobjects, "_PARTITION_CACHE", {})
     assert verify(make_case("H_LIMIT", a="3/2", order=qe(240))).status == "pass"
     assert list(qobjects._PARTITION_CACHE) == [qe(240).num]
+
+
+def _per_sample_products(case):
+    # the product side of each check of a z row, CURIOUS or a limit, built
+    # one sample at a time
+    entry, p, wnum = catalog._prepare(case)
+    W = he(wnum)
+    if case.id in catalog._LIMITS:
+        j, a = p["j"], p["a"]
+        zs = catalog._z_samples(p["z"], lambda m: abs(m) + 2 * j < a.num, catalog._LIMIT_MS)
+        return [qident.f_limit_sum(j, a, z, W) for z in zs]
+    row = catalog._SUM_ROWS["OVER_2" if case.id == "CURIOUS" else case.id]
+    zs = catalog._z_samples(p["z"], lambda m: row.window(p, m))
+    prods = [eval_product_sum(row.products(p, row.modulus(p), z), W) for z in zs]
+    return [x for x in prods for _ in range(2)] if case.id == "CURIOUS" else prods
+
+
+def test_batched_product_sides_equal_the_per_sample_products():
+    # each runner sums its product sides in one batch, where z and -z share
+    # two products; every check's rhs must be the one-sample product sum,
+    # coefficients and order
+    cases = [make_case("CURIOUS"), make_case("CURIOUS", z_sign=-1, z_exp="1/2")]
+    for k in range(3):
+        cases += [make_case("OVER_3", k=k), make_case("COR_INFTY", k=k)]
+        for j in range(k + 2):
+            cases += [make_case("OVER_1", k=k, j=j), make_case("OVER_2", k=k, j=j)]
+        cases.append(make_case("OVER_1", k=k + 1, j=2, placement=[1, k + 2]))
+    for anum in range(1, 10, 2):
+        cases += [make_case("H_LIMIT", a=f"{anum}/2"), make_case("H_LIMIT", a=anum)]
+        cases += [make_case("F_LIMIT", j=j, a=f"{anum + 2 * j + 1}/2") for j in range(1, 3)]
+    cases.append(make_case("F_LIMIT", j=1, a=4, z_sign=1, z_exp="-1/2"))
+    count = 0
+    for case in cases:
+        entry, p, wnum = catalog._prepare(case)
+        checks = entry.runner(p, wnum, SumStats())
+        if case.id == "CURIOUS":  # the third check compares the two sums
+            checks = [c for i, c in enumerate(checks) if i % 3 != 2]
+        assert [c.rhs for c in checks] == _per_sample_products(case), case
+        count += len(checks)
+    assert count == 487
+
+
+def test_sign_pairs_halve_the_limit_work(monkeypatch):
+    # H_LIMIT a=3/2 at q^60 samples z = +-q^(m/2) at m = -1, 0, 1, 2.  One
+    # frame per sample made 102 frame slice-adds, and one theta sum per
+    # sample fed 90 nonzeros to its 8 products with 1/(q)_inf; the frame
+    # pairs of each m and the two theta halves of each +-z pair halve both
+    from operator import add, sub
+
+    import qident.hfamily as hfamily
+
+    hi, adds, nonzeros = 120, [], []
+
+    def spy_map(fn, first, *rest):
+        if fn in (add, sub) and len(first) < hi:  # a stride-2 slice of a frame
+            adds.append(len(first))
+        return map(fn, first, *rest)
+
+    mul = QSeries.__mul__
+
+    def spy_mul(x, y):
+        if isinstance(y, QSeries):
+            nonzeros.append(min(len(s._coeffs) - s._coeffs.count(0) for s in (x, y)))
+        return mul(x, y)
+
+    monkeypatch.setattr(hfamily, "map", spy_map, raising=False)
+    monkeypatch.setattr(QSeries, "__mul__", spy_mul)
+    assert verify(make_case("H_LIMIT", order=60, a="3/2")).status == "pass"
+    assert (len(adds), sum(adds)) == (51, 2034)
+    assert (len(nonzeros), sum(nonzeros)) == (8, 45)
 
 
 def test_expansion_check_labels():

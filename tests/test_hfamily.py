@@ -23,7 +23,7 @@ from qident import (
     he,
     qe,
 )
-from qident.hfamily import _h_min_num, _stabilized_values
+from qident.hfamily import _h_min_num, _h_window, _stabilized_values
 from naive import n_hpoly_at, n_qbinom
 
 
@@ -287,6 +287,34 @@ def test_batched_values_equal_the_one_sample_values():
                 assert got == want, (anum, j, order)
                 count += len(ws)
     assert count == 1240
+
+
+def test_h_window_shared_frames_match_the_naive_values():
+    # one walk keeps an even-t and an odd-t frame per argument exponent m;
+    # groups holding both signs of every m, and F's shifted arguments
+    # (which samples share), must each be the naive sum_i c_i H(n, a)(w_i)
+    count = 0
+    for anum in (3, 5, 8):
+        a = HalfInt(anum)
+        groups = []
+        for j in range(3):
+            for mnum in range(-anum + 1, anum):
+                if abs(mnum) + 2 * j < anum:
+                    for sign in (1, -1):
+                        groups.append([(binom(j, i), Monomial(sign, HalfInt(mnum + 2 * (j - 2 * i)))) for i in range(j + 1)])
+        # one group mixing signs, and one with a weight that is not a binomial
+        groups.append([(1, Monomial(1, he(1))), (3, Monomial(-1, he(-1))), (-2, Monomial(-1, he(0)))])
+        for n in (0, 1, 4, 7):
+            for hi in (1, 24, 37):
+                got = _h_window(n, a, groups, hi)
+                for frame, args in zip(got, groups):
+                    want = [0] * hi
+                    for c, w in args:
+                        ref = n_hpoly_at(n, anum, w.sign, w.q_exp.num, hi)
+                        want = [x + c * ref.coeff(e) for e, x in enumerate(want)]
+                    assert frame == want, (anum, n, hi, args)
+                    count += 1
+    assert count == 12 * (13 + 31 + 67)
 
 
 def test_lowest_h_exponent_is_the_clamped_vertex():

@@ -1,6 +1,7 @@
 """Triple products: the theta route against the factor route and oracles."""
 
 import math
+import re
 
 import pytest
 
@@ -19,7 +20,7 @@ from qident import (
     qe,
     verify,
 )
-from qident.products import _triple
+from qident.products import _triple, eval_product_sums
 from naive import count_partitions_in_residues, n_poch_infinite
 
 
@@ -55,6 +56,46 @@ def test_mixed_jacobi_and_factor_specs_sum_term_by_term():
     for spec in specs:
         want = want + _triple(spec, W) * spec.weight
     assert eval_product_sum(specs, W) == want
+
+
+def test_batched_products_match_the_factor_route_on_mirrored_lists():
+    # each list's even and odd theta halves are multiplied by 1/(q)_inf once,
+    # and a list's sign mirror reuses both products; every list must still be
+    # the factor route's sum, and the same as on its own
+    lists = []
+    for anum in (3, 5, 7):
+        for j in range(3):
+            for mnum in range(-anum + 1, anum):
+                if abs(mnum) + 2 * j >= anum:
+                    continue
+                for sign in (-1,) if mnum % 3 == 1 else (1, -1):  # some lists have no mirror
+                    lists.append([
+                        TripleProductSpec(
+                            HalfInt(2 * anum),
+                            Monomial(sign, HalfInt(anum + mnum + 2 * (j - 2 * i))),
+                            Monomial(sign, HalfInt(anum - mnum - 2 * (j - 2 * i))),
+                            math.comb(j, i),
+                        )
+                        for i in range(j + 1)
+                    ])
+    mixed = [TripleProductSpec(qe(5), Monomial(1, qe(2)), Monomial(1, qe(3)), 2),
+             TripleProductSpec(qe(5), Monomial(-1, qe(1)), Monomial(-1, qe(4)), -1)]
+    flipped = [t._replace(arg1=Monomial(-t.arg1.sign, t.arg1.q_exp), arg2=Monomial(-t.arg2.sign, t.arg2.q_exp))
+               for t in mixed]
+    factor = TripleProductSpec(qe(6), Monomial(1, qe(2)), Monomial(1, qe(3)), 3)  # A B != q^M
+    lists += [mixed, flipped, mixed, mixed + [factor], flipped + [factor]]
+    assert len(lists) == 85
+    for W in (he(37), qe(20), he(0), he(-3)):
+        got = eval_product_sums(lists, W)
+        for specs, value in zip(lists, got):
+            assert value == eval_product_sum(specs, W)
+            want = QSeries.zero()
+            for spec in specs:
+                want = want + _triple(spec, W) * spec.weight
+            if W.num > 0:
+                assert value == want, (W, specs)
+            else:  # both zero, though the routes book the orders of zeros differently
+                assert value.is_zero and want.is_zero
 
 
 def _naive_triple(sign, e1, e2, M, W):
@@ -106,6 +147,16 @@ def test_weighted_sum_of_products():
     ) * 2
     alone = eval_product_sum([s1], W)
     assert alone.eq_upto(doubled).equal
+
+
+def test_a_product_weight_must_be_a_plain_int():
+    # refused when the spec is built: 1.5, "2" and None would fail only when
+    # the list is summed, and True would count as 1
+    p2, p3 = Monomial(1, qe(2)), Monomial(1, qe(3))
+    for w in (1.5, "2", None, True):
+        with pytest.raises(SpecError, match=re.escape(f"a product weight must be an int, got {w!r}")):
+            TripleProductSpec(qe(5), p2, p3, w)
+    assert TripleProductSpec(qe(5), p2, p3, -3).weight == -3
 
 
 def test_ill_posed_products_raise():
