@@ -80,16 +80,16 @@ from .series import (
 
 
 class IdentityCase(_Record):
-    """One verification job: an id, its parameters, and a truncation order."""
+    """One verification job: an id, its parameters, and a truncation order,
+    which `HalfInt.parse` reads ("7/2", "4", an int or a HalfInt)."""
 
     __slots__ = ("id", "params", "order")
 
-    def __init__(self, id: str, params: Mapping = {}, order: Optional[HalfInt] = None):
-        if order is not None and not isinstance(order, HalfInt):
-            o = HalfInt._coerce(order)
-            if o is None:
-                raise SpecError(f"bad order {order!r}")
-            order = o
+    def __init__(self, id: str, params: Mapping = {}, order=None):
+        try:
+            order = None if order is None else HalfInt.parse(order)
+        except ValueError:
+            raise SpecError(f"bad order {order!r}") from None
         _Record.__init__(self, id, dict(params), order)
 
 
@@ -138,11 +138,7 @@ def registered_ids() -> Tuple[str, ...]:
 
 
 def make_case(id: str, order=None, **params) -> IdentityCase:
-    try:
-        o = None if order is None else HalfInt.parse(order)
-    except ValueError:
-        raise SpecError(f"bad order {order!r}") from None
-    return IdentityCase(id, params, o)
+    return IdentityCase(id, params, order)
 
 
 def _prepare(case: IdentityCase) -> Tuple[_Entry, dict, int]:
@@ -658,7 +654,9 @@ class EdgeSet(_Record):
     __slots__ = ("edges",)
 
     def __init__(self, edges: frozenset):
-        _Record.__init__(self, frozenset(int(i) for i in edges))
+        _Record.__init__(self, frozenset(edges))
+        if not all(_whole(i) for i in self.edges):
+            raise SpecError(f"edges are labelled by plain ints, got {set(self.edges)!r}")
         if any(i < 1 for i in self.edges):
             raise SpecError(f"edges must be labelled by their left vertex >= 1: {sorted(self.edges)}")
         s = sorted(self.edges)

@@ -26,12 +26,6 @@ def _half_token(h) -> object:
     return h.num // 2 if h.is_integral else f"{h.num}/2"
 
 
-def _parse_half(tok) -> Optional[HalfInt]:
-    if tok is None:
-        return None
-    return HalfInt.parse(tok)
-
-
 def _report_dict(rep: VerificationReport) -> dict:
     m = rep.first_mismatch
     return {
@@ -99,7 +93,7 @@ def _case_from_args(args) -> IdentityCase:
             params["placement"] = [int(t) for t in args.placement.split(",") if t.strip()]
         except ValueError:
             raise SpecError(f"bad placement {args.placement!r}; expected e.g. 1,2,4")
-    return IdentityCase(args.id, params, _parse_half(args.order))
+    return IdentityCase(args.id, params, args.order)
 
 
 def _cmd_verify(args) -> int:
@@ -119,7 +113,7 @@ def _cmd_verify(args) -> int:
 def _run_suite_case(job: Tuple[int, str, dict, Optional[str]]) -> Tuple[int, dict]:
     idx, id, params, order_tok = job
     try:
-        case = IdentityCase(id, params, _parse_half(order_tok))
+        case = IdentityCase(id, params, order_tok)
         rep = verify(case)
         out = _report_dict(rep)
     except Exception as e:  # a worker must never take down the suite
@@ -209,7 +203,7 @@ def _cmd_suite(args) -> int:
             order_tok = None if order is None else str(order)
             # every descriptor must name a registered id with valid params
             try:
-                validate_case(IdentityCase(id, c, _parse_half(order_tok)))
+                validate_case(IdentityCase(id, c, order_tok))
             except (SpecError, ValueError) as e:
                 raise ValueError(f"case {idx}: {e}")
             jobs.append((idx, id, c, order_tok))

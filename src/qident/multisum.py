@@ -124,6 +124,8 @@ class SummandSpec(_Record):
             placement = frozenset(placement)
             if not all(_whole(i) and 1 <= i <= k for i in placement):
                 raise SpecError(f"placement {sorted(placement)} must be positions in 1..{k}")
+        if not isinstance(tail, (TailOdd, TailEven, TailOver, TailOverOdd)):
+            raise SpecError(f"unknown tail {tail!r}")
         _Record.__init__(self, k, linear, placement, tail)
 
     def effective_linear_num(self) -> list:
@@ -147,38 +149,27 @@ class SumStats(_Record):
         _Record.__init__(self, tuples, nodes, pruned)
 
 
-def _neg_sum(c: int, s: int) -> int:
-    """sum_{i<s} min(0, c + 2i): its first n = clamp((1 - c) // 2, 0, s) terms are the negative ones."""
-    n = max(0, min(s, (1 - c) // 2))
-    return n * c + n * (n - 1)
-
-
 def _zexp(tail: Tail) -> int:
     """The z exponent in half-units, less twice TailOverOdd's offset."""
     return tail.z.q_exp.num - 2 * getattr(tail, "offset", 0)
 
 
 def tail_min_num(tail: Tail, s: int) -> int:
-    """Exact minimal exponent numerator of the tail's finite factors at s.
+    """Exact minimal exponent numerator of the tail's finite factors at s:
+    the negative shifts of the two-term factors of `_ratio`'s r(t), t <= s.
 
     Inverse Pochhammer factors have minimal exponent 0 and are ignored.
     """
     if not _whole(s) or s < 0:
         raise SpecError(f"tail_min_num needs an int s >= 0, got s={s!r}")
-    if isinstance(tail, (TailOdd, TailEven)):
-        return 0
-    if isinstance(tail, TailOver):
-        return _neg_sum(_zexp(tail), s) + _neg_sum(2 - _zexp(tail), s)
-    if isinstance(tail, TailOverOdd):
-        return _neg_sum(2 - _zexp(tail), s + 1) + _neg_sum(_zexp(tail), s)
-    raise SpecError(f"unknown tail {tail!r}")
+    return sum(min(e, 0) for t in range(s + 1) for _, e in _ratio(tail, t)[0])
 
 
 def _tail_floor_num(tail: Tail) -> int:
     """min of tail_min_num over all s >= 0."""
     if isinstance(tail, (TailOver, TailOverOdd)):
-        # a sum of _neg_sum(c, s) terms, c in {m, 2 - m} with m the z exponent
-        # less twice the offset; each stops falling once s >= (1 - c) // 2
+        # r(t)'s shifts are at least m + 2t - 2 and 2t - m, m the z exponent
+        # less twice the offset, so none is negative past t = |m| + 1
         return tail_min_num(tail, abs(_zexp(tail)) + 1)
     return tail_min_num(tail, 0)
 

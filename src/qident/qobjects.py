@@ -242,6 +242,8 @@ def poch_finite(arg: Monomial, n: int, base_exp=qe(1), order: Order = INF) -> QS
     if not _whole(n) or n < 0:
         raise SpecError(f"finite Pochhammer length must be an int >= 0, got {n!r}")
     base = HalfInt._coerce(base_exp)
+    if base is None:
+        raise SpecError(f"bad base exponent {base_exp!r}")
     return _poch_rows([(arg.sign, 0, arg.q_exp.num + base.num * i) for i in range(n)], order).slice(0)
 
 
@@ -296,6 +298,8 @@ def poch_infinite(arg: Monomial, base_exp=qe(1), order: Order = None) -> QSeries
     (the factor 2 of (-1; q)_inf).
     """
     base = HalfInt._coerce(base_exp)
+    if base is None:
+        raise SpecError(f"bad base exponent {base_exp!r}")
     ordnum = _ord_num(order)
     if ordnum is None:
         raise IllPosedError("an infinite product needs a finite truncation order")

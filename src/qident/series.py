@@ -49,8 +49,8 @@ variable z whose coefficients are QSeries, all known below one common
 order.  A z-span (lo, hi) bounds the structural support: a z-power
 outside it is exactly zero, and one inside it with no stored slice is
 zero below the order, so a slice that vanishes there is not stored.
-A ZLaurent multiplies only by scalars, an int or a QSeries; products
-in z are built as lists (`qobjects._poch_rows`).
+A ZLaurent adds ZLaurents and multiplies only by scalars, an int or a
+QSeries; products in z are built as lists (`qobjects._poch_rows`).
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from __future__ import annotations
 import struct
 from itertools import compress
 from operator import add, eq, ge, gt, le, lt, sub
-from typing import Iterator, Mapping, Optional, Union
+from typing import Iterator, Optional, Union
 
 
 class QidentError(Exception):
@@ -175,12 +175,6 @@ class HalfInt(_Record):
             return NotImplemented
         return HalfInt(self.num - o.num)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return HalfInt(o.num - self.num)
-
     def __neg__(self):
         return HalfInt(-self.num)
 
@@ -259,11 +253,6 @@ class _Infinity:
         return INF
 
     __radd__ = __add__
-
-    def __sub__(self, other):
-        if other is INF:
-            raise ArithmeticError("INF - INF")
-        return INF
 
     def __str__(self):
         return "inf"
@@ -431,23 +420,6 @@ class QSeries:
             raise SpecError(f"bad exponent {exp!r}")
         return QSeries(e.num, [coeff], _ord_num(order))
 
-    @staticmethod
-    def from_terms(terms: Mapping, order: Order = INF) -> "QSeries":
-        if not terms:
-            return QSeries.zero(order)
-        items = {}
-        for exp, c in terms.items():
-            e = HalfInt._coerce(exp)
-            if e is None:
-                raise SpecError(f"bad exponent {exp!r}")
-            items[e.num] = items.get(e.num, 0) + c
-        lo = min(items)
-        hi = max(items)
-        coeffs = [0] * (hi - lo + 1)
-        for n, c in items.items():
-            coeffs[n - lo] = c
-        return QSeries(lo, coeffs, _ord_num(order))
-
     # -- inspection --------------------------------------------------------
 
     @property
@@ -512,14 +484,7 @@ class QSeries:
         return QSeries(self._min, [-c for c in self._coeffs], self._ordnum, _raw=True)
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = QSeries.monomial(other) if other else QSeries.zero()
-        if not isinstance(other, QSeries):
-            return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -715,14 +680,6 @@ class ZLaurent:
     def zero() -> "ZLaurent":
         return ZLaurent({}, None, _raw=True)
 
-    @staticmethod
-    def from_terms(terms: Mapping, order: Order = INF) -> "ZLaurent":
-        return ZLaurent(dict(terms), _ord_num(order))
-
-    @staticmethod
-    def scalar(s: QSeries) -> "ZLaurent":
-        return ZLaurent({0: s}, None)
-
     @property
     def order(self) -> Order:
         return _ord_obj(self._ordnum)
@@ -741,13 +698,6 @@ class ZLaurent:
     def is_zero(self) -> bool:
         return all(s.is_zero for s in self._terms.values())
 
-    def _lift(self, other) -> Optional["ZLaurent"]:
-        if isinstance(other, int):
-            other = QSeries.monomial(other) if other else QSeries.zero()
-        if isinstance(other, QSeries):
-            return ZLaurent.scalar(other)
-        return other if isinstance(other, ZLaurent) else None
-
     def _moved(self, e: int) -> Optional[int]:
         """The order once slice k moves by q^(e k / 2): the span's ends bound it."""
         if self._ordnum is None:
@@ -756,8 +706,7 @@ class ZLaurent:
         return self._ordnum + min(e * lo, e * hi)
 
     def __add__(self, other):
-        other = self._lift(other)
-        if other is None:
+        if not isinstance(other, ZLaurent):
             return NotImplemented
         out = dict(self._terms)
         for k, s in other._terms.items():
@@ -765,17 +714,6 @@ class ZLaurent:
         spans = [x._span for x in (self, other) if x._span]
         span = (min(lo for lo, _ in spans), max(hi for _, hi in spans)) if spans else None
         return ZLaurent(out, _min_ord(self._ordnum, other._ordnum), span)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return ZLaurent({k: -s for k, s in self._terms.items()}, self._ordnum, self._span, _raw=True)
-
-    def __sub__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, int):

@@ -28,6 +28,7 @@ from qident import (
     registered_ids,
     partition_series,
     poch_finite,
+    poch_infinite,
     verify,
     he,
     qe,
@@ -134,9 +135,16 @@ def test_a_bool_or_float_is_no_exponent_sign_or_weight():
         lambda: HalfInt(True),
         lambda: poch_finite(p1, True),
         lambda: TailOverOdd(p1, True),
+        lambda: EdgeSet([1.9, 3]),
+        lambda: EdgeSet([True, 3]),
+        lambda: EdgeSet(["1"]),
     ):
         with pytest.raises(SpecError):
             build()
+    for base in ("x", 1.5, None, True):
+        for build in (lambda: poch_finite(p1, 2, base), lambda: poch_infinite(p1, base, qe(10))):
+            with pytest.raises(SpecError, match=re.escape(f"bad base exponent {base!r}")):
+                build()
     for sign in (1.0, -1.0):
         case = make_case("OVER_1", k=1, j=1, z_sign=sign, z_exp=1)
         with pytest.raises(SpecError, match=re.escape(f"z_sign must be +1 or -1, got {sign}")):

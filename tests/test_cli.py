@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import signal
 
 import pytest
@@ -103,7 +104,7 @@ def test_structural_mismatch_reports_its_z_power(tmp_path, capsys, monkeypatch):
 
     def runner(p, wnum, stats):
         H = h_poly(HSpec(p["n"], p["a"]))
-        return [catalog.Check("H against H + z", H, H + ZLaurent.from_terms({1: QSeries.one()}))]
+        return [catalog.Check("H against H + z", H, H + ZLaurent({1: QSeries.one()}, None))]
 
     entry = catalog._REGISTRY["RECURSE_F"]
     monkeypatch.setitem(catalog._REGISTRY, "RECURSE_F", entry._replace(runner=runner))
@@ -131,6 +132,20 @@ def test_verify_halfint_order_token(capsys):
     )
     assert code == 0
     assert json.loads(out)["order"] == "61/2"
+
+
+def test_a_bad_order_is_a_usage_error(tmp_path, capsys):
+    # the case parses its order itself: the CLI, a suite and make_case read
+    # it the same way and refuse it with the same message
+    code, out, err = run(capsys, "verify", "--id", "AG", "--k", "1", "--r", "0", "--order", "x")
+    assert (code, out, err) == (2, "", "error: bad order 'x'\n")
+    code, _, err = run(capsys, "suite", _write_suite(tmp_path, {"cases": [{"id": "AG", "k": 1, "r": 0, "order": "1/3"}]}))
+    assert code == 2 and "case 0: bad order '1/3'" in err
+    assert catalog.IdentityCase("AG", {"k": 1, "r": 0}, "5/2") == catalog.make_case("AG", "5/2", k=1, r=0)
+    assert catalog.IdentityCase("AG", {}, "5/2").order.num == 5
+    for bad in ("x", True, 1.5, "2.0"):
+        with pytest.raises(catalog.SpecError, match=re.escape(f"bad order {bad!r}")):
+            catalog.IdentityCase("AG", {}, bad)
 
 
 def test_placement_flag(capsys):

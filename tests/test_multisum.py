@@ -153,17 +153,15 @@ def test_running_min_of_tail_minima_is_the_capped_floor():
 
 
 def test_overpartition_tail_minima_in_closed_form():
-    # sum_{i<s} min(0, c + 2i) = n c + n (n - 1), n = clamp((1 - c) // 2, 0, s):
-    # the closed form against the summed one, exhaustively for |c|, s <= 30,
-    # on its own and inside tail_min_num for TailOver and TailOverOdd
-    from qident.multisum import _neg_sum
+    # tail_min_num of TailOver and TailOverOdd against sums of
+    # sum_{i<s} min(0, c + 2i), c in {m, 2 - m} with m the z exponent less
+    # twice the offset, exhaustively for |c|, s <= 30
 
     def summed(c, s):
         return sum(min(0, c + 2 * i) for i in range(s))
 
     for c in range(-30, 31):
         for s in range(31):
-            assert _neg_sum(c, s) == summed(c, s), (c, s)
             z = Monomial(1, HalfInt(c))
             assert tail_min_num(TailOver(z), s) == summed(c, s) + summed(2 - c, s), (c, s)
             for off in (-2, 0, 1, 3):
@@ -506,6 +504,8 @@ def test_spec_validation():
         SummandSpec(2, (0, 0), placement=frozenset({0}))
     with pytest.raises(SpecError):
         SummandSpec(2, (0, 0), placement=frozenset({3}))
+    with pytest.raises(SpecError, match="unknown tail 1"):
+        SummandSpec(1, (0,), tail=1)  # refused when built, not when summed
 
 
 def test_first_index_cap_is_the_stepping_loop_in_closed_form():
