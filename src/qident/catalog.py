@@ -242,9 +242,10 @@ def _prep_plain(names: Sequence[str], params: dict) -> dict:
     return {x: _need_half(params, x) if x in ("a", "c") else _need_int(params, x, 0) for x in names}
 
 
-# monomial z sampling policies (numerators of half-integer exponents)
+# monomial z sampling policies (numerators of half-integer exponents); the
+# limits take m >= 0 only, as H(z) = H(1/z) makes a sample at -m repeat m's
 _POLICY_MS = (-2, -1, 0, 1, 2, 3)
-_LIMIT_MS = (-3, -1, 0, 1, 2, 3, 5)
+_LIMIT_MS = (0, 1, 2, 3, 5)
 
 
 def _z_samples(
