@@ -427,13 +427,14 @@ _SUM_ROWS: Dict[str, _SumRow] = {
         ("k", "j") + _Z, _odd, _over_sum, _gordon_products,
         "k={k} j={j} z={z}: sum vs {terms}-term product", _over_window,
     ),
-    # the odd-index closing factor; the product pairs q^(k+1) with 1/z and
-    # q^(k+2) with z, mirroring the orientation of the even-index families
-    # -- this is the orientation the series satisfy
+    # the odd-index closing factor (-q^(k+1)/z; q)_{s+1} (-z q^(-k); q)_s /
+    # (q)_{2s+1}, TailOverOdd at z q^(-k); the product pairs q^(k+1) with 1/z
+    # and q^(k+2) with z, mirroring the orientation of the even-index
+    # families -- this is the orientation the series satisfy
     "OVER_3": _SumRow(
         ("k",) + _Z,
         _odd,
-        lambda p, z: SummandSpec(p["k"] + 1, (1,) * (p["k"] + 1), tail=TailOverOdd(z, p["k"])),
+        lambda p, z: SummandSpec(p["k"] + 1, (1,) * (p["k"] + 1), tail=TailOverOdd(Monomial(z.sign, z.q_exp - p["k"]))),
         lambda p, mod, z: _gordon_products(p, mod, z.inverted()),
         "k={k} z={z}: odd-index sum vs product",
         _odd_index_window,

@@ -110,23 +110,18 @@ def _cmd_verify(args) -> int:
     return {"pass": 0, "fail": 1}.get(rep.status, 2)
 
 
-def _run_suite_case(job: Tuple[int, str, dict, Optional[str]]) -> Tuple[int, dict]:
-    idx, id, params, order_tok = job
+def _run_suite_case(job: Tuple[int, IdentityCase]) -> Tuple[int, dict]:
+    idx, case = job
     try:
-        case = IdentityCase(id, params, order_tok)
-        rep = verify(case)
-        out = _report_dict(rep)
+        out = _report_dict(verify(case))
     except Exception as e:  # a worker must never take down the suite
-        out = _error_row(job, str(e))
+        out = _error_row(case, str(e))
     return idx, out
 
 
-def _error_row(job: Tuple[int, str, dict, Optional[str]], detail: str) -> dict:
+def _error_row(case: IdentityCase, detail: str) -> dict:
     """The row of a case that produced no report."""
-    _, id, params, order_tok = job
-    return {"id": id, "params": params, "order": order_tok, "status": "error",
-            "compared_order": None, "first_mismatch": None, "tuple_count": 0,
-            "node_count": 0, "pruned_count": 0, "elapsed_ms": 0.0, "detail": detail}
+    return _report_dict(VerificationReport(case, "error", None, None, 0.0, 0, 0, 0, detail))
 
 
 def _run_sharded(jobs: list, n: int) -> list:
@@ -136,8 +131,9 @@ def _run_sharded(jobs: list, n: int) -> list:
     pairs as one JSON document through a pipe and leaves through os._exit, so
     that nothing raised in it returns into the caller. Every child is reaped;
     one that dies or sends no readable document gives its jobs error rows.
+    At n = 1, or with no jobs, this process runs them all.
     """
-    shards = [jobs[i::n] for i in range(min(n, len(jobs)))]
+    shards = [jobs[i::n] for i in range(max(1, min(n, len(jobs))))]
     children = []
     for shard in shards[1:]:
         r, w = os.pipe()
@@ -166,7 +162,7 @@ def _run_sharded(jobs: list, n: int) -> list:
                 continue
             except ValueError:
                 why = "sent unreadable output"
-        results += [(j[0], _error_row(j, f"worker process {why}")) for j in shard]
+        results += [(idx, _error_row(case, f"worker process {why}")) for idx, case in shard]
     return results
 
 
@@ -178,7 +174,7 @@ def _cmd_suite(args) -> int:
         print(f"error: cannot read suite config {args.config}: {e}", file=sys.stderr)
         return 2
 
-    jobs: List[Tuple[int, str, dict, Optional[str]]] = []
+    jobs: List[Tuple[int, IdentityCase]] = []
     expects: List[str] = []
     try:
         if not isinstance(cfg, dict):
@@ -200,25 +196,21 @@ def _cmd_suite(args) -> int:
             if expect not in ("pass", "fail"):
                 raise ValueError(f"case {idx}: expect must be 'pass' or 'fail', got {expect!r}")
             order = c.pop("order", default_order)
-            order_tok = None if order is None else str(order)
             # every descriptor must name a registered id with valid params
             try:
-                validate_case(IdentityCase(id, c, order_tok))
+                case = IdentityCase(id, c, None if order is None else str(order))
+                validate_case(case)
             except (SpecError, ValueError) as e:
                 raise ValueError(f"case {idx}: {e}")
-            jobs.append((idx, id, c, order_tok))
+            jobs.append((idx, case))
             expects.append(expect)
     except (KeyError, ValueError, TypeError) as e:
         print(f"error: bad suite config: {e}", file=sys.stderr)
         return 2
 
-    if workers > 1 and len(jobs) > 1 and hasattr(os, "fork"):
-        results = _run_sharded(jobs, workers)
-    else:
-        results = [_run_suite_case(j) for j in jobs]
-
+    results = _run_sharded(jobs, workers if hasattr(os, "fork") else 1)
     by_idx = {idx: out for idx, out in results}
-    order_key = sorted(range(len(jobs)), key=lambda i: (jobs[i][1], i))
+    order_key = sorted(range(len(jobs)), key=lambda i: (jobs[i][1].id, i))
     rows = []
     bad = 0
     for i in order_key:

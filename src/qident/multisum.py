@@ -9,7 +9,8 @@ A summand spec describes sums of the shape
 where B(s) is an optional product over a set P of positions: position 1
 contributes q^(-s_1), a position i >= 2 contributes
 q^(-s_i) (1 + q^(s_{i-1} + s_i)).  The tail kinds T cover the closing
-factors of this family of identities, z taken at a monomial +-q^(m/2).
+factors of this family of identities, z taken at a monomial +-q^(m/2);
+a factor shifted to z q^(-k), as OVER_3's is, is the tail at z q^(-k).
 
 The sum is linear in the tail values and only they depend on z, so it
 is sum_t K(t) T(t) with a z-free kernel K, built once for all the specs
@@ -42,15 +43,15 @@ Each tail then takes one closing Horner on r(t) = T(t) / T(t-1):
 acc = K(top), acc = acc * r(t) + K(t-1) for t = top..1, then acc * T(0).
 r(t) is a two-term pass per new factor 1 + c q^e and a prefix-add pass
 per new 1/(1 - q^d); T(0) = 1 but for TailOverOdd.  The closing frame
-starts at the kernel floor plus `_tail_floor_num`; it has whole q-units
-to a slot when every tail exponent is whole (TailOdd, TailEven, and the
-overpartition tails at an even z exponent m in half-units), else half
-units, the kernel read at every other slot.  acc is sum_{u >= t}
-K(u) T(u) / T(t), held only from its certified floor, which falls with t.
-A two-term pass with shift -e < 0 leaves its top e slots stale; up to t
-the shifts add up to -tail_min_num(tail, t), so the frame ends
--_tail_floor_num above the order.  A nonzero value pushed below acc's floor, or a
-result known below a lower order than the request, raises IllPosedError.
+starts at the kernel floor plus `_tail_floor_num`, computed once per tail
+and batch; it has whole q-units to a slot when every tail exponent is
+whole (TailOdd, TailEven, and the overpartition tails at an even z
+exponent m in half-units), else half units, the kernel read at every other
+slot.  acc is sum_{u >= t} K(u) T(u) / T(t), held only from its certified
+floor, which falls with t.  A two-term pass with shift -e < 0 leaves its
+top e slots stale; up to t the shifts add up to -tail_min_num(tail, t), so
+the frame ends -_tail_floor_num above the order.  A nonzero value pushed
+below acc's floor, or a result known short of the request, raises IllPosedError.
 """
 
 from __future__ import annotations
@@ -94,14 +95,12 @@ class TailOver(_Record):
 
 
 class TailOverOdd(_Record):
-    """(-q^(off+1)/z; q)_{s_k + 1} (-z q^(-off); q)_{s_k} / (q; q)_{2 s_k + 1}."""
+    """(-q/z; q)_{s_k + 1} (-z; q)_{s_k} / (q; q)_{2 s_k + 1} at monomial z."""
 
-    __slots__ = ("z", "offset")
+    __slots__ = ("z",)
 
-    def __init__(self, z: Monomial, offset: int):
-        if not _whole(offset):
-            raise SpecError(f"TailOverOdd offset must be an int, got {offset!r}")
-        _Record.__init__(self, z, offset)
+    def __init__(self, z: Monomial):
+        _Record.__init__(self, z)
 
 
 Tail = Union[TailOdd, TailEven, TailOver, TailOverOdd]
@@ -149,11 +148,6 @@ class SumStats(_Record):
         _Record.__init__(self, tuples, nodes, pruned)
 
 
-def _zexp(tail: Tail) -> int:
-    """The z exponent in half-units, less twice TailOverOdd's offset."""
-    return tail.z.q_exp.num - 2 * getattr(tail, "offset", 0)
-
-
 def tail_min_num(tail: Tail, s: int) -> int:
     """Exact minimal exponent numerator of the tail's finite factors at s:
     the negative shifts of the two-term factors of `_ratio`'s r(t), t <= s.
@@ -168,9 +162,9 @@ def tail_min_num(tail: Tail, s: int) -> int:
 def _tail_floor_num(tail: Tail) -> int:
     """min of tail_min_num over all s >= 0."""
     if isinstance(tail, (TailOver, TailOverOdd)):
-        # r(t)'s shifts are at least m + 2t - 2 and 2t - m, m the z exponent
-        # less twice the offset, so none is negative past t = |m| + 1
-        return tail_min_num(tail, abs(_zexp(tail)) + 1)
+        # r(t)'s shifts are at least m + 2t - 2 and 2t - m, m the z exponent,
+        # so none is negative past t = |m| + 1
+        return tail_min_num(tail, abs(tail.z.q_exp.num) + 1)
     return tail_min_num(tail, 0)
 
 
@@ -200,7 +194,7 @@ def _ratio(tail: Tail, t: int) -> Tuple[tuple, tuple]:
     (sign, e), over the factors 1 - q^(d/2), as d."""
     if isinstance(tail, (TailOdd, TailEven)):
         return (), ((4 if isinstance(tail, TailEven) else 2) * t,) if t else ()
-    sign, m = tail.z.sign, _zexp(tail)
+    sign, m = tail.z.sign, tail.z.q_exp.num
     if isinstance(tail, TailOver):
         return (((sign, m + 2 * t - 2), (sign, 2 * t - m)), (4 * t - 2, 4 * t)) if t else ((), ())
     if not t:
@@ -231,11 +225,11 @@ def _chain(cells: list, t: int, x: int, width: int, lift: int) -> list:
     return acc
 
 
-def _close(tail: Tail, ratio: list, tm: list, kernel: list, low: list, base: int, nnum: int) -> QSeries:
+def _close(tail: Tail, ratio: list, tm: list, kernel: list, low: list, base: int, floor: int, nnum: int) -> QSeries:
     """sum_t K(t) T(t) below q^(nnum/2) by the closing Horner on `_ratio`'s
     ratio[t], on the tail's grid from `base`; tm[t] is tail_min_num(tail, t),
-    and the kernel cell K(t) is known below nnum - low[t]."""
-    g, floor = _grid(tail), _tail_floor_num(tail)
+    floor is `_tail_floor_num(tail)`, and K(t) is known below nnum - low[t]."""
+    g = _grid(tail)
     size = -(-(nnum - floor - base) // g)  # the frame [base, N - floor): a stale-slot margin of -floor
     top = max((t for t, c in enumerate(kernel) if c is not None), default=-1)
     tm = tm[: top + 1] + [0]  # tm[-1] = 0: T(-1) = 1
@@ -346,20 +340,20 @@ def eval_multisums(specs: Sequence[SummandSpec], order, stats: Optional[SumStats
     # the least exponent of the indices after the first and of the tails,
     # and the kernel floor: every index at its least
     mins = [_index_min_num(c, None) for c in lam]
-    rest_floor = min(map(_tail_floor_num, tails)) + sum(mins[1:])
-    top = _first_cap(lam[0], rest_floor, nnum)
+    floors = [_tail_floor_num(tail) for tail in tails]
+    top = _first_cap(lam[0], min(floors) + sum(mins[1:]), nnum)
 
     # each tail's ratios r(s) for s <= top, and tail_min_num at each s, the
-    # running sum of their negative shifts; the last level's floor is their
-    # least running min up to s over the tails
+    # running sum of their negative shifts, which never rises; the last
+    # level's floor is its least over the tails
     ratios = [[_ratio(tail, s) for s in range(top + 1)] for tail in tails]
     tms = [list(accumulate(sum(min(d, 0) for _, d in twos) for twos, _ in r)) for r in ratios]
-    low = [min(col) for col in zip(*(accumulate(tm, min) for tm in tms))]
+    low = [min(col) for col in zip(*tms)]
     cells = _kernel(lam, specs[0].placement or frozenset(), None, low, nnum, stats)
 
     return [
-        _close(tail, ratio, tm, cells, low, sum(mins) + _tail_floor_num(tail), nnum)
-        for tail, ratio, tm in zip(tails, ratios, tms)
+        _close(tail, ratio, tm, cells, low, sum(mins) + floor, floor, nnum)
+        for tail, ratio, tm, floor in zip(tails, ratios, tms, floors)
     ]
 
 

@@ -5,16 +5,16 @@ triple products (A, B, q^M; q^M)_inf / (q; q)_inf on a common modulus
 exponent M.  A spec with A B = q^M and equal signs is in Jacobi's form
 (Andrews, *The Theory of Partitions*, Thm 2.8): at A = sign q^e its
 numerator is the theta series E - sign O, the halves at even and odd
-index, `qobjects._theta_terms`.  `eval_product_sums` multiplies each
-list's signed theta sum once by the cached 1/(q; q)_inf; when the list
-with every sign flipped, as z's and -z's are, is in the same batch, it
-multiplies the two halves instead, once for both.  Any other spec takes
-the factor route `_triple`, which the tests also use as the oracle.
+index, `qobjects._theta_terms`.  `eval_product_sums` multiplies both
+halves of each distinct Jacobi part by the cached 1/(q; q)_inf, once per
+batch, and reads every list off them as E - sign O, so the list with
+every sign flipped, as z's and -z's are, shares both products.  Any other
+spec takes the factor route `_triple`, which the tests also use as the
+oracle.
 """
 
 from __future__ import annotations
 
-from operator import add, sub
 from typing import List
 
 from .qobjects import Monomial, _theta_terms, partition_series, poch_infinite
@@ -60,23 +60,20 @@ def eval_product_sums(spec_lists, order) -> List[QSeries]:
     spec_lists = [list(specs) for specs in spec_lists]
     if not all(spec_lists):
         raise SpecError("empty product list")
-    inv, nnum, rows = partition_series(order), _ord_num(order), []
+    inv, nnum, shared, out = partition_series(order), _ord_num(order), {}, []
     for specs in spec_lists:
         jacobi = [t for t in specs if t.arg1.sign == t.arg2.sign and t.arg1.q_exp + t.arg2.q_exp == t.modulus_exp]
         acc = sum((_triple(t, order) * t.weight for t in specs if t not in jacobi), QSeries.zero())
         sign = jacobi[0].arg1.sign if jacobi else 1
         key = tuple((t.modulus_exp, t.arg1.q_exp, t.weight, t.arg1.sign * sign) for t in jacobi if t.weight)
-        rows.append((acc, sign, key))
-    seen, shared = {(key, sign) for _, sign, key in rows}, {}
-    for acc, sign, key in rows:
-        if key and (key, sign) not in shared:
-            halves = [0] * nnum, [0] * nnum  # a theta series in Jacobi's form starts at q^0
-            for m, e, w, rel in key:
-                for parity, x in _theta_terms(e.num, m.num, nnum):
-                    halves[parity][x] += w * rel if parity else w
-            if (key, -sign) in seen:  # the mirror is in the batch: one product per half serves both
-                even, odd = (QSeries(0, h, nnum) * inv for h in halves)
-                shared[key, 1], shared[key, -1] = even - odd, even + odd
-            else:
-                shared[key, sign] = QSeries(0, list(map(sub if sign > 0 else add, *halves)), nnum) * inv
-    return [acc + shared[key, sign] if key else acc for acc, sign, key in rows]
+        if key:
+            if key not in shared:  # the even and odd halves, each times 1/(q; q)_inf
+                halves = [0] * nnum, [0] * nnum  # a theta series in Jacobi's form starts at q^0
+                for m, e, w, rel in key:
+                    for parity, x in _theta_terms(e.num, m.num, nnum):
+                        halves[parity][x] += w * rel if parity else w
+                shared[key] = [QSeries(0, h, nnum) * inv for h in halves]
+            even, odd = shared[key]
+            acc = acc + (even - odd if sign > 0 else even + odd)  # E - sign O
+        out.append(acc)
+    return out

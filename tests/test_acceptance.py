@@ -279,7 +279,7 @@ def test_criterion_11_engine_soundness():
     # swapping the two product arguments of the odd overpartition closing
     # identity moves a q^(1/2) coefficient: 1 on the sum side, 0 mirrored
     z = Monomial(1, he(1))
-    lhs = eval_multisum(SummandSpec(1, (1,), tail=TailOverOdd(z, 0)), he(20))
+    lhs = eval_multisum(SummandSpec(1, (1,), tail=TailOverOdd(z)), he(20))
     mirrored = eval_product_sum(
         [TripleProductSpec(qe(3), Monomial(-1, qe(1) + he(1)), Monomial(-1, qe(2) - he(1)))],
         he(20),

@@ -134,7 +134,6 @@ def test_a_bool_or_float_is_no_exponent_sign_or_weight():
         lambda: SummandSpec(2, (0, 0), placement={True}),
         lambda: HalfInt(True),
         lambda: poch_finite(p1, True),
-        lambda: TailOverOdd(p1, True),
         lambda: EdgeSet([1.9, 3]),
         lambda: EdgeSet([True, 3]),
         lambda: EdgeSet(["1"]),
@@ -380,7 +379,7 @@ def test_over_3_printed_orientation_is_wrong():
     # first divergence sits at q^(1/2) already for k=0, z=q^(1/2)
     k = 0
     z = Monomial(1, he(1))
-    lhs = eval_multisum(SummandSpec(1, (1,), tail=TailOverOdd(z, k)), he(20))
+    lhs = eval_multisum(SummandSpec(1, (1,), tail=TailOverOdd(Monomial(1, he(1 - 2 * k)))), he(20))
     mirrored = eval_product_sum(
         [
             TripleProductSpec(

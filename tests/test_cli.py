@@ -7,7 +7,7 @@ import signal
 
 import pytest
 
-from qident import catalog
+from qident import IdentityCase, catalog
 from qident.cli import main
 
 
@@ -214,14 +214,18 @@ def test_suite_json_rows_sorted_by_id_then_input_order(tmp_path, capsys):
 def test_suite_worker_crash_row_has_every_report_field(monkeypatch):
     from qident import cli
 
-    _, normal = cli._run_suite_case((0, "AG", {"k": 1, "r": 0}, "20"))
+    job = (0, IdentityCase("AG", {"k": 1, "r": 0}, "20"))
+    _, normal = cli._run_suite_case(job)
 
     def crash(case):
         raise MemoryError("out of memory")
 
     monkeypatch.setattr(cli, "verify", crash)
-    _, row = cli._run_suite_case((0, "AG", {"k": 1, "r": 0}, "20"))
+    _, row = cli._run_suite_case(job)
     assert row.keys() == normal.keys()
+    # the case's fields read as in a report: the order 20, not the token "20"
+    assert [row[f] for f in ("id", "params", "order")] == [normal[f] for f in ("id", "params", "order")]
+    assert row["order"] == 20
     assert row["status"] == "error" and row["detail"] == "out of memory"
     assert row["tuple_count"] == row["node_count"] == row["pruned_count"] == 0
 
@@ -254,7 +258,7 @@ def test_suite_dead_worker_gives_error_rows_and_leaves_no_child(die, detail, tmp
     parent, run_case = os.getpid(), cli._run_suite_case
 
     def die_in_a_child(job):
-        if os.getpid() != parent and job[1] == "AG":
+        if os.getpid() != parent and job[1].id == "AG":
             die()
         return run_case(job)
 
@@ -356,9 +360,10 @@ def test_suite_leftover_criterion_is_a_config_error(tmp_path, capsys):
 
 def test_suite_empty_is_a_pass(tmp_path, capsys):
     path = _write_suite(tmp_path, {"cases": []})
-    code, out, _ = run(capsys, "suite", path)
-    assert code == 0
-    assert "0 cases" in out
+    for jobs in ([], ["--jobs", "2"]):  # no jobs still make one shard
+        code, out, _ = run(capsys, "suite", path, *jobs)
+        assert code == 0
+        assert "0 cases" in out, jobs
 
 
 def test_suite_case_error_is_never_expected(tmp_path, capsys):

@@ -94,7 +94,7 @@ _RECORDS = {
     "TailOdd": (TailOdd, TailEven()),
     "TailEven": (TailEven, TailOdd()),
     "TailOver": (lambda: TailOver(_Z), TailOver(_Z.inverted())),
-    "TailOverOdd": (lambda: TailOverOdd(_Z, 1), TailOverOdd(_Z, 2)),
+    "TailOverOdd": (lambda: TailOverOdd(Monomial(1, he(0))), TailOverOdd(Monomial(1, he(-2)))),
     "SummandSpec": (lambda: SummandSpec(2, [1, 0], {1}, TailOver(_Z)), SummandSpec(2, (1, 0), {1})),
     "SumStats": (lambda: SumStats(1, 2, 3), None),
     "IdentityCase": (lambda: IdentityCase("AG", {"k": 1, "r": 0}, 30), None),

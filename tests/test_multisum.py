@@ -50,7 +50,7 @@ def _tail_pair(rng):
     if kind == "over":
         return TailOver(Monomial(sign, HalfInt(mnum))), ("over", sign, mnum)
     kk = rng.randint(0, 2)
-    return TailOverOdd(Monomial(sign, HalfInt(mnum)), kk), ("over_odd", sign, mnum, kk)
+    return TailOverOdd(Monomial(sign, HalfInt(mnum - 2 * kk))), ("over_odd", sign, mnum, kk)
 
 
 def random_spec(rng):
@@ -122,7 +122,7 @@ def test_frame_floor_is_a_certified_lower_bound(monkeypatch):
     rng = random.Random(99)
     frames = []
     monkeypatch.setattr(ms, "_close", lambda *args: frames.append(args[5]) or _close(*args))
-    first_factor = SummandSpec(2, (-1, 0), placement={1}, tail=TailOverOdd(Monomial(1, he(3)), 0))
+    first_factor = SummandSpec(2, (-1, 0), placement={1}, tail=TailOverOdd(Monomial(1, he(3))))
     for i in range(41):
         spec, descriptor = random_spec(rng) if i < 40 else (first_factor, ("over_odd", 1, 3, 0))
         prefix_len, prefix, cap = rng.randint(1, spec.k), [], rng.randint(0, 6)
@@ -143,7 +143,7 @@ def test_running_min_of_tail_minima_is_the_capped_floor():
     for mnum in (-3, -1, 0, 2, 5):
         for sign in (1, -1):
             z = Monomial(sign, HalfInt(mnum))
-            tails += [TailOver(z), TailOverOdd(z, 0), TailOverOdd(z, 2)]
+            tails += [TailOver(z), TailOverOdd(z), TailOverOdd(Monomial(sign, HalfInt(mnum - 4)))]
     for tail in tails:
         row = list(accumulate((tail_min_num(tail, s) for s in range(40)), min))
         assert row[-1] == _tail_floor_num(tail), tail  # settled at the uncapped floor
@@ -154,8 +154,8 @@ def test_running_min_of_tail_minima_is_the_capped_floor():
 
 def test_overpartition_tail_minima_in_closed_form():
     # tail_min_num of TailOver and TailOverOdd against sums of
-    # sum_{i<s} min(0, c + 2i), c in {m, 2 - m} with m the z exponent less
-    # twice the offset, exhaustively for |c|, s <= 30
+    # sum_{i<s} min(0, c + 2i), c in {m, 2 - m} with m the z exponent, and of
+    # the offset closing factor at z q^(-off), exhaustively for |c|, s <= 30
 
     def summed(c, s):
         return sum(min(0, c + 2 * i) for i in range(s))
@@ -166,7 +166,7 @@ def test_overpartition_tail_minima_in_closed_form():
             assert tail_min_num(TailOver(z), s) == summed(c, s) + summed(2 - c, s), (c, s)
             for off in (-2, 0, 1, 3):
                 want = summed(2 * off + 2 - c, s + 1) + summed(c - 2 * off, s)
-                assert tail_min_num(TailOverOdd(z, off), s) == want, (c, off, s)
+                assert tail_min_num(TailOverOdd(Monomial(1, HalfInt(c - 2 * off))), s) == want, (c, off, s)
 
 
 def test_index_and_tail_floors_equal_brute_force_minima():
@@ -181,7 +181,8 @@ def test_index_and_tail_floors_equal_brute_force_minima():
     for mnum in range(-9, 10):
         for sign in (1, -1):
             z = Monomial(sign, HalfInt(mnum))
-            for tail in [TailOver(z)] + [TailOverOdd(z, off) for off in range(-2, 4)]:
+            odd = [TailOverOdd(Monomial(sign, HalfInt(mnum - 2 * off))) for off in range(-2, 4)]
+            for tail in [TailOver(z)] + odd:
                 want = min(tail_min_num(tail, s) for s in range(60))
                 assert _tail_floor_num(tail) == want, tail
 
@@ -189,7 +190,7 @@ def test_index_and_tail_floors_equal_brute_force_minima():
 def test_uncapped_over_odd_floor_counts_the_first_factor():
     # at s = 0 the (s+1)-term product already contributes q^(-1/2); a floor
     # that starts at 0 makes the working order and the first-index cap too small
-    spec = SummandSpec(2, (-1, 0), placement={1}, tail=TailOverOdd(Monomial(1, he(3)), 0))
+    spec = SummandSpec(2, (-1, 0), placement={1}, tail=TailOverOdd(Monomial(1, he(3))))
     got = eval_multisum(spec, he(12))
     want = brute_force_multisum(2, (-1, 0), spec.placement, ("over_odd", 1, 3, 0), 12, cap=18)
     for e in range(12):
@@ -217,7 +218,7 @@ def test_engine_refuses_a_tail_known_below_the_needed_order(monkeypatch):
     import qident.multisum as ms
 
     monkeypatch.setattr(ms, "_tail_floor_num", lambda tail: 0)
-    spec = SummandSpec(1, (0,), tail=TailOverOdd(Monomial(1, he(3)), 0))
+    spec = SummandSpec(1, (0,), tail=TailOverOdd(Monomial(1, he(3))))
     with pytest.raises(IllPosedError):
         eval_multisum(spec, he(12))
     assert verify(make_case("CURIOUS", order=qe(20))).status == "error"
@@ -298,7 +299,7 @@ def test_tail_values_match_the_naive_oracle(wnum):
         for m in _POLICY_MS:
             z = Monomial(sign, he(m))
             tails.append((TailOver(z), ("over", sign, m)))
-            tails.append((TailOverOdd(z, 1), ("over_odd", sign, m, 1)))
+            tails.append((TailOverOdd(Monomial(sign, he(m - 2))), ("over_odd", sign, m, 1)))
     grids = set()
     for tail, descriptor in tails:
         lo = min(0, _tail_floor_num(tail))
@@ -307,7 +308,7 @@ def test_tail_values_match_the_naive_oracle(wnum):
         low = list(accumulate(tm, min))
         for s in range(31):
             unit = (0, [1] + [0] * ((wnum - low[s]) // 2))
-            got = _close(tail, ratio, tm, [None] * s + [unit], low, lo, wnum)
+            got = _close(tail, ratio, tm, [None] * s + [unit], low, lo, _tail_floor_num(tail), wnum)
             want = naive_tail(descriptor, s, wnum + 40)
             assert got.order == he(wnum), (tail, s)
             assert [got.coefficient(he(e)) for e in range(lo, wnum)] == [want.coeff(e) for e in range(lo, wnum)], (tail, s)
@@ -324,7 +325,7 @@ def _oracle_tails():
             z = Monomial(sign, he(m))
             tails.append((TailOver(z), ("over", sign, m)))
             for offset in (-1, 0, 1):
-                tails.append((TailOverOdd(z, offset), ("over_odd", sign, m, offset)))
+                tails.append((TailOverOdd(Monomial(sign, he(m - 2 * offset))), ("over_odd", sign, m, offset)))
     return tails
 
 
@@ -361,7 +362,7 @@ def test_capped_tail_values_match_the_naive_oracle(monkeypatch):
         seen.clear()
         lengths.clear()
         eval_multisum(SummandSpec(k, linear, placement=frozenset(placement), tail=tail), he(60 + n % 2))
-        ((_, _, _, kernel, _, base, nnum), got), = seen
+        ((_, _, _, kernel, _, base, _, nnum), got), = seen
         want = _naive_closing(descriptor, kernel, nnum)
         assert [got.coefficient(he(e)) for e in range(base, nnum)] == [want.coeff(e) for e in range(base, nnum)], tail
         assert want.offset >= base or not any(want.coeffs[: base - want.offset]), tail
@@ -380,7 +381,7 @@ def test_tail_passes_run_no_longer_than_their_reach(monkeypatch):
     passes, closing = [], []
 
     def close(*args):
-        tail, base, nnum = args[0], args[5], args[6]
+        tail, base, nnum = args[0], args[5], args[7]
         closing.append(_frame(tail, base, nnum))
         try:
             return _close(*args)
@@ -405,7 +406,7 @@ def _descriptor(tail):
         return ("odd",)
     if isinstance(tail, TailOver):
         return ("over", tail.z.sign, tail.z.q_exp.num)
-    return ("over_odd", tail.z.sign, tail.z.q_exp.num, tail.offset)
+    return ("over_odd", tail.z.sign, tail.z.q_exp.num, 0)
 
 
 @pytest.mark.parametrize("ordnum", (16, 17))
@@ -433,7 +434,7 @@ def test_batches_match_the_brute_force_on_every_z_row(ordnum):
                     batches.append([odd.summand(p, z.inverted()) for z in zs])
     # and tails whose floors lie far apart: the batch caps its first index
     # at the lowest
-    far = (TailOdd(), TailOver(Monomial(-1, he(-10))), TailOverOdd(Monomial(1, he(5)), 0))
+    far = (TailOdd(), TailOver(Monomial(-1, he(-10))), TailOverOdd(Monomial(1, he(5))))
     batches.append([SummandSpec(1, (0,), tail=tail) for tail in far])
     for specs in batches:
         for spec, got in zip(specs, eval_multisums(specs, he(ordnum))):
@@ -444,10 +445,11 @@ def test_batches_match_the_brute_force_on_every_z_row(ordnum):
 
 def test_the_kernel_is_built_once_per_batch(monkeypatch):
     # twelve tails whose minima are all zero share the kernel of any one of
-    # them: the passes outside the closings are the same for 1 sample and 12
+    # them: the passes outside the closings are the same for 1 sample and 12;
+    # and each tail's floor is computed once per batch
     import qident.multisum as ms
 
-    count, closing = {"kernel": 0, "closings": 0}, []
+    count, closing = {"kernel": 0, "closings": 0, "floors": 0}, []
 
     def close(*args):
         closing.append(1)
@@ -461,20 +463,26 @@ def test_the_kernel_is_built_once_per_batch(monkeypatch):
         count["kernel"] += not closing
         return real(c, d)
 
+    def tail_floor_num(tail):
+        count["floors"] += 1
+        return _tail_floor_num(tail)
+
     real = ms._prefix_add
     monkeypatch.setattr(ms, "_close", close)
     monkeypatch.setattr(ms, "_prefix_add", prefix_add)
+    monkeypatch.setattr(ms, "_tail_floor_num", tail_floor_num)
     z = [Monomial(sign, he(m)) for m in (0, 1, 2) for sign in (1, -1)]
-    tails = [TailOver(w) for w in z] + [TailOverOdd(w, 0) for w in z]
+    tails = [TailOver(w) for w in z] + [TailOverOdd(w) for w in z]
     assert all(tail_min_num(tail, s) == 0 for tail in tails for s in range(20))
     runs = []
     for batch in (tails[:1], tails):
-        count.update(kernel=0, closings=0)
+        count.update(kernel=0, closings=0, floors=0)
         stats = SumStats()
         sums = eval_multisums([SummandSpec(3, (0, 1, 0), placement={2}, tail=tail) for tail in batch], qe(40), stats)
-        runs.append((count["kernel"], count["closings"], stats, sums[0]))
-    (one, c1, s1, v1), (twelve, c12, s12, v12) = runs
+        runs.append((count["kernel"], count["closings"], count["floors"], stats, sums[0]))
+    (one, c1, f1, s1, v1), (twelve, c12, f12, s12, v12) = runs
     assert one == twelve > 0 and (c1, c12) == (1, 12) and s1 == s12 and v1 == v12
+    assert (f1, f12) == (1, 12)
 
 
 def test_tails_multiply_no_series_and_build_no_gaussian_polynomial(monkeypatch):
@@ -485,7 +493,7 @@ def test_tails_multiply_no_series_and_build_no_gaussian_polynomial(monkeypatch):
     monkeypatch.setattr(QSeries, "__mul__", lambda a, b: calls.append("mul") or mul(a, b))
     monkeypatch.setattr(qo, "qbinom_poly", lambda n, k: calls.append("qbinom") or qbinom_poly(n, k))
     z = Monomial(-1, he(1))
-    for tail in (TailOdd(), TailEven(), TailOver(z), TailOverOdd(z, 1)):
+    for tail in (TailOdd(), TailEven(), TailOver(z), TailOverOdd(Monomial(-1, he(-1)))):
         eval_multisum(SummandSpec(2, (0, 1), placement=frozenset({2}), tail=tail), qe(40))
         assert calls == [], tail
     monkeypatch.setattr(QSeries, "__mul__", mul)
@@ -542,7 +550,7 @@ def test_engine_matches_brute_force_on_both_grids():
         for sign in (1, -1):
             z = Monomial(sign, he(m))
             tails.append((TailOver(z), ("over", sign, m)))
-            tails.append((TailOverOdd(z, 1), ("over_odd", sign, m, 1)))
+            tails.append((TailOverOdd(Monomial(sign, he(m - 2))), ("over_odd", sign, m, 1)))
     grids = set()
     for n, (tail, descriptor) in enumerate(tails):
         k, linear, placement = shapes[n % len(shapes)]
