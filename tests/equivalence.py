@@ -1,0 +1,159 @@
+"""Equivalence of qident's outputs between the working tree and a revision.
+
+    python tests/equivalence.py REV [GRID ...]
+
+REV is a git revision, exported with `git archive` into a temporary
+directory, or a directory that holds a source tree (its `src/`).  Each named
+grid (default: all of `GRIDS`) runs in both trees, each tree in a fresh
+interpreter, and the first case that differs is printed; the exit status is
+1 on a difference, else 0.  A case's record is its report, less the elapsed
+time, and every check its runner builds: the label and both sides in
+canonical form, a `QSeries` as (min, coefficients, order) and a `ZLaurent`
+as (order, span, slices).  A case whose runner raises records the error.
+"""
+
+from __future__ import annotations
+
+import io
+import json
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from typing import List, Optional, Tuple
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+ORDERS = ("40", "81/2", "120", None)  # None: the id's default order
+Z = {"z_sign": "-", "z_exp": "1/2"}
+
+Case = Tuple[str, dict, Optional[str]]  # (id, params, order token)
+
+
+def _at_orders(params: List[Tuple[str, dict]]) -> List[Case]:
+    return [(id, p, order) for id, p in params for order in ORDERS]
+
+
+def _sums() -> List[Case]:
+    """Every z row and CURIOUS at k <= 3 (each j), at sampled and explicit z; AG,
+    BRESSOUD_EVEN and NEG_AG at k <= 3, each r."""
+    rows = [("OVER_1", {"k": k, "j": j}) for k in range(4) for j in range(k + 2)]
+    rows += [("OVER_2", {"k": k, "j": j}) for k in range(4) for j in range(k + 2)]
+    rows += [(id, {"k": k}) for id in ("OVER_3", "COR_INFTY") for k in range(4)] + [("CURIOUS", {})]
+    rows += [(id, dict(p, **Z)) for id, p in rows]
+    rows += [(id, {"k": k, "r": r}) for id in ("AG", "BRESSOUD_EVEN", "NEG_AG")
+             for k in range(1, 4) for r in range(k + 1)]
+    return _at_orders(rows)
+
+
+def _limits() -> List[Case]:
+    """H_LIMIT at a = 1/2 .. 11/2, F_LIMIT at j <= 3 and a = 7/2, 11/2."""
+    rows = [("H_LIMIT", {"a": f"{a}/2"}) for a in range(1, 12)]
+    rows += [("F_LIMIT", {"j": j, "a": a}) for j in range(4) for a in ("7/2", "11/2")]
+    return _at_orders(rows)
+
+
+def _exact() -> List[Case]:
+    """KEY_LEMMA, ITER_PROP and ANDREWS_ANSWER at n <= 4."""
+    rows = [("KEY_LEMMA", {"n": n, "a": "3/2"}) for n in range(5)]
+    rows += [("ITER_PROP", {"n": n, "k": 1, "a": "3/2"}) for n in range(5)]
+    rows += [("ANDREWS_ANSWER", {"k": 2, "r": 1, "n": n}) for n in range(5)]
+    return _at_orders(rows)
+
+
+GRIDS = {"sums": _sums, "limits": _limits, "exact": _exact}
+
+
+def _canon(x):
+    """A JSON value that two equal sides share, whatever tree built them."""
+    name = type(x).__name__
+    if name == "QSeries":
+        return ["QSeries", x._min, x._coeffs, x._ordnum]
+    if name == "ZLaurent":
+        return ["ZLaurent", x._ordnum, x._span, [[k, _canon(s)] for k, s in sorted(x._terms.items())]]
+    if isinstance(x, (bool, int, str)) or x is None:
+        return x
+    return [name, repr(x)]
+
+
+def _record(case: Case) -> dict:
+    """The case's report fields (all but the elapsed time) and its checks."""
+    from qident import SumStats, catalog, make_case
+
+    id, params, order = case
+    rep = catalog.verify(make_case(id, order=order, **params))
+    out = {f: _canon(getattr(rep, f)) for f in rep.__slots__ if f not in ("case", "elapsed")}
+    try:
+        entry, p, ordnum = catalog._prepare(rep.case)
+        out["checks"] = [[c.label, _canon(c.lhs), _canon(c.rhs)] for c in entry.runner(p, ordnum, SumStats())]
+    except Exception as e:  # the report holds the same error
+        out["checks"] = f"{type(e).__name__}: {e}"
+    return out
+
+
+def run_cases(tree: str, cases: List[Case]) -> List[dict]:
+    """Each case's record, computed on `tree`'s package in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    proc = subprocess.run(
+        [sys.executable, os.path.abspath(__file__), "--child"],
+        input=json.dumps(cases), env=env, capture_output=True, text=True, cwd=tree,
+    )
+    if proc.returncode:
+        raise RuntimeError(f"the run on {tree} failed:\n{proc.stderr}")
+    return json.loads(proc.stdout)
+
+
+def first_difference(cases: List[Case], here: List[dict], there: List[dict]) -> Optional[str]:
+    """The first case whose records differ, with the first field that does; None when all agree."""
+    for case, a, b in zip(cases, here, there):
+        if a == b:
+            continue
+        for field in a:
+            if field == "checks" and isinstance(a[field], list) and isinstance(b[field], list):
+                if len(a[field]) != len(b[field]):
+                    return f"{case}: {len(a[field])} checks here, {len(b[field])} there"
+                for i, (x, y) in enumerate(zip(a[field], b[field])):
+                    for part, u, v in zip(("label", "lhs", "rhs"), x, y):
+                        if u != v:
+                            return f"{case}: check {i} {part}: here {u}, there {v}"
+            elif a[field] != b.get(field):
+                return f"{case}: {field}: here {a[field]}, there {b.get(field)}"
+        return f"{case}: fields here {sorted(a)}, there {sorted(b)}"
+    return None
+
+
+def _export(rev: str, into: str) -> str:
+    """`git archive` of rev, unpacked into the directory `into`."""
+    tar = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT, capture_output=True, check=True)
+    with tarfile.open(fileobj=io.BytesIO(tar.stdout)) as t:
+        t.extractall(into)
+    return into
+
+
+def compare(other: str, grids: List[str]) -> int:
+    """Run the grids on the working tree and on `other`, a tree; print the outcome."""
+    for name in grids:
+        cases = GRIDS[name]()
+        diff = first_difference(cases, run_cases(ROOT, cases), run_cases(other, cases))
+        print(f"{name}: {len(cases)} cases, " + ("no difference" if diff is None else f"first difference: {diff}"))
+        if diff is not None:
+            return 1
+    return 0
+
+
+def main(argv: List[str]) -> int:
+    if argv == ["--child"]:
+        json.dump([_record(tuple(c)) for c in json.load(sys.stdin)], sys.stdout)
+        return 0
+    if not argv or argv[0].startswith("-") or not set(argv[1:]) <= set(GRIDS):
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    grids = argv[1:] or list(GRIDS)
+    if os.path.isdir(argv[0]):
+        return compare(os.path.abspath(argv[0]), grids)
+    with tempfile.TemporaryDirectory() as tmp:
+        return compare(_export(argv[0], tmp), grids)
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

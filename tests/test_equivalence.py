@@ -1,0 +1,25 @@
+"""tests/equivalence.py on three cases, the working tree on both sides."""
+
+import copy
+
+import equivalence
+
+
+def test_equivalence_of_the_working_tree_with_itself():
+    cases = [("AG", {"k": 1, "r": 0}, "40"), ("CURIOUS", equivalence.Z, "81/2"),
+             ("KEY_LEMMA", {"n": 2, "a": "3/2"}, None)]
+    here = equivalence.run_cases(equivalence.ROOT, cases)
+    there = equivalence.run_cases(equivalence.ROOT, cases)
+    assert equivalence.first_difference(cases, here, there) is None
+    # a record is the report less its elapsed time, and the checks in canonical form
+    ag, curious, key = here
+    assert "elapsed" not in ag and ag["status"] == "pass" and ag["tuple_count"] > 0
+    assert ag["checks"][0][0] == "k=1 r=0: sum vs modulus-5 product"
+    assert ag["checks"][0][1][0] == "QSeries" and ag["checks"][0][1][3] == 80  # order q^40 in half-units
+    assert [c[0] for c in curious["checks"]][0] == "z=-q^1/2: even-index expansion vs product"
+    assert key["checks"][0][1][0] == "ZLaurent"
+    # one changed coefficient is the first difference
+    changed = copy.deepcopy(there)
+    changed[1]["checks"][1][2][2][0] += 1
+    diff = equivalence.first_difference(cases, here, changed)
+    assert diff.startswith("('CURIOUS', ") and ": check 1 rhs: here " in diff
