@@ -21,9 +21,8 @@ latter into 1/(q)_d.  The binomial column `_qbinom_column`, H, every multisum
 tail and every Pochhammer product are built from these passes: `_poch_rows`
 makes one two-term pass per factor (sign, k, e), 1 - sign z^k q^(e/2), on one
 list per z-power, and `poch_finite` is its row k = 0.  H's column `_h_column`
-walks either up from [2n, 0] or out from the centre [2n, n], which below q^L
-is 1/(q)_inf times the factors 1 - q^i with n < i < L (the box lemma), and
-takes the walk that moves the list fewer times.  Each pass is a few
+walks out from the centre [2n, n] when n + 1 >= L, since below q^L it is then
+1/(q)_inf (the box lemma), and up from [2n, 0] otherwise.  Each pass is a few
 whole-slice operations, never a Python loop over slots: `_two_term` one,
 `_prefix_add` at most min(d, ceil(len / d)), an `accumulate` per residue class
 mod d when d^2 < len, else one block add per d slots.
@@ -32,7 +31,7 @@ mod d when d^2 < len, else one block add per d slots.
 from __future__ import annotations
 
 import math
-from itertools import accumulate, chain
+from itertools import accumulate
 from operator import add, sub
 from typing import Callable, Iterator, Optional, Tuple
 
@@ -146,44 +145,32 @@ def _qbinom_column(N: int, top: int, length: int, first: int = 0) -> Iterator[Tu
 
 
 def _centre_column(n: int, top: int, length: int) -> Iterator[Tuple[int, list]]:
-    """Yield (n - s, [2n, n - s]_q) for s = 0..top, whole-q, truncated to L = `length`.
+    """Yield (n - s, [2n, n - s]_q) for s = 0..top, whole-q, truncated to L = `length` <= n + 1.
 
-    The walk starts at the centre: below q^L,
-        [2n, n] = 1/(q)_inf * prod_{n<i<L} (1 - q^i) * prod_{n<i<=min(2n, L-1)} (1 - q^i),
-    with 1/(q)_inf off `partition_series`, and steps s to s + 1 by
-    (1 - q^(n-s)) / (1 - q^(n+s+1)).  A factor at or above q^L leaves the
-    list as it is.  Read each value before advancing.
+    The walk starts at the centre: below q^L, L <= n + 1, [2n, n] is
+    1/(q)_inf (the box lemma), off `partition_series`.  The step s to s + 1
+    multiplies by (1 - q^(n-s)) / (1 - q^(n+s+1)), and the divisor lies at or
+    past q^L, so a step is one two-term pass.  Read each value before
+    advancing.
     """
     b = partition_series(qe(length))._coeffs[::2]
     b += [0] * (length - len(b))
-    for i in chain(range(n + 1, length), range(n + 1, min(2 * n, length - 1) + 1)):
-        _two_term(b, -1, i)
     yield n, b
     for s in range(top):
-        yield n - s - 1, _prefix_add(_two_term(b, -1, n - s), n + s + 1)
+        yield n - s - 1, _two_term(b, -1, n - s)
 
 
 def _h_column(n: int, top: int, length: int) -> Iterator[Tuple[int, list]]:
     """H's slices s = 0..top: (n - s, [2n, n - s]_q) below q^L, L = `length`.
 
-    Both walks are exact; this takes the one with fewer passes that move
-    the list (a factor at or above q^L does not).  Upward, `_qbinom_column`
-    makes about 2 min(n, L) such passes; from the centre, about
-    2 max(0, L - 1 - n) to build the anchor and 2 top to walk, so none for
-    the anchor once n >= L - 1, as at every certified limit.
+    From the centre, `_centre_column`, when n + 1 >= L, as at every certified
+    limit; else up from [2n, 0], `_qbinom_column`.  Both walks are exact.
     """
     if top < 0:
         return iter(())
-    # Passes that move the list.  Upward step k: the two-term pass when
-    # 2n - k + 1 < L, the prefix-add when k < L.  Centre: the anchor's
-    # factors, then at step s the two-term when n - s < L and the
-    # prefix-add when n + s + 1 < L.
-    L, cut = length, max(length - 1 - n, 0)
-    up = min(cut, n) + min(L - 1, n)
-    centre = cut + min(cut, n) + top - min(max(n - L + 1, 0), top) + min(cut, top)
-    if up <= centre:
-        return _qbinom_column(2 * n, n, L, n - top)
-    return _centre_column(n, top, L)
+    if n + 1 >= length:
+        return _centre_column(n, top, length)
+    return _qbinom_column(2 * n, n, length, n - top)
 
 
 def qbinom_poly(n: int, k: int):

@@ -666,6 +666,22 @@ def test_limit_cases_walk_one_column_per_certified_n(monkeypatch):
         assert [c.label for c in entry.runner(params, wnum, SumStats())] == labels
 
 
+def test_limit_walks_start_at_the_centre(monkeypatch):
+    # a certified n is at least L - 1, since `_certified_n` takes its minimum
+    # over an s range that holds s = 0, so every `_h_window` walk of the
+    # limits grid of tests/equivalence.py starts at [2n, n] = 1/(q)_inf
+    import equivalence
+    import qident.hfamily as hfamily
+
+    walks = []
+    column = hfamily._h_column
+    monkeypatch.setattr(hfamily, "_h_column", lambda *a: walks.append(a) or column(*a))
+    for id, params, order in equivalence.GRIDS["limits"]():
+        verify(make_case(id, order=order, **params))
+    assert len(walks) == 91  # 76 cases, 15 of them at two certified n
+    assert all(n + 1 >= length for n, _, length in walks), [w for w in walks if w[0] + 1 < w[2]]
+
+
 def test_limit_walks_reuse_the_product_sides_partition_series(monkeypatch):
     # the centre anchor reads 1/(q)_inf at the case order, which the
     # product side builds anyway: the one-entry cache holds nothing deeper

@@ -1,6 +1,5 @@
 """q-binomials, Pochhammer products, and the classical partition series."""
 
-import time
 from itertools import product
 
 import pytest
@@ -215,46 +214,56 @@ def test_partition_cache_keeps_one_deepest_entry(monkeypatch):
 
 
 def test_partition_series_walks_only_the_pentagonal_terms(monkeypatch):
-    # 1/(q)_inf below q^N by the pentagonal recurrence, O(N sqrt N): a cold
-    # q^2400 took 0.53 s when the inverse walked every slot of (q)_inf
+    # 1/(q)_inf below q^N by the pentagonal recurrence: each slot reads only
+    # the nonzero terms of (q)_inf below it, about 2 sqrt(2i/3) of them, so
+    # the inverse makes about 128k multiplications at N = 2400 slots, and a
+    # walk over every slot of (q)_inf would make N^2/2 = 2.88M
     import qident.qobjects as qo
 
+    class Counted(int):
+        def __mul__(self, other):
+            calls[0] += 1
+            return int(self) * other
+
+    calls = [0]
+    euler = qo.euler_series
+    counted = lambda order: QSeries(0, [Counted(c) for c in euler(order)._coeffs], order.num)
     monkeypatch.setattr(qo, "_PARTITION_CACHE", {})
-    t0 = time.perf_counter()
+    monkeypatch.setattr(qo, "euler_series", counted)
     p = partition_series(qe(2400))
-    assert time.perf_counter() - t0 < 0.25
+    assert 0 < calls[0] <= 3 * 2400**1.5
     assert (p.coefficient(qe(100)), p.coefficient(qe(200))) == (190569292, 3972999029388)
 
 
 def test_h_column_anchors_match_the_column_and_the_naive_binomials(monkeypatch):
-    # both walks of [2n, n - s] for s = 0..top, each forced, at every top and
-    # at lengths L <= n + 1 (no correction factor), n + 1 < L <= 2n + 1 (the
-    # second product cut at L - 1) and L > 2n + 1 (both products whole)
+    # both walks of [2n, n - s] for s = 0..top against the naive binomials:
+    # the centre walk at every length L <= n + 1, where [2n, n] is 1/(q)_inf
+    # below q^L, the upward walk at every length, and the choice at every top
+    # on a spread of lengths on both sides of n + 1
     import qident.qobjects as qo
 
-    picks = []
-    centre = qo._centre_column
-    monkeypatch.setattr(qo, "_centre_column", lambda *a: picks.append(a) or centre(*a))
-    grid = 0
     for n in range(41):
         deep = 2 * (2 * n + 4)
         want = [[n_qbinom(2 * n, k, deep).coeff(e) for e in range(deep)] for k in range(n + 1)]
-        lengths = {1, n // 2, n, n + 1, n + 2, (3 * n) // 2 + 1, 2 * n + 1, 2 * n + 2, 2 * n + 4}
-        for L in sorted(lengths - {0}):
+        for L in range(1, 2 * n + 5):
             cols = [w[: 2 * L : 2] for w in want]
-            # each forced walk at two tops (a shorter one is a prefix), the choice at every top
-            walks = [(t, _qbinom_column(2 * n, n, L, n - t)) for t in {n // 2, n}]
-            walks += [(t, _centre_column(n, t, L)) for t in {n // 2, n}]
-            walks += [(t, _h_column(n, t, L)) for t in range(n + 1)]
+            # each forced walk to the top (a shorter one is a prefix)
+            walks = [(n, _qbinom_column(2 * n, n, L))]
+            if L <= n + 1:
+                walks.append((n, _centre_column(n, n, L)))
+            if L in {1, n // 2, n, n + 1, n + 2, (3 * n) // 2 + 1, 2 * n + 1, 2 * n + 4}:
+                walks += [(t, _h_column(n, t, L)) for t in range(n + 1)]
             for top, walk in walks:
                 # a value that is wrong drops its k from the list
                 assert sorted(k for k, b in walk if b == cols[k]) == list(range(n - top, n + 1)), (n, L, top)
-            grid += n + 1
-    # the choice reached both walks in both ranges below L = 2n + 2
-    chosen = {(n, L) for n, top, L in picks}
-    assert 0 < len(picks) < grid
-    assert any(L <= n + 1 for n, L in chosen) and any(n + 1 < L <= 2 * n + 1 for n, L in chosen)
     assert list(_h_column(5, -1, 8)) == []
+    # the centre walk exactly when n + 1 >= L, at every top and length
+    monkeypatch.setattr(qo, "_centre_column", lambda *a: ("centre",) + a)
+    monkeypatch.setattr(qo, "_qbinom_column", lambda *a: ("up",) + a)
+    for n in range(41):
+        for L in range(1, 2 * n + 5):
+            for t in range(n + 1):
+                assert _h_column(n, t, L) == (("centre", n, t, L) if n + 1 >= L else ("up", 2 * n, n, L, n - t))
 
 
 def test_monomial_helpers():
