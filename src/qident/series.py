@@ -299,8 +299,6 @@ def _min_ord(a: Optional[int], b: Optional[int]) -> Optional[int]:
 def _convolve_kronecker(a: list, b: list, out_len: int) -> list:
     ma = max(map(abs, a))
     mb = max(map(abs, b))
-    if ma == 0 or mb == 0:
-        return [0] * out_len
     # every result digit is bounded by ma*mb*overlap; digits of nb bytes hold
     # it with a sign bit to spare, so adding H = 2^(8 nb - 1) to each makes
     # every digit nonnegative with no carry between digits
