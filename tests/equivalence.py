@@ -1,12 +1,15 @@
-"""Equivalence of qident's outputs between the working tree and a revision.
+"""Equivalence of qident's outputs between two trees.
 
     python tests/equivalence.py REV [GRID ...]
+    python tests/equivalence.py REV1 REV2 [GRID ...]
 
-REV is a git revision, exported with `git archive` into a temporary
-directory, or a directory that holds a source tree (its `src/`).  Each named
-grid (default: all of `GRIDS`) runs in both trees, each tree in a fresh
-interpreter, and the first case that differs is printed; the exit status is
-1 on a difference, else 0.  A case's record is its report, less the elapsed
+With one revision the working tree is compared with REV, with two REV1 with
+REV2; the grids are this file's either way.  A revision is a git revision,
+exported with `git archive` into a temporary directory, or a directory that
+holds a source tree (its `src/`).  Each named grid (default: all of `GRIDS`)
+runs in both trees, each tree in a fresh interpreter, and the first case
+that differs is printed, "here" the first tree and "there" the second; the
+exit status is 1 on a difference, else 0.  A case's record is its report, less the elapsed
 time, and every check its runner builds: the label and both sides in
 canonical form, a `QSeries` as (min, coefficients, order) and a `ZLaurent`
 as (order, span, slices).  A case whose runner raises records the error.
@@ -61,7 +64,27 @@ def _exact() -> List[Case]:
     return _at_orders(rows)
 
 
-GRIDS = {"sums": _sums, "limits": _limits, "exact": _exact}
+def _structural() -> List[Case]:
+    """The finite-n ids at small n, each at its default order q^40 or exact,
+    and KEY_LEMMA and F_SUM at the n from 20 to 60 where a walk of H's column
+    that reaches q^40 can start either up from [2n, 0] or at the centre."""
+    As = ("1/2", "3/2", "2", "5/2")
+    rows = [(id, {"n": n, "a": a}) for id in ("KEY_LEMMA", "NEW_PROP") for n in range(7) for a in As]
+    rows += [(id, {"n": n, "j": j, "a": a}) for id in ("F_SUM", "NEW_PROP2", "ANOTHER_F", "RECURSE_F")
+             for n in range(7) for j in range(3) for a in As if j or id in ("F_SUM", "NEW_PROP2")]
+    rows += [("ITER_PROP", {"n": n, "k": k, "a": a}) for n in range(7) for k in range(3) for a in As]
+    rows += [("ITERATE_BRESS", {"n": n, "k": k}) for n in range(7) for k in range(3)]
+    rows += [("SPECIAL_A", {"n": n}) for n in range(7)]
+    rows += [("FUNC_EQ", {"n": n, "c": c}) for n in range(7) for c in ("1", "3/2")]
+    rows += [("EVEN_FACT", {"s_max": s}) for s in (6, 30, 50)]
+    rows += [("ANDREWS_ANSWER", {"k": k, "r": r, "n": n}) for k in range(1, 4) for r in range(k + 1)
+             for n in (1, 2, 5, 8)]
+    cases = [(id, p, None) for id, p in rows]
+    return cases + [(id, dict(p, n=n, a=a), "40") for id, p in (("KEY_LEMMA", {}), ("F_SUM", {"j": 1}))
+                    for n in (20, 25, 30, 35, 40, 45, 60) for a in ("1/2", "3/2", "2")]
+
+
+GRIDS = {"sums": _sums, "limits": _limits, "exact": _exact, "structural": _structural}
 
 
 def _canon(x):
@@ -130,11 +153,11 @@ def _export(rev: str, into: str) -> str:
     return into
 
 
-def compare(other: str, grids: List[str]) -> int:
-    """Run the grids on the working tree and on `other`, a tree; print the outcome."""
+def compare(here: str, there: str, grids: List[str]) -> int:
+    """Run the grids on the trees `here` and `there`; print the outcome."""
     for name in grids:
         cases = GRIDS[name]()
-        diff = first_difference(cases, run_cases(ROOT, cases), run_cases(other, cases))
+        diff = first_difference(cases, run_cases(here, cases), run_cases(there, cases))
         print(f"{name}: {len(cases)} cases, " + ("no difference" if diff is None else f"first difference: {diff}"))
         if diff is not None:
             return 1
@@ -145,14 +168,16 @@ def main(argv: List[str]) -> int:
     if argv == ["--child"]:
         json.dump([_record(tuple(c)) for c in json.load(sys.stdin)], sys.stdout)
         return 0
-    if not argv or argv[0].startswith("-") or not set(argv[1:]) <= set(GRIDS):
+    revs = argv[:2] if len(argv) > 1 and argv[1] not in GRIDS else argv[:1]
+    grids = argv[len(revs):]
+    if not revs or any(r.startswith("-") for r in revs) or not set(grids) <= set(GRIDS):
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
-    grids = argv[1:] or list(GRIDS)
-    if os.path.isdir(argv[0]):
-        return compare(os.path.abspath(argv[0]), grids)
     with tempfile.TemporaryDirectory() as tmp:
-        return compare(_export(argv[0], tmp), grids)
+        trees = [ROOT] * (2 - len(revs))
+        for i, rev in enumerate(revs):
+            trees.append(os.path.abspath(rev) if os.path.isdir(rev) else _export(rev, os.path.join(tmp, str(i))))
+        return compare(*trees, grids or list(GRIDS))
 
 
 if __name__ == "__main__":

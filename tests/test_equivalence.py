@@ -23,3 +23,20 @@ def test_equivalence_of_the_working_tree_with_itself():
     changed[1]["checks"][1][2][2][0] += 1
     diff = equivalence.first_difference(cases, here, changed)
     assert diff.startswith("('CURIOUS', ") and ": check 1 rhs: here " in diff
+
+
+def test_equivalence_compares_the_working_tree_or_two_revisions(monkeypatch, tmp_path):
+    # one revision is compared with the working tree, two with each other;
+    # a directory is taken as a tree, so nothing here needs git
+    runs = []
+    monkeypatch.setattr(equivalence, "compare", lambda *a: runs.append(a) or 0)
+    other, root = str(tmp_path), equivalence.ROOT
+    assert equivalence.main([other]) == 0
+    assert equivalence.main([other, "sums", "exact"]) == 0
+    assert equivalence.main([root, other]) == 0
+    assert equivalence.main([other, root, "structural"]) == 0
+    grids = list(equivalence.GRIDS)
+    assert runs == [(root, other, grids), (root, other, ["sums", "exact"]), (root, other, grids),
+                    (other, root, ["structural"])]
+    assert [equivalence.main(a) for a in ([], ["-h"], [other, "-x"], [other, root, "bogus"])] == [2] * 4
+    assert len(runs) == 4
