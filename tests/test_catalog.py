@@ -616,9 +616,9 @@ def test_h_limit_ill_posed_z_is_an_error():
 
 
 def test_limit_cases_walk_one_column_per_certified_n(monkeypatch):
-    # one walk per certified n, and each walk of H_LIMIT at q^240 makes at
-    # most two list passes per slice it yields, not O(n): with n >= L - 1
-    # the walk starts at the centre, 1/(q)_inf, and stops after top slices
+    # one walk per certified n, and each walk of H_LIMIT at q^240 makes one
+    # two-term pass per slice past the first, not O(n): with n >= L - 1 the
+    # walk starts at the centre, 1/(q)_inf, and stops after top slices
     import qident.hfamily as hfamily
     import qident.qobjects as qobjects
 
@@ -661,7 +661,7 @@ def test_limit_cases_walk_one_column_per_certified_n(monkeypatch):
         assert verify(case).status == "pass"
         assert sorted(n for n, _, _ in walks) == ns, case.id
         if case.id == "H_LIMIT":
-            assert all(0 < top < 20 and passes <= 2 * (top + 1) for _, top, passes in walks), walks
+            assert all(0 < top < 20 and passes <= top for _, top, passes in walks), walks
         entry, params, wnum = catalog._prepare(case)
         assert [c.label for c in entry.runner(params, wnum, SumStats())] == labels
 
