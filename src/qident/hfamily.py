@@ -11,11 +11,13 @@ which below q^L is 1/(q)_inf when n + 1 >= L, else up from [2n, 0].  The
 walk stops at the last slice that starts below the order: at a finite
 order and a > 0, the largest s with a s^2 - j s below it, so
 H(400, 2) below q^40 stores 9 slices; the span (-n, n) keeps the rest,
-zero below the order.  The step itself is run only by the catalog's
-RECURSE_F, which checks it against this binomial form.  `_h_window` sums
-H at groups of weighted monomials by the same walk, for the certified
-limits only: per argument exponent m one frame of the slices at even
-index and one at odd, so H(+-q^(m/2)) is their sum or difference.
+zero below the order; that s, the least exponents and `_certified_n` are
+`qobjects`' quadratic bounds `_quad_top` and `_quad_min`.  The step itself
+is run only by the catalog's RECURSE_F, which checks it against this
+binomial form.  `_h_window` sums H at groups of weighted monomials by
+the same walk, for the certified limits only: per argument exponent m
+one frame of the slices at even index and one at odd, so H(+-q^(m/2))
+is their sum or difference.
 
 With z fixed to a monomial sign*q^m, |m| < a, the values H(n, a)(z)
 converge coefficientwise as n grows, and the limit is certified rather
@@ -37,12 +39,11 @@ sums for every sample in one `eval_product_sums` batch.
 
 from __future__ import annotations
 
-import math
 from operator import add, sub
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .products import TripleProductSpec, eval_product_sum
-from .qobjects import Monomial, binom, _h_column
+from .qobjects import Monomial, binom, _h_column, _quad_min, _quad_top
 from .series import (
     INF,
     HalfInt,
@@ -107,9 +108,9 @@ def f_func(spec: FSpec, order: Order = INF) -> ZLaurent:
     if ordnum is None:
         L, top = n * n + 1, n
     else:
-        low = _h_min_num(A, -2 * j, n) if A > 0 else A * n * n - 2 * j * n
+        low = _quad_min(A, -2 * j, n) if A > 0 else A * n * n - 2 * j * n
         L = max((ordnum - low + 1) // 2, 1)
-        top = _h_top(A, 2 * j, ordnum, n) if A > 0 else n
+        top = _quad_top(A, 2 * j, ordnum, n) if A > 0 else n
     terms = {}
     for k, b in _h_column(n, top, L):
         s = n - k
@@ -167,33 +168,8 @@ def _certified_n(a: HalfInt, ms: Sequence[int], ordnum: int) -> int:
         mu = abs(m)
         if mu >= A:
             raise IllPosedError(f"a certified limit needs |m| < a, got m={HalfInt(m)} a={a}")
-        n = max(n, (ordnum - _h_min_num(A, -2 - mu) + 1) // 2 - 1)
+        n = max(n, (ordnum - _quad_min(A, -2 - mu) + 1) // 2 - 1)
     return n
-
-
-def _h_min_num(A: int, m: int, n: Optional[int] = None) -> int:
-    """min of A t^2 + m t over integers t (|t| <= n when n is given), A > 0.
-
-    The parabola is convex, so the integer argmin sits next to the vertex.
-    """
-    v = -m // (2 * A)  # the real vertex lies in [v, v + 1]
-    ts = (v, v + 1) if n is None else (max(-n, min(n, v)), max(-n, min(n, v + 1)))
-    return min(A * t * t + m * t for t in ts)
-
-
-def _h_top(A: int, mu: int, hi: int, n: Optional[int] = None) -> int:
-    """Largest s (<= n when given) with A s^2 - mu s < hi (A > 0), or -1 if no s >= 0 has it.
-
-    The integer below the larger root of A s^2 - mu s = hi, one step lower
-    when that root is an integer.  Past n it is n.
-    """
-    d = mu * mu + 4 * A * hi
-    s = (mu + math.isqrt(d)) // (2 * A) if d > 0 else -1
-    if s >= 0 and A * s * s - mu * s >= hi:
-        s -= 1
-    if s < 0 or A * s * s - mu * s >= hi:
-        return -1
-    return s if n is None else min(s, n)
 
 
 def _h_window(n: int, a: HalfInt, groups: List[List[Tuple[int, Monomial]]], hi: int) -> List[list]:
@@ -212,7 +188,7 @@ def _h_window(n: int, a: HalfInt, groups: List[List[Tuple[int, Monomial]]], hi: 
     A = a.num
     frames = {w.q_exp.num: ([0] * hi, [0] * hi) for args in groups for _, w in args}
     mu = max(map(abs, frames))
-    for k, b in _h_column(n, _h_top(A, mu, hi, n), (hi + 1) // 2):
+    for k, b in _h_column(n, _quad_top(A, mu, hi, n), (hi + 1) // 2):
         s = n - k
         for m, halves in frames.items():
             for t in (s, -s) if s else (0,):

@@ -29,8 +29,9 @@ U_i(s), the least exponent of the indices before it, and matters only
 below N - D_i(s), D_i(s) the least exponent of the indices after it and
 of every tail, capped at s.  It is computed on exactly that window, whole
 q-units to a slot, and skipped when the window is empty; `SumStats`
-counts these cells.  The test suite checks the engine against an
-unpruned brute force.
+counts these cells.  An index's least exponent and the first index's cap
+are `qobjects`' quadratic bounds `_quad_min` and `_quad_top`.  The test
+suite checks the engine against an unpruned brute force.
 
 The same level loop (`_kernel`) also takes a bounded start: one cell
 W_0(n) = 1 with top n, so that W_1(t) = q^(e_1(t)) P_1(n, t) / (q; q)_{n-t}
@@ -60,8 +61,7 @@ from itertools import accumulate
 from operator import add
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .hfamily import _h_min_num, _h_top
-from .qobjects import Monomial, _grid_series, _prefix_add, _two_term
+from .qobjects import Monomial, _grid_series, _prefix_add, _quad_min, _quad_top, _two_term
 from .series import (
     HalfInt,
     IllPosedError,
@@ -168,18 +168,12 @@ def _tail_floor_num(tail: Tail) -> int:
     return tail_min_num(tail, 0)
 
 
-def _index_min_num(lamnum: int, cap: Optional[int]) -> int:
-    """min over 0 <= s (<= cap when given) of 2s^2 + lamnum*s, in half-units."""
-    # at lamnum < 0 the least value over |s| <= cap has s >= 0
-    return 0 if lamnum >= 0 else _h_min_num(2, lamnum, cap)
-
-
 def _first_cap(lamnum: int, rest_floor: int, nnum: int) -> int:
     """Hard cap on the first index: the least s at which e(s) = 2s^2 +
     lamnum*s has stopped falling and e(s) + rest_floor >= nnum, so that past
     it even the best completion starts at or above the requested order."""
     rise = max(0, -((2 + lamnum) // 4))
-    return max(rise, _h_top(2, -lamnum, nnum - rest_floor) + 1)
+    return max(rise, _quad_top(2, -lamnum, nnum - rest_floor) + 1)
 
 
 def _grid(tail: Tail) -> int:
@@ -281,7 +275,7 @@ def _kernel(lam: list, placement: frozenset, start: Optional[list], low: list, n
     # up to s plus each later index at its least
     down, run = [low], list(accumulate(low, min))
     for i in range(k - 1, 0, -1):
-        run = [d + _index_min_num(lam[i], s) for s, d in enumerate(run)]
+        run = [d + _quad_min(2, lam[i], s) for s, d in enumerate(run)]
         down.insert(0, run)
 
     # top down over the levels; a cell's list runs from q^(x0/2) to the slot
@@ -339,7 +333,7 @@ def eval_multisums(specs: Sequence[SummandSpec], order, stats: Optional[SumStats
 
     # the least exponent of the indices after the first and of the tails,
     # and the kernel floor: every index at its least
-    mins = [_index_min_num(c, None) for c in lam]
+    mins = [_quad_min(2, c) for c in lam]
     floors = [_tail_floor_num(tail) for tail in tails]
     top = _first_cap(lam[0], min(floors) + sum(mins[1:]), nnum)
 

@@ -13,6 +13,11 @@ even and at odd index (`_theta_terms`), which arg and -arg share.
 `partition_series` keeps the module's one cache, the deepest order built
 so far, and reads a shallower order off it by truncation.
 
+The bounds on quadratic exponents live here, in closed form, for every
+engine: `_quad_min`, the least A t^2 + m t over 0 <= t (<= n), and
+`_quad_top`, the last s >= 0 with A s^2 - mu s below a bound.  The theta
+ends, `hfamily`'s windows and certified n and `multisum`'s floors read them.
+
 The in-place list passes live here too.  On a dense list whose slot i holds
 the coefficient of x^i (x = q^(1/2) in the engines, x = q in the binomial
 column), `_two_term` multiplies by 1 + c x^e (or adds c x^e times another
@@ -80,6 +85,30 @@ def binom(n: int, k: int) -> int:
     if k < 0 or k > n:
         return 0
     return math.comb(n, k)
+
+
+def _quad_min(A: int, m: int, n: Optional[int] = None) -> int:
+    """min of A t^2 + m t over integers 0 <= t (<= n when n is given), A > 0.
+
+    The parabola is convex, so that is at the integer nearest its vertex, clamped."""
+    t = max(0, (A - m) // (2 * A))  # floor(-m / 2A + 1/2)
+    t = t if n is None else min(t, n)
+    return A * t * t + m * t
+
+
+def _quad_top(A: int, mu: int, hi: int, n: Optional[int] = None) -> int:
+    """Largest s (<= n when given) with A s^2 - mu s < hi (A > 0), or -1 if no s >= 0 has it.
+
+    The integer below the larger root of A s^2 - mu s = hi, one step lower
+    when that root is an integer.  Past n it is n.
+    """
+    d = mu * mu + 4 * A * hi
+    s = (mu + math.isqrt(d)) // (2 * A) if d > 0 else -1
+    if s >= 0 and A * s * s - mu * s >= hi:
+        s -= 1
+    if s < 0 or A * s * s - mu * s >= hi:
+        return -1
+    return s if n is None else min(s, n)
 
 
 def _two_term(c: list, sign: int, e: int, src: Optional[list] = None) -> list:
@@ -240,19 +269,13 @@ def poch_finite_scalar(arg: Monomial, n: int, base_exp=qe(1), order: Order = INF
 
 
 def _theta_terms(en: int, mn: int, nnum: int) -> list:
-    """[(s % 2, e)] for the terms q^(e/2), e = mn s(s-1)/2 + en s, that lie below q^(nnum/2)."""
+    """[(s % 2, e)] for the terms q^(e/2), e = mn s(s-1)/2 + en s, that lie below q^(nnum/2).
 
-    def exponent(s: int) -> int:
-        return mn * (s * (s - 1) // 2) + en * s
-
-    terms = []
-    for s, step in ((0, 1), (-1, -1)):
-        # outward from s = 0 until a term at or past the order where the parabola rises
-        while (e := exponent(s)) < nnum or exponent(s + step) <= e:
-            if e < nnum:
-                terms.append((s % 2, e))
-            s += step
-    return terms
+    2e = mn s^2 - (mn - 2 en) s, so both ends are `_quad_top`'s; below a
+    non-positive order the terms at s = 0 and -1 may be past it."""
+    up, down = _quad_top(mn, mn - 2 * en, 2 * nnum), _quad_top(mn, 2 * en - mn, 2 * nnum)
+    terms = ((s % 2, mn * (s * (s - 1) // 2) + en * s) for s in (*range(up + 1), *range(-1, -down - 1, -1)))
+    return [t for t in terms if t[1] < nnum]
 
 
 def theta_triple_sum(arg: Monomial, modulus_exp, order) -> QSeries:

@@ -23,7 +23,8 @@ from qident import (
     he,
     qe,
 )
-from qident.hfamily import _h_min_num, _h_window, _stabilized_values
+from qident.hfamily import _h_window, _stabilized_values
+from qident.qobjects import _quad_min
 from naive import n_hpoly_at, n_qbinom
 
 
@@ -318,11 +319,13 @@ def test_h_window_shared_frames_match_the_naive_values():
 
 
 def test_lowest_h_exponent_is_the_clamped_vertex():
-    for A in range(1, 8):
-        for m in range(-12, 13):
-            for n in range(0, 9):
-                assert _h_min_num(A, m, n) == min(A * t * t + m * t for t in range(-n, n + 1))
-            assert _h_min_num(A, m) == min(A * t * t + m * t for t in range(-40, 41))
+    # qobjects._quad_min against a scan of 0 <= t (<= n): H's weights A = 1..7,
+    # and the multisum's index weight A = 2 at its linear exponents -40..11
+    grid = [(A, m) for A in range(1, 8) for m in range(-12, 13)] + [(2, m) for m in range(-40, 12)]
+    for A, m in grid:
+        for n in [None, *range(12)]:
+            top = 60 if n is None else n
+            assert _quad_min(A, m, n) == min(A * t * t + m * t for t in range(top + 1)), (A, m, n)
 
 
 def test_stabilized_values_build_no_laurent_polynomial(monkeypatch):

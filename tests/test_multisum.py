@@ -25,11 +25,11 @@ from qident import (
     qe,
 )
 from qident.catalog import _POLICY_MS
+from qident.qobjects import _quad_min
 from qident.multisum import (
     _chain_values,
     _close,
     _grid,
-    _index_min_num,
     _ratio,
     _tail_floor_num,
     eval_multisums,
@@ -111,7 +111,7 @@ def test_stats_counting():
 
 def _frame_floor(spec):
     # eval_multisum's frame floor: each index at its least exponent, plus the tail's
-    return _tail_floor_num(spec.tail) + sum(_index_min_num(lam, None) for lam in spec.effective_linear_num())
+    return _tail_floor_num(spec.tail) + sum(_quad_min(2, lam) for lam in spec.effective_linear_num())
 
 
 def test_frame_floor_is_a_certified_lower_bound(monkeypatch):
@@ -169,15 +169,10 @@ def test_overpartition_tail_minima_in_closed_form():
                 assert tail_min_num(TailOverOdd(Monomial(1, HalfInt(c - 2 * off))), s) == want, (c, off, s)
 
 
-def test_index_and_tail_floors_equal_brute_force_minima():
-    # the closed forms in eval_multisum's frame floor against a scan of s:
-    # min over 0 <= s (<= cap) of 2 s^2 + lam s, and the least
-    # tail_min_num over all s, far past where either stops falling
-    for lam in range(-40, 12):
-        for cap in [None, *range(12)]:
-            top = 60 if cap is None else cap
-            want = min(2 * s * s + lam * s for s in range(top + 1))
-            assert _index_min_num(lam, cap) == want, (lam, cap)
+def test_tail_floors_equal_brute_force_minima():
+    # the tails' closed forms in eval_multisum's frame floor against the least
+    # tail_min_num over s, far past where it stops falling; the index floors
+    # are tests/test_hfamily.py::test_lowest_h_exponent_is_the_clamped_vertex
     for mnum in range(-9, 10):
         for sign in (1, -1):
             z = Monomial(sign, HalfInt(mnum))

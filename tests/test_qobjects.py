@@ -20,6 +20,7 @@ from qident import (
     poch_finite_scalar,
     poch_infinite,
     qbinom_poly,
+    theta_triple_sum,
     he,
     qe,
 )
@@ -169,6 +170,27 @@ def test_poch_infinite_pentagonal_fast_path():
     ref = n_poch_infinite(1, 2, 2, W)
     for e in range(W):
         assert mine.coefficient(he(e)) == ref.coeff(e)
+
+
+def test_theta_triple_sum_equals_the_brute_force_sum():
+    # sum_s (-arg)^s q^(M s(s-1)/2) over |s| <= 200 at arg = +-q^(e/2), M =
+    # 1/2 .. 12, |e| < 40: past |s| = 200 every exponent is above q^120.  The
+    # orders at or below q^0 leave lists without s = 0, or with no term at all
+    shapes = set()
+    for mn in range(1, 25):
+        for en in range(-39, 40, 3):
+            exps = [(s, mn * (s * (s - 1) // 2) + en * s) for s in range(-200, 201)]
+            for nnum in (-30, -1, 0, 1, 7, 40, 121, 240):
+                below = [(s, e) for s, e in exps if e < nnum]
+                shapes.add("empty" if not below else "s = 0" if any(s == 0 for s, _ in below) else "no s = 0")
+                lo = min((e for _, e in below), default=nnum)
+                for sign in (1, -1):
+                    want = [0] * (nnum - lo)
+                    for s, e in below:
+                        want[e - lo] += (-sign) ** (s % 2)
+                    got = theta_triple_sum(Monomial(sign, he(en)), he(mn), he(nnum))
+                    assert got == QSeries(lo, want, nnum), (sign, en, mn, nnum)
+    assert shapes == {"empty", "s = 0", "no s = 0"}
 
 
 def test_poch_infinite_general_vs_naive(rng):
