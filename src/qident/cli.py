@@ -179,6 +179,9 @@ def _cmd_suite(args) -> int:
     try:
         if not isinstance(cfg, dict):
             raise ValueError(f"expected a JSON object, got {type(cfg).__name__}")
+        known = ["cases", "default_order", "output_path", "parallelism"]
+        if extra := sorted(set(cfg) - set(known)):
+            raise ValueError(f"unknown key(s) {extra}; expected {known}")
         cases = cfg.get("cases")
         if not isinstance(cases, list):
             raise ValueError(f"cases must be a list, got {cases!r}")
@@ -186,12 +189,15 @@ def _cmd_suite(args) -> int:
         workers = args.jobs if args.jobs is not None else cfg.get("parallelism", 1)
         output_path = cfg.get("output_path")
         if not _whole(workers) or workers < 1:
-            raise ValueError(f"parallelism must be a positive integer, got {workers!r}")
+            flag = "parallelism" if args.jobs is None else "--jobs"
+            raise ValueError(f"{flag} must be a positive integer, got {workers!r}")
         if output_path is not None and not (isinstance(output_path, str) and output_path):
             raise ValueError(f"output_path must be a non-empty string, got {output_path!r}")
         for idx, c in enumerate(cases):
             c = dict(c)
-            id = c.pop("id")
+            id = c.pop("id", None)
+            if not isinstance(id, str):
+                raise ValueError(f"case {idx}: " + ("missing id" if id is None else f"id must be a string, got {id!r}"))
             expect = c.pop("expect", "pass")
             if expect not in ("pass", "fail"):
                 raise ValueError(f"case {idx}: expect must be 'pass' or 'fail', got {expect!r}")

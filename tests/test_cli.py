@@ -322,6 +322,36 @@ def test_suite_bad_config_exit_two(tmp_path, capsys):
         assert f"error: bad suite config: expected a JSON object, got {kind}" in err
 
 
+def test_suite_unknown_top_level_keys_are_config_errors(tmp_path, capsys, monkeypatch):
+    # misspelt keys are refused, not run serially with no report written
+    monkeypatch.chdir(tmp_path)
+    doc = {"paralelism": 2, "output": "x.txt", "cases": [{"id": "AG", "k": 1, "r": 0}]}
+    code, out, err = run(capsys, "suite", _write_suite(tmp_path, doc))
+    assert code == 2 and out == ""
+    assert ("error: bad suite config: unknown key(s) ['output', 'paralelism']; "
+            "expected ['cases', 'default_order', 'output_path', 'parallelism']") in err
+    assert not (tmp_path / "x.txt").exists()
+
+
+def test_suite_config_errors_name_the_case_or_the_flag(tmp_path, capsys):
+    ok = {"id": "AG", "k": 1, "r": 0}
+    for cases, want in (
+        ([ok, {"k": 1, "r": 0}], "case 1: missing id"),
+        ([{"id": ["AG"], "k": 1, "r": 0}], "case 0: id must be a string, got ['AG']"),
+        ([ok, {"id": 7}], "case 1: id must be a string, got 7"),
+    ):
+        code, out, err = run(capsys, "suite", _write_suite(tmp_path, {"cases": cases}))
+        assert code == 2 and out == "", cases
+        assert f"error: bad suite config: {want}\n" == err, cases
+    path = _write_suite(tmp_path, {"parallelism": 2, "cases": [ok]})
+    for jobs in ("0", "-3"):
+        code, out, err = run(capsys, "suite", path, "--jobs", jobs)
+        assert code == 2 and out == ""
+        assert f"error: bad suite config: --jobs must be a positive integer, got {jobs}\n" == err
+    code, _, err = run(capsys, "suite", _write_suite(tmp_path, {"parallelism": 0, "cases": [ok]}))
+    assert code == 2 and "bad suite config: parallelism must be a positive integer, got 0" in err
+
+
 def test_suite_output_path_must_be_a_nonempty_string(tmp_path, capsys):
     # an int would be opened as a file descriptor: 2 would write the report
     # into stderr and then close it
