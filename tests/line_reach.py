@@ -4,9 +4,12 @@
         "qident suite suites/full-paper.suite --jobs 1" \\
         "qident verify --id AG --k 1 --r 0" \\
         "pytest -q -p no:cacheprovider"
+    PYTHONPATH=src python tests/line_reach.py traffic
 
 Each argument is one run, `qident ARGS` (the CLI's `main`) or `pytest ARGS`
-(`pytest.main`), and the runs go one after another in this process under
+(`pytest.main`), or the word `traffic`, which stands for the runs the
+benchmark's workloads make (`traffic_runs`; run it from the repository
+root).  The runs go one after another in this process under
 `sys.settrace`; the report is their union.  It gives each module's
 executable lines, the line numbers of its code objects (`co_lines`), and
 how many of them were reached, then each function's unreached lines; the
@@ -21,12 +24,36 @@ from __future__ import annotations
 
 import contextlib
 import importlib.util
+import json
 import os
 import shlex
 import sys
 from typing import Dict, List, Sequence, Set, Tuple
 
 PACKAGE = "qident"
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def traffic_runs() -> List[str]:
+    """The bundled suite at --jobs 1, then each case of each workload in
+    perfbench/workloads.json as a `qident verify` run, at its first `choose`
+    alternative when it has a list of them."""
+    with open(os.path.join(ROOT, "perfbench", "workloads.json")) as f:
+        workloads = json.load(f)["workloads"]
+    runs = ["qident suite suites/full-paper.suite --jobs 1"]
+    for workload in workloads.values():
+        for case in workload.get("cases", []):
+            params = dict(case["params"], **case.get("choose", [{}])[0])
+            argv = ["qident", "verify", "--id", case["id"]]
+            for name, v in params.items():
+                argv += ["--" + name.replace("_", "-"), ",".join(map(str, v)) if isinstance(v, list) else str(v)]
+            runs.append(" ".join(argv + ["--order", str(case["order"])]))
+    return runs
+
+
+def expand(args: Sequence[str]) -> List[str]:
+    """The runs the arguments name, each `traffic` replaced by `traffic_runs()`."""
+    return [run for a in args for run in (traffic_runs() if a == "traffic" else [a])]
 
 
 def executable_lines(path: str) -> Dict[int, str]:
@@ -136,4 +163,4 @@ def report(modules: Dict[str, Tuple[Dict[int, str], Set[int]]]) -> str:
 if __name__ == "__main__":
     if len(sys.argv) < 2:
         raise SystemExit(__doc__)
-    print(report(reach(sys.argv[1:])))
+    print(report(reach(expand(sys.argv[1:]))))

@@ -3,8 +3,11 @@
 import sys
 import time
 
+import pytest
+
 import qident
 from qident import catalog
+from qident.cli import build_parser
 
 import line_reach
 
@@ -31,3 +34,25 @@ def test_line_reach_of_one_ag_case(capsys):
     counts = [sum(map(len, col)) for col in zip(*modules.values())]
     assert text.splitlines()[9].split() == ["total", *map(str, counts)]
     assert "catalog.py make_case: " in text
+
+
+def test_traffic_preset_expands_to_the_benchmark_runs(monkeypatch):
+    # the suite at --jobs 1, then perfbench's cases at their first choice, in
+    # place of the word; nothing runs
+    monkeypatch.setattr(line_reach, "_run", lambda command: pytest.fail(f"ran {command!r}"))
+    runs = line_reach.expand(["pytest -q", "traffic", "qident verify --id AG --k 1 --r 0"])
+    verify = [
+        "AG --k 6 --r 0 --order 100",
+        "AG --k 8 --r 0 --order 90",
+        "THM_3_1 --k 5 --j 2 --r 0 --placement 1,3 --order 100",
+        "COR_INFTY --k 2 --order 80",
+        "OVER_1 --k 1 --j 0 --order 100",
+        "CURIOUS --order 120",
+        "H_LIMIT --a 3/2 --order 60",
+        "H_LIMIT --a 3/2 --order 240",
+        "F_LIMIT --j 1 --a 7/2 --order 40",
+    ]
+    assert runs == ["pytest -q", "qident suite suites/full-paper.suite --jobs 1",
+                    *(f"qident verify --id {v}" for v in verify), "qident verify --id AG --k 1 --r 0"]
+    for run in runs[1:]:  # each is a command line the CLI accepts
+        build_parser().parse_args(run.split()[1:])
