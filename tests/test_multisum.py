@@ -25,7 +25,6 @@ from qident import (
     qe,
 )
 from qident.catalog import _POLICY_MS
-from qident.qobjects import _quad_min
 from qident.multisum import (
     _chain_values,
     _close,
@@ -35,6 +34,7 @@ from qident.multisum import (
     eval_multisums,
     tail_min_num,
 )
+from qident.qobjects import _quad_min
 from naive import brute_force_chains, brute_force_multisum
 
 
