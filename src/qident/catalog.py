@@ -58,7 +58,7 @@ from .multisum import (
     eval_multisum,
     eval_multisums,
 )
-from .products import TripleProductSpec, eval_product_sum, eval_product_sums
+from .products import TripleProductSpec, _jacobi_specs, eval_product_sum, eval_product_sums
 from .qobjects import Monomial, _inv_poch_ladder, _poch_rows, binom
 from .series import (
     INF,
@@ -332,17 +332,8 @@ def _gordon_products(p: dict, mod: int, z: Optional[Monomial]) -> List[TriplePro
     e = k+1-r+m: the arguments are -z q^(k+1-r+j-2s) and -q^(...)/z.
     w_s = C(j, s) for a placed sum, else 1.
     """
-    j, e = p["j"], qe(p["k"] + 1 - p["r"])
-    sign, m = (1, qe(0)) if z is None else (-z.sign, z.q_exp)
-    return [
-        TripleProductSpec(
-            qe(mod),
-            Monomial(sign, e + m + qe(j - 2 * s)),
-            Monomial(sign, qe(mod) - e - m - qe(j - 2 * s)),
-            1 if p["placement"] is None else binom(j, s),
-        )
-        for s in range(j + 1)
-    ]
+    x, m = (1, qe(0)) if z is None else (-z.sign, z.q_exp)
+    return _jacobi_specs(qe(mod), x, qe(p["k"] + 1 - p["r"]) + m, p["j"], p["placement"] is not None)
 
 
 def _over_window(p: dict, m: int) -> bool:

@@ -14,27 +14,25 @@ H(400, 2) below q^40 stores 9 slices; the span (-n, n) keeps the rest,
 zero below the order; that s, the least exponents and `_certified_n` are
 `qobjects`' quadratic bounds `_quad_top` and `_quad_min`.  The step itself
 is run only by the catalog's RECURSE_F, which checks it against this
-binomial form.  `_h_window` sums H at groups of weighted monomials by
-the same walk, for the certified limits only: per argument exponent m
-one frame of the slices at even index and one at odd, so H(+-q^(m/2))
-is their sum or difference.
+binomial form.
 
 With z fixed to a monomial sign*q^m, |m| < a, the values H(n, a)(z)
 converge coefficientwise as n grows, and the limit is certified rather
 than detected.  [2n, n-s]_q counts the partitions in an (n-s) x (n+s)
 box, so it agrees with 1/(q)_inf through q^(n-|s|) (Andrews, *The Theory
 of Partitions*, ch. 3).  `_certified_n` turns that into the least n at
-which the value is final below a given order, in O(1), and
-`_stabilized_values` evaluates each sample once, at its own n; the F
-value is the binomial sum sum_i C(j, i) H(n, a)(z q^(j-2i)), one group
-of j + 1 arguments, and the samples that share a certified n share one
-`_h_window` walk, and its frames where their arguments meet.
-`stabilized_h_value` / `stabilized_f_value` are its one-sample case.
-The limits themselves are the binomial combinations `f_limit_sum` of
-infinite products; the product `h_limit_product`, H's limit, is its case
-j = 0.  The arguments of each product multiply to q^2a, so the sum is the
-`TripleProductSpec` list `_limit_specs` on modulus 2a, which the catalog
-sums for every sample in one `eval_product_sums` batch.
+which the value is final below a given order, in O(1).  A value stays
+final at every larger n, so `_stabilized_values` walks the column once
+per batch, at its largest certified n, into one even and one odd frame
+per |m| (H(z) = H(1/z)), and reads off each sample's F value, the
+binomial sum sum_i C(j, i) H(n, a)(z q^(j-2i)), reporting the sample's
+own certified n.  `stabilized_h_value` / `stabilized_f_value` are its
+one-sample case.  The limits themselves are the binomial combinations
+`f_limit_sum` of infinite products; the product `h_limit_product`, H's
+limit, is its case j = 0.  The arguments of each product multiply to
+q^2a, so the sum is the Jacobi list `_limit_specs` on modulus 2a, built
+by `products._jacobi_specs`, which the catalog sums for every sample in
+one `eval_product_sums` batch.
 """
 
 from __future__ import annotations
@@ -42,7 +40,7 @@ from __future__ import annotations
 from operator import add, sub
 from typing import List, Sequence, Tuple
 
-from .products import TripleProductSpec, eval_product_sum
+from .products import TripleProductSpec, _jacobi_specs, eval_product_sum
 from .qobjects import Monomial, binom, _h_column, _quad_min, _quad_top
 from .series import (
     INF,
@@ -55,7 +53,6 @@ from .series import (
     _Record,
     _ord_num,
     _whole,
-    qe,
 )
 
 
@@ -140,13 +137,10 @@ def _limit_specs(j: int, a: HalfInt, z: Monomial) -> List[TripleProductSpec]:
     """The `TripleProductSpec` list on modulus 2a that `f_limit_sum` sums."""
     if not _whole(j) or j < 0:
         raise SpecError(f"needs an int j >= 0, got j={j!r}")
-    a, m = _weight(a), z.q_exp
+    a = _weight(a)
     if a.num <= 0:
         raise IllPosedError(f"limit sum needs a > 0, got {a}")
-    return [
-        TripleProductSpec(a * 2, Monomial(z.sign, a + m + j - 2 * i), Monomial(z.sign, a - m - j + 2 * i), binom(j, i))
-        for i in range(j + 1)
-    ]
+    return _jacobi_specs(a * 2, z.sign, a + z.q_exp, j)
 
 
 def _certified_n(a: HalfInt, ms: Sequence[int], ordnum: int) -> int:
@@ -172,50 +166,20 @@ def _certified_n(a: HalfInt, ms: Sequence[int], ordnum: int) -> int:
     return n
 
 
-def _h_window(n: int, a: HalfInt, groups: List[List[Tuple[int, Monomial]]], hi: int) -> List[list]:
-    """Per group of args (c_i, w_i), sum_i c_i H(n, a)(w_i) on the half-unit frame [0, hi).
-
-    With w = sign*q^(m/2) and every |m| < a, H's lowest exponent is q^0,
-    at slice 0.  One walk along the binomial column, as long as that
-    needs, adds each slice times q^(a t^2 + m t) into the frame E_m (t even)
-    or O_m (t odd) of each argument exponent m; slot x holds q^(x/2).  It
-    stops at the last s at which a slice +-s starts below hi for some
-    argument: A s^2 - mu s < hi, mu the largest |m|.  H(sign q^(m/2)) is
-    E_m + sign O_m, so a group is sum_i c_i E_(m_i) + sign_1 sum_i c_i
-    sign_i sign_1 O_(m_i), and groups that differ by a common sign, as w's
-    and -w's do, share both sums.
-    """
-    A = a.num
-    frames = {w.q_exp.num: ([0] * hi, [0] * hi) for args in groups for _, w in args}
-    mu = max(map(abs, frames))
-    for k, b in _h_column(n, _quad_top(A, mu, hi, n), (hi + 1) // 2):
-        s = n - k
-        for m, halves in frames.items():
-            for t in (s, -s) if s else (0,):
-                e = A * t * t + m * t
-                width = (hi - e + 1) // 2
-                if width > 0:
-                    f, at = halves[t % 2], slice(e, e + 2 * width, 2)
-                    f[at] = map(add, f[at], b[:width])
-    sums, outs = {}, []
-    for args in groups:
-        sign = args[0][1].sign
-        key = tuple((c, w.q_exp.num, w.sign * sign) for c, w in args)
-        if key not in sums:
-            sums[key] = [0] * hi, [0] * hi
-            for c, m, rel in key:
-                for acc, f, wt in zip(sums[key], frames[m], (c, c * rel)):
-                    acc[:] = map(add, acc, f if wt == 1 else map(wt.__mul__, f))
-        outs.append(list(map(add if sign > 0 else sub, *sums[key])))
-    return outs
-
-
 def _stabilized_values(j: int, a: HalfInt, ws: Sequence[Monomial], order) -> List[Tuple[QSeries, int]]:
-    """[(F(n, j, a)(w), n) for w in ws] below `order`, each at its own certified n.
+    """[(F(n, j, a)(w), n) for w in ws] below `order`, n each sample's certified n.
 
     F(n, j, a)(z) = sum_i C(j, i) H(n, a)(z q^(j-2i)), so n is certified for
-    every shifted argument, and each has |m| < a.  The samples that share
-    a certified n share one walk along the binomial column.
+    every shifted argument, and each has |m| < a.  A value is final below
+    the order at every n past its certified one, so one walk along the
+    binomial column, at the largest certified n, serves the batch.  With
+    every |m| < a, H's lowest exponent is q^0, at slice 0.  The walk adds
+    each slice times q^(a t^2 + mu t) into the frame E_mu (t even) or O_mu
+    (t odd) of each argument's mu = |m|, slot x holding q^(x/2), as long as
+    a slice +-s starts below the order for some mu: since H(z) = H(1/z),
+    the arguments +-q^(m/2) and +-q^(-m/2) share both frames.  H(sign
+    q^(m/2)) is E_mu + sign O_mu, so a sample's value is
+    sum_i C(j, i) (E_(mu_i) + sign O_(mu_i)).
     """
     if not _whole(j) or j < 0:
         raise SpecError(f"needs an int j >= 0, got j={j!r}")
@@ -225,16 +189,28 @@ def _stabilized_values(j: int, a: HalfInt, ws: Sequence[Monomial], order) -> Lis
     ordnum = _ord_num(order)
     if ordnum is None or ordnum <= 0:
         raise IllPosedError(f"a limit value needs a positive finite order, got {order}")
-    groups, ns = [], []
-    for w in ws:
-        args = [(binom(j, i), Monomial(w.sign, w.q_exp + qe(j - 2 * i))) for i in range(j + 1)]
-        groups.append(args)
-        ns.append(_certified_n(a, [v.q_exp.num for _, v in args], ordnum))
-    out = [None] * len(ws)
-    for n in dict.fromkeys(ns):
-        at = [i for i, m in enumerate(ns) if m == n]
-        for i, frame in zip(at, _h_window(n, a, [groups[i] for i in at], ordnum)):
-            out[i] = (QSeries(0, frame, ordnum), n)
+    shifts = [[w.q_exp.num + 2 * (j - 2 * i) for i in range(j + 1)] for w in ws]
+    ns = [_certified_n(a, ms, ordnum) for ms in shifts]
+    if not ws:
+        return []
+    A, n = a.num, max(ns)
+    frames = {abs(m): ([0] * ordnum, [0] * ordnum) for ms in shifts for m in ms}
+    for k, b in _h_column(n, _quad_top(A, max(frames), ordnum, n), (ordnum + 1) // 2):
+        s = n - k
+        for mu, halves in frames.items():
+            for t in (s, -s) if s else (0,):
+                e = A * t * t + mu * t
+                width = (ordnum - e + 1) // 2
+                if width > 0:
+                    f, at = halves[t % 2], slice(e, e + 2 * width, 2)
+                    f[at] = map(add, f[at], b[:width])
+    out = []
+    for w, ms, own in zip(ws, shifts, ns):
+        acc = [0] * ordnum
+        for i, m in enumerate(ms):
+            halves = map(add if w.sign > 0 else sub, *frames[abs(m)])
+            acc[:] = map(add, acc, map(binom(j, i).__mul__, halves))
+        out.append((QSeries(0, acc, ordnum), own))
     return out
 
 

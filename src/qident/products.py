@@ -10,15 +10,16 @@ halves of each distinct Jacobi part by the cached 1/(q; q)_inf, once per
 batch, and reads every list off them as E - sign O, so the list with
 every sign flipped, as z's and -z's are, shares both products.  Any other
 spec takes the factor route `_triple`, which the tests also use as the
-oracle.
+oracle.  `_jacobi_specs` builds the binomial Jacobi lists of the sum rows
+and of the limits.
 """
 
 from __future__ import annotations
 
 from typing import List
 
-from .qobjects import Monomial, _theta_terms, partition_series, poch_infinite
-from .series import HalfInt, IllPosedError, QSeries, SpecError, _Record, _ord_num, _whole
+from .qobjects import Monomial, _theta_terms, binom, partition_series, poch_infinite
+from .series import HalfInt, IllPosedError, QSeries, SpecError, _Record, _ord_num, _whole, qe
 
 
 class TripleProductSpec(_Record):
@@ -40,6 +41,17 @@ class TripleProductSpec(_Record):
                 raise IllPosedError(
                     f"product argument {arg} needs a positive q-exponent"
                 )
+
+
+def _jacobi_specs(M: HalfInt, x: int, e: HalfInt, j: int, weighted: bool = True) -> List[TripleProductSpec]:
+    """sum_s w_s (x q^(e+j-2s), x q^(M-e-j+2s); q^M)_inf / (q)_inf, s = 0..j, as specs.
+
+    w_s = C(j, s), or 1 when not `weighted`.  Every spec is in Jacobi's form.
+    """
+    return [
+        TripleProductSpec(M, Monomial(x, e + qe(j - 2 * s)), Monomial(x, M - e - qe(j - 2 * s)), binom(j, s) if weighted else 1)
+        for s in range(j + 1)
+    ]
 
 
 def _triple(spec: TripleProductSpec, order) -> QSeries:

@@ -616,9 +616,10 @@ def test_h_limit_ill_posed_z_is_an_error():
 
 
 def test_limit_cases_walk_one_column_per_certified_n(monkeypatch):
-    # one walk per certified n, and each walk of H_LIMIT at q^240 makes one
-    # two-term pass per slice past the first, not O(n): with n >= L - 1 the
-    # walk starts at the centre, 1/(q)_inf, and stops after top slices
+    # one walk per case, at its largest certified n, while each label keeps
+    # its sample's own n; the walk of H_LIMIT at q^240 makes one two-term
+    # pass per slice past the first, not O(n): with n >= L - 1 the walk
+    # starts at the centre, 1/(q)_inf, and stops after top slices
     import qident.hfamily as hfamily
     import qident.qobjects as qobjects
 
@@ -643,7 +644,7 @@ def test_limit_cases_walk_one_column_per_certified_n(monkeypatch):
     cases = [
         (
             make_case("H_LIMIT", a="3/2", order=qe(240)),
-            [239, 240],
+            [240],
             [f"a=3/2 z={z}: polynomial at certified n=239 vs product" for z in zs]
             + [f"a=3/2 z={z}: polynomial at certified n=240 vs product" for z in ("q^1", "-q^1")],
         ),
@@ -668,8 +669,8 @@ def test_limit_cases_walk_one_column_per_certified_n(monkeypatch):
 
 def test_limit_walks_start_at_the_centre(monkeypatch):
     # a certified n is at least L - 1, since `_certified_n` takes its minimum
-    # over an s range that holds s = 0, so every `_h_window` walk of the
-    # limits grid of tests/equivalence.py starts at [2n, n] = 1/(q)_inf
+    # over an s range that holds s = 0, so every limit walk of the limits
+    # grid of tests/equivalence.py starts at [2n, n] = 1/(q)_inf
     import equivalence
     import qident.hfamily as hfamily
 
@@ -678,8 +679,51 @@ def test_limit_walks_start_at_the_centre(monkeypatch):
     monkeypatch.setattr(hfamily, "_h_column", lambda *a: walks.append(a) or column(*a))
     for id, params, order in equivalence.GRIDS["limits"]():
         verify(make_case(id, order=order, **params))
-    assert len(walks) == 91  # 76 cases, 15 of them at two certified n
+    assert len(walks) == 76  # one per case
     assert all(n + 1 >= length for n, _, length in walks), [w for w in walks if w[0] + 1 < w[2]]
+
+
+def test_one_builder_makes_the_jacobi_product_lists_of_the_sum_rows_and_the_limits():
+    # products._jacobi_specs builds both; on every sum row, z sample and
+    # limit sample of the sums and limits grids of tests/equivalence.py
+    # each list equals the one the two inline builders it replaced made
+    import equivalence
+    from qident import binom
+    from qident.hfamily import _limit_specs
+
+    def gordon(p, mod, z):
+        j, e = p["j"], qe(p["k"] + 1 - p["r"])
+        sign, m = (1, qe(0)) if z is None else (-z.sign, z.q_exp)
+        return [
+            TripleProductSpec(qe(mod), Monomial(sign, e + m + qe(j - 2 * s)), Monomial(sign, qe(mod) - e - m - qe(j - 2 * s)),
+                              1 if p["placement"] is None else binom(j, s))
+            for s in range(j + 1)
+        ]
+
+    def limit(j, a, z):
+        m = z.q_exp
+        return [
+            TripleProductSpec(a * 2, Monomial(z.sign, a + m + j - 2 * i), Monomial(z.sign, a - m - j + 2 * i), binom(j, i))
+            for i in range(j + 1)
+        ]
+
+    count = 0
+    for id, params, order in equivalence.GRIDS["sums"]() + equivalence.GRIDS["limits"]():
+        _, p, _ = catalog._prepare(make_case(id, order=order, **params))
+        if id in catalog._LIMITS:
+            j, a = p["j"], p["a"]
+            for z in catalog._z_samples(p["z"], lambda m: abs(m) + 2 * j < a.num, catalog._LIMIT_MS):
+                assert _limit_specs(j, a, z) == limit(j, a, z), (id, params, z)
+                count += 1
+            continue
+        row = catalog._SUM_ROWS["OVER_2" if id == "CURIOUS" else id]
+        mod = row.modulus(p) - (id == "NEG_AG")  # NEG_AG builds AG's list, then moves its modulus
+        for z in [None] if row.window is None else catalog._z_samples(p["z"], lambda m: row.window(p, m)):
+            if z is not None:  # the z at which the row calls the builder
+                z = {"OVER_3": z.inverted(), "COR_INFTY": Monomial(-z.sign, -z.q_exp)}.get(id, z)
+            assert catalog._gordon_products(p, mod, z) == gordon(p, mod, z), (id, params, z)
+            count += 1
+    assert count == 2216
 
 
 def test_limit_walks_reuse_the_product_sides_partition_series(monkeypatch):

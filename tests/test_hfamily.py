@@ -17,13 +17,15 @@ from qident import (
     f_limit_sum,
     h_limit_product,
     h_poly,
+    make_case,
     partition_series,
     stabilized_f_value,
     stabilized_h_value,
+    verify,
     he,
     qe,
 )
-from qident.hfamily import _h_window, _stabilized_values
+from qident.hfamily import _stabilized_values
 from qident.qobjects import _quad_min
 from naive import n_hpoly_at, n_qbinom
 
@@ -268,8 +270,8 @@ def test_certified_n_is_sharp_for_m_zero():
 
 
 def test_batched_values_equal_the_one_sample_values():
-    # one shared walk per certified n runs as long as its lowest sample needs;
-    # every value must still equal the one it has alone
+    # one walk at the largest certified n runs as long as the lowest sample
+    # needs; every value must still equal the one it has alone
     count = 0
     for anum in range(1, 10):
         a = HalfInt(anum)
@@ -290,32 +292,62 @@ def test_batched_values_equal_the_one_sample_values():
     assert count == 1240
 
 
-def test_h_window_shared_frames_match_the_naive_values():
-    # one walk keeps an even-t and an odd-t frame per argument exponent m;
-    # groups holding both signs of every m, and F's shifted arguments
-    # (which samples share), must each be the naive sum_i c_i H(n, a)(w_i)
-    count = 0
+def test_stabilized_frames_match_the_naive_values_at_each_certified_n():
+    # one walk at the batch's largest certified n keeps an even-t and an
+    # odd-t frame per |m|, which F's shifted arguments and both signs of
+    # +-m share; each value must be the naive sum_i C(j, i) H(n, a)(w_i) at
+    # its own, smaller or equal, certified n
+    count = mixed = 0
     for anum in (3, 5, 8):
         a = HalfInt(anum)
-        groups = []
         for j in range(3):
-            for mnum in range(-anum + 1, anum):
-                if abs(mnum) + 2 * j < anum:
-                    for sign in (1, -1):
-                        groups.append([(binom(j, i), Monomial(sign, HalfInt(mnum + 2 * (j - 2 * i)))) for i in range(j + 1)])
-        # one group mixing signs, and one with a weight that is not a binomial
-        groups.append([(1, Monomial(1, he(1))), (3, Monomial(-1, he(-1))), (-2, Monomial(-1, he(0)))])
-        for n in (0, 1, 4, 7):
+            ws = [
+                Monomial(sign, HalfInt(mnum))
+                for mnum in range(-anum + 1, anum)
+                if abs(mnum) + 2 * j < anum
+                for sign in (1, -1)
+            ]
             for hi in (1, 24, 37):
-                got = _h_window(n, a, groups, hi)
-                for frame, args in zip(got, groups):
+                got = _stabilized_values(j, a, ws, he(hi))
+                for (val, n), w in zip(got, ws):
                     want = [0] * hi
-                    for c, w in args:
-                        ref = n_hpoly_at(n, anum, w.sign, w.q_exp.num, hi)
-                        want = [x + c * ref.coeff(e) for e, x in enumerate(want)]
-                    assert frame == want, (anum, n, hi, args)
+                    for i in range(j + 1):
+                        ref = n_hpoly_at(n, anum, w.sign, w.q_exp.num + 2 * (j - 2 * i), hi)
+                        want = [x + binom(j, i) * ref.coeff(e) for e, x in enumerate(want)]
+                    assert val == QSeries(0, want, hi), (anum, j, w, hi, n)
                     count += 1
-    assert count == 12 * (13 + 31 + 67)
+                mixed += len({n for _, n in got}) > 1
+    assert count == 3 * (12 + 30 + 66)
+    assert mixed == 6  # the batches at q^12 whose samples' certified n differ
+
+
+def test_stabilized_values_keep_one_frame_per_absolute_exponent(monkeypatch):
+    # F_LIMIT's shifted arguments +-m of all samples share the frames of
+    # |m|: the spy reads the frames the walk fills from the caller's locals
+    import sys
+
+    import qident.hfamily as hfamily
+
+    seen = []
+    column = hfamily._h_column
+
+    def h_column(*args):
+        for item in column(*args):
+            seen.append(sorted(sys._getframe(1).f_locals["frames"]))
+            yield item
+
+    monkeypatch.setattr(hfamily, "_h_column", h_column)
+    assert verify(make_case("F_LIMIT", j=2, a="9/2", order=30)).status == "pass"
+    # its samples are +-q^(m/2), m = 0..3, at the arguments m + 4, m, m - 4
+    assert len({m + 2 * (2 - 2 * i) for m in range(4) for i in range(3)}) == 12
+    assert seen and all(keys == list(range(8)) for keys in seen)
+
+
+def test_an_empty_batch_is_no_walk(monkeypatch):
+    import qident.hfamily as hfamily
+
+    monkeypatch.setattr(hfamily, "_h_column", lambda *a: pytest.fail("walked"))
+    assert _stabilized_values(1, he(7), [], qe(20)) == []
 
 
 def test_lowest_h_exponent_is_the_clamped_vertex():
