@@ -194,6 +194,8 @@ def _cmd_suite(args) -> int:
         if output_path is not None and not (isinstance(output_path, str) and output_path):
             raise ValueError(f"output_path must be a non-empty string, got {output_path!r}")
         for idx, c in enumerate(cases):
+            if not isinstance(c, dict):
+                raise ValueError(f"case {idx}: expected a JSON object, got {type(c).__name__}")
             c = dict(c)
             id = c.pop("id", None)
             if not isinstance(id, str):

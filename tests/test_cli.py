@@ -339,6 +339,9 @@ def test_suite_config_errors_name_the_case_or_the_flag(tmp_path, capsys):
         ([ok, {"k": 1, "r": 0}], "case 1: missing id"),
         ([{"id": ["AG"], "k": 1, "r": 0}], "case 0: id must be a string, got ['AG']"),
         ([ok, {"id": 7}], "case 1: id must be a string, got 7"),
+        ([ok, "AG"], "case 1: expected a JSON object, got str"),
+        ([5], "case 0: expected a JSON object, got int"),
+        ([["id", "AG"]], "case 0: expected a JSON object, got list"),
     ):
         code, out, err = run(capsys, "suite", _write_suite(tmp_path, {"cases": cases}))
         assert code == 2 and out == "", cases
