@@ -413,6 +413,8 @@ class QSeries:
 
     @staticmethod
     def monomial(coeff: int, exp=HalfInt(0), order: Order = INF) -> "QSeries":
+        if not _whole(coeff):
+            raise SpecError(f"a coefficient must be an int, got {coeff!r}")
         e = HalfInt._coerce(exp)
         if e is None:
             raise SpecError(f"bad exponent {exp!r}")
@@ -457,7 +459,7 @@ class QSeries:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, int):
+        if _whole(other):
             other = QSeries.monomial(other) if other else QSeries.zero()
         if not isinstance(other, QSeries):
             return NotImplemented
@@ -485,7 +487,7 @@ class QSeries:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, int):
+        if _whole(other):
             if other == 0:
                 return QSeries.zero(INF)
             if other == 1:
@@ -714,7 +716,7 @@ class ZLaurent:
         return ZLaurent(out, _min_ord(self._ordnum, other._ordnum), span)
 
     def __mul__(self, other):
-        if isinstance(other, int):
+        if _whole(other):
             other = QSeries.monomial(other) if other else QSeries.zero()
         if not isinstance(other, QSeries):
             return NotImplemented

@@ -105,6 +105,22 @@ def test_monomial_and_coefficient():
         s.coefficient(he(12))
 
 
+def test_monomial_refuses_a_coefficient_that_is_no_int():
+    for bad in (0.5, 2.0, True, False, "1", None):
+        with pytest.raises(SpecError, match="a coefficient must be an int"):
+            QSeries.monomial(bad, he(2), he(9))
+    # int operands still become monomials; a bool is no int, so it is no operand
+    x = QSeries.monomial(1, he(3), he(20))
+    assert x + 2 == 2 + x == x + QSeries.monomial(2)
+    assert x + 0 == x
+    z = ZLaurent({1: x}, 20)
+    assert z * 3 == 3 * z == z * QSeries.monomial(3)
+    assert x * 1 == x and x * 3 == x + x + x
+    for op in (lambda: x + True, lambda: False + x, lambda: x * True, lambda: z * True, lambda: False * z):
+        with pytest.raises(TypeError):
+            op()
+
+
 def test_coeff_q_is_whole_grid():
     s = series_from({he(1): 2, qe(1): 5}, qe(10))
     assert s.coefficient(qe(1)) == 5
