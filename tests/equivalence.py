@@ -56,6 +56,13 @@ def _limits() -> List[Case]:
     return _at_orders(rows)
 
 
+def _limits_deep() -> List[Case]:
+    """H_LIMIT at a = 1/2 .. 11/2, F_LIMIT at j <= 2 and a = 7/2, 11/2, at q^240 and q^(961/2)."""
+    rows = [("H_LIMIT", {"a": f"{a}/2"}) for a in range(1, 12)]
+    rows += [("F_LIMIT", {"j": j, "a": a}) for j in range(3) for a in ("7/2", "11/2")]
+    return [(id, p, order) for id, p in rows for order in ("240", "961/2")]
+
+
 def _exact() -> List[Case]:
     """KEY_LEMMA, ITER_PROP and ANDREWS_ANSWER at n <= 4."""
     rows = [("KEY_LEMMA", {"n": n, "a": "3/2"}) for n in range(5)]
@@ -84,7 +91,7 @@ def _structural() -> List[Case]:
                     for n in (20, 25, 30, 35, 40, 45, 60) for a in ("1/2", "3/2", "2")]
 
 
-GRIDS = {"sums": _sums, "limits": _limits, "exact": _exact, "structural": _structural}
+GRIDS = {"sums": _sums, "limits": _limits, "limits_deep": _limits_deep, "exact": _exact, "structural": _structural}
 
 
 def _canon(x):
