@@ -18,8 +18,10 @@ limits at a certified n (H_LIMIT is F_LIMIT at j = 0).  Parameters are
 checked by family, from the names each id takes: `_prep_sum` serves the
 sum rows and CURIOUS, `_prep_plain` the ids whose parameters are plain
 counts and half-integer weights.  Every z family samples z through
-`_z_samples`.  A sum--product id's default order is q^(modulus + 30),
-read off its own modulus; every other id defaults to q^40.
+`_z_samples`, one of each pair z = +-q^(m/2), +-q^((lo + hi - m)/2), which
+mirror about the centre of the family's window (lo, hi) and give equal
+checks.  A sum--product id's default order is q^(modulus + 30), read off
+its own modulus; every other id defaults to q^40.
 
 `verify` runs the checks for a case and reports pass/fail/error, the
 order actually compared, the first mismatching coefficient if any, and
@@ -242,22 +244,20 @@ def _prep_plain(names: Sequence[str], params: dict) -> dict:
     return {x: _need_half(params, x) if x in ("a", "c") else _need_int(params, x, 0) for x in names}
 
 
-# monomial z sampling policies (numerators of half-integer exponents); the
-# limits take m >= 0 only, as H(z) = H(1/z) makes a sample at -m repeat m's
+# monomial z sampling policies (numerators of half-integer exponents); a
+# limit's window is centred on 0 (H(z) = H(1/z)), so -m mirrors m: m >= 0 suffice
 _POLICY_MS = (-2, -1, 0, 1, 2, 3)
 _LIMIT_MS = (0, 1, 2, 3, 5)
 
 
-def _z_samples(
-    z: Optional[Monomial], posed: Callable[[int], bool], ms: Sequence[int] = _POLICY_MS
-) -> List[Monomial]:
-    """[z] for the given z, else both signs of every sampled exponent m (in
-    half-units) with posed(m)."""
-    if z is not None:
-        if not posed(z.q_exp.num):
-            raise SpecError(f"z = {z} is outside the well-posed window for these parameters")
-        return [z]
-    zs = [Monomial(sig, HalfInt(m)) for m in ms if posed(m) for sig in (1, -1)]
+def _z_samples(z: Optional[Monomial], window: Tuple[int, int], ms: Sequence[int] = _POLICY_MS) -> List[Monomial]:
+    """[z] for the given z, else both signs of each m in ms (half-units) inside
+    the open window (lo, hi) whose mirror lo + hi - m is not in ms before it."""
+    lo, hi = window
+    if z is not None and not lo < z.q_exp.num < hi:
+        raise SpecError(f"z = {z} is outside the well-posed window for these parameters")
+    kept = [m for i, m in enumerate(ms) if lo < m < hi and lo + hi - m not in ms[:i]]
+    zs = [z] if z is not None else [Monomial(sig, HalfInt(m)) for m in kept for sig in (1, -1)]
     if not zs:
         raise SpecError("no well-posed z sample exists for these parameters")
     return zs
@@ -302,7 +302,7 @@ class _SumRow(_Record):
         summand: Callable[[dict, Optional[Monomial]], SummandSpec],
         products: Callable[[dict, int, Optional[Monomial]], List[TripleProductSpec]],
         label: str,  # str.format fields: the parameters, mod, P (sorted placement), terms (j+1), z
-        window: Optional[Callable[[dict, int], bool]] = None,  # z rows: is q^(m/2) well posed
+        window: Optional[Callable[[dict], Tuple[int, int]]] = None,  # z rows: q^(m/2) well posed for lo < m < hi
     ):
         _Record.__init__(self, names, modulus, summand, products, label, window)
 
@@ -336,12 +336,12 @@ def _gordon_products(p: dict, mod: int, z: Optional[Monomial]) -> List[TriplePro
     return _jacobi_specs(qe(mod), x, qe(p["k"] + 1 - p["r"]) + m, p["j"], p["placement"] is not None)
 
 
-def _over_window(p: dict, m: int) -> bool:
-    return 2 * (p["j"] - p["k"] - 1) < m < 2 * (p["k"] + 2 - p["j"])
+def _over_window(p: dict) -> Tuple[int, int]:
+    return 2 * (p["j"] - p["k"] - 1), 2 * (p["k"] + 2 - p["j"])  # centre 1: z <-> q/z
 
 
-def _odd_index_window(p: dict, m: int) -> bool:
-    return -2 * (p["k"] + 2) < m < 2 * (p["k"] + 1)
+def _odd_index_window(p: dict) -> Tuple[int, int]:
+    return -2 * (p["k"] + 2), 2 * (p["k"] + 1)  # centre -1: z <-> 1/(qz)
 
 
 def _odd(p: dict) -> int:
@@ -446,7 +446,7 @@ _SUM_ROWS: Dict[str, _SumRow] = {
 def _run_row(row: _SumRow, p: dict, wnum: int, stats: SumStats) -> List[Check]:
     mod = row.modulus(p)
     fields = dict(p, mod=mod, P=sorted(p["placement"] or ()), terms=p["j"] + 1)
-    zs = [None] if row.window is None else _z_samples(p["z"], lambda m: row.window(p, m))
+    zs = [None] if row.window is None else _z_samples(p["z"], row.window(p))
     sums = eval_multisums([row.summand(p, z) for z in zs], he(wnum), stats)
     prods = eval_product_sums([row.products(p, mod, z) for z in zs], he(wnum))
     return [Check(row.label.format_map(dict(fields, z=z)), lhs, rhs) for z, lhs, rhs in zip(zs, sums, prods)]
@@ -456,7 +456,7 @@ def _run_curious(p: dict, wnum: int, stats: SumStats) -> List[Check]:
     # k = 0 of the overpartition rows: OVER_2's sum at z and OVER_3's at
     # 1/z expand the same product
     even_row, odd_row = _SUM_ROWS["OVER_2"], _SUM_ROWS["OVER_3"]
-    zs = _z_samples(p["z"], lambda m: even_row.window(p, m))
+    zs = _z_samples(p["z"], even_row.window(p))
     evens = eval_multisums([even_row.summand(p, z) for z in zs], he(wnum), stats)
     odds = eval_multisums([odd_row.summand(p, z.inverted()) for z in zs], he(wnum), stats)
     prods = eval_product_sums([even_row.products(p, even_row.modulus(p), z) for z in zs], he(wnum))
@@ -624,7 +624,7 @@ def _prep_limit(names: Sequence[str], params: dict) -> dict:
 def _run_limit(label: str, p: dict, wnum: int, stats: SumStats) -> List[Check]:
     """F(n, j, a)(-z) at each z sample's certified n against `f_limit_sum`'s products."""
     j, a = p["j"], p["a"]
-    zs = _z_samples(p["z"], lambda m: abs(m) + 2 * j < a.num, _LIMIT_MS)
+    zs = _z_samples(p["z"], (2 * j - a.num, a.num - 2 * j), _LIMIT_MS)
     vals = _stabilized_values(j, a, [Monomial(-z.sign, z.q_exp) for z in zs], he(wnum))
     prods = eval_product_sums([_limit_specs(j, a, z) for z in zs], he(wnum))
     return [Check(label.format_map(dict(p, z=z, n=n)), v, rhs) for z, (v, n), rhs in zip(zs, vals, prods)]

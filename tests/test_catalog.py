@@ -239,7 +239,7 @@ def test_cor_infty_sum_meets_the_h_form_of_its_closing_factor(ordnum):
     row = catalog._SUM_ROWS["COR_INFTY"]
     for k in (0, 1, 2):
         p = catalog._REGISTRY["COR_INFTY"].prepare({"k": k})
-        for z in catalog._z_samples(None, lambda m: row.window(p, m)):
+        for z in catalog._z_samples(None, row.window(p)):
             spec = row.summand(p, z)
             got = eval_multisum(spec, he(ordnum))
             # each index adds s^2 and the tail no less than q^-2, so s_1 <= 8 covers q^31
@@ -252,7 +252,7 @@ def test_cor_infty_sum_meets_the_h_form_of_its_closing_factor(ordnum):
 @pytest.mark.parametrize(
     "id, params, order, counts",
     [
-        # one kernel for the case's 12 z samples
+        # one kernel for the case's 6 to 10 z samples
         ("COR_INFTY", dict(k=0), 33, (6, 7, 1)),
         ("COR_INFTY", dict(k=1), 35, (12, 16, 4)),
         ("COR_INFTY", dict(k=2), 37, (16, 24, 8)),
@@ -266,6 +266,99 @@ def test_closing_factor_rows_keep_their_order_and_cell_counts(id, params, order,
     rep = verify(make_case(id, **params))
     assert (rep.status, rep.compared_order) == ("pass", qe(order))
     assert (rep.tuple_count, rep.node_count, rep.pruned_count) == counts
+
+
+def _mirror_grid():
+    """(id, params) of OVER_1 at every placement for k <= 2, OVER_2, OVER_3 and COR_INFTY at k <= 2, CURIOUS."""
+    from itertools import combinations
+
+    grid = [("OVER_1", {"k": k, "j": j, "placement": list(P)})
+            for k in range(3) for j in range(k + 2) for P in combinations(range(1, k + 2), j)]
+    grid += [("OVER_2", {"k": k, "j": j}) for k in range(3) for j in range(k + 2)]
+    return grid + [(id, {"k": k}) for id in ("OVER_3", "COR_INFTY") for k in range(3)] + [("CURIOUS", {})]
+
+
+def test_each_skipped_z_sample_repeats_its_kept_mirror():
+    # a z row samples z = +-q^(m/2) for m in _POLICY_MS inside its window
+    # (lo, hi), and skips m when its mirror lo + hi - m comes earlier: both
+    # sides must then be the same series at m and at the mirror, so that the
+    # skipped checks are the kept ones repeated
+    skipped = 0
+    for id, params in _mirror_grid():
+        row = catalog._SUM_ROWS["OVER_2" if id == "CURIOUS" else id]
+        entry = catalog._REGISTRY[id]
+        lo, hi = row.window(entry.prepare(params))
+        kept = catalog._z_samples(None, (lo, hi))
+        for m in catalog._POLICY_MS:
+            if not lo < m < hi or Monomial(1, he(m)) in kept:
+                continue
+            assert Monomial(1, he(lo + hi - m)) in kept, (id, params, m)
+            for sign in (1, -1):
+                for wnum in (100, 101):
+                    sides = []
+                    for e in (m, lo + hi - m):
+                        p = entry.prepare(dict(params, z_sign=sign, z_exp=str(he(e))))
+                        sides.append([(c.lhs, c.rhs) for c in entry.runner(p, wnum, SumStats())])
+                    assert sides[0] == sides[1], (id, params, sign, m, wnum)
+                skipped += 1
+    assert skipped == 84
+
+
+def test_z_sample_lists_keep_one_sample_per_mirror_pair():
+    def samples(id, **params):
+        entry, p, _ = catalog._prepare(make_case(id, **params))
+        if id in catalog._LIMITS:
+            j, a = p["j"], p["a"]
+            return catalog._z_samples(p["z"], (2 * j - a.num, a.num - 2 * j), catalog._LIMIT_MS)
+        return catalog._z_samples(p["z"], catalog._SUM_ROWS[id].window(p))
+
+    def both_signs(ms):
+        return [Monomial(sign, he(m)) for m in ms for sign in (1, -1)]
+
+    assert samples("OVER_1", k=1, j=0) == both_signs((-2, -1, 0, 1))
+    assert samples("OVER_1", k=1, j=1) == both_signs((-1, 0, 1))
+    assert samples("COR_INFTY", k=2) == both_signs((-2, -1, 1, 2, 3))
+    assert samples("H_LIMIT", a="3/2") == both_signs((0, 1, 2))
+    assert samples("F_LIMIT", j=2, a="9/2") == both_signs((0, 1, 2, 3))
+    # an explicit z runs as given, mirror or not
+    assert samples("OVER_1", k=1, j=0, z_sign=1, z_exp=1) == [Monomial(1, he(2))]
+
+
+@pytest.mark.parametrize(
+    "id, params, order, closings, lists",
+    [
+        # sampled m in (-2, -1, 0, 1, 2, 3), both signs, inside the window;
+        # the closings before the mirror pairs were merged, then after
+        ("COR_INFTY", dict(k=2), 80, (12, 10), [10]),
+        ("OVER_1", dict(k=1, j=0), 100, (12, 8), [8]),
+        ("OVER_1", dict(k=1, j=1), 100, (10, 6), [6]),
+        ("CURIOUS", {}, 120, (20, 12), [6]),  # the even and the odd batch
+    ],
+)
+def test_sums_z_cases_close_one_sample_per_mirror_pair(monkeypatch, id, params, order, closings, lists):
+    # the perfbench sums_z cases: one closing per distinct sample and sum,
+    # and one product list per distinct sample
+    import qident.multisum as ms
+
+    count, batches = [0], []
+
+    def close(*args):
+        count[0] += 1
+        return real_close(*args)
+
+    def product_sums(specs, order):
+        batches.append(len(specs))
+        return real_sums(specs, order)
+
+    real_close, real_sums = ms._close, catalog.eval_product_sums
+    monkeypatch.setattr(ms, "_close", close)
+    monkeypatch.setattr(catalog, "eval_product_sums", product_sums)
+    entry, p, _ = catalog._prepare(make_case(id, **params))
+    lo, hi = catalog._SUM_ROWS["OVER_2" if id == "CURIOUS" else id].window(p)
+    sums = 2 if id == "CURIOUS" else 1
+    assert closings[0] == sums * 2 * sum(lo < m < hi for m in catalog._POLICY_MS)
+    assert verify(make_case(id, order=qe(order), **params)).status == "pass"
+    assert (count[0], batches) == (closings[1], lists)
 
 
 def test_verify_rejects_unknown_ids_and_params():
@@ -712,18 +805,18 @@ def test_one_builder_makes_the_jacobi_product_lists_of_the_sum_rows_and_the_limi
         _, p, _ = catalog._prepare(make_case(id, order=order, **params))
         if id in catalog._LIMITS:
             j, a = p["j"], p["a"]
-            for z in catalog._z_samples(p["z"], lambda m: abs(m) + 2 * j < a.num, catalog._LIMIT_MS):
+            for z in catalog._z_samples(p["z"], (2 * j - a.num, a.num - 2 * j), catalog._LIMIT_MS):
                 assert _limit_specs(j, a, z) == limit(j, a, z), (id, params, z)
                 count += 1
             continue
         row = catalog._SUM_ROWS["OVER_2" if id == "CURIOUS" else id]
         mod = row.modulus(p) - (id == "NEG_AG")  # NEG_AG builds AG's list, then moves its modulus
-        for z in [None] if row.window is None else catalog._z_samples(p["z"], lambda m: row.window(p, m)):
+        for z in [None] if row.window is None else catalog._z_samples(p["z"], row.window(p)):
             if z is not None:  # the z at which the row calls the builder
                 z = {"OVER_3": z.inverted(), "COR_INFTY": Monomial(-z.sign, -z.q_exp)}.get(id, z)
             assert catalog._gordon_products(p, mod, z) == gordon(p, mod, z), (id, params, z)
             count += 1
-    assert count == 2216
+    assert count == 1816
 
 
 def test_limit_walks_reuse_the_product_sides_partition_series(monkeypatch):
@@ -743,10 +836,10 @@ def _per_sample_products(case):
     W = he(wnum)
     if case.id in catalog._LIMITS:
         j, a = p["j"], p["a"]
-        zs = catalog._z_samples(p["z"], lambda m: abs(m) + 2 * j < a.num, catalog._LIMIT_MS)
+        zs = catalog._z_samples(p["z"], (2 * j - a.num, a.num - 2 * j), catalog._LIMIT_MS)
         return [qident.f_limit_sum(j, a, z, W) for z in zs]
     row = catalog._SUM_ROWS["OVER_2" if case.id == "CURIOUS" else case.id]
-    zs = catalog._z_samples(p["z"], lambda m: row.window(p, m))
+    zs = catalog._z_samples(p["z"], row.window(p))
     prods = [eval_product_sum(row.products(p, row.modulus(p), z), W) for z in zs]
     return [x for x in prods for _ in range(2)] if case.id == "CURIOUS" else prods
 
@@ -773,7 +866,7 @@ def test_batched_product_sides_equal_the_per_sample_products():
             checks = [c for i, c in enumerate(checks) if i % 3 != 2]
         assert [c.rhs for c in checks] == _per_sample_products(case), case
         count += len(checks)
-    assert count == 419
+    assert count == 343
 
 
 def test_sign_pairs_halve_the_limit_work(monkeypatch):

@@ -422,7 +422,7 @@ def test_batches_match_the_brute_force_on_every_z_row(ordnum):
         for params in grid:
             for z in ({}, {"z_sign": "-", "z_exp": "1/2"}):
                 p = entry.prepare(dict(params, **z))
-                zs = catalog._z_samples(p["z"], lambda m: row.window(p, m))
+                zs = catalog._z_samples(p["z"], row.window(p))
                 batches.append([row.summand(p, z) for z in zs])
                 if id == "CURIOUS":
                     odd = catalog._SUM_ROWS["OVER_3"]
