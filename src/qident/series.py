@@ -180,7 +180,7 @@ class HalfInt(_Record):
 
     def __mul__(self, other):
         # HalfInt * HalfInt could leave the grid, so only int scaling exists
-        if isinstance(other, int):
+        if _whole(other):
             return HalfInt(self.num * other)
         return NotImplemented
 

@@ -63,7 +63,17 @@ def test_halfint_int_operands_are_whole_exponents():
     assert not HalfInt(5).is_integral
 
 
-@pytest.mark.parametrize("name, op", [("__lt__", lt), ("__le__", le), ("__gt__", gt), ("__ge__", ge), ("__eq__", eq)])
+def test_halfint_scales_by_plain_ints_only():
+    # a bool is no whole scale, as it is no whole exponent in he(3) + True
+    assert he(3) * 2 == 2 * he(3) == he(6)
+    for bad in (True, False, 2.0, he(2)):
+        with pytest.raises(TypeError):
+            he(3) * bad
+        with pytest.raises(TypeError):
+            bad * he(3)
+
+
+@pytest.mark.parametrize("name, op",[("__lt__", lt), ("__le__", le), ("__gt__", gt), ("__ge__", ge), ("__eq__", eq)])
 @pytest.mark.parametrize("other", [1, 2, 3, -2, HalfInt(3), HalfInt(4), HalfInt(5), INF, 2.0, "2", None])
 def test_halfint_comparisons_follow_one_rule(name, op, other):
     # numerators compared, int operands whole exponents, INF above every
