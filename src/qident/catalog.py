@@ -13,8 +13,9 @@ Bressoud shape with binomial placements; `_EXPANSIONS`, run by
 `_run_expansion`, are cases of Bressoud's key lemma summed over chains
 n >= s_1 >= ... >= s_d >= 0, which run on the sum side's kernel from a
 bounded start (`multisum._chain_values`), as do ANDREWS_ANSWER's two
-chains; `_LIMITS`, run by `_run_limit`, hold the
-limits at a certified n (H_LIMIT is F_LIMIT at j = 0).  Parameters are
+chains; an expansion builds the term of a chain sum only where it is
+nonzero; `_LIMITS`, run by `_run_limit`, hold the limits at a certified
+n (H_LIMIT is F_LIMIT at j = 0).  Parameters are
 checked by family, from the names each id takes: `_prep_sum` serves the
 sum rows and CURIOUS, `_prep_plain` the ids whose parameters are plain
 counts and half-integer weights.  Every z family samples z through
@@ -44,6 +45,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 from .hfamily import (
     FSpec,
     HSpec,
+    _f_min,
     _limit_specs,
     _stabilized_values,
     f_func,
@@ -265,12 +267,6 @@ def _z_samples(z: Optional[Monomial], window: Tuple[int, int], ms: Sequence[int]
 
 # ---------------------------------------------------------------------------
 # shared builders
-
-
-def _low(x: ZLaurent, default: int) -> int:
-    # the least exponent of x in half-units (default when it has none below
-    # its order): x times a coefficient known below W is known below W + _low(x)
-    return min((x.slice(k).min_exp.num for k in x.z_support()), default=default)
 
 
 def _bress_lambda(k: int, j: int, r: int = 0) -> Tuple[int, ...]:
@@ -535,17 +531,18 @@ def _run_recurse_f(p: dict, wnum: int, stats: SumStats) -> List[Check]:
 # weighs q^(s_t^2), or q^(s_t^2 - s_t) (1 + q^(s_{t-1} + s_t)) on a placed
 # row, so the chain sums K(s_d) are the multisum kernel's from the bounded
 # start s_0 = n (`multisum._chain_values`), and the report carries its cell
-# counts.  F(n, 0, a) is H(n, a), so KEY_LEMMA and NEW_PROP are the rows
-# F_SUM and NEW_PROP2 at j = 0, each with its own prepare and label.
+# counts.  Each term's floor is closed-form, so term(s) is built only where
+# K(s) is nonzero.  F(n, 0, a) is H(n, a), so KEY_LEMMA and NEW_PROP are the
+# rows F_SUM and NEW_PROP2 at j = 0, each with its own prepare and label.
 
 
 class _Expansion(_Record):
     __slots__ = (
         "prepare",
-        "lhs",  # (p, wnum) -> ZLaurent: the polynomial at n
+        "lhs",  # (p, wnum) -> ZLaurent: the polynomial at n, starting at or above term(n)
         "depth",  # p -> d, the chain length
         "placed",  # every level weighs the pair q^(s^2 - s) (1 + q^(prev + s)), else q^(s^2)
-        "term",  # (p, s, wnum) -> ZLaurent: the polynomial at s_d
+        "term",  # (p, s) -> FSpec of F at s_d, from q^(_f_min/2); None: (qz, 1/z; q)_s, from q^0
         "label",  # str.format fields: the parameters
     )
 
@@ -554,14 +551,14 @@ _F_SUM = _Expansion(
     partial(_prep_plain, ("n", "j", "a")),
     lambda p, w: f_func(FSpec(p["n"], p["j"], p["a"]), he(w)),
     lambda p: 1, False,
-    lambda p, s, w: f_func(FSpec(s, p["j"], p["a"] - he(2)), he(w)),
+    lambda p, s: FSpec(s, p["j"], p["a"] - he(2)),
     "n={n} j={j} a={a}: one-step expansion of the closure",
 )
 _NEW_PROP2 = _Expansion(
     partial(_prep_plain, ("n", "j", "a")),
     lambda p, w: f_func(FSpec(p["n"], p["j"] + 1, p["a"] + he(2)), he(w)),
     lambda p: 1, True,
-    lambda p, s, w: f_func(FSpec(s, p["j"], p["a"]), he(w)),
+    lambda p, s: FSpec(s, p["j"], p["a"]),
     "n={n} j={j} a={a}: shifted-pair expansion of the closure",
 )
 _EXPANSIONS: Dict[str, _Expansion] = {
@@ -571,14 +568,14 @@ _EXPANSIONS: Dict[str, _Expansion] = {
     "NEW_PROP2": _NEW_PROP2,
     "ANOTHER_F": _Expansion(
         _prep_nja_pos, _F_SUM.lhs, lambda p: p["j"], True,
-        lambda p, s, w: h_poly(HSpec(s, p["a"] - qe(p["j"])), he(w)),
+        lambda p, s: FSpec(s, 0, p["a"] - qe(p["j"])),
         "n={n} j={j} a={a}: full chain expansion",
     ),
     "ITER_PROP": _Expansion(
         partial(_prep_plain, ("n", "k", "a")),
         lambda p, w: h_poly(HSpec(p["n"], p["a"] + qe(p["k"] + 1)), he(w)),
         lambda p: p["k"] + 1, False,
-        lambda p, s, w: h_poly(HSpec(s, p["a"]), he(w)),
+        lambda p, s: FSpec(s, 0, p["a"]),
         "n={n} k={k} a={a}: iterated expansion",
     ),
     # w + n: the zshift by q^(1/2) moves slice -n down by n half-units
@@ -587,24 +584,25 @@ _EXPANSIONS: Dict[str, _Expansion] = {
         lambda p, w: (
             h_poly(HSpec(p["n"], he(2 * p["k"] + 3)), he(w + p["n"])).zshift(he(1)).znegate()
         ),
-        lambda p: p["k"] + 1, False,
-        lambda p, s, w: _pochz_rising(s, he(w)),
+        lambda p: p["k"] + 1, False, None,
         "n={n} k={k}: iterated expansion with factored tail",
     ),
 }
 
 
 def _run_expansion(row: _Expansion, p: dict, wnum: int, stats: SumStats) -> List[Check]:
-    n, d, lhs = p["n"], row.depth(p), row.lhs(p, wnum)
-    terms = [row.term(p, s, wnum) for s in range(n + 1)]
-    # term(s) / (q)_{2s} starts at q^(floor/2), so K(s) is needed only below wnum - floor
-    floors = [_low(t, wnum) for t in terms]
-    inv = _inv_poch_ladder(2, wnum - min([0, _low(lhs, 0)] + floors))
+    n, d = p["n"], row.depth(p)
+    # K(s) is needed below wnum - floor; the lhs starts no lower than term(n)
+    fs = [row.term(p, s) if row.term else None for s in range(n + 1)]
+    floors = [0 if f is None else min(_f_min(f), wnum) for f in fs]
+    inv = _inv_poch_ladder(2, wnum - min([0] + floors))
     spec = SummandSpec(d, (0,) * d, frozenset(range(1, d + 1)) if row.placed else None)
-    rhs = ZLaurent.zero()
-    for s, (term, chain) in enumerate(zip(terms, _chain_values(spec, n, floors, wnum, stats))):
-        rhs = rhs + term * (chain * inv(2 * s))
-    return [Check(row.label.format_map(p), lhs * inv(2 * n), rhs)]
+    rhs = ZLaurent({}, wnum, (-n, n))  # term(n)'s span: a dead term is zero only below the order
+    for s, (f, chain) in enumerate(zip(fs, _chain_values(spec, n, floors, wnum, stats))):
+        if chain:
+            term = _pochz_rising(s, he(wnum)) if f is None else f_func(f, he(wnum))
+            rhs = rhs + term * (chain * inv(2 * s))
+    return [Check(row.label.format_map(p), row.lhs(p, wnum) * inv(2 * n), rhs)]
 
 
 # ---------------------------------------------------------------------------

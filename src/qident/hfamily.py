@@ -11,7 +11,8 @@ which below q^L is 1/(q)_inf when n + 1 >= L, else up from [2n, 0].  The
 walk stops at the last slice that starts below the order: at a finite
 order and a > 0, the largest s with a s^2 - j s below it, so
 H(400, 2) below q^40 stores 9 slices; the span (-n, n) keeps the rest,
-zero below the order; that s, the least exponents and `_certified_n` are
+zero below the order; that s, F's least exponent `_f_min` (the catalog's
+expansions read their terms' floors off it too) and `_certified_n` are
 `qobjects`' quadratic bounds `_quad_top` and `_quad_min`.  The step itself
 is run only by the catalog's RECURSE_F, which checks it against this
 binomial form.
@@ -90,6 +91,12 @@ def h_poly(spec: HSpec, order: Order = INF) -> ZLaurent:
     return f_func(FSpec(spec.n, 0, spec.a), order)
 
 
+def _f_min(spec: FSpec) -> int:
+    """F(n, j, a)'s least exponent in half-units: slice s starts at q^(a s^2 - j|s|)."""
+    n, j, A = spec.n, spec.j, spec.a.num
+    return _quad_min(A, -2 * j, n) if A > 0 else A * n * n - 2 * j * n
+
+
 def f_func(spec: FSpec, order: Order = INF) -> ZLaurent:
     """F(n, j, a) = sum_i C(j, i) H(n, a)(z q^(j-2i)), truncated at `order`.
 
@@ -105,8 +112,7 @@ def f_func(spec: FSpec, order: Order = INF) -> ZLaurent:
     if ordnum is None:
         L, top = n * n + 1, n
     else:
-        low = _quad_min(A, -2 * j, n) if A > 0 else A * n * n - 2 * j * n
-        L = max((ordnum - low + 1) // 2, 1)
+        L = max((ordnum - _f_min(spec) + 1) // 2, 1)
         top = _quad_top(A, 2 * j, ordnum, n) if A > 0 else n
     terms = {}
     for k, b in _h_column(n, top, L):

@@ -7,12 +7,14 @@ With one revision the working tree is compared with REV, with two REV1 with
 REV2; the grids are this file's either way.  A revision is a git revision,
 exported with `git archive` into a temporary directory, or a directory that
 holds a source tree (its `src/`).  Each named grid (default: all of `GRIDS`)
-runs in both trees, each tree in a fresh interpreter, and the first case
-that differs is printed, "here" the first tree and "there" the second; the
-exit status is 1 on a difference, else 0.  A case's record is its report, less the elapsed
-time, and every check its runner builds: the label and both sides in
-canonical form, a `QSeries` as (min, coefficients, order) and a `ZLaurent`
-as (order, span, slices).  A case whose runner raises records the error.
+runs in both trees, each tree in a fresh interpreter, and the number of
+cases that differ is printed with the first of them, "here" the first tree
+and "there" the second; every grid runs, and the exit status is 1 when
+any case differs, else 0.  A case's record is its report, less the
+elapsed time, and every check its runner builds: the label and both sides
+in canonical form, a `QSeries` as (min, coefficients, order) and a
+`ZLaurent` as (order, span, slices).  A case whose runner raises records
+the error.
 """
 
 from __future__ import annotations
@@ -133,23 +135,31 @@ def run_cases(tree: str, cases: List[Case]) -> List[dict]:
     return json.loads(proc.stdout)
 
 
+def _difference(case: Case, a: dict, b: dict) -> Optional[str]:
+    """The first field in which the case's two records differ; None when they agree."""
+    if a == b:
+        return None
+    for field in a:
+        if field == "checks" and isinstance(a[field], list) and isinstance(b[field], list):
+            if len(a[field]) != len(b[field]):
+                return f"{case}: {len(a[field])} checks here, {len(b[field])} there"
+            for i, (x, y) in enumerate(zip(a[field], b[field])):
+                for part, u, v in zip(("label", "lhs", "rhs"), x, y):
+                    if u != v:
+                        return f"{case}: check {i} {part}: here {u}, there {v}"
+        elif a[field] != b.get(field):
+            return f"{case}: {field}: here {a[field]}, there {b.get(field)}"
+    return f"{case}: fields here {sorted(a)}, there {sorted(b)}"
+
+
+def differences(cases: List[Case], here: List[dict], there: List[dict]) -> List[str]:
+    """Each case whose records differ, in order, with the first field that does."""
+    return [d for d in map(_difference, cases, here, there) if d is not None]
+
+
 def first_difference(cases: List[Case], here: List[dict], there: List[dict]) -> Optional[str]:
-    """The first case whose records differ, with the first field that does; None when all agree."""
-    for case, a, b in zip(cases, here, there):
-        if a == b:
-            continue
-        for field in a:
-            if field == "checks" and isinstance(a[field], list) and isinstance(b[field], list):
-                if len(a[field]) != len(b[field]):
-                    return f"{case}: {len(a[field])} checks here, {len(b[field])} there"
-                for i, (x, y) in enumerate(zip(a[field], b[field])):
-                    for part, u, v in zip(("label", "lhs", "rhs"), x, y):
-                        if u != v:
-                            return f"{case}: check {i} {part}: here {u}, there {v}"
-            elif a[field] != b.get(field):
-                return f"{case}: {field}: here {a[field]}, there {b.get(field)}"
-        return f"{case}: fields here {sorted(a)}, there {sorted(b)}"
-    return None
+    """The first of `differences`; None when all agree."""
+    return next(iter(differences(cases, here, there)), None)
 
 
 def _export(rev: str, into: str) -> str:
@@ -161,14 +171,16 @@ def _export(rev: str, into: str) -> str:
 
 
 def compare(here: str, there: str, grids: List[str]) -> int:
-    """Run the grids on the trees `here` and `there`; print the outcome."""
+    """Run the grids on the trees `here` and `there`; print each grid's outcome."""
+    status = 0
     for name in grids:
         cases = GRIDS[name]()
-        diff = first_difference(cases, run_cases(here, cases), run_cases(there, cases))
-        print(f"{name}: {len(cases)} cases, " + ("no difference" if diff is None else f"first difference: {diff}"))
-        if diff is not None:
-            return 1
-    return 0
+        diffs = differences(cases, run_cases(here, cases), run_cases(there, cases))
+        outcome = f"{len(diffs)} differ, first: {diffs[0]}" if diffs else "no difference"
+        print(f"{name}: {len(cases)} cases, {outcome}")
+        if diffs:
+            status = 1
+    return status
 
 
 def main(argv: List[str]) -> int:

@@ -18,6 +18,7 @@ from qident import (
     Monomial,
     QSeries,
     SummandSpec,
+    SumStats,
     TailEven,
     TailOverOdd,
     TripleProductSpec,
@@ -29,6 +30,7 @@ from qident import (
     he,
     qe,
 )
+from qident import catalog
 from naive import (
     brute_force_multisum,
     count_gap_partitions,
@@ -198,14 +200,17 @@ def test_criterion_08_limits():
 def test_criterion_09_overpartitions():
     for k in range(4):
         for j in range(k + 2):
-            window = [m for m in (-2, -1, 0, 1, 2, 3) if 2 * (j - k - 1) < m < 2 * (k + 2 - j)]
-            # two signs per admissible exponent; a narrow window (j near
-            # k+1) cannot offer six, in which case all of it is sampled
-            want = 2 * len(window)
-            assert want >= 6 or want == 2 * (4 * k - 4 * j + 5)
+            # z = +-q^(m/2) is well posed for lo < m < hi, and m and 2 - m
+            # give equal checks, so the runner samples one m of each mirror
+            # pair about m = 1, at both signs: 8 checks at k=1 j=0
+            lo, hi = 2 * (j - k - 1), 2 * (k + 2 - j)
+            want = 2 * len([m for m in (-2, -1, 0, 1) if lo < m < hi])
             for id in ("OVER_1", "OVER_2"):
-                rep = verify(make_case(id, order=qe(50), k=k, j=j))
+                case = make_case(id, order=qe(50), k=k, j=j)
+                rep = verify(case)
                 assert rep.status == "pass", (id, k, j, rep.detail)
+                entry, p, ordnum = catalog._prepare(case)
+                assert len(entry.runner(p, ordnum, SumStats())) == want, (id, k, j)
         _assert_pass("OVER_3", qe(50), k=k)
     _assert_pass("CURIOUS", qe(100))
     _assert_pass("CURIOUS", qe(100), z_sign="+", z_exp=0)

@@ -1,5 +1,6 @@
 """The identity registry: reports, cross-checks, and failure evidence."""
 
+import itertools
 import random
 import re
 import time
@@ -35,7 +36,7 @@ from qident import (
     validate_case,
 )
 import qident
-from qident import catalog
+from qident import catalog, hfamily
 from qident.catalog import _bress_lambda
 from qident.qobjects import _inv_poch_ladder
 from naive import brute_force_multisum
@@ -220,7 +221,7 @@ def test_key_lemma_fails_with_its_term_at_weight_a_minus_one_half(monkeypatch):
     # negative control for the expansions: the KEY_LEMMA row with term(s) at
     # weight a - 1/2 instead of a - 1 fails at q^(2n^2) z^-n, lhs 1, rhs 0
     row = catalog._EXPANSIONS["KEY_LEMMA"]
-    wrong = row._replace(term=lambda p, s, w: qident.f_func(FSpec(s, p["j"], p["a"] - he(1)), he(w)))
+    wrong = row._replace(term=lambda p, s: FSpec(s, p["j"], p["a"] - he(1)))
     entry = catalog._REGISTRY["KEY_LEMMA"]
     monkeypatch.setitem(catalog._REGISTRY, "KEY_LEMMA", entry._replace(runner=partial(catalog._run_expansion, wrong)))
     for n, exp in ((4, 32), (3, 18)):
@@ -616,6 +617,70 @@ def test_iterate_bress_builds_its_factored_tail_at_the_working_order():
         best.append(time.perf_counter() - t0)
     assert rep.compared_order == qe(40)
     assert min(best) < 1.0
+
+
+def test_expansions_build_only_the_terms_of_live_chains(monkeypatch):
+    # each term's floor is read off F's closed form, so term(s) is built only
+    # where its chain sum K(s) is nonzero: at q^40, 7 of KEY_LEMMA n=700's 701
+    # chains are live, and 4 of ITERATE_BRESS n=30's 31
+    built = dict.fromkeys(("f_func", "_pochz_rising"), 0)
+    for name in built:
+        def counted(*args, name=name, fn=getattr(catalog, name)):
+            built[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(catalog, name, counted)
+    _ok("KEY_LEMMA", order=qe(40), n=700, a=2)
+    assert built == {"f_func": 8, "_pochz_rising": 0}  # the lhs and the 7 live terms
+    built["f_func"] = 0
+    _ok("ITERATE_BRESS", order=qe(40), n=30, k=2)  # its lhs is an h_poly
+    assert built == {"f_func": 0, "_pochz_rising": 4}
+
+
+def test_expansion_sides_keep_the_same_z_span():
+    # a dead term is zero only below the order, so the rhs keeps the span
+    # z^-n..z^n of the sum of all n + 1 terms, as the lhs has; the span
+    # bounds the order of a substitution z -> q^(1/2), which moves z^-n down
+    for id, params in (("KEY_LEMMA", dict(n=700, a=2)), ("ANOTHER_F", dict(n=5, j=2, a=2)),
+                       ("ITERATE_BRESS", dict(n=6, k=1))):
+        entry, p, ordnum = catalog._prepare(make_case(id, order=qe(40), **params))
+        (check,) = entry.runner(p, ordnum, SumStats())
+        orders = [side.substitute(1, he(1)).order for side in (check.lhs, check.rhs)]
+        assert orders == [he(80 - params["n"])] * 2, id
+
+
+def _least_exp(x, default):
+    # where a ZLaurent starts, in half-units; default when it has nothing below its order
+    return min((x.slice(k).min_exp.num for k in x.z_support()), default=default)
+
+
+def test_expansion_floors_are_where_their_terms_start():
+    # the floor the runner hands K(s), F's closed form capped at the order or
+    # q^0 for ITERATE_BRESS's factored tail, is the least exponent of term(s)
+    specs = set()
+    for row in (r for r in catalog._EXPANSIONS.values() if r.term is not None):
+        for j, k, a in itertools.product(range(3), range(3), range(-3, 12)):
+            specs.update(row.term({"j": j, "k": k, "a": he(a)}, s) for s in range(5))
+    assert len(specs) > 200
+    for w in (8, 21, 40):
+        for f in specs:
+            assert min(hfamily._f_min(f), w) == _least_exp(qident.f_func(f, he(w)), w), (f, w)
+        assert [_least_exp(catalog._pochz_rising(s, he(w)), w) for s in range(5)] == [0] * 5
+
+
+def test_expansions_error_when_their_floors_are_overstated(monkeypatch):
+    # negative control for the floors: a K(s) whose floor is one half-unit
+    # too high is known one half-unit short, so the check cannot certify the
+    # request; skipping the dead terms rests on that
+    chain_values = catalog._chain_values
+
+    def overstated(spec, n, low, nnum, stats):
+        return chain_values(spec, n, [f + 1 for f in low], nnum, stats)
+
+    monkeypatch.setattr(catalog, "_chain_values", overstated)
+    for id, params in (("KEY_LEMMA", dict(n=4, a=2)), ("ITERATE_BRESS", dict(n=4, k=1))):
+        rep = verify(make_case(id, order=qe(40), **params))
+        assert (rep.status, rep.detail) == ("error", "compared only below q^79/2, not the requested q^40"), id
 
 
 def test_special_a_fails_without_the_sign_flip(monkeypatch):

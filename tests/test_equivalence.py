@@ -23,6 +23,29 @@ def test_equivalence_of_the_working_tree_with_itself():
     changed[1]["checks"][1][2][2][0] += 1
     diff = equivalence.first_difference(cases, here, changed)
     assert diff.startswith("('CURIOUS', ") and ": check 1 rhs: here " in diff
+    # every differing case is listed, in order
+    changed[2]["status"] = "fail"
+    diffs = equivalence.differences(cases, here, changed)
+    assert len(diffs) == 2 and diffs[0] == diff and diffs[1].startswith("('KEY_LEMMA', ")
+
+
+def test_compare_prints_how_many_cases_of_each_grid_differ(monkeypatch, capsys):
+    # each grid is run and its differing cases counted; the status is 1 when any differ
+    grids = {"one": lambda: [("A", {}, None)] * 3, "two": lambda: [("B", {}, None)] * 2}
+    monkeypatch.setattr(equivalence, "GRIDS", grids)
+
+    def run_cases(tree, cases):
+        if tree == "there" and len(cases) == 3:
+            return [{"status": s} for s in ("fail", "pass", "error")]
+        return [{"status": "pass"}] * len(cases)
+
+    monkeypatch.setattr(equivalence, "run_cases", run_cases)
+    assert equivalence.compare("here", "there", ["one", "two"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "one: 3 cases, 2 differ, first: ('A', {}, None): status: here pass, there fail",
+        "two: 2 cases, no difference",
+    ]
+    assert equivalence.compare("here", "there", ["two"]) == 0
 
 
 def test_equivalence_compares_the_working_tree_or_two_revisions(monkeypatch, tmp_path):
