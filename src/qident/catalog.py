@@ -252,14 +252,25 @@ _POLICY_MS = (-2, -1, 0, 1, 2, 3)
 _LIMIT_MS = (0, 1, 2, 3, 5)
 
 
-def _z_samples(z: Optional[Monomial], window: Tuple[int, int], ms: Sequence[int] = _POLICY_MS) -> List[Monomial]:
-    """[z] for the given z, else both signs of each m in ms (half-units) inside
-    the open window (lo, hi) whose mirror lo + hi - m is not in ms before it."""
+def _z_samples(
+    z: Optional[Monomial], window: Tuple[int, int], ms: Sequence[int] = _POLICY_MS, parity: int = 0
+) -> List[Monomial]:
+    """[z] for the given z, else one z = +-q^(m/2), m in ms (half-units) inside
+    the open window (lo, hi), per orbit of the family's two symmetries.
+
+    The mirror m -> lo + hi - m keeps the sign: m is skipped when its mirror
+    is in ms before it.  The sign twin: a family's terms are z^s times
+    q^(parity s^2 / 2) times whole powers of q, so q^(1/2) -> -q^(1/2), which
+    fixes q, takes both sides at sign q^(m/2) to both sides at
+    (-1)^(m + parity) sign q^(m/2); when m + parity is odd, only + is kept.
+    """
     lo, hi = window
     if z is not None and not lo < z.q_exp.num < hi:
         raise SpecError(f"z = {z} is outside the well-posed window for these parameters")
     kept = [m for i, m in enumerate(ms) if lo < m < hi and lo + hi - m not in ms[:i]]
-    zs = [z] if z is not None else [Monomial(sig, HalfInt(m)) for m in kept for sig in (1, -1)]
+    zs = [z] if z is not None else [
+        Monomial(sig, HalfInt(m)) for m in kept for sig in ((1,) if (m + parity) % 2 else (1, -1))
+    ]
     if not zs:
         raise SpecError("no well-posed z sample exists for these parameters")
     return zs
@@ -285,7 +296,8 @@ def _bress_lambda(k: int, j: int, r: int = 0) -> Tuple[int, ...]:
 # BRESSOUD_EVEN are THM_3_1 and THM_4_1 at j = 0, BRESS_J is THM_3_2 at
 # r = 0, and OVER_1/OVER_2 are the THM_3_1/THM_3_2 shapes on k+1 indices
 # with the overpartition tail.  Every prepared parameter dict carries
-# k, r, j and placement (None for the unplaced shape); z rows also z.
+# k, r, j and placement (None for the unplaced shape); z rows also z.  A z
+# row's terms are z^s times whole powers of q, so its sampling parity is 0.
 
 
 class _SumRow(_Record):
@@ -542,7 +554,9 @@ class _Expansion(_Record):
         "lhs",  # (p, wnum) -> ZLaurent: the polynomial at n, starting at or above term(n)
         "depth",  # p -> d, the chain length
         "placed",  # every level weighs the pair q^(s^2 - s) (1 + q^(prev + s)), else q^(s^2)
-        "term",  # (p, s) -> FSpec of F at s_d, from q^(_f_min/2); None: (qz, 1/z; q)_s, from q^0
+        # (p, s) -> FSpec(s, j, a) of F at s_d, j and a fixed by p, from q^(_f_min/2);
+        # None: (qz, 1/z; q)_s, from q^0
+        "term",
         "label",  # str.format fields: the parameters
     )
 
@@ -592,15 +606,17 @@ _EXPANSIONS: Dict[str, _Expansion] = {
 
 def _run_expansion(row: _Expansion, p: dict, wnum: int, stats: SumStats) -> List[Check]:
     n, d = p["n"], row.depth(p)
-    # K(s) is needed below wnum - floor; the lhs starts no lower than term(n)
-    fs = [row.term(p, s) if row.term else None for s in range(n + 1)]
-    floors = [0 if f is None else min(_f_min(f), wnum) for f in fs]
+    # K(s) is needed below wnum - floor; the lhs starts no lower than term(n).
+    # Every term has term(0)'s j and weight, so each floor is `_f_min` at s,
+    # and an FSpec is built only for a live term
+    f = row.term and row.term(p, 0)
+    floors = [0 if f is None else min(_f_min(s, f.j, f.a.num), wnum) for s in range(n + 1)]
     inv = _inv_poch_ladder(2, wnum - min([0] + floors))
     spec = SummandSpec(d, (0,) * d, frozenset(range(1, d + 1)) if row.placed else None)
     rhs = ZLaurent({}, wnum, (-n, n))  # term(n)'s span: a dead term is zero only below the order
-    for s, (f, chain) in enumerate(zip(fs, _chain_values(spec, n, floors, wnum, stats))):
+    for s, chain in enumerate(_chain_values(spec, n, floors, wnum, stats)):
         if chain:
-            term = _pochz_rising(s, he(wnum)) if f is None else f_func(f, he(wnum))
+            term = _pochz_rising(s, he(wnum)) if f is None else f_func(row.term(p, s), he(wnum))
             rhs = rhs + term * (chain * inv(2 * s))
     return [Check(row.label.format_map(p), row.lhs(p, wnum) * inv(2 * n), rhs)]
 
@@ -622,7 +638,7 @@ def _prep_limit(names: Sequence[str], params: dict) -> dict:
 def _run_limit(label: str, p: dict, wnum: int, stats: SumStats) -> List[Check]:
     """F(n, j, a)(-z) at each z sample's certified n against `f_limit_sum`'s products."""
     j, a = p["j"], p["a"]
-    zs = _z_samples(p["z"], (2 * j - a.num, a.num - 2 * j), _LIMIT_MS)
+    zs = _z_samples(p["z"], (2 * j - a.num, a.num - 2 * j), _LIMIT_MS, a.num)  # terms z^s q^(a s^2)
     vals = _stabilized_values(j, a, [Monomial(-z.sign, z.q_exp) for z in zs], he(wnum))
     prods = eval_product_sums([_limit_specs(j, a, z) for z in zs], he(wnum))
     return [Check(label.format_map(dict(p, z=z, n=n)), v, rhs) for z, (v, n), rhs in zip(zs, vals, prods)]

@@ -91,9 +91,8 @@ def h_poly(spec: HSpec, order: Order = INF) -> ZLaurent:
     return f_func(FSpec(spec.n, 0, spec.a), order)
 
 
-def _f_min(spec: FSpec) -> int:
-    """F(n, j, a)'s least exponent in half-units: slice s starts at q^(a s^2 - j|s|)."""
-    n, j, A = spec.n, spec.j, spec.a.num
+def _f_min(n: int, j: int, A: int) -> int:
+    """F(n, j, a)'s least exponent in half-units, A = 2a: slice s starts at q^(a s^2 - j|s|)."""
     return _quad_min(A, -2 * j, n) if A > 0 else A * n * n - 2 * j * n
 
 
@@ -112,7 +111,7 @@ def f_func(spec: FSpec, order: Order = INF) -> ZLaurent:
     if ordnum is None:
         L, top = n * n + 1, n
     else:
-        L = max((ordnum - _f_min(spec) + 1) // 2, 1)
+        L = max((ordnum - _f_min(n, j, A) + 1) // 2, 1)
         top = _quad_top(A, 2 * j, ordnum, n) if A > 0 else n
     terms = {}
     for k, b in _h_column(n, top, L):

@@ -146,11 +146,14 @@ def _prefix_add(c: list, step: int) -> list:
 def _inv_poch_ladder(unit: int, wnum: int) -> Callable[[int], QSeries]:
     """d -> 1 / prod_{1<=i<=d} (1 - q^(unit*i/2)) below q^(wnum/2).
 
-    Rungs are built on demand, one prefix-add pass each, and kept.
+    Rungs are built on demand, one prefix-add pass each, and kept.  The
+    pass of rung d is a no-op once unit * d >= wnum, so every such rung is
+    the last one before it.
     """
     store = [[1] + [0] * (wnum - 1)]
 
     def rung(d: int) -> QSeries:
+        d = min(d, max(wnum - 1, 0) // unit)
         while len(store) <= d:
             store.append(_prefix_add(list(store[-1]), unit * len(store)))
         return QSeries(0, store[d], wnum)

@@ -1,7 +1,7 @@
 """Equivalence of qident's outputs between two trees.
 
-    python tests/equivalence.py REV [GRID ...]
-    python tests/equivalence.py REV1 REV2 [GRID ...]
+    python tests/equivalence.py [--subset] REV [GRID ...]
+    python tests/equivalence.py [--subset] REV1 REV2 [GRID ...]
 
 With one revision the working tree is compared with REV, with two REV1 with
 REV2; the grids are this file's either way.  A revision is a git revision,
@@ -15,6 +15,11 @@ elapsed time, and every check its runner builds: the label and both sides
 in canonical form, a `QSeries` as (min, coefficients, order) and a
 `ZLaurent` as (order, span, slices).  A case whose runner raises records
 the error.
+
+With --subset, a change that only drops checks is no difference: a case
+agrees when its report fields do and every check of the first tree equals
+(label, lhs and rhs) some check of the second.  Each grid's line then
+also says how many of the second tree's checks the first dropped.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+from functools import partial
 from typing import List, Optional, Tuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -135,12 +141,19 @@ def run_cases(tree: str, cases: List[Case]) -> List[dict]:
     return json.loads(proc.stdout)
 
 
-def _difference(case: Case, a: dict, b: dict) -> Optional[str]:
-    """The first field in which the case's two records differ; None when they agree."""
+def _difference(case: Case, a: dict, b: dict, subset: bool = False) -> Optional[str]:
+    """The first field in which the case's two records differ; None when they agree.
+
+    With `subset`, a's checks agree with b's when each equals one of them."""
     if a == b:
         return None
     for field in a:
         if field == "checks" and isinstance(a[field], list) and isinstance(b[field], list):
+            if subset:
+                extra = next((x for x in a[field] if x not in b[field]), None)
+                if extra is not None:
+                    return f"{case}: check {extra[0]!r} here equals no check there"
+                continue
             if len(a[field]) != len(b[field]):
                 return f"{case}: {len(a[field])} checks here, {len(b[field])} there"
             for i, (x, y) in enumerate(zip(a[field], b[field])):
@@ -149,12 +162,19 @@ def _difference(case: Case, a: dict, b: dict) -> Optional[str]:
                         return f"{case}: check {i} {part}: here {u}, there {v}"
         elif a[field] != b.get(field):
             return f"{case}: {field}: here {a[field]}, there {b.get(field)}"
-    return f"{case}: fields here {sorted(a)}, there {sorted(b)}"
+    return None if sorted(a) == sorted(b) else f"{case}: fields here {sorted(a)}, there {sorted(b)}"
 
 
-def differences(cases: List[Case], here: List[dict], there: List[dict]) -> List[str]:
+def differences(cases: List[Case], here: List[dict], there: List[dict], subset: bool = False) -> List[str]:
     """Each case whose records differ, in order, with the first field that does."""
-    return [d for d in map(_difference, cases, here, there) if d is not None]
+    return [d for d in map(partial(_difference, subset=subset), cases, here, there) if d is not None]
+
+
+def dropped(here: List[dict], there: List[dict]) -> Tuple[int, int]:
+    """(checks there less checks here, checks there), over the cases whose runners ran on both trees."""
+    counts = [(len(b["checks"]), len(a["checks"])) for a, b in zip(here, there)
+              if isinstance(a["checks"], list) and isinstance(b["checks"], list)]
+    return sum(t - h for t, h in counts), sum(t for t, _ in counts)
 
 
 def first_difference(cases: List[Case], here: List[dict], there: List[dict]) -> Optional[str]:
@@ -170,13 +190,16 @@ def _export(rev: str, into: str) -> str:
     return into
 
 
-def compare(here: str, there: str, grids: List[str]) -> int:
+def compare(here: str, there: str, grids: List[str], subset: bool = False) -> int:
     """Run the grids on the trees `here` and `there`; print each grid's outcome."""
     status = 0
     for name in grids:
         cases = GRIDS[name]()
-        diffs = differences(cases, run_cases(here, cases), run_cases(there, cases))
+        a, b = run_cases(here, cases), run_cases(there, cases)
+        diffs = differences(cases, a, b, subset)
         outcome = f"{len(diffs)} differ, first: {diffs[0]}" if diffs else "no difference"
+        if subset:
+            outcome += ", {} of {} checks dropped".format(*dropped(a, b))
         print(f"{name}: {len(cases)} cases, {outcome}")
         if diffs:
             status = 1
@@ -187,6 +210,8 @@ def main(argv: List[str]) -> int:
     if argv == ["--child"]:
         json.dump([_record(tuple(c)) for c in json.load(sys.stdin)], sys.stdout)
         return 0
+    subset = "--subset" in argv
+    argv = [a for a in argv if a != "--subset"]
     revs = argv[:2] if len(argv) > 1 and argv[1] not in GRIDS else argv[:1]
     grids = argv[len(revs):]
     if not revs or any(r.startswith("-") for r in revs) or not set(grids) <= set(GRIDS):
@@ -196,7 +221,7 @@ def main(argv: List[str]) -> int:
         trees = [ROOT] * (2 - len(revs))
         for i, rev in enumerate(revs):
             trees.append(os.path.abspath(rev) if os.path.isdir(rev) else _export(rev, os.path.join(tmp, str(i))))
-        return compare(*trees, grids or list(GRIDS))
+        return compare(*trees, grids or list(GRIDS), subset)
 
 
 if __name__ == "__main__":

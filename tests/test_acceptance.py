@@ -202,9 +202,10 @@ def test_criterion_09_overpartitions():
         for j in range(k + 2):
             # z = +-q^(m/2) is well posed for lo < m < hi, and m and 2 - m
             # give equal checks, so the runner samples one m of each mirror
-            # pair about m = 1, at both signs: 8 checks at k=1 j=0
+            # pair about m = 1; at odd m, q^(1/2) -> -q^(1/2) takes the check
+            # at +z to the one at -z, so only +z: 6 checks at k=1 j=0
             lo, hi = 2 * (j - k - 1), 2 * (k + 2 - j)
-            want = 2 * len([m for m in (-2, -1, 0, 1) if lo < m < hi])
+            want = sum(1 if m % 2 else 2 for m in (-2, -1, 0, 1) if lo < m < hi)
             for id in ("OVER_1", "OVER_2"):
                 case = make_case(id, order=qe(50), k=k, j=j)
                 rep = verify(case)

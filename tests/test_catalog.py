@@ -305,22 +305,88 @@ def test_each_skipped_z_sample_repeats_its_kept_mirror():
     assert skipped == 84
 
 
+def _phi(x):
+    """x under q^(1/2) -> -q^(1/2), which fixes q: its odd half-unit coefficients negated."""
+    return QSeries(x._min, [-c if (x._min + i) % 2 else c for i, c in enumerate(x._coeffs)], x._ordnum)
+
+
+def _twin_grid():
+    """(id, params, window, ms, parity) of _mirror_grid, and of H_LIMIT at a = 1/2..11/2
+    and F_LIMIT at j <= 2 and the same a wherever a sample is well posed."""
+    grid = []
+    for id, params in _mirror_grid():
+        p = catalog._REGISTRY[id].prepare(params)
+        grid.append((id, params, catalog._SUM_ROWS["OVER_2" if id == "CURIOUS" else id].window(p),
+                     catalog._POLICY_MS, 0))
+    for anum in range(1, 12):
+        for j in range(3):
+            if anum > 2 * j:
+                id, params = ("F_LIMIT", {"j": j, "a": str(he(anum))}) if j else ("H_LIMIT", {"a": str(he(anum))})
+                grid.append((id, params, (2 * j - anum, anum - 2 * j), catalog._LIMIT_MS, anum))
+    return grid
+
+
+def _sides(id, params, sign, m, wnum):
+    entry = catalog._REGISTRY[id]
+    p = entry.prepare(dict(params, z_sign=sign, z_exp=str(he(m))))
+    return [(c.lhs, c.rhs) for c in entry.runner(p, wnum, SumStats())]
+
+
+def test_each_skipped_sign_twin_is_its_kept_sample_under_q_half_to_minus_q_half():
+    # a z family's terms are z^s times q^(parity s^2 / 2) times whole powers
+    # of q, so q^(1/2) -> -q^(1/2) takes both sides at +q^(m/2) to both sides
+    # at (-1)^(m + parity) q^(m/2); when m + parity is odd, -q^(m/2) is not
+    # sampled, and both of its sides must be the kept sample's under that map
+    skipped = {"rows": 0, "limits": 0}
+    for id, params, (lo, hi), ms, parity in _twin_grid():
+        kept = catalog._z_samples(None, (lo, hi), ms, parity)
+        for m in ms:
+            if Monomial(1, he(m)) not in kept or Monomial(-1, he(m)) in kept:
+                continue
+            assert (m + parity) % 2 == 1, (id, params, m)
+            for wnum in (80, 81):
+                plus, minus = (_sides(id, params, sign, m, wnum) for sign in (1, -1))
+                assert minus == [(_phi(lhs), _phi(rhs)) for lhs, rhs in plus] != plus, (id, params, m, wnum)
+            skipped["limits" if id in catalog._LIMITS else "rows"] += 1
+    assert skipped == {"rows": 58, "limits": 54}
+
+
+def test_a_sign_twin_at_even_m_plus_parity_is_no_image_of_its_partner():
+    # negative control: at m + parity even, q^(1/2) -> -q^(1/2) takes the
+    # check at q^(m/2) to itself, not to -q^(m/2), so both signs are sampled
+    for id, params, m, parity in (("H_LIMIT", {"a": "3/2"}, 1, 3), ("OVER_1", {"k": 1, "j": 0}, 0, 0),
+                                  ("COR_INFTY", {"k": 2}, 2, 0), ("H_LIMIT", {"a": 2}, 0, 4)):
+        plus, minus = (_sides(id, params, sign, m, 81) for sign in (1, -1))
+        assert minus != [(_phi(lhs), _phi(rhs)) for lhs, rhs in plus], (id, params)
+        assert plus == [(_phi(lhs), _phi(rhs)) for lhs, rhs in plus], (id, params)
+        entry, p, _ = catalog._prepare(make_case(id, **params))
+        assert [Monomial(1, he(m)), Monomial(-1, he(m))] == [z for z in catalog._z_samples(
+            None, catalog._SUM_ROWS[id].window(p) if id in catalog._SUM_ROWS else (-parity, parity),
+            catalog._LIMIT_MS if parity else catalog._POLICY_MS, parity) if z.q_exp == he(m)]
+
+
 def test_z_sample_lists_keep_one_sample_per_mirror_pair():
     def samples(id, **params):
         entry, p, _ = catalog._prepare(make_case(id, **params))
         if id in catalog._LIMITS:
             j, a = p["j"], p["a"]
-            return catalog._z_samples(p["z"], (2 * j - a.num, a.num - 2 * j), catalog._LIMIT_MS)
-        return catalog._z_samples(p["z"], catalog._SUM_ROWS[id].window(p))
+            return catalog._z_samples(p["z"], (2 * j - a.num, a.num - 2 * j), catalog._LIMIT_MS, a.num)
+        return catalog._z_samples(p["z"], catalog._SUM_ROWS["OVER_2" if id == "CURIOUS" else id].window(p))
 
-    def both_signs(ms):
-        return [Monomial(sign, he(m)) for m in ms for sign in (1, -1)]
+    def signed(*ms):
+        # m alone is +q^(m/2); (m,) is both signs
+        return [Monomial(sign, he(m[0] if isinstance(m, tuple) else m))
+                for m in ms for sign in ((1, -1) if isinstance(m, tuple) else (1,))]
 
-    assert samples("OVER_1", k=1, j=0) == both_signs((-2, -1, 0, 1))
-    assert samples("OVER_1", k=1, j=1) == both_signs((-1, 0, 1))
-    assert samples("COR_INFTY", k=2) == both_signs((-2, -1, 1, 2, 3))
-    assert samples("H_LIMIT", a="3/2") == both_signs((0, 1, 2))
-    assert samples("F_LIMIT", j=2, a="9/2") == both_signs((0, 1, 2, 3))
+    # a sum row's parity is 0, so only an even m keeps -z
+    assert samples("OVER_1", k=1, j=0) == signed((-2,), -1, (0,), 1)
+    assert samples("OVER_1", k=1, j=1) == signed(-1, (0,), 1)
+    assert samples("COR_INFTY", k=2) == signed((-2,), -1, 1, (2,), 3)
+    assert samples("CURIOUS") == signed(-1, (0,), 1)
+    # a limit's parity is 2a in half-units: an m of the other parity keeps -z
+    assert samples("H_LIMIT", a="3/2") == signed(0, (1,), 2)
+    assert samples("H_LIMIT", a=2) == signed((0,), 1, (2,), 3)
+    assert samples("F_LIMIT", j=2, a="9/2") == signed(0, (1,), 2, (3,))
     # an explicit z runs as given, mirror or not
     assert samples("OVER_1", k=1, j=0, z_sign=1, z_exp=1) == [Monomial(1, he(2))]
 
@@ -329,11 +395,12 @@ def test_z_sample_lists_keep_one_sample_per_mirror_pair():
     "id, params, order, closings, lists",
     [
         # sampled m in (-2, -1, 0, 1, 2, 3), both signs, inside the window;
-        # the closings before the mirror pairs were merged, then after
-        ("COR_INFTY", dict(k=2), 80, (12, 10), [10]),
-        ("OVER_1", dict(k=1, j=0), 100, (12, 8), [8]),
-        ("OVER_1", dict(k=1, j=1), 100, (10, 6), [6]),
-        ("CURIOUS", {}, 120, (20, 12), [6]),  # the even and the odd batch
+        # the closings before the mirror pairs were merged, after, and after
+        # the sign twins at odd m were merged too
+        ("COR_INFTY", dict(k=2), 80, (12, 10, 7), [7]),
+        ("OVER_1", dict(k=1, j=0), 100, (12, 8, 6), [6]),
+        ("OVER_1", dict(k=1, j=1), 100, (10, 6, 4), [4]),
+        ("CURIOUS", {}, 120, (20, 12, 8), [4]),  # the even and the odd batch
     ],
 )
 def test_sums_z_cases_close_one_sample_per_mirror_pair(monkeypatch, id, params, order, closings, lists):
@@ -357,9 +424,11 @@ def test_sums_z_cases_close_one_sample_per_mirror_pair(monkeypatch, id, params, 
     entry, p, _ = catalog._prepare(make_case(id, **params))
     lo, hi = catalog._SUM_ROWS["OVER_2" if id == "CURIOUS" else id].window(p)
     sums = 2 if id == "CURIOUS" else 1
-    assert closings[0] == sums * 2 * sum(lo < m < hi for m in catalog._POLICY_MS)
+    window = [m for m in catalog._POLICY_MS if lo < m < hi]
+    mirrored = [m for m in window if lo + hi - m not in window[: window.index(m)]]
+    assert closings[:2] == (sums * 2 * len(window), sums * 2 * len(mirrored))
     assert verify(make_case(id, order=qe(order), **params)).status == "pass"
-    assert (count[0], batches) == (closings[1], lists)
+    assert (count[0], batches) == (closings[2], lists)
 
 
 def test_verify_rejects_unknown_ids_and_params():
@@ -664,8 +733,36 @@ def test_expansion_floors_are_where_their_terms_start():
     assert len(specs) > 200
     for w in (8, 21, 40):
         for f in specs:
-            assert min(hfamily._f_min(f), w) == _least_exp(qident.f_func(f, he(w)), w), (f, w)
+            assert min(hfamily._f_min(f.n, f.j, f.a.num), w) == _least_exp(qident.f_func(f, he(w)), w), (f, w)
         assert [_least_exp(catalog._pochz_rising(s, he(w)), w) for s in range(5)] == [0] * 5
+
+
+def test_expansion_floors_are_f_min_of_each_terms_spec(monkeypatch):
+    # the runner reads every floor off term(0)'s j and weight and s alone,
+    # and builds term(s)'s FSpec only for a live chain; over the structural
+    # grid of tests/equivalence.py the floors it hands the kernel must be
+    # _f_min of each term(s) itself, capped at the order
+    import equivalence
+
+    lows, chain_values = [], catalog._chain_values
+    monkeypatch.setattr(catalog, "_chain_values", lambda spec, n, low, *a: lows.append(low) or chain_values(spec, n, low, *a))
+    count = 0
+    for id, params, order in equivalence.GRIDS["structural"]():
+        row = catalog._EXPANSIONS.get(id)
+        if row is None or row.term is None:
+            continue
+        entry, p, wnum = catalog._prepare(make_case(id, order=order, **params))
+        lows.clear()
+        entry.runner(p, wnum, SumStats())
+        specs = [row.term(p, s) for s in range(p["n"] + 1)]
+        assert lows == [[min(hfamily._f_min(f.n, f.j, f.a.num), wnum) for f in specs]], (id, params, order)
+        count += 1
+    assert count == 406
+    # KEY_LEMMA n=700 a=2 builds the lhs's FSpec, term(0)'s and the 7 live terms', not 702
+    built = []
+    monkeypatch.setattr(catalog, "FSpec", lambda *a: built.append(a) or FSpec(*a))
+    _ok("KEY_LEMMA", order=qe(40), n=700, a=2)
+    assert len(built) == 9
 
 
 def test_expansions_error_when_their_floors_are_overstated(monkeypatch):
@@ -798,20 +895,21 @@ def test_limit_cases_walk_one_column_per_certified_n(monkeypatch):
     monkeypatch.setattr(hfamily, "_h_column", h_column)
     for name in ("_two_term", "_prefix_add"):
         monkeypatch.setattr(qobjects, name, counted(getattr(qobjects, name)))
-    zs = ["1", "-1", "q^1/2", "-q^1/2"]
+    # 2a is odd, so only an odd m keeps -z
+    zs = ["1", "q^1/2", "-q^1/2"]
     cases = [
         (
             make_case("H_LIMIT", a="3/2", order=qe(240)),
             [240],
             [f"a=3/2 z={z}: polynomial at certified n=239 vs product" for z in zs]
-            + [f"a=3/2 z={z}: polynomial at certified n=240 vs product" for z in ("q^1", "-q^1")],
+            + ["a=3/2 z=q^1: polynomial at certified n=240 vs product"],
         ),
         (
             make_case("F_LIMIT", j=1, a="7/2", order=qe(40)),
             [39],
             [
                 f"j=1 a=7/2 z={z}: closure value at certified n=39 vs product sum"
-                for z in zs + ["q^1", "-q^1", "q^3/2", "-q^3/2"]
+                for z in zs + ["q^1", "q^3/2", "-q^3/2"]
             ],
         ),
     ]
@@ -870,7 +968,7 @@ def test_one_builder_makes_the_jacobi_product_lists_of_the_sum_rows_and_the_limi
         _, p, _ = catalog._prepare(make_case(id, order=order, **params))
         if id in catalog._LIMITS:
             j, a = p["j"], p["a"]
-            for z in catalog._z_samples(p["z"], (2 * j - a.num, a.num - 2 * j), catalog._LIMIT_MS):
+            for z in catalog._z_samples(p["z"], (2 * j - a.num, a.num - 2 * j), catalog._LIMIT_MS, a.num):
                 assert _limit_specs(j, a, z) == limit(j, a, z), (id, params, z)
                 count += 1
             continue
@@ -881,7 +979,7 @@ def test_one_builder_makes_the_jacobi_product_lists_of_the_sum_rows_and_the_limi
                 z = {"OVER_3": z.inverted(), "COR_INFTY": Monomial(-z.sign, -z.q_exp)}.get(id, z)
             assert catalog._gordon_products(p, mod, z) == gordon(p, mod, z), (id, params, z)
             count += 1
-    assert count == 1816
+    assert count == 1376
 
 
 def test_limit_walks_reuse_the_product_sides_partition_series(monkeypatch):
@@ -901,7 +999,7 @@ def _per_sample_products(case):
     W = he(wnum)
     if case.id in catalog._LIMITS:
         j, a = p["j"], p["a"]
-        zs = catalog._z_samples(p["z"], (2 * j - a.num, a.num - 2 * j), catalog._LIMIT_MS)
+        zs = catalog._z_samples(p["z"], (2 * j - a.num, a.num - 2 * j), catalog._LIMIT_MS, a.num)
         return [qident.f_limit_sum(j, a, z, W) for z in zs]
     row = catalog._SUM_ROWS["OVER_2" if case.id == "CURIOUS" else case.id]
     zs = catalog._z_samples(p["z"], row.window(p))
@@ -931,7 +1029,7 @@ def test_batched_product_sides_equal_the_per_sample_products():
             checks = [c for i, c in enumerate(checks) if i % 3 != 2]
         assert [c.rhs for c in checks] == _per_sample_products(case), case
         count += len(checks)
-    assert count == 343
+    assert count == 242
 
 
 def test_sign_pairs_halve_the_limit_work(monkeypatch):

@@ -58,8 +58,39 @@ def test_equivalence_compares_the_working_tree_or_two_revisions(monkeypatch, tmp
     assert equivalence.main([other, "sums", "exact"]) == 0
     assert equivalence.main([root, other]) == 0
     assert equivalence.main([other, root, "structural"]) == 0
+    assert equivalence.main(["--subset", other, "sums", "limits"]) == 0
+    assert equivalence.main([other, root, "--subset"]) == 0
     grids = list(equivalence.GRIDS)
-    assert runs == [(root, other, grids), (root, other, ["sums", "exact"]), (root, other, grids),
-                    (other, root, ["structural"])]
-    assert [equivalence.main(a) for a in ([], ["-h"], [other, "-x"], [other, root, "bogus"])] == [2] * 4
-    assert len(runs) == 4
+    assert runs == [(root, other, grids, False), (root, other, ["sums", "exact"], False), (root, other, grids, False),
+                    (other, root, ["structural"], False), (root, other, ["sums", "limits"], True),
+                    (other, root, grids, True)]
+    bad = ([], ["-h"], [other, "-x"], [other, root, "bogus"], ["--subset"], ["--subset", other, root, "bogus"])
+    assert [equivalence.main(a) for a in bad] == [2] * 6
+    assert len(runs) == 6
+
+
+def test_subset_mode_lets_a_change_drop_checks_but_not_change_one(monkeypatch, capsys):
+    # a case agrees when its report fields do and each check here equals one
+    # there, label and both sides; the grid's line counts the dropped checks
+    a, b, c = ["z=1", 1, 2], ["z=-1", 3, 4], ["z=q^1/2", 5, 6]
+    parent = [{"status": "pass", "checks": [a, b, c]}, {"status": "pass", "checks": [a, b]},
+              {"status": "error", "checks": "SpecError: no sample"}]
+    change = [{"status": "pass", "checks": [c, a]}, {"status": "pass", "checks": [a, b]},
+              {"status": "error", "checks": "SpecError: no sample"}]
+    cases = [("X", {}, None), ("Y", {}, None), ("Z", {}, None)]
+    assert equivalence.differences(cases, change, parent, subset=True) == []
+    assert equivalence.dropped(change, parent) == (1, 5)
+    # without --subset the dropped check is a difference
+    assert equivalence.differences(cases, change, parent) == ["('X', {}, None): 2 checks here, 3 there"]
+    # a changed side, a check with no partner and a changed field are differences in either mode
+    moved = [dict(change[0], checks=[["z=1", 1, 7]]), dict(change[1], checks=[a, b, ["z=q", 0, 0]]),
+             dict(change[2], status="pass")]
+    assert equivalence.differences(cases, moved, parent, subset=True) == [
+        "('X', {}, None): check 'z=1' here equals no check there",
+        "('Y', {}, None): check 'z=q' here equals no check there",
+        "('Z', {}, None): status: here pass, there error",
+    ]
+    monkeypatch.setattr(equivalence, "GRIDS", {"g": lambda: cases})
+    monkeypatch.setattr(equivalence, "run_cases", lambda tree, cases: change if tree == "here" else parent)
+    assert equivalence.compare("here", "there", ["g"], subset=True) == 0
+    assert capsys.readouterr().out == "g: 3 cases, no difference, 1 of 5 checks dropped\n"

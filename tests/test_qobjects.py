@@ -24,7 +24,7 @@ from qident import (
     he,
     qe,
 )
-from qident.qobjects import _centre_column, _h_column, _poch_rows, _prefix_add, _qbinom_column, _two_term
+from qident.qobjects import _centre_column, _h_column, _inv_poch_ladder, _poch_rows, _prefix_add, _qbinom_column, _two_term
 from naive import n_poch_finite, n_poch_infinite, n_poch_z, n_qbinom
 
 
@@ -302,3 +302,22 @@ def test_poch_validation():
     # a +1-signed infinite product with exponent 0 has a vanishing factor
     with pytest.raises(Exception):
         poch_infinite(Monomial(1, qe(0)), qe(1), he(10))
+
+
+def test_inverse_ladder_stops_at_its_last_rung_that_divides(monkeypatch):
+    # below q^40 the factor 1 - q^d is 1 once d >= 40, so (2, 80)'s rung 1400
+    # is rung 40, and rung 39 is the last one built: 39 prefix-add passes
+    import qident.qobjects as qobjects
+
+    passes = []
+    monkeypatch.setattr(qobjects, "_prefix_add", lambda c, d: passes.append(d) or _prefix_add(c, d))
+    rung = _inv_poch_ladder(2, 80)
+    deep = rung(1400)
+    assert deep == rung(40) == rung(39) == partition_series(qe(40))
+    assert deep != rung(38)
+    assert passes == [2 * d for d in range(1, 40)]
+    rung(5000)
+    assert len(passes) == 39  # the store stops growing
+    # on q^2 below q^(81/2), rung 20 divides by 1 - q^40, the last factor below the order
+    even = _inv_poch_ladder(4, 81)
+    assert even(90) == even(20) != even(19)
