@@ -21,8 +21,10 @@ sum rows and CURIOUS, `_prep_plain` the ids whose parameters are plain
 counts and half-integer weights.  Every z family samples z through
 `_z_samples`, one of each pair z = +-q^(m/2), +-q^((lo + hi - m)/2), which
 mirror about the centre of the family's window (lo, hi) and give equal
-checks.  A sum--product id's default order is q^(modulus + 30), read off
-its own modulus; every other id defaults to q^40.
+checks, and only +z where q^(1/2) -> -q^(1/2) takes the check at +z to the
+one at -z (m plus the family's parity odd).  A sum--product id's default
+order is q^(modulus + 30), read off its own modulus; every other id
+defaults to q^40.
 
 `verify` runs the checks for a case and reports pass/fail/error, the
 order actually compared, the first mismatching coefficient if any, and

@@ -340,6 +340,8 @@ def test_each_skipped_sign_twin_is_its_kept_sample_under_q_half_to_minus_q_half(
     skipped = {"rows": 0, "limits": 0}
     for id, params, (lo, hi), ms, parity in _twin_grid():
         kept = catalog._z_samples(None, (lo, hi), ms, parity)
+        entry = catalog._REGISTRY[id]  # the runner samples with the same parity
+        assert len(entry.runner(entry.prepare(params), 80, SumStats())) == len(kept) * (3 if id == "CURIOUS" else 1)
         for m in ms:
             if Monomial(1, he(m)) not in kept or Monomial(-1, he(m)) in kept:
                 continue
@@ -354,15 +356,11 @@ def test_each_skipped_sign_twin_is_its_kept_sample_under_q_half_to_minus_q_half(
 def test_a_sign_twin_at_even_m_plus_parity_is_no_image_of_its_partner():
     # negative control: at m + parity even, q^(1/2) -> -q^(1/2) takes the
     # check at q^(m/2) to itself, not to -q^(m/2), so both signs are sampled
-    for id, params, m, parity in (("H_LIMIT", {"a": "3/2"}, 1, 3), ("OVER_1", {"k": 1, "j": 0}, 0, 0),
-                                  ("COR_INFTY", {"k": 2}, 2, 0), ("H_LIMIT", {"a": 2}, 0, 4)):
+    for id, params, m in (("H_LIMIT", {"a": "3/2"}, 1), ("OVER_1", {"k": 1, "j": 0}, 0),
+                          ("COR_INFTY", {"k": 2}, 2), ("H_LIMIT", {"a": 2}, 0)):
         plus, minus = (_sides(id, params, sign, m, 81) for sign in (1, -1))
         assert minus != [(_phi(lhs), _phi(rhs)) for lhs, rhs in plus], (id, params)
         assert plus == [(_phi(lhs), _phi(rhs)) for lhs, rhs in plus], (id, params)
-        entry, p, _ = catalog._prepare(make_case(id, **params))
-        assert [Monomial(1, he(m)), Monomial(-1, he(m))] == [z for z in catalog._z_samples(
-            None, catalog._SUM_ROWS[id].window(p) if id in catalog._SUM_ROWS else (-parity, parity),
-            catalog._LIMIT_MS if parity else catalog._POLICY_MS, parity) if z.q_exp == he(m)]
 
 
 def test_z_sample_lists_keep_one_sample_per_mirror_pair():
@@ -373,22 +371,21 @@ def test_z_sample_lists_keep_one_sample_per_mirror_pair():
             return catalog._z_samples(p["z"], (2 * j - a.num, a.num - 2 * j), catalog._LIMIT_MS, a.num)
         return catalog._z_samples(p["z"], catalog._SUM_ROWS["OVER_2" if id == "CURIOUS" else id].window(p))
 
-    def signed(*ms):
-        # m alone is +q^(m/2); (m,) is both signs
-        return [Monomial(sign, he(m[0] if isinstance(m, tuple) else m))
-                for m in ms for sign in ((1, -1) if isinstance(m, tuple) else (1,))]
+    def listed(id, **params):
+        return " ".join(map(str, samples(id, **params)))
 
     # a sum row's parity is 0, so only an even m keeps -z
-    assert samples("OVER_1", k=1, j=0) == signed((-2,), -1, (0,), 1)
-    assert samples("OVER_1", k=1, j=1) == signed(-1, (0,), 1)
-    assert samples("COR_INFTY", k=2) == signed((-2,), -1, 1, (2,), 3)
-    assert samples("CURIOUS") == signed(-1, (0,), 1)
+    assert listed("OVER_1", k=1, j=0) == "q^-1 -q^-1 q^-1/2 1 -1 q^1/2"
+    assert listed("OVER_1", k=1, j=1) == "q^-1/2 1 -1 q^1/2"
+    assert listed("COR_INFTY", k=2) == "q^-1 -q^-1 q^-1/2 q^1/2 q^1 -q^1 q^3/2"
+    assert listed("CURIOUS") == "q^-1/2 1 -1 q^1/2"
     # a limit's parity is 2a in half-units: an m of the other parity keeps -z
-    assert samples("H_LIMIT", a="3/2") == signed(0, (1,), 2)
-    assert samples("H_LIMIT", a=2) == signed((0,), 1, (2,), 3)
-    assert samples("F_LIMIT", j=2, a="9/2") == signed(0, (1,), 2, (3,))
-    # an explicit z runs as given, mirror or not
+    assert listed("H_LIMIT", a="3/2") == "1 q^1/2 -q^1/2 q^1"
+    assert listed("H_LIMIT", a=2) == "1 -1 q^1/2 q^1 -q^1 q^3/2"
+    assert listed("F_LIMIT", j=2, a="9/2") == "1 q^1/2 -q^1/2 q^1 q^3/2 -q^3/2"
+    # an explicit z runs as given, mirror or twin or not
     assert samples("OVER_1", k=1, j=0, z_sign=1, z_exp=1) == [Monomial(1, he(2))]
+    assert samples("OVER_1", k=1, j=0, z_sign=-1, z_exp="1/2") == [Monomial(-1, he(1))]
 
 
 @pytest.mark.parametrize(
