@@ -26,7 +26,8 @@ which the value is final below a given order, in O(1).  A value stays
 final at every larger n, so `_stabilized_values` walks the column once
 per batch, at its largest certified n, into one even and one odd frame
 per |m| (H(z) = H(1/z)), and reads off each sample's F value, the
-binomial sum sum_i C(j, i) H(n, a)(z q^(j-2i)), reporting the sample's
+binomial sum sum_i C(j, i) H(n, a)(z q^(j-2i)), starting from its i = 0
+term (so H's value is one pass, E + sign O), and reports the sample's
 own certified n.  `stabilized_h_value` / `stabilized_f_value` are its
 one-sample case.  The limits themselves are the binomial combinations
 `f_limit_sum` of infinite products; the product `h_limit_product`, H's
@@ -182,9 +183,10 @@ def _stabilized_values(j: int, a: HalfInt, ws: Sequence[Monomial], order) -> Lis
     each slice times q^(a t^2 + mu t) into the frame E_mu (t even) or O_mu
     (t odd) of each argument's mu = |m|, slot x holding q^(x/2), as long as
     a slice +-s starts below the order for some mu: since H(z) = H(1/z),
-    the arguments +-q^(m/2) and +-q^(-m/2) share both frames.  H(sign
-    q^(m/2)) is E_mu + sign O_mu, so a sample's value is
-    sum_i C(j, i) (E_(mu_i) + sign O_(mu_i)).
+    the arguments +-q^(m/2) and +-q^(-m/2) share both frames.  At mu = 0
+    the slices t = +-s land on the same slots, so each is added once,
+    doubled.  H(sign q^(m/2)) is E_mu + sign O_mu, so a sample's value is
+    sum_i C(j, i) (E_(mu_i) + sign O_(mu_i)), its i = 0 term of weight 1.
     """
     if not _whole(j) or j < 0:
         raise SpecError(f"needs an int j >= 0, got j={j!r}")
@@ -203,18 +205,17 @@ def _stabilized_values(j: int, a: HalfInt, ws: Sequence[Monomial], order) -> Lis
     for k, b in _h_column(n, _quad_top(A, max(frames), ordnum, n), (ordnum + 1) // 2):
         s = n - k
         for mu, halves in frames.items():
-            for t in (s, -s) if s else (0,):
+            for t in (s, -s) if s and mu else (s,):  # at mu = 0, t = +-s share their slots
                 e = A * t * t + mu * t
-                width = (ordnum - e + 1) // 2
-                if width > 0:
-                    f, at = halves[t % 2], slice(e, e + 2 * width, 2)
-                    f[at] = map(add, f[at], b[:width])
+                if e < ordnum:
+                    f, at = halves[t % 2], slice(e, ordnum, 2)
+                    f[at] = map(add, f[at], b if mu or not s else map((2).__mul__, b))
     out = []
     for w, ms, own in zip(ws, shifts, ns):
-        acc = [0] * ordnum
-        for i, m in enumerate(ms):
-            halves = map(add if w.sign > 0 else sub, *frames[abs(m)])
-            acc[:] = map(add, acc, map(binom(j, i).__mul__, halves))
+        op = add if w.sign > 0 else sub
+        acc = list(map(op, *frames[abs(ms[0])]))  # its i = 0 term, weight 1
+        for i, m in enumerate(ms[1:], 1):
+            acc[:] = map(add, acc, map(binom(j, i).__mul__, map(op, *frames[abs(m)])))
         out.append((QSeries(0, acc, ordnum), own))
     return out
 

@@ -325,7 +325,7 @@ def eval_multisums(specs: Sequence[SummandSpec], order, stats: Optional[SumStats
     nnum = _ord_num(order)
     if nnum is None:
         raise IllPosedError("a multisum needs a finite truncation order")
-    if len({s._replace(tail=TailOdd()) for s in specs}) != 1:
+    if len({(s.k, s.linear, s.placement) for s in specs}) != 1:
         raise SpecError("a batch of multisums must differ only in their tails")
     stats = stats or SumStats()
     lam = specs[0].effective_linear_num()

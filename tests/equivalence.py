@@ -214,13 +214,18 @@ def main(argv: List[str]) -> int:
     argv = [a for a in argv if a != "--subset"]
     revs = argv[:2] if len(argv) > 1 and argv[1] not in GRIDS else argv[:1]
     grids = argv[len(revs):]
+    usage = __doc__.split("\n\n")[1]
     if not revs or any(r.startswith("-") for r in revs) or not set(grids) <= set(GRIDS):
-        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        print(usage, file=sys.stderr)
         return 2
     with tempfile.TemporaryDirectory() as tmp:
         trees = [ROOT] * (2 - len(revs))
-        for i, rev in enumerate(revs):
-            trees.append(os.path.abspath(rev) if os.path.isdir(rev) else _export(rev, os.path.join(tmp, str(i))))
+        try:
+            for i, rev in enumerate(revs):
+                trees.append(os.path.abspath(rev) if os.path.isdir(rev) else _export(rev, os.path.join(tmp, str(i))))
+        except subprocess.CalledProcessError:  # no grid, directory or git revision
+            print(usage, file=sys.stderr)
+            return 2
         return compare(*trees, grids or list(GRIDS), subset)
 
 

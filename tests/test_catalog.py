@@ -1034,30 +1034,36 @@ def test_sign_pairs_halve_the_limit_work(monkeypatch):
     # 0, 1, 2, one frame per sample made 102 frame slice-adds, and one theta
     # sum per sample fed 90 nonzeros to its 8 products with 1/(q)_inf; the
     # frame pairs of each m and the two theta halves of each +-z pair halved
-    # both, to 51 and 45, and dropping m = -1 leaves 38 and 32
+    # both, to 51 and 45, and dropping m = -1 left 38 and 32.  At mu = 0 the
+    # slices t = +-s land on the same slots, so each is added once, doubled:
+    # 6 fewer adds (s = 1..6, 3 s^2 < 60) over 59 + 54 + 47 + 36 + 23 + 6 =
+    # 225 fewer slots.  The halves are multiplied as plain lists, so the
+    # batch makes no `QSeries` product at all
     from operator import add, sub
 
     import qident.hfamily as hfamily
+    import qident.products as products
 
-    hi, adds, nonzeros = 120, [], []
+    hi, adds, nonzeros, muls = 120, [], [], []
 
     def spy_map(fn, first, *rest):
         if fn in (add, sub) and len(first) < hi:  # a stride-2 slice of a frame
             adds.append(len(first))
         return map(fn, first, *rest)
 
-    mul = QSeries.__mul__
+    sparse, mul = products._convolve_sparse, QSeries.__mul__
 
-    def spy_mul(x, y):
-        if isinstance(y, QSeries):
-            nonzeros.append(min(len(s._coeffs) - s._coeffs.count(0) for s in (x, y)))
-        return mul(x, y)
+    def spy_sparse(half, inv, out_len, step):
+        nonzeros.append(len(half) - half.count(0))
+        return sparse(half, inv, out_len, step)
 
     monkeypatch.setattr(hfamily, "map", spy_map, raising=False)
-    monkeypatch.setattr(QSeries, "__mul__", spy_mul)
+    monkeypatch.setattr(products, "_convolve_sparse", spy_sparse)
+    monkeypatch.setattr(QSeries, "__mul__", lambda x, y: muls.append(y) or mul(x, y))
     assert verify(make_case("H_LIMIT", order=60, a="3/2")).status == "pass"
-    assert (len(adds), sum(adds)) == (38, 1527)
+    assert (len(adds), sum(adds)) == (32, 1527 - 225)
     assert (len(nonzeros), sum(nonzeros)) == (6, 32)
+    assert muls == []
 
 
 def test_expansion_check_labels():

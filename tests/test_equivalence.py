@@ -1,6 +1,7 @@
 """tests/equivalence.py on three cases, the working tree on both sides."""
 
 import copy
+import subprocess
 
 import equivalence
 
@@ -64,8 +65,17 @@ def test_equivalence_compares_the_working_tree_or_two_revisions(monkeypatch, tmp
     assert runs == [(root, other, grids, False), (root, other, ["sums", "exact"], False), (root, other, grids, False),
                     (other, root, ["structural"], False), (root, other, ["sums", "limits"], True),
                     (other, root, grids, True)]
-    bad = ([], ["-h"], [other, "-x"], [other, root, "bogus"], ["--subset"], ["--subset", other, root, "bogus"])
-    assert [equivalence.main(a) for a in bad] == [2] * 6
+    # a name that is no grid, directory or revision is refused; a stub stands
+    # in for `git archive`, which knows HEAD only
+    def export(rev, into):
+        if rev != "HEAD":
+            raise subprocess.CalledProcessError(128, ["git", "archive", rev])
+        return into
+
+    monkeypatch.setattr(equivalence, "_export", export)
+    bad = ([], ["-h"], [other, "-x"], [other, root, "bogus"], ["--subset"], ["--subset", other, root, "bogus"],
+           ["HEAD", "bogus"], ["--subset", "HEAD", "bogus"])
+    assert [equivalence.main(a) for a in bad] == [2] * 8
     assert len(runs) == 6
 
 

@@ -511,6 +511,21 @@ def test_spec_validation():
         SummandSpec(1, (0,), tail=1)  # refused when built, not when summed
 
 
+def test_a_batch_must_differ_only_in_its_tails():
+    # a batch shares one kernel, so its specs must agree in k, the linear
+    # weights and the placement; tails may differ
+    base = SummandSpec(2, (0, 1), placement={2})
+    tail = base._replace(tail=TailEven())
+    assert len(eval_multisums([base, tail], qe(20))) == 2
+    for other in (SummandSpec(3, (0, 1, 0), placement={2}), SummandSpec(2, (0, 0), placement={2}),
+                  SummandSpec(2, (0, 1), placement={1}), SummandSpec(2, (0, 1)), base._replace(placement=frozenset())):
+        for batch in ([base, other], [tail, other._replace(tail=TailEven())]):
+            with pytest.raises(SpecError, match="differ only in their tails"):
+                eval_multisums(batch, qe(20))
+    with pytest.raises(SpecError, match="differ only in their tails"):
+        eval_multisums([], qe(20))
+
+
 def test_first_index_cap_is_the_stepping_loop_in_closed_form():
     # the cap was found by stepping s up while 2 s^2 + lam s was still
     # falling or, plus the rest floor, still below the order; orders at or
