@@ -23,8 +23,9 @@ runs the level recurrence transposed, from the first index down:
 
 where P_{i+1} is 1 + q^(s+t) for a placed position i+1 >= 2, else 1.
 Each inner sum is a Horner chain from the top index down in which
-1/(1 - q^j) is one in-place prefix-add pass (`qobjects`); a placed
-position adds a second chain lifted by q^s.  Cell W_i(s) lies at or above
+1/(1 - q^j) is one in-place prefix-add pass (`qobjects`), held only from
+the lowest slot a cell has reached; a placed position adds each cell twice,
+the second time q^(s+t) higher.  Cell W_i(s) lies at or above
 U_i(s), the least exponent of the indices before it, and matters only
 below N - D_i(s), D_i(s) the least exponent of the indices after it and
 of every tail, capped at s.  It is computed on exactly that window, whole
@@ -196,27 +197,34 @@ def _ratio(tail: Tail, t: int) -> Tuple[tuple, tuple]:
     return ((sign, m + 2 * t - 2), (sign, 2 * t + 2 - m)), (4 * t, 4 * t + 2)
 
 
-def _chain(cells: list, t: int, x: int, width: int, lift: int) -> list:
-    """sum_{s>=t} q^(lift*s) W(s) / (q; q)_{s-t} in `width` whole-q slots from q^(x/2).
+def _chain(cells: list, t: int, x: int, width: int, pair: bool) -> list:
+    """sum_{s>=t} P(s, t) W(s) / (q; q)_{s-t} in `width` whole-q slots from
+    q^(x/2), P(s, t) = 1 + q^(s+t) when `pair`, else 1.
 
     Horner from the top s down: once W(s + 1) and the cells above have
     joined the partial sum, it is divided by (1 - q^(s+1-t)), one
-    prefix-add pass, skipped when it is as long as the frame.  A cell is
-    (its first exponent x0, its list, the slots past its end zero) or None
-    for zero, and every cell at s >= t starts at or above x.
+    prefix-add pass.  The sum is held only from slot a, the lowest a cell
+    has reached, and grows downward as cells join; a pass whose step is as
+    long as what is held moves nothing and is skipped.  The pair factor is
+    two adds of a cell, at its slot and s + t above it.  A cell is (its
+    first exponent x0, its list, the slots past its end zero) or None for
+    zero, and every cell at s >= t starts at or above x.
     """
-    acc, live = [0] * width, False
+    acc, a = [], width
     for s in range(len(cells) - 1, t - 1, -1):
-        if live and s + 1 - t < width:  # a longer step moves nothing
+        if s + 1 - t < len(acc):
             _prefix_add(acc, s + 1 - t)
         if cells[s] is not None:
             x0, c = cells[s]
-            p = (x0 - x) // 2 + lift * s
-            if p < width:
-                q = p + len(c)
-                acc[p:q] = map(add, acc[p:q], c)
-                live = True
-    return acc
+            lo = (x0 - x) // 2
+            for p in (lo, lo + s + t) if pair else (lo,):
+                if p < width:
+                    if p < a:
+                        acc[:0] = [0] * (a - p)
+                        a = p
+                    at = slice(p - a, p - a + len(c))
+                    acc[at] = map(add, acc[at], c)
+    return [0] * a + acc
 
 
 def _close(tail: Tail, ratio: list, tm: list, kernel: list, low: list, base: int, floor: int, nnum: int) -> QSeries:
@@ -256,12 +264,14 @@ def _close(tail: Tail, ratio: list, tm: list, kernel: list, low: list, base: int
 
 def _kernel(lam: list, placement: frozenset, start: Optional[list], low: list, nnum: int, stats: SumStats) -> list:
     """The kernel cells W_k(s), s <= top = len(low) - 1, each known below
-    nnum - low[s]: (x0, its list from q^(x0/2)) or None when that is empty.
-    `lam` holds the k indices' linear exponents, placement's q^(-s_i) folded in.
+    nnum - low[s]: (x0, its list from q^(x0/2), the slots past its end zero)
+    or None when that window is empty.  `lam` holds the k indices' linear
+    exponents, placement's q^(-s_i) folded in.
 
     `start` is the row of a level 0 before the first index, its cells at or
-    above q^0, each list possibly shorter than its window (the rest zero);
-    None leaves the first index free, W_1(s) = q^(e_1(s)).
+    above q^0; None leaves the first index free, W_1(s) = q^(e_1(s)), each
+    cell the bare monomial (x0, [1]).  Every later cell is one `_chain`,
+    paired on a placed level, on its whole window.
     """
     k, cap = len(lam), range(len(low))
     e = [[2 * s * s + c * s for s in cap] for c in lam]
@@ -292,13 +302,7 @@ def _kernel(lam: list, placement: frozenset, start: Optional[list], low: list, n
                 continue
             stats.tuples += 1
             width = (hi - x0 + 1) // 2
-            if cells is None:
-                w = [1] + [0] * (width - 1)
-            else:
-                w = _chain(cells, t, up[i][t], width, 0)
-                if i + 1 in placement and width > 2 * t:
-                    w[2 * t :] = map(add, w[2 * t :], _chain(cells, t, up[i][t] + 2 * t, width - 2 * t, 1))
-            row.append((x0, w))
+            row.append((x0, [1] if cells is None else _chain(cells, t, up[i][t], width, i + 1 in placement)))
         cells = row
     return cells
 

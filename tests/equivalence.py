@@ -32,6 +32,7 @@ import sys
 import tarfile
 import tempfile
 from functools import partial
+from itertools import combinations
 from typing import List, Optional, Tuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -54,6 +55,19 @@ def _sums() -> List[Case]:
     rows += [(id, dict(p, **Z)) for id, p in rows]
     rows += [(id, {"k": k, "r": r}) for id in ("AG", "BRESSOUD_EVEN", "NEG_AG")
              for k in range(1, 4) for r in range(k + 1)]
+    return _at_orders(rows)
+
+
+def _placed() -> List[Case]:
+    """THM_3_1 and THM_4_1 at k <= 4, each r and j >= 1, and OVER_1 at k <= 2,
+    each j >= 1, every placement of the j positions."""
+    def placed(id: str, limit: int, **p) -> List[Tuple[str, dict]]:
+        return [(id, dict(p, j=j, placement=list(pl)))
+                for j in range(1, limit + 1) for pl in combinations(range(1, limit + 1), j)]
+
+    rows = [row for id in ("THM_3_1", "THM_4_1") for k in range(1, 5) for r in range(k + 1)
+            for row in placed(id, k - r, k=k, r=r)]
+    rows += [row for k in range(3) for row in placed("OVER_1", k + 1, k=k)]
     return _at_orders(rows)
 
 
@@ -99,7 +113,7 @@ def _structural() -> List[Case]:
                     for n in (20, 25, 30, 35, 40, 45, 60) for a in ("1/2", "3/2", "2")]
 
 
-GRIDS = {"sums": _sums, "limits": _limits, "limits_deep": _limits_deep, "exact": _exact, "structural": _structural}
+GRIDS = {"sums": _sums, "placed": _placed, "limits": _limits, "limits_deep": _limits_deep, "exact": _exact, "structural": _structural}
 
 
 def _canon(x):

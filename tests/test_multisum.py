@@ -26,6 +26,7 @@ from qident import (
 )
 from qident.catalog import _POLICY_MS
 from qident.multisum import (
+    _chain,
     _chain_values,
     _close,
     _grid,
@@ -35,7 +36,7 @@ from qident.multisum import (
     tail_min_num,
 )
 from qident.qobjects import _quad_min
-from naive import brute_force_chains, brute_force_multisum
+from naive import NaiveSeries, brute_force_chains, brute_force_multisum, n_poch_finite
 
 
 def _tail_pair(rng):
@@ -324,14 +325,17 @@ def _oracle_tails():
     return tails
 
 
-def _naive_closing(descriptor, kernel, nnum):
-    """sum_t K(t) T(t) below nnum from the naive tails, K(t) = (x0, whole-q list) or None."""
+def _naive_closing(descriptor, kernel, low, nnum):
+    """sum_t K(t) T(t) below nnum from the naive tails, K(t) = (x0, whole-q list)
+    or None, known below nnum - low[t], the slots past the list's end zero."""
     from naive import NaiveSeries
 
     acc = NaiveSeries.zero(nnum)
     for t, cell in enumerate(kernel):
         if cell is not None:
             x0, c = cell
+            width = (nnum - low[t] - x0 + 1) // 2
+            c = c + [0] * (width - len(c))
             k = NaiveSeries(x0, [v for x in c for v in (x, 0)], x0 + 2 * len(c))
             acc = acc.add(k.mul(naive_tail(descriptor, t, nnum + 60)).truncate(nnum))
     return acc
@@ -357,8 +361,8 @@ def test_capped_tail_values_match_the_naive_oracle(monkeypatch):
         seen.clear()
         lengths.clear()
         eval_multisum(SummandSpec(k, linear, placement=frozenset(placement), tail=tail), he(60 + n % 2))
-        ((_, _, _, kernel, _, base, _, nnum), got), = seen
-        want = _naive_closing(descriptor, kernel, nnum)
+        ((_, _, _, kernel, low, base, _, nnum), got), = seen
+        want = _naive_closing(descriptor, kernel, low, nnum)
         assert [got.coefficient(he(e)) for e in range(base, nnum)] == [want.coeff(e) for e in range(base, nnum)], tail
         assert want.offset >= base or not any(want.coeffs[: base - want.offset]), tail
         grids.add((type(tail).__name__, _grid(tail), base < 0))
@@ -643,3 +647,80 @@ def test_chain_values_match_the_brute_force_chains(nnum):
                     window = range(-12, hi)
                     assert [g.coefficient(he(e)) for e in window] == [w.coeff(e) for e in window], (d, n, s, linear)
     assert floors == {-1, 0, 1}
+
+
+def test_a_chain_is_the_pair_weighted_sum_of_its_cells():
+    # _chain on random cells at or above x, each list shorter than its window
+    # (the slots past its end zero) or running past the width, one-slot
+    # monomials among them and some starting past the width, with and without the pair factor, equals
+    # sum_{s>=t} P(s, t) W(s) / (q; q)_{s-t}, P(s, t) = 1 + q^(s+t) when
+    # paired, in naive arithmetic on `width` whole-q slots from q^(x/2)
+    rng = random.Random(3501)
+    for _ in range(80):
+        top, width, x = rng.randint(0, 6), rng.randint(1, 24), rng.randint(-6, 6)
+        t = rng.randint(0, top)
+        cells = [
+            None if rng.random() < 0.25 else
+            (x + 2 * rng.randint(0, width + 2), [rng.randint(-3, 3) for _ in range(rng.choice((1, rng.randint(1, width))))])
+            for _ in range(top + 1)
+        ]
+        order = x + 2 * width
+        big = order + 12  # room for the factors' products from below q^0
+        for pair in (False, True):
+            want = NaiveSeries.zero(order, x)
+            for s in range(t, top + 1):
+                if cells[s] is not None:
+                    x0, c = cells[s]
+                    w = NaiveSeries(x0, ([v for a in c for v in (a, 0)] + [0] * (big - x0))[: big - x0], big)
+                    if pair:
+                        w = w.mul(NaiveSeries.one(big).add(NaiveSeries.monomial(1, 2 * (s + t), big)))
+                    want = want.add(w.mul(n_poch_finite(1, 2, s - t, 2, big).inv()))
+            assert _chain(cells, t, x, width, pair) == [want.coeff(x + 2 * j) for j in range(width)], (cells, t, pair)
+
+
+@pytest.mark.parametrize("id, order, params, counts", [
+    ("AG", 100, {"k": 6, "r": 2}, (28, 97, 5145)),
+    ("AG", 90, {"k": 8, "r": 0}, (35, 100, 4791)),
+    ("THM_3_1", 100, {"k": 5, "j": 2, "r": 1, "placement": [1, 2]}, (26, 100, 5536)),
+])
+def test_deep_sums_make_their_pinned_chains_and_passes(monkeypatch, id, order, params, counts):
+    # three of perfbench's sums_deep cases make exactly these _chain calls,
+    # prefix-add passes and slots over the passes (the closings' included);
+    # the first level's live cells are bare monomials, and each later level
+    # makes one chain per live cell, paired exactly when the level is placed
+    import qident.multisum as ms
+
+    chains, passes, kernels = [], [], []
+    real_chain, real_prefix_add, real_kernel = ms._chain, ms._prefix_add, ms._kernel
+
+    def chain(cells, t, x, width, pair):
+        chains.append((cells, pair))
+        return real_chain(cells, t, x, width, pair)
+
+    def prefix_add(c, d):
+        passes.append(len(c))
+        return real_prefix_add(c, d)
+
+    def kernel(lam, placement, start, *args):
+        first = len(chains)
+        out = real_kernel(lam, placement, start, *args)
+        rows = []  # the rows the chains read, in level order, each with its chains' pair flags
+        for cells, pair in chains[first:]:
+            if not rows or rows[-1][0] is not cells:
+                rows.append((cells, []))
+            rows[-1][1].append(pair)
+        kernels.append((len(lam), placement, start, rows, out))
+        return out
+
+    monkeypatch.setattr(ms, "_chain", chain)
+    monkeypatch.setattr(ms, "_prefix_add", prefix_add)
+    monkeypatch.setattr(ms, "_kernel", kernel)
+    assert verify(make_case(id, order=qe(order), **params)).status == "pass"
+    assert (len(chains), len(passes), sum(passes)) == counts
+    assert kernels
+    for k, placement, start, rows, out in kernels:
+        assert start is None and len(rows) == k - 1
+        assert all(c is None or c[1] == [1] for c in rows[0][0])
+        for level, ((_, pairs), made) in enumerate(zip(rows, [r[0] for r in rows[1:]] + [out]), 2):
+            assert len(pairs) == sum(c is not None for c in made)
+            assert set(pairs) == {level in placement}
