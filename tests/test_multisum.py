@@ -36,7 +36,7 @@ from qident.multisum import (
     tail_min_num,
 )
 from qident.qobjects import _quad_min
-from naive import NaiveSeries, brute_force_chains, brute_force_multisum, n_poch_finite
+from naive import brute_force_chains, brute_force_multisum
 
 
 def _tail_pair(rng):
@@ -652,9 +652,12 @@ def test_chain_values_match_the_brute_force_chains(nnum):
 def test_a_chain_is_the_pair_weighted_sum_of_its_cells():
     # _chain on random cells at or above x, each list shorter than its window
     # (the slots past its end zero) or running past the width, one-slot
-    # monomials among them and some starting past the width, with and without the pair factor, equals
-    # sum_{s>=t} P(s, t) W(s) / (q; q)_{s-t}, P(s, t) = 1 + q^(s+t) when
-    # paired, in naive arithmetic on `width` whole-q slots from q^(x/2)
+    # monomials among them and some starting past the width, with and
+    # without the pair factor, equals sum_{s>=t} P(s, t) W(s) / (q; q)_{s-t},
+    # P(s, t) = 1 + q^(s+t) when paired, in naive arithmetic on `width`
+    # whole-q slots from q^(x/2)
+    from naive import NaiveSeries, n_poch_finite
+
     rng = random.Random(3501)
     for _ in range(80):
         top, width, x = rng.randint(0, 6), rng.randint(1, 24), rng.randint(-6, 6)
