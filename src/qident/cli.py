@@ -125,17 +125,40 @@ def _error_row(case: IdentityCase, detail: str) -> dict:
 
 
 def _run_sharded(jobs: list, n: int) -> list:
-    """Run jobs as n processes: this one (shard 0) and n - 1 forked children.
+    """Run jobs as n processes: this one and n - 1 forked children.
 
-    Jobs are dealt round-robin in listed order. A child sends its (idx, row)
-    pairs as one JSON document through a pipe and leaves through os._exit, so
-    that nothing raised in it returns into the caller. Every child is reaped;
-    one that dies or sends no readable document gives its jobs error rows.
-    At n = 1, or with no jobs, this process runs them all.
+    Jobs are dealt on demand in listed order. Before the first fork, one pipe
+    is filled with a 4-byte token, the first index, per run of
+    c = ceil(len(jobs) / 1024) consecutive jobs (at most 4 KiB, so the write cannot block) and its write
+    end is closed. Every process reads the next token when it is free and runs
+    that run; an empty read means the suite is done, and no process can wait
+    on another's death. This relies on a 4-byte read from a pipe that holds a
+    multiple of 4 bytes returning 4 bytes.
+
+    A child sends its (idx, row) pairs as one JSON document through its own
+    pipe and leaves through os._exit, so that nothing raised in it returns
+    into the caller. Every child is reaped. A job that no process returns, as
+    when a child dies or sends no readable document, gets an error row naming
+    what went wrong. At n = 1, or with at most one job, this process runs
+    them all.
     """
-    shards = [jobs[i::n] for i in range(max(1, min(n, len(jobs))))]
+    n = min(n, len(jobs))
+    if n <= 1:
+        return [_run_suite_case(j) for j in jobs]
+    c = -(-len(jobs) // 1024)
+    tokens, fill = os.pipe()
+    os.write(fill, b"".join(k.to_bytes(4, "little") for k in range(0, len(jobs), c)))
+    os.close(fill)
+
+    def take() -> list:
+        done = []
+        while token := os.read(tokens, 4):
+            k = int.from_bytes(token, "little")
+            done += [_run_suite_case(j) for j in jobs[k:k + c]]
+        return done
+
     children = []
-    for shard in shards[1:]:
+    for _ in range(n - 1):
         r, w = os.pipe()
         pid = os.fork()
         if pid == 0:
@@ -143,27 +166,29 @@ def _run_sharded(jobs: list, n: int) -> list:
             try:
                 os.close(r)
                 with open(w, "w") as fh:
-                    json.dump([_run_suite_case(j) for j in shard], fh)
+                    fh.write(json.dumps(take()))
                 code = 0
             finally:
                 os._exit(code)
         os.close(w)
-        children.append((pid, r, shard))
-    results = [_run_suite_case(j) for j in shards[0]]
-    for pid, r, shard in children:
+        children.append((pid, r))
+    results = take()
+    os.close(tokens)
+    whys = []
+    for pid, r in children:
         with open(r) as fh:
             data = fh.read()
         code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
         if code:
-            why = f"killed by signal {-code}" if code < 0 else f"exited with status {code}"
+            whys.append(f"killed by signal {-code}" if code < 0 else f"exited with status {code}")
         else:
             try:
                 results += json.loads(data)
-                continue
             except ValueError:
-                why = "sent unreadable output"
-        results += [(idx, _error_row(case, f"worker process {why}")) for idx, case in shard]
-    return results
+                whys.append("sent unreadable output")
+    returned = {idx for idx, _ in results}
+    detail = "worker process " + " or ".join(dict.fromkeys(whys))
+    return results + [(idx, _error_row(case, detail)) for idx, case in jobs if idx not in returned]
 
 
 def _cmd_suite(args) -> int:
@@ -281,8 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
                                   "cases: [{id, ..., order?, expect?}]}")
     s.add_argument("--jobs", type=int, default=None,
                    help="processes, this one included (overrides the config's parallelism; "
-                        "default 1); cases are dealt round-robin in listed order, so list the "
-                        "slowest first; serial where os.fork is missing")
+                        "default 1); each process takes the next case in listed order when it "
+                        "is free; serial where os.fork is missing")
     s.add_argument("--format", choices=("text", "json"), default="text")
     s.set_defaults(func=_cmd_suite)
     return ap

@@ -6,8 +6,8 @@
         "pytest -q -p no:cacheprovider"
     PYTHONPATH=src python tests/line_reach.py traffic
 
-Each argument is one run, `qident ARGS` (the CLI's `main`) or `pytest ARGS`
-(`pytest.main`), or the word `traffic`, which stands for the runs the
+Each argument is one run, `qident ARGS` (run as `python -m qident ARGS`
+would run it) or `pytest ARGS` (`pytest.main`), or the word `traffic`, which stands for the runs the
 benchmark's workloads make (`traffic_runs`; run it from the repository
 root).  The runs go one after another in this process under
 `sys.settrace`; the report is their union.  It gives each module's
@@ -26,6 +26,7 @@ import contextlib
 import importlib.util
 import json
 import os
+import runpy
 import shlex
 import sys
 from typing import Dict, List, Sequence, Set, Tuple
@@ -93,7 +94,13 @@ def _fresh_package():
 def _run(command: str) -> int:
     argv = shlex.split(command)
     if argv[:1] == [PACKAGE]:
-        return importlib.import_module(PACKAGE + ".cli").main(argv[1:])
+        saved, sys.argv = sys.argv, argv
+        try:
+            runpy.run_module(PACKAGE, run_name="__main__")
+        except SystemExit as e:
+            return e.code
+        finally:
+            sys.argv = saved
     if argv[:1] == ["pytest"]:
         import pytest
 

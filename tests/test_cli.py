@@ -4,6 +4,7 @@ import json
 import os
 import re
 import signal
+import time
 
 import pytest
 
@@ -256,25 +257,88 @@ def test_suite_dead_worker_gives_error_rows_and_leaves_no_child(die, detail, tmp
     from qident import cli
 
     parent, run_case = os.getpid(), cli._run_suite_case
+    taken = tmp_path / "taken-by-child"
 
     def die_in_a_child(job):
-        if os.getpid() != parent and job[1].id == "AG":
+        if os.getpid() != parent:  # the child dies on the first case it takes
+            with open(taken, "a") as fh:
+                fh.write(job[1].id + "\n")
             die()
+        for _ in range(1000):  # this process holds its first case until the child has one
+            if taken.exists():
+                break
+            time.sleep(0.005)
         return run_case(job)
 
     monkeypatch.setattr(cli, "_run_suite_case", die_in_a_child)
-    # --jobs 2 deals CURIOUS and NEG_AG to this process, AG and EDGE_LEMMA to the child
     path = _write_suite(tmp_path, SUITE)
     code, out, err = run(capsys, "suite", path, "--format", "json", "--jobs", "2")
     assert code == 1 and "Traceback" not in err
+    lost = taken.read_text().split()
+    assert len(lost) == 1
     rows = {row["id"]: row for row in json.loads(out)["cases"]}
-    for id in ("AG", "EDGE_LEMMA"):
-        assert rows[id]["status"] == "error"
-        assert rows[id]["detail"] == detail
-    assert rows["CURIOUS"]["status"] == "pass" and rows["CURIOUS"]["as_expected"]
-    assert rows["NEG_AG"]["status"] == "fail" and rows["NEG_AG"]["as_expected"]
+    assert {id for id, row in rows.items() if row["status"] == "error"} == set(lost)
+    for id, row in rows.items():
+        if id in lost:
+            assert row["detail"] == detail
+        else:  # the survivor took every other case
+            assert row["status"] == row["expect"] and row["as_expected"], id
     with pytest.raises(ChildProcessError):  # the child was reaped
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_suite_pool_takes_the_next_case_when_free(monkeypatch):
+    from qident import cli
+
+    def stub(job):  # the first listed case is slow; each row is the pid that ran it
+        if job[0] == 0:
+            time.sleep(0.2)
+        return job[0], os.getpid()
+
+    monkeypatch.setattr(cli, "_run_suite_case", stub)
+    pid = dict(cli._run_sharded([(i, None) for i in range(6)], 2))
+    assert sorted(pid) == list(range(6))
+    # the process that took the slow case ran no other; round-robin would give it cases 2 and 4
+    assert [i for i in pid if pid[i] == pid[0]] == [0]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_suite_pool_deals_runs_of_jobs_past_1024(monkeypatch):
+    from qident import cli
+
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(cli, "_run_suite_case", lambda job: job)
+    monkeypatch.setattr(os, "fork", counted_fork)
+    results = cli._run_sharded([(i, i) for i in range(2500)], 3)  # runs of c = 3 jobs
+    assert sorted(idx for idx, _ in results) == list(range(2500))
+    assert all(idx == out for idx, out in results)
+    assert len(forks) == 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_python_dash_m_runs_the_cli():
+    import pathlib
+    import subprocess
+    import sys
+
+    import qident
+
+    src = str(pathlib.Path(qident.__file__).resolve().parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-m", "qident", "verify", "--id", "AG", "--k", "1", "--r", "0"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    assert "PASS" in out.stdout
+    assert "qident.__main__" not in sys.modules  # importing the package does not run it
 
 
 def test_suite_forks_one_child_per_extra_shard_at_most(tmp_path, capsys, monkeypatch):
@@ -289,7 +353,7 @@ def test_suite_forks_one_child_per_extra_shard_at_most(tmp_path, capsys, monkeyp
     _, serial, _ = run(capsys, "suite", path, "--format", "json", "--jobs", "1")
     monkeypatch.setattr(os, "fork", counted_fork)
     _, sharded, _ = run(capsys, "suite", path, "--format", "json", "--jobs", "64")
-    assert len(forks) == 2  # three cases make three shards
+    assert len(forks) == 2  # three cases make three processes at most
     a, b = json.loads(serial), json.loads(sharded)
     for row in a["cases"] + b["cases"]:
         row.pop("elapsed_ms")
@@ -393,7 +457,7 @@ def test_suite_leftover_criterion_is_a_config_error(tmp_path, capsys):
 
 def test_suite_empty_is_a_pass(tmp_path, capsys):
     path = _write_suite(tmp_path, {"cases": []})
-    for jobs in ([], ["--jobs", "2"]):  # no jobs still make one shard
+    for jobs in ([], ["--jobs", "2"]):  # no jobs: no child is forked
         code, out, _ = run(capsys, "suite", path, *jobs)
         assert code == 0
         assert "0 cases" in out, jobs

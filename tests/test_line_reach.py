@@ -19,7 +19,7 @@ def test_line_reach_of_one_ag_case(capsys):
     assert "AG k=1 r=0: PASS" in capsys.readouterr().err  # the run's output goes to stderr
     # the package's modules are the ones loaded before the run
     assert sys.modules["qident"] is qident and sys.modules["qident.catalog"] is catalog
-    assert sorted(modules) == ["__init__.py", "catalog.py", "cli.py", "hfamily.py", "multisum.py",
+    assert sorted(modules) == ["__init__.py", "__main__.py", "catalog.py", "cli.py", "hfamily.py", "multisum.py",
                                "products.py", "qobjects.py", "series.py"]
     for lines, hit in modules.values():
         assert hit and hit <= set(lines)
@@ -32,7 +32,7 @@ def test_line_reach_of_one_ag_case(capsys):
     text = line_reach.report(modules)
     assert text.splitlines()[0].split() == ["module", "lines", "reached"]
     counts = [sum(map(len, col)) for col in zip(*modules.values())]
-    assert text.splitlines()[9].split() == ["total", *map(str, counts)]
+    assert text.splitlines()[10].split() == ["total", *map(str, counts)]
     assert "catalog.py make_case: " in text
 
 
