@@ -7,9 +7,9 @@
     PYTHONPATH=src python tests/line_reach.py traffic
 
 Each argument is one run, `qident ARGS` (run as `python -m qident ARGS`
-would run it) or `pytest ARGS` (`pytest.main`), or the word `traffic`, which stands for the runs the
-benchmark's workloads make (`traffic_runs`; run it from the repository
-root).  The runs go one after another in this process under
+would run it) or `pytest ARGS` (`pytest.main`), or the word `traffic`,
+which stands for the runs the benchmark's workloads make
+(`traffic_runs`; run it from the repository root).  The runs go one after another in this process under
 `sys.settrace`; the report is their union.  It gives each module's
 executable lines, the line numbers of its code objects (`co_lines`), and
 how many of them were reached, then each function's unreached lines; the
