@@ -275,7 +275,7 @@ def _ord_num(order) -> Optional[int]:
         return None
     if isinstance(order, HalfInt):
         return order.num
-    if isinstance(order, int):
+    if _whole(order):
         return 2 * order
     raise SpecError(f"not an order: {order!r}")
 
@@ -534,8 +534,8 @@ class QSeries:
         e = HalfInt._coerce(exp)
         if e is None:
             raise SpecError(f"bad exponent {exp!r}")
-        if e.num == 0:
-            return self
+        if e.num == 0 or (not self._coeffs and self._ordnum is None):
+            return self  # q^e times an exact zero is the canonical zero
         ordnum = None if self._ordnum is None else self._ordnum + e.num
         return QSeries(self._min + e.num, self._coeffs, ordnum, _raw=True)
 
@@ -626,19 +626,18 @@ class QSeries:
     __hash__ = None
 
     def __repr__(self):
+        def power(e: HalfInt) -> str:
+            return f"q^{e}" if e.is_integral else f"q^({e})"
+
         parts = []
         for exp, c in self.terms():
-            if exp.num == 0:
-                parts.append(str(c))
-            else:
-                e = str(exp) if exp.is_integral else f"({exp})"
-                parts.append(f"{c}*q^{e}")
-            if len(parts) >= 8:
+            if len(parts) == 8:
                 parts.append("...")
                 break
+            parts.append(str(c) if exp.num == 0 else f"{c}*{power(exp)}")
         if not parts:
             parts.append("0")
-        tail = "" if self._ordnum is None else f" + O(q^{_ord_obj(self._ordnum)})"
+        tail = "" if self._ordnum is None else f" + O({power(HalfInt(self._ordnum))})"
         return "<QSeries " + " + ".join(parts) + tail + ">"
 
 

@@ -6,11 +6,12 @@
 With one revision the working tree is compared with REV, with two REV1 with
 REV2; the grids are this file's either way.  A revision is a git revision,
 exported with `git archive` into a temporary directory, or a directory that
-holds a source tree (its `src/`).  Each named grid (default: all of `GRIDS`)
-runs in both trees, each tree in a fresh interpreter, and the number of
-cases that differ is printed with the first of them, "here" the first tree
-and "there" the second; every grid runs, and the exit status is 1 when
-any case differs, else 0.  A case's record is its report, less the
+holds a source tree (its `src/`).  Each named grid (default: all of `GRIDS`:
+sums, placed, limits, limits_deep, exact, structural and edges) runs in
+both trees, each tree in a fresh interpreter, and the number of cases that
+differ is printed with the first of them, "here" the first tree and
+"there" the second; every grid runs, and the exit status is 1 when any
+case differs, else 0.  A case's record is its report, less the
 elapsed time, and every check its runner builds: the label and both sides
 in canonical form, a `QSeries` as (min, coefficients, order) and a
 `ZLaurent` as (order, span, slices).  A case whose runner raises records
@@ -113,7 +114,18 @@ def _structural() -> List[Case]:
                     for n in (20, 25, 30, 35, 40, 45, 60) for a in ("1/2", "3/2", "2")]
 
 
-GRIDS = {"sums": _sums, "placed": _placed, "limits": _limits, "limits_deep": _limits_deep, "exact": _exact, "structural": _structural}
+def _edges() -> List[Case]:
+    """EDGE_LEMMA at j <= 12 on its default samples and at j <= 6 on explicit
+    ones, and CHU_COEFF at j <= 20; all exact, so each runs once."""
+    rows = [("EDGE_LEMMA", {"j": j}) for j in range(13)]
+    rows += [("EDGE_LEMMA", {"j": j, "samples": [[3] * j, list(range(j, 0, -1)), [2 * j] + [0] * (j - 1)]})
+             for j in range(1, 7)]
+    rows += [("CHU_COEFF", {"j": j}) for j in range(21)]
+    return [(id, p, None) for id, p in rows]
+
+
+GRIDS = {"sums": _sums, "placed": _placed, "limits": _limits, "limits_deep": _limits_deep, "exact": _exact,
+         "structural": _structural, "edges": _edges}
 
 
 def _canon(x):

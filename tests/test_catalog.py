@@ -9,6 +9,7 @@ from functools import partial
 import pytest
 
 from qident import (
+    INF,
     EdgeSet,
     FSpec,
     HalfInt,
@@ -39,7 +40,7 @@ import qident
 from qident import catalog, hfamily
 from qident.catalog import _bress_lambda
 from qident.qobjects import _inv_poch_ladder
-from naive import brute_force_multisum
+from naive import NaiveSeries, brute_force_multisum
 
 
 SMALL = he(30)
@@ -481,6 +482,27 @@ def test_edge_lemma_size_limit_is_a_spec_error():
             validate_case(make_case("EDGE_LEMMA", j=j))
 
 
+@pytest.mark.parametrize(
+    "case, detail",
+    [
+        (make_case("KEY_LEMMA", a=2), "missing required parameter 'n'"),
+        (make_case("FUNC_EQ", n=3), "missing required parameter 'c'"),
+        (make_case("KEY_LEMMA", n=3, a="x"), "parameter 'a' must be a half-integer, got 'x'"),
+        (make_case("THM_3_1", k=3, r=0, j=2, placement=[1]), "placement [1] must have exactly j=2 positions"),
+        (make_case("RECURSE_F", n=2, j=0, a="3/2"), "this identity needs j >= 1"),
+        (make_case("ANOTHER_F", n=2, j=0, a="3/2"), "this identity needs j >= 1"),
+        (make_case("H_LIMIT", a=0), "the limit needs a > 0, got a=0"),
+        (make_case("F_LIMIT", j=1, a="-1/2"), "the limit needs a > 0, got a=-1/2"),
+        (make_case("EDGE_LEMMA", j=3, samples=[[2, 1]]), "sample (2, 1) does not have j=3 entries"),
+    ],
+    ids=["missing-int", "missing-half", "bad-half", "placement-size", "RECURSE_F-j", "ANOTHER_F-j",
+         "H_LIMIT-a", "F_LIMIT-a", "edge-sample-size"],
+)
+def test_verify_reports_each_rejected_parameter_as_an_error(case, detail):
+    rep = verify(case)
+    assert (rep.status, rep.detail) == ("error", detail)
+
+
 def test_verify_error_reports_carry_detail():
     rep = verify(make_case("EDGE_LEMMA", j=3, samples=[(1, 2, 1)]))
     assert rep.status == "error"
@@ -629,6 +651,56 @@ def test_edge_weight_paper_instance():
     assert dict(e23.terms()) == {qe(-2): 1}
     total = empty - e12 - e23
     assert dict(total.terms()) == {qe(-4): 1}
+
+
+def _naive_edge_weight(E, s) -> NaiveSeries:
+    # q^(-s_1) when vertex 1 is uncovered, times q^(-s_i) + q^(s_(i-1)) over
+    # the uncovered i >= 2, multiplied out densely; the window is known below
+    # q^(2 sum(s) + 2) and each factor lowers that by q^(s_i), so the product
+    # stays known past its top term, at most q^(sum(s))
+    top = 4 * sum(s) + 4
+    w = NaiveSeries.one(top)
+    for i in range(1, len(s) + 1):
+        if i not in E.covered:
+            f = NaiveSeries.monomial(1, -2 * s[i - 1], top)
+            if i >= 2:
+                f = f.add(NaiveSeries.monomial(1, 2 * s[i - 2], top))
+            w = w.mul(f)
+    return w
+
+
+def test_every_edge_weight_matches_the_naive_product():
+    rng = random.Random(37)
+    for j in range(9):
+        samples = [(0,) * j, (3,) * j, tuple(range(j, 0, -1))]
+        for _ in range(3):
+            t = [rng.randint(0, 9)]
+            while len(t) < j:
+                t.append(rng.randint(0, t[-1]))
+            samples.append(tuple(t[:j]))
+        for s in samples:
+            for E in enumerate_edge_sets(j):
+                w, naive = edge_weight(E, s), _naive_edge_weight(E, s)
+                assert w.order is INF and naive.order > 2 * sum(s)
+                assert {e.num: c for e, c in w.terms()} == {
+                    naive.offset + i: c for i, c in enumerate(naive.coeffs) if c
+                }, (j, s, E)
+
+
+def test_edge_lemma_builds_no_series_products(monkeypatch):
+    # every weight is one `_poch_rows` row and one shift: the signed sum of
+    # the matchings makes no `QSeries` product
+    calls = []
+    mul = QSeries.__mul__
+
+    def spy(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(QSeries, "__mul__", spy)
+    monkeypatch.setattr(QSeries, "__rmul__", spy)
+    rep = verify(make_case("EDGE_LEMMA", j=8))
+    assert rep.status == "pass" and calls == []
 
 
 def test_edge_weight_validates_length():

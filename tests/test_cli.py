@@ -386,6 +386,20 @@ def test_suite_bad_config_exit_two(tmp_path, capsys):
         assert f"error: bad suite config: expected a JSON object, got {kind}" in err
 
 
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda tmp_path: {"cases": {"id": "AG"}}, "error: bad suite config: cases must be a list"),
+        (lambda tmp_path: {"output_path": str(tmp_path)}, "error: cannot write report to {}: "),
+    ],
+    ids=["cases-not-a-list", "output-path-a-directory"],
+)
+def test_suite_exits_two_on_a_bad_case_list_or_report_path(change, message, tmp_path, capsys):
+    code, _, err = run(capsys, "suite", _write_suite(tmp_path, dict(SUITE, **change(tmp_path))), "--jobs", "1")
+    assert code == 2
+    assert message.format(tmp_path) in err
+
+
 def test_suite_unknown_top_level_keys_are_config_errors(tmp_path, capsys, monkeypatch):
     # misspelt keys are refused, not run serially with no report written
     monkeypatch.chdir(tmp_path)

@@ -9,17 +9,21 @@ from hypothesis import strategies as st
 from qident import (
     INF,
     HalfInt,
+    IllPosedError,
     Monomial,
     QSeries,
     SpecError,
+    SummandSpec,
     ZLaurent,
     binom,
     euler_series,
+    eval_multisum,
     partition_series,
     poch_finite,
     poch_finite_scalar,
     poch_infinite,
     qbinom_poly,
+    stabilized_h_value,
     theta_triple_sum,
     he,
     qe,
@@ -35,6 +39,25 @@ def test_binom_values_and_edges():
     assert binom(5, -1) == 0
     with pytest.raises(SpecError):
         binom(-1, 0)
+
+
+@pytest.mark.parametrize(
+    "call, detail",
+    [
+        (lambda: theta_triple_sum(Monomial(1, qe(1)), qe(0), qe(10)), "modulus exponent must be positive"),
+        (lambda: theta_triple_sum(Monomial(1, qe(1)), qe(3), INF), "needs a finite truncation order"),
+        (lambda: poch_infinite(Monomial(1, qe(1)), qe(1), INF), "needs a finite truncation order"),
+        (lambda: poch_infinite(Monomial(1, qe(1)), qe(0), qe(10)), "base exponent must be positive"),
+        (lambda: partition_series(INF), "needs a finite truncation order"),
+        (lambda: eval_multisum(SummandSpec(1, (0,)), INF), "needs a finite truncation order"),
+        (lambda: stabilized_h_value(he(0), Monomial(1, qe(0)), qe(10)), "needs a > 0"),
+    ],
+    ids=["theta-modulus", "theta-inf", "poch_infinite-inf", "poch_infinite-base", "partition_series-inf",
+         "eval_multisum-inf", "stabilized_h_value-a"],
+)
+def test_engines_refuse_an_ill_posed_request(call, detail):
+    with pytest.raises(IllPosedError, match=detail):
+        call()
 
 
 def test_qbinom_poly_small():

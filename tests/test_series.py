@@ -8,13 +8,18 @@ from hypothesis import strategies as st
 
 from qident import (
     INF,
+    FSpec,
     HalfInt,
     NonInvertibleError,
     OrderExceededError,
     QSeries,
     SpecError,
+    SummandSpec,
     ZLaurent,
+    eval_multisum,
+    f_func,
     he,
+    partition_series,
     qe,
 )
 from conftest import random_qseries, random_zlaurent, series_from
@@ -146,6 +151,82 @@ def test_exact_zero_vs_truncated_zero():
     # exact zero annihilates, truncated zero keeps its window
     assert (exact * x).order is INF
     assert (trunc * x).order == he(11)
+
+
+def test_shifted_exact_zero_is_the_canonical_zero():
+    for e in (qe(3), he(-5)):
+        moved = QSeries.zero().shift(e)
+        assert moved == QSeries.zero() and moved.min_exp == he(0)
+    # a truncated zero moves with its order, which its min_exp equals
+    assert QSeries.zero(he(4)).shift(he(3)) == QSeries.zero(he(7))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: QSeries.zero(True),
+        lambda: QSeries.one(False),
+        lambda: QSeries.monomial(1, qe(1), True),
+        lambda: QSeries.one().truncated(True),
+        lambda: QSeries.one().inverse(True),
+        lambda: ZLaurent({0: QSeries.one()}, None).truncated(True),
+        lambda: partition_series(True),
+        lambda: eval_multisum(SummandSpec(1, (0,)), True),
+        lambda: f_func(FSpec(2, 0, he(3)), True),
+        lambda: QSeries.zero("5"),
+        lambda: QSeries.zero(5.0),
+    ],
+    ids=["zero", "one", "monomial", "truncated", "inverse", "zlaurent-truncated", "partition_series",
+         "eval_multisum", "f_func", "str", "float"],
+)
+def test_an_order_is_refused_unless_a_halfint_an_int_or_inf(build):
+    # a bool is no count of q-units, as HalfInt and every spec already say
+    with pytest.raises(SpecError, match="not an order"):
+        build()
+
+
+def test_an_int_order_counts_whole_q_units():
+    assert QSeries.zero(5).order == qe(5)
+    assert QSeries.one(0).order == qe(0) and QSeries.one(0).is_zero
+    assert QSeries.one().truncated(2) == QSeries.one(qe(2))
+    assert partition_series(3) == partition_series(qe(3))
+
+
+def test_reprs_write_half_exponents_in_parentheses_and_cut_long_bodies():
+    assert repr(QSeries.zero()) == "<QSeries 0>"
+    assert repr(QSeries.zero(he(3))) == "<QSeries 0 + O(q^(3/2))>"
+    assert repr(QSeries.zero(he(-4))) == "<QSeries 0 + O(q^-2)>"
+    s = QSeries.monomial(-2, he(-3)) + QSeries.monomial(5, qe(2)) + 1
+    assert repr(s) == "<QSeries -2*q^(-3/2) + 1 + 5*q^2>"
+    eight = "1 + 1*q^(1/2) + 1*q^1 + 1*q^(3/2) + 1*q^2 + 1*q^(5/2) + 1*q^3 + 1*q^(7/2)"
+    assert repr(QSeries(0, [1] * 8, 17)) == f"<QSeries {eight} + O(q^(17/2))>"
+    assert repr(QSeries(0, [1] * 9, 20)) == f"<QSeries {eight} + ... + O(q^10)>"
+    z = ZLaurent({k: QSeries.monomial(k, he(k), he(9)) for k in range(-2, 4)}, 9)
+    assert repr(z) == (
+        "<ZLaurent {z^-2: <QSeries -2*q^-1 + O(q^(9/2))>, z^-1: <QSeries -1*q^(-1/2) + O(q^(9/2))>, "
+        "z^1: <QSeries 1*q^(1/2) + O(q^(9/2))>, z^2: <QSeries 2*q^1 + O(q^(9/2))>...}>"
+    )
+    assert repr(ZLaurent({1: QSeries.one(), -1: QSeries.monomial(3, he(1))}, None)) == (
+        "<ZLaurent {z^-1: <QSeries 3*q^(1/2)>, z^1: <QSeries 1>}>"
+    )
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: QSeries.monomial(1, "x"),
+        lambda: QSeries.monomial(1, 1.5),
+        lambda: QSeries.one().shift("x"),
+        lambda: QSeries.one().coefficient(True),
+        lambda: ZLaurent({1: QSeries.one()}, None).zshift(None),
+        lambda: ZLaurent({1: QSeries.one()}, None).substitute(1, "1/2"),
+        lambda: ZLaurent({1: QSeries.one()}, None).substitute(2, he(1)),
+    ],
+    ids=["monomial", "monomial-float", "shift", "coefficient", "zshift", "substitute", "substitute-sign"],
+)
+def test_a_bad_exponent_or_sign_is_a_spec_error(call):
+    with pytest.raises(SpecError, match="bad exponent|sign must be"):
+        call()
 
 
 def test_product_order_rule():
