@@ -208,8 +208,8 @@ def _need_half(params: dict, name: str) -> HalfInt:
     raise SpecError(f"parameter {name!r} must be a half-integer, got {v!r}")
 
 
-def _opt_z(params: dict) -> Optional[Monomial]:
-    """z described by z_sign / z_exp; absent means "use the sampling policy"."""
+def _opt_z(params: dict, window: Tuple[int, int]) -> Optional[Monomial]:
+    """z = sign q^(m/2) from z_sign / z_exp, lo < m < hi in `window`; absent means "use the sampling policy"."""
     if "z_sign" not in params and "z_exp" not in params:
         return None
     sign = params.get("z_sign", 1)
@@ -219,7 +219,10 @@ def _opt_z(params: dict) -> Optional[Monomial]:
         sign = -1
     if not _whole(sign) or sign not in (1, -1):
         raise SpecError(f"z_sign must be +1 or -1, got {params.get('z_sign')!r}")
-    return Monomial(sign, _need_half(params, "z_exp") if "z_exp" in params else qe(0))
+    z = Monomial(sign, _need_half(params, "z_exp") if "z_exp" in params else qe(0))
+    if not window[0] < z.q_exp.num < window[1]:
+        raise SpecError(f"z = {z} is outside the well-posed window for these parameters")
+    return z
 
 
 def _int_tuple(v) -> Optional[tuple]:
@@ -258,7 +261,8 @@ def _z_samples(
     z: Optional[Monomial], window: Tuple[int, int], ms: Sequence[int] = _POLICY_MS, parity: int = 0
 ) -> List[Monomial]:
     """[z] for the given z, else one z = +-q^(m/2), m in ms (half-units) inside
-    the open window (lo, hi), per orbit of the family's two symmetries.
+    the open window (lo, hi), per orbit of the family's two symmetries.  The
+    prepares refuse a z outside the window and a window that keeps no m.
 
     The mirror m -> lo + hi - m keeps the sign: m is skipped when its mirror
     is in ms before it.  The sign twin: a family's terms are z^s times
@@ -267,15 +271,10 @@ def _z_samples(
     (-1)^(m + parity) sign q^(m/2); when m + parity is odd, only + is kept.
     """
     lo, hi = window
-    if z is not None and not lo < z.q_exp.num < hi:
-        raise SpecError(f"z = {z} is outside the well-posed window for these parameters")
     kept = [m for i, m in enumerate(ms) if lo < m < hi and lo + hi - m not in ms[:i]]
-    zs = [z] if z is not None else [
+    return [z] if z is not None else [
         Monomial(sig, HalfInt(m)) for m in kept for sig in ((1,) if (m + parity) % 2 else (1, -1))
     ]
-    if not zs:
-        raise SpecError("no well-posed z sample exists for these parameters")
-    return zs
 
 
 # ---------------------------------------------------------------------------
@@ -365,8 +364,8 @@ def _even(p: dict) -> int:
 _Z = ("z_sign", "z_exp")
 
 
-def _prep_sum(names: Sequence[str], params: dict) -> dict:
-    """k, r, j, placement and, on a z row (one taking z_sign / z_exp), z.
+def _prep_sum(names: Sequence[str], window: Optional[Callable[[dict], Tuple[int, int]]], params: dict) -> dict:
+    """k, r, j, placement and, on a z row (one with a window), z inside it.
 
     A name the row does not take keeps its neutral value: 0, or None for
     placement.  A z row sums k + 1 indices, so it needs k >= 0, and j and
@@ -374,14 +373,14 @@ def _prep_sum(names: Sequence[str], params: dict) -> dict:
     and has k - r positions.
     """
     _reject_unknown(params, names)
-    zrow = "z_exp" in names
+    zrow = window is not None
     k = _need_int(params, "k", 0 if zrow else 1) if "k" in names else 0
     r = _need_int(params, "r", 0, k) if "r" in names else 0
     limit = k + 1 - r if zrow else k - r
     j = _need_int(params, "j", 0, limit) if "j" in names else 0
     placement = _opt_placement(params, j, limit) if "placement" in names else None
     out = {"k": k, "r": r, "j": j, "placement": placement}
-    return dict(out, z=_opt_z(params)) if zrow else out
+    return dict(out, z=_opt_z(params, window(out))) if zrow else out
 
 
 _SUM_ROWS: Dict[str, _SumRow] = {
@@ -627,20 +626,27 @@ def _run_expansion(row: _Expansion, p: dict, wnum: int, stats: SumStats) -> List
 # limit identities: H_LIMIT is F_LIMIT at j = 0
 
 
+def _limit_window(j: int, a: HalfInt) -> Tuple[int, int]:
+    # terms z^s q^(a s^2), centre 0; empty unless a > j, and then it holds m = 0
+    return 2 * j - a.num, a.num - 2 * j
+
+
 def _prep_limit(names: Sequence[str], params: dict) -> dict:
-    """a > 0, j >= 0 (0 when the id does not take it) and z."""
+    """a > 0, j >= 0 (0 when the id does not take it), a > j (else no z is well posed), and z."""
     _reject_unknown(params, names)
     a = _need_half(params, "a")
     j = _need_int(params, "j", 0) if "j" in names else 0
     if a.num <= 0:
         raise SpecError(f"the limit needs a > 0, got a={a}")
-    return {"j": j, "a": a, "z": _opt_z(params)}
+    if a.num <= 2 * j:
+        raise SpecError("no well-posed z sample exists for these parameters")
+    return {"j": j, "a": a, "z": _opt_z(params, _limit_window(j, a))}
 
 
 def _run_limit(label: str, p: dict, wnum: int, stats: SumStats) -> List[Check]:
     """F(n, j, a)(-z) at each z sample's certified n against `f_limit_sum`'s products."""
     j, a = p["j"], p["a"]
-    zs = _z_samples(p["z"], (2 * j - a.num, a.num - 2 * j), _LIMIT_MS, a.num)  # terms z^s q^(a s^2)
+    zs = _z_samples(p["z"], _limit_window(j, a), _LIMIT_MS, a.num)
     vals = _stabilized_values(j, a, [Monomial(-z.sign, z.q_exp) for z in zs], he(wnum))
     prods = eval_product_sums([_limit_specs(j, a, z) for z in zs], he(wnum))
     return [Check(label.format_map(dict(p, z=z, n=n)), v, rhs) for z, (v, n), rhs in zip(zs, vals, prods)]
@@ -725,6 +731,8 @@ def _prep_edge_lemma(params: dict) -> dict:
         rows = [_int_tuple(s) for s in samples] if isinstance(samples, (list, tuple)) else [None]
         if None in rows:
             raise SpecError(f"samples must be a list of index lists, got {samples!r}")
+        if not rows:
+            raise SpecError(f"samples must list at least one sample, got {samples!r}")
         samples = rows
         for s in samples:
             if len(s) != j:
@@ -857,10 +865,10 @@ def _reg(id: str, prepare, runner, modulus=None) -> None:
 
 
 for _id, _row in _SUM_ROWS.items():
-    _reg(_id, partial(_prep_sum, _row.names), partial(_run_row, _row), _row.modulus)
+    _reg(_id, partial(_prep_sum, _row.names, _row.window), partial(_run_row, _row), _row.modulus)
 for _id, _exp in _EXPANSIONS.items():
     _reg(_id, _exp.prepare, partial(_run_expansion, _exp))
-_reg("CURIOUS", partial(_prep_sum, _Z), _run_curious, _odd)
+_reg("CURIOUS", partial(_prep_sum, _Z, _over_window), _run_curious, _odd)
 _reg("SPECIAL_A", _prep_n, _run_special_a)
 _reg("FUNC_EQ", partial(_prep_plain, ("n", "c")), _run_func_eq)
 _reg("RECURSE_F", _prep_nja_pos, _run_recurse_f)

@@ -6,8 +6,8 @@ Since H(z) = H(1/z), that is F = sum_i C(j, i) H(n, a)(z q^(j-2i)), so
 slice s of F is H's slice s times sum_i C(j, i) q^((j-2i) s), and
 `f_func` builds F, and H as its case j = 0, in one walk along the
 Gaussian-binomial column, `qobjects._h_column`, below the q^L that the
-lowest slice and a negative weight need: out from the centre [2n, n],
-which below q^L is 1/(q)_inf when n + 1 >= L, else up from [2n, 0].  The
+lowest slice and a negative weight need: one `_qbinom_column` walk from the
+centre [2n, n], below q^L 1/(q)_inf when n + 1 >= L, else from [2n, 0].  The
 walk stops at the last slice that starts below the order: at a finite
 order and a > 0, the largest s with a s^2 - j s below it, so
 H(400, 2) below q^40 stores 9 slices; the span (-n, n) keeps the rest,

@@ -325,10 +325,12 @@ def _chain_values(spec: SummandSpec, n: int, low: List[int], nnum: int, stats: S
 
 def eval_multisums(specs: Sequence[SummandSpec], order, stats: Optional[SumStats] = None) -> List[QSeries]:
     """Evaluate multisums that differ only in their tails, each exactly below
-    `order`, on one kernel."""
+    `order`, on one kernel; an empty batch gives []."""
     nnum = _ord_num(order)
     if nnum is None:
         raise IllPosedError("a multisum needs a finite truncation order")
+    if not specs:
+        return []
     if len({(s.k, s.linear, s.placement) for s in specs}) != 1:
         raise SpecError("a batch of multisums must differ only in their tails")
     stats = stats or SumStats()

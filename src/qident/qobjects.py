@@ -25,9 +25,9 @@ list), `_prefix_add` divides by 1 - x^d, and `_inv_poch_ladder` stacks the
 latter into 1/(q)_d.  The binomial column `_qbinom_column`, H, every multisum
 tail and every Pochhammer product are built from these passes: `_poch_rows`
 makes one two-term pass per factor (sign, k, e), 1 - sign z^k q^(e/2), on one
-list per z-power, and `poch_finite` is its row k = 0.  H's column `_h_column`
-walks out from the centre [2n, n] when n + 1 >= L, since below q^L it is then
-1/(q)_inf (the box lemma), and up from [2n, 0] otherwise.  Each pass is a few
+list per z-power, and `poch_finite` is its row k = 0.  The column is one walk
+from a start [N, k0]: H's `_h_column` starts at the centre [2n, n], below q^L
+1/(q)_inf (the box lemma), when n + 1 >= L, else at [2n, 0].  Each pass is a few
 whole-slice operations, never a Python loop over slots: `_two_term` one,
 `_prefix_add` at most min(d, ceil(len / d)), an `accumulate` per residue class
 mod d when d^2 < len, else one block add per d slots.
@@ -161,48 +161,34 @@ def _inv_poch_ladder(unit: int, wnum: int) -> Callable[[int], QSeries]:
     return rung
 
 
-def _qbinom_column(N: int, top: int, length: int, first: int = 0) -> Iterator[Tuple[int, list]]:
-    """Yield (k, [N, k]_q) for k = first..top as whole-q coefficients, truncated to `length`.
+def _qbinom_column(N: int, top: int, b: list, k0: int = 0) -> Iterator[Tuple[int, list]]:
+    """Yield (k, [N, k]_q) for k = k0..top, whole-q, from b = [N, k0]_q truncated to len(b).
 
-    One list is updated in place from k = 0, a two-term and a prefix-add
-    pass per step, so each value must be read before advancing.
-    O(top * length).
+    b is updated in place, one step per k > k0: a two-term pass by
+    1 - q^(N-k+1), then a prefix-add by 1/(1 - q^k), skipped when k >= len(b),
+    where it moves nothing.  Read each value before advancing; O((top - k0) len(b)).
     """
-    b = [1] + [0] * (length - 1)
-    for k in range(top + 1):
-        if k:
-            _prefix_add(_two_term(b, -1, N - k + 1), k)
-        if k >= first:
-            yield k, b
-
-
-def _centre_column(n: int, top: int, length: int) -> Iterator[Tuple[int, list]]:
-    """Yield (n - s, [2n, n - s]_q) for s = 0..top, whole-q, truncated to L = `length` <= n + 1.
-
-    The walk starts at the centre: below q^L, L <= n + 1, [2n, n] is
-    1/(q)_inf (the box lemma), off `partition_series`.  The step s to s + 1
-    multiplies by (1 - q^(n-s)) / (1 - q^(n+s+1)), and the divisor lies at or
-    past q^L, so a step is one two-term pass.  Read each value before
-    advancing.
-    """
-    b = partition_series(qe(length))._coeffs[::2]
-    b += [0] * (length - len(b))
-    yield n, b
-    for s in range(top):
-        yield n - s - 1, _two_term(b, -1, n - s)
+    for k in range(k0, top + 1):
+        if k > k0:
+            _two_term(b, -1, N - k + 1)
+            if k < len(b):
+                _prefix_add(b, k)
+        yield k, b
 
 
 def _h_column(n: int, top: int, length: int) -> Iterator[Tuple[int, list]]:
-    """H's slices s = 0..top: (n - s, [2n, n - s]_q) below q^L, L = `length`.
+    """H's slices s = 0..top, none when top < 0: (n - s, [2n, n - s]_q) below q^L, L = `length`.
 
-    From the centre, `_centre_column`, when n + 1 >= L, as at every certified
-    limit; else up from [2n, 0], `_qbinom_column`.  Both walks are exact.
+    One `_qbinom_column` walk.  When n + 1 >= L, as at every certified limit, it
+    starts at the centre [2n, n], below q^L 1/(q)_inf (the box lemma), and walks
+    k = n + s up, [2n, n + s] = [2n, n - s]: each divisor 1 - q^(n+s+1) lies at
+    or past q^L, so a step is one two-term pass by 1 - q^(n-s).  Else it starts
+    at [2n, 0] = 1 and yields k >= n - top.
     """
-    if top < 0:
-        return iter(())
     if n + 1 >= length:
-        return _centre_column(n, top, length)
-    return _qbinom_column(2 * n, n, length, n - top)
+        b = (partition_series(qe(length))._coeffs[::2] + [0] * length)[:length]
+        return ((2 * n - k, b) for k, b in _qbinom_column(2 * n, n + top, b, n))
+    return ((k, b) for k, b in _qbinom_column(2 * n, n, [1] + [0] * (length - 1)) if k >= n - top)
 
 
 def qbinom_poly(n: int, k: int):
@@ -215,7 +201,7 @@ def qbinom_poly(n: int, k: int):
     if k < 0 or k > n:
         return []
     k = min(k, n - k)
-    for _, b in _qbinom_column(n, k, k * (n - k) + 1):
+    for _, b in _qbinom_column(n, k, [1] + [0] * (k * (n - k))):
         pass
     return b
 

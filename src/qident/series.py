@@ -757,7 +757,7 @@ class ZLaurent:
 
     def substitute(self, sign: int, m) -> QSeries:
         """Evaluate at z = sign * q**m, returning a scalar series."""
-        if sign not in (1, -1):
+        if not _whole(sign) or sign not in (1, -1):
             raise SpecError(f"substitution sign must be +-1, got {sign}")
         e = HalfInt._coerce(m)
         if e is None:

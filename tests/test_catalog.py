@@ -93,6 +93,31 @@ def test_every_registered_id_has_a_passing_small_case():
         _ok(id, **params)
 
 
+def _sides_by_label(id, wnum):
+    """{label: (lhs, rhs)} of id's SMOKE case run at wnum half-units, each
+    label less its certified n, which grows with the order."""
+    entry = catalog._REGISTRY[id]
+    checks = entry.runner(entry.prepare(dict(SMOKE[id])), wnum, SumStats())
+    return {re.sub(r"certified n=\d+", "certified n", c.label): (c.lhs, c.rhs) for c in checks}
+
+
+def test_sides_known_below_the_order_stay_the_same_deeper():
+    # a cut one term short that both sides of a check share passes at its
+    # order; run deeper, by 1/2, 1 and 7 powers of q, every side of every id
+    # must claim at least its order and agree below the shallower one
+    for id in sorted(set(registered_ids()) - {"NEG_AG"}):
+        entry = catalog._REGISTRY[id]
+        wnum = entry.default_ordnum(entry.prepare(dict(SMOKE[id])))
+        base = _sides_by_label(id, wnum)
+        for d in (1, 2, 14):
+            deep = _sides_by_label(id, wnum + d)
+            assert deep.keys() == base.keys(), (id, d)
+            for label, sides in base.items():
+                for side, deeper in zip(sides, deep[label]):
+                    assert side.order >= he(wnum) and deeper.order >= he(wnum + d), (id, d, label)
+                    assert deeper.truncated(he(wnum)) == side.truncated(he(wnum)), (id, d, label)
+
+
 def test_negative_control_fails_with_exact_location():
     rep = verify(make_case("NEG_AG", order=he(40), k=1, r=0))
     assert rep.status == "fail"
@@ -1160,6 +1185,77 @@ def test_expansion_check_labels():
 def test_f_limit_needs_margin():
     rep = verify(make_case("F_LIMIT", j=2, a="3/2"))
     assert rep.status == "error"  # no well-posed z sample exists
+
+
+_CANNOT_RUN = [
+    (make_case("EDGE_LEMMA", j=2, samples=[]), "samples must list at least one sample, got []"),
+    (make_case("F_LIMIT", j=1, a=1), "no well-posed z sample exists for these parameters"),
+    (make_case("F_LIMIT", j=2, a="3/2"), "no well-posed z sample exists for these parameters"),
+    (make_case("H_LIMIT", a="3/2", z_exp=5), "z = q^5 is outside the well-posed window for these parameters"),
+    (make_case("OVER_1", k=1, j=0, z_exp=9), "z = q^9 is outside the well-posed window for these parameters"),
+    (make_case("CURIOUS", z_sign=-1, z_exp=2), "z = -q^2 is outside the well-posed window for these parameters"),
+]
+
+
+@pytest.mark.parametrize("case, detail", _CANNOT_RUN, ids=["edge-no-samples", "F_LIMIT-a-is-j", "F_LIMIT-a-below-j",
+                                                           "H_LIMIT-z", "OVER_1-z", "CURIOUS-z"])
+def test_a_case_that_cannot_run_is_refused_when_prepared(case, detail):
+    # each run could only end in an error, so `qident suite` refuses it up
+    # front with every other bad case; verify reports the same detail
+    with pytest.raises(SpecError) as e:
+        validate_case(case)
+    assert str(e.value) == detail
+    rep = verify(case)
+    assert (rep.status, rep.detail) == ("error", detail)
+
+
+def _z_family_edges():
+    """(id, params) of every z family at the edges of its parameters: j = 0 and
+    j = k + 1 for the overpartition rows, a just above j for the limits, and
+    the limits at a <= j, which have no window."""
+    grid = [(id, {"k": k, "j": j}) for id in ("OVER_1", "OVER_2") for k in range(3) for j in (0, k + 1)]
+    grid += [(id, {"k": k}) for id in ("OVER_3", "COR_INFTY") for k in range(2)] + [("CURIOUS", {})]
+    grid += [("H_LIMIT", {"a": a}) for a in ("1/2", 1)]
+    return grid + [("F_LIMIT", {"j": j, "a": a}) for j in (1, 2) for a in (str(he(2 * j + 1)), j + 1, j, str(he(2 * j - 1)))]
+
+
+def test_z_samples_are_never_empty_and_never_outside_the_window(monkeypatch):
+    # the prepares hold every z rule, so `_z_samples` has no case to refuse:
+    # at each z family's edges, a case that validates samples a nonempty list
+    # (its window read off the runner's call), an explicit z passes exactly
+    # inside that window and is refused when prepared from its ends on, and a
+    # limit at a <= j is refused when prepared
+    calls, samples = [], catalog._z_samples
+
+    def spy(z, window, *rest):
+        calls.append((z, window, samples(z, window, *rest)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(catalog, "_z_samples", spy)
+    refused = 0
+    for id, params in _z_family_edges():
+        calls.clear()
+        rep = verify(make_case(id, order=qe(6), **params))
+        if rep.status == "error":
+            assert rep.detail == "no well-posed z sample exists for these parameters" and not calls, (id, params)
+            assert id == "F_LIMIT" and HalfInt.parse(str(params["a"])).num <= 2 * params["j"]
+            refused += 1
+            continue
+        assert rep.status == "pass" and len(calls) == 1 and calls[0][2], (id, params, rep.detail)
+        lo, hi = calls[0][1]
+        for m in range(lo - 2, hi + 3):
+            z = Monomial((1, -1)[m % 2], he(m))
+            calls.clear()
+            case = make_case(id, order=qe(6), z_sign=z.sign, z_exp=str(he(m)), **params)
+            rep = verify(case)
+            if lo < m < hi:
+                assert rep.status == "pass" and calls == [(z, (lo, hi), [z])], (id, params, m, rep.detail)
+            else:
+                detail = f"z = {z} is outside the well-posed window for these parameters"
+                assert (rep.status, rep.detail, calls) == ("error", detail, []), (id, params, m)
+                with pytest.raises(SpecError, match=re.escape(detail)):
+                    validate_case(case)
+    assert refused == 4
 
 
 def test_andrews_gordon_k8_at_q240_within_budget():

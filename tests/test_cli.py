@@ -433,6 +433,20 @@ def test_suite_config_errors_name_the_case_or_the_flag(tmp_path, capsys):
     assert code == 2 and "bad suite config: parallelism must be a positive integer, got 0" in err
 
 
+@pytest.mark.parametrize(
+    "bad, detail",
+    [
+        ({"id": "EDGE_LEMMA", "j": 2, "samples": []}, "samples must list at least one sample, got []"),
+        ({"id": "F_LIMIT", "j": 2, "a": "3/2"}, "no well-posed z sample exists for these parameters"),
+        ({"id": "OVER_1", "k": 1, "j": 0, "z_exp": 9}, "z = q^9 is outside the well-posed window for these parameters"),
+    ],
+    ids=["edge-no-samples", "F_LIMIT-a-below-j", "OVER_1-z"],
+)
+def test_suite_refuses_a_case_that_cannot_run_before_it_runs_any(bad, detail, tmp_path, capsys):
+    code, out, err = run(capsys, "suite", _write_suite(tmp_path, {"cases": [{"id": "AG", "k": 1, "r": 0}, bad]}))
+    assert (code, out, err) == (2, "", f"error: bad suite config: case 1: {detail}\n")
+
+
 def test_suite_output_path_must_be_a_nonempty_string(tmp_path, capsys):
     # an int would be opened as a file descriptor: 2 would write the report
     # into stderr and then close it
@@ -477,9 +491,14 @@ def test_suite_empty_is_a_pass(tmp_path, capsys):
         assert "0 cases" in out, jobs
 
 
-def test_suite_case_error_is_never_expected(tmp_path, capsys):
-    # valid params, but the requested z makes the limit ill posed at run time
-    doc = {"cases": [{"id": "H_LIMIT", "a": "3/2", "z_sign": "+", "z_exp": "5/2",
+def test_suite_case_error_is_never_expected(tmp_path, capsys, monkeypatch):
+    # valid params, but the run raises, as an engine may on an input too large
+    # for it (a z outside its window is refused before any case runs)
+    def raises(p, wnum, stats):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setitem(catalog._REGISTRY, "H_LIMIT", catalog._REGISTRY["H_LIMIT"]._replace(runner=raises))
+    doc = {"cases": [{"id": "H_LIMIT", "a": "3/2", "z_sign": "+", "z_exp": "1/2",
                       "expect": "fail"}]}
     path = _write_suite(tmp_path, doc)
     code, out, _ = run(capsys, "suite", path)

@@ -526,8 +526,16 @@ def test_a_batch_must_differ_only_in_its_tails():
         for batch in ([base, other], [tail, other._replace(tail=TailEven())]):
             with pytest.raises(SpecError, match="differ only in their tails"):
                 eval_multisums(batch, qe(20))
-    with pytest.raises(SpecError, match="differ only in their tails"):
-        eval_multisums([], qe(20))
+
+
+def test_an_empty_batch_is_an_empty_list():
+    # zero specs differ in nothing, as an empty product batch does; the order
+    # is still checked
+    from qident.products import eval_product_sums
+
+    assert eval_multisums([], qe(10)) == [] == eval_product_sums([], qe(10))
+    with pytest.raises(IllPosedError, match="finite truncation order"):
+        eval_multisums([], None)
 
 
 def test_first_index_cap_is_the_stepping_loop_in_closed_form():

@@ -28,7 +28,7 @@ from qident import (
     he,
     qe,
 )
-from qident.qobjects import _centre_column, _h_column, _inv_poch_ladder, _poch_rows, _prefix_add, _qbinom_column, _two_term
+from qident.qobjects import _h_column, _inv_poch_ladder, _poch_rows, _prefix_add, _qbinom_column, _two_term
 from naive import n_poch_finite, n_poch_infinite, n_poch_z, n_qbinom
 
 
@@ -281,34 +281,38 @@ def test_partition_series_walks_only_the_pentagonal_terms(monkeypatch):
 
 
 def test_h_column_anchors_match_the_column_and_the_naive_binomials(monkeypatch):
-    # both walks of [2n, n - s] for s = 0..top against the naive binomials:
-    # the centre walk at every length L <= n + 1, where [2n, n] is 1/(q)_inf
-    # below q^L, the upward walk at every length, and the choice at every top
-    # on a spread of lengths on both sides of n + 1
+    # H's column is one walk, `_qbinom_column`, from two starts: the centre
+    # [2n, n], which below q^L is 1/(q)_inf when L <= n + 1, and [2n, 0] = 1.
+    # [2n, n - s] for s = 0..top against the naive binomials: the upward start
+    # at every length L, the centre start (`_h_column` to the top) at every
+    # L <= n + 1, and `_h_column` at every top on a spread of lengths on both
+    # sides of n + 1; a spy on the walk's arguments pins the start rule
     import qident.qobjects as qo
 
+    starts = []
+    spy = lambda N, top, b, k0=0: starts.append((N, top, b, k0)) or _qbinom_column(N, top, b, k0)
+    monkeypatch.setattr(qo, "_qbinom_column", spy)
     for n in range(41):
         deep = 2 * (2 * n + 4)
         want = [[n_qbinom(2 * n, k, deep).coeff(e) for e in range(deep)] for k in range(n + 1)]
         for L in range(1, 2 * n + 5):
             cols = [w[: 2 * L : 2] for w in want]
-            # each forced walk to the top (a shorter one is a prefix)
-            walks = [(n, _qbinom_column(2 * n, n, L))]
+            # each walk to its top (a shorter one is a prefix)
+            walks = [(n, _qbinom_column(2 * n, n, [1] + [0] * (L - 1)))]
             if L <= n + 1:
-                walks.append((n, _centre_column(n, n, L)))
+                walks.append((n, _h_column(n, n, L)))
             if L in {1, n // 2, n, n + 1, n + 2, (3 * n) // 2 + 1, 2 * n + 1, 2 * n + 4}:
                 walks += [(t, _h_column(n, t, L)) for t in range(n + 1)]
             for top, walk in walks:
                 # a value that is wrong drops its k from the list
                 assert sorted(k for k, b in walk if b == cols[k]) == list(range(n - top, n + 1)), (n, L, top)
-    assert list(_h_column(5, -1, 8)) == []
-    # the centre walk exactly when n + 1 >= L, at every top and length
-    monkeypatch.setattr(qo, "_centre_column", lambda *a: ("centre",) + a)
-    monkeypatch.setattr(qo, "_qbinom_column", lambda *a: ("up",) + a)
-    for n in range(41):
-        for L in range(1, 2 * n + 5):
+            # the centre start, [2n, n] below q^L, exactly when n + 1 >= L, at every top
+            # (a start is read before its walk advances)
             for t in range(n + 1):
-                assert _h_column(n, t, L) == (("centre", n, t, L) if n + 1 >= L else ("up", 2 * n, n, L, n - t))
+                starts.clear()
+                _h_column(n, t, L)
+                assert starts == [(2 * n, n + t, cols[n], n) if n + 1 >= L else (2 * n, n, [1] + [0] * (L - 1), 0)]
+    assert list(_h_column(5, -1, 8)) == []
 
 
 def test_monomial_helpers():

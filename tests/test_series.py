@@ -221,8 +221,12 @@ def test_reprs_write_half_exponents_in_parentheses_and_cut_long_bodies():
         lambda: ZLaurent({1: QSeries.one()}, None).zshift(None),
         lambda: ZLaurent({1: QSeries.one()}, None).substitute(1, "1/2"),
         lambda: ZLaurent({1: QSeries.one()}, None).substitute(2, he(1)),
+        lambda: ZLaurent({1: QSeries.one()}, None).substitute(True, he(1)),
+        lambda: ZLaurent({1: QSeries.one()}, None).substitute(1.0, he(1)),
+        lambda: ZLaurent({1: QSeries.one()}, None).substitute(-1.0, he(1)),
     ],
-    ids=["monomial", "monomial-float", "shift", "coefficient", "zshift", "substitute", "substitute-sign"],
+    ids=["monomial", "monomial-float", "shift", "coefficient", "zshift", "substitute", "substitute-sign",
+         "substitute-bool-sign", "substitute-float-sign", "substitute-minus-float-sign"],
 )
 def test_a_bad_exponent_or_sign_is_a_spec_error(call):
     with pytest.raises(SpecError, match="bad exponent|sign must be"):
