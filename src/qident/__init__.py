@@ -3,9 +3,12 @@
 Everything is integer arithmetic on a half-exponent grid: series carry
 a truncation order and comparisons certify equality of every
 coefficient strictly below the order actually reached.
+
+`import qident` loads the kernel, the q-objects and the registry core;
+an engine or an identity family is imported on its first use.
 """
 
-from types import ModuleType as _ModuleType
+from importlib import import_module as _import_module
 
 from .series import (
     INF,
@@ -19,6 +22,7 @@ from .series import (
     QidentError,
     QSeries,
     SpecError,
+    SumStats,
     ZLaurent,
     he,
     qe,
@@ -34,36 +38,9 @@ from .qobjects import (
     qbinom_poly,
     theta_triple_sum,
 )
-from .multisum import (
-    SummandSpec,
-    SumStats,
-    TailEven,
-    TailOdd,
-    TailOver,
-    TailOverOdd,
-    eval_multisum,
-    tail_min_num,
-)
-from .products import (
-    TripleProductSpec,
-    eval_product_sum,
-)
-from .hfamily import (
-    FSpec,
-    HSpec,
-    f_func,
-    f_limit_sum,
-    h_limit_product,
-    h_poly,
-    stabilized_f_value,
-    stabilized_h_value,
-)
 from .catalog import (
-    EdgeSet,
     IdentityCase,
     VerificationReport,
-    edge_weight,
-    enumerate_edge_sets,
     make_case,
     registered_ids,
     validate_case,
@@ -72,6 +49,38 @@ from .catalog import (
 
 __version__ = "0.1.0"
 
-# the public names are the ones imported above; the submodules that the
-# imports bind as attributes are not exports
-__all__ = [n for n, v in globals().items() if not n.startswith("_") and not isinstance(v, _ModuleType)]
+# the exports of the engines and of the finite-n family: each module is
+# imported when one of its names is first read (PEP 562), and the name is
+# then bound here
+_LAZY = {
+    name: module
+    for module, names in (
+        ("multisum", "SummandSpec TailEven TailOdd TailOver TailOverOdd eval_multisum tail_min_num"),
+        ("products", "TripleProductSpec eval_product_sum"),
+        ("hfamily", "FSpec HSpec f_func f_limit_sum h_limit_product h_poly stabilized_f_value stabilized_h_value"),
+        ("finite", "EdgeSet edge_weight enumerate_edge_sets"),
+    )
+    for name in names.split()
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(_import_module(f"{__name__}.{module}"), name)
+    return value
+
+
+__all__ = [
+    "INF", "CompareResult", "HalfInt", "IllPosedError", "Mismatch", "NonInvertibleError", "Order",
+    "OrderExceededError", "QidentError", "QSeries", "SpecError", "ZLaurent", "he", "qe",
+    "Monomial", "binom", "euler_series", "partition_series", "poch_finite", "poch_finite_scalar",
+    "poch_infinite", "qbinom_poly", "theta_triple_sum",
+    "SummandSpec", "SumStats", "TailEven", "TailOdd", "TailOver", "TailOverOdd", "eval_multisum", "tail_min_num",
+    "TripleProductSpec", "eval_product_sum",
+    "FSpec", "HSpec", "f_func", "f_limit_sum", "h_limit_product", "h_poly", "stabilized_f_value",
+    "stabilized_h_value",
+    "EdgeSet", "IdentityCase", "VerificationReport", "edge_weight", "enumerate_edge_sets", "make_case",
+    "registered_ids", "validate_case", "verify",
+]

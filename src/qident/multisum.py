@@ -38,7 +38,7 @@ The same level loop (`_kernel`) also takes a bounded start: one cell
 W_0(n) = 1 with top n, so that W_1(t) = q^(e_1(t)) P_1(n, t) / (q; q)_{n-t}
 (there a placed first position has its pair factor too) and K(s) sums
 the chains n = s_0 >= s_1 >= ... >= s_k = s.  `_chain_values` returns these
-K(s) as series for the finite-n expansions of `catalog`; there the last
+K(s) as series for the finite-n expansions of `finite`; there the last
 level's floor D_k(s) is the least exponent of what multiplies K(s).
 
 Each tail then takes one closing Horner on r(t) = T(t) / T(t-1):
@@ -68,6 +68,7 @@ from .series import (
     IllPosedError,
     QSeries,
     SpecError,
+    SumStats,
     _Record,
     _ord_num,
     _whole,
@@ -134,19 +135,6 @@ class SummandSpec(_Record):
         return [
             2 * self.linear[i] - (2 if (i + 1) in p else 0) for i in range(self.k)
         ]
-
-
-class SumStats(_Record):
-    """Counters filled in by the engine, accumulated over calls: `nodes`
-    (level, index) kernel cells visited, `pruned` cells skipped, `tuples`
-    evaluated; a batch of `eval_multisums` builds one kernel."""
-
-    __slots__ = ("tuples", "nodes", "pruned")
-    __setattr__ = object.__setattr__  # settable, so unhashable
-    __hash__ = None
-
-    def __init__(self, tuples: int = 0, nodes: int = 0, pruned: int = 0):
-        _Record.__init__(self, tuples, nodes, pruned)
 
 
 def tail_min_num(tail: Tail, s: int) -> int:

@@ -276,7 +276,9 @@ def theta_triple_sum(arg: Monomial, modulus_exp, order) -> QSeries:
     sign q^e it is E - sign O, E and O its terms at even and at odd s.
     """
     m = HalfInt._coerce(modulus_exp)
-    if m is None or m.num <= 0:
+    if m is None:
+        raise SpecError(f"bad modulus exponent {modulus_exp!r}")
+    if m.num <= 0:
         raise IllPosedError(f"modulus exponent must be positive, got {modulus_exp!r}")
     nnum = _ord_num(order)
     if nnum is None:

@@ -142,6 +142,19 @@ class _Record:
         raise AttributeError(f"cannot delete field {name!r} of a frozen {type(self).__qualname__}")
 
 
+class SumStats(_Record):
+    """Counters filled in by the engine, accumulated over calls: `nodes`
+    (level, index) kernel cells visited, `pruned` cells skipped, `tuples`
+    evaluated; a batch of `multisum.eval_multisums` builds one kernel."""
+
+    __slots__ = ("tuples", "nodes", "pruned")
+    __setattr__ = object.__setattr__  # settable, so unhashable
+    __hash__ = None
+
+    def __init__(self, tuples: int = 0, nodes: int = 0, pruned: int = 0):
+        _Record.__init__(self, tuples, nodes, pruned)
+
+
 class HalfInt(_Record):
     """An exponent on the half grid; the value is num/2 q-units."""
 
@@ -223,7 +236,9 @@ class HalfInt(_Record):
 
 
 def qe(n: int) -> HalfInt:
-    """The exponent of q**n."""
+    """The exponent of q**n, n a plain int."""
+    if not _whole(n):
+        raise SpecError(f"q-exponent must be an int, got {n!r}")
     return HalfInt(2 * n)
 
 

@@ -7,9 +7,10 @@ With one revision the working tree is compared with REV, with two REV1 with
 REV2; the grids are this file's either way.  A revision is a git revision,
 exported with `git archive` into a temporary directory, or a directory that
 holds a source tree (its `src/`).  Each named grid (default: all of `GRIDS`:
-sums, placed, limits, limits_deep, exact, structural and edges) runs in
-both trees, each tree in a fresh interpreter, and the number of cases that
-differ is printed with the first of them, "here" the first tree and
+sums, placed, unplaced, limits, limits_deep, exact, structural and edges,
+which hold every registered id) runs in both trees, each tree in a fresh
+interpreter, and the number of cases that differ is printed with the
+first of them, "here" the first tree and
 "there" the second; every grid runs, and the exit status is 1 when any
 case differs, else 0.  A case's record is its report, less the
 elapsed time, and every check its runner builds: the label and both sides
@@ -56,6 +57,14 @@ def _sums() -> List[Case]:
     rows += [(id, dict(p, **Z)) for id, p in rows]
     rows += [(id, {"k": k, "r": r}) for id in ("AG", "BRESSOUD_EVEN", "NEG_AG")
              for k in range(1, 4) for r in range(k + 1)]
+    return _at_orders(rows)
+
+
+def _unplaced() -> List[Case]:
+    """BRESS_J, THM_3_2 and THM_4_2, the rows with j unit-weight shifts, at k <= 3, each r and j."""
+    rows = [("BRESS_J", {"k": k, "j": j}) for k in range(1, 4) for j in range(k + 1)]
+    rows += [(id, {"k": k, "r": r, "j": j}) for id in ("THM_3_2", "THM_4_2")
+             for k in range(1, 4) for r in range(k + 1) for j in range(k - r + 1)]
     return _at_orders(rows)
 
 
@@ -124,7 +133,7 @@ def _edges() -> List[Case]:
     return [(id, p, None) for id, p in rows]
 
 
-GRIDS = {"sums": _sums, "placed": _placed, "limits": _limits, "limits_deep": _limits_deep, "exact": _exact,
+GRIDS = {"sums": _sums, "placed": _placed, "unplaced": _unplaced, "limits": _limits, "limits_deep": _limits_deep, "exact": _exact,
          "structural": _structural, "edges": _edges}
 
 

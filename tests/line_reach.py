@@ -10,9 +10,11 @@ Each argument is one run, `qident ARGS` (run as `python -m qident ARGS`
 would run it) or `pytest ARGS` (`pytest.main`), or the word `traffic`,
 which stands for the runs the benchmark's workloads make
 (`traffic_runs`; run it from the repository root).  The runs go one after another in this process under
-`sys.settrace`; the report is their union.  It gives each module's
-executable lines, the line numbers of its code objects (`co_lines`), and
-how many of them were reached, then each function's unreached lines; the
+`sys.settrace`; the report is their union.  It gives each module of the
+package, whether a run imported it or not (an identity family loads on
+its first case): its executable lines, the line numbers of its code
+objects (`co_lines`), and how many of them were reached; then each
+function's unreached lines; the
 lines of a lambda or a comprehension count for the function around it.
 The package is imported afresh under the trace, so its module-level lines
 count too, and the modules loaded before are put back afterwards.  Forked

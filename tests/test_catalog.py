@@ -37,8 +37,8 @@ from qident import (
     validate_case,
 )
 import qident
-from qident import catalog, hfamily
-from qident.catalog import _bress_lambda
+from qident import catalog, finite, hfamily, limits, sums
+from qident.sums import _bress_lambda
 from qident.qobjects import _inv_poch_ladder
 from naive import NaiveSeries, brute_force_multisum
 
@@ -214,10 +214,10 @@ def test_cor_infty_fails_with_its_tail_at_minus_z(monkeypatch):
     # negative control: the closing factor is TailOver at -1/z; at -z, the
     # z <-> 1/z mix-up of test_over_3_printed_orientation_is_wrong, k=1
     # fails at q^1 at z = q^-1
-    row = catalog._SUM_ROWS["COR_INFTY"]
-    wrong = row._replace(summand=lambda p, z: catalog._over_sum(p, Monomial(-z.sign, z.q_exp)))
+    row = sums._SUM_ROWS["COR_INFTY"]
+    wrong = row._replace(summand=lambda p, z: sums._over_sum(p, Monomial(-z.sign, z.q_exp)))
     entry = catalog._REGISTRY["COR_INFTY"]
-    monkeypatch.setitem(catalog._REGISTRY, "COR_INFTY", entry._replace(runner=partial(catalog._run_row, wrong)))
+    monkeypatch.setitem(catalog._REGISTRY, "COR_INFTY", entry._replace(runner=partial(sums._run_row, wrong)))
     rep = verify(make_case("COR_INFTY", k=1))
     assert rep.status == "fail"
     m = rep.first_mismatch
@@ -229,10 +229,10 @@ def test_over_3_fails_with_its_product_at_z(monkeypatch):
     # negative control for the z rows: OVER_3's product is taken at 1/z; at
     # z, k=1 and k=2 fail at q^k at z = q^-1, and at k=0 the product asks for
     # the argument -1, which has no positive q-exponent
-    row = catalog._SUM_ROWS["OVER_3"]
-    wrong = row._replace(products=lambda p, mod, z: catalog._gordon_products(p, mod, z))
+    row = sums._SUM_ROWS["OVER_3"]
+    wrong = row._replace(products=lambda p, mod, z: sums._gordon_products(p, mod, z))
     entry = catalog._REGISTRY["OVER_3"]
-    monkeypatch.setitem(catalog._REGISTRY, "OVER_3", entry._replace(runner=partial(catalog._run_row, wrong)))
+    monkeypatch.setitem(catalog._REGISTRY, "OVER_3", entry._replace(runner=partial(sums._run_row, wrong)))
     for k, lhs, rhs in ((1, 1, 2), (2, 2, 3)):
         rep = verify(make_case("OVER_3", order=40, k=k))
         assert (rep.status, rep.compared_order) == ("fail", qe(40))
@@ -246,10 +246,10 @@ def test_over_3_fails_with_its_product_at_z(monkeypatch):
 def test_key_lemma_fails_with_its_term_at_weight_a_minus_one_half(monkeypatch):
     # negative control for the expansions: the KEY_LEMMA row with term(s) at
     # weight a - 1/2 instead of a - 1 fails at q^(2n^2) z^-n, lhs 1, rhs 0
-    row = catalog._EXPANSIONS["KEY_LEMMA"]
+    row = finite._EXPANSIONS["KEY_LEMMA"]
     wrong = row._replace(term=lambda p, s: FSpec(s, p["j"], p["a"] - he(1)))
     entry = catalog._REGISTRY["KEY_LEMMA"]
-    monkeypatch.setitem(catalog._REGISTRY, "KEY_LEMMA", entry._replace(runner=partial(catalog._run_expansion, wrong)))
+    monkeypatch.setitem(catalog._REGISTRY, "KEY_LEMMA", entry._replace(runner=partial(finite._run_expansion, wrong)))
     for n, exp in ((4, 32), (3, 18)):
         rep = verify(make_case("KEY_LEMMA", n=n, a=2))
         assert (rep.status, rep.compared_order) == ("fail", qe(40))
@@ -263,7 +263,7 @@ def test_cor_infty_sum_meets_the_h_form_of_its_closing_factor(ordnum):
     # the engine builds (qz, 1/z; q)_s / (q)_{2s} as TailOver at -1/z; the
     # oracle builds it as H(s, 1/2)(-z q^(1/2)) / (q)_{2s}, SPECIAL_A's
     # form, from naive products that share no code with the engine
-    row = catalog._SUM_ROWS["COR_INFTY"]
+    row = sums._SUM_ROWS["COR_INFTY"]
     for k in (0, 1, 2):
         p = catalog._REGISTRY["COR_INFTY"].prepare({"k": k})
         for z in catalog._z_samples(None, row.window(p)):
@@ -312,7 +312,7 @@ def test_each_skipped_z_sample_repeats_its_kept_mirror():
     # skipped checks are the kept ones repeated
     skipped = 0
     for id, params in _mirror_grid():
-        row = catalog._SUM_ROWS["OVER_2" if id == "CURIOUS" else id]
+        row = sums._SUM_ROWS["OVER_2" if id == "CURIOUS" else id]
         entry = catalog._REGISTRY[id]
         lo, hi = row.window(entry.prepare(params))
         kept = catalog._z_samples(None, (lo, hi))
@@ -342,7 +342,7 @@ def _twin_grid():
     grid = []
     for id, params in _mirror_grid():
         p = catalog._REGISTRY[id].prepare(params)
-        grid.append((id, params, catalog._SUM_ROWS["OVER_2" if id == "CURIOUS" else id].window(p),
+        grid.append((id, params, sums._SUM_ROWS["OVER_2" if id == "CURIOUS" else id].window(p),
                      catalog._POLICY_MS, 0))
     for anum in range(1, 12):
         for j in range(3):
@@ -375,7 +375,7 @@ def test_each_skipped_sign_twin_is_its_kept_sample_under_q_half_to_minus_q_half(
             for wnum in (80, 81):
                 plus, minus = (_sides(id, params, sign, m, wnum) for sign in (1, -1))
                 assert minus == [(_phi(lhs), _phi(rhs)) for lhs, rhs in plus] != plus, (id, params, m, wnum)
-            skipped["limits" if id in catalog._LIMITS else "rows"] += 1
+            skipped["limits" if id in limits._LIMITS else "rows"] += 1
     assert skipped == {"rows": 58, "limits": 54}
 
 
@@ -392,10 +392,10 @@ def test_a_sign_twin_at_even_m_plus_parity_is_no_image_of_its_partner():
 def test_z_sample_lists_keep_one_sample_per_mirror_pair():
     def samples(id, **params):
         entry, p, _ = catalog._prepare(make_case(id, **params))
-        if id in catalog._LIMITS:
+        if id in limits._LIMITS:
             j, a = p["j"], p["a"]
             return catalog._z_samples(p["z"], (2 * j - a.num, a.num - 2 * j), catalog._LIMIT_MS, a.num)
-        return catalog._z_samples(p["z"], catalog._SUM_ROWS["OVER_2" if id == "CURIOUS" else id].window(p))
+        return catalog._z_samples(p["z"], sums._SUM_ROWS["OVER_2" if id == "CURIOUS" else id].window(p))
 
     def listed(id, **params):
         return " ".join(map(str, samples(id, **params)))
@@ -430,6 +430,7 @@ def test_sums_z_cases_close_one_sample_per_mirror_pair(monkeypatch, id, params, 
     # the perfbench sums_z cases: one closing per distinct sample and sum,
     # and one product list per distinct sample
     import qident.multisum as ms
+    import qident.sums as rows
 
     count, batches = [0], []
 
@@ -441,11 +442,11 @@ def test_sums_z_cases_close_one_sample_per_mirror_pair(monkeypatch, id, params, 
         batches.append(len(specs))
         return real_sums(specs, order)
 
-    real_close, real_sums = ms._close, catalog.eval_product_sums
+    real_close, real_sums = ms._close, rows.eval_product_sums
     monkeypatch.setattr(ms, "_close", close)
-    monkeypatch.setattr(catalog, "eval_product_sums", product_sums)
+    monkeypatch.setattr(rows, "eval_product_sums", product_sums)
     entry, p, _ = catalog._prepare(make_case(id, **params))
-    lo, hi = catalog._SUM_ROWS["OVER_2" if id == "CURIOUS" else id].window(p)
+    lo, hi = rows._SUM_ROWS["OVER_2" if id == "CURIOUS" else id].window(p)
     sums = 2 if id == "CURIOUS" else 1
     window = [m for m in catalog._POLICY_MS if lo < m < hi]
     mirrored = [m for m in window if lo + hi - m not in window[: window.index(m)]]
@@ -788,11 +789,11 @@ def test_expansions_build_only_the_terms_of_live_chains(monkeypatch):
     # chains are live, and 4 of ITERATE_BRESS n=30's 31
     built = dict.fromkeys(("f_func", "_pochz_rising"), 0)
     for name in built:
-        def counted(*args, name=name, fn=getattr(catalog, name)):
+        def counted(*args, name=name, fn=getattr(finite, name)):
             built[name] += 1
             return fn(*args)
 
-        monkeypatch.setattr(catalog, name, counted)
+        monkeypatch.setattr(finite, name, counted)
     _ok("KEY_LEMMA", order=qe(40), n=700, a=2)
     assert built == {"f_func": 8, "_pochz_rising": 0}  # the lhs and the 7 live terms
     built["f_func"] = 0
@@ -821,14 +822,14 @@ def test_expansion_floors_are_where_their_terms_start():
     # the floor the runner hands K(s), F's closed form capped at the order or
     # q^0 for ITERATE_BRESS's factored tail, is the least exponent of term(s)
     specs = set()
-    for row in (r for r in catalog._EXPANSIONS.values() if r.term is not None):
+    for row in (r for r in finite._EXPANSIONS.values() if r.term is not None):
         for j, k, a in itertools.product(range(3), range(3), range(-3, 12)):
             specs.update(row.term({"j": j, "k": k, "a": he(a)}, s) for s in range(5))
     assert len(specs) > 200
     for w in (8, 21, 40):
         for f in specs:
             assert min(hfamily._f_min(f.n, f.j, f.a.num), w) == _least_exp(qident.f_func(f, he(w)), w), (f, w)
-        assert [_least_exp(catalog._pochz_rising(s, he(w)), w) for s in range(5)] == [0] * 5
+        assert [_least_exp(finite._pochz_rising(s, he(w)), w) for s in range(5)] == [0] * 5
 
 
 def test_expansion_floors_are_f_min_of_each_terms_spec(monkeypatch):
@@ -838,11 +839,11 @@ def test_expansion_floors_are_f_min_of_each_terms_spec(monkeypatch):
     # _f_min of each term(s) itself, capped at the order
     import equivalence
 
-    lows, chain_values = [], catalog._chain_values
-    monkeypatch.setattr(catalog, "_chain_values", lambda spec, n, low, *a: lows.append(low) or chain_values(spec, n, low, *a))
+    lows, chain_values = [], finite._chain_values
+    monkeypatch.setattr(finite, "_chain_values", lambda spec, n, low, *a: lows.append(low) or chain_values(spec, n, low, *a))
     count = 0
     for id, params, order in equivalence.GRIDS["structural"]():
-        row = catalog._EXPANSIONS.get(id)
+        row = finite._EXPANSIONS.get(id)
         if row is None or row.term is None:
             continue
         entry, p, wnum = catalog._prepare(make_case(id, order=order, **params))
@@ -854,7 +855,7 @@ def test_expansion_floors_are_f_min_of_each_terms_spec(monkeypatch):
     assert count == 406
     # KEY_LEMMA n=700 a=2 builds the lhs's FSpec, term(0)'s and the 7 live terms', not 702
     built = []
-    monkeypatch.setattr(catalog, "FSpec", lambda *a: built.append(a) or FSpec(*a))
+    monkeypatch.setattr(finite, "FSpec", lambda *a: built.append(a) or FSpec(*a))
     _ok("KEY_LEMMA", order=qe(40), n=700, a=2)
     assert len(built) == 9
 
@@ -863,12 +864,12 @@ def test_expansions_error_when_their_floors_are_overstated(monkeypatch):
     # negative control for the floors: a K(s) whose floor is one half-unit
     # too high is known one half-unit short, so the check cannot certify the
     # request; skipping the dead terms rests on that
-    chain_values = catalog._chain_values
+    chain_values = finite._chain_values
 
     def overstated(spec, n, low, nnum, stats):
         return chain_values(spec, n, [f + 1 for f in low], nnum, stats)
 
-    monkeypatch.setattr(catalog, "_chain_values", overstated)
+    monkeypatch.setattr(finite, "_chain_values", overstated)
     for id, params in (("KEY_LEMMA", dict(n=4, a=2)), ("ITERATE_BRESS", dict(n=4, k=1))):
         rep = verify(make_case(id, order=qe(40), **params))
         assert (rep.status, rep.detail) == ("error", "compared only below q^79/2, not the requested q^40"), id
@@ -878,7 +879,7 @@ def test_special_a_fails_without_the_sign_flip(monkeypatch):
     # negative control: the factored side is built from its own factors, not
     # from H's column, so an lhs without z -> -z disagrees at q^3 z^-3, where
     # (qz, 1/z; q)_3 has -q^3 z^-3
-    monkeypatch.setattr(catalog.ZLaurent, "znegate", lambda self: self)
+    monkeypatch.setattr(finite.ZLaurent, "znegate", lambda self: self)
     rep = verify(make_case("SPECIAL_A", n=3))
     assert rep.status == "fail"
     m = rep.first_mismatch
@@ -1060,18 +1061,18 @@ def test_one_builder_makes_the_jacobi_product_lists_of_the_sum_rows_and_the_limi
     count = 0
     for id, params, order in equivalence.GRIDS["sums"]() + equivalence.GRIDS["limits"]():
         _, p, _ = catalog._prepare(make_case(id, order=order, **params))
-        if id in catalog._LIMITS:
+        if id in limits._LIMITS:
             j, a = p["j"], p["a"]
             for z in catalog._z_samples(p["z"], (2 * j - a.num, a.num - 2 * j), catalog._LIMIT_MS, a.num):
                 assert _limit_specs(j, a, z) == limit(j, a, z), (id, params, z)
                 count += 1
             continue
-        row = catalog._SUM_ROWS["OVER_2" if id == "CURIOUS" else id]
+        row = sums._SUM_ROWS["OVER_2" if id == "CURIOUS" else id]
         mod = row.modulus(p) - (id == "NEG_AG")  # NEG_AG builds AG's list, then moves its modulus
         for z in [None] if row.window is None else catalog._z_samples(p["z"], row.window(p)):
             if z is not None:  # the z at which the row calls the builder
                 z = {"OVER_3": z.inverted(), "COR_INFTY": Monomial(-z.sign, -z.q_exp)}.get(id, z)
-            assert catalog._gordon_products(p, mod, z) == gordon(p, mod, z), (id, params, z)
+            assert sums._gordon_products(p, mod, z) == gordon(p, mod, z), (id, params, z)
             count += 1
     assert count == 1376
 
@@ -1091,11 +1092,11 @@ def _per_sample_products(case):
     # one sample at a time
     entry, p, wnum = catalog._prepare(case)
     W = he(wnum)
-    if case.id in catalog._LIMITS:
+    if case.id in limits._LIMITS:
         j, a = p["j"], p["a"]
         zs = catalog._z_samples(p["z"], (2 * j - a.num, a.num - 2 * j), catalog._LIMIT_MS, a.num)
         return [qident.f_limit_sum(j, a, z, W) for z in zs]
-    row = catalog._SUM_ROWS["OVER_2" if case.id == "CURIOUS" else case.id]
+    row = sums._SUM_ROWS["OVER_2" if case.id == "CURIOUS" else case.id]
     zs = catalog._z_samples(p["z"], row.window(p))
     prods = [eval_product_sum(row.products(p, row.modulus(p), z), W) for z in zs]
     return [x for x in prods for _ in range(2)] if case.id == "CURIOUS" else prods
@@ -1231,7 +1232,8 @@ def test_z_samples_are_never_empty_and_never_outside_the_window(monkeypatch):
         calls.append((z, window, samples(z, window, *rest)))
         return calls[-1][2]
 
-    monkeypatch.setattr(catalog, "_z_samples", spy)
+    for family in (sums, limits):
+        monkeypatch.setattr(family, "_z_samples", spy)
     refused = 0
     for id, params in _z_family_edges():
         calls.clear()

@@ -3,6 +3,8 @@
 import copy
 import subprocess
 
+from qident import registered_ids
+
 import equivalence
 
 
@@ -28,6 +30,11 @@ def test_equivalence_of_the_working_tree_with_itself():
     changed[2]["status"] = "fail"
     diffs = equivalence.differences(cases, here, changed)
     assert len(diffs) == 2 and diffs[0] == diff and diffs[1].startswith("('KEY_LEMMA', ")
+
+
+def test_the_grids_hold_every_registered_id():
+    # so a run of every grid reaches each family module
+    assert {id for grid in equivalence.GRIDS.values() for id, _, _ in grid()} == set(registered_ids())
 
 
 def test_compare_prints_how_many_cases_of_each_grid_differ(monkeypatch, capsys):

@@ -1,6 +1,7 @@
 """The package's public surface: one list of exports, each one resolving,
 the records' value semantics, and what `import qident` loads."""
 
+import json
 import os
 import pathlib
 import pickle
@@ -31,8 +32,10 @@ from qident import (
     TripleProductSpec,
     VerificationReport,
     catalog,
+    finite,
     he,
     qe,
+    sums,
 )
 
 # the 50 public names, in the order the package imports them
@@ -66,16 +69,78 @@ def test_readme_states_the_export_count():
     assert stated == [str(len(qident.__all__))]
 
 
+def _fresh(code: str) -> object:
+    """What `code`, run in a fresh interpreter on this package, prints as JSON."""
+    src = str(pathlib.Path(qident.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return json.loads(out.stdout)
+
+
 def test_importing_qident_loads_no_dataclasses():
     # every fresh interpreter imports the package: `dataclasses` and what it
     # pulls in (inspect, ast, dis, tokenize) would be about a third of that
-    src = str(pathlib.Path(qident.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, qident; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    assert _fresh("import json, sys, qident; print(json.dumps(sorted({'dataclasses', 'inspect'} & set(sys.modules))))") == []
+
+
+_LOADED = "sorted(m[7:] for m in sys.modules if m.startswith('qident.'))"
+
+
+def test_importing_qident_compiles_no_family_and_no_engine():
+    # the package, the kernel, the q-objects and the registry core; an
+    # export of an engine loads that engine and is then bound in the package
+    assert _fresh(f"import json, sys, qident; print(json.dumps({_LOADED}))") == ["catalog", "qobjects", "series"]
+    code = (f"import json, sys, qident; before = 'h_poly' in vars(qident); qident.h_poly; "
+            f"print(json.dumps([before, 'h_poly' in vars(qident), {_LOADED}]))")
+    assert _fresh(code) == [False, True, ["catalog", "hfamily", "products", "qobjects", "series"]]
+
+
+@pytest.mark.parametrize("id, params, loaded", [
+    ("H_LIMIT", {"a": "3/2"}, ["catalog", "hfamily", "limits", "products", "qobjects", "series"]),
+    ("AG", {"k": 1, "r": 0}, ["catalog", "multisum", "products", "qobjects", "series", "sums"]),
+])
+def test_validating_a_case_loads_its_family_and_the_engines_it_needs(id, params, loaded):
+    # and running the case then imports nothing more
+    code = (
+        f"import json, sys, qident\n"
+        f"case = qident.make_case({id!r}, order=20, **{params!r})\n"
+        f"qident.validate_case(case)\n"
+        f"before = {_LOADED}\n"
+        f"print(json.dumps([before, qident.verify(case).status, {_LOADED}]))\n"
     )
-    assert out.stdout.strip() == "[]"
+    assert _fresh(code) == [loaded, "pass", loaded]
+
+
+def test_each_id_is_registered_by_the_module_the_table_names():
+    code = (
+        "import json, qident\n"
+        "from importlib import import_module\n"
+        "from qident import catalog\n"
+        "for module in set(catalog._FAMILIES.values()):\n"
+        "    import_module('qident.' + module)\n"
+        "owners = {id: getattr(e.runner, 'func', e.runner).__module__ for id, e in catalog._REGISTRY.items()}\n"
+        "print(json.dumps([owners, catalog._FAMILIES, list(qident.registered_ids())]))\n"
+    )
+    owners, families, ids = _fresh(code)
+    assert set(owners) == set(ids) == set(families) and len(ids) == 29
+    assert owners == {id: "qident." + module for id, module in families.items()}
+
+
+def test_verify_reads_its_clock_only_once_the_family_is_loaded():
+    # a spy on the clock that verify reads: a family's first import (its
+    # compile) must not land inside the case's elapsed time
+    code = (
+        "import json, sys, time, types, qident\n"
+        "from qident import catalog\n"
+        "reads = []\n"
+        "def clock():\n"
+        "    reads.append('qident.limits' in sys.modules)\n"
+        "    return time.perf_counter()\n"
+        "catalog.time = types.SimpleNamespace(perf_counter=clock)\n"
+        "rep = qident.verify(qident.make_case('H_LIMIT', order=20, a='3/2'))\n"
+        "print(json.dumps([rep.status, reads]))\n"
+    )
+    assert _fresh(code) == ["pass", [True, True]]
 
 
 _Z = Monomial(1, he(2))
@@ -101,8 +166,8 @@ _RECORDS = {
     "VerificationReport": (lambda: VerificationReport(IdentityCase("AG"), "pass", he(40), None, 0.5, 1, 2, 3), None),
     "Check": (lambda: catalog.Check("label", 1, 2), None),
     "_Entry": (lambda: catalog._REGISTRY["AG"]._replace(), None),
-    "_SumRow": (lambda: catalog._SUM_ROWS["AG"]._replace(), None),
-    "_Expansion": (lambda: catalog._EXPANSIONS["KEY_LEMMA"]._replace(), None),
+    "_SumRow": (lambda: sums._SUM_ROWS["AG"]._replace(), None),
+    "_Expansion": (lambda: finite._EXPANSIONS["KEY_LEMMA"]._replace(), None),
     "EdgeSet": (lambda: EdgeSet([1, 3]), None),
 }
 _SETTABLE = {"SumStats", "VerificationReport"}

@@ -413,11 +413,11 @@ def test_batches_match_the_brute_force_on_every_z_row(ordnum):
     # each z row's batch, one spec per z sample, and CURIOUS's two batches:
     # at the default samples and at one explicit z, with every placement of
     # j <= 1 at k <= 1, against the unpruned brute force per spec
-    from qident import catalog
+    from qident import catalog, sums
 
     batches = []
     for id in ("OVER_1", "OVER_2", "OVER_3", "COR_INFTY", "CURIOUS"):
-        entry, row = catalog._REGISTRY[id], catalog._SUM_ROWS.get(id, catalog._SUM_ROWS["OVER_2"])
+        entry, row = catalog._REGISTRY[id], sums._SUM_ROWS.get(id, sums._SUM_ROWS["OVER_2"])
         grid = [{}] if id == "CURIOUS" else [{"k": k} for k in (0, 1)]
         if id in ("OVER_1", "OVER_2"):
             grid = [dict(g, j=0) for g in grid] + [{"k": 1, "j": 1, "placement": [i]} for i in (1, 2)]
@@ -429,7 +429,7 @@ def test_batches_match_the_brute_force_on_every_z_row(ordnum):
                 zs = catalog._z_samples(p["z"], row.window(p))
                 batches.append([row.summand(p, z) for z in zs])
                 if id == "CURIOUS":
-                    odd = catalog._SUM_ROWS["OVER_3"]
+                    odd = sums._SUM_ROWS["OVER_3"]
                     batches.append([odd.summand(p, z.inverted()) for z in zs])
     # and tails whose floors lie far apart: the batch caps its first index
     # at the lowest
@@ -608,7 +608,7 @@ def test_whole_q_sums_run_their_passes_on_half_the_frame(monkeypatch):
     # no pass touches a list longer than half the frame [lo, N); an OVER_1
     # sample at the odd z exponent 1 is mixed, and its closing runs on the
     # half grid, longer than that
-    from qident.catalog import _SUM_ROWS
+    from qident.sums import _SUM_ROWS
 
     order = qe(40)
     ag = _SUM_ROWS["AG"].summand({"k": 3, "r": 0, "j": 0, "placement": None}, None)

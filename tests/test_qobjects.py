@@ -1,5 +1,6 @@
 """q-binomials, Pochhammer products, and the classical partition series."""
 
+import re
 from itertools import product
 
 import pytest
@@ -58,6 +59,20 @@ def test_binom_values_and_edges():
 def test_engines_refuse_an_ill_posed_request(call, detail):
     with pytest.raises(IllPosedError, match=detail):
         call()
+
+
+def test_malformed_exponents_are_spec_errors_as_in_every_pochhammer():
+    # a bool, a float or a string is a malformed argument, not an ill-posed
+    # modulus; a whole or half modulus <= 0 stays ill posed
+    arg = Monomial(1, qe(1))
+    for bad in (True, False, 1.5, "3"):
+        for call in (lambda: theta_triple_sum(arg, bad, qe(10)), lambda: poch_finite(arg, 2, bad, qe(10)),
+                     lambda: poch_infinite(arg, bad, qe(10))):
+            with pytest.raises(SpecError, match=f"bad (modulus|base) exponent {re.escape(repr(bad))}"):
+                call()
+    for modulus in (0, -1, he(-1)):
+        with pytest.raises(IllPosedError, match="modulus exponent must be positive"):
+            theta_triple_sum(arg, modulus, qe(10))
 
 
 def test_qbinom_poly_small():
@@ -168,7 +183,7 @@ def test_poch_finite_matches_the_naive_expansion(order):
 def test_pochhammer_products_multiply_no_series(monkeypatch):
     # every finite and infinite product is two-term passes on lists: no
     # series or Laurent polynomial is multiplied by another
-    from qident.catalog import _pochz_rising
+    from qident.finite import _pochz_rising
 
     calls = []
     for cls in (QSeries, ZLaurent):

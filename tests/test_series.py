@@ -1,5 +1,6 @@
 """Kernel behaviour: half-exponents, truncated series, Laurent layer."""
 
+import re
 from operator import eq, ge, gt, le, lt
 
 import pytest
@@ -118,6 +119,15 @@ def test_monomial_and_coefficient():
         s.coefficient(he(9))
     with pytest.raises(OrderExceededError):
         s.coefficient(he(12))
+
+
+def test_qe_takes_only_a_plain_int():
+    # as he and HalfInt: qe(True) is not q^1, and qe(1.5) is refused by
+    # qe itself, not through the numerator 3.0 it would build
+    assert qe(3) == he(6) and qe(-2) == HalfInt(-4)
+    for bad in (True, False, 1.5, 2.0, he(2), "1", None):
+        with pytest.raises(SpecError, match=f"q-exponent must be an int, got {re.escape(repr(bad))}"):
+            qe(bad)
 
 
 def test_monomial_refuses_a_coefficient_that_is_no_int():
