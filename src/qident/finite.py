@@ -16,7 +16,7 @@ from typing import Dict, List, Sequence, Tuple
 from .catalog import Check, _int_tuple, _need_int, _opt_int, _prep_plain, _reg, _reject_unknown
 from .hfamily import FSpec, HSpec, _f_min, f_func, h_poly
 from .multisum import SummandSpec, TailOver, _chain_values, eval_multisum
-from .products import eval_product_sum
+from .products import _product_sums
 from .qobjects import Monomial, _inv_poch_ladder, _poch_rows, binom
 from .series import INF, Order, QSeries, SpecError, SumStats, ZLaurent, _Record, _whole, he, qe
 from .sums import _SUM_ROWS, _odd
@@ -357,7 +357,7 @@ def _run_andrews_answer(p: dict, wnum: int, stats: SumStats) -> List[Check]:
     forced = eval_multisum(forced_spec, he(wnum), stats)
     plain = eval_multisum(plain_spec, he(wnum), stats)
     checks.append(Check("forced innermost index reproduces the sum side", forced, plain))
-    prod = eval_product_sum(ag.products(p, ag.modulus(p), None), he(wnum))
+    prod = _product_sums([ag.products(p, ag.modulus(p), None)], he(wnum))[0]
     checks.append(Check("sum side meets the product side", plain, prod))
     return checks
 

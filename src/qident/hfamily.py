@@ -32,9 +32,9 @@ own certified n.  `stabilized_h_value` / `stabilized_f_value` are its
 one-sample case.  The limits themselves are the binomial combinations
 `f_limit_sum` of infinite products; the product `h_limit_product`, H's
 limit, is its case j = 0.  The arguments of each product multiply to
-q^2a, so the sum is the Jacobi list `_limit_specs` on modulus 2a, built
-by `products._jacobi_specs`, which the catalog sums for every sample in
-one `eval_product_sums` batch.
+q^2a, so the sum is the Jacobi item `_limit_key` on modulus 2a, plain
+ints built by `products._jacobi_key`, which the catalog sums for every
+sample in one `products._product_sums` batch.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from __future__ import annotations
 from operator import add, sub
 from typing import List, Sequence, Tuple
 
-from .products import TripleProductSpec, _jacobi_specs, eval_product_sum
+from .products import _jacobi_key, _product_sums
 from .qobjects import Monomial, binom, _h_column, _quad_min, _quad_top
 from .series import (
     INF,
@@ -136,17 +136,17 @@ def f_limit_sum(j: int, a: HalfInt, z: Monomial, order) -> QSeries:
     This is the n -> infinity limit of F(n, j, a)(-z); every argument
     exponent must be positive for the products to make sense.
     """
-    return eval_product_sum(_limit_specs(j, a, z), order)
+    return _product_sums([_limit_key(j, a, z)], order)[0]
 
 
-def _limit_specs(j: int, a: HalfInt, z: Monomial) -> List[TripleProductSpec]:
-    """The `TripleProductSpec` list on modulus 2a that `f_limit_sum` sums."""
+def _limit_key(j: int, a: HalfInt, z: Monomial) -> tuple:
+    """The Jacobi item on modulus 2a that `f_limit_sum` sums."""
     if not _whole(j) or j < 0:
         raise SpecError(f"needs an int j >= 0, got j={j!r}")
     a = _weight(a)
     if a.num <= 0:
         raise IllPosedError(f"limit sum needs a > 0, got {a}")
-    return _jacobi_specs(a * 2, z.sign, a + z.q_exp, j)
+    return _jacobi_key(2 * a.num, z.sign, a.num + z.q_exp.num, j)
 
 
 def _certified_n(a: HalfInt, ms: Sequence[int], ordnum: int) -> int:

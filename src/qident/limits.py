@@ -10,8 +10,8 @@ from functools import partial
 from typing import Dict, List, Sequence, Tuple
 
 from .catalog import Check, _LIMIT_MS, _Z, _need_half, _need_int, _opt_z, _reg, _reject_unknown, _z_samples
-from .hfamily import _limit_specs, _stabilized_values
-from .products import eval_product_sums
+from .hfamily import _limit_key, _stabilized_values
+from .products import _product_sums
 from .qobjects import Monomial
 from .series import HalfInt, SpecError, SumStats, he
 
@@ -38,7 +38,7 @@ def _run_limit(label: str, p: dict, wnum: int, stats: SumStats) -> List[Check]:
     j, a = p["j"], p["a"]
     zs = _z_samples(p["z"], _limit_window(j, a), _LIMIT_MS, a.num)
     vals = _stabilized_values(j, a, [Monomial(-z.sign, z.q_exp) for z in zs], he(wnum))
-    prods = eval_product_sums([_limit_specs(j, a, z) for z in zs], he(wnum))
+    prods = _product_sums([_limit_key(j, a, z) for z in zs], he(wnum))
     return [Check(label.format_map(dict(p, z=z, n=n)), v, rhs) for z, (v, n), rhs in zip(zs, vals, prods)]
 
 

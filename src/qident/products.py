@@ -2,17 +2,18 @@
 
 The right-hand sides in this family are weighted sums of normalised
 triple products (A, B, q^M; q^M)_inf / (q; q)_inf on a common modulus
-exponent M.  A spec with A B = q^M and equal signs is in Jacobi's form
+exponent M.  A product with A B = q^M and equal signs is in Jacobi's form
 (Andrews, *The Theory of Partitions*, Thm 2.8): at A = sign q^e its
 numerator is the theta series E - sign O, the halves at even and odd
-index, `qobjects._theta_terms`.  `eval_product_sums` multiplies both
-halves of each distinct Jacobi part by the cached 1/(q; q)_inf once per
-batch, as plain lists from q^0 by slice adds (`series._convolve_sparse`),
-and reads every list off them in one pass as E - sign O, so the list
-with every sign flipped, as z's and -z's are, shares both products.  Any
-other spec takes the factor route `_triple`, which the tests also use as
-the oracle.  `_jacobi_specs` builds the binomial Jacobi lists of the sum
-rows and of the limits.
+index, `qobjects._theta_terms`.  `_product_sums` takes each list as an
+item (sign, key, rest): (M, e, w) in half-units per Jacobi product of
+that sign, and the other specs.  It multiplies both halves of each
+distinct key by the cached 1/(q; q)_inf once per batch, as plain lists
+from q^0 by slice adds (`series._convolve_sparse`), and reads every item
+off them as E - sign O, so z's and -z's items share both products; the
+rest take the factor route `_triple`, the tests' oracle too.  The sum rows
+and the limits build their items from ints (`_jacobi_key`); `_split`
+makes one of a spec list.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from operator import add, sub
 from typing import List
 
 from .qobjects import Monomial, _theta_terms, binom, partition_series, poch_infinite
-from .series import HalfInt, IllPosedError, QSeries, SpecError, _convolve_sparse, _Record, _ord_num, _whole, qe
+from .series import HalfInt, IllPosedError, QSeries, SpecError, _convolve_sparse, _Record, _ord_num, _whole
 
 
 class TripleProductSpec(_Record):
@@ -45,15 +46,27 @@ class TripleProductSpec(_Record):
                 )
 
 
-def _jacobi_specs(M: HalfInt, x: int, e: HalfInt, j: int, weighted: bool = True) -> List[TripleProductSpec]:
-    """sum_s w_s (x q^(e+j-2s), x q^(M-e-j+2s); q^M)_inf / (q)_inf, s = 0..j, as specs.
+def _jacobi_key(M: int, x: int, e: int, j: int, weighted: bool = True) -> tuple:
+    """sum_s w_s (x q^(e/2+j-2s), x q^((M-e)/2-j+2s); q^(M/2))_inf / (q)_inf, s = 0..j, as an item.
 
-    w_s = C(j, s), or 1 when not `weighted`.  Every spec is in Jacobi's form.
+    w_s = C(j, s), or 1 when not `weighted`; refused, as `TripleProductSpec` is, unless every exponent is positive.
     """
-    return [
-        TripleProductSpec(M, Monomial(x, e + qe(j - 2 * s)), Monomial(x, M - e - qe(j - 2 * s)), binom(j, s) if weighted else 1)
-        for s in range(j + 1)
-    ]
+    key = tuple((M, e + 2 * j - 4 * s, binom(j, s) if weighted else 1) for s in range(j + 1))
+    for _, f, _ in key:
+        if f <= 0 or f >= M:
+            raise IllPosedError(f"product argument {Monomial(x, HalfInt(min(f, M - f)))} needs a positive q-exponent")
+    return x, key, ()
+
+
+def _split(specs) -> tuple:
+    """A spec list as an item: the Jacobi specs of its first spec's sign, less the zero weights, as the key."""
+    specs = list(specs)
+    if not specs:
+        raise SpecError("empty product list")
+    sign = specs[0].arg1.sign
+    jacobi = [t.arg1.sign == t.arg2.sign == sign and t.arg1.q_exp + t.arg2.q_exp == t.modulus_exp for t in specs]
+    key = tuple((t.modulus_exp.num, t.arg1.q_exp.num, t.weight) for t, jac in zip(specs, jacobi) if jac and t.weight)
+    return sign, key, tuple(t for t, jac in zip(specs, jacobi) if not jac)
 
 
 def _triple(spec: TripleProductSpec, order) -> QSeries:
@@ -70,27 +83,20 @@ def eval_product_sum(specs, order) -> QSeries:
 
 
 def eval_product_sums(spec_lists, order) -> List[QSeries]:
-    """[eval_product_sum(specs, order) for specs in spec_lists], sign mirrors sharing their products.
+    """[eval_product_sum(specs, order) for specs in spec_lists], sign mirrors sharing their products."""
+    return _product_sums([_split(specs) for specs in spec_lists], order)
 
-    A theta half has about sqrt(order) terms, so each half times 1/(q; q)_inf
-    is a plain list, one slice add per term.
-    """
-    spec_lists = [list(specs) for specs in spec_lists]
-    if not all(spec_lists):
-        raise SpecError("empty product list")
+
+def _product_sums(items, order) -> List[QSeries]:
+    """Each item's sum below `order`; a theta half has about sqrt(order) terms, one slice add each."""
     inv, nnum, shared, out = partition_series(order)._coeffs, _ord_num(order), {}, []
-    for specs in spec_lists:
-        jacobi = [t for t in specs if t.arg1.sign == t.arg2.sign and t.arg1.q_exp + t.arg2.q_exp == t.modulus_exp]
-        sign = jacobi[0].arg1.sign if jacobi else 1
-        key = tuple((t.modulus_exp, t.arg1.q_exp, t.weight, t.arg1.sign * sign) for t in jacobi if t.weight)
-        acc = QSeries.zero()
-        if key:
-            if key not in shared:  # the even and odd halves from q^0, each times 1/(q; q)_inf
-                halves = [0] * nnum, [0] * nnum  # a theta series in Jacobi's form starts at q^0
-                for m, e, w, rel in key:
-                    for parity, x in _theta_terms(e.num, m.num, nnum):
-                        halves[parity][x] += w * rel if parity else w
-                shared[key] = [_convolve_sparse(h, inv, nnum, 2) for h in halves]  # 1/(q; q)_inf is whole-q
-            acc = QSeries(0, list(map(sub if sign > 0 else add, *shared[key])), nnum)  # E - sign O
-        out.append(sum((_triple(t, order) * t.weight for t in specs if t not in jacobi), acc))
+    for sign, key, rest in items:
+        if key and key not in shared:  # the even and odd halves from q^0, each times 1/(q; q)_inf
+            halves = [0] * nnum, [0] * nnum  # a theta series in Jacobi's form starts at q^0
+            for m, e, w in key:
+                for parity, x in _theta_terms(e, m, nnum):
+                    halves[parity][x] += w
+            shared[key] = [_convolve_sparse(h, inv, nnum, 2) for h in halves]  # 1/(q; q)_inf is whole-q
+        acc = QSeries(0, list(map(sub if sign > 0 else add, *shared[key])), nnum) if key else QSeries.zero()
+        out.append(sum((_triple(t, order) * t.weight for t in rest), acc))
     return out

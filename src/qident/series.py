@@ -152,6 +152,9 @@ class SumStats(_Record):
     __hash__ = None
 
     def __init__(self, tuples: int = 0, nodes: int = 0, pruned: int = 0):
+        for v in (tuples, nodes, pruned):
+            if not _whole(v) or v < 0:
+                raise SpecError(f"a count must be an int >= 0, got {v!r}")
         _Record.__init__(self, tuples, nodes, pruned)
 
 

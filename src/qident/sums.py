@@ -12,7 +12,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .catalog import Check, _Z, _need_int, _opt_placement, _opt_z, _reg, _reject_unknown, _z_samples
 from .multisum import SummandSpec, TailEven, TailOdd, TailOver, TailOverOdd, eval_multisums
-from .products import TripleProductSpec, _jacobi_specs, eval_product_sums
+from .products import TripleProductSpec, _jacobi_key, _product_sums, _split
 from .qobjects import Monomial
 from .series import SumStats, _Record, he, qe
 
@@ -45,7 +45,7 @@ class _SumRow(_Record):
         names: Tuple[str, ...],  # the parameters `_prep_sum` takes
         modulus: Callable[[dict], int],
         summand: Callable[[dict, Optional[Monomial]], SummandSpec],
-        products: Callable[[dict, int, Optional[Monomial]], List[TripleProductSpec]],
+        products: Callable[[dict, int, Optional[Monomial]], tuple],
         label: str,  # str.format fields: the parameters, mod, P (sorted placement), terms (j+1), z
         window: Optional[Callable[[dict], Tuple[int, int]]] = None,  # z rows: q^(m/2) well posed for lo < m < hi
     ):
@@ -70,15 +70,15 @@ def _over_sum(p: dict, z: Monomial) -> SummandSpec:
     return _gordon_sum(p, p["k"] + 1, TailOver(z))
 
 
-def _gordon_products(p: dict, mod: int, z: Optional[Monomial]) -> List[TripleProductSpec]:
-    """sum_s w_s (x q^(e+j-2s), x q^(mod-e-j+2s); q^mod)_inf / (q)_inf.
+def _gordon_key(p: dict, mod: int, z: Optional[Monomial]) -> tuple:
+    """sum_s w_s (x q^(e+j-2s), x q^(mod-e-j+2s); q^mod)_inf / (q)_inf, as a Jacobi item.
 
     Without z, x = 1 and e = k+1-r.  With z = sign q^m, x = -sign and
     e = k+1-r+m: the arguments are -z q^(k+1-r+j-2s) and -q^(...)/z.
     w_s = C(j, s) for a placed sum, else 1.
     """
-    x, m = (1, qe(0)) if z is None else (-z.sign, z.q_exp)
-    return _jacobi_specs(qe(mod), x, qe(p["k"] + 1 - p["r"]) + m, p["j"], p["placement"] is not None)
+    x, m = (1, 0) if z is None else (-z.sign, z.q_exp.num)
+    return _jacobi_key(2 * mod, x, 2 * (p["k"] + 1 - p["r"]) + m, p["j"], p["placement"] is not None)
 
 
 def _over_window(p: dict) -> Tuple[int, int]:
@@ -119,7 +119,7 @@ def _prep_sum(names: Sequence[str], window: Optional[Callable[[dict], Tuple[int,
 
 _SUM_ROWS: Dict[str, _SumRow] = {
     "AG": _SumRow(
-        ("k", "r"), _odd, _odd_sum, _gordon_products, "k={k} r={r}: sum vs modulus-{mod} product"
+        ("k", "r"), _odd, _odd_sum, _gordon_key, "k={k} r={r}: sum vs modulus-{mod} product"
     ),
     # deliberately wrong modulus (one more than the true one) under AG's
     # arguments; a suite can mark this id with expect: fail to prove the
@@ -128,37 +128,38 @@ _SUM_ROWS: Dict[str, _SumRow] = {
         ("k", "r"),
         lambda p: 2 * p["k"] + 4,
         _odd_sum,
-        lambda p, mod, z: [t._replace(modulus_exp=qe(mod)) for t in _gordon_products(p, mod - 1, z)],
+        lambda p, mod, z: _split(TripleProductSpec(qe(mod), Monomial(1, he(e)), Monomial(1, he(M - e)), w)
+                                 for M, e, w in _gordon_key(p, mod - 1, z)[1]),
         "k={k} r={r}: sum vs modulus-{mod} product (control)",
     ),
     "BRESSOUD_EVEN": _SumRow(
-        ("k", "r"), _even, _even_sum, _gordon_products, "k={k} r={r}: sum vs modulus-{mod} product"
+        ("k", "r"), _even, _even_sum, _gordon_key, "k={k} r={r}: sum vs modulus-{mod} product"
     ),
     "BRESS_J": _SumRow(
-        ("k", "j"), _odd, _odd_sum, _gordon_products, "k={k} j={j}: sum vs {terms}-term product"
+        ("k", "j"), _odd, _odd_sum, _gordon_key, "k={k} j={j}: sum vs {terms}-term product"
     ),
     "THM_3_1": _SumRow(
-        ("k", "r", "j", "placement"), _odd, _odd_sum, _gordon_products,
+        ("k", "r", "j", "placement"), _odd, _odd_sum, _gordon_key,
         "k={k} r={r} j={j} P={P}: sum vs binomial product",
     ),
     "THM_3_2": _SumRow(
-        ("k", "r", "j"), _odd, _odd_sum, _gordon_products,
+        ("k", "r", "j"), _odd, _odd_sum, _gordon_key,
         "k={k} r={r} j={j}: sum vs {terms}-term product",
     ),
     "THM_4_1": _SumRow(
-        ("k", "r", "j", "placement"), _even, _even_sum, _gordon_products,
+        ("k", "r", "j", "placement"), _even, _even_sum, _gordon_key,
         "k={k} r={r} j={j} P={P}: even sum vs binomial product",
     ),
     "THM_4_2": _SumRow(
-        ("k", "r", "j"), _even, _even_sum, _gordon_products,
+        ("k", "r", "j"), _even, _even_sum, _gordon_key,
         "k={k} r={r} j={j}: even sum vs {terms}-term product",
     ),
     "OVER_1": _SumRow(
-        ("k", "j", "placement") + _Z, _odd, _over_sum, _gordon_products,
+        ("k", "j", "placement") + _Z, _odd, _over_sum, _gordon_key,
         "k={k} j={j} z={z}: sum vs binomial product", _over_window,
     ),
     "OVER_2": _SumRow(
-        ("k", "j") + _Z, _odd, _over_sum, _gordon_products,
+        ("k", "j") + _Z, _odd, _over_sum, _gordon_key,
         "k={k} j={j} z={z}: sum vs {terms}-term product", _over_window,
     ),
     # the odd-index closing factor (-q^(k+1)/z; q)_{s+1} (-z q^(-k); q)_s /
@@ -169,7 +170,7 @@ _SUM_ROWS: Dict[str, _SumRow] = {
         ("k",) + _Z,
         _odd,
         lambda p, z: SummandSpec(p["k"] + 1, (1,) * (p["k"] + 1), tail=TailOverOdd(Monomial(z.sign, z.q_exp - p["k"]))),
-        lambda p, mod, z: _gordon_products(p, mod, z.inverted()),
+        lambda p, mod, z: _gordon_key(p, mod, z.inverted()),
         "k={k} z={z}: odd-index sum vs product",
         _odd_index_window,
     ),
@@ -179,7 +180,7 @@ _SUM_ROWS: Dict[str, _SumRow] = {
         ("k",) + _Z,
         _odd,
         lambda p, z: _over_sum(p, Monomial(-z.sign, -z.q_exp)),
-        lambda p, mod, z: _gordon_products(p, mod, Monomial(-z.sign, -z.q_exp)),
+        lambda p, mod, z: _gordon_key(p, mod, Monomial(-z.sign, -z.q_exp)),
         "k={k} z={z}: iterated sum vs product",
         _odd_index_window,
     ),
@@ -191,7 +192,7 @@ def _run_row(row: _SumRow, p: dict, wnum: int, stats: SumStats) -> List[Check]:
     fields = dict(p, mod=mod, P=sorted(p["placement"] or ()), terms=p["j"] + 1)
     zs = [None] if row.window is None else _z_samples(p["z"], row.window(p))
     sums = eval_multisums([row.summand(p, z) for z in zs], he(wnum), stats)
-    prods = eval_product_sums([row.products(p, mod, z) for z in zs], he(wnum))
+    prods = _product_sums([row.products(p, mod, z) for z in zs], he(wnum))
     return [Check(row.label.format_map(dict(fields, z=z)), lhs, rhs) for z, lhs, rhs in zip(zs, sums, prods)]
 
 
@@ -202,7 +203,7 @@ def _run_curious(p: dict, wnum: int, stats: SumStats) -> List[Check]:
     zs = _z_samples(p["z"], even_row.window(p))
     evens = eval_multisums([even_row.summand(p, z) for z in zs], he(wnum), stats)
     odds = eval_multisums([odd_row.summand(p, z.inverted()) for z in zs], he(wnum), stats)
-    prods = eval_product_sums([even_row.products(p, even_row.modulus(p), z) for z in zs], he(wnum))
+    prods = _product_sums([even_row.products(p, even_row.modulus(p), z) for z in zs], he(wnum))
     checks = []
     for z, even, odd, prod in zip(zs, evens, odds, prods):
         checks += [

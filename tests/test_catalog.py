@@ -93,6 +93,27 @@ def test_every_registered_id_has_a_passing_small_case():
         _ok(id, **params)
 
 
+def test_no_row_but_the_control_builds_a_product_spec(monkeypatch):
+    # every product side outside NEG_AG is built as a Jacobi item of ints,
+    # while NEG_AG's moved modulus is a spec list, summed by the factor route
+    from qident.products import TripleProductSpec
+
+    real, built = TripleProductSpec.__init__, []
+
+    def spy(self, *args):
+        built.append(args)
+        real(self, *args)
+
+    monkeypatch.setattr(TripleProductSpec, "__init__", spy)
+    for id, params in SMOKE.items():
+        assert verify(make_case(id, **params)).status == "pass", id
+    assert built == []
+    rep = verify(make_case("NEG_AG", k=1, r=0))
+    m = rep.first_mismatch
+    assert (rep.status, m.exp, m.lhs, m.rhs) == ("fail", qe(5), 2, 3)
+    assert built
+
+
 def _sides_by_label(id, wnum):
     """{label: (lhs, rhs)} of id's SMOKE case run at wnum half-units, each
     label less its certified n, which grows with the order."""
@@ -230,7 +251,7 @@ def test_over_3_fails_with_its_product_at_z(monkeypatch):
     # z, k=1 and k=2 fail at q^k at z = q^-1, and at k=0 the product asks for
     # the argument -1, which has no positive q-exponent
     row = sums._SUM_ROWS["OVER_3"]
-    wrong = row._replace(products=lambda p, mod, z: sums._gordon_products(p, mod, z))
+    wrong = row._replace(products=lambda p, mod, z: sums._gordon_key(p, mod, z))
     entry = catalog._REGISTRY["OVER_3"]
     monkeypatch.setitem(catalog._REGISTRY, "OVER_3", entry._replace(runner=partial(sums._run_row, wrong)))
     for k, lhs, rhs in ((1, 1, 2), (2, 2, 3)):
@@ -438,13 +459,13 @@ def test_sums_z_cases_close_one_sample_per_mirror_pair(monkeypatch, id, params, 
         count[0] += 1
         return real_close(*args)
 
-    def product_sums(specs, order):
-        batches.append(len(specs))
-        return real_sums(specs, order)
+    def product_sums(items, order):
+        batches.append(len(items))
+        return real_sums(items, order)
 
-    real_close, real_sums = ms._close, rows.eval_product_sums
+    real_close, real_sums = ms._close, rows._product_sums
     monkeypatch.setattr(ms, "_close", close)
-    monkeypatch.setattr(rows, "eval_product_sums", product_sums)
+    monkeypatch.setattr(rows, "_product_sums", product_sums)
     entry, p, _ = catalog._prepare(make_case(id, **params))
     lo, hi = rows._SUM_ROWS["OVER_2" if id == "CURIOUS" else id].window(p)
     sums = 2 if id == "CURIOUS" else 1
@@ -1034,29 +1055,39 @@ def test_limit_walks_start_at_the_centre(monkeypatch):
     assert all(n + 1 >= length for n, _, length in walks), [w for w in walks if w[0] + 1 < w[2]]
 
 
+def _ref_gordon_specs(p, mod, z):
+    # a sum row's product list written out as specs: the reference for sums._gordon_key
+    j, e = p["j"], qe(p["k"] + 1 - p["r"])
+    sign, m = (1, qe(0)) if z is None else (-z.sign, z.q_exp)
+    return [
+        TripleProductSpec(qe(mod), Monomial(sign, e + m + qe(j - 2 * s)), Monomial(sign, qe(mod) - e - m - qe(j - 2 * s)),
+                          1 if p["placement"] is None else qident.binom(j, s))
+        for s in range(j + 1)
+    ]
+
+
+def _ref_limit_specs(j, a, z):
+    # a limit sample's product list written out as specs: the reference for hfamily._limit_key
+    m = z.q_exp
+    return [
+        TripleProductSpec(a * 2, Monomial(z.sign, a + m + j - 2 * i), Monomial(z.sign, a - m - j + 2 * i), qident.binom(j, i))
+        for i in range(j + 1)
+    ]
+
+
+def _builder_z(id, z):
+    # the z at which a z row calls its product builder
+    return {"OVER_3": z.inverted(), "COR_INFTY": Monomial(-z.sign, -z.q_exp)}.get(id, z)
+
+
 def test_one_builder_makes_the_jacobi_product_lists_of_the_sum_rows_and_the_limits():
-    # products._jacobi_specs builds both; on every sum row, z sample and
-    # limit sample of the sums and limits grids of tests/equivalence.py
-    # each list equals the one the two inline builders it replaced made
+    # products._jacobi_key builds both as Jacobi items of ints; on every sum
+    # row, z sample and limit sample of the sums and limits grids of
+    # tests/equivalence.py each item equals the one that products._split
+    # makes of the reference spec list
     import equivalence
-    from qident import binom
-    from qident.hfamily import _limit_specs
-
-    def gordon(p, mod, z):
-        j, e = p["j"], qe(p["k"] + 1 - p["r"])
-        sign, m = (1, qe(0)) if z is None else (-z.sign, z.q_exp)
-        return [
-            TripleProductSpec(qe(mod), Monomial(sign, e + m + qe(j - 2 * s)), Monomial(sign, qe(mod) - e - m - qe(j - 2 * s)),
-                              1 if p["placement"] is None else binom(j, s))
-            for s in range(j + 1)
-        ]
-
-    def limit(j, a, z):
-        m = z.q_exp
-        return [
-            TripleProductSpec(a * 2, Monomial(z.sign, a + m + j - 2 * i), Monomial(z.sign, a - m - j + 2 * i), binom(j, i))
-            for i in range(j + 1)
-        ]
+    from qident.hfamily import _limit_key
+    from qident.products import _split
 
     count = 0
     for id, params, order in equivalence.GRIDS["sums"]() + equivalence.GRIDS["limits"]():
@@ -1064,15 +1095,14 @@ def test_one_builder_makes_the_jacobi_product_lists_of_the_sum_rows_and_the_limi
         if id in limits._LIMITS:
             j, a = p["j"], p["a"]
             for z in catalog._z_samples(p["z"], (2 * j - a.num, a.num - 2 * j), catalog._LIMIT_MS, a.num):
-                assert _limit_specs(j, a, z) == limit(j, a, z), (id, params, z)
+                assert _limit_key(j, a, z) == _split(_ref_limit_specs(j, a, z)), (id, params, z)
                 count += 1
             continue
         row = sums._SUM_ROWS["OVER_2" if id == "CURIOUS" else id]
         mod = row.modulus(p) - (id == "NEG_AG")  # NEG_AG builds AG's list, then moves its modulus
         for z in [None] if row.window is None else catalog._z_samples(p["z"], row.window(p)):
-            if z is not None:  # the z at which the row calls the builder
-                z = {"OVER_3": z.inverted(), "COR_INFTY": Monomial(-z.sign, -z.q_exp)}.get(id, z)
-            assert sums._gordon_products(p, mod, z) == gordon(p, mod, z), (id, params, z)
+            z = None if z is None else _builder_z(id, z)
+            assert sums._gordon_key(p, mod, z) == _split(_ref_gordon_specs(p, mod, z)), (id, params, z)
             count += 1
     assert count == 1376
 
@@ -1089,16 +1119,17 @@ def test_limit_walks_reuse_the_product_sides_partition_series(monkeypatch):
 
 def _per_sample_products(case):
     # the product side of each check of a z row, CURIOUS or a limit, built
-    # one sample at a time
+    # one sample at a time from the reference spec lists
     entry, p, wnum = catalog._prepare(case)
     W = he(wnum)
     if case.id in limits._LIMITS:
         j, a = p["j"], p["a"]
         zs = catalog._z_samples(p["z"], (2 * j - a.num, a.num - 2 * j), catalog._LIMIT_MS, a.num)
-        return [qident.f_limit_sum(j, a, z, W) for z in zs]
-    row = sums._SUM_ROWS["OVER_2" if case.id == "CURIOUS" else case.id]
+        return [eval_product_sum(_ref_limit_specs(j, a, z), W) for z in zs]
+    id = "OVER_2" if case.id == "CURIOUS" else case.id
+    row = sums._SUM_ROWS[id]
     zs = catalog._z_samples(p["z"], row.window(p))
-    prods = [eval_product_sum(row.products(p, row.modulus(p), z), W) for z in zs]
+    prods = [eval_product_sum(_ref_gordon_specs(p, row.modulus(p), _builder_z(id, z)), W) for z in zs]
     return [x for x in prods for _ in range(2)] if case.id == "CURIOUS" else prods
 
 

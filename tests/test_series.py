@@ -15,6 +15,7 @@ from qident import (
     OrderExceededError,
     QSeries,
     SpecError,
+    SumStats,
     SummandSpec,
     ZLaurent,
     eval_multisum,
@@ -128,6 +129,15 @@ def test_qe_takes_only_a_plain_int():
     for bad in (True, False, 1.5, 2.0, he(2), "1", None):
         with pytest.raises(SpecError, match=f"q-exponent must be an int, got {re.escape(repr(bad))}"):
             qe(bad)
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, "1", -1], ids=["bool", "float", "str", "negative"])
+def test_sum_stats_counts_are_plain_ints_at_least_zero(bad):
+    # SumStats(True) would print tuples=True and count on from it as 1
+    for field in ("tuples", "nodes", "pruned"):
+        with pytest.raises(SpecError, match=f"a count must be an int >= 0, got {re.escape(repr(bad))}"):
+            SumStats(**{field: bad})
+    assert SumStats(3, 0, 2) == SumStats(tuples=3, pruned=2)
 
 
 def test_monomial_refuses_a_coefficient_that_is_no_int():
