@@ -12,10 +12,13 @@ workloads are all of perfbench's.
 
 The output file holds the two commits, the Python version, and per
 workload each pair's end-to-end metrics, each side's median and quartiles
-per metric, and the share of pairs the change wins (better by the metric's
-direction in BENCHMARK.json; a tie is no win).  One line per workload is
-printed for its first metric, wall_s: both medians with their quartiles,
-and the pairs won.
+per metric, the share of pairs the change wins (better by the metric's
+direction in BENCHMARK.json; a tie is no win), and each side's work
+counts: `tests/work_counts.py`'s counts of the runs `tests/line_reach.py`
+makes for the workload (`workload_runs`), each counted once per tree in
+a fresh interpreter on its `src/`, before the workload's timed runs.  One
+line per workload is printed for its first metric, wall_s: both medians
+with their quartiles, the pairs won, and whether the counts are equal.
 """
 
 from __future__ import annotations
@@ -33,6 +36,10 @@ import tarfile
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "tests"))
+import line_reach  # noqa: E402
+import work_counts  # noqa: E402
+
 SKIP = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", "out", "BENCH*.json")
 
 
@@ -109,7 +116,9 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         trees = {"parent": parent_tree(args.parent, os.path.join(tmp, "parent")),
                  "change": shutil.copytree(ROOT, os.path.join(tmp, "change"), ignore=SKIP)}
+        runs = line_reach.workload_runs()
         for workload in workloads:
+            counts = {side: {run: work_counts.count(run, tree) for run in runs[workload]} for side, tree in trees.items()}
             pairs = []
             for i in range(args.pairs):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -119,11 +128,12 @@ def main(argv=None) -> int:
                 pairs.append(pair)
             metrics = summarize(pairs, higher)
             correct = all(p[side]["correct"] for p in pairs for side in ("parent", "change"))
-            doc["workloads"][workload] = {"correct": correct, "pairs": pairs, "metrics": metrics}
+            doc["workloads"][workload] = {"correct": correct, "pairs": pairs, "metrics": metrics, "counts": counts}
             w = metrics["wall_s"]
             print(f"{workload} wall_s: parent {w['parent']['median']:.4f} [{w['parent']['q1']:.4f}, "
                   f"{w['parent']['q3']:.4f}], change {w['change']['median']:.4f} [{w['change']['q1']:.4f}, "
-                  f"{w['change']['q3']:.4f}], change wins {round(w['win_frac'] * len(pairs))}/{len(pairs)}"
+                  f"{w['change']['q3']:.4f}], change wins {round(w['win_frac'] * len(pairs))}/{len(pairs)}, work counts "
+                  + ("equal" if counts["parent"] == counts["change"] else "differ")
                   + ("" if correct else ", NOT CORRECT"), flush=True)
             with open(args.out, "w") as fh:  # rewritten after each workload, so a long run keeps what it measured
                 json.dump(doc, fh, indent=1)

@@ -1,8 +1,10 @@
-"""The sum--product identities and CURIOUS; importing it registers them.
+"""The sum--product identities, CURIOUS and NEG_AG; importing it registers them.
 
 `_SUM_ROWS`, run by `_run_row`, are cases of one Andrews-Gordon /
-Bressoud shape with binomial placements; `_prep_sum` checks k, r, j,
-placement and z for every row and for CURIOUS.
+Bressoud shape with binomial placements, each product side a Jacobi item
+of ints for the theta kernel; `_prep_sum` checks k, r, j, placement and z
+for every row, for CURIOUS and for the control NEG_AG, whose runner sums
+its non-Jacobi product list by the factor route, `eval_product_sum`.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .catalog import Check, _Z, _need_int, _opt_placement, _opt_z, _reg, _reject_unknown, _z_samples
 from .multisum import SummandSpec, TailEven, TailOdd, TailOver, TailOverOdd, eval_multisums
-from .products import TripleProductSpec, _jacobi_key, _product_sums, _split
+from .products import TripleProductSpec, _jacobi_key, _product_sums, eval_product_sum
 from .qobjects import Monomial
 from .series import SumStats, _Record, he, qe
 
@@ -97,7 +99,6 @@ def _even(p: dict) -> int:
     return 2 * p["k"] + 2
 
 
-
 def _prep_sum(names: Sequence[str], window: Optional[Callable[[dict], Tuple[int, int]]], params: dict) -> dict:
     """k, r, j, placement and, on a z row (one with a window), z inside it.
 
@@ -120,17 +121,6 @@ def _prep_sum(names: Sequence[str], window: Optional[Callable[[dict], Tuple[int,
 _SUM_ROWS: Dict[str, _SumRow] = {
     "AG": _SumRow(
         ("k", "r"), _odd, _odd_sum, _gordon_key, "k={k} r={r}: sum vs modulus-{mod} product"
-    ),
-    # deliberately wrong modulus (one more than the true one) under AG's
-    # arguments; a suite can mark this id with expect: fail to prove the
-    # harness detects mismatches
-    "NEG_AG": _SumRow(
-        ("k", "r"),
-        lambda p: 2 * p["k"] + 4,
-        _odd_sum,
-        lambda p, mod, z: _split(TripleProductSpec(qe(mod), Monomial(1, he(e)), Monomial(1, he(M - e)), w)
-                                 for M, e, w in _gordon_key(p, mod - 1, z)[1]),
-        "k={k} r={r}: sum vs modulus-{mod} product (control)",
     ),
     "BRESSOUD_EVEN": _SumRow(
         ("k", "r"), _even, _even_sum, _gordon_key, "k={k} r={r}: sum vs modulus-{mod} product"
@@ -214,7 +204,18 @@ def _run_curious(p: dict, wnum: int, stats: SumStats) -> List[Check]:
     return checks
 
 
+def _run_control(p: dict, wnum: int, stats: SumStats) -> List[Check]:
+    # NEG_AG: AG's sum against AG's product arguments on a modulus one more
+    # than the true one, so no product is in Jacobi's form; a suite can mark
+    # this id with expect: fail to prove the harness detects mismatches
+    mod = _odd(p) + 1
+    specs = [TripleProductSpec(qe(mod), Monomial(1, he(e)), Monomial(1, he(M - e)), w)
+             for M, e, w in _gordon_key(p, _odd(p), None)[1]]
+    (lhs,) = eval_multisums([_odd_sum(p, None)], he(wnum), stats)
+    return [Check(f"k={p['k']} r={p['r']}: sum vs modulus-{mod} product (control)", lhs, eval_product_sum(specs, he(wnum)))]
+
 
 for _id, _row in _SUM_ROWS.items():
     _reg(_id, partial(_prep_sum, _row.names, _row.window), partial(_run_row, _row), _row.modulus)
+_reg("NEG_AG", partial(_prep_sum, ("k", "r"), None), _run_control, lambda p: _odd(p) + 1)
 _reg("CURIOUS", partial(_prep_sum, _Z, _over_window), _run_curious, _odd)

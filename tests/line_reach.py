@@ -37,21 +37,30 @@ PACKAGE = "qident"
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def traffic_runs() -> List[str]:
-    """The bundled suite at --jobs 1, then each case of each workload in
-    perfbench/workloads.json as a `qident verify` run, at its first `choose`
-    alternative when it has a list of them."""
+def workload_runs() -> Dict[str, List[str]]:
+    """{workload: its runs} for each workload in perfbench/workloads.json:
+    a suite workload's suite at --jobs 1, and each case of the others as a
+    `qident verify` run, at its first `choose` alternative when it has a
+    list of them."""
     with open(os.path.join(ROOT, "perfbench", "workloads.json")) as f:
         workloads = json.load(f)["workloads"]
-    runs = ["qident suite suites/full-paper.suite --jobs 1"]
-    for workload in workloads.values():
+    out = {}
+    for name, workload in workloads.items():
+        runs = [f"qident suite {workload['suite']} --jobs 1"] if "suite" in workload else []
         for case in workload.get("cases", []):
             params = dict(case["params"], **case.get("choose", [{}])[0])
             argv = ["qident", "verify", "--id", case["id"]]
-            for name, v in params.items():
-                argv += ["--" + name.replace("_", "-"), ",".join(map(str, v)) if isinstance(v, list) else str(v)]
+            for param, v in params.items():
+                argv += ["--" + param.replace("_", "-"), ",".join(map(str, v)) if isinstance(v, list) else str(v)]
             runs.append(" ".join(argv + ["--order", str(case["order"])]))
-    return runs
+        out[name] = runs
+    return out
+
+
+def traffic_runs() -> List[str]:
+    """Every workload's runs (`workload_runs`), the suite's first."""
+    runs = [run for runs in workload_runs().values() for run in runs]
+    return sorted(runs, key=lambda run: not run.startswith("qident suite"))
 
 
 def expand(args: Sequence[str]) -> List[str]:

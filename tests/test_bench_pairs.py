@@ -21,6 +21,12 @@ def test_one_short_pair_writes_both_sides_and_the_summary(tmp_path):
     wall = run["metrics"]["wall_s"]
     assert wall["win_frac"] in (0.0, 1.0) and wall["parent"]["median"] == run["pairs"][0]["parent"]["wall_s"] > 0
     assert run["metrics"]["ops_ok_frac"]["change"]["median"] == 1.0
+    # each side's work counts of the workload's three cases, equal on two copies of one tree
+    counts = run["counts"]
+    assert list(counts) == ["parent", "change"] and counts["parent"] == counts["change"]
+    assert [r.split()[3] for r in counts["parent"]] == ["COR_INFTY", "OVER_1", "CURIOUS"]
+    assert all(c["_two_term"]["calls"] > 0 for c in counts["parent"].values())
+    assert "work counts equal" in proc.stdout
 
 
 def test_quartiles_and_wins_follow_each_metrics_direction():

@@ -1080,14 +1080,21 @@ def _builder_z(id, z):
     return {"OVER_3": z.inverted(), "COR_INFTY": Monomial(-z.sign, -z.q_exp)}.get(id, z)
 
 
+def _ref_item(specs):
+    # a reference spec list as the kernel's item: every spec in Jacobi form
+    # with one sign, each read off as (M, e, w) in half-units
+    sign = specs[0].arg1.sign
+    assert all(t.arg1.sign == t.arg2.sign == sign and t.arg1.q_exp + t.arg2.q_exp == t.modulus_exp for t in specs)
+    return sign, tuple((t.modulus_exp.num, t.arg1.q_exp.num, t.weight) for t in specs)
+
+
 def test_one_builder_makes_the_jacobi_product_lists_of_the_sum_rows_and_the_limits():
     # products._jacobi_key builds both as Jacobi items of ints; on every sum
     # row, z sample and limit sample of the sums and limits grids of
-    # tests/equivalence.py each item equals the one that products._split
-    # makes of the reference spec list
+    # tests/equivalence.py each item equals the one read off the reference
+    # spec list
     import equivalence
     from qident.hfamily import _limit_key
-    from qident.products import _split
 
     count = 0
     for id, params, order in equivalence.GRIDS["sums"]() + equivalence.GRIDS["limits"]():
@@ -1095,16 +1102,45 @@ def test_one_builder_makes_the_jacobi_product_lists_of_the_sum_rows_and_the_limi
         if id in limits._LIMITS:
             j, a = p["j"], p["a"]
             for z in catalog._z_samples(p["z"], (2 * j - a.num, a.num - 2 * j), catalog._LIMIT_MS, a.num):
-                assert _limit_key(j, a, z) == _split(_ref_limit_specs(j, a, z)), (id, params, z)
+                assert _limit_key(j, a, z) == _ref_item(_ref_limit_specs(j, a, z)), (id, params, z)
                 count += 1
             continue
-        row = sums._SUM_ROWS["OVER_2" if id == "CURIOUS" else id]
-        mod = row.modulus(p) - (id == "NEG_AG")  # NEG_AG builds AG's list, then moves its modulus
+        if id == "NEG_AG":  # AG's list on the true modulus 2k + 3, before the control moves it
+            row, mod = sums._SUM_ROWS["AG"], 2 * p["k"] + 3
+        else:
+            row = sums._SUM_ROWS["OVER_2" if id == "CURIOUS" else id]
+            mod = row.modulus(p)
         for z in [None] if row.window is None else catalog._z_samples(p["z"], row.window(p)):
             z = None if z is None else _builder_z(id, z)
-            assert sums._gordon_key(p, mod, z) == _split(_ref_gordon_specs(p, mod, z)), (id, params, z)
+            assert sums._gordon_key(p, mod, z) == _ref_item(_ref_gordon_specs(p, mod, z)), (id, params, z)
             count += 1
     assert count == 1376
+
+
+def test_the_factor_route_shares_nothing_with_the_theta_kernel(monkeypatch):
+    # eval_product_sum, the tests' oracle for every Jacobi product side, must
+    # not reach the kernel it checks: no batch, and no theta half of a
+    # product; the only theta series it sums is Euler's (Q; Q)_inf, the
+    # pentagonal series at argument Q and modulus Q^3 behind each
+    # (q^M; q^M)_inf and 1/(q)_inf
+    import sys
+
+    import qident.products as products
+    import qident.qobjects as qobjects
+
+    p = catalog._prepare(make_case("AG", k=2, r=1))[1]
+    specs, W = _ref_gordon_specs(p, 7, None), qe(60)
+    want = products._product_sums([sums._gordon_key(p, 7, None)], W)[0]
+    batches, thetas = [], []
+    real_sums, real_terms = products._product_sums, qobjects._theta_terms
+    monkeypatch.setattr(products, "_product_sums", lambda *a: batches.append(a) or real_sums(*a))
+    monkeypatch.setattr(qobjects, "_PARTITION_CACHE", {})
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("qident") and getattr(mod, "_theta_terms", None) is real_terms:
+            monkeypatch.setattr(mod, "_theta_terms", lambda *a: thetas.append(a) or real_terms(*a))
+    assert eval_product_sum(specs, W) == want
+    assert batches == []
+    assert thetas and all(mn == 3 * en for en, mn, _ in thetas), thetas
 
 
 def test_limit_walks_reuse_the_product_sides_partition_series(monkeypatch):

@@ -531,9 +531,9 @@ def test_a_batch_must_differ_only_in_its_tails():
 def test_an_empty_batch_is_an_empty_list():
     # zero specs differ in nothing, as an empty product batch does; the order
     # is still checked
-    from qident.products import eval_product_sums
+    from qident.products import _product_sums
 
-    assert eval_multisums([], qe(10)) == [] == eval_product_sums([], qe(10))
+    assert eval_multisums([], qe(10)) == [] == _product_sums([], qe(10))
     with pytest.raises(IllPosedError, match="finite truncation order"):
         eval_multisums([], None)
 

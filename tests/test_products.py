@@ -1,4 +1,4 @@
-"""Triple products: the theta route against the factor route and oracles."""
+"""Triple products: the theta kernel against the factor route and oracles."""
 
 import math
 import re
@@ -20,16 +20,24 @@ from qident import (
     qe,
     verify,
 )
-from qident.products import _triple, eval_product_sums
+from qident.products import _product_sums, _triple
 from naive import count_partitions_in_residues, n_poch_infinite
 
 
+def _item(specs):
+    # a list of Jacobi specs of one sign as the kernel's (sign, key) item,
+    # read off in half-units
+    sign = specs[0].arg1.sign
+    assert all(t.arg1.sign == t.arg2.sign == sign and t.arg1.q_exp + t.arg2.q_exp == t.modulus_exp for t in specs)
+    return sign, tuple((t.modulus_exp.num, t.arg1.q_exp.num, t.weight) for t in specs)
+
+
 def test_triple_product_vs_theta_sum():
-    # (q^e, q^(M-e), q^M; q^M)_inf / (q)_inf: theta route against factor route
+    # (q^e, q^(M-e), q^M; q^M)_inf / (q)_inf: theta kernel against factor route
     W = he(120)
     for M, e, sign in ((5, 2, 1), (5, 1, 1), (7, 3, 1), (9, 4, 1), (4, 1, 1), (5, 2, -1)):
         spec = TripleProductSpec(qe(M), Monomial(sign, qe(e)), Monomial(sign, qe(M - e)))
-        assert eval_product_sum([spec], W) == _triple(spec, W)
+        assert _product_sums([(sign, ((2 * M, 2 * e, 1),))], W)[0] == _triple(spec, W)
 
 
 def test_triple_product_halfint_arguments():
@@ -40,7 +48,7 @@ def test_triple_product_halfint_arguments():
         TripleProductSpec(he(7), Monomial(1, he(3)), Monomial(1, he(4))),
         TripleProductSpec(he(5), Monomial(-1, he(1)), Monomial(-1, he(4))),
     ):
-        assert eval_product_sum([spec], W) == _triple(spec, W)
+        assert _product_sums([_item([spec])], W)[0] == _triple(spec, W)
 
 
 def test_mixed_jacobi_and_factor_specs_sum_term_by_term():
@@ -78,20 +86,13 @@ def test_batched_products_match_the_factor_route_on_mirrored_lists():
                         )
                         for i in range(j + 1)
                     ])
-    mixed = [TripleProductSpec(qe(5), Monomial(1, qe(2)), Monomial(1, qe(3)), 2),
-             TripleProductSpec(qe(5), Monomial(-1, qe(1)), Monomial(-1, qe(4)), -1)]
-    flipped = [t._replace(arg1=Monomial(-t.arg1.sign, t.arg1.q_exp), arg2=Monomial(-t.arg2.sign, t.arg2.q_exp))
-               for t in mixed]
-    factor = TripleProductSpec(qe(6), Monomial(1, qe(2)), Monomial(1, qe(3)), 3)  # A B != q^M
-    lists += [mixed, flipped, mixed, mixed + [factor], flipped + [factor]]
-    assert len(lists) == 85
+    assert len(lists) == 80
+    items = [_item(specs) for specs in lists]
     for W in (he(37), qe(20), he(0), he(-3)):
-        got = eval_product_sums(lists, W)
-        for specs, value in zip(lists, got):
-            assert value == eval_product_sum(specs, W)
-            want = QSeries.zero()
-            for spec in specs:
-                want = want + _triple(spec, W) * spec.weight
+        got = _product_sums(items, W)
+        for specs, item, value in zip(lists, items, got):
+            assert value == _product_sums([item], W)[0]
+            want = eval_product_sum(specs, W)
             if W.num > 0:
                 assert value == want, (W, specs)
             else:  # both zero, though the routes book the orders of zeros differently

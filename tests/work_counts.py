@@ -7,10 +7,11 @@
 
 Each argument is one run, as `tests/line_reach.py` takes it (`qident ARGS`,
 `pytest ARGS` or the word `traffic`, the benchmark's runs).  Each run goes
-in a fresh interpreter, so no cache is warm from an earlier one, with
-every module of the package imported before the hook is set, so import
-work is not counted.  Under `sys.setprofile` it counts by code object,
-which still sees a function that another module imports by name:
+in a fresh interpreter on this repository's `src/`, run from its root, so
+no cache is warm from an earlier one, with every module of the package
+imported before the hook is set, so import work is not counted.  Under
+`sys.setprofile` it counts by code object, which still sees a function
+that another module imports by name:
 
 - the calls of the list passes `qobjects._prefix_add` and `_two_term`
   and of the products `series._convolve_sparse` and `_convolve_kronecker`,
@@ -92,12 +93,15 @@ def count_here(command: str) -> Dict[str, Dict[str, int]]:
     return counts
 
 
-def count(command: str) -> Dict[str, Dict[str, int]]:
-    """`count_here(command)` in a fresh interpreter with this one's environment."""
+def count(command: str, tree: str = line_reach.ROOT) -> Dict[str, Dict[str, int]]:
+    """`count_here(command)` in a fresh interpreter on the package in `tree`'s
+    `src/` (by default this repository's), run from `tree` and writing no
+    bytecode there."""
     here = os.path.dirname(os.path.abspath(__file__))
     code = (f"import json, sys; sys.path.insert(0, {here!r}); import work_counts; "
             "print(json.dumps(work_counts.count_here(sys.argv[1])))")
-    out = subprocess.run([sys.executable, "-c", code, command], capture_output=True, text=True)
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"), PYTHONDONTWRITEBYTECODE="1")
+    out = subprocess.run([sys.executable, "-c", code, command], capture_output=True, text=True, env=env, cwd=tree)
     sys.stderr.write(out.stderr)
     if out.returncode:
         raise RuntimeError(f"work_counts: {command!r} failed")
