@@ -11,14 +11,23 @@ the same seed, the first side alternating from pair to pair; the default
 workloads are all of perfbench's.
 
 The output file holds the two commits, the Python version, and per
-workload each pair's end-to-end metrics, each side's median and quartiles
-per metric, the share of pairs the change wins (better by the metric's
-direction in BENCHMARK.json; a tie is no win), and each side's work
-counts: `tests/work_counts.py`'s counts of the runs `tests/line_reach.py`
-makes for the workload (`workload_runs`), each counted once per tree in
-a fresh interpreter on its `src/`, before the workload's timed runs.  One
-line per workload is printed for its first metric, wall_s: both medians
-with their quartiles, the pairs won, and whether the counts are equal.
+workload each pair's end-to-end metrics and perfbench's unscaled medians
+of the same run (its detail line's `unscaled`, times before the
+calibration factor), each side's median and quartiles per metric of
+both, the share of pairs the change wins (better by the metric's
+direction in BENCHMARK.json; a tie is no win), and two deterministic
+records per side, taken once per tree in a fresh interpreter on its
+`src/` before the workload's timed runs:
+
+- `counts`: `tests/work_counts.py`'s counts of the runs
+  `tests/line_reach.py` makes for the workload (`workload_runs`)
+- `setup_compile`: the package modules that `import qident` and
+  validating the workload's cases load, perfbench's set-up, each with its
+  executable lines (`line_reach.executable_lines`), and their total
+
+Two lines per workload are printed: wall_s, with both medians and their
+quartiles, the pairs won and whether the counts are equal; and setup_s,
+calibrated and unscaled, with the executable lines its set-up compiles.
 """
 
 from __future__ import annotations
@@ -65,8 +74,36 @@ def run(tree: str, workload: str, seed: int, seconds: float) -> dict:
     proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
     if proc.returncode:
         raise RuntimeError(f"perfbench failed on {tree}:\n{proc.stderr.strip()}")
-    doc = json.loads(proc.stdout.strip().splitlines()[-1])
-    return {"correct": doc["correct"], **{name: m["value"] for name, m in doc["metrics"].items()}}
+    detail, doc = map(json.loads, proc.stdout.strip().splitlines()[-2:])
+    return {"correct": doc["correct"], **{name: m["value"] for name, m in doc["metrics"].items()},
+            "unscaled": {name: m["value"] for name, m in detail["unscaled"].items()}}
+
+
+def setup_compile(tree: str, spec: dict) -> dict:
+    """{modules: {module: executable lines}, executable_lines: their total} of what perfbench's set-up loads on `tree`.
+
+    The set-up is `import qident` and validating the workload's cases: a
+    suite's cases, or each case at its first `choose` alternative.
+    """
+    if "suite" in spec:
+        with open(os.path.join(tree, spec["suite"])) as fh:
+            cases = [{"id": c["id"], "order": c.get("order"),
+                      "params": {k: v for k, v in c.items() if k not in ("id", "expect", "order")}}
+                     for c in json.load(fh)["cases"]]
+    else:
+        cases = [{"id": c["id"], "order": c["order"], "params": dict(c["params"], **c.get("choose", [{}])[0])}
+                 for c in spec["cases"]]
+    code = ("import json, sys, qident\n"
+            "for c in json.load(sys.stdin):\n"
+            "    qident.validate_case(qident.make_case(c['id'], order=c['order'], **c['params']))\n"
+            "print(json.dumps(sorted(m[7:] for m in sys.modules if m.startswith('qident.'))))\n")
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-c", code], input=json.dumps(cases), env=env, capture_output=True,
+                          text=True, check=True)
+    package = os.path.join(tree, "src", "qident")
+    modules = {name: len(line_reach.executable_lines(os.path.join(package, name + ".py")))
+               for name in ["__init__"] + json.loads(proc.stdout)}
+    return {"modules": modules, "executable_lines": sum(modules.values())}
 
 
 def quartiles(values: list) -> dict:
@@ -77,13 +114,20 @@ def quartiles(values: list) -> dict:
 def summarize(pairs: list, higher: set) -> dict:
     out = {}
     for name in pairs[0]["parent"]:
-        if name == "correct":
+        if name in ("correct", "unscaled"):
             continue
         sides = {side: [p[side][name] for p in pairs] for side in ("parent", "change")}
         wins = sum((c > p) if name in higher else (c < p) for p, c in zip(sides["parent"], sides["change"]))
         out[name] = {"parent": quartiles(sides["parent"]), "change": quartiles(sides["change"]),
                      "win_frac": wins / len(pairs)}
     return out
+
+
+def _medians(metric: dict, n: int) -> str:
+    """Both sides' medians with their quartiles and the pairs the change won, as printed."""
+    p, c = metric["parent"], metric["change"]
+    return (f"parent {p['median']:.4f} [{p['q1']:.4f}, {p['q3']:.4f}], change {c['median']:.4f} "
+            f"[{c['q1']:.4f}, {c['q3']:.4f}], change wins {round(metric['win_frac'] * n)}/{n}")
 
 
 def main(argv=None) -> int:
@@ -98,7 +142,8 @@ def main(argv=None) -> int:
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
     with open(os.path.join(ROOT, "perfbench", "workloads.json")) as fh:
-        known = list(json.load(fh)["workloads"])
+        specs = json.load(fh)["workloads"]
+    known = list(specs)
     workloads = args.workloads or known
     if not set(workloads) <= set(known):
         ap.error(f"unknown workload; one of {', '.join(known)}")
@@ -119,6 +164,7 @@ def main(argv=None) -> int:
         runs = line_reach.workload_runs()
         for workload in workloads:
             counts = {side: {run: work_counts.count(run, tree) for run in runs[workload]} for side, tree in trees.items()}
+            compiled = {side: setup_compile(tree, specs[workload]) for side, tree in trees.items()}
             pairs = []
             for i in range(args.pairs):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -127,14 +173,18 @@ def main(argv=None) -> int:
                     pair[side] = run(trees[side], workload, args.seed, args.seconds)
                 pairs.append(pair)
             metrics = summarize(pairs, higher)
+            unscaled = summarize([{side: p[side]["unscaled"] for side in trees} for p in pairs], higher)
             correct = all(p[side]["correct"] for p in pairs for side in ("parent", "change"))
-            doc["workloads"][workload] = {"correct": correct, "pairs": pairs, "metrics": metrics, "counts": counts}
-            w = metrics["wall_s"]
-            print(f"{workload} wall_s: parent {w['parent']['median']:.4f} [{w['parent']['q1']:.4f}, "
-                  f"{w['parent']['q3']:.4f}], change {w['change']['median']:.4f} [{w['change']['q1']:.4f}, "
-                  f"{w['change']['q3']:.4f}], change wins {round(w['win_frac'] * len(pairs))}/{len(pairs)}, work counts "
+            doc["workloads"][workload] = {"correct": correct, "pairs": pairs, "metrics": metrics,
+                                          "unscaled": unscaled, "counts": counts, "setup_compile": compiled}
+            print(f"{workload} wall_s: {_medians(metrics['wall_s'], len(pairs))}, work counts "
                   + ("equal" if counts["parent"] == counts["change"] else "differ")
                   + ("" if correct else ", NOT CORRECT"), flush=True)
+            u = unscaled["setup_s"]
+            print(f"{workload} setup_s: {_medians(metrics['setup_s'], len(pairs))}; unscaled "
+                  f"{u['parent']['median']:.4f} -> {u['change']['median']:.4f}; set-up compiles "
+                  f"{compiled['parent']['executable_lines']} -> {compiled['change']['executable_lines']} "
+                  "executable lines", flush=True)
             with open(args.out, "w") as fh:  # rewritten after each workload, so a long run keeps what it measured
                 json.dump(doc, fh, indent=1)
                 fh.write("\n")

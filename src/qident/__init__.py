@@ -23,7 +23,6 @@ from .series import (
     QSeries,
     SpecError,
     SumStats,
-    ZLaurent,
     he,
     qe,
 )
@@ -35,7 +34,6 @@ from .qobjects import (
     poch_finite,
     poch_finite_scalar,
     poch_infinite,
-    qbinom_poly,
     theta_triple_sum,
 )
 from .catalog import (
@@ -49,15 +47,16 @@ from .catalog import (
 
 __version__ = "0.1.0"
 
-# the exports of the engines and of the finite-n family: each module is
-# imported when one of its names is first read (PEP 562), and the name is
-# then bound here
+# the exports of the engines, of the finite-n z-polynomials and of the
+# finite-n family: each module is imported when one of its names is first
+# read (PEP 562), and the name is then bound here
 _LAZY = {
     name: module
     for module, names in (
         ("multisum", "SummandSpec TailEven TailOdd TailOver TailOverOdd eval_multisum tail_min_num"),
         ("products", "TripleProductSpec eval_product_sum"),
-        ("hfamily", "FSpec HSpec f_func f_limit_sum h_limit_product h_poly stabilized_f_value stabilized_h_value"),
+        ("hfamily", "f_limit_sum h_limit_product stabilized_f_value stabilized_h_value"),
+        ("zpoly", "ZLaurent FSpec HSpec f_func h_poly qbinom_poly"),
         ("finite", "EdgeSet edge_weight enumerate_edge_sets"),
     )
     for name in names.split()

@@ -6,12 +6,13 @@ registers its ids when imported: `sums`, the sum--product identities
 over a modulus family and CURIOUS (on `multisum` and `products`);
 `limits`, polynomial values at a certified n against infinite products
 (on `hfamily` and `products`); `finite`, the structural identities in n
-(symbolic in z, as ZLaurent equalities), the expansions at finite n, the
-combinatorial supporting facts and ANDREWS_ANSWER.  This module is what
-they share: the records, the parameter checks, the z sampling,
-`_REGISTRY`, and `_FAMILIES`, the one table of each id's module, which
-`registered_ids` reads and from which `_prepare` imports the module on
-the id's first use; so `import qident` compiles no family and no engine.
+(symbolic in z, as equalities of `zpoly`'s ZLaurents, which no other
+family builds), the expansions at finite n, the combinatorial supporting
+facts and ANDREWS_ANSWER.  This module is what they share: the
+records, the parameter checks, the z sampling, `_REGISTRY`, and
+`_FAMILIES`, the one table of each id's module, which `registered_ids`
+reads and from which `_prepare` imports the module on the id's first
+use; so `import qident` compiles no family and no engine.
 
 Parameters are checked by family, from the names each id takes:
 `_prep_plain` serves the ids whose parameters are plain counts and

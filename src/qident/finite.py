@@ -14,12 +14,12 @@ from functools import partial
 from typing import Dict, List, Sequence, Tuple
 
 from .catalog import Check, _int_tuple, _need_int, _opt_int, _prep_plain, _reg, _reject_unknown
-from .hfamily import FSpec, HSpec, _f_min, f_func, h_poly
 from .multisum import SummandSpec, TailOver, _chain_values, eval_multisum
 from .products import _product_sums
-from .qobjects import Monomial, _inv_poch_ladder, _poch_rows, binom
-from .series import INF, Order, QSeries, SpecError, SumStats, ZLaurent, _Record, _whole, he, qe
+from .qobjects import Monomial, binom
+from .series import INF, Order, QSeries, SpecError, SumStats, _Record, _whole, he, qe
 from .sums import _SUM_ROWS, _odd
+from .zpoly import FSpec, HSpec, ZLaurent, _f_min, _inv_poch_ladder, _poch_rows, f_func, h_poly
 
 
 # ---------------------------------------------------------------------------

@@ -1,21 +1,7 @@
-"""The central two-parameter polynomial family and its z -> zq shift closure.
+"""The values of H(n, a) and its closure F(n, j, a) at a certified n, and their limits.
 
-H(n, a) is the Laurent polynomial sum_{s=-n..n} [2n, n-s]_q q^(a s^2) z^s;
-the closure F(n, j, a) applies j times the step G(z) -> G(zq) + G(q/z).
-Since H(z) = H(1/z), that is F = sum_i C(j, i) H(n, a)(z q^(j-2i)), so
-slice s of F is H's slice s times sum_i C(j, i) q^((j-2i) s), and
-`f_func` builds F, and H as its case j = 0, in one walk along the
-Gaussian-binomial column, `qobjects._h_column`, below the q^L that the
-lowest slice and a negative weight need: one `_qbinom_column` walk from the
-centre [2n, n], below q^L 1/(q)_inf when n + 1 >= L, else from [2n, 0].  The
-walk stops at the last slice that starts below the order: at a finite
-order and a > 0, the largest s with a s^2 - j s below it, so
-H(400, 2) below q^40 stores 9 slices; the span (-n, n) keeps the rest,
-zero below the order; that s, F's least exponent `_f_min` (the catalog's
-expansions read their terms' floors off it too) and `_certified_n` are
-`qobjects`' quadratic bounds `_quad_top` and `_quad_min`.  The step itself
-is run only by the catalog's RECURSE_F, which checks it against this
-binomial form.
+`zpoly` builds H and F as polynomials in z for the finite-n family; this
+module builds only their values at a sampled z.
 
 With z fixed to a monomial sign*q^m, |m| < a, the values H(n, a)(z)
 converge coefficientwise as n grows, and the limit is certified rather
@@ -23,18 +9,18 @@ than detected.  [2n, n-s]_q counts the partitions in an (n-s) x (n+s)
 box, so it agrees with 1/(q)_inf through q^(n-|s|) (Andrews, *The Theory
 of Partitions*, ch. 3).  `_certified_n` turns that into the least n at
 which the value is final below a given order, in O(1).  A value stays
-final at every larger n, so `_stabilized_values` walks the column once
-per batch, at its largest certified n, into one even and one odd frame
-per |m| (H(z) = H(1/z)), and reads off each sample's F value, the
-binomial sum sum_i C(j, i) H(n, a)(z q^(j-2i)), starting from its i = 0
-term (so H's value is one pass, E + sign O), and reports the sample's
-own certified n.  `stabilized_h_value` / `stabilized_f_value` are its
-one-sample case.  The limits themselves are the binomial combinations
-`f_limit_sum` of infinite products; the product `h_limit_product`, H's
-limit, is its case j = 0.  The arguments of each product multiply to
-q^2a, so the sum is the Jacobi item `_limit_key` on modulus 2a, plain
-ints built by `products._jacobi_key`, which the catalog sums for every
-sample in one `products._product_sums` batch.
+final at every larger n, so `_stabilized_values` walks H's column,
+`qobjects._h_column`, once per batch, at its largest certified n, into
+one even and one odd frame per |m| (H(z) = H(1/z)), and reads off each
+sample's F value, the binomial sum sum_i C(j, i) H(n, a)(z q^(j-2i)),
+starting from its i = 0 term (so H's value is one pass, E + sign O),
+and reports the sample's own certified n.  `stabilized_h_value` /
+`stabilized_f_value` are its one-sample case.  The limits themselves
+are the binomial combinations `f_limit_sum` of infinite products; the
+product `h_limit_product`, H's limit, is its case j = 0.  The arguments
+of each product multiply to q^2a, so the sum is the Jacobi item
+`_limit_key` on modulus 2a, ints built by `products._jacobi_key`, which
+the catalog sums for every sample in one `products._product_sums` batch.
 """
 
 from __future__ import annotations
@@ -43,86 +29,8 @@ from operator import add, sub
 from typing import List, Sequence, Tuple
 
 from .products import _jacobi_key, _product_sums
-from .qobjects import Monomial, binom, _h_column, _quad_min, _quad_top
-from .series import (
-    INF,
-    HalfInt,
-    IllPosedError,
-    Order,
-    QSeries,
-    SpecError,
-    ZLaurent,
-    _Record,
-    _ord_num,
-    _whole,
-)
-
-
-class HSpec(_Record):
-    """H with 2n rows and quadratic weight a (a half-integer)."""
-
-    __slots__ = ("n", "a")
-
-    def __init__(self, n: int, a: HalfInt):
-        if not _whole(n) or n < 0:
-            raise SpecError(f"H needs an int n >= 0, got {n!r}")
-        _Record.__init__(self, n, _weight(a))
-
-
-class FSpec(_Record):
-    """j-fold shift closure of H(n, a)."""
-
-    __slots__ = ("n", "j", "a")
-
-    def __init__(self, n: int, j: int, a: HalfInt):
-        if not all(_whole(v) and v >= 0 for v in (n, j)):
-            raise SpecError(f"F needs ints n, j >= 0, got n={n!r} j={j!r}")
-        _Record.__init__(self, n, j, _weight(a))
-
-
-def _weight(a) -> HalfInt:
-    w = HalfInt._coerce(a)
-    if w is None:
-        raise SpecError(f"bad weight {a!r}")
-    return w
-
-
-def h_poly(spec: HSpec, order: Order = INF) -> ZLaurent:
-    """sum_{s=-n..n} [2n, n-s]_q q^(a s^2) z^s, truncated at `order`: `f_func` at j = 0."""
-    return f_func(FSpec(spec.n, 0, spec.a), order)
-
-
-def _f_min(n: int, j: int, A: int) -> int:
-    """F(n, j, a)'s least exponent in half-units, A = 2a: slice s starts at q^(a s^2 - j|s|)."""
-    return _quad_min(A, -2 * j, n) if A > 0 else A * n * n - 2 * j * n
-
-
-def f_func(spec: FSpec, order: Order = INF) -> ZLaurent:
-    """F(n, j, a) = sum_i C(j, i) H(n, a)(z q^(j-2i)), truncated at `order`.
-
-    Slice s is [2n, n-s]_q q^(a s^2) sum_i C(j, i) q^((j-2i) s), which
-    starts at q^(a s^2 - j|s|), so the binomials are built as deep as the
-    lowest of these (at |s| = n when a <= 0) needs.  A slice is known
-    through its half-slot 2L - 1 too, which is structurally zero.  At a
-    finite order and a > 0 only the slices that start below it are
-    stored; the span (-n, n) keeps the others, zero below the order.
-    """
-    n, j, A = spec.n, spec.j, spec.a.num
-    ordnum = _ord_num(order)
-    if ordnum is None:
-        L, top = n * n + 1, n
-    else:
-        L = max((ordnum - _f_min(n, j, A) + 1) // 2, 1)
-        top = _quad_top(A, 2 * j, ordnum, n) if A > 0 else n
-    terms = {}
-    for k, b in _h_column(n, top, L):
-        s = n - k
-        c = [0] * (2 * len(b) - 1 + 4 * j * s)
-        for i in range(j + 1):
-            at = slice(4 * i * s, 4 * i * s + 2 * len(b) - 1, 2)
-            c[at] = map(add, c[at], map(binom(j, i).__mul__, b))
-        terms[s] = terms[-s] = QSeries(A * s * s - 2 * j * s, c, ordnum)
-    return ZLaurent(terms, ordnum, (-n, n))
+from .qobjects import Monomial, _h_column, _quad_min, _quad_top, _weight, binom
+from .series import HalfInt, IllPosedError, QSeries, SpecError, _ord_num, _whole
 
 
 def h_limit_product(a: HalfInt, z: Monomial, order) -> QSeries:

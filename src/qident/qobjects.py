@@ -16,21 +16,24 @@ so far, and reads a shallower order off it by truncation.
 The bounds on quadratic exponents live here, in closed form, for every
 engine: `_quad_min`, the least A t^2 + m t over 0 <= t (<= n), and
 `_quad_top`, the last s >= 0 with A s^2 - mu s below a bound.  The theta
-ends, `hfamily`'s windows and certified n and `multisum`'s floors read them.
+ends, the windows of H and F and the certified n of the limits, and
+`multisum`'s floors read them.
 
 The in-place list passes live here too.  On a dense list whose slot i holds
 the coefficient of x^i (x = q^(1/2) in the engines, x = q in the binomial
 column), `_two_term` multiplies by 1 + c x^e (or adds c x^e times another
-list), `_prefix_add` divides by 1 - x^d, and `_inv_poch_ladder` stacks the
-latter into 1/(q)_d.  The binomial column `_qbinom_column`, H, every multisum
-tail and every Pochhammer product are built from these passes: `_poch_rows`
-makes one two-term pass per factor (sign, k, e), 1 - sign z^k q^(e/2), on one
-list per z-power, and `poch_finite` is its row k = 0.  The column is one walk
-from a start [N, k0]: H's `_h_column` starts at the centre [2n, n], below q^L
-1/(q)_inf (the box lemma), when n + 1 >= L, else at [2n, 0].  Each pass is a few
-whole-slice operations, never a Python loop over slots: `_two_term` one,
-`_prefix_add` at most min(d, ceil(len / d)), an `accumulate` per residue class
-mod d when d^2 < len, else one block add per d slots.
+list) and `_prefix_add` divides by 1 - x^d.  The binomial column
+`_qbinom_column`, H, every multisum tail and every Pochhammer product are
+built from these passes: `_poch_lists` makes one two-term pass per factor
+(sign, k, e), 1 - sign z^k q^(e/2), on one plain list per z-power, and
+`poch_finite` reads its row k = 0 as a series, so no product here needs a
+polynomial in z (`zpoly._poch_rows` reads all the rows as one).  The column
+is one walk from a start [N, k0]: H's `_h_column` starts at the centre
+[2n, n], below q^L 1/(q)_inf (the box lemma), when n + 1 >= L, else at
+[2n, 0].  Each pass is a few whole-slice operations, never a Python loop
+over slots: `_two_term` one, `_prefix_add` at most min(d, ceil(len / d)),
+an `accumulate` per residue class mod d when d^2 < len, else one block add
+per d slots.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from __future__ import annotations
 import math
 from itertools import accumulate
 from operator import add, sub
-from typing import Callable, Iterator, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 from .series import (
     INF,
@@ -47,7 +50,6 @@ from .series import (
     Order,
     QSeries,
     SpecError,
-    ZLaurent,
     _Record,
     _ord_num,
     _spread,
@@ -76,6 +78,13 @@ class Monomial(_Record):
 
     def __str__(self):
         return ("-" if self.sign < 0 else "") + (f"q^{self.q_exp}" if self.q_exp.num else "1")
+
+
+def _weight(a) -> HalfInt:  # a quadratic weight: a half-integer, or an int in whole q-units
+    w = HalfInt._coerce(a)
+    if w is None:
+        raise SpecError(f"bad weight {a!r}")
+    return w
 
 
 def binom(n: int, k: int) -> int:
@@ -143,24 +152,6 @@ def _prefix_add(c: list, step: int) -> list:
     return c
 
 
-def _inv_poch_ladder(unit: int, wnum: int) -> Callable[[int], QSeries]:
-    """d -> 1 / prod_{1<=i<=d} (1 - q^(unit*i/2)) below q^(wnum/2).
-
-    Rungs are built on demand, one prefix-add pass each, and kept.  The
-    pass of rung d is a no-op once unit * d >= wnum, so every such rung is
-    the last one before it.
-    """
-    store = [[1] + [0] * (wnum - 1)]
-
-    def rung(d: int) -> QSeries:
-        d = min(d, max(wnum - 1, 0) // unit)
-        while len(store) <= d:
-            store.append(_prefix_add(list(store[-1]), unit * len(store)))
-        return QSeries(0, store[d], wnum)
-
-    return rung
-
-
 def _qbinom_column(N: int, top: int, b: list, k0: int = 0) -> Iterator[Tuple[int, list]]:
     """Yield (k, [N, k]_q) for k = k0..top, whole-q, from b = [N, k0]_q truncated to len(b).
 
@@ -191,38 +182,24 @@ def _h_column(n: int, top: int, length: int) -> Iterator[Tuple[int, list]]:
     return ((k, b) for k, b in _qbinom_column(2 * n, n, [1] + [0] * (length - 1)) if k >= n - top)
 
 
-def qbinom_poly(n: int, k: int):
-    """Gaussian binomial [n, k]_q as a dense list of q-grid coefficients.
-
-    Exact polynomial of degree k*(n-k).  Returns [] outside 0 <= k <= n.
-    """
-    if not (_whole(n) and _whole(k)):
-        raise SpecError(f"qbinom_poly needs ints n and k, got n={n!r}, k={k!r}")
-    if k < 0 or k > n:
-        return []
-    k = min(k, n - k)
-    for _, b in _qbinom_column(n, k, [1] + [0] * (k * (n - k))):
-        pass
-    return b
-
-
 def _grid_series(c: list, lo: int, ordnum: Optional[int], g: int) -> QSeries:
     """The series whose exponent lo + g x (half-units) has coefficient c[x], known below ordnum."""
     return QSeries(lo, c if g == 1 else _spread(c, 2 * len(c) - 1), ordnum)
 
 
-def _poch_rows(factors: list, order: Order) -> ZLaurent:
-    """prod (1 - sign z^k q^(e/2)) over the factors (sign, k, e), exact at INF, else known below order + lo.
+def _poch_lists(factors: list, order: Order) -> Tuple[dict, int, Optional[int], int]:
+    """prod (1 - sign z^k q^(e/2)) over the factors (sign, k, e) as (rows, lo, top, g).
 
-    lo is the sum of the negative e.  Each z-power keeps one list from
-    q^(lo/2) to q^(order/2), on spacing g = 2 when every e is even; a factor
-    is one two-term pass per row, row j + k taking -sign q^(e/2) row j up to
-    row j's running degree, the rows visited away from the side k moves to,
-    so each is read before it changes.  A negative e leaves the top -e
-    half-units stale.  A factor 1 - q^0 makes the product an exact zero.
+    rows maps each z-power to a list from q^(lo/2) on spacing g, known below
+    q^(top/2) (top None: exact); lo is the sum of the negative e, top is
+    order + lo, and g = 2 when every e is even.  A factor is one two-term
+    pass per row, row j + k taking -sign q^(e/2) row j up to row j's running
+    degree, the rows visited away from the side k moves to, so each is read
+    before it changes.  A negative e leaves the top -e half-units stale.  A
+    factor 1 - q^0 makes the product an exact zero, the one row [].
     """
     if (1, 0, 0) in factors:
-        return ZLaurent.zero()
+        return {0: []}, 0, None, 1
     lo = sum(min(e, 0) for _, _, e in factors)
     g = 2 if all(e % 2 == 0 for _, _, e in factors) else 1
     ordnum = _ord_num(order)
@@ -237,19 +214,18 @@ def _poch_rows(factors: list, order: Order) -> ZLaurent:
                 rows[j + k], deg[j + k] = [0] * width, -1
             _two_term(rows[j + k], -sign, e // g, rows[j][: deg[j] + 1])
             deg[j + k] = min(max(deg[j + k], deg[j] + e // g), width - 1)
-    top = None if ordnum is None else ordnum + lo
-    span = (sum(min(k, 0) for _, k, _ in factors), sum(max(k, 0) for _, k, _ in factors))
-    return ZLaurent({j: _grid_series(c, lo, top, g) for j, c in rows.items()}, top, span)
+    return rows, lo, None if ordnum is None else ordnum + lo, g
 
 
 def poch_finite(arg: Monomial, n: int, base_exp=qe(1), order: Order = INF) -> QSeries:
-    """(arg; q**base_exp)_n = prod_{i<n} (1 - arg * q**(i*base_exp)), one `_poch_rows` row."""
+    """(arg; q**base_exp)_n = prod_{i<n} (1 - arg * q**(i*base_exp)), row 0 of `_poch_lists`."""
     if not _whole(n) or n < 0:
         raise SpecError(f"finite Pochhammer length must be an int >= 0, got {n!r}")
     base = HalfInt._coerce(base_exp)
     if base is None:
         raise SpecError(f"bad base exponent {base_exp!r}")
-    return _poch_rows([(arg.sign, 0, arg.q_exp.num + base.num * i) for i in range(n)], order).slice(0)
+    rows, lo, top, g = _poch_lists([(arg.sign, 0, arg.q_exp.num + base.num * i) for i in range(n)], order)
+    return _grid_series(rows[0], lo, top, g)
 
 
 def poch_finite_scalar(arg: Monomial, n: int, base_exp=qe(1), order: Order = INF) -> QSeries:

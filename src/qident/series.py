@@ -44,13 +44,8 @@ compares the squares, in integers).  Packing is linear in that total,
 but the multiply grows faster, so the measured crossover rises with it:
 about 0.14 to 0.6 times the square root, from 16-bit to 64-bit digits.
 
-ZLaurent extends the same bookkeeping to Laurent polynomials in a second
-variable z whose coefficients are QSeries, all known below one common
-order.  A z-span (lo, hi) bounds the structural support: a z-power
-outside it is exactly zero, and one inside it with no stored slice is
-zero below the order, so a slice that vanishes there is not stored.
-A ZLaurent adds ZLaurents and multiplies only by scalars, an int or a
-QSeries; products in z are built as lists (`qobjects._poch_rows`).
+Laurent polynomials in a second variable z over these series, `ZLaurent`,
+live in `zpoly`, which only the finite-n family loads.
 """
 
 from __future__ import annotations
@@ -209,7 +204,8 @@ class HalfInt(_Record):
     __eq__ = _compare(eq, False)
 
     def __hash__(self):
-        return hash(("HalfInt", self.num))
+        # an integral HalfInt equals its int, so it hashes as that int
+        return hash(self.num // 2) if self.num % 2 == 0 else hash(("HalfInt", self.num))
 
     @property
     def is_integral(self) -> bool:
@@ -658,159 +654,3 @@ class QSeries:
         tail = "" if self._ordnum is None else f" + O({power(HalfInt(self._ordnum))})"
         return "<QSeries " + " + ".join(parts) + tail + ">"
 
-
-# ---------------------------------------------------------------------------
-# Laurent polynomials in z over QSeries
-
-
-class ZLaurent:
-    """A Laurent polynomial in z whose coefficients are QSeries.
-
-    All slices share one truncation order.  The span (lo, hi) bounds the
-    structural support: a z-power outside it is exactly zero, and one
-    inside it with no stored slice has no coefficient below the order.  At
-    a finite order a slice that is zero there is not stored; the span still
-    counts it, so `zshift` and `substitute`, which move slice k by a
-    multiple of k, bound the new order by the span's two ends.
-    """
-
-    __slots__ = ("_terms", "_ordnum", "_span")
-
-    def __init__(self, terms: dict, ordnum: Optional[int], span=None, _raw=False):
-        if not _raw:
-            live = {k: s for k, s in terms.items() if s._coeffs or s._ordnum is not None}
-            common = ordnum
-            for s in live.values():
-                common = _min_ord(common, s._ordnum)
-            if common is None or span is None:
-                span = (min(live), max(live)) if live else None
-            if common is not None:
-                cap = HalfInt(common)
-                live = {k: t for k, s in live.items() if (t := s.truncated(cap))._coeffs}
-            terms = live
-            ordnum = None if span is None else common
-        self._terms = terms
-        self._ordnum = ordnum
-        self._span = span
-
-    @staticmethod
-    def zero() -> "ZLaurent":
-        return ZLaurent({}, None, _raw=True)
-
-    @property
-    def order(self) -> Order:
-        return _ord_obj(self._ordnum)
-
-    def z_support(self) -> list:
-        """The z-powers with a coefficient below the order."""
-        return sorted(self._terms)
-
-    def slice(self, z_exp: int) -> QSeries:
-        if z_exp in self._terms:
-            return self._terms[z_exp]
-        lo, hi = self._span or (1, 0)
-        return QSeries.zero(self.order if lo <= z_exp <= hi else INF)
-
-    @property
-    def is_zero(self) -> bool:
-        return all(s.is_zero for s in self._terms.values())
-
-    def _moved(self, e: int) -> Optional[int]:
-        """The order once slice k moves by q^(e k / 2): the span's ends bound it."""
-        if self._ordnum is None:
-            return None
-        lo, hi = self._span
-        return self._ordnum + min(e * lo, e * hi)
-
-    def __add__(self, other):
-        if not isinstance(other, ZLaurent):
-            return NotImplemented
-        out = dict(self._terms)
-        for k, s in other._terms.items():
-            out[k] = out[k] + s if k in out else s
-        spans = [x._span for x in (self, other) if x._span]
-        span = (min(lo for lo, _ in spans), max(hi for _, hi in spans)) if spans else None
-        return ZLaurent(out, _min_ord(self._ordnum, other._ordnum), span)
-
-    def __mul__(self, other):
-        if _whole(other):
-            other = QSeries.monomial(other) if other else QSeries.zero()
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        if self._span is None or (not other._coeffs and other._ordnum is None):
-            return ZLaurent.zero()
-        # a scalar never raises the order; a zero slice of either side starts at its order
-        ordnum = None if self._ordnum is None else self._ordnum + min(other._min, 0)
-        if other._ordnum is not None:
-            low = min((s._min for s in self._terms.values()), default=self._ordnum)
-            ordnum = _min_ord(ordnum, other._ordnum + low)
-        return ZLaurent({k: s * other for k, s in self._terms.items()}, ordnum, self._span)
-
-    __rmul__ = __mul__
-
-    def zshift(self, exp) -> "ZLaurent":
-        """Substitute z -> z*q**exp (slice s picks up q**(exp*s))."""
-        e = HalfInt._coerce(exp)
-        if e is None:
-            raise SpecError(f"bad exponent {exp!r}")
-        return ZLaurent(
-            {k: s.shift(HalfInt(e.num * k)) for k, s in self._terms.items()},
-            self._moved(e.num),
-            self._span,
-        )
-
-    def zinvert(self) -> "ZLaurent":
-        """Substitute z -> 1/z."""
-        span = self._span and (-self._span[1], -self._span[0])
-        return ZLaurent(dict((-k, s) for k, s in self._terms.items()), self._ordnum, span, _raw=True)
-
-    def znegate(self) -> "ZLaurent":
-        """Substitute z -> -z."""
-        return ZLaurent(
-            {k: (-s if k % 2 else s) for k, s in self._terms.items()},
-            self._ordnum,
-            self._span,
-            _raw=True,
-        )
-
-    def substitute(self, sign: int, m) -> QSeries:
-        """Evaluate at z = sign * q**m, returning a scalar series."""
-        if not _whole(sign) or sign not in (1, -1):
-            raise SpecError(f"substitution sign must be +-1, got {sign}")
-        e = HalfInt._coerce(m)
-        if e is None:
-            raise SpecError(f"bad exponent {m!r}")
-        acc = QSeries.zero(INF)
-        for k, s in self._terms.items():
-            term = s.shift(HalfInt(e.num * k))
-            if sign == -1 and k % 2:
-                term = -term
-            acc = acc + term
-        return acc.truncated(_ord_obj(self._moved(e.num)))
-
-    def truncated(self, order) -> "ZLaurent":
-        n = _ord_num(order)
-        if n is None:
-            return self
-        return ZLaurent(dict(self._terms), _min_ord(n, self._ordnum), self._span)
-
-    def eq_upto(self, other: "ZLaurent") -> CompareResult:
-        capnum = _min_ord(self._ordnum, other._ordnum)
-        cap = _ord_obj(capnum)
-        for k in sorted(set(self._terms) | set(other._terms)):
-            r = self.slice(k).eq_upto(other.slice(k), z_exp=k)
-            if not r.equal:
-                return CompareResult(False, cap, r.mismatch)
-        return CompareResult(True, cap)
-
-    def __eq__(self, other):
-        if not isinstance(other, ZLaurent):
-            return NotImplemented
-        return (self._ordnum, self._span, self._terms) == (other._ordnum, other._span, other._terms)
-
-    __hash__ = None
-
-    def __repr__(self):
-        body = ", ".join(f"z^{k}: {self._terms[k]!r}" for k in self.z_support()[:4])
-        more = "..." if len(self._terms) > 4 else ""
-        return f"<ZLaurent {{{body}{more}}}>"

@@ -27,6 +27,19 @@ def test_one_short_pair_writes_both_sides_and_the_summary(tmp_path):
     assert [r.split()[3] for r in counts["parent"]] == ["COR_INFTY", "OVER_1", "CURIOUS"]
     assert all(c["_two_term"]["calls"] > 0 for c in counts["parent"].values())
     assert "work counts equal" in proc.stdout
+    # perfbench's unscaled medians beside the calibrated ones, per pair and summarized
+    pair = run["pairs"][0]
+    assert {"wall_s", "cpu_s", "setup_s", "peak_rss_mb", "ops_failed_frac"} <= set(pair["parent"]["unscaled"])
+    setup = run["unscaled"]["setup_s"]
+    assert setup["parent"]["median"] == pair["parent"]["unscaled"]["setup_s"] > 0 and "unscaled" not in run["metrics"]
+    # the modules the set-up loads, the same on both copies: sums_z's set-up
+    # compiles the sum rows and their engines, and no limit or finite-n code
+    compiled = run["setup_compile"]
+    assert list(compiled) == ["parent", "change"] and compiled["parent"] == compiled["change"]
+    modules = compiled["parent"]["modules"]
+    assert list(modules) == ["__init__", "catalog", "multisum", "products", "qobjects", "series", "sums"]
+    assert compiled["parent"]["executable_lines"] == sum(modules.values()) and min(modules.values()) > 0
+    assert "sums_z setup_s: parent " in proc.stdout and " executable lines" in proc.stdout
 
 
 def test_quartiles_and_wins_follow_each_metrics_direction():

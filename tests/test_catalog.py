@@ -37,9 +37,9 @@ from qident import (
     validate_case,
 )
 import qident
-from qident import catalog, finite, hfamily, limits, sums
+from qident import catalog, finite, hfamily, limits, sums, zpoly
 from qident.sums import _bress_lambda
-from qident.qobjects import _inv_poch_ladder
+from qident.zpoly import _inv_poch_ladder
 from naive import NaiveSeries, brute_force_multisum
 
 
@@ -849,7 +849,7 @@ def test_expansion_floors_are_where_their_terms_start():
     assert len(specs) > 200
     for w in (8, 21, 40):
         for f in specs:
-            assert min(hfamily._f_min(f.n, f.j, f.a.num), w) == _least_exp(qident.f_func(f, he(w)), w), (f, w)
+            assert min(zpoly._f_min(f.n, f.j, f.a.num), w) == _least_exp(qident.f_func(f, he(w)), w), (f, w)
         assert [_least_exp(finite._pochz_rising(s, he(w)), w) for s in range(5)] == [0] * 5
 
 
@@ -871,7 +871,7 @@ def test_expansion_floors_are_f_min_of_each_terms_spec(monkeypatch):
         lows.clear()
         entry.runner(p, wnum, SumStats())
         specs = [row.term(p, s) for s in range(p["n"] + 1)]
-        assert lows == [[min(hfamily._f_min(f.n, f.j, f.a.num), wnum) for f in specs]], (id, params, order)
+        assert lows == [[min(zpoly._f_min(f.n, f.j, f.a.num), wnum) for f in specs]], (id, params, order)
         count += 1
     assert count == 406
     # KEY_LEMMA n=700 a=2 builds the lhs's FSpec, term(0)'s and the 7 live terms', not 702

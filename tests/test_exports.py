@@ -92,15 +92,19 @@ def test_importing_qident_compiles_no_family_and_no_engine():
     assert _fresh(f"import json, sys, qident; print(json.dumps({_LOADED}))") == ["catalog", "qobjects", "series"]
     code = (f"import json, sys, qident; before = 'h_poly' in vars(qident); qident.h_poly; "
             f"print(json.dumps([before, 'h_poly' in vars(qident), {_LOADED}]))")
-    assert _fresh(code) == [False, True, ["catalog", "hfamily", "products", "qobjects", "series"]]
+    assert _fresh(code) == [False, True, ["catalog", "qobjects", "series", "zpoly"]]
 
 
 @pytest.mark.parametrize("id, params, loaded", [
     ("H_LIMIT", {"a": "3/2"}, ["catalog", "hfamily", "limits", "products", "qobjects", "series"]),
     ("AG", {"k": 1, "r": 0}, ["catalog", "multisum", "products", "qobjects", "series", "sums"]),
+    ("KEY_LEMMA", {"n": 4, "a": 2},
+     ["catalog", "finite", "multisum", "products", "qobjects", "series", "sums", "zpoly"]),
 ])
 def test_validating_a_case_loads_its_family_and_the_engines_it_needs(id, params, loaded):
-    # and running the case then imports nothing more
+    # and running the case then imports nothing more; only the finite-n
+    # family compiles the z-polynomials
+    assert ("zpoly" in loaded) == (id == "KEY_LEMMA")
     code = (
         f"import json, sys, qident\n"
         f"case = qident.make_case({id!r}, order=20, **{params!r})\n"
@@ -127,20 +131,30 @@ def test_each_id_is_registered_by_the_module_the_table_names():
 
 
 def test_verify_reads_its_clock_only_once_the_family_is_loaded():
-    # a spy on the clock that verify reads: a family's first import (its
-    # compile) must not land inside the case's elapsed time
+    # a spy on the clock that verify reads: a module's first import (its
+    # compile) must not land inside a case's elapsed time, so both reads of
+    # each case see its family loaded and the same package modules; one id
+    # per family, and NEG_AG, whose factor route reaches poch_infinite's
+    # general branch
     code = (
         "import json, sys, time, types, qident\n"
         "from qident import catalog\n"
         "reads = []\n"
         "def clock():\n"
-        "    reads.append('qident.limits' in sys.modules)\n"
+        "    reads[-1].append(sorted(m[7:] for m in sys.modules if m.startswith('qident.')))\n"
         "    return time.perf_counter()\n"
         "catalog.time = types.SimpleNamespace(perf_counter=clock)\n"
-        "rep = qident.verify(qident.make_case('H_LIMIT', order=20, a='3/2'))\n"
-        "print(json.dumps([rep.status, reads]))\n"
+        "out = []\n"
+        "for id, params in [('H_LIMIT', {'a': '3/2'}), ('AG', {'k': 1, 'r': 0}), ('KEY_LEMMA', {'n': 4, 'a': 2}),\n"
+        "                   ('NEG_AG', {'k': 1, 'r': 0})]:\n"
+        "    reads.append([])\n"
+        "    out.append([id, qident.verify(qident.make_case(id, order=20, **params)).status])\n"
+        "print(json.dumps([out, reads]))\n"
     )
-    assert _fresh(code) == ["pass", [True, True]]
+    out, reads = _fresh(code)
+    assert out == [["H_LIMIT", "pass"], ["AG", "pass"], ["KEY_LEMMA", "pass"], ["NEG_AG", "fail"]]
+    for (id, _), family, case_reads in zip(out, ("limits", "sums", "finite", "sums"), reads):
+        assert len(case_reads) == 2 and case_reads[0] == case_reads[1] and family in case_reads[0], (id, case_reads)
 
 
 _Z = Monomial(1, he(2))
@@ -196,6 +210,17 @@ def test_records_compare_by_value_and_refuse_assignment_unless_settable(name):
     if other is not None:
         assert hash(a) == hash(b) and len({a, b, other}) == 2
         assert a != other and other != a
+
+
+def test_an_integral_half_int_hashes_as_its_int():
+    # HalfInt(2k) == k, so the two must hash alike: a set or dict holding
+    # one finds the other
+    for k in (-3, 0, 1, 7, 10**20):
+        assert qe(k) == k and hash(qe(k)) == hash(k)
+        assert k in {qe(k)} and qe(k) in {k} and {k: 1}[qe(k)] == 1
+    for num in (-3, 1, 5):
+        assert he(num) != num // 2 and he(num) not in {num // 2, (num + 1) // 2}
+        assert hash(he(num)) == hash(HalfInt(num)) and he(num) in {HalfInt(num)}
 
 
 def test_inf_stays_the_one_sentinel_through_pickle():

@@ -363,12 +363,12 @@ def test_lowest_h_exponent_is_the_clamped_vertex():
 def test_stabilized_values_build_no_laurent_polynomial(monkeypatch):
     # the limit values are one binomial-column walk into a frame: no H or F
     # is built as a polynomial in z and then substituted
-    import qident.hfamily as hfamily
+    import qident.zpoly as zpoly
 
     calls = []
     for name in ("f_func", "h_poly"):
-        real = getattr(hfamily, name)
-        monkeypatch.setattr(hfamily, name, lambda *a, _f=real, _n=name: calls.append(_n) or _f(*a))
+        real = getattr(zpoly, name)
+        monkeypatch.setattr(zpoly, name, lambda *a, _f=real, _n=name: calls.append(_n) or _f(*a))
     init = ZLaurent.__init__
     monkeypatch.setattr(ZLaurent, "__init__", lambda self, *a, **k: calls.append("ZLaurent") or init(self, *a, **k))
     for j in range(3):
@@ -376,7 +376,7 @@ def test_stabilized_values_build_no_laurent_polynomial(monkeypatch):
         assert val.order == he(40)
     stabilized_h_value(he(3), Monomial(1, he(-1)), he(40))
     assert calls == []
-    hfamily.h_poly(HSpec(1, he(3)), he(8))  # the counters are live: h_poly calls f_func
+    zpoly.h_poly(HSpec(1, he(3)), he(8))  # the counters are live: h_poly calls f_func
     assert {"f_func", "h_poly", "ZLaurent"} <= set(calls)
 
 

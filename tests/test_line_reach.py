@@ -22,7 +22,8 @@ def test_line_reach_of_one_ag_case(capsys):
     # every module is listed; AG's run loads its family, the sums, and
     # neither the other families nor hfamily
     assert sorted(modules) == ["__init__.py", "__main__.py", "catalog.py", "cli.py", "finite.py", "hfamily.py",
-                               "limits.py", "multisum.py", "products.py", "qobjects.py", "series.py", "sums.py"]
+                               "limits.py", "multisum.py", "products.py", "qobjects.py", "series.py", "sums.py",
+                               "zpoly.py"]
     assert sorted(name for name, (_, hit) in modules.items() if hit) == [
         "__init__.py", "__main__.py", "catalog.py", "cli.py", "multisum.py", "products.py", "qobjects.py", "series.py",
         "sums.py"]

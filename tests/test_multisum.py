@@ -485,12 +485,12 @@ def test_the_kernel_is_built_once_per_batch(monkeypatch):
 
 
 def test_tails_multiply_no_series_and_build_no_gaussian_polynomial(monkeypatch):
-    import qident.qobjects as qo
+    import qident.zpoly as zpoly
 
     calls = []
-    mul, qbinom_poly = QSeries.__mul__, qo.qbinom_poly
+    mul, qbinom_poly = QSeries.__mul__, zpoly.qbinom_poly
     monkeypatch.setattr(QSeries, "__mul__", lambda a, b: calls.append("mul") or mul(a, b))
-    monkeypatch.setattr(qo, "qbinom_poly", lambda n, k: calls.append("qbinom") or qbinom_poly(n, k))
+    monkeypatch.setattr(zpoly, "qbinom_poly", lambda n, k: calls.append("qbinom") or qbinom_poly(n, k))
     z = Monomial(-1, he(1))
     for tail in (TailOdd(), TailEven(), TailOver(z), TailOverOdd(Monomial(-1, he(-1)))):
         eval_multisum(SummandSpec(2, (0, 1), placement=frozenset({2}), tail=tail), qe(40))

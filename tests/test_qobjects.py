@@ -29,7 +29,8 @@ from qident import (
     he,
     qe,
 )
-from qident.qobjects import _h_column, _inv_poch_ladder, _poch_rows, _prefix_add, _qbinom_column, _two_term
+from qident.qobjects import _h_column, _prefix_add, _qbinom_column, _two_term
+from qident.zpoly import _inv_poch_ladder, _poch_rows
 from naive import n_poch_finite, n_poch_infinite, n_poch_z, n_qbinom
 
 
@@ -349,10 +350,10 @@ def test_poch_validation():
 def test_inverse_ladder_stops_at_its_last_rung_that_divides(monkeypatch):
     # below q^40 the factor 1 - q^d is 1 once d >= 40, so (2, 80)'s rung 1400
     # is rung 40, and rung 39 is the last one built: 39 prefix-add passes
-    import qident.qobjects as qobjects
+    import qident.zpoly as zpoly
 
     passes = []
-    monkeypatch.setattr(qobjects, "_prefix_add", lambda c, d: passes.append(d) or _prefix_add(c, d))
+    monkeypatch.setattr(zpoly, "_prefix_add", lambda c, d: passes.append(d) or _prefix_add(c, d))
     rung = _inv_poch_ladder(2, 80)
     deep = rung(1400)
     assert deep == rung(40) == rung(39) == partition_series(qe(40))
