@@ -15,7 +15,7 @@ workload each pair's end-to-end metrics and perfbench's unscaled medians
 of the same run (its detail line's `unscaled`, times before the
 calibration factor), each side's median and quartiles per metric of
 both, the share of pairs the change wins (better by the metric's
-direction in BENCHMARK.json; a tie is no win), and two deterministic
+direction in BENCHMARK.json; a tie is no win), and three deterministic
 records per side, taken once per tree in a fresh interpreter on its
 `src/` before the workload's timed runs:
 
@@ -24,10 +24,14 @@ records per side, taken once per tree in a fresh interpreter on its
 - `setup_compile`: the package modules that `import qident` and
   validating the workload's cases load, perfbench's set-up, each with its
   executable lines (`line_reach.executable_lines`), and their total
+- `timed_imports`: the modules that perfbench's timed part then imports,
+  in the same interpreter: the suite through `cli.main` at --jobs 1, or
+  verifying each case
 
 Two lines per workload are printed: wall_s, with both medians and their
-quartiles, the pairs won and whether the counts are equal; and setup_s,
-calibrated and unscaled, with the executable lines its set-up compiles.
+quartiles, the pairs won and whether the counts and the timed imports
+are equal; and setup_s, calibrated and unscaled, with the executable
+lines its set-up compiles.
 """
 
 from __future__ import annotations
@@ -79,31 +83,49 @@ def run(tree: str, workload: str, seed: int, seconds: float) -> dict:
             "unscaled": {name: m["value"] for name, m in detail["unscaled"].items()}}
 
 
-def setup_compile(tree: str, spec: dict) -> dict:
-    """{modules: {module: executable lines}, executable_lines: their total} of what perfbench's set-up loads on `tree`.
+def setup_loads(tree: str, spec: dict) -> tuple:
+    """(setup_compile, timed_imports) of perfbench's workload `spec` on `tree`.
 
-    The set-up is `import qident` and validating the workload's cases: a
-    suite's cases, or each case at its first `choose` alternative.
+    setup_compile is {modules: {module: executable lines}, executable_lines:
+    their total} of the package modules that the set-up loads: `import
+    qident` and validating the workload's cases, a suite's cases or each
+    case at its first `choose` alternative.  timed_imports lists the
+    modules that the timed part then imports: the suite through `cli.main`
+    at --jobs 1, as perfbench runs it but in one process, or verifying each
+    case.
     """
-    if "suite" in spec:
-        with open(os.path.join(tree, spec["suite"])) as fh:
+    suite = os.path.join(tree, spec["suite"]) if "suite" in spec else None
+    if suite:
+        with open(suite) as fh:
             cases = [{"id": c["id"], "order": c.get("order"),
                       "params": {k: v for k, v in c.items() if k not in ("id", "expect", "order")}}
                      for c in json.load(fh)["cases"]]
     else:
         cases = [{"id": c["id"], "order": c["order"], "params": dict(c["params"], **c.get("choose", [{}])[0])}
                  for c in spec["cases"]]
-    code = ("import json, sys, qident\n"
-            "for c in json.load(sys.stdin):\n"
-            "    qident.validate_case(qident.make_case(c['id'], order=c['order'], **c['params']))\n"
-            "print(json.dumps(sorted(m[7:] for m in sys.modules if m.startswith('qident.'))))\n")
+    code = ("import contextlib, io, json, sys, qident\n"
+            "suite, cases = json.load(sys.stdin)\n"
+            "cases = [qident.make_case(c['id'], order=c['order'], **c['params']) for c in cases]\n"
+            "for case in cases:\n"
+            "    qident.validate_case(case)\n"
+            "setup = set(sys.modules)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    if suite:\n"
+            "        from qident import cli\n"
+            "        cli.main(['suite', suite, '--jobs', '1', '--format', 'json'])\n"
+            "    else:\n"
+            "        for case in cases:\n"
+            "            qident.verify(case)\n"
+            "loaded = sorted(m[7:] for m in setup if m.startswith('qident.'))\n"
+            "print(json.dumps([loaded, sorted(set(sys.modules) - setup)]))\n")
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"), PYTHONDONTWRITEBYTECODE="1")
-    proc = subprocess.run([sys.executable, "-c", code], input=json.dumps(cases), env=env, capture_output=True,
-                          text=True, check=True)
+    proc = subprocess.run([sys.executable, "-c", code], input=json.dumps([suite, cases]), env=env,
+                          capture_output=True, text=True, check=True)
+    loaded, timed = json.loads(proc.stdout)
     package = os.path.join(tree, "src", "qident")
     modules = {name: len(line_reach.executable_lines(os.path.join(package, name + ".py")))
-               for name in ["__init__"] + json.loads(proc.stdout)}
-    return {"modules": modules, "executable_lines": sum(modules.values())}
+               for name in ["__init__"] + loaded}
+    return {"modules": modules, "executable_lines": sum(modules.values())}, timed
 
 
 def quartiles(values: list) -> dict:
@@ -164,7 +186,9 @@ def main(argv=None) -> int:
         runs = line_reach.workload_runs()
         for workload in workloads:
             counts = {side: {run: work_counts.count(run, tree) for run in runs[workload]} for side, tree in trees.items()}
-            compiled = {side: setup_compile(tree, specs[workload]) for side, tree in trees.items()}
+            loads = {side: setup_loads(tree, specs[workload]) for side, tree in trees.items()}
+            compiled = {side: loads[side][0] for side in trees}
+            timed = {side: loads[side][1] for side in trees}
             pairs = []
             for i in range(args.pairs):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -176,9 +200,11 @@ def main(argv=None) -> int:
             unscaled = summarize([{side: p[side]["unscaled"] for side in trees} for p in pairs], higher)
             correct = all(p[side]["correct"] for p in pairs for side in ("parent", "change"))
             doc["workloads"][workload] = {"correct": correct, "pairs": pairs, "metrics": metrics,
-                                          "unscaled": unscaled, "counts": counts, "setup_compile": compiled}
+                                          "unscaled": unscaled, "counts": counts, "setup_compile": compiled,
+                                          "timed_imports": timed}
             print(f"{workload} wall_s: {_medians(metrics['wall_s'], len(pairs))}, work counts "
-                  + ("equal" if counts["parent"] == counts["change"] else "differ")
+                  + ("equal" if counts["parent"] == counts["change"] else "differ") + ", timed imports "
+                  + ("equal" if timed["parent"] == timed["change"] else f"{timed['parent']} -> {timed['change']}")
                   + ("" if correct else ", NOT CORRECT"), flush=True)
             u = unscaled["setup_s"]
             print(f"{workload} setup_s: {_medians(metrics['setup_s'], len(pairs))}; unscaled "

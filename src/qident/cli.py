@@ -1,13 +1,21 @@
 """Command line front end: verify one identity, or run a suite file.
 
-Exit codes: 0 all results as expected, 1 a verification failed (or a
-suite case did not match its expectation), 2 usage errors and cases
-that could not be run at all.
+    qident verify --id ID [--k K] [--r R] [--j J] [--n N] [--s-max S] [--a A] [--c C]
+                  [--z-exp E] [--z-sign +|-] [--placement P] [--order O] [--format text|json]
+    qident suite CONFIG [--jobs N] [--format text|json]
+  A, C and E are half-integers (3, 5/2 or -1/2), P positions (1,2,4) and O the order in
+  whole q-units or num/2 (default: the id's own). CONFIG is a JSON file, {default_order?,
+  parallelism?, output_path?, cases: [{id, ..., order?, expect?}]}, run by N processes,
+  this one included (default: its parallelism, else 1). A flag takes the next token as its
+  value, or is written --flag=value.
+
+Exit codes: 0 all results as expected, 1 a verification failed (or a suite
+case did not match its expectation), 2 usage errors (on stderr after the
+usage above, which -h or --help prints) and cases that could not be run.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
@@ -34,14 +42,8 @@ def _report_dict(rep: VerificationReport) -> dict:
         "order": _half_token(rep.case.order),
         "status": rep.status,
         "compared_order": _half_token(rep.compared_order),
-        "first_mismatch": None
-        if m is None
-        else {
-            "exp": _half_token(m.exp),
-            "z_exp": m.z_exp,  # an int z-power, or None
-            "lhs": str(m.lhs),
-            "rhs": str(m.rhs),
-        },
+        "first_mismatch": None if m is None else {  # z_exp: an int z-power, or None
+            "exp": _half_token(m.exp), "z_exp": m.z_exp, "lhs": str(m.lhs), "rhs": str(m.rhs)},
         "tuple_count": rep.tuple_count,
         "node_count": rep.node_count,
         "pruned_count": rep.pruned_count,
@@ -68,8 +70,7 @@ def _report_line(rep: VerificationReport) -> str:
     head = _head(rep.case.id, rep.case.params)
     if rep.status == "error":
         return f"{head}: ERROR: {rep.detail}"
-    co = rep.compared_order
-    where = "exactly" if co is INF else f"below q^{co}"
+    where = "exactly" if rep.compared_order is INF else f"below q^{rep.compared_order}"
     if rep.status == "pass":
         extra = f", {rep.tuple_count} cells" if rep.tuple_count else ""
         return f"{head}: PASS ({where}{extra}, {rep.elapsed:.2f}s)"
@@ -82,31 +83,21 @@ def _mismatch_at(exp, z_exp, lhs, rhs) -> str:
     return f"q^{exp}" + (f" z^{z_exp}" if z_exp is not None else "") + f": lhs={lhs} rhs={rhs}"
 
 
-def _case_from_args(args) -> IdentityCase:
-    params = {}
-    for name in ("k", "r", "j", "n", "s_max", "a", "c", "z_exp", "z_sign"):
-        v = getattr(args, name)
-        if v is not None:
-            params[name] = v
-    if args.placement is not None:
-        try:
-            params["placement"] = [int(t) for t in args.placement.split(",") if t.strip()]
-        except ValueError:
-            raise SpecError(f"bad placement {args.placement!r}; expected e.g. 1,2,4")
-    return IdentityCase(args.id, params, args.order)
-
-
-def _cmd_verify(args) -> int:
+def _cmd_verify(opts: dict) -> int:
+    id, order, fmt, placement = map(opts.pop, ("id", "order", "format", "placement"))
+    params = {name: v for name, v in opts.items() if v is not None}  # in the table's order
     try:
-        case = _case_from_args(args)
+        if placement is not None:
+            try:
+                params["placement"] = [int(t) for t in placement.split(",") if t.strip()]
+            except ValueError:
+                raise SpecError(f"bad placement {placement!r}; expected e.g. 1,2,4")
+        case = IdentityCase(id, params, order)
     except (SpecError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     rep = verify(case)
-    if args.format == "json":
-        print(json.dumps(_report_dict(rep), indent=2))
-    else:
-        print(_report_line(rep))
+    print(json.dumps(_report_dict(rep), indent=2) if fmt == "json" else _report_line(rep))
     return {"pass": 0, "fail": 1}.get(rep.status, 2)
 
 
@@ -191,16 +182,15 @@ def _run_sharded(jobs: list, n: int) -> list:
     return results + [(idx, _error_row(case, detail)) for idx, case in jobs if idx not in returned]
 
 
-def _cmd_suite(args) -> int:
+def _cmd_suite(opts: dict) -> int:
     try:
-        with open(args.config) as fh:
+        with open(opts["config"]) as fh:
             cfg = json.load(fh)
     except (OSError, ValueError) as e:
-        print(f"error: cannot read suite config {args.config}: {e}", file=sys.stderr)
+        print(f"error: cannot read suite config {opts['config']}: {e}", file=sys.stderr)
         return 2
 
-    jobs: List[Tuple[int, IdentityCase]] = []
-    expects: List[str] = []
+    jobs, expects = [], []  # (index, case) and the status each case expects
     try:
         if not isinstance(cfg, dict):
             raise ValueError(f"expected a JSON object, got {type(cfg).__name__}")
@@ -211,10 +201,10 @@ def _cmd_suite(args) -> int:
         if not isinstance(cases, list):
             raise ValueError(f"cases must be a list, got {cases!r}")
         default_order = cfg.get("default_order")
-        workers = args.jobs if args.jobs is not None else cfg.get("parallelism", 1)
+        workers = opts["jobs"] if opts["jobs"] is not None else cfg.get("parallelism", 1)
         output_path = cfg.get("output_path")
         if not _whole(workers) or workers < 1:
-            flag = "parallelism" if args.jobs is None else "--jobs"
+            flag = "parallelism" if opts["jobs"] is None else "--jobs"
             raise ValueError(f"{flag} must be a positive integer, got {workers!r}")
         if output_path is not None and not (isinstance(output_path, str) and output_path):
             raise ValueError(f"output_path must be a non-empty string, got {output_path!r}")
@@ -229,7 +219,6 @@ def _cmd_suite(args) -> int:
             if expect not in ("pass", "fail"):
                 raise ValueError(f"case {idx}: expect must be 'pass' or 'fail', got {expect!r}")
             order = c.pop("order", default_order)
-            # every descriptor must name a registered id with valid params
             try:
                 case = IdentityCase(id, c, None if order is None else str(order))
                 validate_case(case)
@@ -242,18 +231,12 @@ def _cmd_suite(args) -> int:
         return 2
 
     results = _run_sharded(jobs, workers if hasattr(os, "fork") else 1)
-    by_idx = {idx: out for idx, out in results}
-    order_key = sorted(range(len(jobs)), key=lambda i: (jobs[i][1].id, i))
-    rows = []
-    bad = 0
-    for i in order_key:
-        out = dict(by_idx[i])
-        out["expect"] = expects[i]
-        out["as_expected"] = out["status"] == expects[i]
-        bad += 0 if out["as_expected"] else 1
-        rows.append(out)
+    by_idx = dict(results)
+    rows = [dict(by_idx[i], expect=expects[i], as_expected=by_idx[i]["status"] == expects[i])
+            for i in sorted(range(len(jobs)), key=lambda i: (jobs[i][1].id, i))]
+    bad = sum(not out["as_expected"] for out in rows)
 
-    if args.format == "json":
+    if opts["format"] == "json":
         doc = json.dumps({"cases": rows, "unexpected": bad}, indent=2)
     else:
         lines = []
@@ -279,43 +262,60 @@ def _cmd_suite(args) -> int:
     return 0 if bad == 0 else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="qident", description=__doc__)
-    sub = ap.add_subparsers(dest="command", required=True)
+# flag -> kind: int, str, or its allowed values; its field is its name with "_"
+# for "-".  verify's fields but id, order and format are case parameters, in order.
+_VERIFY = {"--id": registered_ids(), "--k": int, "--r": int, "--j": int, "--n": int, "--s-max": int, "--a": str,
+           "--c": str, "--z-exp": str, "--z-sign": ("+", "-"), "--placement": str, "--order": str,
+           "--format": ("text", "json")}
+_SUITE = {"--jobs": int, "--format": ("text", "json")}
+_COMMANDS = {"verify": (_VERIFY, _cmd_verify), "suite": (_SUITE, _cmd_suite)}
 
-    v = sub.add_parser("verify", help="verify one identity")
-    v.add_argument("--id", required=True, choices=registered_ids(), metavar="ID",
-                   help="identity id; one of " + ", ".join(registered_ids()))
-    v.add_argument("--k", type=int)
-    v.add_argument("--r", type=int)
-    v.add_argument("--j", type=int)
-    v.add_argument("--n", type=int)
-    v.add_argument("--s-max", dest="s_max", type=int)
-    v.add_argument("--a", help="half-integer weight, e.g. 3 or 5/2")
-    v.add_argument("--c", help="half-integer weight for the functional equation")
-    v.add_argument("--z-sign", dest="z_sign", choices=("+", "-"))
-    v.add_argument("--z-exp", dest="z_exp",
-                   help="half-integer exponent of z, e.g. 1 or 1/2 (use --z-exp=-1/2 for negatives)")
-    v.add_argument("--placement", help="comma separated positions, e.g. 1,2,4")
-    v.add_argument("--order", help="truncation order: whole q-units or num/2")
-    v.add_argument("--format", choices=("text", "json"), default="text")
-    v.set_defaults(func=_cmd_verify)
 
-    s = sub.add_parser("suite", help="run a JSON suite of cases")
-    s.add_argument("config", help="JSON file: {default_order?, parallelism?, output_path?, "
-                                  "cases: [{id, ..., order?, expect?}]}")
-    s.add_argument("--jobs", type=int, default=None,
-                   help="processes, this one included (overrides the config's parallelism; "
-                        "default 1); each process takes the next case in listed order when it "
-                        "is free; serial where os.fork is missing")
-    s.add_argument("--format", choices=("text", "json"), default="text")
-    s.set_defaults(func=_cmd_suite)
-    return ap
+def _usage(error: Optional[str] = None):
+    """Print the usage, to stdout for help or to stderr with an error, and exit 0 or 2."""
+    usage = (__doc__ or "\n\n").split("\n\n")[1]  # empty under python -OO, which strips docstrings
+    print(usage + (f"\nerror: {error}" if error else ""), file=sys.stderr if error else sys.stdout)
+    raise SystemExit(2 if error else 0)
+
+
+def parse_args(argv: List[str]) -> Tuple[str, dict]:
+    """(command, {field: value}) of a command line; a field not given is None, or "text" for format."""
+    if "-h" in argv or "--help" in argv:
+        _usage()
+    command = argv[0] if argv else None
+    if command not in _COMMANDS:
+        _usage(f"expected a command, verify or suite, got {command!r}")
+    table = _COMMANDS[command][0]
+    opts = {flag[2:].replace("-", "_"): None for flag in table} | {"format": "text"}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):  # suite's config file
+            if command == "verify" or "config" in opts:
+                _usage(f"unexpected argument {token!r}")
+            opts["config"] = token
+            continue
+        flag, eq, value = token.partition("=")
+        if flag not in table:
+            _usage(f"unknown flag {flag}")
+        if not eq and (value := next(tokens, None)) is None:
+            _usage(f"{flag} needs a value")
+        kind = table[flag]
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                _usage(f"{flag} takes an int, got {value!r}")
+        elif kind is not str and value not in kind:
+            _usage(f"{flag} takes one of {', '.join(kind)}, got {value!r}")
+        opts[flag[2:].replace("-", "_")] = value
+    if opts.get("id", opts.get("config")) is None:  # verify's id, suite's config
+        _usage("verify needs --id" if command == "verify" else "suite needs a config file")
+    return command, opts
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    command, opts = parse_args(sys.argv[1:] if argv is None else argv)
+    return _COMMANDS[command][1](opts)
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from typing import Dict, List, Sequence, Tuple
 from .catalog import Check, _int_tuple, _need_int, _opt_int, _prep_plain, _reg, _reject_unknown
 from .multisum import SummandSpec, TailOver, _chain_values, eval_multisum
 from .products import _product_sums
-from .qobjects import Monomial, binom
+from .qobjects import Monomial, _grid_series, _poch_lists, binom
 from .series import INF, Order, QSeries, SpecError, SumStats, _Record, _whole, he, qe
 from .sums import _SUM_ROWS, _odd
 from .zpoly import FSpec, HSpec, ZLaurent, _f_min, _inv_poch_ladder, _poch_rows, f_func, h_poly
@@ -204,14 +204,14 @@ def enumerate_edge_sets(j: int) -> List[EdgeSet]:
 
 def edge_weight(E: EdgeSet, s: Sequence[int]) -> QSeries:
     """q^(-s_i)(1 + q^(s_(i-1)+s_i)) over uncovered i >= 2, times q^(-s_1)
-    when vertex 1 is uncovered; a Laurent polynomial in q, one `_poch_rows` row."""
+    when vertex 1 is uncovered; a Laurent polynomial in q, row 0 of `_poch_lists`."""
     j = len(s)
     if any(i + 1 > j for i in E.edges):
         raise SpecError(f"edge set {sorted(E.edges)} does not fit a path on {j} vertices")
     covered = E.covered
     free = [i for i in range(1, j + 1) if i not in covered]
-    w = _poch_rows([(-1, 0, 2 * (s[i - 2] + s[i - 1])) for i in free if i >= 2], INF).slice(0)
-    return w.shift(qe(-sum(s[i - 1] for i in free)))
+    rows, lo, top, g = _poch_lists([(-1, 0, 2 * (s[i - 2] + s[i - 1])) for i in free if i >= 2], INF)
+    return _grid_series(rows[0], lo, top, g).shift(qe(-sum(s[i - 1] for i in free)))
 
 
 def _edge_samples(j: int) -> List[Tuple[int, ...]]:

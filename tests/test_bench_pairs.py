@@ -40,6 +40,10 @@ def test_one_short_pair_writes_both_sides_and_the_summary(tmp_path):
     assert list(modules) == ["__init__", "catalog", "multisum", "products", "qobjects", "series", "sums"]
     assert compiled["parent"]["executable_lines"] == sum(modules.values()) and min(modules.values()) > 0
     assert "sums_z setup_s: parent " in proc.stdout and " executable lines" in proc.stdout
+    # the modules the timed part imports after the set-up, the same on both
+    # copies: verifying sums_z's cases imports nothing the set-up did not
+    assert run["timed_imports"] == {"parent": [], "change": []}
+    assert "timed imports equal" in proc.stdout
 
 
 def test_quartiles_and_wins_follow_each_metrics_direction():

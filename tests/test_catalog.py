@@ -735,7 +735,7 @@ def test_every_edge_weight_matches_the_naive_product():
 
 
 def test_edge_lemma_builds_no_series_products(monkeypatch):
-    # every weight is one `_poch_rows` row and one shift: the signed sum of
+    # every weight is one `_poch_lists` row and one shift: the signed sum of
     # the matchings makes no `QSeries` product
     calls = []
     mul = QSeries.__mul__
@@ -748,6 +748,21 @@ def test_edge_lemma_builds_no_series_products(monkeypatch):
     monkeypatch.setattr(QSeries, "__rmul__", spy)
     rep = verify(make_case("EDGE_LEMMA", j=8))
     assert rep.status == "pass" and calls == []
+
+
+def test_edge_weights_build_no_laurent_polynomial(monkeypatch):
+    # a weight is z-free: it reads row 0 of the Pochhammer lists as a series,
+    # with no ZLaurent built around it
+    built = []
+    init = zpoly.ZLaurent.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(zpoly.ZLaurent, "__init__", spy)
+    assert edge_weight(EdgeSet(frozenset({1})), (3, 2, 2, 1)).terms()
+    assert verify(make_case("EDGE_LEMMA", j=8)).status == "pass" and built == []
 
 
 def test_edge_weight_validates_length():

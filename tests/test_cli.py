@@ -41,7 +41,7 @@ def test_verify_escaping_exception_exits_two(capsys, monkeypatch):
     def runner(p, wnum, stats):
         raise RecursionError("maximum recursion depth exceeded")
 
-    entry = catalog._REGISTRY["SPECIAL_A"]
+    entry = catalog._entry("SPECIAL_A")
     monkeypatch.setitem(catalog._REGISTRY, "SPECIAL_A", entry._replace(runner=runner))
     code, out, _ = run(capsys, "verify", "--id", "SPECIAL_A", "--n", "3")
     assert code == 2
@@ -107,7 +107,7 @@ def test_structural_mismatch_reports_its_z_power(tmp_path, capsys, monkeypatch):
         H = h_poly(HSpec(p["n"], p["a"]))
         return [catalog.Check("H against H + z", H, H + ZLaurent({1: QSeries.one()}, None))]
 
-    entry = catalog._REGISTRY["RECURSE_F"]
+    entry = catalog._entry("RECURSE_F")
     monkeypatch.setitem(catalog._REGISTRY, "RECURSE_F", entry._replace(runner=runner))
     args = ("--id", "RECURSE_F", "--n", "2", "--j", "1", "--a", "3/2")
     code, out, _ = run(capsys, "verify", *args, "--format", "json")
@@ -497,7 +497,7 @@ def test_suite_case_error_is_never_expected(tmp_path, capsys, monkeypatch):
     def raises(p, wnum, stats):
         raise RecursionError("maximum recursion depth exceeded")
 
-    monkeypatch.setitem(catalog._REGISTRY, "H_LIMIT", catalog._REGISTRY["H_LIMIT"]._replace(runner=raises))
+    monkeypatch.setitem(catalog._REGISTRY, "H_LIMIT", catalog._entry("H_LIMIT")._replace(runner=raises))
     doc = {"cases": [{"id": "H_LIMIT", "a": "3/2", "z_sign": "+", "z_exp": "1/2",
                       "expect": "fail"}]}
     path = _write_suite(tmp_path, doc)
@@ -574,3 +574,104 @@ def test_importing_the_cli_loads_no_process_pool(tmp_path):
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "0 []"
+
+
+def test_the_cli_loads_no_argparse(tmp_path):
+    # pytest imports argparse itself, so a fresh interpreter runs the suite
+    import pathlib
+    import subprocess
+    import sys
+
+    import qident
+
+    src = str(pathlib.Path(qident.__file__).resolve().parent.parent)
+    path = _write_suite(tmp_path, SUITE)
+    code = ("import contextlib, io, sys, qident.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    exit_code = qident.cli.main(['suite', {path!r}, '--jobs', '1'])\n"
+            "print(exit_code, sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "0 []"
+
+
+def test_a_flag_takes_the_next_token_or_its_value_after_an_equals_sign(capsys):
+    from qident.cli import parse_args
+
+    spaced = ["verify", "--id", "OVER_1", "--k", "1", "--j", "1", "--z-sign", "-", "--z-exp", "-1/2",
+              "--order", "40", "--format", "json"]
+    joined = [spaced[0]] + [f"{flag}={value}" for flag, value in zip(spaced[1::2], spaced[2::2])]
+    assert parse_args(spaced) == parse_args(joined)
+    command, opts = parse_args(spaced)
+    assert command == "verify" and opts["z_exp"] == "-1/2" and opts["k"] == 1 and opts["n"] is None
+    docs = []
+    for argv in (spaced, joined):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        docs.append(json.loads(out))
+        docs[-1].pop("elapsed_ms")
+    assert docs[0] == docs[1] and docs[0]["params"] == {"k": 1, "j": 1, "z_exp": "-1/2", "z_sign": "-"}
+    # the case lists its parameters in the flag table's order, whatever the command line's
+    code, out, _ = run(capsys, "verify", "--r", "0", "--k", "1", "--id", "AG", "--order", "20")
+    assert code == 0 and out.startswith("AG k=1 r=0: PASS")
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["verify", "-h"], ["suite", "x.suite", "--help"]])
+def test_help_prints_the_usage_to_stdout_and_exits_zero(argv, capsys):
+    from qident import cli
+
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr()
+    assert exc.value.code == 0 and out.err == ""
+    assert out.out == cli.__doc__.split("\n\n")[1] + "\n"
+    assert out.out.lstrip().startswith("qident verify --id ID") and "qident suite CONFIG" in out.out
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["bogus"], "expected a command, verify or suite, got 'bogus'"),
+    ([], "expected a command, verify or suite, got None"),
+    (["verify", "--id", "AG", "--ord", "30"], "unknown flag --ord"),  # no abbreviations
+    (["suite", "x.suite", "--k", "1"], "unknown flag --k"),
+    (["verify", "--id", "AG", "--k", "x"], "--k takes an int, got 'x'"),
+    (["suite", "x.suite", "--jobs=2.5"], "--jobs takes an int, got '2.5'"),
+    (["verify", "--id", "AG", "--format", "xml"], "--format takes one of text, json, got 'xml'"),
+    (["verify", "--id", "AG", "--z-sign", "x"], "--z-sign takes one of +, -, got 'x'"),
+    (["verify", "--id", "AG", "--k"], "--k needs a value"),
+    (["verify", "--k", "1"], "verify needs --id"),
+    (["verify", "--id", "AG", "extra"], "unexpected argument 'extra'"),
+    (["suite", "--jobs", "2"], "suite needs a config file"),
+    (["suite", "a.suite", "b.suite"], "unexpected argument 'b.suite'"),
+], ids=["unknown-command", "no-command", "abbreviation", "unknown-flag", "bad-int", "bad-int-equals",
+        "bad-choice", "bad-sign", "no-value", "missing-id", "verify-argument", "missing-config", "second-config"])
+def test_usage_errors_exit_two_with_the_usage_on_stderr(argv, error, capsys):
+    from qident import cli
+
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    assert out.err == cli.__doc__.split("\n\n")[1] + f"\nerror: {error}\n"
+
+
+def test_a_bad_id_is_answered_with_the_registered_ids(capsys):
+    from qident import registered_ids
+
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--id", "BOGUS"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: --id takes one of {', '.join(registered_ids())}, got 'BOGUS'\n")
+
+
+def test_usage_errors_exit_two_without_docstrings():
+    # python -OO strips the docstring that holds the usage; the error and its exit code stay
+    import pathlib
+    import subprocess
+    import sys
+
+    import qident
+
+    src = str(pathlib.Path(qident.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-OO", "-m", "qident", "verify", "--k", "1"],
+                         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert (out.returncode, out.stdout, out.stderr) == (2, "", "\nerror: verify needs --id\n")

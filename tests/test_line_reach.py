@@ -7,7 +7,7 @@ import pytest
 
 import qident
 from qident import catalog
-from qident.cli import build_parser
+from qident.cli import parse_args
 
 import line_reach
 
@@ -60,4 +60,4 @@ def test_traffic_preset_expands_to_the_benchmark_runs(monkeypatch):
     assert runs == ["pytest -q", "qident suite suites/full-paper.suite --jobs 1",
                     *(f"qident verify --id {v}" for v in verify), "qident verify --id AG --k 1 --r 0"]
     for run in runs[1:]:  # each is a command line the CLI accepts
-        build_parser().parse_args(run.split()[1:])
+        parse_args(run.split()[1:])

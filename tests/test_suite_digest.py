@@ -35,7 +35,7 @@ def _side(x, below) -> list:
 
 
 def _row_hash(case: IdentityCase) -> str:
-    entry = catalog._REGISTRY[case.id]
+    entry = catalog._entry(case.id)
     built = []
 
     def keep(*args):
